@@ -34,7 +34,6 @@ from .affine import (
     affine_hull,
     intersect_affine,
     intersect_affine_v,
-    standard_form,
 )
 from .isometry import (
     ELLIPTIC,
@@ -49,7 +48,6 @@ from .isometry import (
     interval_leq,
     is_elliptic,
     is_reflection_below,
-    make_reflection,
     min_set,
     motion_reflection,
     move_set,

@@ -216,11 +216,6 @@ class AffineSubspaceE:
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"
 
 
-def standard_form(direction: LinearSubspace, shift: Vector) -> AffineSubspaceV:
-    """The affine subspace direction + shift, with the shift minimized."""
-    return AffineSubspaceV(direction, shift)
-
-
 def affine_hull(points: Sequence[Point]) -> AffineSubspaceE:
     """Smallest affine subspace containing the given points."""
     if not points:

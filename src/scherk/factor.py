@@ -21,7 +21,6 @@ repeated runs produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
@@ -34,7 +33,7 @@ from .isometry import (
     reflection_length,
     standard_splitting,
 )
-from .linalg import Matrix, Vector, orthogonal_complement, solve_affine, span
+from .linalg import Vector, orthogonal_complement, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, leq, rank
 
 
@@ -53,8 +52,8 @@ class Factorization:
     def product(self) -> Isometry:
         """Product of the factors; the first listed factor acts last."""
         result = Isometry.identity(self.target.dim)
-        for r in self.factors:
-            result = result.compose(r.to_isometry())
+        for r in reversed(self.factors):
+            result = r.compose(result)
         return result
 
     def is_exact(self) -> bool:
@@ -69,11 +68,36 @@ def _first_point_outside(c: AffineSubspaceE, b: AffineSubspaceE) -> Point:
     raise ChainError("no point of the larger subspace escapes the smaller one")
 
 
-def _first_unfixed_point(w: Isometry) -> Point:
-    for x in AffineSubspaceE.full(w.dim).points():
-        if w.apply(x) != x:
-            return x
-    raise ValueError("the identity fixes every point")
+def _first_unfixed_point(w: Isometry) -> Optional[Point]:
+    """First point w moves among the origin, then the unit points in order.
+
+    This is the scan of AffineSubspaceE.full(n).points().  The origin is
+    fixed exactly when b = 0, and then e_i is fixed exactly when column i
+    of A is e_i.  None when w is the identity.
+    """
+    n = w.dim
+    if not w.translation.is_zero():
+        return Point.origin(n)
+    rows = w.matrix.rows
+    for i in range(n):
+        if any(row[i] != (1 if j == i else 0) for j, row in enumerate(rows)):
+            return Point(Vector.basis(n, i))
+    return None
+
+
+def _peel(w: Isometry) -> tuple[Reflection, ...]:
+    """Reflect away the motion of the first unfixed point until w is used up.
+
+    For elliptic w each step grows the fixed set by one dimension, so this
+    ends after dim Mov(w) steps with a minimal factorization.
+    """
+    factors = []
+    current = w
+    while (x := _first_unfixed_point(current)) is not None:
+        r = motion_reflection(current, x)
+        factors.append(r)
+        current = r.compose(current)
+    return tuple(factors)
 
 
 def factor_elliptic(
@@ -93,13 +117,7 @@ def factor_elliptic(
         raise ValueError("factor_elliptic needs an elliptic isometry")
     if chain is not None:
         return _factor_elliptic_chain(w, list(chain))
-    factors = []
-    current = w
-    while not current.is_identity():
-        r = motion_reflection(current, _first_unfixed_point(current))
-        factors.append(r)
-        current = r.to_isometry().compose(current)
-    return Factorization(target=w, factors=tuple(factors))
+    return Factorization(target=w, factors=_peel(w))
 
 
 def _factor_elliptic_chain(
@@ -124,7 +142,7 @@ def _factor_elliptic_chain(
         x = _first_point_outside(chain[i], chain[i - 1])
         r = motion_reflection(current, x)
         factors.append(r)
-        current = r.to_isometry().compose(current)
+        current = r.compose(current)
         if min_set(current) != chain[i]:
             raise ChainError("chain step did not land on the requested fixed set")
     return Factorization(target=w, factors=tuple(factors))
@@ -140,14 +158,10 @@ def factor_hyperbolic(w: Isometry) -> Factorization:
     mu, u = standard_splitting(w)
     if mu.is_zero():
         raise ValueError("factor_hyperbolic needs a hyperbolic isometry")
-    anchor = min_set(w).point
-    mirror_dir = orthogonal_complement(span([mu]))
-    far = Reflection(
-        AffineSubspaceE(anchor + mu.scale(Fraction(1, 2)), mirror_dir), mu
-    )
-    near = Reflection(AffineSubspaceE(anchor, mirror_dir), mu)
-    rest = factor_elliptic(u)
-    return Factorization(target=w, factors=(far, near) + rest.factors)
+    near_value = mu.dot(min_set(w).point.to_vector())
+    far = Reflection.from_hyperplane(mu, near_value + mu.norm_sq() / 2)
+    near = Reflection.from_hyperplane(mu, near_value)
+    return Factorization(target=w, factors=(far, near) + _peel(u))
 
 
 def factor(w: Isometry) -> Factorization:
@@ -164,25 +178,22 @@ def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Refl
     move-set form an affine hyperplane.  Multiplying the reflection on the
     left means the mirror must contain the images of those points, so the
     preimage hyperplane is pushed forward through the isometry.
+
+    A normal nu of the target U' + mu' constrains the motion M x + b of x,
+    with M = A - I, to nu . (M x + b) = nu . mu', i.e. beta . x = d with
+    beta = M^T nu and d = nu . (mu' - b).  Normals of the whole move-set
+    give beta = 0; as the target has codimension one in it, the first
+    nonzero beta cuts out the preimage.  The caller checks that the step
+    lands on the requested element.
     """
-    n = current.dim
-    difference = current.matrix - Matrix.identity(n)
-    normals = orthogonal_complement(target_move.direction)
-    rows = [
-        (Matrix([normal.coords], ncols=n) * difference).rows[0]
-        for normal in normals.basis
-    ]
-    rhs = Vector(
-        normal.dot(target_move.mu - current.translation) for normal in normals.basis
-    )
-    solution = solve_affine(Matrix(rows, ncols=n), rhs)
-    if solution is None:
-        raise ChainError("requested move-set is not reached by any point")
-    particular, kernel = solution
-    preimage = AffineSubspaceE(Point(particular), kernel)
-    if preimage.codim != 1:
-        raise ChainError("move-set step does not cut out a hyperplane")
-    return Reflection(current.image_of_affine(preimage))
+    at = current.matrix.transpose()
+    shift = target_move.mu - current.translation
+    for normal in orthogonal_complement(target_move.direction).basis:
+        beta = at * normal - normal
+        if not beta.is_zero():
+            preimage = Reflection.from_hyperplane(beta, normal.dot(shift))
+            return preimage.conjugate(current)
+    raise ChainError("move-set step does not cut out a hyperplane")
 
 
 def chain_to_factorization(
@@ -221,7 +232,7 @@ def chain_to_factorization(
             x = _first_point_outside(below.fix, above.fix)
             r = motion_reflection(current, x)
         factors.append(r)
-        current = r.to_isometry().compose(current)
+        current = r.compose(current)
         if inv_map(current) != below:
             raise ChainError("chain step did not land on the requested element")
     if not current.is_identity():
@@ -241,7 +252,7 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     suffix = Isometry.identity(f.target.dim)
     elements = [inv_map(suffix)]
     for r in reversed(f.factors):
-        suffix = r.to_isometry().compose(suffix)
+        suffix = r.compose(suffix)
         elements.append(inv_map(suffix))
     elements.reverse()
     for above, below in zip(elements, elements[1:]):

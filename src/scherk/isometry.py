@@ -16,12 +16,15 @@ An isometry is *elliptic* when it fixes a point, equivalently when mu = 0,
 in which case Min(w) is the fixed-point set.  Otherwise it is *hyperbolic*.
 Scherk's formula gives the minimal number of reflections multiplying to w
 directly from these invariants: dim Mov(w) when w is elliptic and
-dim Mov(w) + 2 when w is hyperbolic.  No search is ever performed.
+dim Mov(w) + 2 when w is hyperbolic.  No search is ever performed.  The
+invariants come from one elimination and are kept on the isometry, so
+asking for them again costs nothing.
 
-Reflections are represented by their mirror, an affine hyperplane of E,
-together with an unnormalized integer root spanning the normal line.  Roots
-stay rational because every formula divides by the root's squared length,
-so nothing here ever needs a square root.
+A reflection is stored as its mirror hyperplane {x : alpha . x = c}, with
+alpha the canonical primitive integer root and c a rational offset; the
+mirror as an affine subspace is derived only when asked for.  Roots stay
+rational because every formula divides by the root's squared length, so
+nothing here ever needs a square root.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from typing import Optional
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .linalg import (
     DimensionError,
+    LinearSubspace,
     Matrix,
     Vector,
-    column_space,
+    _rref,
     orthogonal_complement,
-    solve_affine,
     span,
     subspace_sum,
 )
@@ -58,9 +61,13 @@ class Isometry:
     Group operations (compose, inverse) skip the check: products and
     inverses of exactly orthogonal rational matrices are exactly orthogonal,
     so revalidating them would only slow the hot paths down.
+
+    The slot ``_class`` holds the IsometryClass once :func:`classify` (or
+    any other invariant) has been asked for; it is written once, lives as
+    long as the isometry, and plays no part in equality or hashing.
     """
 
-    __slots__ = ("matrix", "translation")
+    __slots__ = ("matrix", "translation", "_class")
 
     def __init__(self, matrix: Matrix, translation: Vector, _trusted: bool = False):
         if matrix.nrows != matrix.ncols:
@@ -71,7 +78,7 @@ class Isometry:
             raise OrthogonalityError("linear part is not orthogonal")
         self.matrix = matrix
         self.translation = translation
-
+        self._class: Optional[IsometryClass] = None
     @classmethod
     def identity(cls, dim: int) -> "Isometry":
         return cls(Matrix.identity(dim), Vector.zero(dim), _trusted=True)
@@ -134,28 +141,29 @@ def translation(shift: Vector) -> Isometry:
     return Isometry(Matrix.identity(shift.dim), shift, _trusted=True)
 
 
-def _canonical_root(direction: Vector) -> Vector:
-    """Scale a normal vector to a primitive integer vector, leading entry > 0."""
-    if direction.is_zero():
+def _primitive(normal: Vector) -> tuple[Vector, Fraction]:
+    """(root, s) with root = s * normal primitive integer, first nonzero > 0."""
+    if normal.is_zero():
         raise ValueError("root must be nonzero")
-    common = math.lcm(*(c.denominator for c in direction.coords))
-    ints = [int(c * common) for c in direction.coords]
+    common = math.lcm(*(c.denominator for c in normal.coords))
+    ints = [c.numerator * (common // c.denominator) for c in normal.coords]
     g = math.gcd(*ints)
-    ints = [value // g for value in ints]
-    lead = next(value for value in ints if value != 0)
-    if lead < 0:
-        ints = [-value for value in ints]
-    return Vector(ints)
+    if next(value for value in ints if value != 0) < 0:
+        g = -g
+    return Vector([value // g for value in ints]), Fraction(common, g)
 
 
 class Reflection:
     """The unique nontrivial isometry fixing an affine hyperplane pointwise.
 
-    Determined entirely by its mirror; the stored root is the canonical
-    primitive integer normal, so equal reflections compare equal.
+    Stored as its mirror {x : root . x = offset}: root is the canonical
+    primitive integer normal (first nonzero entry positive) and offset a
+    rational, so equal reflections have equal fields.  The constructor
+    takes the mirror as an AffineSubspaceE and validates it;
+    :meth:`from_hyperplane` builds one from any normal and offset in O(n).
     """
 
-    __slots__ = ("mirror", "root", "_iso")
+    __slots__ = ("root", "offset")
 
     def __init__(self, mirror: AffineSubspaceE, root: Optional[Vector] = None):
         if mirror.codim != 1:
@@ -167,68 +175,92 @@ class Reflection:
             root = normal_line.basis[0]
         elif not normal_line.contains(root) or root.is_zero():
             raise ValueError("root must span the normal line of the mirror")
-        self.mirror = mirror
-        self.root = _canonical_root(root)
-        self._iso: Optional[Isometry] = None
+        self.root = _primitive(root)[0]
+        self.offset = self.root.dot(mirror.point.to_vector())
+
+    @classmethod
+    def from_hyperplane(cls, normal: Vector, value) -> "Reflection":
+        """The reflection across {x : normal . x = value}; normal is nonzero."""
+        r = cls.__new__(cls)
+        r.root, scale = _primitive(normal)
+        r.offset = scale * value
+        return r
 
     @property
     def dim(self) -> int:
-        return self.mirror.ambient
+        return self.root.dim
+
+    @property
+    def mirror(self) -> AffineSubspaceE:
+        """The fixed hyperplane as an affine subspace, built on each call."""
+        alpha = self.root
+        point = Point(alpha.scale(self.offset / alpha.norm_sq()))
+        return AffineSubspaceE(point, orthogonal_complement(span([alpha])))
+
+    def compose(self, w: Isometry) -> Isometry:
+        """self after w, as a rank-one (Householder) update in O(n^2).
+
+        With k = 2 / |alpha|^2 the product has matrix A - alpha (k alpha^T A)
+        and translation b - k (alpha . b - offset) alpha.
+        """
+        if self.dim != w.dim:
+            raise DimensionError("isometries of different dimensions")
+        alpha = [c.numerator for c in self.root.coords]
+        k = Fraction(2, sum(a * a for a in alpha))
+        rows = w.matrix.rows
+        b = w.translation.coords
+        top = [k * sum(a * x for a, x in zip(alpha, col)) for col in zip(*rows)]
+        shift = k * (sum(a * x for a, x in zip(alpha, b)) - self.offset)
+        matrix = Matrix(
+            row if a == 0 else [x - a * y for x, y in zip(row, top)]
+            for a, row in zip(alpha, rows)
+        )
+        moved = Vector(x - a * shift for a, x in zip(alpha, b))
+        return Isometry(matrix, moved, _trusted=True)
 
     def to_isometry(self) -> Isometry:
-        if self._iso is None:
-            alpha = self.root
-            scale = alpha.norm_sq()
-            n = self.dim
-            rows = []
-            for i in range(n):
-                rows.append(
-                    [
-                        (Fraction(1) if i == j else Fraction(0))
-                        - 2 * alpha[i] * alpha[j] / scale
-                        for j in range(n)
-                    ]
-                )
-            shift = alpha.scale(2 * self.mirror.point.to_vector().dot(alpha) / scale)
-            self._iso = Isometry(Matrix(rows), shift, _trusted=True)
-        return self._iso
+        return self.compose(Isometry.identity(self.dim))
 
     def apply(self, x: Point) -> Point:
         alpha = self.root
-        factor = 2 * (x - self.mirror.point).dot(alpha) / alpha.norm_sq()
+        factor = 2 * (x.to_vector().dot(alpha) - self.offset) / alpha.norm_sq()
         return x - alpha.scale(factor)
 
     def conjugate(self, g: Isometry) -> "Reflection":
-        """The reflection g r g^{-1}, whose mirror is the image of this mirror."""
-        return Reflection(g.image_of_affine(self.mirror), g.apply_vector(self.root))
+        """The reflection g r g^{-1}, whose mirror is the image of this mirror.
+
+        g maps {x : alpha . x = c} onto {y : A alpha . y = c + A alpha . b}.
+        """
+        normal = g.apply_vector(self.root)
+        value = self.offset + normal.dot(g.translation)
+        return Reflection.from_hyperplane(normal, value)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Reflection) and self.mirror == other.mirror
+        return (
+            isinstance(other, Reflection)
+            and self.root == other.root
+            and self.offset == other.offset
+        )
 
     def __hash__(self) -> int:
-        return hash(("Reflection", self.mirror))
+        return hash(("Reflection", self.root, self.offset))
 
     def __repr__(self) -> str:
-        return f"Reflection(mirror={self.mirror!r}, root={self.root!r})"
-
-
-def make_reflection(mirror: AffineSubspaceE) -> Reflection:
-    """Reflection across an affine hyperplane of E."""
-    return Reflection(mirror)
+        return f"Reflection(root={self.root!r}, offset={self.offset})"
 
 
 def reflection_bisecting(x: Point, y: Point) -> Reflection:
     """The unique reflection swapping two distinct points.
 
-    Its mirror is the perpendicular bisector: the hyperplane through the
-    midpoint normal to y - x.  Symmetric in its arguments.
+    Its mirror is the perpendicular bisector {z : (y - x) . z = c}, where
+    c = (y - x) . (x + y) / 2 = (|y|^2 - |x|^2) / 2.  Symmetric in its
+    arguments.
     """
     alpha = y - x
     if alpha.is_zero():
         raise ValueError("bisecting reflection needs two distinct points")
-    midpoint = x + alpha.scale(Fraction(1, 2))
-    mirror = AffineSubspaceE(midpoint, orthogonal_complement(span([alpha])))
-    return Reflection(mirror, alpha)
+    value = (y.to_vector().norm_sq() - x.to_vector().norm_sq()) / 2
+    return Reflection.from_hyperplane(alpha, value)
 
 
 @dataclass(frozen=True)
@@ -250,47 +282,75 @@ class IsometryClass:
         return self.tag == ELLIPTIC
 
 
+def _invariants(w: Isometry) -> IsometryClass:
+    """Move-set, min-set and class of w from one elimination.
+
+    With M = A - I, the min-set is the solution set of the normal equations
+    M^T M x = -M^T b: the points whose motion M x + b is shortest.  As A is
+    orthogonal, M^T M = 2I - A - A^T and -M^T b = b - A^T b need no matrix
+    product, and ker M^T M = ker M = im(M)^perp, so the row space of M^T M
+    is U = im M.  One reduction of [M^T M | -M^T b] therefore yields U (its
+    rows), Dir(Min) = U^perp and a min-set point; mu is the part of b
+    orthogonal to U.
+    """
+    a = w.matrix.rows
+    b = w.translation.coords
+    n = len(b)
+    augmented = [
+        [(2 if i == j else 0) - a[i][j] - a[j][i] for j in range(n)]
+        + [b[i] - sum(a[k][i] * b[k] for k in range(n))]
+        for i in range(n)
+    ]
+    rows, pivots = _rref(augmented, n + 1)
+    u = LinearSubspace(n, [row[:n] for row in rows])
+    point = [0] * n
+    for row, p in zip(rows, pivots):
+        point[p] = row[n]
+    mov = AffineSubspaceV(u, w.translation)
+    tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
+    return IsometryClass(
+        tag=tag,
+        move_set=mov,
+        min_set=AffineSubspaceE(Point(point), orthogonal_complement(u)),
+        length=mov.dim + (0 if tag == ELLIPTIC else 2),
+    )
+
+
 def move_set(w: Isometry) -> AffineSubspaceV:
     """All motion vectors w(x) - x, in standard form U + mu.
 
     U is the column space of A - I and mu is the component of b orthogonal
-    to it.
+    to it.  The first call on w computes every invariant of w at once and
+    keeps them on w; see :func:`classify`.
     """
-    difference = w.matrix - Matrix.identity(w.dim)
-    u = column_space(difference)
-    return AffineSubspaceV(u, w.translation)
+    if w._class is None:
+        w._class = _invariants(w)
+    return w._class.move_set
 
 
 def min_set(w: Isometry) -> AffineSubspaceE:
     """Points moved by exactly mu, the minimal motion.
 
-    Solves (A - I) x = mu - b, which is consistent by the choice of mu; the
-    result has dimension complementary to the move-set and is stabilized by
-    w.
+    The result has dimension complementary to the move-set and is
+    stabilized by w.
     """
-    difference = w.matrix - Matrix.identity(w.dim)
-    mu = move_set(w).mu
-    solution = solve_affine(difference, mu - w.translation)
-    assert solution is not None, "min-set system must be consistent"
-    particular, kernel = solution
-    return AffineSubspaceE(Point(particular), kernel)
+    return classify(w).min_set
 
 
 def classify(w: Isometry) -> IsometryClass:
-    mov = move_set(w)
-    tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
-    length = mov.dim + (0 if tag == ELLIPTIC else 2)
-    return IsometryClass(tag=tag, move_set=mov, min_set=min_set(w), length=length)
+    """The invariants of w, computed on the first call and kept on w."""
+    if w._class is None:
+        move_set(w)
+    return w._class
 
 
 def reflection_length(w: Isometry) -> int:
     """Minimal number of reflections multiplying to w (Scherk's formula)."""
-    mov = move_set(w)
-    return mov.dim + (0 if mov.is_linear() else 2)
+    return classify(w).length
 
 
 def is_elliptic(w: Isometry) -> bool:
-    return move_set(w).is_linear()
+    return classify(w).is_elliptic
 
 
 def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
@@ -300,7 +360,7 @@ def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     min-set of w and has Mov(u) = Dir(Mov(w)).  For elliptic w this is
     (0, w).
     """
-    mu = move_set(w).mu
+    mu = classify(w).move_set.mu
     u = Isometry(w.matrix, w.translation - mu, _trusted=True)
     return mu, u
 
@@ -343,7 +403,9 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
         u_alpha = subspace_sum(u, span([alpha]))
         grown = AffineSubspaceV(u_alpha, Vector.zero(w.dim))
         return ProductPrediction(ELLIPTIC, k + 1, grown, None)
-    if cls.min_set.subset_of(r.mirror):
+    # alpha lies in U, so it is normal to Dir(Min) = U^perp: the min-set lies
+    # in the mirror exactly when its point does.
+    if alpha.dot(cls.min_set.point.to_vector()) == r.offset:
         return ProductPrediction(ELLIPTIC, k - 1, None, cls.move_set)
     return ProductPrediction(HYPERBOLIC, k + 1, None, cls.move_set)
 
@@ -362,7 +424,7 @@ def motion_reflection(w: Isometry, x: Point) -> Reflection:
 
 def is_reflection_below(r: Reflection, w: Isometry) -> bool:
     """Whether r occurs in some minimal factorization, i.e. shortens w."""
-    return reflection_length(r.to_isometry().compose(w)) < reflection_length(w)
+    return reflection_length(r.compose(w)) < reflection_length(w)
 
 
 def interval_contains(w: Isometry, u: Isometry) -> bool:

@@ -394,10 +394,6 @@ def null_space(a: Matrix) -> LinearSubspace:
     return LinearSubspace(n, vectors)
 
 
-def column_space(a: Matrix) -> LinearSubspace:
-    return LinearSubspace(a.nrows, a.transpose().rows)
-
-
 def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
     """All vectors orthogonal to the subspace, for the standard dot product."""
     if u.dim == 0:

@@ -169,7 +169,8 @@ def coordinate_universe(
             if leq(hyperbolic, top):
                 elements.append(hyperbolic)
     if augmented:
-        assert isinstance(top, Hyperbolic)
+        if not isinstance(top, Hyperbolic):
+            raise ValueError("augmented universes need a hyperbolic top")
         top_dir = top.move.direction
         basis = top_dir.basis
         for r in range(1, len(basis)):

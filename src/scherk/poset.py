@@ -221,18 +221,9 @@ class BoundFamily:
         if self.kind == "e":
             n = self.direction.ambient
             return Elliptic(AffineSubspaceE(Point.origin(n), self.direction))
-        assert self.within is not None
+        if self.within is None:
+            raise PosetError("h-family needs the subspace it lies within")
         return Hyperbolic(AffineSubspaceV(self.direction, self.within.mu))
-
-    def dominating_member(self, p: PosetElement) -> PosetElement:
-        """The family member above (for meets) or below (for joins) p."""
-        if self.kind == "e":
-            if not isinstance(p, Elliptic):
-                raise PosetError("e-family can only dominate elliptic elements")
-            return Elliptic(AffineSubspaceE(p.fix.point, self.direction))
-        if not isinstance(p, Hyperbolic):
-            raise PosetError("h-family can only dominate hyperbolic elements")
-        return Hyperbolic(AffineSubspaceV(self.direction, p.move.mu))
 
 
 MeetResult = Union[Elliptic, Hyperbolic, BoundFamily]
@@ -284,7 +275,8 @@ def _join_within_hyperbolic(
     required directions already fill it).
     """
     top = ctx.top
-    assert isinstance(top, Hyperbolic)
+    if not isinstance(top, Hyperbolic):
+        raise PosetError("joins within the top need a hyperbolic top")
     top_dir = top.move.direction
     pieces = list(hyps)
     directions = list(news)
@@ -296,7 +288,8 @@ def _join_within_hyperbolic(
             piece = intersect_affine_v(
                 AffineSubspaceV(s, Vector.zero(s.ambient)), top.move
             )
-            assert piece is not None, "complement meets the top move-set"
+            if piece is None:
+                raise PosetError("complement meets the top move-set")
             pieces.append(piece)
     if pieces:
         bound = hull_of_affine_v(pieces)
@@ -338,7 +331,8 @@ def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
         return Hyperbolic(hull_of_affine_v([p.move, q.move]))
     ell, hyp = (p, q) if isinstance(p, Elliptic) else (q, p)
     outcome = _join_within_hyperbolic([hyp.move], [ell.fix], [], ctx)
-    assert not isinstance(outcome, LinearSubspace)
+    if isinstance(outcome, LinearSubspace):
+        raise PosetError("a join with a hyperbolic element has a unique bound")
     return outcome
 
 

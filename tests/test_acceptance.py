@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,8 +60,18 @@ def shared_corpus():
     return {dim: corpus(dim, CORPUS_PER_DIM, seed=1000 + dim) for dim in range(1, 7)}
 
 
+_clock = {}
+
+
+@pytest.fixture(autouse=True)
+def _start_clock():
+    """Start each criterion's clock once its module fixtures are built."""
+    _clock["start"] = time.perf_counter()
+
+
 def _report(number, text):
-    print(f"ACCEPTANCE {number} PASS: {text}")
+    elapsed = time.perf_counter() - _clock["start"]
+    print(f"ACCEPTANCE {number} PASS: {text} [{elapsed:.1f} s]")
 
 
 def test_criterion_1_scherk_agreement(shared_corpus):

@@ -13,7 +13,6 @@ from scherk.affine import (
     hull_of_affine_e,
     intersect_affine,
     intersect_affine_v,
-    standard_form,
 )
 from scherk.linalg import Vector, project, span
 
@@ -44,27 +43,27 @@ class TestPointVectorDiscipline:
 
 class TestStandardForm:
     def test_shift_inside_direction_vanishes(self):
-        m = standard_form(span([e(2, 1)]), vec(0, 3))
+        m = AffineSubspaceV(span([e(2, 1)]), vec(0, 3))
         assert m.mu == vec(0, 0)
         assert m.is_linear()
 
     def test_zero_direction_keeps_shift(self):
-        m = standard_form(span([], ambient=2), vec(1, 2))
+        m = AffineSubspaceV(span([], ambient=2), vec(1, 2))
         assert m.mu == vec(1, 2)
 
     def test_oblique_shift_loses_its_direction_part(self):
-        m = standard_form(span([e(2, 1)]), vec(1, 1))
+        m = AffineSubspaceV(span([e(2, 1)]), vec(1, 1))
         assert m.mu == vec(1, 0)
         assert project(m.mu, m.direction).is_zero()
 
     def test_idempotent(self):
-        m = standard_form(span([vec(1, 1, 0)]), vec(2, 0, 5))
-        again = standard_form(m.direction, m.mu)
+        m = AffineSubspaceV(span([vec(1, 1, 0)]), vec(2, 0, 5))
+        again = AffineSubspaceV(m.direction, m.mu)
         assert again == m
 
     def test_same_set_as_unnormalized(self):
         u = span([e(2, 1)])
-        m = standard_form(u, vec(1, 1))
+        m = AffineSubspaceV(u, vec(1, 1))
         assert m.contains(vec(1, 1))
         assert m.contains(vec(1, 7))
         assert not m.contains(vec(0, 0))

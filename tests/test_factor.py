@@ -8,6 +8,7 @@ from scherk.affine import AffineSubspaceE, Point
 from scherk.factor import (
     ChainError,
     Factorization,
+    _first_unfixed_point,
     chain_to_factorization,
     factor,
     factor_elliptic,
@@ -18,9 +19,9 @@ from scherk.factor import (
 )
 from scherk.isometry import (
     Isometry,
+    Reflection,
     classify,
     is_reflection_below,
-    make_reflection,
     reflection_length,
     translation,
 )
@@ -73,7 +74,7 @@ class TestFactorElliptic:
         assert f.is_exact()
 
     def test_single_reflection_factors_as_itself(self):
-        r = make_reflection(mirror(pt(2, 1), vec(1, 1)))
+        r = Reflection(mirror(pt(2, 1), vec(1, 1)))
         f = factor_elliptic(r.to_isometry())
         assert len(f) == 1
         assert f.factors[0] == r
@@ -81,6 +82,14 @@ class TestFactorElliptic:
     def test_rejects_hyperbolic_input(self):
         with pytest.raises(ValueError):
             factor_elliptic(translation(vec(1, 0)))
+
+    def test_unfixed_point_scan_is_full_space_scan(self):
+        rng = random.Random(71)
+        for dim in range(1, 7):
+            for w in corpus(dim, 10, rng) + [Isometry.identity(dim)]:
+                scan = AffineSubspaceE.full(dim).points()
+                expected = next((x for x in scan if w.apply(x) != x), None)
+                assert _first_unfixed_point(w) == expected
 
     def test_rejects_bad_chains(self):
         w = half_turn()
@@ -192,7 +201,7 @@ class TestFactorizationToChain:
         assert chain[0] == Hyperbolic(classify(w).move_set)
 
     def test_single_reflection(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         f = Factorization(target=r.to_isometry(), factors=(r,))
         assert factorization_to_chain(f) == [
             Elliptic(r.mirror),
@@ -200,7 +209,7 @@ class TestFactorizationToChain:
         ]
 
     def test_rejects_non_minimal(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         doubled = Factorization(target=Isometry.identity(2), factors=(r, r))
         with pytest.raises(ChainError):
             factorization_to_chain(doubled)
@@ -248,12 +257,12 @@ class TestVerifyMinimal:
                 assert verify_minimal(factor(w))
 
     def test_doubled_reflection_fails(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         doubled = Factorization(target=Isometry.identity(2), factors=(r, r))
         assert not verify_minimal(doubled)
 
     def test_wrong_product_fails(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         wrong = Factorization(target=translation(vec(1, 0)), factors=(r,))
         assert not verify_minimal(wrong)
 

@@ -11,11 +11,11 @@ from scherk.isometry import (
     HYPERBOLIC,
     Isometry,
     OrthogonalityError,
+    Reflection,
     classify,
     interval_contains,
     interval_leq,
     is_reflection_below,
-    make_reflection,
     min_set,
     motion_reflection,
     move_set,
@@ -26,7 +26,7 @@ from scherk.isometry import (
     translation,
 )
 from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
-from scherk.oracle import corpus, random_reflection
+from scherk.oracle import corpus, random_isometry, random_reflection
 
 
 def vec(*coords):
@@ -69,12 +69,12 @@ class TestConstruction:
 
 class TestReflections:
     def test_reflect_across_x_axis(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         assert r.apply(pt(0, 1)) == pt(0, -1)
         assert r.to_isometry().apply(pt(0, 1)) == pt(0, -1)
 
     def test_reflect_across_shifted_line(self):
-        r = make_reflection(mirror(pt(1, 0), e(2, 0)))
+        r = Reflection(mirror(pt(1, 0), e(2, 0)))
         assert r.apply(pt(0, 0)) == pt(2, 0)
 
     def test_translations_cancel(self):
@@ -91,7 +91,7 @@ class TestReflections:
 
     def test_mirror_rejects_non_hyperplane(self):
         with pytest.raises(ValueError):
-            make_reflection(AffineSubspaceE.single_point(pt(0, 0, 0)))
+            Reflection(AffineSubspaceE.single_point(pt(0, 0, 0)))
 
 
 class TestBisectingReflection:
@@ -135,7 +135,7 @@ class TestMoveSet:
 class TestMinSet:
     def test_reflection_min_set_is_mirror(self):
         h = mirror(pt(1, 0), e(2, 0))
-        assert min_set(make_reflection(h).to_isometry()) == h
+        assert min_set(Reflection(h).to_isometry()) == h
 
     def test_identity_min_set_is_everything(self):
         assert min_set(Isometry.identity(3)) == AffineSubspaceE.full(3)
@@ -171,7 +171,7 @@ class TestStandardSplitting:
     def test_glide_splits_into_shift_and_mirror(self):
         mu, u = standard_splitting(glide())
         assert mu == vec(1, 0)
-        assert u == make_reflection(mirror(pt(0, 0), e(2, 1))).to_isometry()
+        assert u == Reflection(mirror(pt(0, 0), e(2, 1))).to_isometry()
         assert translation(mu).compose(u) == glide()
 
     def test_elliptic_splits_as_itself(self):
@@ -193,7 +193,7 @@ class TestStandardSplitting:
 class TestPredictProduct:
     def test_translation_killed_by_inner_mirror(self):
         w = translation(vec(2, 0))
-        r = make_reflection(mirror(pt(1, 0), e(2, 0)))
+        r = Reflection(mirror(pt(1, 0), e(2, 0)))
         prediction = predict_product(r, w)
         assert (prediction.tag, prediction.length) == (ELLIPTIC, 1)
         product = r.to_isometry().compose(w)
@@ -201,12 +201,12 @@ class TestPredictProduct:
 
     def test_translation_grows_to_glide(self):
         w = translation(vec(2, 0))
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         prediction = predict_product(r, w)
         assert (prediction.tag, prediction.length) == (HYPERBOLIC, 3)
 
     def test_half_turn_grows_to_glide(self):
-        r = make_reflection(mirror(pt(0, 1), e(2, 1)))
+        r = Reflection(mirror(pt(0, 1), e(2, 1)))
         prediction = predict_product(r, half_turn())
         assert (prediction.tag, prediction.length) == (HYPERBOLIC, 3)
         product = r.to_isometry().compose(half_turn())
@@ -232,12 +232,12 @@ class TestPredictProduct:
 class TestReflectionsBelow:
     def test_inner_mirror_is_below_translation(self):
         w = translation(vec(2, 0))
-        r = make_reflection(mirror(pt(1, 0), e(2, 0)))
+        r = Reflection(mirror(pt(1, 0), e(2, 0)))
         assert is_reflection_below(r, w)
 
     def test_axis_mirror_is_not_below_translation(self):
         w = translation(vec(2, 0))
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         assert not is_reflection_below(r, w)
 
     def test_motion_reflection_bisects(self):
@@ -247,7 +247,7 @@ class TestReflectionsBelow:
         assert is_reflection_below(r, w)
 
     def test_motion_reflection_rejects_fixed_points(self):
-        r = make_reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
         with pytest.raises(ValueError):
             motion_reflection(r.to_isometry(), pt(3, 0))
         with pytest.raises(ValueError):
@@ -278,7 +278,7 @@ class TestIntervals:
 
     def test_half_translation_mirror(self):
         w = translation(vec(2, 0))
-        r = make_reflection(mirror(pt(1, 0), e(2, 0))).to_isometry()
+        r = Reflection(mirror(pt(1, 0), e(2, 0))).to_isometry()
         assert interval_contains(w, r)
         assert interval_leq(w, Isometry.identity(2), r)
         assert interval_leq(w, r, w)
@@ -385,3 +385,93 @@ class TestInvariantSuite:
             conjugated = shift.compose(w).compose(shift.inverse())
             assert classify(conjugated).tag == classify(w).tag
             assert classify(conjugated).length == classify(w).length
+
+
+def _random_pairs(seed, count):
+    """(reflection, isometry) pairs in dimensions 1..6."""
+    rng = random.Random(seed)
+    for dim in range(1, 7):
+        for _ in range(count):
+            yield random_reflection(dim, rng), random_isometry(dim, rng)
+
+
+class TestHyperplaneForm:
+    def test_rank_one_product_matches_matrix_product(self):
+        for r, w in _random_pairs(61, 15):
+            assert r.compose(w) == r.to_isometry().compose(w)
+
+    def test_to_isometry_fixes_mirror_and_flips_root(self):
+        for r, _ in _random_pairs(62, 10):
+            iso = r.to_isometry()
+            for p in r.mirror.points():
+                assert iso.apply(p) == p
+            assert iso.apply_vector(r.root) == -r.root
+
+    def test_rebuilding_from_mirror_gives_same_reflection(self):
+        for r, _ in _random_pairs(63, 10):
+            again = Reflection(r.mirror, r.root)
+            assert again == r
+            assert hash(again) == hash(r)
+            rescaled = Reflection(r.mirror, r.root.scale(Fraction(-3, 2)))
+            assert rescaled == r and hash(rescaled) == hash(r)
+
+    def test_equal_exactly_when_mirrors_equal(self):
+        rng = random.Random(64)
+        for dim in range(1, 7):
+            # small coordinates, so that some pairs share a mirror
+            pool = [
+                reflection_bisecting(
+                    Point(rng.randint(-1, 1) for _ in range(dim)),
+                    Point(rng.randint(2, 3) for _ in range(dim)),
+                )
+                for _ in range(12)
+            ]
+            for r1 in pool:
+                for r2 in pool:
+                    assert (r1 == r2) == (r1.mirror == r2.mirror)
+
+    def test_conjugate_is_sandwich_product(self):
+        for r, g in _random_pairs(65, 10):
+            sandwich = g.compose(r.to_isometry()).compose(g.inverse())
+            assert r.conjugate(g).to_isometry() == sandwich
+
+
+class TestInvariantsOnce:
+    def test_class_slot_ignored_by_equality(self):
+        rng = random.Random(66)
+        for dim in range(1, 7):
+            for _ in range(10):
+                w = random_isometry(dim, rng)
+                copy = Isometry(w.matrix, w.translation)
+                assert w == copy and hash(w) == hash(copy)
+                cls = classify(w)
+                assert w == copy and hash(w) == hash(copy)
+                assert cls == classify(copy)
+                assert classify(w) is cls
+
+    def test_move_set_is_hull_of_unit_point_motions(self):
+        # Mov(w) is the affine hull of the motions of any affinely spanning
+        # set of points; the origin and the unit points are one.
+        rng = random.Random(67)
+        for dim in range(1, 7):
+            for _ in range(10):
+                w = random_isometry(dim, rng)
+                points = [Point.origin(dim)] + [
+                    Point(Vector.basis(dim, i)) for i in range(dim)
+                ]
+                motions = [w.apply(x) - x for x in points]
+                hull = AffineSubspaceV(
+                    span([m - motions[0] for m in motions[1:]], ambient=dim),
+                    motions[0],
+                )
+                assert move_set(w) == hull
+
+    def test_min_set_points_move_by_mu(self):
+        rng = random.Random(68)
+        for dim in range(1, 7):
+            for _ in range(10):
+                w = random_isometry(dim, rng)
+                cls = classify(w)
+                assert cls.min_set.dim == dim - cls.move_set.dim
+                for x in cls.min_set.points():
+                    assert w.apply(x) - x == cls.move_set.mu

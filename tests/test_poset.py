@@ -6,7 +6,7 @@ import random
 import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
-from scherk.isometry import Isometry, make_reflection, motion_reflection, translation
+from scherk.isometry import Isometry, Reflection, motion_reflection, translation
 from scherk.linalg import LinearSubspace, Vector, span
 from scherk.oracle import coordinate_universe, corpus
 from scherk.poset import (
@@ -68,7 +68,7 @@ class TestInvMap:
 
     def test_reflection_maps_to_mirror(self):
         mirror = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
-        r = make_reflection(mirror)
+        r = Reflection(mirror)
         assert inv_map(r.to_isometry()) == Elliptic(mirror)
 
 
