@@ -95,7 +95,8 @@ class AffineSubspaceV:
         if shift.dim != direction.ambient:
             raise DimensionError("shift and direction of different dimensions")
         self.direction = direction
-        self.mu = shift - project(shift, direction)
+        offset = project(shift, direction)
+        self.mu = shift if offset.is_zero() else shift - offset
 
     @property
     def ambient(self) -> int:
@@ -162,7 +163,8 @@ class AffineSubspaceE:
         if point.dim != direction.ambient:
             raise DimensionError("point and direction of different dimensions")
         position = point.to_vector()
-        self.point = Point(position - project(position, direction))
+        offset = project(position, direction)
+        self.point = point if offset.is_zero() else Point(position - offset)
         self.direction = direction
 
     @classmethod

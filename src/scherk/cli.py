@@ -10,6 +10,7 @@ selects the fully deterministic construction, so outputs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional
@@ -283,7 +284,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="scherk",
         description=(

@@ -247,14 +247,12 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     element; a factorization whose suffix ranks do not drop by exactly one
     at each step is rejected as non-minimal.
     """
-    if not f.is_exact():
-        raise ChainError("factors do not multiply to the target")
-    suffix = Isometry.identity(f.target.dim)
-    elements = [inv_map(suffix)]
+    suffixes = [Isometry.identity(f.target.dim)]
     for r in reversed(f.factors):
-        suffix = r.compose(suffix)
-        elements.append(inv_map(suffix))
-    elements.reverse()
+        suffixes.append(r.compose(suffixes[-1]))
+    if suffixes[-1] != f.target:
+        raise ChainError("factors do not multiply to the target")
+    elements = [inv_map(suffix) for suffix in reversed(suffixes)]
     for above, below in zip(elements, elements[1:]):
         if rank(above) - rank(below) != 1 or not leq(below, above):
             raise ChainError(

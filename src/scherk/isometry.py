@@ -290,8 +290,9 @@ def _invariants(w: Isometry) -> IsometryClass:
     orthogonal, M^T M = 2I - A - A^T and -M^T b = b - A^T b need no matrix
     product, and ker M^T M = ker M = im(M)^perp, so the row space of M^T M
     is U = im M.  One reduction of [M^T M | -M^T b] therefore yields U (its
-    rows), Dir(Min) = U^perp and a min-set point; mu is the part of b
-    orthogonal to U.
+    rows), Dir(Min) = U^perp and a min-set point x; mu, the part of b
+    orthogonal to U, is the motion w(x) - x, so the move-set needs no
+    projection.
     """
     a = w.matrix.rows
     b = w.translation.coords
@@ -303,15 +304,16 @@ def _invariants(w: Isometry) -> IsometryClass:
     ]
     rows, pivots = _rref(augmented, n + 1)
     u = LinearSubspace(n, [row[:n] for row in rows])
-    point = [0] * n
+    coords = [0] * n
     for row, p in zip(rows, pivots):
-        point[p] = row[n]
-    mov = AffineSubspaceV(u, w.translation)
+        coords[p] = row[n]
+    point = Point(coords)
+    mov = AffineSubspaceV(u, w.apply(point) - point)
     tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
     return IsometryClass(
         tag=tag,
         move_set=mov,
-        min_set=AffineSubspaceE(Point(point), orthogonal_complement(u)),
+        min_set=AffineSubspaceE(point, orthogonal_complement(u)),
         length=mov.dim + (0 if tag == ELLIPTIC else 2),
     )
 

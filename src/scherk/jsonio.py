@@ -123,13 +123,10 @@ def reflection_from_json(obj: Any) -> Reflection:
     if not isinstance(obj, dict) or "root" not in obj or "point" not in obj:
         raise FormatError("reflection needs root and point")
     root = vector_from_json(obj["root"])
-    anchor = Point(vector_from_json(obj["point"]).coords)
+    anchor = vector_from_json(obj["point"])
     if root.is_zero():
         raise FormatError("reflection root must be nonzero")
-    from .linalg import orthogonal_complement, span
-
-    mirror = AffineSubspaceE(anchor, orthogonal_complement(span([root])))
-    return Reflection(mirror, root)
+    return Reflection.from_hyperplane(root, root.dot(anchor))
 
 
 def isometry_to_json(w: Isometry) -> dict:
@@ -157,8 +154,8 @@ def isometry_from_json(obj: Any) -> Isometry:
             raise FormatError("empty reflection list needs an explicit dim")
         dim = dims.pop()
         w = Isometry.identity(dim)
-        for r in reflections:
-            w = w.compose(r.to_isometry())
+        for r in reversed(reflections):
+            w = r.compose(w)
         return w
     if "matrix" not in obj or "translation" not in obj:
         raise FormatError("isometry needs matrix and translation (or reflections)")

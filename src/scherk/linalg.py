@@ -11,6 +11,13 @@ Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
 identical tuples.  This makes subspace equality, and everything built on
 top of it, an O(1) comparison after construction.
+
+A subspace keeps its orthogonal complement once it has been asked for, and
+the complement points back at it, since (U^perp)^perp = U.  Eliminations
+run only where an answer needs one: `project` returns the trivial
+projections (zero, v itself, v orthogonal to u) from dot products, and
+`solve_affine` reads the kernel off the same reduction that decides
+consistency.
 """
 
 from __future__ import annotations
@@ -282,9 +289,13 @@ class LinearSubspace:
     The basis is stored as the reduced row echelon form of whatever spanning
     set was supplied, one basis vector per row.  Equality of subspaces is
     therefore equality of the stored data.
+
+    The slot ``_perp`` holds the orthogonal complement once
+    :func:`orthogonal_complement` has been asked for it; it is written once
+    and plays no part in equality or hashing.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_perp")
 
     def __init__(self, ambient: int, rows: Iterable[Iterable]) -> None:
         if ambient < 0:
@@ -301,6 +312,7 @@ class LinearSubspace:
         basis, pivots = _rref(prepared, ambient)
         self.basis = tuple(Vector(row) for row in basis)
         self.pivots = pivots
+        self._perp: Optional[LinearSubspace] = None
 
     @classmethod
     def zero(cls, ambient: int) -> "LinearSubspace":
@@ -377,10 +389,14 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
     return LinearSubspace(n, [v.coords for v in vectors])
 
 
-def null_space(a: Matrix) -> LinearSubspace:
-    """Kernel of a matrix, i.e. all x with a*x = 0."""
-    rows, pivots = _rref(a.rows, a.ncols)
-    n = a.ncols
+def _kernel(
+    rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], n: int
+) -> LinearSubspace:
+    """Kernel of the first n columns of rows in reduced row echelon form.
+
+    Extra columns past n (an augmented right hand side) are ignored, so a
+    consistent reduced [A | b] gives the kernel of A.
+    """
     pivot_set = set(pivots)
     vectors = []
     for f in range(n):
@@ -388,17 +404,30 @@ def null_space(a: Matrix) -> LinearSubspace:
             continue
         v = [_ZERO] * n
         v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
         vectors.append(v)
     return LinearSubspace(n, vectors)
 
 
+def null_space(a: Matrix) -> LinearSubspace:
+    """Kernel of a matrix, i.e. all x with a*x = 0."""
+    rows, pivots = _rref(a.rows, a.ncols)
+    return _kernel(rows, pivots, a.ncols)
+
+
 def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
-    """All vectors orthogonal to the subspace, for the standard dot product."""
-    if u.dim == 0:
-        return LinearSubspace.full(u.ambient)
-    return null_space(Matrix([b.coords for b in u.basis], ncols=u.ambient))
+    """All vectors orthogonal to the subspace, for the standard dot product.
+
+    The stored basis is already reduced, so the complement is its kernel
+    with no further elimination.  It is computed once per subspace and
+    linked both ways.
+    """
+    if u._perp is None:
+        perp = _kernel([b.coords for b in u.basis], u.pivots, u.ambient)
+        perp._perp = u
+        u._perp = perp
+    return u._perp
 
 
 def intersect(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
@@ -423,31 +452,31 @@ def subspace_sum(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
     )
 
 
-def solve_square(a: Matrix, b: Vector) -> Vector:
-    """Unique solution of a nonsingular square system."""
-    solution = solve_affine(a, b)
-    if solution is None:
-        raise ValueError("singular system passed to solve_square")
-    particular, kernel = solution
-    if kernel.dim != 0:
-        raise ValueError("singular system passed to solve_square")
-    return particular
-
-
 def project(v: Vector, u: LinearSubspace) -> Vector:
-    """Orthogonal projection of v onto the subspace (normal equations)."""
+    """Orthogonal projection of v onto the subspace (normal equations).
+
+    Zero, the full space and v orthogonal to u are answered from the dot
+    products b_i . v; otherwise one reduction of [B B^T | B v] gives the
+    coefficients of the projection in the basis B.
+    """
     if v.dim != u.ambient:
         raise DimensionError(f"vector of dimension {v.dim} vs ambient {u.ambient}")
-    if u.dim == 0:
-        return Vector.zero(u.ambient)
+    if u.is_full() or v.is_zero():
+        return v
     basis = u.basis
-    gram = Matrix([[bi.dot(bj) for bj in basis] for bi in basis])
-    rhs = Vector(bi.dot(v) for bi in basis)
-    coeffs = solve_square(gram, rhs)
-    result = Vector.zero(u.ambient)
-    for c, b in zip(coeffs, basis):
-        result = result + b.scale(c)
-    return result
+    rhs = [b.dot(v) for b in basis]
+    if not any(rhs):
+        return Vector.zero(u.ambient)
+    k = len(basis)
+    gram = [[bi.dot(bj) for bj in basis] + [r] for bi, r in zip(basis, rhs)]
+    rows, pivots = _rref(gram, k + 1)
+    if pivots != tuple(range(k)):
+        raise ValueError("singular Gram system in project")
+    coeffs = [row[k] for row in rows]
+    return Vector(
+        sum((c * b[j] for c, b in zip(coeffs, basis)), _ZERO)
+        for j in range(u.ambient)
+    )
 
 
 def solve_affine(a: Matrix, b: Vector):
@@ -466,4 +495,4 @@ def solve_affine(a: Matrix, b: Vector):
     particular = [_ZERO] * n
     for row, p in zip(rows, pivots):
         particular[p] = row[n]
-    return Vector(particular), null_space(a)
+    return Vector(particular), _kernel(rows, pivots, n)

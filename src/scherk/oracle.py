@@ -205,9 +205,8 @@ def random_point(dim: int, rng: random.Random) -> Point:
 def random_reflection(dim: int, rng: random.Random) -> Reflection:
     """Mirror through a small integer point with a small integer root."""
     root = random_nonzero_vector(dim, rng)
-    anchor = random_point(dim, rng)
-    mirror = AffineSubspaceE(anchor, orthogonal_complement(span([root])))
-    return Reflection(mirror, root)
+    anchor = random_vector(dim, rng)
+    return Reflection.from_hyperplane(root, root.dot(anchor))
 
 
 def random_isometry(
@@ -224,9 +223,10 @@ def random_isometry(
     rng = _rng(seed)
     if reflections is None:
         reflections = rng.randrange(dim + 3)
+    factors = [random_reflection(dim, rng) for _ in range(reflections)]
     w = Isometry.identity(dim)
-    for _ in range(reflections):
-        w = w.compose(random_reflection(dim, rng).to_isometry())
+    for r in reversed(factors):
+        w = r.compose(w)
     if translate:
         w = translation(random_vector(dim, rng)).compose(w)
     return w

@@ -158,11 +158,6 @@ def _span_perp(move: AffineSubspaceV) -> LinearSubspace:
     return orthogonal_complement(_linear_span(move))
 
 
-@lru_cache(maxsize=None)
-def _dir_perp(direction: LinearSubspace) -> LinearSubspace:
-    return orthogonal_complement(direction)
-
-
 def leq(p: PosetElement, q: PosetElement) -> bool:
     if p.ambient != q.ambient:
         raise DimensionError("poset elements of different ambient dimensions")
@@ -171,7 +166,7 @@ def leq(p: PosetElement, q: PosetElement) -> bool:
             return q.fix.subset_of(p.fix)
         if isinstance(q, Hyperbolic):
             return _span_perp(q.move).subset_of(p.fix.direction)
-        return _dir_perp(p.fix.direction).subset_of(q.subspace)
+        return orthogonal_complement(p.fix.direction).subset_of(q.subspace)
     if isinstance(p, Hyperbolic):
         if isinstance(q, Hyperbolic):
             return p.move.subset_of(q.move)
@@ -255,7 +250,7 @@ def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
     shared = intersect(p.move.direction, q.move.direction)
     if shared.dim == 0:
         return Elliptic(AffineSubspaceE.full(p.ambient))
-    return BoundFamily(kind="e", direction=_dir_perp(shared))
+    return BoundFamily(kind="e", direction=orthogonal_complement(shared))
 
 
 def _join_within_hyperbolic(
@@ -281,7 +276,7 @@ def _join_within_hyperbolic(
     pieces = list(hyps)
     directions = list(news)
     for b in ells:
-        s = _dir_perp(b.direction)
+        s = orthogonal_complement(b.direction)
         if s.subset_of(top_dir):
             directions.append(s)
         else:
@@ -357,7 +352,7 @@ def dm_meet(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement
     if ells:
         bound = hull_of_affine_e(ells)
         for u in news:
-            bound = extend_affine_e(bound, _dir_perp(u))
+            bound = extend_affine_e(bound, orthogonal_complement(u))
         for m in hyps:
             bound = extend_affine_e(bound, _span_perp(m))
         return Elliptic(bound)
@@ -428,7 +423,7 @@ def find_bowtie(
     line = span([u1])
     m1 = AffineSubspaceV(line, move.mu)
     m2 = AffineSubspaceV(line, move.mu + d2)
-    mirror_dir = _dir_perp(line)
+    mirror_dir = orthogonal_complement(line)
     n = ctx.ambient
     b1 = AffineSubspaceE(Point.origin(n), mirror_dir)
     b2 = AffineSubspaceE(Point.origin(n) + u1, mirror_dir)
@@ -501,13 +496,13 @@ class EllipticEmbedding:
     def to_subspace(self, p: Elliptic) -> LinearSubspace:
         if not leq(p, self.top):
             raise PosetError("element is not below the elliptic top")
-        return _dir_perp(p.fix.direction)
+        return orthogonal_complement(p.fix.direction)
 
     def from_subspace(self, s: LinearSubspace) -> Elliptic:
         if not s.subset_of(self.subspace_universe):
             raise PosetError("subspace is not inside the top's complement")
         return Elliptic(
-            AffineSubspaceE(self.top.fix.point, _dir_perp(s))
+            AffineSubspaceE(self.top.fix.point, orthogonal_complement(s))
         )
 
 
@@ -516,7 +511,7 @@ def elliptic_iso(ctx: PosetContext) -> EllipticEmbedding:
         raise PosetError("elliptic_iso needs an elliptic top")
     return EllipticEmbedding(
         top=ctx.top,
-        subspace_universe=_dir_perp(ctx.top.fix.direction),
+        subspace_universe=orthogonal_complement(ctx.top.fix.direction),
     )
 
 

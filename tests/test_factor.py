@@ -214,6 +214,12 @@ class TestFactorizationToChain:
         with pytest.raises(ChainError):
             factorization_to_chain(doubled)
 
+    def test_rejects_wrong_product(self):
+        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        wrong = Factorization(target=Isometry.identity(2), factors=(r,))
+        with pytest.raises(ChainError, match="do not multiply to the target"):
+            factorization_to_chain(wrong)
+
 
 class TestRewriteShift:
     def test_shift_second_mirror_to_front(self):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scherk.linalg import (
     DimensionError,
@@ -11,6 +13,7 @@ from scherk.linalg import (
     Matrix,
     Vector,
     intersect,
+    null_space,
     orthogonal_complement,
     project,
     solve_affine,
@@ -190,3 +193,128 @@ class TestRandomInvariants:
                 scrambled[0] + v for v in scrambled[1:]
             ]
             assert span(mixed) == u
+
+
+# Random rational subspaces of R^1..R^6 for the branch and kernel properties.
+# Exact arithmetic has no fixed cost per example, so no deadline applies.
+no_deadline = settings(deadline=None)
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def vectors(draw, n):
+    return Vector(draw(st.lists(rationals, min_size=n, max_size=n)))
+
+
+@st.composite
+def subspaces(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(vectors(n), max_size=n + 1))
+    return span(rows, ambient=n)
+
+
+@st.composite
+def combinations(draw, u):
+    """A rational combination of the basis of u (zero when u is zero)."""
+    coeffs = draw(st.lists(rationals, min_size=u.dim, max_size=u.dim))
+    v = Vector.zero(u.ambient)
+    for c, b in zip(coeffs, u.basis):
+        v = v + b.scale(c)
+    return v
+
+
+def assert_is_projection(p, v, u):
+    """p lies in u and v - p is orthogonal to every basis vector of u."""
+    assert u.contains(p)
+    residual = v - p
+    for b in u.basis:
+        assert residual.dot(b) == 0
+
+
+class TestProjectBranches:
+    @no_deadline
+    @given(subspaces())
+    def test_zero_vector(self, u):
+        assert project(Vector.zero(u.ambient), u) == Vector.zero(u.ambient)
+
+    @no_deadline
+    @given(st.data())
+    def test_zero_subspace(self, data):
+        n = data.draw(st.integers(1, 6))
+        v = data.draw(vectors(n))
+        assert project(v, LinearSubspace.zero(n)) == Vector.zero(n)
+
+    @no_deadline
+    @given(st.data())
+    def test_full_space(self, data):
+        n = data.draw(st.integers(1, 6))
+        v = data.draw(vectors(n))
+        assert project(v, LinearSubspace.full(n)) == v
+
+    @no_deadline
+    @given(st.data())
+    def test_orthogonal_vector(self, data):
+        u = data.draw(subspaces())
+        v = data.draw(combinations(orthogonal_complement(u)))
+        assert project(v, u) == Vector.zero(u.ambient)
+
+    @no_deadline
+    @given(st.data())
+    def test_vector_inside(self, data):
+        u = data.draw(subspaces())
+        v = data.draw(combinations(u))
+        assert project(v, u) == v
+
+    @no_deadline
+    @given(st.data())
+    def test_general_vector(self, data):
+        u = data.draw(subspaces())
+        v = data.draw(vectors(u.ambient))
+        assert_is_projection(project(v, u), v, u)
+
+    @no_deadline
+    @given(st.data())
+    def test_sympy_agrees(self, data):
+        sympy = pytest.importorskip("sympy")
+        u = data.draw(subspaces())
+        v = data.draw(vectors(u.ambient))
+
+        def exact(coords):
+            return sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in coords])
+
+        expected = sympy.zeros(u.ambient, 1)
+        if u.dim:
+            b = sympy.Matrix.hstack(*(exact(row) for row in u.basis)).T
+            expected = b.T * (b * b.T).inv() * b * exact(v)
+        assert exact(project(v, u)) == expected
+
+
+class TestKernelOnce:
+    @no_deadline
+    @given(st.data())
+    def test_solve_affine_kernel_is_null_space(self, data):
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=n + 1))
+        a = Matrix(rows, ncols=n)
+        x = data.draw(vectors(n))
+        particular, kernel = solve_affine(a, a * x)
+        assert kernel == null_space(a)
+        assert a * particular == a * x
+
+    @no_deadline
+    @given(subspaces())
+    def test_complement_of_complement(self, u):
+        perp = orthogonal_complement(u)
+        assert orthogonal_complement(perp) == u
+        fresh = LinearSubspace(u.ambient, [b.coords for b in perp.basis])
+        assert orthogonal_complement(fresh) == u
+
+    @no_deadline
+    @given(subspaces())
+    def test_filled_slot_changes_neither_equality_nor_hash(self, u):
+        fresh = LinearSubspace(u.ambient, [b.coords for b in u.basis])
+        before = hash(u)
+        orthogonal_complement(u)
+        assert u._perp is not None and fresh._perp is None
+        assert u == fresh and fresh == u
+        assert hash(u) == before == hash(fresh)
