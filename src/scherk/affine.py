@@ -18,13 +18,17 @@ equality componentwise:
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     DimensionError,
     LinearSubspace,
-    Matrix,
     Vector,
+    _dot,
+    _mat,
+    _vector,
     orthogonal_complement,
     project,
     solve_affine,
@@ -34,28 +38,35 @@ from .linalg import (
 
 
 class Point:
-    """A position in the affine point space; not a vector."""
+    """A position in the affine point space; not a vector.
 
-    __slots__ = ("coords",)
+    It holds its coordinate vector relative to the global basepoint.
+    """
+
+    __slots__ = ("vector",)
 
     def __init__(self, coords: Iterable) -> None:
-        self.coords = Vector(coords).coords
+        self.vector = coords if isinstance(coords, Vector) else Vector(coords)
 
     @classmethod
     def origin(cls, dim: int) -> "Point":
         return cls(Vector.zero(dim))
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return self.vector.coords
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return self.vector.dim
 
     def to_vector(self) -> Vector:
         """Coordinate vector relative to the global basepoint."""
-        return Vector(self.coords)
+        return self.vector
 
     def __add__(self, other):
         if isinstance(other, Vector):
-            return Point(a + b for a, b in zip(self.coords, other.coords))
+            return Point(self.vector + other)
         if isinstance(other, Point):
             raise TypeError("cannot add two points; subtract them to get a vector")
         return NotImplemented
@@ -64,18 +75,18 @@ class Point:
 
     def __sub__(self, other):
         if isinstance(other, Point):
-            if len(self.coords) != len(other.coords):
+            if self.dim != other.dim:
                 raise DimensionError("points of different dimensions")
-            return Vector(a - b for a, b in zip(self.coords, other.coords))
+            return self.vector - other.vector
         if isinstance(other, Vector):
-            return Point(a - b for a, b in zip(self.coords, other.coords))
+            return Point(self.vector - other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.coords == other.coords
+        return isinstance(other, Point) and self.vector == other.vector
 
     def __hash__(self) -> int:
-        return hash(("Point", self.coords))
+        return hash(("Point", self.vector))
 
     def __repr__(self) -> str:
         return "Point((%s))" % ", ".join(str(c) for c in self.coords)
@@ -267,16 +278,20 @@ def _intersect_by_constraints(
     ambient: int,
     pairs: Sequence[tuple[LinearSubspace, Vector]],
 ):
-    """Common solutions of 'x - anchor lies in direction' for each pair."""
-    constraint_rows = []
+    """Common solutions of 'x - anchor lies in direction' for each pair.
+
+    Each normal row n of a direction gives n . x = n . anchor, taken on
+    the integer rows of the normals over the anchors' common denominator.
+    """
+    den = math.lcm(*(anchor.den for _, anchor in pairs))
+    rows = []
     rhs = []
     for direction, anchor in pairs:
-        normals = orthogonal_complement(direction)
-        for row in normals.basis:
-            constraint_rows.append(row.coords)
-            rhs.append(row.dot(anchor))
-    a = Matrix(constraint_rows, ncols=ambient)
-    return solve_affine(a, Vector(rhs))
+        scale = den // anchor.den
+        for normal in orthogonal_complement(direction).basis:
+            rows.append(normal.num)
+            rhs.append(scale * _dot(normal.num, anchor.num))
+    return solve_affine(_mat(tuple(rows), 1, ambient), _vector(rhs, den))
 
 
 def intersect_affine(

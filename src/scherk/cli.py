@@ -82,6 +82,12 @@ def _load_element(obj: Any) -> poset.PosetElement:
         raise CliError(EXIT_POSET, f"invalid poset element: {exc}")
 
 
+def _load_elements(obj: Any) -> list[poset.PosetElement]:
+    if not isinstance(obj, list):
+        raise CliError(EXIT_PARSE, f"elements must be an array, got {obj!r}")
+    return [_load_element(e) for e in obj]
+
+
 def _context(obj: Any, augmented: bool) -> PosetContext:
     if not isinstance(obj, dict) or "top" not in obj:
         raise CliError(EXIT_PARSE, "input needs a top element")
@@ -236,7 +242,7 @@ def _cmd_complete(args) -> str:
     ctx = _context(doc, augmented=True)
     if not isinstance(doc, dict) or "elements" not in doc:
         raise CliError(EXIT_PARSE, "input needs an elements array")
-    elements = [_load_element(e) for e in doc["elements"]]
+    elements = _load_elements(doc["elements"])
     try:
         meet_result = poset.dm_meet(elements, ctx)
         join_result = poset.dm_join(elements, ctx)
@@ -254,7 +260,7 @@ def _cmd_hasse(args) -> str:
     if not isinstance(doc, dict) or "elements" not in doc or "top" not in doc:
         raise CliError(EXIT_PARSE, "hasse input needs top and elements")
     top = _load_element(doc["top"])
-    elements = [_load_element(e) for e in doc["elements"]]
+    elements = _load_elements(doc["elements"])
     try:
         dot = poset.hasse_dot(elements, top=top)
     except (PosetError, DimensionError) as exc:

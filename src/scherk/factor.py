@@ -73,14 +73,15 @@ def _first_unfixed_point(w: Isometry) -> Optional[Point]:
 
     This is the scan of AffineSubspaceE.full(n).points().  The origin is
     fixed exactly when b = 0, and then e_i is fixed exactly when column i
-    of A is e_i.  None when w is the identity.
+    of A = N / d is e_i, i.e. column i of N is d e_i.  None when w is the
+    identity.
     """
     n = w.dim
     if not w.translation.is_zero():
         return Point.origin(n)
-    rows = w.matrix.rows
+    rows, d = w.matrix.num, w.matrix.den
     for i in range(n):
-        if any(row[i] != (1 if j == i else 0) for j, row in enumerate(rows)):
+        if any(row[i] != (d if j == i else 0) for j, row in enumerate(rows)):
             return Point(Vector.basis(n, i))
     return None
 

@@ -37,10 +37,15 @@ from typing import Optional
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .linalg import (
     DimensionError,
-    LinearSubspace,
     Matrix,
     Vector,
+    _dot,
+    _matrix,
+    _particular,
     _rref,
+    _subspace,
+    _vec,
+    _vector,
     orthogonal_complement,
     span,
     subspace_sum,
@@ -145,12 +150,11 @@ def _primitive(normal: Vector) -> tuple[Vector, Fraction]:
     """(root, s) with root = s * normal primitive integer, first nonzero > 0."""
     if normal.is_zero():
         raise ValueError("root must be nonzero")
-    common = math.lcm(*(c.denominator for c in normal.coords))
-    ints = [c.numerator * (common // c.denominator) for c in normal.coords]
+    ints = normal.num
     g = math.gcd(*ints)
     if next(value for value in ints if value != 0) < 0:
         g = -g
-    return Vector([value // g for value in ints]), Fraction(common, g)
+    return _vec(tuple(value // g for value in ints), 1), Fraction(normal.den, g)
 
 
 class Reflection:
@@ -201,21 +205,25 @@ class Reflection:
         """self after w, as a rank-one (Householder) update in O(n^2).
 
         With k = 2 / |alpha|^2 the product has matrix A - alpha (k alpha^T A)
-        and translation b - k (alpha . b - offset) alpha.
+        and translation b - k (alpha . b - offset) alpha.  On integer rows,
+        with A = N / d, b = B / e and offset = p / q, that is
+        (|alpha|^2 N - alpha (2 alpha^T N)) / (d |alpha|^2) and
+        (q |alpha|^2 B - 2 (q alpha . B - e p) alpha) / (e q |alpha|^2).
         """
         if self.dim != w.dim:
             raise DimensionError("isometries of different dimensions")
-        alpha = [c.numerator for c in self.root.coords]
-        k = Fraction(2, sum(a * a for a in alpha))
-        rows = w.matrix.rows
-        b = w.translation.coords
-        top = [k * sum(a * x for a, x in zip(alpha, col)) for col in zip(*rows)]
-        shift = k * (sum(a * x for a, x in zip(alpha, b)) - self.offset)
-        matrix = Matrix(
-            row if a == 0 else [x - a * y for x, y in zip(row, top)]
-            for a, row in zip(alpha, rows)
+        alpha = self.root.num
+        norm = _dot(alpha, alpha)
+        rows, b, e = w.matrix.num, w.translation.num, w.translation.den
+        top = [2 * _dot(alpha, col) for col in zip(*rows)]
+        matrix = _matrix(
+            ([norm * x - a * t for x, t in zip(row, top)] for a, row in zip(alpha, rows)),
+            w.matrix.den * norm,
+            w.dim,
         )
-        moved = Vector(x - a * shift for a, x in zip(alpha, b))
+        p, q = self.offset.numerator, self.offset.denominator
+        shift = 2 * (q * _dot(alpha, b) - e * p)
+        moved = _vector([q * norm * x - shift * a for a, x in zip(alpha, b)], e * q * norm)
         return Isometry(matrix, moved, _trusted=True)
 
     def to_isometry(self) -> Isometry:
@@ -292,22 +300,21 @@ def _invariants(w: Isometry) -> IsometryClass:
     is U = im M.  One reduction of [M^T M | -M^T b] therefore yields U (its
     rows), Dir(Min) = U^perp and a min-set point x; mu, the part of b
     orthogonal to U, is the motion w(x) - x, so the move-set needs no
-    projection.
+    projection.  With A = N / d and b = B / e the system reduced is the
+    integer [(2d I - N - N^T) e | d B - N^T B], and the first n columns of
+    its reduced rows are the reduced basis of U, with no second elimination.
     """
-    a = w.matrix.rows
-    b = w.translation.coords
+    a, d = w.matrix.num, w.matrix.den
+    b, e = w.translation.num, w.translation.den
     n = len(b)
     augmented = [
-        [(2 if i == j else 0) - a[i][j] - a[j][i] for j in range(n)]
-        + [b[i] - sum(a[k][i] * b[k] for k in range(n))]
+        [((2 * d if i == j else 0) - a[i][j] - a[j][i]) * e for j in range(n)]
+        + [d * b[i] - sum(a[k][i] * b[k] for k in range(n))]
         for i in range(n)
     ]
     rows, pivots = _rref(augmented, n + 1)
-    u = LinearSubspace(n, [row[:n] for row in rows])
-    coords = [0] * n
-    for row, p in zip(rows, pivots):
-        coords[p] = row[n]
-    point = Point(coords)
+    u = _subspace(n, rows, pivots)
+    point = Point(_particular(rows, pivots, n))
     mov = AffineSubspaceV(u, w.apply(point) - point)
     tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
     return IsometryClass(

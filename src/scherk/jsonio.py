@@ -77,8 +77,10 @@ def subspace_from_json(obj: Any) -> LinearSubspace:
     ambient = obj["dim_ambient"]
     if not isinstance(ambient, int) or ambient < 1:
         raise FormatError(f"bad ambient dimension {ambient!r}")
-    rows = [vector_from_json(row).coords for row in obj["basis"]]
-    return LinearSubspace(ambient, rows)
+    basis = obj["basis"]
+    if not isinstance(basis, list):
+        raise FormatError(f"subspace basis must be an array, got {basis!r}")
+    return LinearSubspace(ambient, [vector_from_json(row) for row in basis])
 
 
 def affine_v_to_json(m: AffineSubspaceV) -> dict:
@@ -107,7 +109,7 @@ def affine_e_from_json(obj: Any) -> AffineSubspaceE:
     if not isinstance(obj, dict) or "point" not in obj or "direction" not in obj:
         raise FormatError("affine subspace of E needs point and direction")
     return AffineSubspaceE(
-        Point(vector_from_json(obj["point"]).coords),
+        Point(vector_from_json(obj["point"])),
         subspace_from_json(obj["direction"]),
     )
 
@@ -147,7 +149,10 @@ def isometry_from_json(obj: Any) -> Isometry:
         reflections = [reflection_from_json(e) for e in entries]
         dims = {r.dim for r in reflections}
         if "dim" in obj:
-            dims.add(obj["dim"])
+            declared = obj["dim"]
+            if not isinstance(declared, int) or isinstance(declared, bool) or declared < 1:
+                raise FormatError(f"bad dimension {declared!r}")
+            dims.add(declared)
         if len(dims) > 1:
             raise FormatError(f"mixed dimensions in reflections: {sorted(dims)}")
         if not dims:

@@ -1,11 +1,21 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on integer rows.
 
-Every coefficient in this package is a `fractions.Fraction`, so all the
-predicates that the rest of the library depends on (equality of subspaces,
-membership, orthogonality, solvability) are exact decisions rather than
-tolerance checks.  Floats are rejected on input: silently converting one
-would smuggle binary rounding into computations whose whole point is that
-they never round.
+Every vector and matrix is stored as Python ints over one positive common
+denominator, in lowest terms: a Vector is (num, den) and a Matrix is
+(num rows, den, ncols), with den > 0 and gcd(den, *entries) == 1.  That
+form is unique, so equality is a tuple compare, and elimination, dot
+products and products run on ints without building a `fractions.Fraction`
+per coefficient.  Fractions appear only at the API edge: `coords`, `rows`,
+indexing, iteration and `dot` return them, and the constructors accept
+ints, Fractions and numeric strings.  All the predicates that the rest of
+the library depends on (equality of subspaces, membership, orthogonality,
+solvability) are exact decisions rather than tolerance checks.  Floats are
+rejected on input: silently converting one would smuggle binary rounding
+into computations whose whole point is that they never round.
+
+Elimination is fraction-free Gauss-Jordan: a row is updated as
+lead * row - f * pivot_row and divided by the gcd of its entries, so no
+division ever leaves the integers and coefficients stay small.
 
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
@@ -23,13 +33,12 @@ consistency.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 Q = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -44,243 +53,356 @@ def _q(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-class Vector:
-    """Immutable vector with rational coordinates."""
+def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Rationals as (ints, den) over their least common denominator.
 
-    __slots__ = ("coords",)
+    Each value is in lowest terms, so the result is too: a prime dividing
+    den divides the largest power of itself among the denominators, and
+    that value's scaled numerator is prime to it.
+    """
+    fracs = [_q(x) for x in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _vec(num: tuple[int, ...], den: int) -> "Vector":
+    """A Vector from fields already in canonical form."""
+    v = object.__new__(Vector)
+    v.num = num
+    v.den = den
+    return v
+
+
+def _vector(num: Iterable[int], den: int) -> "Vector":
+    """The Vector num / den for any nonzero den."""
+    num = tuple(num)
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return _vec(num, den)
+    return _vec(tuple(x // g for x in num), den // g)
+
+
+def _mat(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Matrix":
+    """A Matrix from fields already in canonical form."""
+    m = object.__new__(Matrix)
+    m.num = num
+    m.den = den
+    m.ncols = ncols
+    return m
+
+
+def _matrix(rows: Iterable[Iterable[int]], den: int, ncols: int) -> "Matrix":
+    """The Matrix rows / den for any positive den."""
+    num = tuple(tuple(row) for row in rows)
+    g = math.gcd(den, *itertools.chain.from_iterable(num))
+    if g != 1:
+        num = tuple(tuple(x // g for x in row) for row in num)
+        den //= g
+    return _mat(num, den, ncols)
+
+
+class Vector:
+    """Immutable rational vector, stored as ints over one denominator."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coords: Iterable) -> None:
-        self.coords = tuple(_q(c) for c in coords)
+        self.num, self.den = _common(coords)
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([_ZERO] * dim)
+        return _vec((0,) * dim, 1)
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vector":
-        coords = [_ZERO] * dim
-        coords[i] = _ONE
-        return cls(coords)
+        num = [0] * dim
+        num[i] = 1
+        return _vec(tuple(num), 1)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coords)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
+        return Fraction(self.num[i], self.den)
+
+    def _combine(self, other: "Vector", sign: int) -> "Vector":
+        self._check_dim(other)
+        g = math.gcd(self.den, other.den)
+        s, t = other.den // g, sign * (self.den // g)
+        return _vector(
+            [a * s + b * t for a, b in zip(self.num, other.num)], self.den * s
+        )
 
     def __add__(self, other: "Vector") -> "Vector":
         if not isinstance(other, Vector):
             return NotImplemented
-        self._check_dim(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Vector") -> "Vector":
         if not isinstance(other, Vector):
             return NotImplemented
-        self._check_dim(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.coords)
+        return _vec(tuple(-a for a in self.num), self.den)
 
     def scale(self, c) -> "Vector":
         c = _q(c)
-        return Vector(c * a for a in self.coords)
+        return _vector([c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __rmul__(self, c) -> "Vector":
         return self.scale(c)
 
     def dot(self, other: "Vector") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), _ZERO)
+        return Fraction(_dot(self.num, other.num), self.den * other.den)
 
     def norm_sq(self) -> Fraction:
-        return self.dot(self)
+        return Fraction(_dot(self.num, self.num), self.den * self.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
+        return not any(self.num)
 
     def _check_dim(self, other: "Vector") -> None:
-        if len(self.coords) != len(other.coords):
+        if len(self.num) != len(other.num):
             raise DimensionError(
-                f"vector dimensions differ: {len(self.coords)} vs {len(other.coords)}"
+                f"vector dimensions differ: {len(self.num)} vs {len(other.num)}"
             )
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coords == other.coords
+        return (
+            isinstance(other, Vector)
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return "Vector((%s))" % ", ".join(str(c) for c in self.coords)
 
 
 class Matrix:
-    """Immutable rational matrix, stored as a tuple of row tuples.
+    """Immutable rational matrix, stored as integer rows over one denominator.
 
     `ncols` is kept explicitly so that matrices with zero rows (empty
     constraint systems) still know their width.
     """
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("num", "den", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None) -> None:
-        self.rows = tuple(tuple(_q(x) for x in row) for row in rows)
-        if self.rows:
-            widths = {len(r) for r in self.rows}
+        rows = [tuple(_q(x) for x in row) for row in rows]
+        if rows:
+            widths = {len(r) for r in rows}
             if len(widths) != 1:
                 raise DimensionError("matrix rows have unequal lengths")
             width = widths.pop()
             if ncols is not None and ncols != width:
                 raise DimensionError("declared ncols does not match rows")
-            self.ncols = width
-        else:
-            if ncols is None:
-                raise DimensionError("empty matrix needs an explicit ncols")
-            self.ncols = ncols
+            ncols = width
+        elif ncols is None:
+            raise DimensionError("empty matrix needs an explicit ncols")
+        flat, self.den = _common(itertools.chain.from_iterable(rows))
+        entries = iter(flat)
+        self.num = tuple(tuple(itertools.islice(entries, ncols)) for _ in rows)
+        self.ncols = ncols
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+        return _mat(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n
         )
 
     @classmethod
     def zero(cls, m: int, n: int) -> "Matrix":
-        return cls([[_ZERO] * n for _ in range(m)], ncols=n)
+        return _mat(((0,) * n,) * m, 1, n)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.rows[i])
-
-    def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.rows)
-
-    def columns(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.ncols)]
+    def _columns(self) -> list[tuple[int, ...]]:
+        if not self.num:
+            return [()] * self.ncols
+        return list(zip(*self.num))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
+        return _mat(tuple(self._columns()), self.den, self.nrows)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DimensionError("matrix shapes differ")
+        g = math.gcd(self.den, other.den)
+        s, t = other.den // g, sign * (self.den // g)
+        return _matrix(
+            (
+                [a * s + b * t for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.num, other.num)
+            ),
+            self.den * s,
+            self.ncols,
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionError("inner matrix dimensions differ")
-            cols = other.transpose().rows
-            return Matrix(
-                [
-                    [sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols]
-                    for row in self.rows
-                ],
-                ncols=other.ncols,
+            cols = other._columns()
+            return _matrix(
+                ([_dot(row, col) for col in cols] for row in self.num),
+                self.den * other.den,
+                other.ncols,
             )
         if isinstance(other, Vector):
             if self.ncols != other.dim:
                 raise DimensionError("matrix and vector dimensions differ")
-            return Vector(
-                sum((a * b for a, b in zip(row, other.coords)), _ZERO)
-                for row in self.rows
+            return _vector(
+                [_dot(row, other.num) for row in self.num], self.den * other.den
             )
         return NotImplemented
 
     def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise DimensionError("determinant of a non-square matrix")
-        work = [list(row) for row in self.rows]
+        """Determinant by fraction-free (Bareiss) elimination."""
         n = self.nrows
-        sign = _ONE
-        result = _ONE
+        if n != self.ncols:
+            raise DimensionError("determinant of a non-square matrix")
+        work = [list(row) for row in self.num]
+        sign, previous = 1, 1
         for c in range(n):
-            pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+            pivot = next((i for i in range(c, n) if work[i][c]), None)
             if pivot is None:
-                return _ZERO
+                return Fraction(0)
             if pivot != c:
                 work[c], work[pivot] = work[pivot], work[c]
                 sign = -sign
-            result *= work[c][c]
-            inv = work[c][c]
+            lead = work[c]
             for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] / inv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-        return sign * result
+                f = work[i][c]
+                work[i] = [(lead[c] * a - f * b) // previous for a, b in zip(work[i], lead)]
+            previous = lead[c]
+        return Fraction(sign * previous, self.den**n)
 
     def is_orthogonal(self) -> bool:
+        """A^T A = I, i.e. the integer columns are orthogonal of length den."""
         if self.nrows != self.ncols:
             return False
-        return self.transpose() * self == Matrix.identity(self.nrows)
+        cols = self._columns()
+        square = self.den * self.den
+        return all(
+            _dot(cols[i], cols[j]) == (square if i == j else 0)
+            for i in range(self.ncols)
+            for j in range(i, self.ncols)
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
+        return hash((self.num, self.den, self.ncols))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix([{body}], ncols={self.ncols})"
 
 
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+def _rref(rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form of integer rows, fraction-free.
+
+    Returns (reduced rows, pivot columns).  Each reduced row is a pair
+    (ints, lead) with lead = ints[pivot] > 0 and the ints coprime; the row
+    of the reduced row echelon form is ints / lead.  Scaling a row changes
+    neither its span nor the solutions of an augmented system, so callers
+    may clear denominators row by row before reducing.
+    """
     work = [list(r) for r in rows]
+    m = len(work)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][c]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        top = work[r]
+        lead = top[c]
+        for i in range(m):
+            f = work[i][c]
+            if f and i != r:
+                row = [lead * a - f * b for a, b in zip(work[i], top)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(work):
+        if r == m:
             break
-    return [tuple(row) for row in work[:r]], tuple(pivots)
+    reduced = []
+    for row, p in zip(work, pivots):
+        g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)
+        reduced.append((tuple(a // g for a in row), row[p] // g))
+    return reduced, tuple(pivots)
+
+
+def _subspace(ambient: int, reduced, pivots: tuple[int, ...]) -> "LinearSubspace":
+    """The subspace spanned by reduced rows from :func:`_rref`.
+
+    Columns past `ambient` (an augmented right hand side) are dropped, so
+    the row space of a reduced consistent [A | b] gives the row space of A.
+    """
+    u = object.__new__(LinearSubspace)
+    u.ambient = ambient
+    u.basis = tuple(_vector(ints[:ambient], lead) for ints, lead in reduced)
+    u.pivots = pivots
+    u._perp = None
+    return u
+
+
+def _particular(reduced, pivots: tuple[int, ...], n: int) -> Vector:
+    """The solution of a reduced consistent [A | b] with every free variable 0."""
+    scale = math.lcm(*(lead for _, lead in reduced))
+    num = [0] * n
+    for (ints, lead), p in zip(reduced, pivots):
+        num[p] = ints[n] * (scale // lead)
+    return _vector(num, scale)
 
 
 class LinearSubspace:
@@ -303,15 +425,14 @@ class LinearSubspace:
         self.ambient = ambient
         prepared = []
         for row in rows:
-            coords = tuple(_q(x) for x in row)
-            if len(coords) != ambient:
+            num = row.num if isinstance(row, Vector) else _common(row)[0]
+            if len(num) != ambient:
                 raise DimensionError(
-                    f"row of length {len(coords)} in ambient dimension {ambient}"
+                    f"row of length {len(num)} in ambient dimension {ambient}"
                 )
-            prepared.append(coords)
-        basis, pivots = _rref(prepared, ambient)
-        self.basis = tuple(Vector(row) for row in basis)
-        self.pivots = pivots
+            prepared.append(num)
+        reduced, self.pivots = _rref(prepared, ambient)
+        self.basis = tuple(_vec(ints, lead) for ints, lead in reduced)
         self._perp: Optional[LinearSubspace] = None
 
     @classmethod
@@ -320,7 +441,7 @@ class LinearSubspace:
 
     @classmethod
     def full(cls, ambient: int) -> "LinearSubspace":
-        return cls(ambient, Matrix.identity(ambient).rows)
+        return cls(ambient, Matrix.identity(ambient).num)
 
     @property
     def dim(self) -> int:
@@ -337,16 +458,22 @@ class LinearSubspace:
         return len(self.basis) == self.ambient
 
     def contains(self, v: Vector) -> bool:
+        """v - sum of v[p] b_p over the pivots p is zero, on integer rows.
+
+        A basis row b has b.num[p] = b.den at its pivot, so each step scales
+        the residual by b.den and clears its entry at p.
+        """
         if v.dim != self.ambient:
             raise DimensionError(
                 f"vector of dimension {v.dim} vs ambient {self.ambient}"
             )
-        residual = list(v.coords)
-        for row, p in zip(self.basis, self.pivots):
+        residual = v.num
+        for b, p in zip(self.basis, self.pivots):
             c = residual[p]
-            if c != 0:
-                residual = [a - c * b for a, b in zip(residual, row.coords)]
-        return all(a == 0 for a in residual)
+            if c:
+                d = b.den
+                residual = [d * a - c * x for a, x in zip(residual, b.num)]
+        return not any(residual)
 
     def subset_of(self, other: "LinearSubspace") -> bool:
         if self.ambient != other.ambient:
@@ -386,34 +513,34 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
     n = dims.pop()
     if ambient is not None and ambient != n:
         raise DimensionError("declared ambient does not match the vectors")
-    return LinearSubspace(n, [v.coords for v in vectors])
+    return _subspace(n, *_rref([v.num for v in vectors], n))
 
 
-def _kernel(
-    rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], n: int
-) -> LinearSubspace:
-    """Kernel of the first n columns of rows in reduced row echelon form.
+def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
+    """Kernel of the first n columns of reduced rows from :func:`_rref`.
 
     Extra columns past n (an augmented right hand side) are ignored, so a
-    consistent reduced [A | b] gives the kernel of A.
+    consistent reduced [A | b] gives the kernel of A.  The kernel vector of
+    free column f is e_f - sum of (ints[f] / lead) e_p over the rows,
+    scaled by the common multiple of the leads to stay integral.
     """
     pivot_set = set(pivots)
+    scale = math.lcm(*(lead for _, lead in reduced))
     vectors = []
     for f in range(n):
         if f in pivot_set:
             continue
-        v = [_ZERO] * n
-        v[f] = _ONE
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
+        v = [0] * n
+        v[f] = scale
+        for (ints, lead), p in zip(reduced, pivots):
+            v[p] = -ints[f] * (scale // lead)
         vectors.append(v)
-    return LinearSubspace(n, vectors)
+    return _subspace(n, *_rref(vectors, n))
 
 
 def null_space(a: Matrix) -> LinearSubspace:
     """Kernel of a matrix, i.e. all x with a*x = 0."""
-    rows, pivots = _rref(a.rows, a.ncols)
-    return _kernel(rows, pivots, a.ncols)
+    return _kernel(*_rref(a.num, a.ncols), a.ncols)
 
 
 def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
@@ -424,75 +551,77 @@ def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
     linked both ways.
     """
     if u._perp is None:
-        perp = _kernel([b.coords for b in u.basis], u.pivots, u.ambient)
+        perp = _kernel([(b.num, b.den) for b in u.basis], u.pivots, u.ambient)
         perp._perp = u
         u._perp = perp
     return u._perp
 
 
 def intersect(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
-    """Intersection, via the null space of the stacked complement constraints."""
+    """Intersection, via the kernel of the stacked complement constraints."""
     if u1.ambient != u2.ambient:
         raise DimensionError("subspaces of different ambient dimensions")
     constraints = [
-        b.coords
+        b.num
         for b in itertools.chain(
             orthogonal_complement(u1).basis, orthogonal_complement(u2).basis
         )
     ]
-    return null_space(Matrix(constraints, ncols=u1.ambient))
+    return _kernel(*_rref(constraints, u1.ambient), u1.ambient)
 
 
 def subspace_sum(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
     """Smallest subspace containing both, the span of the union of bases."""
     if u1.ambient != u2.ambient:
         raise DimensionError("subspaces of different ambient dimensions")
-    return LinearSubspace(
-        u1.ambient, [b.coords for b in itertools.chain(u1.basis, u2.basis)]
-    )
+    rows = [b.num for b in itertools.chain(u1.basis, u2.basis)]
+    return _subspace(u1.ambient, *_rref(rows, u1.ambient))
 
 
 def project(v: Vector, u: LinearSubspace) -> Vector:
     """Orthogonal projection of v onto the subspace (normal equations).
 
     Zero, the full space and v orthogonal to u are answered from the dot
-    products b_i . v; otherwise one reduction of [B B^T | B v] gives the
-    coefficients of the projection in the basis B.
+    products b_i . v; otherwise one reduction of the integer system
+    [B_i . B_j | B_i . V] gives the coefficients of the projection of
+    V = den(v) v in the integer rows B_i of the basis, and the projection
+    of v is that of V scaled by 1 / den(v).
     """
     if v.dim != u.ambient:
         raise DimensionError(f"vector of dimension {v.dim} vs ambient {u.ambient}")
     if u.is_full() or v.is_zero():
         return v
-    basis = u.basis
-    rhs = [b.dot(v) for b in basis]
+    rows = [b.num for b in u.basis]
+    rhs = [_dot(b, v.num) for b in rows]
     if not any(rhs):
         return Vector.zero(u.ambient)
-    k = len(basis)
-    gram = [[bi.dot(bj) for bj in basis] + [r] for bi, r in zip(basis, rhs)]
-    rows, pivots = _rref(gram, k + 1)
+    k = len(rows)
+    gram = [[_dot(bi, bj) for bj in rows] + [r] for bi, r in zip(rows, rhs)]
+    reduced, pivots = _rref(gram, k + 1)
     if pivots != tuple(range(k)):
         raise ValueError("singular Gram system in project")
-    coeffs = [row[k] for row in rows]
-    return Vector(
-        sum((c * b[j] for c, b in zip(coeffs, basis)), _ZERO)
-        for j in range(u.ambient)
-    )
+    coeffs = _particular(reduced, pivots, k)
+    num = [0] * u.ambient
+    for c, b in zip(coeffs.num, rows):
+        if c:
+            num = [a + c * x for a, x in zip(num, b)]
+    return _vector(num, coeffs.den * v.den)
 
 
 def solve_affine(a: Matrix, b: Vector):
     """Full solution set of a*x = b.
 
     Returns (particular, kernel) with the solution set equal to
-    particular + kernel, or None when the system is inconsistent.
+    particular + kernel, or None when the system is inconsistent.  With
+    a = N / d and b = B / e the integer system is e N x = d B.
     """
     if a.nrows != b.dim:
         raise DimensionError("matrix rows and right hand side differ")
     n = a.ncols
-    augmented = [row + (bi,) for row, bi in zip(a.rows, b.coords)]
-    rows, pivots = _rref(augmented, n + 1)
+    g = math.gcd(a.den, b.den)
+    s, t = b.den // g, a.den // g
+    augmented = [[s * x for x in row] + [t * bi] for row, bi in zip(a.num, b.num)]
+    reduced, pivots = _rref(augmented, n + 1)
     if pivots and pivots[-1] == n:
         return None
-    particular = [_ZERO] * n
-    for row, p in zip(rows, pivots):
-        particular[p] = row[n]
-    return Vector(particular), _kernel(rows, pivots, n)
+    return _particular(reduced, pivots, n), _kernel(reduced, pivots, n)

@@ -199,7 +199,7 @@ def random_nonzero_vector(dim: int, rng: random.Random) -> Vector:
 
 
 def random_point(dim: int, rng: random.Random) -> Point:
-    return Point(random_vector(dim, rng).coords)
+    return Point(random_vector(dim, rng))
 
 
 def random_reflection(dim: int, rng: random.Random) -> Reflection:

@@ -226,3 +226,34 @@ class TestExitCodes:
     def test_dim_flag_mismatch_is_two(self):
         result = run_cli("analyze", str(DATA / "glide.json"), "--dim", "3")
         assert result.returncode == 2
+
+
+class TestMalformedShapes:
+    """Wrong JSON types exit 1 with one stderr line, never a traceback."""
+
+    def assert_parse_error(self, result):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
+    def test_string_dim_in_reflections_form(self):
+        doc = json.dumps(
+            {"dim": "2", "reflections": [{"root": ["1", "0"], "point": ["0", "0"]}]}
+        )
+        self.assert_parse_error(run_cli("analyze", "-", stdin=doc))
+
+    def test_non_list_elements(self):
+        top = {"kind": "h", "U": {"dim_ambient": 2, "basis": []}, "mu": ["2", "0"]}
+        for command in ("complete", "hasse"):
+            doc = json.dumps({"top": top, "elements": 7})
+            self.assert_parse_error(run_cli(command, "-", stdin=doc))
+
+    def test_non_list_basis(self):
+        doc = json.dumps(
+            {
+                "top": {"kind": "h", "U": {"dim_ambient": 2, "basis": 1}, "mu": ["2", "0"]},
+                "elements": [],
+            }
+        )
+        self.assert_parse_error(run_cli("complete", "-", stdin=doc))

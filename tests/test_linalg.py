@@ -1,5 +1,7 @@
 """Exact rational kernel: canonical subspaces and solvers."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from scherk.linalg import (
     LinearSubspace,
     Matrix,
     Vector,
+    _rref,
     intersect,
     null_space,
     orthogonal_complement,
@@ -318,3 +321,126 @@ class TestKernelOnce:
         assert u._perp is not None and fresh._perp is None
         assert u == fresh and fresh == u
         assert hash(u) == before == hash(fresh)
+
+
+# The stored form: ints over one positive denominator, in lowest terms.
+wide = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero = wide.filter(lambda c: c != 0)
+dims = st.integers(1, 6)
+
+
+def rows_of(n):
+    return st.lists(wide, min_size=n, max_size=n)
+
+
+def assert_canonical(x):
+    entries = x.num if isinstance(x, Vector) else list(itertools.chain.from_iterable(x.num))
+    assert x.den > 0
+    assert math.gcd(x.den, *entries) == 1
+
+
+def fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+class TestRepresentation:
+    @no_deadline
+    @given(st.data())
+    def test_vector_canonical_and_scale_free(self, data):
+        coords = data.draw(rows_of(data.draw(dims)))
+        c = data.draw(nonzero)
+        v = Vector(coords)
+        assert_canonical(v)
+        assert v.coords == tuple(coords)
+        assert Vector(v.coords) == v
+        for twin in (
+            Vector([c * x for x in coords]).scale(1 / c),
+            Vector([str(x) for x in coords]),
+            Vector(coords).scale(c).scale(1 / c),
+        ):
+            assert (twin.num, twin.den) == (v.num, v.den)
+            assert twin == v and hash(twin) == hash(v)
+
+    @no_deadline
+    @given(st.data())
+    def test_matrix_canonical_and_round_trip(self, data):
+        n = data.draw(dims)
+        rows = data.draw(st.lists(rows_of(n), min_size=1, max_size=6))
+        m = Matrix(rows)
+        assert_canonical(m)
+        assert m.rows == tuple(tuple(r) for r in rows)
+        twin = Matrix([[str(x) for x in r] for r in m.rows])
+        assert (twin.num, twin.den, twin.ncols) == (m.num, m.den, m.ncols)
+        assert twin == m and hash(twin) == hash(m)
+
+    @no_deadline
+    @given(st.data())
+    def test_vector_arithmetic_matches_fractions(self, data):
+        n = data.draw(dims)
+        a, b = data.draw(rows_of(n)), data.draw(rows_of(n))
+        c = data.draw(wide)
+        u, v = Vector(a), Vector(b)
+        for result, expected in (
+            (u + v, [x + y for x, y in zip(a, b)]),
+            (u - v, [x - y for x, y in zip(a, b)]),
+            (-u, [-x for x in a]),
+            (u.scale(c), [c * x for x in a]),
+        ):
+            assert_canonical(result)
+            assert result.coords == tuple(expected)
+        assert u.dot(v) == sum((x * y for x, y in zip(a, b)), Fraction(0))
+        assert u.norm_sq() == sum((x * x for x in a), Fraction(0))
+        assert [u[i] for i in range(n)] == list(u) == a
+
+    @no_deadline
+    @given(st.data())
+    def test_matrix_arithmetic_matches_fractions(self, data):
+        m, k, n = data.draw(dims), data.draw(dims), data.draw(dims)
+        a = data.draw(st.lists(rows_of(k), min_size=m, max_size=m))
+        b = data.draw(st.lists(rows_of(n), min_size=k, max_size=k))
+        x = data.draw(rows_of(k))
+        product = Matrix(a) * Matrix(b)
+        assert_canonical(product)
+        assert [list(r) for r in product.rows] == fraction_product(a, b)
+        image = Matrix(a) * Vector(x)
+        assert_canonical(image)
+        assert list(image.coords) == [row[0] for row in fraction_product(a, [[y] for y in x])]
+        transposed = Matrix(a).transpose()
+        assert_canonical(transposed)
+        assert transposed.rows == tuple(zip(*a))
+        assert (transposed.nrows, transposed.ncols) == (k, m)
+
+
+def sympy_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestAgainstSympy:
+    """_rref and null_space against sympy's own exact elimination."""
+
+    @no_deadline
+    @given(st.data())
+    def test_rref(self, data):
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(dims)
+        rows = data.draw(st.lists(rows_of(n), min_size=1, max_size=6))
+        reduced, pivots = _rref([Vector(r).num for r in rows], n)
+        expected, expected_pivots = sympy.Matrix(rows).rref()
+        assert pivots == expected_pivots
+        for i, ((ints, lead), p) in enumerate(zip(reduced, pivots)):
+            assert lead == ints[p] > 0 and math.gcd(*ints) == 1
+            assert [Fraction(v, lead) for v in ints] == [
+                sympy_fraction(v) for v in expected.row(i)
+            ]
+        assert all(v == 0 for v in expected[len(pivots):, :])
+
+    @no_deadline
+    @given(st.data())
+    def test_null_space(self, data):
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(dims)
+        rows = data.draw(st.lists(rows_of(n), min_size=1, max_size=6))
+        expected = LinearSubspace(
+            n, [[sympy_fraction(v) for v in k] for k in sympy.Matrix(rows).nullspace()]
+        )
+        assert null_space(Matrix(rows)) == expected
