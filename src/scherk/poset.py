@@ -475,9 +475,9 @@ def is_bowtie(
 def id_key(p: PosetElement):
     """Hashable identity of an element, for dedup and stable sorting."""
     if isinstance(p, Elliptic):
-        return ("e", p.fix.point.coords, p.fix.direction.basis)
+        return ("e", p.fix.point.to_vector(), p.fix.direction.basis)
     if isinstance(p, Hyperbolic):
-        return ("h", p.move.mu.coords, p.move.direction.basis)
+        return ("h", p.move.mu, p.move.direction.basis)
     return ("n", p.subspace.basis)
 
 
