@@ -53,6 +53,7 @@ from .isometry import (
     move_set,
     predict_product,
     reflection_bisecting,
+    reflection_distance,
     reflection_length,
     standard_splitting,
     translation,

@@ -28,6 +28,7 @@ from .linalg import (
     Vector,
     _dot,
     _mat,
+    _subspace,
     _vector,
     orthogonal_complement,
     project,
@@ -272,6 +273,45 @@ def extend_affine_e(b: AffineSubspaceE, extra: LinearSubspace) -> AffineSubspace
 
 def extend_affine_v(m: AffineSubspaceV, extra: LinearSubspace) -> AffineSubspaceV:
     return AffineSubspaceV(subspace_sum(m.direction, extra), m.mu)
+
+
+def hyperplane_section(
+    b: AffineSubspaceE, normal: Vector, value
+) -> Optional[AffineSubspaceE]:
+    """b intersected with the hyperplane {x : normal . x = value}; None when
+    they are disjoint.
+
+    With a_i = normal . d_i over the reduced basis d_i of Dir(b), the
+    section has direction {sum t_i d_i : sum t_i a_i = 0}.  When every a_i
+    is 0 the hyperplane contains b or misses it.  Otherwise let i* be the
+    last index with a_i != 0: the rows d_i - (a_i / a_i*) d_i* for i != i*
+    are a basis and already reduced, since the rows past i* have a_i = 0
+    and stay as they are, and d_i* is zero left of its pivot, which lies
+    right of the pivot of every row before it.  On the integer rows
+    d_i = N_i / lead_i with A_i = normal . N_i that is
+    (A_i* N_i - A_i N_i*) / (A_i* lead_i).  The canonical point p moves
+    along v = proj_Dir(b)(normal), which lies in Dir(b) and is orthogonal
+    to the new direction, to p + t v with normal . (p + t v) = value.
+    """
+    if normal.dim != b.ambient:
+        raise DimensionError("hyperplane and subspace of different dimensions")
+    basis, pivots = b.direction.basis, b.direction.pivots
+    weights = [_dot(normal.num, d.num) for d in basis]
+    last = max((i for i, a in enumerate(weights) if a), default=None)
+    position = b.point.to_vector()
+    gap = value - normal.dot(position)
+    if last is None:
+        return None if gap else b
+    top, pivot_row = weights[last], basis[last].num
+    reduced = [
+        ([top * x - a * y for x, y in zip(d.num, pivot_row)], top * d.den)
+        for i, (d, a) in enumerate(zip(basis, weights))
+        if i != last
+    ]
+    direction = _subspace(b.ambient, reduced, pivots[:last] + pivots[last + 1 :])
+    v = project(normal, b.direction)
+    point = Point(position + v.scale(gap / normal.dot(v)))
+    return AffineSubspaceE(point, direction)
 
 
 def _intersect_by_constraints(

@@ -306,11 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
         cmd.add_argument("--dim", type=int, default=None)
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument(
-            "--format",
-            choices=("json", "text", "dot"),
-            default="dot" if name == "hasse" else "json",
-        )
+        formats = ("dot", "json") if name == "hasse" else ("json", "text")
+        cmd.add_argument("--format", choices=formats, default=formats[0])
         cmd.add_argument("--chain", default=None, metavar="FILE")
         cmd.add_argument("--augmented", action="store_true")
         cmd.set_defaults(handler=handler)

@@ -13,6 +13,18 @@ Two constructions produce minimal factorizations:
   map back onto the chain under the invariant map, so chains and minimal
   factorizations convert losslessly in both directions.
 
+Both directions of that conversion rest on one rule: a reflection changes
+the reflection length by exactly one.  By at most one, since
+l(r w) <= l(w) + 1 and w = r (r w); not by zero, since det A = (-1)^l(w).
+Walking a chain down, the product after each step therefore
+has length at least the rank of the element it should land on, so an
+inclusion (it fixes the requested fixed set, or its motions lie in the
+requested move-set) certifies the step without classifying the product.
+Reading a chain off a factorization, len(f) = l(target) forces the suffix
+lengths 0, 1, ..., len(f), and the suffix invariants follow from
+hyperplane sections of fixed sets and one-dimensional extensions of
+move-sets, with at most one classification.
+
 Point selection in the default constructions is a deterministic scan (the
 canonical point of the relevant subspace, then its basis translates), so
 repeated runs produce identical output.
@@ -23,17 +35,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .affine import AffineSubspaceE, AffineSubspaceV, Point
+from .affine import (
+    AffineSubspaceE,
+    AffineSubspaceV,
+    Point,
+    extend_affine_v,
+    hyperplane_section,
+)
 from .isometry import (
     Isometry,
     Reflection,
     is_elliptic,
     min_set,
     motion_reflection,
+    move_set,
     reflection_length,
     standard_splitting,
 )
-from .linalg import Vector, orthogonal_complement, span
+from .linalg import Vector, _vector, orthogonal_complement, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, leq, rank
 
 
@@ -197,6 +216,36 @@ def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Refl
     raise ChainError("move-set step does not cut out a hyperplane")
 
 
+def _lands_on(current: Isometry, below: PosetElement) -> bool:
+    """Whether inv(current) = below, for current with l(current) >= rank(below).
+
+    For e^B: if current fixes the point of B and each basis vector of
+    Dir B, it fixes B pointwise, so it is elliptic with Fix ⊇ B and
+    l(current) = codim Fix <= codim B = rank(below).  For h^M: if b lies
+    in M and every column of A - I in Dir M, every motion (A - I) x + b
+    lies in M, so Mov ⊆ M; as 0 is not in M, current is hyperbolic and
+    l(current) = dim Mov + 2 <= dim M + 2 = rank(below).  Either way the
+    length bound makes the inequality an equality, and an inclusion of
+    affine subspaces of equal dimension is an equality: Fix = B, or
+    Mov = M.  Without the inclusion, inv(current) is not below.
+    """
+    if isinstance(below, Elliptic):
+        fix = below.fix
+        return current.apply(fix.point) == fix.point and all(
+            current.apply_vector(d) == d for d in fix.direction.basis
+        )
+    move = below.move
+    if not move.contains(current.translation):
+        return False
+    d = current.matrix.den
+    return all(
+        move.direction.contains(
+            _vector([x - (d if i == j else 0) for i, x in enumerate(column)], d)
+        )
+        for j, column in enumerate(current.matrix.transpose().num)
+    )
+
+
 def chain_to_factorization(
     chain: Sequence[PosetElement], w: Isometry
 ) -> Factorization:
@@ -205,13 +254,22 @@ def chain_to_factorization(
     The chain is consumed in descending order: inv(w) first, the bottom
     element (the full space, elliptic) last.  Each consecutive pair must be
     a covering relation.
+
+    Each step is certified by :func:`_lands_on`: the product after a step
+    from above has length at least rank(above) - 1 = rank(below).  The
+    last step lands on the full space, so the product is the identity.
     """
     chain = list(chain)
     if not chain:
         raise ChainError("empty chain")
     if chain[0] != inv_map(w):
         raise ChainError("chain must start at the invariant of w")
-    if chain[-1] != Elliptic(AffineSubspaceE.full(w.dim)):
+    bottom = chain[-1]
+    if not (
+        isinstance(bottom, Elliptic)
+        and bottom.ambient == w.dim
+        and bottom.fix.is_full()
+    ):
         raise ChainError("chain must end at the full-space element")
     for above, below in zip(chain, chain[1:]):
         if not isinstance(above, (Elliptic, Hyperbolic)) or not isinstance(
@@ -234,10 +292,8 @@ def chain_to_factorization(
             r = motion_reflection(current, x)
         factors.append(r)
         current = r.compose(current)
-        if inv_map(current) != below:
+        if not _lands_on(current, below):
             raise ChainError("chain step did not land on the requested element")
-    if not current.is_identity():
-        raise ChainError("chain did not reduce w to the identity")
     return Factorization(target=w, factors=tuple(factors))
 
 
@@ -245,15 +301,41 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     """Invariants of the suffixes of a minimal factorization.
 
     The result is a maximal chain from inv(target) down to the full-space
-    element; a factorization whose suffix ranks do not drop by exactly one
-    at each step is rejected as non-minimal.
+    element; a factorization whose length is not the Scherk length of its
+    target is rejected as non-minimal.
+
+    With s_j the product of the last j factors, l(s_j) and l(s_j-1) differ
+    by exactly one, so len(f) = l(target) forces l(s_j) = j for every j.
+    The invariants then follow walking up from the identity, with one
+    classification at most.  While s_j-1 is elliptic with fixed set F and
+    the next mirror H meets F, s_j fixes F ∩ H, of codimension at most j,
+    so Fix(s_j) = F ∩ H.  The first s_j whose mirror misses F is
+    hyperbolic and is classified.  Above a hyperbolic s_j the next factor,
+    with root alpha, gives Mov(s_j+1) ⊆ Mov(s_j) + span(alpha), and both
+    sides have dimension j - 1, so they are equal.
     """
-    suffixes = [Isometry.identity(f.target.dim)]
+    dim = f.target.dim
+    suffixes = [Isometry.identity(dim)]
     for r in reversed(f.factors):
         suffixes.append(r.compose(suffixes[-1]))
     if suffixes[-1] != f.target:
         raise ChainError("factors do not multiply to the target")
-    elements = [inv_map(suffix) for suffix in reversed(suffixes)]
+    if len(f) != reflection_length(f.target):
+        raise ChainError("factorization is not minimal: suffix ranks must step by one")
+    fix = AffineSubspaceE.full(dim)
+    move = None
+    elements: list[PosetElement] = [Elliptic(fix)]
+    for r, suffix in zip(reversed(f.factors), suffixes[1:]):
+        if move is None:
+            fix = hyperplane_section(fix, r.root, r.offset)
+            if fix is not None:
+                elements.append(Elliptic(fix))
+                continue
+            move = move_set(suffix)
+        else:
+            move = extend_affine_v(move, span([r.root]))
+        elements.append(Hyperbolic(move))
+    elements.reverse()
     for above, below in zip(elements, elements[1:]):
         if rank(above) - rank(below) != 1 or not leq(below, above):
             raise ChainError(

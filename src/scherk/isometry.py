@@ -436,18 +436,44 @@ def is_reflection_below(r: Reflection, w: Isometry) -> bool:
     return reflection_length(r.compose(w)) < reflection_length(w)
 
 
+def reflection_distance(u: Isometry, v: Isometry) -> int:
+    """The reflection metric d(u, v) = l(u^-1 v), from one elimination.
+
+    u^-1 v is x -> A_u^T A_v x + A_u^T (b_v - b_u), so its [A - I | b] is
+    A_u^T [D | delta] with D = A_v - A_u and delta = b_v - b_u, and A_u^T
+    is invertible.  Scherk's formula, dim Mov or dim Mov + 2 as b lies in
+    im(A - I) or not, is therefore 2 rank [D | delta] - rank D, and both
+    ranks are read off the pivots of one reduction.  Scaling the columns
+    of D and delta separately changes neither rank, so with A = N / d and
+    b = B / e the rows reduced are [d_u N_v - d_v N_u | e_u B_v - e_v B_u].
+    No inverse, product or invariant is built.
+    """
+    if u.dim != v.dim:
+        raise DimensionError("isometries of different dimensions")
+    n = u.dim
+    du, dv = u.matrix.den, v.matrix.den
+    eu, ev = u.translation.den, v.translation.den
+    rows = [
+        [du * y - dv * x for x, y in zip(row_u, row_v)] + [eu * q - ev * p]
+        for row_u, row_v, p, q in zip(
+            u.matrix.num, v.matrix.num, u.translation.num, v.translation.num
+        )
+    ]
+    _, pivots = _rref(rows, n + 1)
+    linear_rank = sum(1 for p in pivots if p < n)
+    return 2 * len(pivots) - linear_rank
+
+
 def interval_contains(w: Isometry, u: Isometry) -> bool:
     """Whether u lies between the identity and w in the reflection metric."""
-    return reflection_length(u) + reflection_length(u.inverse().compose(w)) == (
-        reflection_length(w)
-    )
+    return reflection_length(u) + reflection_distance(u, w) == reflection_length(w)
 
 
 def interval_leq(w: Isometry, u: Isometry, u2: Isometry) -> bool:
     """The interval order: u below u2 on a common geodesic from 1 to w."""
     total = (
         reflection_length(u)
-        + reflection_length(u.inverse().compose(u2))
-        + reflection_length(u2.inverse().compose(w))
+        + reflection_distance(u, u2)
+        + reflection_distance(u2, w)
     )
     return total == reflection_length(w)

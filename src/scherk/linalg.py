@@ -254,30 +254,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return _mat(tuple(self._columns()), self.den, self.nrows)
 
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionError("matrix shapes differ")
-        g = math.gcd(self.den, other.den)
-        s, t = other.den // g, sign * (self.den // g)
-        return _matrix(
-            (
-                [a * s + b * t for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.num, other.num)
-            ),
-            self.den * s,
-            self.ncols,
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._combine(other, -1)
-
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
@@ -388,9 +364,15 @@ def _subspace(ambient: int, reduced, pivots: tuple[int, ...]) -> "LinearSubspace
     Columns past `ambient` (an augmented right hand side) are dropped, so
     the row space of a reduced consistent [A | b] gives the row space of A.
     """
+    basis = tuple(_vector(ints[:ambient], lead) for ints, lead in reduced)
+    return _canonical(ambient, basis, pivots)
+
+
+def _canonical(ambient: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]):
+    """A LinearSubspace from a basis already in reduced row echelon form."""
     u = object.__new__(LinearSubspace)
     u.ambient = ambient
-    u.basis = tuple(_vector(ints[:ambient], lead) for ints, lead in reduced)
+    u.basis = basis
     u.pivots = pivots
     u._perp = None
     return u
@@ -441,7 +423,11 @@ class LinearSubspace:
 
     @classmethod
     def full(cls, ambient: int) -> "LinearSubspace":
-        return cls(ambient, Matrix.identity(ambient).num)
+        """The whole space; its unit vectors are already a reduced basis."""
+        if ambient < 0:
+            raise DimensionError("ambient dimension must be nonnegative")
+        basis = tuple(Vector.basis(ambient, i) for i in range(ambient))
+        return _canonical(ambient, basis, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -522,14 +508,18 @@ def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
     Extra columns past n (an augmented right hand side) are ignored, so a
     consistent reduced [A | b] gives the kernel of A.  The kernel vector of
     free column f is e_f - sum of (ints[f] / lead) e_p over the rows,
-    scaled by the common multiple of the leads to stay integral.
+    scaled by the common multiple of the leads to stay integral.  When no
+    row has an entry in a free column (there are no rows, or each row is a
+    unit vector) the kernel vectors are the free unit vectors, which are
+    already reduced; otherwise they are reduced once.
     """
     pivot_set = set(pivots)
+    free = tuple(f for f in range(n) if f not in pivot_set)
+    if not any(ints[f] for ints, _ in reduced for f in free):
+        return _canonical(n, tuple(Vector.basis(n, f) for f in free), free)
     scale = math.lcm(*(lead for _, lead in reduced))
     vectors = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
+    for f in free:
         v = [0] * n
         v[f] = scale
         for (ints, lead), p in zip(reduced, pivots):

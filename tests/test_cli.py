@@ -167,6 +167,19 @@ class TestOtherCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", str(DATA / "glide.json"), "--format", "dot"),
+            ("hasse", str(DATA / "bowtie_universe.json"), "--format", "text"),
+        ],
+    )
+    def test_format_the_command_lacks_is_a_usage_error(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "invalid choice" in result.stderr
+
     def test_malformed_json_is_one(self):
         result = run_cli("analyze", "-", stdin="not json")
         assert result.returncode == 1

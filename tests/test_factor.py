@@ -1,10 +1,12 @@
 """Minimal factorizations, chain conversions, and rewriting moves."""
 
+import importlib
 import random
 
 import pytest
+from hypothesis import given
 
-from scherk.affine import AffineSubspaceE, Point
+from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import (
     ChainError,
     Factorization,
@@ -25,9 +27,18 @@ from scherk.isometry import (
     reflection_length,
     translation,
 )
-from scherk.linalg import Matrix, Vector, orthogonal_complement, span
-from scherk.oracle import corpus, random_maximal_chain, sample_interval
+from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
+from scherk.oracle import (
+    corpus,
+    random_maximal_chain,
+    random_minimal_factorization,
+    sample_interval,
+)
 from scherk.poset import Elliptic, Hyperbolic, inv_map, rank
+from strategies import isometries, no_deadline, seeds
+
+# The package attribute scherk.factor is the function of that name.
+factor_module = importlib.import_module("scherk.factor")
 
 
 def vec(*coords):
@@ -52,6 +63,24 @@ def half_turn():
 
 def glide():
     return Isometry(Matrix([[1, 0], [0, -1]]), vec(1, 0))
+
+
+def screw():
+    """Quarter turn about the z-axis, then a unit shift along it."""
+    return Isometry(Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), vec(0, 0, 1))
+
+
+def line_element(point, direction):
+    return Hyperbolic(AffineSubspaceV(span([vec(*direction)]), vec(*point)))
+
+
+def below_screw_step():
+    """Elements below the translation by (2, 0, 1) and its move-set."""
+    shift = vec(2, 0, 1)
+    return [
+        Hyperbolic(AffineSubspaceV(LinearSubspace.zero(3), shift)),
+        Elliptic(AffineSubspaceE(pt(0, 0, 0), orthogonal_complement(span([shift])))),
+    ]
 
 
 class TestFactorElliptic:
@@ -322,3 +351,41 @@ class TestMinimalFactorizationProperties:
                     assert seen[key] == u
                 else:
                     seen[key] = u
+
+
+class TestChainClosedForms:
+    @no_deadline
+    @given(isometries(), seeds)
+    def test_chain_is_suffix_invariants(self, w, seed):
+        f = random_minimal_factorization(w, seed)
+        suffixes = [Isometry.identity(w.dim)]
+        for r in reversed(f.factors):
+            suffixes.append(r.to_isometry().compose(suffixes[-1]))
+        expected = [inv_map(s) for s in reversed(suffixes)]
+        assert factorization_to_chain(f) == expected
+
+    @pytest.mark.parametrize(
+        "w, wrong, rest",
+        [
+            # the product fixes the point (1, 0) of the wrong line x = 1,
+            # but is the reflection in the x-axis
+            (half_turn(), Elliptic(AffineSubspaceE(pt(1, 0), span([e(2, 1)]))), []),
+            # the product has b in the wrong line, but Mov(product) is the
+            # line (2, t, 1), not parallel to it
+            (screw(), line_element((2, -2, 1), (-2, 1, 1)), below_screw_step()),
+            # Mov(product), the line (2, t, 1), is parallel to the wrong
+            # line (2, t, 2) but does not meet it
+            (screw(), line_element((2, 1, 2), (0, 1, 0)), below_screw_step()),
+        ],
+    )
+    def test_wrong_element_of_right_rank_does_not_land(
+        self, monkeypatch, w, wrong, rest
+    ):
+        """The order check is made to pass everything, and the elements after
+        the wrong one lie below the product the walk really reaches, so
+        only the step certificate can reject the chain."""
+        monkeypatch.setattr(factor_module, "leq", lambda p, q: True)
+        chain = [inv_map(w), wrong, *rest, Elliptic(AffineSubspaceE.full(w.dim))]
+        assert [rank(p) for p in chain] == list(range(len(chain) - 1, -1, -1))
+        with pytest.raises(ChainError, match="did not land"):
+            chain_to_factorization(chain, w)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.isometry import (
@@ -21,12 +23,14 @@ from scherk.isometry import (
     move_set,
     predict_product,
     reflection_bisecting,
+    reflection_distance,
     reflection_length,
     standard_splitting,
     translation,
 )
 from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
-from scherk.oracle import corpus, random_isometry, random_reflection
+from scherk.oracle import corpus, random_isometry, random_reflection, sample_interval
+from strategies import isometries, no_deadline, seeds
 
 
 def vec(*coords):
@@ -475,3 +479,47 @@ class TestInvariantsOnce:
                 assert cls.min_set.dim == dim - cls.move_set.dim
                 for x in cls.min_set.points():
                     assert w.apply(x) - x == cls.move_set.mu
+
+
+def quotient_length(u, v):
+    """l(u^-1 v) by the definition: the inverse, the product, its class."""
+    return reflection_length(u.inverse().compose(v))
+
+
+class TestReflectionDistance:
+    @no_deadline
+    @given(st.data())
+    def test_is_length_of_quotient(self, data):
+        u = data.draw(isometries())
+        v = data.draw(isometries(u.dim))
+        assert reflection_distance(u, v) == quotient_length(u, v)
+
+    @no_deadline
+    @given(st.data())
+    def test_metric_axioms(self, data):
+        u = data.draw(isometries())
+        v = data.draw(isometries(u.dim))
+        w = data.draw(isometries(u.dim))
+        assert reflection_distance(u, u) == 0
+        assert reflection_distance(u, v) == reflection_distance(v, u)
+        assert reflection_distance(u, w) <= (
+            reflection_distance(u, v) + reflection_distance(v, w)
+        )
+
+    @no_deadline
+    @given(st.data())
+    def test_interval_orders_match_definitions(self, data):
+        w = data.draw(isometries())
+        members = sample_interval(w, data.draw(seeds), 2)
+        members.append(data.draw(isometries(w.dim)))
+        total = reflection_length(w)
+        for u in members:
+            inside = reflection_length(u) + quotient_length(u, w) == total
+            assert interval_contains(w, u) == inside
+            for u2 in members:
+                between = (
+                    reflection_length(u)
+                    + quotient_length(u, u2)
+                    + quotient_length(u2, w)
+                ) == total
+                assert interval_leq(w, u, u2) == between

@@ -444,3 +444,18 @@ class TestAgainstSympy:
             n, [[sympy_fraction(v) for v in k] for k in sympy.Matrix(rows).nullspace()]
         )
         assert null_space(Matrix(rows)) == expected
+
+
+class TestUnitVectorKernel:
+    @no_deadline
+    @given(st.data())
+    def test_span_of_unit_vectors(self, data):
+        """The complement of scaled unit vectors is the other unit vectors."""
+        n = data.draw(st.integers(1, 6))
+        chosen = data.draw(st.sets(st.integers(0, n - 1)))
+        scales = st.fractions(min_value=-4, max_value=4).filter(bool)
+        u = span([e(n, i).scale(data.draw(scales)) for i in chosen], ambient=n)
+        perp = orthogonal_complement(u)
+        expected = span([e(n, f) for f in range(n) if f not in chosen], ambient=n)
+        assert perp == expected
+        assert perp.pivots == expected.pivots
