@@ -28,9 +28,9 @@ from .linalg import (
     Vector,
     _dot,
     _mat,
-    _subspace,
     _vector,
     orthogonal_complement,
+    orthogonal_section,
     project,
     solve_affine,
     span,
@@ -99,9 +99,13 @@ class AffineSubspaceV:
     The constructor accepts any shift and subtracts its projection onto U,
     so the stored mu always lies in the orthogonal complement of U and the
     representation is unique.  The subspace is linear iff mu is zero.
+
+    The slot ``_span_perp`` holds the orthogonal complement of the linear
+    span once :meth:`span_complement` has been asked for it; it is written
+    once and plays no part in equality or hashing.
     """
 
-    __slots__ = ("direction", "mu")
+    __slots__ = ("direction", "mu", "_span_perp")
 
     def __init__(self, direction: LinearSubspace, shift: Vector) -> None:
         if shift.dim != direction.ambient:
@@ -109,6 +113,7 @@ class AffineSubspaceV:
         self.direction = direction
         offset = project(shift, direction)
         self.mu = shift if offset.is_zero() else shift - offset
+        self._span_perp: Optional[LinearSubspace] = None
 
     @property
     def ambient(self) -> int:
@@ -137,7 +142,18 @@ class AffineSubspaceV:
         """
         if self.mu.is_zero():
             return self.direction
-        return subspace_sum(self.direction, span([self.mu]))
+        return span([*self.direction.basis, self.mu])
+
+    def span_complement(self) -> LinearSubspace:
+        """Vectors orthogonal to every vector of the subspace.
+
+        Span = U + <mu>, so this is U^perp cut by mu^perp: one pivot-row
+        step on the reduced basis of U^perp, with no elimination.
+        """
+        if self._span_perp is None:
+            perp = orthogonal_complement(self.direction)
+            self._span_perp = orthogonal_section(perp, self.mu)[0]
+        return self._span_perp
 
     def translate(self, v: Vector) -> "AffineSubspaceV":
         return AffineSubspaceV(self.direction, self.mu + v)
@@ -242,8 +258,12 @@ def affine_hull(points: Sequence[Point]) -> AffineSubspaceE:
     return AffineSubspaceE(base, direction)
 
 
-def hull_of_affine_e(subspaces: Sequence[AffineSubspaceE]) -> AffineSubspaceE:
-    """Smallest affine subspace containing every one of the given subspaces."""
+def hull_of_affine_e(
+    subspaces: Sequence[AffineSubspaceE], extra: Iterable[Vector] = ()
+) -> AffineSubspaceE:
+    """Smallest affine subspace containing every one of the given subspaces,
+    thickened by the directions in ``extra``: one span of the point
+    differences, the direction bases and the extra vectors."""
     if not subspaces:
         raise ValueError("hull of an empty list of subspaces")
     base = subspaces[0].point
@@ -251,6 +271,7 @@ def hull_of_affine_e(subspaces: Sequence[AffineSubspaceE]) -> AffineSubspaceE:
     for b in subspaces:
         vectors.append(b.point - base)
         vectors.extend(b.direction.basis)
+    vectors.extend(extra)
     return AffineSubspaceE(base, span(vectors, ambient=base.dim))
 
 
@@ -266,11 +287,6 @@ def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
     return AffineSubspaceV(span(vectors, ambient=base.dim), base)
 
 
-def extend_affine_e(b: AffineSubspaceE, extra: LinearSubspace) -> AffineSubspaceE:
-    """The subspace b + extra, i.e. b thickened by additional directions."""
-    return AffineSubspaceE(b.point, subspace_sum(b.direction, extra))
-
-
 def extend_affine_v(m: AffineSubspaceV, extra: LinearSubspace) -> AffineSubspaceV:
     return AffineSubspaceV(subspace_sum(m.direction, extra), m.mu)
 
@@ -281,48 +297,33 @@ def hyperplane_section(
     """b intersected with the hyperplane {x : normal . x = value}; None when
     they are disjoint.
 
-    With a_i = normal . d_i over the reduced basis d_i of Dir(b), the
-    section has direction {sum t_i d_i : sum t_i a_i = 0}.  When every a_i
-    is 0 the hyperplane contains b or misses it.  Otherwise let i* be the
-    last index with a_i != 0: the rows d_i - (a_i / a_i*) d_i* for i != i*
-    are a basis and already reduced, since the rows past i* have a_i = 0
-    and stay as they are, and d_i* is zero left of its pivot, which lies
-    right of the pivot of every row before it.  On the integer rows
-    d_i = N_i / lead_i with A_i = normal . N_i that is
-    (A_i* N_i - A_i N_i*) / (A_i* lead_i).  The canonical point p moves
-    along v = proj_Dir(b)(normal), which lies in Dir(b) and is orthogonal
-    to the new direction, to p + t v with normal . (p + t v) = value.
+    The direction is Dir(b) cut by normal^perp (:func:`orthogonal_section`).
+    When normal is orthogonal to Dir(b) the hyperplane contains b or misses
+    it.  Otherwise the canonical point p moves along
+    v = proj_Dir(b)(normal), which lies in Dir(b) and is orthogonal to the
+    new direction, to p + t v with normal . (p + t v) = value.
     """
-    if normal.dim != b.ambient:
-        raise DimensionError("hyperplane and subspace of different dimensions")
-    basis, pivots = b.direction.basis, b.direction.pivots
-    weights = [_dot(normal.num, d.num) for d in basis]
-    last = max((i for i, a in enumerate(weights) if a), default=None)
+    direction, row = orthogonal_section(b.direction, normal)
     position = b.point.to_vector()
     gap = value - normal.dot(position)
-    if last is None:
+    if row is None:
         return None if gap else b
-    top, pivot_row = weights[last], basis[last].num
-    reduced = [
-        ([top * x - a * y for x, y in zip(d.num, pivot_row)], top * d.den)
-        for i, (d, a) in enumerate(zip(basis, weights))
-        if i != last
-    ]
-    direction = _subspace(b.ambient, reduced, pivots[:last] + pivots[last + 1 :])
     v = project(normal, b.direction)
     point = Point(position + v.scale(gap / normal.dot(v)))
     return AffineSubspaceE(point, direction)
 
 
-def _intersect_by_constraints(
-    ambient: int,
-    pairs: Sequence[tuple[LinearSubspace, Vector]],
-):
+def _intersect_by_constraints(pairs: Sequence[tuple[LinearSubspace, Vector]]):
     """Common solutions of 'x - anchor lies in direction' for each pair.
 
     Each normal row n of a direction gives n . x = n . anchor, taken on
     the integer rows of the normals over the anchors' common denominator.
     """
+    if not pairs:
+        raise ValueError("intersection of an empty list of subspaces")
+    ambient = pairs[0][0].ambient
+    if any(direction.ambient != ambient for direction, _ in pairs):
+        raise DimensionError("affine subspaces of different ambient dimensions")
     den = math.lcm(*(anchor.den for _, anchor in pairs))
     rows = []
     rhs = []
@@ -334,18 +335,11 @@ def _intersect_by_constraints(
     return solve_affine(_mat(tuple(rows), 1, ambient), _vector(rhs, den))
 
 
-def intersect_affine(
-    b1: AffineSubspaceE, b2: AffineSubspaceE
-) -> Optional[AffineSubspaceE]:
-    """Intersection of two affine subspaces of E; None when disjoint."""
-    if b1.ambient != b2.ambient:
-        raise DimensionError("affine subspaces of different ambient dimensions")
+def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
+    """Intersection of affine subspaces of E, by one stacked solve; None
+    when it is empty."""
     solution = _intersect_by_constraints(
-        b1.ambient,
-        [
-            (b1.direction, b1.point.to_vector()),
-            (b2.direction, b2.point.to_vector()),
-        ],
+        [(b.direction, b.point.to_vector()) for b in subspaces]
     )
     if solution is None:
         return None
@@ -353,29 +347,11 @@ def intersect_affine(
     return AffineSubspaceE(Point(particular), kernel)
 
 
-def intersect_affine_v(
-    m1: AffineSubspaceV, m2: AffineSubspaceV
-) -> Optional[AffineSubspaceV]:
-    """Intersection of two affine subspaces of V; None when disjoint."""
-    if m1.ambient != m2.ambient:
-        raise DimensionError("affine subspaces of different ambient dimensions")
-    solution = _intersect_by_constraints(
-        m1.ambient, [(m1.direction, m1.mu), (m2.direction, m2.mu)]
-    )
+def intersect_affine_v(*subspaces: AffineSubspaceV) -> Optional[AffineSubspaceV]:
+    """Intersection of affine subspaces of V, by one stacked solve; None
+    when it is empty."""
+    solution = _intersect_by_constraints([(m.direction, m.mu) for m in subspaces])
     if solution is None:
         return None
     particular, kernel = solution
     return AffineSubspaceV(kernel, particular)
-
-
-def intersect_many_affine_v(
-    subspaces: Sequence[AffineSubspaceV],
-) -> Optional[AffineSubspaceV]:
-    if not subspaces:
-        raise ValueError("intersection of an empty list of subspaces")
-    result = subspaces[0]
-    for m in subspaces[1:]:
-        result = intersect_affine_v(result, m)
-        if result is None:
-            return None
-    return result

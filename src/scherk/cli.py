@@ -304,12 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, handler in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
-        cmd.add_argument("--dim", type=int, default=None)
         cmd.add_argument("--seed", type=int, default=0)
         formats = ("dot", "json") if name == "hasse" else ("json", "text")
         cmd.add_argument("--format", choices=formats, default=formats[0])
-        cmd.add_argument("--chain", default=None, metavar="FILE")
-        cmd.add_argument("--augmented", action="store_true")
+        if name in ("analyze", "factorize", "order"):
+            cmd.add_argument("--dim", type=int, default=None)
+        if name == "factorize":
+            cmd.add_argument("--chain", default=None, metavar="FILE")
+        if name in ("meet", "join", "lattice"):
+            cmd.add_argument("--augmented", action="store_true")
         cmd.set_defaults(handler=handler)
     return parser
 

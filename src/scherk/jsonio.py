@@ -181,6 +181,8 @@ def factorization_to_json(f: Factorization) -> dict:
 def factorization_from_json(obj: Any) -> Factorization:
     if not isinstance(obj, dict) or "target" not in obj or "factors" not in obj:
         raise FormatError("factorization needs target and factors")
+    if not isinstance(obj["factors"], list):
+        raise FormatError(f"factors must be an array, got {obj['factors']!r}")
     target = isometry_from_json(obj["target"])
     factors = tuple(reflection_from_json(e) for e in obj["factors"])
     return Factorization(target=target, factors=factors)

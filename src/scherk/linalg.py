@@ -547,17 +547,47 @@ def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
     return u._perp
 
 
-def intersect(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
+def intersect(first: LinearSubspace, *rest: LinearSubspace) -> LinearSubspace:
     """Intersection, via the kernel of the stacked complement constraints."""
-    if u1.ambient != u2.ambient:
+    n = first.ambient
+    if any(u.ambient != n for u in rest):
         raise DimensionError("subspaces of different ambient dimensions")
     constraints = [
-        b.num
-        for b in itertools.chain(
-            orthogonal_complement(u1).basis, orthogonal_complement(u2).basis
-        )
+        b.num for u in (first, *rest) for b in orthogonal_complement(u).basis
     ]
-    return _kernel(*_rref(constraints, u1.ambient), u1.ambient)
+    return _kernel(*_rref(constraints, n), n)
+
+
+def orthogonal_section(
+    u: LinearSubspace, normal: Vector
+) -> tuple[LinearSubspace, Optional[Vector]]:
+    """u intersected with the hyperplane normal^perp, by one pivot-row step.
+
+    Returns the section and a basis row w of u with normal . w != 0, or
+    (u, None) when normal is orthogonal to u.  With a_i = normal . d_i over
+    the reduced basis d_i of u, the section is {sum t_i d_i : sum t_i a_i
+    = 0}.  Let i* be the last index with a_i != 0: the rows
+    d_i - (a_i / a_i*) d_i* for i != i* are a basis and already reduced,
+    since the rows past i* have a_i = 0 and stay as they are, and d_i* is
+    zero left of its pivot, which lies right of the pivot of every row
+    before it.  On the integer rows d_i = N_i / lead_i with
+    A_i = normal . N_i that is (A_i* N_i - A_i N_i*) / (A_i* lead_i).
+    """
+    if normal.dim != u.ambient:
+        raise DimensionError("hyperplane and subspace of different dimensions")
+    basis, pivots = u.basis, u.pivots
+    weights = [_dot(normal.num, d.num) for d in basis]
+    last = max((i for i, a in enumerate(weights) if a), default=None)
+    if last is None:
+        return u, None
+    top, pivot_row = weights[last], basis[last].num
+    reduced = [
+        ([top * x - a * y for x, y in zip(d.num, pivot_row)], top * d.den)
+        for i, (d, a) in enumerate(zip(basis, weights))
+        if i != last
+    ]
+    section = _subspace(u.ambient, reduced, pivots[:last] + pivots[last + 1 :])
+    return section, basis[last]
 
 
 def subspace_sum(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:

@@ -181,6 +181,24 @@ def coordinate_universe(
     return FiniteUniverse(ctx, elements)
 
 
+def image(g: Isometry, p: PosetElement) -> PosetElement:
+    """The element g.p: e^B to e^{gB}, h^M to h^{AM}, n^U to n^{AU}.
+
+    A is the linear part of g.  Conjugation by g maps Fix and Mov this
+    way, so the order, and with it every bound, commutes with images.
+    """
+    if isinstance(p, Elliptic):
+        return Elliptic(g.image_of_affine(p.fix))
+
+    def linear(u):
+        return span([g.apply_vector(d) for d in u.basis], ambient=g.dim)
+
+    if isinstance(p, Hyperbolic):
+        shift = g.apply_vector(p.move.mu)
+        return Hyperbolic(AffineSubspaceV(linear(p.move.direction), shift))
+    return New(linear(p.subspace))
+
+
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
         return seed

@@ -24,35 +24,57 @@ augmented.  The subposet under an elliptic top is a complete lattice; under
 a hyperbolic top it is a lattice iff dim M <= 1, and augmenting it always
 yields a complete lattice whose meets and joins ``dm_meet``/``dm_join``
 compute in closed form.
+
+Under a hyperbolic top h^M, with M = U + mu in standard form (mu
+orthogonal to U and nonzero), every bound is decided inside the single
+subspace Span(M) = U + <mu>.  M is the section of Span(M) by the
+hyperplane H = {x : x . mu = |mu|^2}, and so is every move-set N below
+the top: Span(N) meets H exactly in N, since x = d + t mu_N with d in
+Dir(N), a subspace of U, has x . mu = t |mu|^2.  Hence N' lies in N iff
+Span(N') lies in Span(N), and Span(N) meets U exactly in Dir(N).  So each
+member places one demand "S lies in Span(N)" on an upper bound h^N, and
+"S lies in V" on an upper bound n^V:
+
+* e^B demands S = Dir(B)^perp,
+* h^N' demands S = Span(N'),
+* n^V demands S = V.
+
+With W the sum of the demands (one span of the stacked rows), the least
+upper bound is h^N with Span(N) = W when W leaves U, that is when some
+basis row w of W has w . mu != 0: then N = W meet H, with direction
+W meet mu^perp (one pivot-row step, :func:`orthogonal_section`) and the
+point w |mu|^2 / (w . mu).  When W lies in U no move-set can be placed:
+W = 0 gives the bottom e^E, W = U the top, and any other W is n^W in the
+augmented poset and the position-free family of h^N with direction W in
+the plain one.  Meets go the other way: a lower bound e^C needs every
+demand's complement inside Dir(C), so the elliptic meet is one span of
+the point differences, the Dir(B) bases and those complements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
-    extend_affine_e,
-    extend_affine_v,
     hull_of_affine_e,
-    hull_of_affine_v,
     intersect_affine,
     intersect_affine_v,
-    intersect_many_affine_v,
 )
 from .isometry import Isometry, classify
 from .linalg import (
     DimensionError,
     LinearSubspace,
     Vector,
+    _dot,
+    _vector,
     intersect,
     orthogonal_complement,
+    orthogonal_section,
     span,
-    subspace_sum,
 )
 
 
@@ -109,29 +131,67 @@ PosetElement = Union[Elliptic, Hyperbolic, New]
 
 @dataclass(frozen=True)
 class PosetContext:
-    """A model poset: everything at or below a chosen top element."""
+    """A model poset: everything at or below a chosen top element.
+
+    Under a hyperbolic top h^M the context derives once the normal rows of
+    Span(M) (the reduced basis of its complement) and M . M for the
+    integer row M = den(mu) mu, so membership is a few integer dot
+    products:
+
+    * e^B is below iff every normal row of Span(M) lies in Dir(B);
+    * h^N is below iff Dir(N) is orthogonal to the normal rows and to mu
+      (it lies in U), and mu_N is orthogonal to the normal rows with
+      mu_N . mu = |mu|^2 (it lies in Span(M) meet H = M);
+    * n^V is in the augmented poset iff V lies in U with dim V < dim U.
+    """
 
     top: PosetElement
     augmented: bool = False
+    normals: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    mu_sq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.top, New):
             raise PosetError("a context must have an elliptic or hyperbolic top")
         if self.augmented and not isinstance(self.top, Hyperbolic):
             raise PosetError("only hyperbolic posets are augmented")
+        normals, mu_sq = (), 0
+        if isinstance(self.top, Hyperbolic):
+            normals = self.top.move.span_complement().basis
+            mu_sq = _dot(self.top.move.mu.num, self.top.move.mu.num)
+        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "mu_sq", mu_sq)
 
     @property
     def ambient(self) -> int:
         return self.top.ambient
 
     def contains(self, p: PosetElement) -> bool:
-        if isinstance(p, New):
-            if not self.augmented:
-                return False
-            top_dir = self.top.move.direction
-            if not (p.subspace.subset_of(top_dir) and p.subspace.dim < top_dir.dim):
-                return False
-        return leq(p, self.top)
+        if p.ambient != self.ambient:
+            raise DimensionError("element and top of different ambient dimensions")
+        top = self.top
+        if isinstance(top, Elliptic):
+            return not isinstance(p, New) and leq(p, top)
+        if isinstance(p, Elliptic):
+            return all(p.fix.direction.contains(r) for r in self.normals)
+        if isinstance(p, Hyperbolic):
+            mu, top_mu = p.move.mu, top.move.mu
+            rows = [r.num for r in self.normals]
+            return (
+                _dot(mu.num, top_mu.num) * top_mu.den == self.mu_sq * mu.den
+                and not any(_dot(mu.num, r) for r in rows)
+                and not any(
+                    _dot(d.num, r)
+                    for d in p.move.direction.basis
+                    for r in (top_mu.num, *rows)
+                )
+            )
+        top_dir = top.move.direction
+        return (
+            self.augmented
+            and p.subspace.dim < top_dir.dim
+            and p.subspace.subset_of(top_dir)
+        )
 
     def require(self, *elements: PosetElement) -> None:
         for p in elements:
@@ -147,17 +207,6 @@ def inv_map(w: Isometry) -> PosetElement:
     return Hyperbolic(cls.move_set)
 
 
-@lru_cache(maxsize=None)
-def _linear_span(move: AffineSubspaceV) -> LinearSubspace:
-    return move.linear_span()
-
-
-@lru_cache(maxsize=None)
-def _span_perp(move: AffineSubspaceV) -> LinearSubspace:
-    """Vectors orthogonal to every vector of the affine subspace."""
-    return orthogonal_complement(_linear_span(move))
-
-
 def leq(p: PosetElement, q: PosetElement) -> bool:
     if p.ambient != q.ambient:
         raise DimensionError("poset elements of different ambient dimensions")
@@ -165,7 +214,7 @@ def leq(p: PosetElement, q: PosetElement) -> bool:
         if isinstance(q, Elliptic):
             return q.fix.subset_of(p.fix)
         if isinstance(q, Hyperbolic):
-            return _span_perp(q.move).subset_of(p.fix.direction)
+            return q.move.span_complement().subset_of(p.fix.direction)
         return orthogonal_complement(p.fix.direction).subset_of(q.subspace)
     if isinstance(p, Hyperbolic):
         if isinstance(q, Hyperbolic):
@@ -243,7 +292,8 @@ def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
         return Elliptic(hull_of_affine_e([p.fix, q.fix]))
     if isinstance(p, Elliptic) or isinstance(q, Elliptic):
         ell, hyp = (p, q) if isinstance(p, Elliptic) else (q, p)
-        return Elliptic(extend_affine_e(ell.fix, _span_perp(hyp.move)))
+        extra = hyp.move.span_complement().basis
+        return Elliptic(hull_of_affine_e([ell.fix], extra))
     common = intersect_affine_v(p.move, q.move)
     if common is not None:
         return Hyperbolic(common)
@@ -253,59 +303,48 @@ def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
     return BoundFamily(kind="e", direction=orthogonal_complement(shared))
 
 
-def _join_within_hyperbolic(
-    hyps: Sequence[AffineSubspaceV],
-    ells: Sequence[AffineSubspaceE],
-    news: Sequence[LinearSubspace],
-    ctx: PosetContext,
-):
-    """Minimal upper bounds above the given parts, inside a hyperbolic top.
+def _join_by_section(
+    members: Sequence[PosetElement], ctx: PosetContext
+) -> Union[Elliptic, Hyperbolic, LinearSubspace]:
+    """The least upper bound under a hyperbolic top, as one span and one
+    section (see the module docstring).
 
-    Each elliptic e^B demands that the complement of Dir(B) lie in the span
-    of the bound's move-set.  When that complement leaves the top direction,
-    the demand pins a piece of the top's affine subspace that the bound must
-    contain; otherwise it only adds required directions.  With at least one
-    pinned piece the minimal bound is unique; with none, the bound's
-    position is free and a family remains (or the top itself, when the
-    required directions already fill it).
+    Returns h^{W meet H} when the demand sum W leaves U, the bottom when
+    W = 0, the top when W = U, and W itself otherwise, for the caller to
+    read as n^W or as the family of h^N with direction W.
     """
     top = ctx.top
     if not isinstance(top, Hyperbolic):
         raise PosetError("joins within the top need a hyperbolic top")
-    top_dir = top.move.direction
-    pieces = list(hyps)
-    directions = list(news)
-    for b in ells:
-        s = orthogonal_complement(b.direction)
-        if s.subset_of(top_dir):
-            directions.append(s)
+    rows: list[Vector] = []
+    for p in members:
+        if isinstance(p, Elliptic):
+            rows.extend(orthogonal_complement(p.fix.direction).basis)
+        elif isinstance(p, Hyperbolic):
+            rows.extend(p.move.direction.basis)
+            rows.append(p.move.mu)
         else:
-            piece = intersect_affine_v(
-                AffineSubspaceV(s, Vector.zero(s.ambient)), top.move
-            )
-            if piece is None:
-                raise PosetError("complement meets the top move-set")
-            pieces.append(piece)
-    if pieces:
-        bound = hull_of_affine_v(pieces)
-        for extra in directions:
-            bound = extend_affine_v(bound, extra)
-        return Hyperbolic(bound)
-    total = LinearSubspace.zero(ctx.ambient)
-    for extra in directions:
-        total = subspace_sum(total, extra)
-    if total.dim == 0:
+            rows.extend(p.subspace.basis)
+    demand = span(rows, ambient=ctx.ambient)
+    mu = top.move.mu
+    direction, w = orthogonal_section(demand, mu)
+    if w is not None:
+        # w |mu|^2 / (w . mu) on the integer rows W of w and M of mu
+        shift = _vector([ctx.mu_sq * x for x in w.num], mu.den * _dot(w.num, mu.num))
+        return Hyperbolic(AffineSubspaceV(direction, shift))
+    if demand.is_zero():
         return Elliptic(AffineSubspaceE.full(ctx.ambient))
-    if total == top_dir:
-        return Hyperbolic(top.move)
-    return total
+    if demand == top.move.direction:
+        return top
+    return demand
 
 
 def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
     """Least upper bound, the family of minimal upper bounds, or None.
 
-    Derived by duality from the meet formulas and checked against the
-    definitional oracle over finite universes.
+    Two elliptics with a common point join at their intersection; otherwise
+    the bound comes from :func:`_join_by_section` under a hyperbolic top,
+    and does not exist under an elliptic one.
     """
     if ctx.augmented:
         raise PosetError("join works in plain contexts; use dm_join when augmented")
@@ -318,27 +357,22 @@ def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
             return Elliptic(common)
         if not isinstance(ctx.top, Hyperbolic):
             return None
-        outcome = _join_within_hyperbolic([], [p.fix, q.fix], [], ctx)
-        if isinstance(outcome, LinearSubspace):
-            return BoundFamily(kind="h", direction=outcome, within=ctx.top.move)
-        return outcome
-    if isinstance(p, Hyperbolic) and isinstance(q, Hyperbolic):
-        return Hyperbolic(hull_of_affine_v([p.move, q.move]))
-    ell, hyp = (p, q) if isinstance(p, Elliptic) else (q, p)
-    outcome = _join_within_hyperbolic([hyp.move], [ell.fix], [], ctx)
+    outcome = _join_by_section([p, q], ctx)
     if isinstance(outcome, LinearSubspace):
-        raise PosetError("a join with a hyperbolic element has a unique bound")
+        return BoundFamily(kind="h", direction=outcome, within=ctx.top.move)
     return outcome
 
 
 def dm_meet(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement:
     """Meet in the augmented (completed) hyperbolic poset.
 
-    With an elliptic present the meet is elliptic: the hull of the elliptic
-    subspaces thickened by every direction the hyperbolic and new members
-    force.  With only hyperbolics sharing a common vector the meet is their
-    intersection.  Otherwise the meet drops to the new element on the
-    common direction subspace, or to the bottom when that is trivial.
+    With an elliptic present the meet is elliptic: one span of the point
+    differences and the Dir(B) bases, thickened by V^perp for each n^V and
+    Span(N)^perp for each h^N.  With only hyperbolics sharing a common
+    vector the meet is their intersection, one stacked constraint solve.
+    Otherwise the meet drops to the new element on the common direction
+    subspace, one kernel of the stacked complement rows, or to the bottom
+    when that is trivial.
     """
     members = list(elements)
     if not members:
@@ -350,46 +384,36 @@ def dm_meet(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement
     hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
     news = [p.subspace for p in members if isinstance(p, New)]
     if ells:
-        bound = hull_of_affine_e(ells)
-        for u in news:
-            bound = extend_affine_e(bound, orthogonal_complement(u))
-        for m in hyps:
-            bound = extend_affine_e(bound, _span_perp(m))
-        return Elliptic(bound)
-    if hyps and not news:
-        common = intersect_many_affine_v(hyps)
+        extra = [v for u in news for v in orthogonal_complement(u).basis]
+        extra.extend(v for m in hyps for v in m.span_complement().basis)
+        return Elliptic(hull_of_affine_e(ells, extra))
+    if not news:
+        common = intersect_affine_v(*hyps)
         if common is not None:
             return Hyperbolic(common)
-    shared = LinearSubspace.full(ctx.ambient)
-    for u in news:
-        shared = intersect(shared, u)
-    for m in hyps:
-        shared = intersect(shared, m.direction)
+    shared = intersect(*news, *(m.direction for m in hyps))
     if shared.dim == 0:
         return Elliptic(AffineSubspaceE.full(ctx.ambient))
     return New(shared)
 
 
 def dm_join(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement:
-    """Join in the augmented (completed) hyperbolic poset, dual to dm_meet."""
+    """Join in the augmented (completed) hyperbolic poset, dual to dm_meet.
+
+    Elliptics alone with a common point join at their intersection, one
+    stacked constraint solve; every other join is :func:`_join_by_section`.
+    """
     members = list(elements)
     if not members:
         raise PosetError("dm_join of an empty collection")
     if not ctx.augmented:
         raise PosetError("dm_join needs an augmented context")
     ctx.require(*members)
-    ells = [p.fix for p in members if isinstance(p, Elliptic)]
-    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
-    news = [p.subspace for p in members if isinstance(p, New)]
-    if not hyps and not news:
-        common: Optional[AffineSubspaceE] = ells[0]
-        for b in ells[1:]:
-            common = intersect_affine(common, b)
-            if common is None:
-                break
+    if all(isinstance(p, Elliptic) for p in members):
+        common = intersect_affine(*(p.fix for p in members))
         if common is not None:
             return Elliptic(common)
-    outcome = _join_within_hyperbolic(hyps, ells, news, ctx)
+    outcome = _join_by_section(members, ctx)
     if isinstance(outcome, LinearSubspace):
         return New(outcome)
     return outcome

@@ -180,6 +180,20 @@ class TestExitCodes:
         assert result.stdout == ""
         assert "invalid choice" in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hasse", str(DATA / "bowtie_universe.json"), "--dim", "7"),
+            ("analyze", str(DATA / "glide.json"), "--chain", "missing.json"),
+            ("complete", str(DATA / "bowtie_top.json"), "--augmented"),
+        ],
+    )
+    def test_flag_the_command_lacks_is_a_usage_error(self, argv):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments" in result.stderr
+
     def test_malformed_json_is_one(self):
         result = run_cli("analyze", "-", stdin="not json")
         assert result.returncode == 1
@@ -255,6 +269,11 @@ class TestMalformedShapes:
             {"dim": "2", "reflections": [{"root": ["1", "0"], "point": ["0", "0"]}]}
         )
         self.assert_parse_error(run_cli("analyze", "-", stdin=doc))
+
+    def test_null_factors(self):
+        target = json.loads((DATA / "translation.json").read_text())
+        doc = json.dumps({"target": target, "factors": None})
+        self.assert_parse_error(run_cli("chain", "-", stdin=doc))
 
     def test_non_list_elements(self):
         top = {"kind": "h", "U": {"dim_ambient": 2, "basis": []}, "mu": ["2", "0"]}

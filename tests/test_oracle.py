@@ -9,9 +9,11 @@ from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.isometry import interval_contains, reflection_length
 from scherk.linalg import Vector, span
 from scherk.oracle import (
+    FiniteUniverse,
     coordinate_universe,
     definitional_join,
     definitional_meet,
+    image,
     random_isometry,
     sample_interval,
     search_bowties,
@@ -20,6 +22,7 @@ from scherk.poset import (
     BoundFamily,
     Elliptic,
     Hyperbolic,
+    PosetContext,
     dm_join,
     dm_meet,
     join,
@@ -225,6 +228,28 @@ class TestAgreementWithClosedForms:
         for _ in range(250):
             subset = rng.sample(range(len(elements)), 3)
             check_dm_agreement(universe, [elements[i] for i in subset])
+
+
+class TestObliqueImages:
+    """The completion's closed forms off the axes: images of the augmented
+    plane universe under seeded isometries, with rational anchors and
+    oblique directions."""
+
+    @pytest.mark.parametrize("seed", (1, 3, 4, 7))
+    def test_dm_bounds_on_isometric_images(self, seed):
+        base = coordinate_universe(3, plane_top_3d(), augmented=True)
+        g = random_isometry(3, seed)
+        ctx = PosetContext(top=image(g, base.ctx.top), augmented=True)
+        universe = FiniteUniverse(ctx, [image(g, p) for p in base])
+        assert len(universe) == len(base)
+        rng = random.Random(seed)
+        for _ in range(600):
+            picks = rng.sample(range(len(base)), rng.randint(1, 3))
+            subset = [base.elements[i] for i in picks]
+            moved = [universe.elements[i] for i in picks]
+            check_dm_agreement(universe, moved)
+            assert dm_meet(moved, ctx) == image(g, dm_meet(subset, base.ctx))
+            assert dm_join(moved, ctx) == image(g, dm_join(subset, base.ctx))
 
 
 class TestGenerators:

@@ -7,8 +7,8 @@ import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.isometry import Isometry, Reflection, motion_reflection, translation
-from scherk.linalg import LinearSubspace, Vector, span
-from scherk.oracle import coordinate_universe, corpus
+from scherk.linalg import DimensionError, LinearSubspace, Vector, span
+from scherk.oracle import coordinate_universe, corpus, image, random_isometry
 from scherk.poset import (
     BoundFamily,
     Elliptic,
@@ -114,6 +114,76 @@ class TestOrder:
         for i, j, k in itertools.product(range(n), repeat=3):
             if lm[i][j] and lm[j][k]:
                 assert lm[i][k]
+
+
+def definitional_contains(ctx, p):
+    """leq(p, top); an n^V also needs an augmented context and V a proper
+    subspace of the top direction."""
+    if isinstance(p, New):
+        return (
+            ctx.augmented
+            and leq(p, ctx.top)
+            and p.subspace.dim < ctx.top.move.direction.dim
+        )
+    return leq(p, ctx.top)
+
+
+def membership_pool():
+    """The augmented universes under the planes z = 1 and x = 1, so each
+    top below sees elements it must reject, and a tilted line: its shift
+    lies in the plane z = 1 and in the span of each top, but its direction
+    leaves the plane."""
+    tops = (plane_top_3d(), hyperbolic(vec(1, 0, 0), e(3, 1), e(3, 2)))
+    pool = [p for top in tops for p in coordinate_universe(3, top, augmented=True)]
+    return pool + [hyperbolic(vec(-1, 0, 1), vec(1, 0, 1))]
+
+
+def membership_contexts():
+    line_top = hyperbolic(vec(0, 0, 1), e(3, 0))
+    for top in (plane_top_3d(), line_top):
+        for augmented in (False, True):
+            yield PosetContext(top=top, augmented=augmented)
+    yield PosetContext(top=elliptic(pt(0, 0, 0), e(3, 0)))
+
+
+class TestMembership:
+    """The dot-product membership test against the definitional rule."""
+
+    def check(self, ctx, pool):
+        accepted = 0
+        for p in pool:
+            expected = definitional_contains(ctx, p)
+            assert ctx.contains(p) == expected, p
+            if expected:
+                ctx.require(p)
+                accepted += 1
+            else:
+                with pytest.raises(PosetError):
+                    ctx.require(p)
+        return accepted
+
+    def test_matches_definition_on_coordinate_elements(self):
+        pool = membership_pool()
+        for ctx in membership_contexts():
+            assert 0 < self.check(ctx, pool) < len(pool)
+
+    @pytest.mark.parametrize("seed", (1, 3, 4))
+    def test_matches_definition_on_oblique_images(self, seed):
+        g = random_isometry(3, seed)
+        pool = [image(g, p) for p in membership_pool()]
+        for ctx in membership_contexts():
+            moved = PosetContext(top=image(g, ctx.top), augmented=ctx.augmented)
+            assert 0 < self.check(moved, pool) < len(pool)
+
+    def test_ambient_mismatch_is_a_dimension_error(self):
+        ctx = PosetContext(top=plane_top_3d(), augmented=True)
+        for p in (
+            Elliptic(AffineSubspaceE.full(2)),
+            hyperbolic(vec(0, 1), e(2, 0)),
+            New(span([e(2, 0)])),
+        ):
+            with pytest.raises(DimensionError):
+                ctx.require(p)
 
 
 class TestRank:
