@@ -127,22 +127,16 @@ class AffineSubspaceV:
         return self.mu.is_zero()
 
     def contains(self, v: Vector) -> bool:
-        return self.direction.contains(v - self.mu)
+        """v - mu lies in U, tested on the integer row of den(mu) den(v) (v - mu)."""
+        v._check_dim(self.mu)
+        d, e = v.den, self.mu.den
+        row = [e * a - d * b for a, b in zip(v.num, self.mu.num)]
+        return self.direction._contains_row(row)
 
     def subset_of(self, other: "AffineSubspaceV") -> bool:
         if self.ambient != other.ambient:
             raise DimensionError("affine subspaces of different ambient dimensions")
         return self.direction.subset_of(other.direction) and other.contains(self.mu)
-
-    def linear_span(self) -> LinearSubspace:
-        """Span of the subspace viewed as a set of vectors.
-
-        For a nonlinear subspace this is one dimension larger than the
-        direction space, since mu is independent of it.
-        """
-        if self.mu.is_zero():
-            return self.direction
-        return span([*self.direction.basis, self.mu])
 
     def span_complement(self) -> LinearSubspace:
         """Vectors orthogonal to every vector of the subspace.

@@ -37,6 +37,7 @@ from typing import Optional
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .linalg import (
     DimensionError,
+    LinearSubspace,
     Matrix,
     Vector,
     _dot,
@@ -121,11 +122,12 @@ class Isometry:
     def is_identity(self) -> bool:
         return self.translation.is_zero() and self.matrix == Matrix.identity(self.dim)
 
+    def image_of_linear(self, u: LinearSubspace) -> LinearSubspace:
+        """The image A U of a direction space under the linear part A."""
+        return span([self.matrix * d for d in u.basis], ambient=self.dim)
+
     def image_of_affine(self, b: AffineSubspaceE) -> AffineSubspaceE:
-        direction = span(
-            [self.matrix * d for d in b.direction.basis], ambient=self.dim
-        )
-        return AffineSubspaceE(self.apply(b.point), direction)
+        return AffineSubspaceE(self.apply(b.point), self.image_of_linear(b.direction))
 
     def __eq__(self, other) -> bool:
         return (

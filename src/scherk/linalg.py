@@ -444,16 +444,19 @@ class LinearSubspace:
         return len(self.basis) == self.ambient
 
     def contains(self, v: Vector) -> bool:
-        """v - sum of v[p] b_p over the pivots p is zero, on integer rows.
-
-        A basis row b has b.num[p] = b.den at its pivot, so each step scales
-        the residual by b.den and clears its entry at p.
-        """
         if v.dim != self.ambient:
             raise DimensionError(
                 f"vector of dimension {v.dim} vs ambient {self.ambient}"
             )
-        residual = v.num
+        return self._contains_row(v.num)
+
+    def _contains_row(self, residual: Sequence[int]) -> bool:
+        """residual - sum of residual[p] b_p over the pivots p is zero.
+
+        The integer row stands for any nonzero multiple of a vector.  A
+        basis row b has b.num[p] = b.den at its pivot, so each step scales
+        the residual by b.den and clears its entry at p.
+        """
         for b, p in zip(self.basis, self.pivots):
             c = residual[p]
             if c:

@@ -189,14 +189,10 @@ def image(g: Isometry, p: PosetElement) -> PosetElement:
     """
     if isinstance(p, Elliptic):
         return Elliptic(g.image_of_affine(p.fix))
-
-    def linear(u):
-        return span([g.apply_vector(d) for d in u.basis], ambient=g.dim)
-
     if isinstance(p, Hyperbolic):
-        shift = g.apply_vector(p.move.mu)
-        return Hyperbolic(AffineSubspaceV(linear(p.move.direction), shift))
-    return New(linear(p.subspace))
+        direction = g.image_of_linear(p.move.direction)
+        return Hyperbolic(AffineSubspaceV(direction, g.apply_vector(p.move.mu)))
+    return New(g.image_of_linear(p.subspace))
 
 
 def _rng(seed) -> random.Random:
@@ -293,7 +289,7 @@ def random_maximal_chain(w: Isometry, seed) -> list[PosetElement]:
             if current.move.dim >= 1 and rng.randrange(2):
                 current = Hyperbolic(_random_codim_one_move(current.move, rng))
             else:
-                direction = orthogonal_complement(current.move.linear_span())
+                direction = current.move.span_complement()
                 current = Elliptic(
                     AffineSubspaceE(random_point(dim, rng), direction)
                 )

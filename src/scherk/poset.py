@@ -53,7 +53,7 @@ the point differences, the Dir(B) bases and those complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
@@ -131,67 +131,31 @@ PosetElement = Union[Elliptic, Hyperbolic, New]
 
 @dataclass(frozen=True)
 class PosetContext:
-    """A model poset: everything at or below a chosen top element.
-
-    Under a hyperbolic top h^M the context derives once the normal rows of
-    Span(M) (the reduced basis of its complement) and M . M for the
-    integer row M = den(mu) mu, so membership is a few integer dot
-    products:
-
-    * e^B is below iff every normal row of Span(M) lies in Dir(B);
-    * h^N is below iff Dir(N) is orthogonal to the normal rows and to mu
-      (it lies in U), and mu_N is orthogonal to the normal rows with
-      mu_N . mu = |mu|^2 (it lies in Span(M) meet H = M);
-    * n^V is in the augmented poset iff V lies in U with dim V < dim U.
-    """
+    """A model poset: everything at or below a chosen top element."""
 
     top: PosetElement
     augmented: bool = False
-    normals: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
-    mu_sq: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.top, New):
             raise PosetError("a context must have an elliptic or hyperbolic top")
         if self.augmented and not isinstance(self.top, Hyperbolic):
             raise PosetError("only hyperbolic posets are augmented")
-        normals, mu_sq = (), 0
-        if isinstance(self.top, Hyperbolic):
-            normals = self.top.move.span_complement().basis
-            mu_sq = _dot(self.top.move.mu.num, self.top.move.mu.num)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "mu_sq", mu_sq)
 
     @property
     def ambient(self) -> int:
         return self.top.ambient
 
     def contains(self, p: PosetElement) -> bool:
+        """leq(p, top); an n^V also needs an augmented context and dim V <
+        dim Dir M, which with V in Dir M (part of leq) makes V proper."""
         if p.ambient != self.ambient:
             raise DimensionError("element and top of different ambient dimensions")
-        top = self.top
-        if isinstance(top, Elliptic):
-            return not isinstance(p, New) and leq(p, top)
-        if isinstance(p, Elliptic):
-            return all(p.fix.direction.contains(r) for r in self.normals)
-        if isinstance(p, Hyperbolic):
-            mu, top_mu = p.move.mu, top.move.mu
-            rows = [r.num for r in self.normals]
-            return (
-                _dot(mu.num, top_mu.num) * top_mu.den == self.mu_sq * mu.den
-                and not any(_dot(mu.num, r) for r in rows)
-                and not any(
-                    _dot(d.num, r)
-                    for d in p.move.direction.basis
-                    for r in (top_mu.num, *rows)
-                )
-            )
-        top_dir = top.move.direction
-        return (
-            self.augmented
-            and p.subspace.dim < top_dir.dim
-            and p.subspace.subset_of(top_dir)
-        )
+        if isinstance(p, New) and not (
+            self.augmented and p.subspace.dim < self.top.move.dim
+        ):
+            return False
+        return leq(p, self.top)
 
     def require(self, *elements: PosetElement) -> None:
         for p in elements:
@@ -330,7 +294,8 @@ def _join_by_section(
     direction, w = orthogonal_section(demand, mu)
     if w is not None:
         # w |mu|^2 / (w . mu) on the integer rows W of w and M of mu
-        shift = _vector([ctx.mu_sq * x for x in w.num], mu.den * _dot(w.num, mu.num))
+        mu_sq = _dot(mu.num, mu.num)
+        shift = _vector([mu_sq * x for x in w.num], mu.den * _dot(w.num, mu.num))
         return Hyperbolic(AffineSubspaceV(direction, shift))
     if demand.is_zero():
         return Elliptic(AffineSubspaceE.full(ctx.ambient))

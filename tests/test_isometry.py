@@ -375,10 +375,7 @@ class TestInvariantSuite:
                     assert pcls.move_set.subset_of(wcls.move_set)
                     assert pcls.move_set.dim == wcls.move_set.dim - 1
                 else:
-                    assert (
-                        orthogonal_complement(pcls.min_set.direction)
-                        == wcls.move_set.linear_span()
-                    )
+                    assert pcls.min_set.direction == wcls.move_set.span_complement()
 
     def test_rebasing_leaves_invariant_dimensions_alone(self):
         # conjugating by a translation moves the basepoint; the invariant
