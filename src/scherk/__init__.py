@@ -17,7 +17,6 @@ from .linalg import (
     DimensionError,
     LinearSubspace,
     Matrix,
-    Q,
     Vector,
     intersect,
     null_space,

@@ -34,7 +34,6 @@ from .linalg import (
     project,
     solve_affine,
     span,
-    subspace_sum,
 )
 
 
@@ -148,13 +147,6 @@ class AffineSubspaceV:
             perp = orthogonal_complement(self.direction)
             self._span_perp = orthogonal_section(perp, self.mu)[0]
         return self._span_perp
-
-    def translate(self, v: Vector) -> "AffineSubspaceV":
-        return AffineSubspaceV(self.direction, self.mu + v)
-
-    def points(self) -> list[Vector]:
-        """mu together with its translates by the basis, spanning the subspace."""
-        return [self.mu] + [self.mu + b for b in self.direction.basis]
 
     def __eq__(self, other) -> bool:
         return (
@@ -279,10 +271,6 @@ def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
         vectors.append(m.mu - base)
         vectors.extend(m.direction.basis)
     return AffineSubspaceV(span(vectors, ambient=base.dim), base)
-
-
-def extend_affine_v(m: AffineSubspaceV, extra: LinearSubspace) -> AffineSubspaceV:
-    return AffineSubspaceV(subspace_sum(m.direction, extra), m.mu)
 
 
 def hyperplane_section(

@@ -39,7 +39,6 @@ from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
-    extend_affine_v,
     hyperplane_section,
 )
 from .isometry import (
@@ -131,41 +130,14 @@ def factor_elliptic(
 
     A chain, when given, lists nested subspaces from Fix(w) up to the whole
     space with codimension dropping by one at each step; the intermediate
-    products then fix exactly those subspaces.
+    products then fix exactly those subspaces.  It is walked by
+    :func:`chain_to_factorization` as the chain of the elements e^B.
     """
     if not is_elliptic(w):
         raise ValueError("factor_elliptic needs an elliptic isometry")
     if chain is not None:
-        return _factor_elliptic_chain(w, list(chain))
+        return chain_to_factorization([Elliptic(b) for b in chain], w)
     return Factorization(target=w, factors=_peel(w))
-
-
-def _factor_elliptic_chain(
-    w: Isometry, chain: list[AffineSubspaceE]
-) -> Factorization:
-    fixed = min_set(w)
-    k = fixed.codim
-    if len(chain) != k + 1:
-        raise ChainError(f"chain must have {k + 1} subspaces, got {len(chain)}")
-    if chain[0] != fixed:
-        raise ChainError("chain must start at the fixed set of w")
-    for i, b in enumerate(chain):
-        if b.codim != k - i:
-            raise ChainError(
-                f"chain entry {i} has codimension {b.codim}, wanted {k - i}"
-            )
-        if i > 0 and not chain[i - 1].subset_of(b):
-            raise ChainError("chain subspaces are not nested")
-    factors = []
-    current = w
-    for i in range(1, len(chain)):
-        x = _first_point_outside(chain[i], chain[i - 1])
-        r = motion_reflection(current, x)
-        factors.append(r)
-        current = r.compose(current)
-        if min_set(current) != chain[i]:
-            raise ChainError("chain step did not land on the requested fixed set")
-    return Factorization(target=w, factors=tuple(factors))
 
 
 def factor_hyperbolic(w: Isometry) -> Factorization:
@@ -333,7 +305,7 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
                 continue
             move = move_set(suffix)
         else:
-            move = extend_affine_v(move, span([r.root]))
+            move = AffineSubspaceV(span([*move.direction.basis, r.root]), move.mu)
         elements.append(Hyperbolic(move))
     elements.reverse()
     for above, below in zip(elements, elements[1:]):
@@ -351,7 +323,8 @@ def rewrite_shift(
 
     Each swap past an unselected neighbor replaces the neighbor by its
     conjugate under the moving reflection, which preserves the product and
-    the length.
+    the length.  The swap rule reads the same in both directions, so a
+    move to the back is a move to the front of the reversed list.
     """
     k = len(f.factors)
     selected = set(positions)
@@ -360,35 +333,27 @@ def rewrite_shift(
     for p in selected:
         if not 0 <= p < k:
             raise IndexError(f"position {p} out of range for {k} factors")
+    factors = list(f.factors)
+    if not to_front:
+        factors.reverse()
+        selected = {k - 1 - p for p in selected}
     work: list[tuple[Reflection, bool]] = [
-        (r, i in selected) for i, r in enumerate(f.factors)
+        (r, i in selected) for i, r in enumerate(factors)
     ]
-    if to_front:
-        target_slot = 0
-        for i in range(k):
-            if not work[i][1]:
-                continue
-            j = i
-            while j > target_slot:
-                mover = work[j][0]
-                neighbor = work[j - 1][0]
-                conjugated = neighbor.conjugate(mover.to_isometry())
-                work[j - 1], work[j] = (mover, True), (conjugated, False)
-                j -= 1
-            target_slot += 1
-    else:
-        target_slot = k - 1
-        for i in range(k - 1, -1, -1):
-            if not work[i][1]:
-                continue
-            j = i
-            while j < target_slot:
-                mover = work[j][0]
-                neighbor = work[j + 1][0]
-                conjugated = neighbor.conjugate(mover.to_isometry())
-                work[j], work[j + 1] = (conjugated, False), (mover, True)
-                j += 1
-            target_slot -= 1
+    target_slot = 0
+    for i in range(k):
+        if not work[i][1]:
+            continue
+        j = i
+        while j > target_slot:
+            mover = work[j][0]
+            neighbor = work[j - 1][0]
+            conjugated = neighbor.conjugate(mover.to_isometry())
+            work[j - 1], work[j] = (mover, True), (conjugated, False)
+            j -= 1
+        target_slot += 1
+    if not to_front:
+        work.reverse()
     return Factorization(target=f.target, factors=tuple(r for r, _ in work))
 
 

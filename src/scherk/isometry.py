@@ -49,7 +49,6 @@ from .linalg import (
     _vector,
     orthogonal_complement,
     span,
-    subspace_sum,
 )
 
 ELLIPTIC = "elliptic"
@@ -405,13 +404,13 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
     if cls.tag == HYPERBOLIC:
         if u.contains(alpha):
             return ProductPrediction(HYPERBOLIC, k - 1, None, cls.move_set)
-        u_alpha = subspace_sum(u, span([alpha]))
+        u_alpha = span([*u.basis, alpha])
         enlarged = AffineSubspaceV(u_alpha, cls.move_set.mu)
         if enlarged.is_linear():
             return ProductPrediction(ELLIPTIC, k - 1, enlarged, None)
         return ProductPrediction(HYPERBOLIC, k + 1, enlarged, None)
     if not u.contains(alpha):
-        u_alpha = subspace_sum(u, span([alpha]))
+        u_alpha = span([*u.basis, alpha])
         grown = AffineSubspaceV(u_alpha, Vector.zero(w.dim))
         return ProductPrediction(ELLIPTIC, k + 1, grown, None)
     # alpha lies in U, so it is normal to Dir(Min) = U^perp: the min-set lies

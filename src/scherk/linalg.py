@@ -38,8 +38,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
-Q = Fraction
-
 
 class DimensionError(ValueError):
     """Operands live in different ambient dimensions."""
@@ -335,6 +333,8 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int):
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        if r == m:
+            break
         pivot = next((i for i in range(r, m) if work[i][c]), None)
         if pivot is None:
             continue
@@ -349,8 +349,6 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int):
                 work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     reduced = []
     for row, p in zip(work, pivots):
         g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)

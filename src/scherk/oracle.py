@@ -24,7 +24,6 @@ from .poset import (
     New,
     PosetContext,
     PosetElement,
-    id_key,
     inv_map,
     leq,
 )
@@ -34,12 +33,9 @@ class FiniteUniverse:
     """An explicit finite chunk of a model poset, with a cached order matrix."""
 
     def __init__(self, ctx: PosetContext, elements: Iterable[PosetElement]):
-        seen: dict = {}
-        for p in elements:
-            seen.setdefault(id_key(p), p)
         self.ctx = ctx
-        self.elements: tuple[PosetElement, ...] = tuple(seen.values())
-        self.index = {id_key(p): i for i, p in enumerate(self.elements)}
+        self.elements: tuple[PosetElement, ...] = tuple(dict.fromkeys(elements))
+        self.index = {p: i for i, p in enumerate(self.elements)}
         ctx.require(*self.elements)
         n = len(self.elements)
         self.leq_matrix = [
@@ -54,15 +50,14 @@ class FiniteUniverse:
         return iter(self.elements)
 
     def __contains__(self, p: PosetElement) -> bool:
-        return id_key(p) in self.index
+        return p in self.index
 
     def _indices(self, subset: Iterable[PosetElement]) -> list[int]:
         out = []
         for p in subset:
-            key = id_key(p)
-            if key not in self.index:
+            if p not in self.index:
                 raise ValueError(f"{p!r} is not in this universe")
-            out.append(self.index[key])
+            out.append(self.index[p])
         return out
 
     def _maximal(self, candidates: list[int]) -> list[int]:

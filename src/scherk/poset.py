@@ -25,6 +25,13 @@ a hyperbolic top it is a lattice iff dim M <= 1, and augmenting it always
 yields a complete lattice whose meets and joins ``dm_meet``/``dm_join``
 compute in closed form.
 
+Plain and augmented bounds come from the same two kernels, one for meets
+and one for joins.  Each returns an element or a leftover direction
+subspace S that no single element of the plain poset realizes: ``meet``
+and ``join`` read S as a ``BoundFamily`` of extremal bounds, and
+``dm_meet`` and ``dm_join`` read it as the new element n^S that the
+completion adds there.
+
 Under a hyperbolic top h^M, with M = U + mu in standard form (mu
 orthogonal to U and nonzero), every bound is decided inside the single
 subspace Span(M) = U + <mu>.  M is the section of Span(M) by the
@@ -44,11 +51,11 @@ upper bound is h^N with Span(N) = W when W leaves U, that is when some
 basis row w of W has w . mu != 0: then N = W meet H, with direction
 W meet mu^perp (one pivot-row step, :func:`orthogonal_section`) and the
 point w |mu|^2 / (w . mu).  When W lies in U no move-set can be placed:
-W = 0 gives the bottom e^E, W = U the top, and any other W is n^W in the
-augmented poset and the position-free family of h^N with direction W in
-the plain one.  Meets go the other way: a lower bound e^C needs every
+W = 0 gives the bottom e^E, W = U the top, and any other W is the
+leftover S = W.  Meets go the other way: a lower bound e^C needs every
 demand's complement inside Dir(C), so the elliptic meet is one span of
-the point differences, the Dir(B) bases and those complements.
+the point differences, the Dir(B) bases and those complements; without
+an elliptic member the leftover is the common direction S of the members.
 """
 
 from __future__ import annotations
@@ -238,48 +245,73 @@ MeetResult = Union[Elliptic, Hyperbolic, BoundFamily]
 JoinResult = Union[Elliptic, Hyperbolic, BoundFamily, None]
 
 
-def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
-    """Greatest lower bound, or the family of maximal lower bounds.
+def _members(
+    elements: Iterable[PosetElement], ctx: PosetContext, augmented: bool
+) -> list[PosetElement]:
+    """The argument check shared by the four bound functions.
 
-    Closed forms: two elliptics meet at the hull of their subspaces; an
-    elliptic and a hyperbolic meet at the elliptic thickened by the
-    orthogonal complement of the hyperbolic's span; two hyperbolics meet at
-    their intersection when it is nonempty, and otherwise have a position
-    free family of maximal elliptic lower bounds.
+    The collection is not empty, the context is augmented exactly when the
+    function needs it, and every member lies below the top; membership
+    also rejects each n^V of a plain context.
     """
-    if ctx.augmented:
-        raise PosetError("meet works in plain contexts; use dm_meet when augmented")
-    ctx.require(p, q)
-    if isinstance(p, New) or isinstance(q, New):
-        raise PosetError("new elements do not occur in plain contexts")
-    if isinstance(p, Elliptic) and isinstance(q, Elliptic):
-        return Elliptic(hull_of_affine_e([p.fix, q.fix]))
-    if isinstance(p, Elliptic) or isinstance(q, Elliptic):
-        ell, hyp = (p, q) if isinstance(p, Elliptic) else (q, p)
-        extra = hyp.move.span_complement().basis
-        return Elliptic(hull_of_affine_e([ell.fix], extra))
-    common = intersect_affine_v(p.move, q.move)
-    if common is not None:
-        return Hyperbolic(common)
-    shared = intersect(p.move.direction, q.move.direction)
-    if shared.dim == 0:
-        return Elliptic(AffineSubspaceE.full(p.ambient))
-    return BoundFamily(kind="e", direction=orthogonal_complement(shared))
+    members = list(elements)
+    if not members:
+        raise PosetError("bounds of an empty collection")
+    if ctx.augmented != augmented:
+        kind = "an augmented" if augmented else "a plain"
+        raise PosetError(f"this bound needs {kind} context")
+    ctx.require(*members)
+    return members
 
 
-def _join_by_section(
+def _meet(
     members: Sequence[PosetElement], ctx: PosetContext
 ) -> Union[Elliptic, Hyperbolic, LinearSubspace]:
-    """The least upper bound under a hyperbolic top, as one span and one
-    section (see the module docstring).
+    """The greatest lower bound, or the common direction S of members with
+    no common lower move-set.
 
-    Returns h^{W meet H} when the demand sum W leaves U, the bottom when
-    W = 0, the top when W = U, and W itself otherwise, for the caller to
-    read as n^W or as the family of h^N with direction W.
+    With an elliptic present the bound is elliptic: one span of the point
+    differences and the Dir(B) bases, thickened by V^perp for each n^V and
+    Span(N)^perp for each h^N.  Hyperbolics alone with a common vector meet
+    at their intersection, one stacked constraint solve.  Otherwise S is
+    the intersection of the directions, and the bottom when that is
+    trivial.
     """
+    ells = [p.fix for p in members if isinstance(p, Elliptic)]
+    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
+    news = [p.subspace for p in members if isinstance(p, New)]
+    if ells:
+        extra = [v for u in news for v in orthogonal_complement(u).basis]
+        extra.extend(v for m in hyps for v in m.span_complement().basis)
+        return Elliptic(hull_of_affine_e(ells, extra))
+    if not news:
+        common = intersect_affine_v(*hyps)
+        if common is not None:
+            return Hyperbolic(common)
+    shared = intersect(*news, *(m.direction for m in hyps))
+    if shared.dim == 0:
+        return Elliptic(AffineSubspaceE.full(ctx.ambient))
+    return shared
+
+
+def _join(
+    members: Sequence[PosetElement], ctx: PosetContext
+) -> Union[Elliptic, Hyperbolic, LinearSubspace, None]:
+    """The least upper bound, or the demand sum W that no move-set fits.
+
+    Elliptics alone with a common point join at their intersection, one
+    stacked constraint solve, and have no upper bound under an elliptic
+    top otherwise.  Every other join is one span and one section (see the
+    module docstring): h^{W meet H} when W leaves U, the bottom when
+    W = 0, the top when W = U, and W itself otherwise.
+    """
+    if all(isinstance(p, Elliptic) for p in members):
+        common = intersect_affine(*(p.fix for p in members))
+        if common is not None:
+            return Elliptic(common)
+        if isinstance(ctx.top, Elliptic):
+            return None
     top = ctx.top
-    if not isinstance(top, Hyperbolic):
-        raise PosetError("joins within the top need a hyperbolic top")
     rows: list[Vector] = []
     for p in members:
         if isinstance(p, Elliptic):
@@ -304,84 +336,38 @@ def _join_by_section(
     return demand
 
 
-def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
-    """Least upper bound, the family of minimal upper bounds, or None.
+def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
+    """Greatest lower bound in a plain context, or, for hyperbolics with
+    disjoint move-sets, the position free family of maximal elliptic lower
+    bounds, whose direction is the complement of the common direction."""
+    bound = _meet(_members((p, q), ctx, augmented=False), ctx)
+    if isinstance(bound, LinearSubspace):
+        return BoundFamily(kind="e", direction=orthogonal_complement(bound))
+    return bound
 
-    Two elliptics with a common point join at their intersection; otherwise
-    the bound comes from :func:`_join_by_section` under a hyperbolic top,
-    and does not exist under an elliptic one.
-    """
-    if ctx.augmented:
-        raise PosetError("join works in plain contexts; use dm_join when augmented")
-    ctx.require(p, q)
-    if isinstance(p, New) or isinstance(q, New):
-        raise PosetError("new elements do not occur in plain contexts")
-    if isinstance(p, Elliptic) and isinstance(q, Elliptic):
-        common = intersect_affine(p.fix, q.fix)
-        if common is not None:
-            return Elliptic(common)
-        if not isinstance(ctx.top, Hyperbolic):
-            return None
-    outcome = _join_by_section([p, q], ctx)
-    if isinstance(outcome, LinearSubspace):
-        return BoundFamily(kind="h", direction=outcome, within=ctx.top.move)
-    return outcome
+
+def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
+    """Least upper bound in a plain context, the family of minimal upper
+    bounds h^N with direction W inside the top, or None when there is no
+    upper bound."""
+    bound = _join(_members((p, q), ctx, augmented=False), ctx)
+    if isinstance(bound, LinearSubspace):
+        return BoundFamily(kind="h", direction=bound, within=ctx.top.move)
+    return bound
 
 
 def dm_meet(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement:
-    """Meet in the augmented (completed) hyperbolic poset.
-
-    With an elliptic present the meet is elliptic: one span of the point
-    differences and the Dir(B) bases, thickened by V^perp for each n^V and
-    Span(N)^perp for each h^N.  With only hyperbolics sharing a common
-    vector the meet is their intersection, one stacked constraint solve.
-    Otherwise the meet drops to the new element on the common direction
-    subspace, one kernel of the stacked complement rows, or to the bottom
-    when that is trivial.
-    """
-    members = list(elements)
-    if not members:
-        raise PosetError("dm_meet of an empty collection")
-    if not ctx.augmented:
-        raise PosetError("dm_meet needs an augmented context")
-    ctx.require(*members)
-    ells = [p.fix for p in members if isinstance(p, Elliptic)]
-    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
-    news = [p.subspace for p in members if isinstance(p, New)]
-    if ells:
-        extra = [v for u in news for v in orthogonal_complement(u).basis]
-        extra.extend(v for m in hyps for v in m.span_complement().basis)
-        return Elliptic(hull_of_affine_e(ells, extra))
-    if not news:
-        common = intersect_affine_v(*hyps)
-        if common is not None:
-            return Hyperbolic(common)
-    shared = intersect(*news, *(m.direction for m in hyps))
-    if shared.dim == 0:
-        return Elliptic(AffineSubspaceE.full(ctx.ambient))
-    return New(shared)
+    """Meet in the augmented (completed) hyperbolic poset; a common
+    direction S with no common move-set is the new element n^S."""
+    bound = _meet(_members(elements, ctx, augmented=True), ctx)
+    return New(bound) if isinstance(bound, LinearSubspace) else bound
 
 
 def dm_join(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement:
-    """Join in the augmented (completed) hyperbolic poset, dual to dm_meet.
-
-    Elliptics alone with a common point join at their intersection, one
-    stacked constraint solve; every other join is :func:`_join_by_section`.
-    """
-    members = list(elements)
-    if not members:
-        raise PosetError("dm_join of an empty collection")
-    if not ctx.augmented:
-        raise PosetError("dm_join needs an augmented context")
-    ctx.require(*members)
-    if all(isinstance(p, Elliptic) for p in members):
-        common = intersect_affine(*(p.fix for p in members))
-        if common is not None:
-            return Elliptic(common)
-    outcome = _join_by_section(members, ctx)
-    if isinstance(outcome, LinearSubspace):
-        return New(outcome)
-    return outcome
+    """Join in the augmented (completed) hyperbolic poset; a demand sum W
+    that no move-set fits is the new element n^W."""
+    bound = _join(_members(elements, ctx, augmented=True), ctx)
+    return New(bound) if isinstance(bound, LinearSubspace) else bound
 
 
 def is_lattice(ctx: PosetContext) -> bool:
@@ -442,7 +428,7 @@ def is_bowtie(
     """
     elements = [a, b, c, d]
     ctx.require(*elements)
-    if len({id_key(x) for x in elements}) != 4:
+    if len(set(elements)) != 4:
         return False
     if not (_incomparable(a, b) and _incomparable(c, d)):
         return False
@@ -459,15 +445,6 @@ def is_bowtie(
     if not isinstance(upper, BoundFamily):
         return False
     return upper.contains(a) and upper.contains(b)
-
-
-def id_key(p: PosetElement):
-    """Hashable identity of an element, for dedup and stable sorting."""
-    if isinstance(p, Elliptic):
-        return ("e", p.fix.point.to_vector(), p.fix.direction.basis)
-    if isinstance(p, Hyperbolic):
-        return ("h", p.move.mu, p.move.direction.basis)
-    return ("n", p.subspace.basis)
 
 
 @dataclass(frozen=True)
@@ -505,16 +482,14 @@ def elliptic_iso(ctx: PosetContext) -> EllipticEmbedding:
 
 
 def _sort_key(p: PosetElement):
-    key = id_key(p)
-    kind = {"e": 0, "h": 1, "n": 2}[key[0]]
-    flat: list = []
-    for part in key[1:]:
-        for item in part:
-            if isinstance(item, Vector):
-                flat.extend(item.coords)
-            else:
-                flat.append(item)
-    return (rank(p), kind, tuple(flat))
+    """Rank, kind, then the coordinates of the anchor and the basis."""
+    if isinstance(p, Elliptic):
+        kind, anchor, basis = 0, p.fix.point.coords, p.fix.direction.basis
+    elif isinstance(p, Hyperbolic):
+        kind, anchor, basis = 1, p.move.mu.coords, p.move.direction.basis
+    else:
+        kind, anchor, basis = 2, (), p.subspace.basis
+    return (rank(p), kind, anchor + tuple(c for b in basis for c in b.coords))
 
 
 def _label(p: PosetElement) -> str:
@@ -547,10 +522,7 @@ def hasse_graph(
     elements: Iterable[PosetElement], top: Optional[PosetElement] = None
 ) -> tuple[list[PosetElement], list[tuple[int, int]]]:
     """Deduplicated, deterministically sorted nodes and covering edges."""
-    unique: dict = {}
-    for p in elements:
-        unique.setdefault(id_key(p), p)
-    sorted_elements = sorted(unique.values(), key=_sort_key)
+    sorted_elements = sorted(dict.fromkeys(elements), key=_sort_key)
     if top is not None:
         for p in sorted_elements:
             if not leq(p, top):

@@ -12,12 +12,13 @@ DATA = HERE / "data"
 GOLDEN = HERE / "golden"
 
 
-def run_cli(*argv, stdin=None):
+def run_cli(*argv, stdin=None, timeout=None):
     result = subprocess.run(
         [sys.executable, "-m", "scherk.cli", *argv],
         capture_output=True,
         input=stdin,
         text=True,
+        timeout=timeout,
     )
     return result
 
@@ -289,3 +290,36 @@ class TestMalformedShapes:
             }
         )
         self.assert_parse_error(run_cli("complete", "-", stdin=doc))
+
+
+# A subspace with a huge declared ambient dimension and no basis, beside
+# elements with 3 coordinates: the dimension mismatch must be found before
+# any work that grows with the declared dimension.
+HUGE = {"dim_ambient": 10**30, "basis": []}
+HUGE_POINT = {"kind": "e", "point": ["0", "0", "0"], "direction": HUGE}
+PLANE_TOP = {
+    "kind": "h",
+    "U": {"dim_ambient": 3, "basis": [["1", "0", "0"], ["0", "1", "0"]]},
+    "mu": ["0", "0", "1"],
+}
+ORIGIN = {
+    "kind": "e",
+    "point": ["0", "0", "0"],
+    "direction": {"dim_ambient": 3, "basis": []},
+}
+
+
+class TestHugeAmbientDimension:
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("order", {"p": HUGE_POINT, "q": PLANE_TOP}),
+            ("meet", {"top": PLANE_TOP, "p": HUGE_POINT, "q": ORIGIN}),
+            ("lattice", {"top": {"kind": "h", "U": HUGE, "mu": ["0", "0", "1"]}}),
+            ("hasse", {"top": PLANE_TOP, "elements": [ORIGIN, HUGE_POINT]}),
+        ],
+    )
+    def test_mismatch_exits_three_promptly(self, command, doc):
+        result = run_cli(command, "-", stdin=json.dumps(doc), timeout=20)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr

@@ -283,6 +283,24 @@ class TestRewriteShift:
             assert back.is_exact()
             assert all(is_reflection_below(r, w) for r in back.factors)
 
+    def test_several_positions_to_front_and_back(self):
+        rng = random.Random(57)
+        for dim in (2, 3, 4):
+            for w in corpus(dim, 12, rng):
+                f = random_minimal_factorization(w, rng)
+                if len(f) < 3:
+                    continue
+                count = rng.randint(2, len(f) - 1)
+                positions = sorted(rng.sample(range(len(f)), count))
+                chosen = [f.factors[i] for i in positions]
+                front = rewrite_shift(f, positions, to_front=True)
+                back = rewrite_shift(f, positions, to_front=False)
+                assert list(front.factors[: len(chosen)]) == chosen
+                assert list(back.factors[-len(chosen) :]) == chosen
+                for shifted in (front, back):
+                    assert shifted.is_exact()
+                    assert len(shifted) == len(f)
+
 
 class TestVerifyMinimal:
     def test_constructed_factorizations_verify(self):

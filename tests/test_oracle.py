@@ -231,9 +231,9 @@ class TestAgreementWithClosedForms:
 
 
 class TestObliqueImages:
-    """The completion's closed forms off the axes: images of the augmented
-    plane universe under seeded isometries, with rational anchors and
-    oblique directions."""
+    """The closed forms off the axes: images of the coordinate universes,
+    plain and augmented, under seeded isometries, with rational anchors
+    and oblique directions."""
 
     @pytest.mark.parametrize("seed", (1, 3, 4, 7))
     def test_dm_bounds_on_isometric_images(self, seed):
@@ -250,6 +250,34 @@ class TestObliqueImages:
             check_dm_agreement(universe, moved)
             assert dm_meet(moved, ctx) == image(g, dm_meet(subset, base.ctx))
             assert dm_join(moved, ctx) == image(g, dm_join(subset, base.ctx))
+
+    @pytest.mark.parametrize("seed", (1, 3, 4, 7))
+    @pytest.mark.parametrize(
+        "dim,top", [(3, plane_top_3d()), (2, line_top_2d())], ids=["plane", "line"]
+    )
+    def test_plain_bounds_on_isometric_images(self, dim, top, seed):
+        base = coordinate_universe(dim, top)
+        g = random_isometry(dim, seed)
+        ctx = PosetContext(top=image(g, top))
+        universe = FiniteUniverse(ctx, [image(g, p) for p in base])
+        assert len(universe) == len(base)
+
+        def moved(bound):
+            """g applied to an element, or to a family: its direction by the
+            linear part, and an h-family lies within the moved top."""
+            if not isinstance(bound, BoundFamily):
+                return image(g, bound)
+            within = None if bound.kind == "e" else ctx.top.move
+            return BoundFamily(bound.kind, g.image_of_linear(bound.direction), within)
+
+        pairs = itertools.combinations_with_replacement(range(len(base)), 2)
+        for i, j in pairs:
+            p, q = base.elements[i], base.elements[j]
+            gp, gq = universe.elements[i], universe.elements[j]
+            check_meet_agreement(universe, gp, gq)
+            check_join_agreement(universe, gp, gq)
+            assert meet(gp, gq, ctx) == moved(meet(p, q, base.ctx))
+            assert join(gp, gq, ctx) == moved(join(p, q, base.ctx))
 
 
 class TestGenerators:

@@ -7,7 +7,13 @@ import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.isometry import Isometry, Reflection, motion_reflection, translation
-from scherk.linalg import DimensionError, LinearSubspace, Vector, span
+from scherk.linalg import (
+    DimensionError,
+    LinearSubspace,
+    Vector,
+    orthogonal_complement,
+    span,
+)
 from scherk.oracle import coordinate_universe, corpus, image, random_isometry
 from scherk.poset import (
     BoundFamily,
@@ -421,6 +427,72 @@ class TestCompletion:
         ctx = PosetContext(top=plane_top_3d())
         with pytest.raises(PosetError):
             dm_meet([plane_top_3d()], ctx)
+
+
+def line_top_3d():
+    """Top h^M with M the line y = 0, z = 1; the plane z = 1 lies above it."""
+    return Hyperbolic(AffineSubspaceV(span([e(3, 0)]), vec(0, 0, 1)))
+
+
+def call_bound(name, members, ctx):
+    functions = {"meet": meet, "join": join, "dm_meet": dm_meet, "dm_join": dm_join}
+    if name in ("meet", "join"):
+        return functions[name](*members, ctx)
+    return functions[name](members, ctx)
+
+
+BOTTOM_3D = Elliptic(AffineSubspaceE.full(3))
+MIRROR_3D = elliptic(pt(0, 0, 0), e(3, 1), e(3, 2))
+NEW_3D = New(span([e(3, 0)]))
+
+
+class TestBoundGuards:
+    """meet, join, dm_meet and dm_join share one argument check."""
+
+    @pytest.mark.parametrize(
+        "name,augmented,members",
+        [
+            ("meet", True, [BOTTOM_3D, MIRROR_3D]),
+            ("join", True, [BOTTOM_3D, MIRROR_3D]),
+            ("meet", False, [NEW_3D, BOTTOM_3D]),
+            ("join", False, [BOTTOM_3D, NEW_3D]),
+            ("dm_meet", False, [BOTTOM_3D]),
+            ("dm_join", False, [BOTTOM_3D]),
+            ("dm_meet", True, []),
+            ("dm_join", True, []),
+        ],
+    )
+    def test_wrong_context_new_element_or_empty(self, name, augmented, members):
+        ctx = PosetContext(top=plane_top_3d(), augmented=augmented)
+        with pytest.raises(PosetError):
+            call_bound(name, members, ctx)
+
+    @pytest.mark.parametrize("name", ["meet", "join", "dm_meet", "dm_join"])
+    def test_element_above_the_top(self, name):
+        ctx = PosetContext(top=line_top_3d(), augmented=name.startswith("dm_"))
+        assert leq(line_top_3d(), plane_top_3d())
+        with pytest.raises(PosetError):
+            call_bound(name, [plane_top_3d(), BOTTOM_3D], ctx)
+
+
+class TestPlainAgainstAugmented:
+    def test_bounds_agree_or_leftover_becomes_new(self):
+        universe = coordinate_universe(3, plane_top_3d())
+        plain = universe.ctx
+        augmented = PosetContext(top=plane_top_3d(), augmented=True)
+        kinds = set()
+        for p, q in itertools.combinations_with_replacement(universe.elements, 2):
+            low, high = meet(p, q, plain), join(p, q, plain)
+            if isinstance(low, BoundFamily):
+                assert low.kind == "e"
+                low = New(orthogonal_complement(low.direction))
+            if isinstance(high, BoundFamily):
+                assert high.kind == "h" and high.within == plane_top_3d().move
+                high = New(high.direction)
+            assert dm_meet([p, q], augmented) == low
+            assert dm_join([p, q], augmented) == high
+            kinds.update({type(low), type(high)})
+        assert kinds == {Elliptic, Hyperbolic, New}
 
 
 class TestEllipticIso:
