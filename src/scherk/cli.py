@@ -57,7 +57,7 @@ def _read_document(path: Optional[str]) -> Any:
         raise CliError(EXIT_PARSE, f"cannot read input: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
         raise CliError(EXIT_PARSE, f"malformed JSON: {exc}")
 
 
@@ -262,18 +262,17 @@ def _cmd_hasse(args) -> str:
     top = _load_element(doc["top"])
     elements = _load_elements(doc["elements"])
     try:
-        dot = poset.hasse_dot(elements, top=top)
+        nodes, edges = poset.hasse_graph(elements, top=top)
     except (PosetError, DimensionError) as exc:
         raise CliError(EXIT_POSET, str(exc))
     if args.format == "json":
-        nodes, edges = poset.hasse_graph(elements, top=top)
         return _emit_json(
             {
                 "nodes": [jsonio.element_to_json(p) for p in nodes],
                 "edges": edges,
             }
         )
-    return dot
+    return poset.dot_source(nodes, edges)
 
 
 _COMMANDS = {

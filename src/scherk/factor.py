@@ -25,14 +25,37 @@ lengths 0, 1, ..., len(f), and the suffix invariants follow from
 hyperplane sections of fixed sets and one-dimensional extensions of
 move-sets, with at most one classification.
 
-Point selection in the default constructions is a deterministic scan (the
+The peel behind ``factor`` takes the motion reflection of the first point
+that w = (A, b) moves, scanning the origin and then the unit points
+e_0, ..., e_{n-1}, and repeats on the product.  The mirror of a motion
+reflection contains the fixed set, so each step keeps every point already
+fixed and fixes one more: dim Mov(w) steps, a minimal factorization
+(Scherk's formula).  No product is ever built:
+
+* If b != 0 the origin moves to b, the root is b and the mirror the
+  bisector of 0 and b.  The reflection sends b back to 0, so the product
+  fixes the origin: its translation is exactly 0, and every later mirror
+  passes through the origin, with offset 0.
+* Then e_i moves to column a_i of A, and the root is alpha = a_i - e_i.
+  As A^T A = I, alpha^T A = e_i^T - row_i(A) and |alpha|^2 = 2 (1 - a_ii),
+  so 2 / |alpha|^2 = 1 / (1 - a_ii) and the product's linear part
+  A - alpha (e_i^T - row_i(A)) / (1 - a_ii) needs no dot product.  A unit
+  column a_i is e_i exactly when a_ii = 1.
+* Step i fixes e_i and keeps e_0, ..., e_{i-1} fixed, so one forward pass
+  over the columns, skipping those with a_ii = 1, yields exactly the
+  reflections of rescanning from the origin after every step.
+
+The chain walks pick their points by a deterministic scan too (the
 canonical point of the relevant subspace, then its basis translates), so
 repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import (
@@ -44,6 +67,8 @@ from .affine import (
 from .isometry import (
     Isometry,
     Reflection,
+    _primitive,
+    _reflection,
     is_elliptic,
     min_set,
     motion_reflection,
@@ -51,7 +76,7 @@ from .isometry import (
     reflection_length,
     standard_splitting,
 )
-from .linalg import Vector, _vector, orthogonal_complement, span
+from .linalg import _dot, _vector, orthogonal_complement, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, leq, rank
 
 
@@ -86,36 +111,46 @@ def _first_point_outside(c: AffineSubspaceE, b: AffineSubspaceE) -> Point:
     raise ChainError("no point of the larger subspace escapes the smaller one")
 
 
-def _first_unfixed_point(w: Isometry) -> Optional[Point]:
-    """First point w moves among the origin, then the unit points in order.
-
-    This is the scan of AffineSubspaceE.full(n).points().  The origin is
-    fixed exactly when b = 0, and then e_i is fixed exactly when column i
-    of A = N / d is e_i, i.e. column i of N is d e_i.  None when w is the
-    identity.
-    """
-    n = w.dim
-    if not w.translation.is_zero():
-        return Point.origin(n)
-    rows, d = w.matrix.num, w.matrix.den
-    for i in range(n):
-        if any(row[i] != (d if j == i else 0) for j, row in enumerate(rows)):
-            return Point(Vector.basis(n, i))
-    return None
-
-
 def _peel(w: Isometry) -> tuple[Reflection, ...]:
     """Reflect away the motion of the first unfixed point until w is used up.
 
-    For elliptic w each step grows the fixed set by one dimension, so this
-    ends after dim Mov(w) steps with a minimal factorization.
+    One pass over the integer rows of A = N / d and b = B / e; see the
+    module docstring for the derivation.  The origin step takes the root
+    beta = B / g, g the signed gcd of B, and the offset
+    |B|^2 / (2 e g) = g |beta|^2 / (2 e); it leaves the matrix
+    (|beta|^2 N - beta (2 beta^T N)) / (d |beta|^2) and no translation.
+    Column i, unless N_ii = d, then takes the primitive root of
+    c = col_i - d e_i and the offset 0, and leaves the matrix
+    (N (d - N_ii) - c (d e_i - row_i)^T) / (d (d - N_ii)).
     """
+    rows, d = w.matrix.num, w.matrix.den
+    b, e = w.translation.num, w.translation.den
     factors = []
-    current = w
-    while (x := _first_unfixed_point(current)) is not None:
-        r = motion_reflection(current, x)
-        factors.append(r)
-        current = r.compose(current)
+    if any(b):
+        beta, g = _primitive(b)
+        norm = _dot(beta, beta)
+        factors.append(_reflection(beta, Fraction(g * norm, 2 * e)))
+        top = [2 * _dot(beta, col) for col in zip(*rows)]
+        rows = [
+            [norm * x - a * t for x, t in zip(row, top)] for a, row in zip(beta, rows)
+        ]
+        d *= norm
+    zero = Fraction(0)
+    for i in range(len(b)):
+        s = d - rows[i][i]
+        if s == 0:
+            continue
+        c = [row[i] for row in rows]
+        c[i] -= d
+        factors.append(_reflection(_primitive(c)[0], zero))
+        r = [-x for x in rows[i]]
+        r[i] += d
+        rows = [[x * s - a * y for x, y in zip(row, r)] for a, row in zip(c, rows)]
+        d *= s
+        g = math.gcd(d, *itertools.chain.from_iterable(rows))
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            d //= g
     return tuple(factors)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .linalg import (
@@ -147,15 +147,23 @@ def translation(shift: Vector) -> Isometry:
     return Isometry(Matrix.identity(shift.dim), shift, _trusted=True)
 
 
-def _primitive(normal: Vector) -> tuple[Vector, Fraction]:
-    """(root, s) with root = s * normal primitive integer, first nonzero > 0."""
-    if normal.is_zero():
+def _primitive(ints: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(ints / g, g): g is the gcd of ints, signed so that the first nonzero
+    entry of the primitive part ints / g is positive."""
+    if not any(ints):
         raise ValueError("root must be nonzero")
-    ints = normal.num
     g = math.gcd(*ints)
     if next(value for value in ints if value != 0) < 0:
         g = -g
-    return _vec(tuple(value // g for value in ints), 1), Fraction(normal.den, g)
+    return tuple(value // g for value in ints), g
+
+
+def _reflection(root: tuple[int, ...], offset: Fraction) -> "Reflection":
+    """The reflection across {x : root . x = offset}, root already canonical."""
+    r = Reflection.__new__(Reflection)
+    r.root = _vec(root, 1)
+    r.offset = offset
+    return r
 
 
 class Reflection:
@@ -180,16 +188,17 @@ class Reflection:
             root = normal_line.basis[0]
         elif not normal_line.contains(root) or root.is_zero():
             raise ValueError("root must span the normal line of the mirror")
-        self.root = _primitive(root)[0]
+        self.root = _vec(_primitive(root.num)[0], 1)
         self.offset = self.root.dot(mirror.point.to_vector())
 
     @classmethod
     def from_hyperplane(cls, normal: Vector, value) -> "Reflection":
-        """The reflection across {x : normal . x = value}; normal is nonzero."""
-        r = cls.__new__(cls)
-        r.root, scale = _primitive(normal)
-        r.offset = scale * value
-        return r
+        """The reflection across {x : normal . x = value}; normal is nonzero.
+
+        With normal = n / den and n = g * root, root . x = (den / g) value.
+        """
+        root, g = _primitive(normal.num)
+        return _reflection(root, Fraction(normal.den, g) * value)
 
     @property
     def dim(self) -> int:
@@ -425,11 +434,30 @@ def motion_reflection(w: Isometry, x: Point) -> Reflection:
 
     Always occurs in some minimal length reflection factorization of w, so
     multiplying by it shortens w.
+
+    Its mirror is the perpendicular bisector of x and y = w(x), read off
+    integer rows: with A = N / d, b = B / e and x = P / p, both points
+    have the denominator D = d p e, as x = X / D and y = Y / D with
+    X = d e P and Y = e N P + d p B.  The root is the primitive part
+    (Y - X) / g, and the bisector (y - x) . z = (|y|^2 - |x|^2) / 2 has
+    the offset (Y - X) . (Y + X) / (2 D g).
     """
-    y = w.apply(x)
-    if y == x:
+    if x.dim != w.dim:
+        raise DimensionError("point and isometry of different dimensions")
+    d, e = w.matrix.den, w.translation.den
+    point, p = x.vector.num, x.vector.den
+    dp, de = d * p, d * e
+    ys = [
+        e * _dot(row, point) + dp * t
+        for row, t in zip(w.matrix.num, w.translation.num)
+    ]
+    xs = [de * v for v in point]
+    alpha = [y - v for y, v in zip(ys, xs)]
+    if not any(alpha):
         raise ValueError("motion reflection needs a point not fixed by w")
-    return reflection_bisecting(x, y)
+    root, g = _primitive(alpha)
+    value = _dot(alpha, [y + v for y, v in zip(ys, xs)])
+    return _reflection(root, Fraction(value, 2 * dp * e * g))
 
 
 def is_reflection_below(r: Reflection, w: Isometry) -> bool:

@@ -8,6 +8,11 @@ Floats are rejected: an exact library must not accept approximations.
 Isometries are accepted in two shapes: {"dim", "matrix", "translation"}
 or {"reflections": [{"root": [...], "point": [...]}, ...]} where the
 listed reflections multiply left to right, the first one acting last.
+
+Every ambient dimension is at most MAX_DIM: a declared "dim" or
+"dim_ambient", and the length of every vector and matrix.  Each is checked
+before anything of that size is built, so {"dim": 10**9, "reflections": []}
+is a FormatError, not an identity matrix of 10**18 entries.
 """
 
 from __future__ import annotations
@@ -22,8 +27,29 @@ from .factor import Factorization
 from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
 
 
+# The largest ambient dimension a document may use.  Exact elimination is
+# O(n^3) on coefficients that grow with n, so work on a document near the
+# limit is already slow; the limit keeps a declared size from allocating
+# anything before it is checked.
+MAX_DIM = 256
+
+
 class FormatError(ValueError):
     """Structurally invalid JSON payload."""
+
+
+def _dimension(obj: Any, what: str) -> int:
+    """A declared dimension: an int from 1 to MAX_DIM."""
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
+        raise FormatError(f"bad {what} {obj!r}")
+    if obj > MAX_DIM:
+        raise FormatError(f"{what} exceeds the limit of {MAX_DIM}")
+    return obj
+
+
+def _within_limit(obj: list, what: str) -> None:
+    if len(obj) > MAX_DIM:
+        raise FormatError(f"{what} longer than the dimension limit of {MAX_DIM}")
 
 
 def scalar_to_json(x: Fraction) -> str:
@@ -50,6 +76,7 @@ def vector_to_json(v: Vector) -> list[str]:
 def vector_from_json(obj: Any) -> Vector:
     if not isinstance(obj, list):
         raise FormatError(f"vector must be an array, got {obj!r}")
+    _within_limit(obj, "vector")
     return Vector(scalar_from_json(x) for x in obj)
 
 
@@ -60,6 +87,7 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 def matrix_from_json(obj: Any) -> Matrix:
     if not isinstance(obj, list) or not obj:
         raise FormatError("matrix must be a nonempty array of rows")
+    _within_limit(obj, "matrix")
     rows = [vector_from_json(row).coords for row in obj]
     return Matrix(rows)
 
@@ -74,9 +102,7 @@ def subspace_to_json(u: LinearSubspace) -> dict:
 def subspace_from_json(obj: Any) -> LinearSubspace:
     if not isinstance(obj, dict) or "dim_ambient" not in obj or "basis" not in obj:
         raise FormatError("subspace needs dim_ambient and basis")
-    ambient = obj["dim_ambient"]
-    if not isinstance(ambient, int) or ambient < 1:
-        raise FormatError(f"bad ambient dimension {ambient!r}")
+    ambient = _dimension(obj["dim_ambient"], "ambient dimension")
     basis = obj["basis"]
     if not isinstance(basis, list):
         raise FormatError(f"subspace basis must be an array, got {basis!r}")
@@ -142,16 +168,14 @@ def isometry_to_json(w: Isometry) -> dict:
 def isometry_from_json(obj: Any) -> Isometry:
     if not isinstance(obj, dict):
         raise FormatError("isometry must be an object")
+    declared = _dimension(obj["dim"], "dimension") if "dim" in obj else None
     if "reflections" in obj:
         entries = obj["reflections"]
         if not isinstance(entries, list):
             raise FormatError("reflections must be an array")
         reflections = [reflection_from_json(e) for e in entries]
         dims = {r.dim for r in reflections}
-        if "dim" in obj:
-            declared = obj["dim"]
-            if not isinstance(declared, int) or isinstance(declared, bool) or declared < 1:
-                raise FormatError(f"bad dimension {declared!r}")
+        if declared is not None:
             dims.add(declared)
         if len(dims) > 1:
             raise FormatError(f"mixed dimensions in reflections: {sorted(dims)}")
@@ -166,7 +190,7 @@ def isometry_from_json(obj: Any) -> Isometry:
         raise FormatError("isometry needs matrix and translation (or reflections)")
     matrix = matrix_from_json(obj["matrix"])
     shift = vector_from_json(obj["translation"])
-    if "dim" in obj and obj["dim"] != shift.dim:
+    if declared is not None and declared != shift.dim:
         raise FormatError("declared dim does not match the translation")
     return Isometry(matrix, shift)
 

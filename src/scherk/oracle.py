@@ -2,7 +2,9 @@
 
 The oracles here never use the closed-form meet/join machinery: bounds are
 found by exhaustive scans over a finite universe using only the order
-predicate, so they can certify the formulas independently.  The generators
+predicate, so they can certify the formulas independently.  Likewise the
+definitional peel rescans for an unfixed point and multiplies out every
+product, which certifies the one-pass peel of ``factor``.  The generators
 are deterministic per seed, with small integer coefficients to keep exact
 arithmetic fast.
 """
@@ -16,7 +18,7 @@ from typing import Iterable, Optional
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .factor import Factorization, chain_to_factorization
-from .isometry import Isometry, Reflection, translation
+from .isometry import Isometry, Reflection, reflection_bisecting, translation
 from .linalg import Vector, intersect, orthogonal_complement, span
 from .poset import (
     Elliptic,
@@ -188,6 +190,41 @@ def image(g: Isometry, p: PosetElement) -> PosetElement:
         direction = g.image_of_linear(p.move.direction)
         return Hyperbolic(AffineSubspaceV(direction, g.apply_vector(p.move.mu)))
     return New(g.image_of_linear(p.subspace))
+
+
+def first_unfixed_point(w: Isometry) -> Optional[Point]:
+    """First point w moves among the origin, then the unit points in order.
+
+    This is the scan of AffineSubspaceE.full(n).points().  The origin is
+    fixed exactly when b = 0, and then e_i is fixed exactly when column i
+    of A = N / d is e_i, i.e. column i of N is d e_i.  None when w is the
+    identity.
+    """
+    n = w.dim
+    if not w.translation.is_zero():
+        return Point.origin(n)
+    rows, d = w.matrix.num, w.matrix.den
+    for i in range(n):
+        if any(row[i] != (d if j == i else 0) for j, row in enumerate(rows)):
+            return Point(Vector.basis(n, i))
+    return None
+
+
+def definitional_peel(w: Isometry) -> tuple[Reflection, ...]:
+    """The peel of an elliptic w by its definition, product by product.
+
+    Rescans for the first unfixed point x, takes the reflection bisecting
+    x and its image, multiplies it onto w, and repeats until the product
+    is the identity.  Each step grows the fixed set by one dimension.
+    ``factor`` must give exactly these reflections in one pass.
+    """
+    factors = []
+    current = w
+    while (x := first_unfixed_point(current)) is not None:
+        r = reflection_bisecting(x, current.apply(x))
+        factors.append(r)
+        current = r.compose(current)
+    return tuple(factors)
 
 
 def _rng(seed) -> random.Random:

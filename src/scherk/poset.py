@@ -538,7 +538,11 @@ def hasse_dot(
     Elements are deduplicated and sorted deterministically, so the output
     is byte-stable for golden-file comparisons.
     """
-    nodes, edges = hasse_graph(elements, top=top)
+    return dot_source(*hasse_graph(elements, top=top))
+
+
+def dot_source(nodes: Sequence[PosetElement], edges: Iterable[tuple[int, int]]) -> str:
+    """DOT source for the nodes and covering edges of :func:`hasse_graph`."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i, p in enumerate(nodes):
         lines.append(f'  n{i} [label="{_label(p)}"];')

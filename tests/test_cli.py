@@ -2,10 +2,13 @@
 
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 
 import pytest
+
+from scherk import cli, jsonio, poset
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -48,6 +51,10 @@ GOLDEN_CASES = [
     (
         ("bowtie", str(DATA / "bowtie_top.json"), "--seed", "0"),
         "bowtie_plane.json",
+    ),
+    (
+        ("factorize", str(DATA / "hyperbolic5.json"), "--seed", "0"),
+        "factorize_hyperbolic5.json",
     ),
 ]
 
@@ -165,6 +172,22 @@ class TestOtherCommands:
         payload = json.loads(result.stdout)
         assert len(payload["nodes"]) == 6
         assert len(payload["edges"]) == 8
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_hasse_builds_the_graph_once(self, monkeypatch, capsys, fmt):
+        calls = []
+        covering_pairs = poset.covering_pairs
+
+        def counted(elements):
+            calls.append(len(elements))
+            return covering_pairs(elements)
+
+        monkeypatch.setattr(poset, "covering_pairs", counted)
+        argv = ["hasse", str(DATA / "bowtie_universe.json"), "--format", fmt]
+        assert cli.main(argv) == 0
+        assert calls == [6]
+        if fmt == "dot":
+            assert capsys.readouterr().out == (GOLDEN / "hasse_bowtie.dot").read_text()
 
 
 class TestExitCodes:
@@ -292,10 +315,10 @@ class TestMalformedShapes:
         self.assert_parse_error(run_cli("complete", "-", stdin=doc))
 
 
-# A subspace with a huge declared ambient dimension and no basis, beside
-# elements with 3 coordinates: the dimension mismatch must be found before
-# any work that grows with the declared dimension.
-HUGE = {"dim_ambient": 10**30, "basis": []}
+# A subspace of the largest ambient dimension a document may declare, with
+# no basis, beside elements with 3 coordinates: the dimension mismatch must
+# be found before any work that grows with the declared dimension.
+HUGE = {"dim_ambient": jsonio.MAX_DIM, "basis": []}
 HUGE_POINT = {"kind": "e", "point": ["0", "0", "0"], "direction": HUGE}
 PLANE_TOP = {
     "kind": "h",
@@ -323,3 +346,58 @@ class TestHugeAmbientDimension:
         result = run_cli(command, "-", stdin=json.dumps(doc), timeout=20)
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
+
+
+def run_capped_cli(*argv, stdin):
+    """run_cli with a 1 GiB address-space cap on the child process only."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "scherk.cli", *argv],
+        capture_output=True,
+        input=stdin,
+        text=True,
+        timeout=20,
+        preexec_fn=cap,
+    )
+
+
+BEYOND = {"dim_ambient": 10**30, "basis": []}
+
+
+class TestDimensionLimit:
+    """Documents over the ambient-dimension limit are malformed (exit 1).
+
+    They run in a child with capped memory and a timeout, so a limit that
+    stopped working fails the test instead of exhausting the machine.
+    """
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("analyze", {"dim": 10**9, "reflections": []}),
+            ("factorize", {"dim": jsonio.MAX_DIM + 1, "reflections": []}),
+            ("order", {"p": {**HUGE_POINT, "direction": BEYOND}, "q": PLANE_TOP}),
+            ("lattice", {"top": {"kind": "h", "U": BEYOND, "mu": ["0", "0", "1"]}}),
+            ("hasse", {"top": PLANE_TOP, "elements": [{"kind": "n", "U": BEYOND}]}),
+        ],
+    )
+    def test_over_the_limit_exits_one(self, command, doc):
+        result = run_capped_cli(command, "-", stdin=json.dumps(doc))
+        assert result.returncode == 1
+        assert "exceeds the limit" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_dimension_too_long_to_convert_exits_one(self):
+        doc = '{"dim": 1' + "0" * 5000 + ', "reflections": []}'
+        result = run_capped_cli("analyze", "-", stdin=doc)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+
+    def test_long_translation_exits_one(self):
+        doc = {"dim": 2, "matrix": [["1", "0"], ["0", "1"]], "translation": [0] * 10**6}
+        result = run_capped_cli("analyze", "-", stdin=json.dumps(doc))
+        assert result.returncode == 1
+        assert "longer than the dimension limit" in result.stderr

@@ -1,6 +1,8 @@
 """Minimal factorizations, chain conversions, and rewriting moves."""
 
 import importlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -10,7 +12,6 @@ from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import (
     ChainError,
     Factorization,
-    _first_unfixed_point,
     chain_to_factorization,
     factor,
     factor_elliptic,
@@ -25,11 +26,16 @@ from scherk.isometry import (
     classify,
     is_reflection_below,
     reflection_length,
+    standard_splitting,
     translation,
 )
+from scherk.jsonio import isometry_from_json
 from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
 from scherk.oracle import (
     corpus,
+    definitional_peel,
+    first_unfixed_point,
+    random_isometry,
     random_maximal_chain,
     random_minimal_factorization,
     sample_interval,
@@ -118,7 +124,7 @@ class TestFactorElliptic:
             for w in corpus(dim, 10, rng) + [Isometry.identity(dim)]:
                 scan = AffineSubspaceE.full(dim).points()
                 expected = next((x for x in scan if w.apply(x) != x), None)
-                assert _first_unfixed_point(w) == expected
+                assert first_unfixed_point(w) == expected
 
     def test_rejects_bad_chains(self):
         w = half_turn()
@@ -144,6 +150,75 @@ class TestFactorElliptic:
                     full,
                 ],
             )
+
+
+class TestPeelAgainstOracle:
+    """factor's one-pass peel against the definitional rescanning peel."""
+
+    @staticmethod
+    def cases():
+        """Identities, single reflections, pure translations, and a corpus."""
+        rng = random.Random(72)
+        for dim in range(1, 9):
+            yield Isometry.identity(dim)
+            for _ in range(3):
+                yield random_isometry(dim, rng, reflections=1, translate=False)
+                yield random_isometry(dim, rng, reflections=0, translate=True)
+            yield from corpus(dim, 12, rng)
+
+    def test_factor_equals_definitional_peel(self):
+        hyperbolic = 0
+        for w in self.cases():
+            factors = factor(w).factors
+            if classify(w).is_elliptic:
+                assert factors == definitional_peel(w)
+            else:
+                hyperbolic += 1
+                _, u = standard_splitting(w)
+                assert factors[2:] == definitional_peel(u)
+                assert factor(u).factors == factors[2:]
+        assert hyperbolic >= 40
+
+    def test_golden_elliptic_part_is_oblique_and_translated(self):
+        doc = pathlib.Path(__file__).parent / "data" / "hyperbolic5.json"
+        w = isometry_from_json(json.loads(doc.read_text()))
+        _, u = standard_splitting(w)
+        assert not classify(w).is_elliptic
+        assert not u.translation.is_zero()
+        assert u.matrix.den > 1
+        assert factor(w).factors[2:] == definitional_peel(u)
+
+
+class TestOperationBudget:
+    def test_factor_composes_nothing(self, monkeypatch):
+        """The peel works on integer rows: no product, no motion reflection."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            Reflection, "compose", counted("Reflection.compose", Reflection.compose)
+        )
+        monkeypatch.setattr(
+            Isometry, "compose", counted("Isometry.compose", Isometry.compose)
+        )
+        for module in (factor_module, importlib.import_module("scherk.isometry")):
+            monkeypatch.setattr(
+                module,
+                "motion_reflection",
+                counted("motion_reflection", module.motion_reflection),
+            )
+        rng = random.Random(73)
+        ws = [w for dim in range(2, 7) for w in corpus(dim, 20, rng)]
+        calls.clear()
+        lengths = [len(factor(w)) for w in ws]
+        assert calls == []
+        assert sum(lengths) > 200
 
 
 class TestFactorHyperbolic:

@@ -28,7 +28,14 @@ from scherk.isometry import (
     standard_splitting,
     translation,
 )
-from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
+from scherk.linalg import (
+    DimensionError,
+    LinearSubspace,
+    Matrix,
+    Vector,
+    orthogonal_complement,
+    span,
+)
 from scherk.oracle import corpus, random_isometry, random_reflection, sample_interval
 from strategies import isometries, no_deadline, seeds
 
@@ -256,6 +263,24 @@ class TestReflectionsBelow:
             motion_reflection(r.to_isometry(), pt(3, 0))
         with pytest.raises(ValueError):
             motion_reflection(Isometry.identity(2), pt(1, 1))
+        with pytest.raises(DimensionError):
+            motion_reflection(translation(vec(2, 0)), pt(0, 0, 0))
+
+    def test_motion_reflection_is_the_bisector_on_corpus(self):
+        rng = random.Random(14)
+        for dim in (1, 2, 3, 4, 5):
+            for w in corpus(dim, 12, rng):
+                for _ in range(3):
+                    x = Point(
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                        for _ in range(dim)
+                    )
+                    y = w.apply(x)
+                    if y == x:
+                        with pytest.raises(ValueError):
+                            motion_reflection(w, x)
+                    else:
+                        assert motion_reflection(w, x) == reflection_bisecting(x, y)
 
     def test_motion_reflection_is_below_on_corpus(self):
         rng = random.Random(13)

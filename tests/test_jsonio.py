@@ -8,6 +8,7 @@ from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
 from scherk.isometry import translation
 from scherk.jsonio import (
+    MAX_DIM,
     FormatError,
     affine_e_from_json,
     affine_e_to_json,
@@ -131,3 +132,35 @@ class TestElements:
         for w in corpus(3, 10, seed=4):
             p = inv_map(w)
             assert element_from_json(element_to_json(p)) == p
+
+
+class TestDimensionLimit:
+    """Only sizes at or just over the limit run in this process; documents
+    far over it run in a capped child process in tests/test_cli.py."""
+
+    def test_limit_is_accepted(self):
+        assert isometry_from_json({"reflections": [], "dim": MAX_DIM}).dim == MAX_DIM
+        u = subspace_from_json({"dim_ambient": MAX_DIM, "basis": []})
+        assert (u.ambient, u.dim) == (MAX_DIM, 0)
+        assert vector_from_json(["0"] * MAX_DIM).dim == MAX_DIM
+
+    @pytest.mark.parametrize(
+        "parse,doc",
+        [
+            (isometry_from_json, {"reflections": [], "dim": MAX_DIM + 1}),
+            (isometry_from_json, {"dim": MAX_DIM + 1, "matrix": [], "translation": []}),
+            (subspace_from_json, {"dim_ambient": MAX_DIM + 1, "basis": []}),
+            (vector_from_json, ["0"] * (MAX_DIM + 1)),
+            (isometry_from_json, {"matrix": [["1"]] * (MAX_DIM + 1), "translation": 0}),
+        ],
+    )
+    def test_over_the_limit_is_a_format_error(self, parse, doc):
+        with pytest.raises(FormatError, match="limit"):
+            parse(doc)
+
+    @pytest.mark.parametrize("dim", [0, -1, True, "3", 2.0])
+    def test_bad_declared_dimension(self, dim):
+        with pytest.raises(FormatError, match="bad"):
+            isometry_from_json({"reflections": [], "dim": dim})
+        with pytest.raises(FormatError, match="bad"):
+            subspace_from_json({"dim_ambient": dim, "basis": []})
