@@ -6,14 +6,12 @@ a TypeError.  Internally a single global basepoint identifies the two, so
 all computations stay concrete coordinate work, but code built on these
 types cannot accidentally treat a position as a displacement.
 
-Both kinds of affine subspace carry a canonical representation that makes
-equality componentwise:
-
-* ``AffineSubspaceV`` is U + mu in standard form, i.e. mu is the unique
-  shift vector orthogonal to the direction subspace U.
-* ``AffineSubspaceE`` stores its direction space D together with the unique
-  point of the subspace whose coordinate vector lies in the orthogonal
-  complement of D.
+Affine subspaces of both spaces share one standard form, held by one
+private base: a direction subspace D and the unique anchor vector
+orthogonal to D, so equality is componentwise.  ``AffineSubspaceV`` reads
+the anchor as the shift mu of U + mu, ``AffineSubspaceE`` as the
+coordinates of its canonical point.  The two types never compare equal,
+and their hulls and intersections share one body each.
 """
 
 from __future__ import annotations
@@ -92,102 +90,23 @@ class Point:
         return "Point((%s))" % ", ".join(str(c) for c in self.coords)
 
 
-class AffineSubspaceV:
-    """An affine subspace U + mu of the vector space, in standard form.
+class _AffineSubspace:
+    """A direction subspace plus an anchor vector in standard form.
 
-    The constructor accepts any shift and subtracts its projection onto U,
-    so the stored mu always lies in the orthogonal complement of U and the
-    representation is unique.  The subspace is linear iff mu is zero.
-
-    The slot ``_span_perp`` holds the orthogonal complement of the linear
-    span once :meth:`span_complement` has been asked for it; it is written
-    once and plays no part in equality or hashing.
+    The constructor subtracts the anchor's projection onto the direction,
+    so the stored anchor is the unique one orthogonal to the direction and
+    equality is equality of the two fields.  Subspaces of E and of V share
+    this form, but only subspaces of the same kind compare or combine.
     """
 
-    __slots__ = ("direction", "mu", "_span_perp")
+    __slots__ = ("direction", "anchor")
 
-    def __init__(self, direction: LinearSubspace, shift: Vector) -> None:
-        if shift.dim != direction.ambient:
-            raise DimensionError("shift and direction of different dimensions")
+    def __init__(self, direction: LinearSubspace, anchor: Vector) -> None:
+        if anchor.dim != direction.ambient:
+            raise DimensionError("anchor and direction of different dimensions")
         self.direction = direction
-        offset = project(shift, direction)
-        self.mu = shift if offset.is_zero() else shift - offset
-        self._span_perp: Optional[LinearSubspace] = None
-
-    @property
-    def ambient(self) -> int:
-        return self.direction.ambient
-
-    @property
-    def dim(self) -> int:
-        return self.direction.dim
-
-    def is_linear(self) -> bool:
-        return self.mu.is_zero()
-
-    def contains(self, v: Vector) -> bool:
-        """v - mu lies in U, tested on the integer row of den(mu) den(v) (v - mu)."""
-        v._check_dim(self.mu)
-        d, e = v.den, self.mu.den
-        row = [e * a - d * b for a, b in zip(v.num, self.mu.num)]
-        return self.direction._contains_row(row)
-
-    def subset_of(self, other: "AffineSubspaceV") -> bool:
-        if self.ambient != other.ambient:
-            raise DimensionError("affine subspaces of different ambient dimensions")
-        return self.direction.subset_of(other.direction) and other.contains(self.mu)
-
-    def span_complement(self) -> LinearSubspace:
-        """Vectors orthogonal to every vector of the subspace.
-
-        Span = U + <mu>, so this is U^perp cut by mu^perp: one pivot-row
-        step on the reduced basis of U^perp, with no elimination.
-        """
-        if self._span_perp is None:
-            perp = orthogonal_complement(self.direction)
-            self._span_perp = orthogonal_section(perp, self.mu)[0]
-        return self._span_perp
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineSubspaceV)
-            and self.direction == other.direction
-            and self.mu == other.mu
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.mu))
-
-    def __repr__(self) -> str:
-        return f"AffineSubspaceV({self.direction!r} + {self.mu!r})"
-
-
-class AffineSubspaceE:
-    """A nonempty affine subspace of the point space.
-
-    Canonical form: the stored point is the unique one whose coordinate
-    vector is orthogonal to the direction space, so equality is equality of
-    the two fields.  The empty set is never an AffineSubspaceE; operations
-    that can produce it return None instead.
-    """
-
-    __slots__ = ("point", "direction")
-
-    def __init__(self, point: Point, direction: LinearSubspace) -> None:
-        if point.dim != direction.ambient:
-            raise DimensionError("point and direction of different dimensions")
-        position = point.to_vector()
-        offset = project(position, direction)
-        self.point = point if offset.is_zero() else Point(position - offset)
-        self.direction = direction
-
-    @classmethod
-    def single_point(cls, point: Point) -> "AffineSubspaceE":
-        return cls(point, LinearSubspace.zero(point.dim))
-
-    @classmethod
-    def full(cls, dim: int) -> "AffineSubspaceE":
-        return cls(Point.origin(dim), LinearSubspace.full(dim))
+        offset = project(anchor, direction)
+        self.anchor = anchor if offset.is_zero() else anchor - offset
 
     @property
     def ambient(self) -> int:
@@ -201,76 +120,154 @@ class AffineSubspaceE:
     def codim(self) -> int:
         return self.direction.codim
 
+    def _holds(self, v: Vector) -> bool:
+        """Whether the coordinates v lie in the subspace: v - anchor lies
+        in the direction, tested on the integer row
+        den(anchor) den(v) (v - anchor)."""
+        v._check_dim(self.anchor)
+        d, e = v.den, self.anchor.den
+        row = [e * a - d * b for a, b in zip(v.num, self.anchor.num)]
+        return self.direction._contains_row(row)
+
+    def _check_peer(self, other: "_AffineSubspace") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"{type(self).__name__} against {type(other).__name__}")
+        if other.direction.ambient != self.direction.ambient:
+            raise DimensionError("affine subspaces of different ambient dimensions")
+
+    def subset_of(self, other: "_AffineSubspace") -> bool:
+        self._check_peer(other)
+        return self.direction.subset_of(other.direction) and other._holds(self.anchor)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.direction == other.direction
+            and self.anchor == other.anchor
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.anchor))
+
+
+class AffineSubspaceV(_AffineSubspace):
+    """An affine subspace U + mu of the vector space, in standard form.
+
+    mu is the anchor: any shift is accepted and stored orthogonal to U.
+    The subspace is linear iff mu is zero.
+
+    The slot ``_span_perp`` holds the orthogonal complement of the linear
+    span once :meth:`span_complement` has been asked for it; it is written
+    once and plays no part in equality or hashing.
+    """
+
+    __slots__ = ("_span_perp",)
+
+    def __init__(self, direction: LinearSubspace, shift: Vector) -> None:
+        super().__init__(direction, shift)
+        self._span_perp: Optional[LinearSubspace] = None
+
+    @property
+    def mu(self) -> Vector:
+        return self.anchor
+
+    contains = _AffineSubspace._holds
+
+    def is_linear(self) -> bool:
+        return self.anchor.is_zero()
+
+    def span_complement(self) -> LinearSubspace:
+        """Vectors orthogonal to every vector of the subspace.
+
+        Span = U + <mu>, so this is U^perp cut by mu^perp: one pivot-row
+        step on the reduced basis of U^perp, with no elimination.
+        """
+        if self._span_perp is None:
+            perp = orthogonal_complement(self.direction)
+            self._span_perp = orthogonal_section(perp, self.anchor)[0]
+        return self._span_perp
+
+    def __repr__(self) -> str:
+        return f"AffineSubspaceV({self.direction!r} + {self.mu!r})"
+
+
+class AffineSubspaceE(_AffineSubspace):
+    """A nonempty affine subspace of the point space.
+
+    Its canonical point is the anchor read as a point: the one point of
+    the subspace whose coordinate vector is orthogonal to the direction.
+    The empty set is never an AffineSubspaceE; operations that can produce
+    it return None instead.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, point: Point, direction: LinearSubspace) -> None:
+        super().__init__(direction, point.to_vector())
+
+    @classmethod
+    def single_point(cls, point: Point) -> "AffineSubspaceE":
+        return cls(point, LinearSubspace.zero(point.dim))
+
+    @classmethod
+    def full(cls, dim: int) -> "AffineSubspaceE":
+        return cls(Point.origin(dim), LinearSubspace.full(dim))
+
+    @property
+    def point(self) -> Point:
+        return Point(self.anchor)
+
     def is_full(self) -> bool:
         return self.direction.is_full()
 
     def contains(self, x: Point) -> bool:
-        if x.dim != self.ambient:
-            raise DimensionError("point of wrong dimension")
-        return self.direction.contains(x - self.point)
-
-    def subset_of(self, other: "AffineSubspaceE") -> bool:
-        if self.ambient != other.ambient:
-            raise DimensionError("affine subspaces of different ambient dimensions")
-        return self.direction.subset_of(other.direction) and other.contains(self.point)
+        return self._holds(x.to_vector())
 
     def points(self) -> list[Point]:
         """The canonical point and its basis translates, spanning the subspace."""
         return [self.point] + [self.point + b for b in self.direction.basis]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineSubspaceE)
-            and self.point == other.point
-            and self.direction == other.direction
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.point, self.direction))
-
     def __repr__(self) -> str:
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"
 
 
+def _hull(anchors: Sequence[Vector], directions=(), extra: Iterable[Vector] = ()):
+    """(base, direction) of the smallest affine subspace through the
+    anchors whose direction holds the directions and the extra vectors:
+    the first anchor, and one span of the anchor differences, the
+    direction bases and the extra vectors."""
+    if not anchors:
+        raise ValueError("affine hull of an empty list")
+    base = anchors[0]
+    vectors = [a - base for a in anchors[1:]]
+    vectors.extend(b for d in directions for b in d.basis)
+    vectors.extend(extra)
+    return base, span(vectors, ambient=base.dim)
+
+
 def affine_hull(points: Sequence[Point]) -> AffineSubspaceE:
     """Smallest affine subspace containing the given points."""
-    if not points:
-        raise ValueError("affine hull of an empty point list")
-    dims = {p.dim for p in points}
-    if len(dims) != 1:
-        raise DimensionError(f"points of mixed dimensions: {sorted(dims)}")
-    base = points[0]
-    direction = span([p - base for p in points[1:]], ambient=base.dim)
-    return AffineSubspaceE(base, direction)
+    base, direction = _hull([p.to_vector() for p in points])
+    return AffineSubspaceE(Point(base), direction)
 
 
 def hull_of_affine_e(
     subspaces: Sequence[AffineSubspaceE], extra: Iterable[Vector] = ()
 ) -> AffineSubspaceE:
     """Smallest affine subspace containing every one of the given subspaces,
-    thickened by the directions in ``extra``: one span of the point
-    differences, the direction bases and the extra vectors."""
-    if not subspaces:
-        raise ValueError("hull of an empty list of subspaces")
-    base = subspaces[0].point
-    vectors = []
-    for b in subspaces:
-        vectors.append(b.point - base)
-        vectors.extend(b.direction.basis)
-    vectors.extend(extra)
-    return AffineSubspaceE(base, span(vectors, ambient=base.dim))
+    thickened by the directions in ``extra``."""
+    base, direction = _hull(
+        [b.anchor for b in subspaces], [b.direction for b in subspaces], extra
+    )
+    return AffineSubspaceE(Point(base), direction)
 
 
 def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
     """Smallest affine subspace of V containing every one of the given ones."""
-    if not subspaces:
-        raise ValueError("hull of an empty list of subspaces")
-    base = subspaces[0].mu
-    vectors = []
-    for m in subspaces:
-        vectors.append(m.mu - base)
-        vectors.extend(m.direction.basis)
-    return AffineSubspaceV(span(vectors, ambient=base.dim), base)
+    base, direction = _hull(
+        [m.anchor for m in subspaces], [m.direction for m in subspaces]
+    )
+    return AffineSubspaceV(direction, base)
 
 
 def hyperplane_section(
@@ -286,43 +283,41 @@ def hyperplane_section(
     new direction, to p + t v with normal . (p + t v) = value.
     """
     direction, row = orthogonal_section(b.direction, normal)
-    position = b.point.to_vector()
-    gap = value - normal.dot(position)
+    gap = value - normal.dot(b.anchor)
     if row is None:
         return None if gap else b
     v = project(normal, b.direction)
-    point = Point(position + v.scale(gap / normal.dot(v)))
+    point = Point(b.anchor + v.scale(gap / normal.dot(v)))
     return AffineSubspaceE(point, direction)
 
 
-def _intersect_by_constraints(pairs: Sequence[tuple[LinearSubspace, Vector]]):
-    """Common solutions of 'x - anchor lies in direction' for each pair.
+def _intersect(subspaces: Sequence[_AffineSubspace]):
+    """Common solutions of 'x - anchor lies in the direction' for each
+    subspace, as (particular, kernel), or None when there are none.
 
     Each normal row n of a direction gives n . x = n . anchor, taken on
     the integer rows of the normals over the anchors' common denominator.
     """
-    if not pairs:
+    if not subspaces:
         raise ValueError("intersection of an empty list of subspaces")
-    ambient = pairs[0][0].ambient
-    if any(direction.ambient != ambient for direction, _ in pairs):
-        raise DimensionError("affine subspaces of different ambient dimensions")
-    den = math.lcm(*(anchor.den for _, anchor in pairs))
+    for s in subspaces[1:]:
+        subspaces[0]._check_peer(s)
+    den = math.lcm(*(s.anchor.den for s in subspaces))
     rows = []
     rhs = []
-    for direction, anchor in pairs:
-        scale = den // anchor.den
-        for normal in orthogonal_complement(direction).basis:
+    for s in subspaces:
+        scale = den // s.anchor.den
+        for normal in orthogonal_complement(s.direction).basis:
             rows.append(normal.num)
-            rhs.append(scale * _dot(normal.num, anchor.num))
+            rhs.append(scale * _dot(normal.num, s.anchor.num))
+    ambient = subspaces[0].ambient
     return solve_affine(_mat(tuple(rows), 1, ambient), _vector(rhs, den))
 
 
 def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
     """Intersection of affine subspaces of E, by one stacked solve; None
     when it is empty."""
-    solution = _intersect_by_constraints(
-        [(b.direction, b.point.to_vector()) for b in subspaces]
-    )
+    solution = _intersect(subspaces)
     if solution is None:
         return None
     particular, kernel = solution
@@ -332,7 +327,7 @@ def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
 def intersect_affine_v(*subspaces: AffineSubspaceV) -> Optional[AffineSubspaceV]:
     """Intersection of affine subspaces of V, by one stacked solve; None
     when it is empty."""
-    solution = _intersect_by_constraints([(m.direction, m.mu) for m in subspaces])
+    solution = _intersect(subspaces)
     if solution is None:
         return None
     particular, kernel = solution

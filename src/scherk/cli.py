@@ -136,7 +136,7 @@ def _cmd_factorize(args) -> str:
             chain_doc = _read_document(args.chain)
             if not isinstance(chain_doc, dict) or "chain" not in chain_doc:
                 raise CliError(EXIT_POSET, "chain file needs a chain array")
-            chain = [_load_element(e) for e in chain_doc["chain"]]
+            chain = _load_elements(chain_doc["chain"])
             f = chain_to_factorization(chain, w)
         elif args.seed:
             f = oracle.random_minimal_factorization(w, args.seed)
@@ -180,8 +180,10 @@ def _cmd_order(args) -> str:
     if "w" in doc and "u" in doc:
         w = _load_isometry(doc["w"], args.dim)
         u = _load_isometry(doc["u"], args.dim)
+        v = _load_isometry(doc["v"], args.dim) if "v" in doc else u
+        if not w.dim == u.dim == v.dim:
+            raise CliError(EXIT_ISOMETRY, "isometries of different dimensions")
         if "v" in doc:
-            v = _load_isometry(doc["v"], args.dim)
             return _emit({"leq": interval_leq(w, u, v)}, args.format)
         return _emit({"contains": interval_contains(w, u)}, args.format)
     raise CliError(EXIT_PARSE, "order input needs p/q elements or w/u isometries")

@@ -73,6 +73,7 @@ from .isometry import (
     min_set,
     motion_reflection,
     move_set,
+    product,
     reflection_length,
     standard_splitting,
 )
@@ -94,10 +95,7 @@ class Factorization:
 
     def product(self) -> Isometry:
         """Product of the factors; the first listed factor acts last."""
-        result = Isometry.identity(self.target.dim)
-        for r in reversed(self.factors):
-            result = r.compose(result)
-        return result
+        return product(self.factors, self.target.dim)
 
     def is_exact(self) -> bool:
         return self.product() == self.target
@@ -185,7 +183,7 @@ def factor_hyperbolic(w: Isometry) -> Factorization:
     mu, u = standard_splitting(w)
     if mu.is_zero():
         raise ValueError("factor_hyperbolic needs a hyperbolic isometry")
-    near_value = mu.dot(min_set(w).point.to_vector())
+    near_value = mu.dot(min_set(w).anchor)
     far = Reflection.from_hyperplane(mu, near_value + mu.norm_sq() / 2)
     near = Reflection.from_hyperplane(mu, near_value)
     return Factorization(target=w, factors=(far, near) + _peel(u))
@@ -283,6 +281,8 @@ def chain_to_factorization(
             below, (Elliptic, Hyperbolic)
         ):
             raise ChainError("chains contain only elliptic and hyperbolic elements")
+        if below.ambient != w.dim:
+            raise ChainError("chain entries of a dimension other than the isometry's")
         if not leq(below, above):
             raise ChainError("chain entries are not descending")
         if rank(above) - rank(below) != 1:

@@ -189,7 +189,7 @@ class Reflection:
         elif not normal_line.contains(root) or root.is_zero():
             raise ValueError("root must span the normal line of the mirror")
         self.root = _vec(_primitive(root.num)[0], 1)
-        self.offset = self.root.dot(mirror.point.to_vector())
+        self.offset = self.root.dot(mirror.anchor)
 
     @classmethod
     def from_hyperplane(cls, normal: Vector, value) -> "Reflection":
@@ -279,6 +279,15 @@ def reflection_bisecting(x: Point, y: Point) -> Reflection:
         raise ValueError("bisecting reflection needs two distinct points")
     value = (y.to_vector().norm_sq() - x.to_vector().norm_sq()) / 2
     return Reflection.from_hyperplane(alpha, value)
+
+
+def product(reflections: Sequence[Reflection], dim: int) -> Isometry:
+    """The product of the reflections, the first listed acting last: one
+    rank-one update per factor, starting from the identity of ``dim``."""
+    w = Isometry.identity(dim)
+    for r in reversed(reflections):
+        w = r.compose(w)
+    return w
 
 
 @dataclass(frozen=True)
@@ -424,7 +433,7 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
         return ProductPrediction(ELLIPTIC, k + 1, grown, None)
     # alpha lies in U, so it is normal to Dir(Min) = U^perp: the min-set lies
     # in the mirror exactly when its point does.
-    if alpha.dot(cls.min_set.point.to_vector()) == r.offset:
+    if alpha.dot(cls.min_set.anchor) == r.offset:
         return ProductPrediction(ELLIPTIC, k - 1, None, cls.move_set)
     return ProductPrediction(HYPERBOLIC, k + 1, None, cls.move_set)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
-from .isometry import Isometry, Matrix, Reflection
+from .isometry import Isometry, Matrix, Reflection, product
 from .linalg import LinearSubspace, Vector
 from .factor import Factorization
 from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
@@ -126,7 +126,7 @@ def affine_v_from_json(obj: Any) -> AffineSubspaceV:
 def affine_e_to_json(b: AffineSubspaceE) -> dict:
     return {
         "kind": "affineE",
-        "point": vector_to_json(b.point.to_vector()),
+        "point": vector_to_json(b.anchor),
         "direction": subspace_to_json(b.direction),
     }
 
@@ -143,7 +143,7 @@ def affine_e_from_json(obj: Any) -> AffineSubspaceE:
 def reflection_to_json(r: Reflection) -> dict:
     return {
         "root": vector_to_json(r.root),
-        "point": vector_to_json(r.mirror.point.to_vector()),
+        "point": vector_to_json(r.mirror.anchor),
     }
 
 
@@ -181,11 +181,7 @@ def isometry_from_json(obj: Any) -> Isometry:
             raise FormatError(f"mixed dimensions in reflections: {sorted(dims)}")
         if not dims:
             raise FormatError("empty reflection list needs an explicit dim")
-        dim = dims.pop()
-        w = Isometry.identity(dim)
-        for r in reversed(reflections):
-            w = r.compose(w)
-        return w
+        return product(reflections, dims.pop())
     if "matrix" not in obj or "translation" not in obj:
         raise FormatError("isometry needs matrix and translation (or reflections)")
     matrix = matrix_from_json(obj["matrix"])
@@ -209,22 +205,17 @@ def factorization_from_json(obj: Any) -> Factorization:
         raise FormatError(f"factors must be an array, got {obj['factors']!r}")
     target = isometry_from_json(obj["target"])
     factors = tuple(reflection_from_json(e) for e in obj["factors"])
+    dims = {target.dim, *(r.dim for r in factors)}
+    if len(dims) > 1:
+        raise FormatError(f"mixed dimensions in factorization: {sorted(dims)}")
     return Factorization(target=target, factors=factors)
 
 
 def element_to_json(p: PosetElement) -> dict:
     if isinstance(p, Elliptic):
-        return {
-            "kind": "e",
-            "point": vector_to_json(p.fix.point.to_vector()),
-            "direction": subspace_to_json(p.fix.direction),
-        }
+        return {**affine_e_to_json(p.fix), "kind": "e"}
     if isinstance(p, Hyperbolic):
-        return {
-            "kind": "h",
-            "U": subspace_to_json(p.move.direction),
-            "mu": vector_to_json(p.move.mu),
-        }
+        return {**affine_v_to_json(p.move), "kind": "h"}
     return {"kind": "n", "U": subspace_to_json(p.subspace)}
 
 

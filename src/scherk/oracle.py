@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .factor import Factorization, chain_to_factorization
-from .isometry import Isometry, Reflection, reflection_bisecting, translation
+from .isometry import Isometry, Reflection, product, reflection_bisecting, translation
 from .linalg import Vector, intersect, orthogonal_complement, span
 from .poset import (
     Elliptic,
@@ -269,10 +269,7 @@ def random_isometry(
     rng = _rng(seed)
     if reflections is None:
         reflections = rng.randrange(dim + 3)
-    factors = [random_reflection(dim, rng) for _ in range(reflections)]
-    w = Isometry.identity(dim)
-    for r in reversed(factors):
-        w = r.compose(w)
+    w = product([random_reflection(dim, rng) for _ in range(reflections)], dim)
     if translate:
         w = translation(random_vector(dim, rng)).compose(w)
     return w
@@ -351,8 +348,5 @@ def sample_interval(w: Isometry, seed, count: int) -> list[Isometry]:
     for _ in range(count):
         f = random_minimal_factorization(w, rng)
         cut = rng.randrange(len(f.factors) + 1)
-        prefix = Isometry.identity(w.dim)
-        for r in f.factors[:cut]:
-            prefix = prefix.compose(r.to_isometry())
-        out.append(prefix)
+        out.append(product(f.factors[:cut], w.dim))
     return out

@@ -484,7 +484,7 @@ def elliptic_iso(ctx: PosetContext) -> EllipticEmbedding:
 def _sort_key(p: PosetElement):
     """Rank, kind, then the coordinates of the anchor and the basis."""
     if isinstance(p, Elliptic):
-        kind, anchor, basis = 0, p.fix.point.coords, p.fix.direction.basis
+        kind, anchor, basis = 0, p.fix.anchor.coords, p.fix.direction.basis
     elif isinstance(p, Hyperbolic):
         kind, anchor, basis = 1, p.move.mu.coords, p.move.direction.basis
     else:

@@ -13,12 +13,13 @@ from scherk.affine import (
     Point,
     affine_hull,
     hull_of_affine_e,
+    hull_of_affine_v,
     hyperplane_section,
     intersect_affine,
     intersect_affine_v,
 )
 from scherk.isometry import Reflection
-from scherk.linalg import Vector, orthogonal_complement, project, span
+from scherk.linalg import DimensionError, Vector, orthogonal_complement, project, span
 from scherk.oracle import random_nonzero_vector, random_vector
 from strategies import no_deadline, seeds
 
@@ -158,6 +159,11 @@ class TestContainsPoint:
         third = Fraction(1, 3)
         assert simplex_plane.contains(pt(third, third, third))
 
+    def test_point_of_wrong_dimension_is_an_error(self):
+        x_axis = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
+        with pytest.raises(DimensionError):
+            x_axis.contains(pt(0, 0, 0))
+
     def test_accessors(self):
         plane = AffineSubspaceE(pt(0, 0, 4), span([e(3, 0), e(3, 1)]))
         assert plane.dim == 2
@@ -176,12 +182,45 @@ class TestCanonicalRepresentative:
         b2 = AffineSubspaceE(pt(5, 5, 2), direction)
         assert b1 == b2
 
+    def test_e_and_v_with_equal_coordinates_differ(self):
+        direction = span([vec(1, 1, 0)])
+        b = AffineSubspaceE(pt(5, 5, 2), direction)
+        m = AffineSubspaceV(direction, vec(5, 5, 2))
+        assert b.anchor == m.anchor and b.direction == m.direction
+        assert b != m and m != b
+        assert len({b, m}) == 2
+
     def test_hull_of_subspaces(self):
         b1 = AffineSubspaceE(pt(0, 0), span([], ambient=2))
         b2 = AffineSubspaceE(pt(0, 1), span([], ambient=2))
         hull = hull_of_affine_e([b1, b2])
         assert hull.dim == 1
         assert hull.contains(pt(0, 5))
+
+
+class TestHullOfAffineV:
+    @no_deadline
+    @given(st.integers(1, 5), st.integers(1, 4), seeds)
+    def test_hull_holds_its_inputs_and_is_least(self, n, count, seed):
+        """Every anchor and anchor + basis vector of each input lies in the
+        hull, and the hull lies in the hull of any superset of the inputs."""
+        rng = random.Random(seed)
+
+        def subspace():
+            k = rng.randint(0, n)
+            direction = span([random_vector(n, rng) for _ in range(k)], ambient=n)
+            return AffineSubspaceV(direction, random_vector(n, rng))
+
+        inputs = [subspace() for _ in range(count)]
+        hull = hull_of_affine_v(inputs)
+        for m in inputs:
+            assert hull.contains(m.mu)
+            for b in m.direction.basis:
+                assert hull.contains(m.mu + b)
+            assert m.subset_of(hull)
+        superset = inputs + [subspace()]
+        rng.shuffle(superset)
+        assert hull.subset_of(hull_of_affine_v(superset))
 
 
 class TestHyperplaneSection:

@@ -305,6 +305,14 @@ class TestMalformedShapes:
             doc = json.dumps({"top": top, "elements": 7})
             self.assert_parse_error(run_cli(command, "-", stdin=doc))
 
+    def test_non_list_chain(self, tmp_path):
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps({"chain": 7}))
+        result = run_cli(
+            "factorize", str(DATA / "translation.json"), "--chain", str(chain_file)
+        )
+        self.assert_parse_error(result)
+
     def test_non_list_basis(self):
         doc = json.dumps(
             {
@@ -313,6 +321,59 @@ class TestMalformedShapes:
             }
         )
         self.assert_parse_error(run_cli("complete", "-", stdin=doc))
+
+
+IDENTITY_3 = {
+    "dim": 3,
+    "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "translation": ["0", "0", "0"],
+}
+
+
+class TestDimensionMismatch:
+    """Inputs mixing ambient dimensions end in a documented exit code."""
+
+    def assert_exits(self, result, code):
+        assert result.returncode == code
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
+    def test_factor_of_another_dimension_is_one(self):
+        target = json.loads((DATA / "translation.json").read_text())
+        factors = [
+            {"root": ["1", "0", "0"], "point": ["1", "0", "0"]},
+            {"root": ["1", "0"], "point": ["0", "0"]},
+        ]
+        doc = json.dumps({"target": target, "factors": factors})
+        self.assert_exits(run_cli("chain", "-", stdin=doc), 1)
+
+    def test_chain_entry_of_another_dimension_is_three(self, tmp_path):
+        chain_file = tmp_path / "chain.json"
+        chain = [
+            {"kind": "h", "U": {"dim_ambient": 2, "basis": []}, "mu": ["2", "0"]},
+            {
+                "kind": "e",
+                "point": ["0", "0", "0"],
+                "direction": {"dim_ambient": 3, "basis": [["0", "1", "0"], ["0", "0", "1"]]},
+            },
+            {
+                "kind": "e",
+                "point": ["0", "0"],
+                "direction": {"dim_ambient": 2, "basis": [["1", "0"], ["0", "1"]]},
+            },
+        ]
+        chain_file.write_text(json.dumps({"chain": chain}))
+        result = run_cli(
+            "factorize", str(DATA / "translation.json"), "--chain", str(chain_file)
+        )
+        self.assert_exits(result, 3)
+
+    @pytest.mark.parametrize("keys", [("w", "u"), ("w", "u", "v")])
+    def test_order_of_isometries_of_mixed_dimensions_is_two(self, keys):
+        translation = json.loads((DATA / "translation.json").read_text())
+        doc = {key: translation for key in keys}
+        doc[keys[-1]] = IDENTITY_3
+        self.assert_exits(run_cli("order", "-", stdin=json.dumps(doc)), 2)
 
 
 # A subspace of the largest ambient dimension a document may declare, with

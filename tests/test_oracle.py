@@ -47,6 +47,12 @@ def line_top_2d():
     return Hyperbolic(AffineSubspaceV(span([e(2, 0)]), vec(0, 1)))
 
 
+def axes_top(dim, k):
+    """h^M with Dir(M) spanned by the first k axes and mu = e_{dim-1}."""
+    direction = span([e(dim, i) for i in range(k)], ambient=dim)
+    return Hyperbolic(AffineSubspaceV(direction, e(dim, dim - 1)))
+
+
 def point_top(dim):
     anchor = Point.origin(dim)
     return Elliptic(AffineSubspaceE.single_point(anchor))
@@ -220,6 +226,22 @@ class TestAgreementWithClosedForms:
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         for p, q in itertools.combinations_with_replacement(universe.elements, 2):
             check_dm_agreement(universe, [p, q])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_meet_join_pairs_in_ambient_4_universes(self, k):
+        universe = coordinate_universe(4, axes_top(4, k))
+        for p, q in itertools.combinations_with_replacement(universe.elements, 2):
+            check_meet_agreement(universe, p, q)
+            check_join_agreement(universe, p, q)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dm_sampled_subsets_in_ambient_4_universes(self, k):
+        universe = coordinate_universe(4, axes_top(4, k), augmented=True)
+        rng = random.Random(61 + k)
+        elements = universe.elements
+        for _ in range(300):
+            subset = rng.sample(range(len(elements)), rng.randint(1, 3))
+            check_dm_agreement(universe, [elements[i] for i in subset])
 
     def test_dm_sampled_triples_in_augmented_universe(self):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+import scherk.linalg as linalg_module
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.isometry import Isometry, Reflection, motion_reflection, translation
 from scherk.linalg import (
@@ -427,6 +429,42 @@ class TestCompletion:
         ctx = PosetContext(top=plane_top_3d())
         with pytest.raises(PosetError):
             dm_meet([plane_top_3d()], ctx)
+
+
+class TestOperationBudget:
+    # _rref and project calls of dm_meet + dm_join over every pair of the
+    # augmented plane universe.  A standard form that projects or
+    # eliminates once more per subspace goes over these.
+    RREF_BUDGET = 1838
+    PROJECT_BUDGET = 1435
+
+    def test_completion_pairs_stay_within_budget(self, monkeypatch):
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        assert len(universe) == 38
+        counts = {"_rref": 0, "project": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            original = getattr(linalg_module, name)
+            wrapper = counted(name, original)
+            for module in sys.modules.values():
+                if module and module.__name__.startswith("scherk"):
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, wrapper)
+        ctx = universe.ctx
+        pairs = list(itertools.combinations_with_replacement(universe.elements, 2))
+        assert len(pairs) == 741
+        for pair in pairs:
+            dm_meet(pair, ctx)
+            dm_join(pair, ctx)
+        assert 0 < counts["_rref"] <= self.RREF_BUDGET
+        assert 0 < counts["project"] <= self.PROJECT_BUDGET
 
 
 def line_top_3d():
