@@ -1,10 +1,17 @@
 """Command line front end.
 
 Every command reads one JSON document (a file argument or stdin), writes a
-machine readable result to stdout, and keeps diagnostics on stderr.  Exit
-codes: 0 success, 1 malformed input, 2 invalid isometry, 3 invalid poset or
-chain input.  All randomness sits behind --seed (default 0), and seed 0
-selects the fully deterministic construction, so outputs are byte-stable.
+machine readable result to stdout, and keeps diagnostics on stderr.  All
+randomness sits behind --seed (default 0), and seed 0 selects the fully
+deterministic construction, so outputs are byte-stable.
+
+`main` is the one exit-code map: the command handlers let library errors
+propagate, and `main` prints each as one stderr line, `error: ...`, with
+nothing on stdout.  Exit codes: 0 success; 1 malformed input (unreadable
+or non-JSON input, `jsonio.FormatError`); 2 invalid isometry
+(`OrthogonalityError`, or a `DimensionError` while decoding an isometry);
+3 invalid poset or chain input (`PosetError`, `ChainError`, any other
+`DimensionError`).  A `CliError` carries its own code.
 """
 
 from __future__ import annotations
@@ -41,61 +48,54 @@ EXIT_POSET = 3
 
 
 class CliError(Exception):
+    """An error the command line finds itself, with its exit code."""
+
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
 
 
 def _read_document(path: Optional[str]) -> Any:
+    """The JSON document in a file, or on stdin for None or "-"."""
     try:
         if path is None or path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read input: {exc}")
-    try:
+    try:  # ValueError also means an int too long to convert
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
+    except (ValueError, RecursionError) as exc:
         raise CliError(EXIT_PARSE, f"malformed JSON: {exc}")
 
 
-def _load_isometry(obj: Any, dim: Optional[int]) -> Isometry:
+def _decode_isometries(decode, obj: Any):
+    """decode(obj), where a DimensionError makes the isometry invalid (exit 2)."""
     try:
-        w = jsonio.isometry_from_json(obj)
-    except jsonio.FormatError as exc:
-        raise CliError(EXIT_PARSE, f"bad isometry payload: {exc}")
-    except (OrthogonalityError, DimensionError) as exc:
+        return decode(obj)
+    except DimensionError as exc:
         raise CliError(EXIT_ISOMETRY, f"invalid isometry: {exc}")
+
+
+def _load_isometry(obj: Any, dim: Optional[int]) -> Isometry:
+    w = _decode_isometries(jsonio.isometry_from_json, obj)
     if dim is not None and w.dim != dim:
         raise CliError(EXIT_ISOMETRY, f"isometry has dimension {w.dim}, not {dim}")
     return w
 
 
-def _load_element(obj: Any) -> poset.PosetElement:
-    try:
-        return jsonio.element_from_json(obj)
-    except jsonio.FormatError as exc:
-        raise CliError(EXIT_PARSE, f"bad poset element: {exc}")
-    except (PosetError, DimensionError) as exc:
-        raise CliError(EXIT_POSET, f"invalid poset element: {exc}")
-
-
 def _load_elements(obj: Any) -> list[poset.PosetElement]:
     if not isinstance(obj, list):
         raise CliError(EXIT_PARSE, f"elements must be an array, got {obj!r}")
-    return [_load_element(e) for e in obj]
+    return [jsonio.element_from_json(e) for e in obj]
 
 
 def _context(obj: Any, augmented: bool) -> PosetContext:
     if not isinstance(obj, dict) or "top" not in obj:
         raise CliError(EXIT_PARSE, "input needs a top element")
-    top = _load_element(obj["top"])
-    try:
-        return PosetContext(top=top, augmented=augmented)
-    except PosetError as exc:
-        raise CliError(EXIT_POSET, str(exc))
+    return PosetContext(top=jsonio.element_from_json(obj["top"]), augmented=augmented)
 
 
 def _emit_json(payload: Any) -> str:
@@ -131,37 +131,23 @@ def _cmd_analyze(args) -> str:
 
 def _cmd_factorize(args) -> str:
     w = _load_isometry(_read_document(args.input), args.dim)
-    try:
-        if args.chain:
-            chain_doc = _read_document(args.chain)
-            if not isinstance(chain_doc, dict) or "chain" not in chain_doc:
-                raise CliError(EXIT_POSET, "chain file needs a chain array")
-            chain = _load_elements(chain_doc["chain"])
-            f = chain_to_factorization(chain, w)
-        elif args.seed:
-            f = oracle.random_minimal_factorization(w, args.seed)
-        else:
-            f = factor(w)
-    except ChainError as exc:
-        raise CliError(EXIT_POSET, f"invalid chain: {exc}")
+    if args.chain:
+        chain_doc = _read_document(args.chain)
+        if not isinstance(chain_doc, dict) or "chain" not in chain_doc:
+            raise CliError(EXIT_POSET, "chain file needs a chain array")
+        f = chain_to_factorization(_load_elements(chain_doc["chain"]), w)
+    elif args.seed:
+        f = oracle.random_minimal_factorization(w, args.seed)
+    else:
+        f = factor(w)
     if not verify_minimal(f):
         raise CliError(EXIT_POSET, "internal error: factorization failed verification")
     return _emit(jsonio.factorization_to_json(f), args.format)
 
 
 def _cmd_chain(args) -> str:
-    doc = _read_document(args.input)
-    try:
-        f = jsonio.factorization_from_json(doc)
-    except jsonio.FormatError as exc:
-        raise CliError(EXIT_PARSE, f"bad factorization payload: {exc}")
-    except (OrthogonalityError, DimensionError) as exc:
-        raise CliError(EXIT_ISOMETRY, f"invalid isometry: {exc}")
-    try:
-        chain = factorization_to_chain(f)
-    except ChainError as exc:
-        raise CliError(EXIT_POSET, f"invalid factorization: {exc}")
-    payload = {"chain": [jsonio.element_to_json(p) for p in chain]}
+    f = _decode_isometries(jsonio.factorization_from_json, _read_document(args.input))
+    payload = {"chain": [jsonio.element_to_json(p) for p in factorization_to_chain(f)]}
     return _emit(payload, args.format)
 
 
@@ -170,13 +156,9 @@ def _cmd_order(args) -> str:
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, "order input must be an object")
     if "p" in doc and "q" in doc:
-        p = _load_element(doc["p"])
-        q = _load_element(doc["q"])
-        try:
-            result = poset.leq(p, q)
-        except DimensionError as exc:
-            raise CliError(EXIT_POSET, str(exc))
-        return _emit({"leq": result}, args.format)
+        p = jsonio.element_from_json(doc["p"])
+        q = jsonio.element_from_json(doc["q"])
+        return _emit({"leq": poset.leq(p, q)}, args.format)
     if "w" in doc and "u" in doc:
         w = _load_isometry(doc["w"], args.dim)
         u = _load_isometry(doc["u"], args.dim)
@@ -189,70 +171,43 @@ def _cmd_order(args) -> str:
     raise CliError(EXIT_PARSE, "order input needs p/q elements or w/u isometries")
 
 
-def _cmd_meet(args) -> str:
-    return _meet_or_join(args, is_meet=True)
+# The plain and the augmented bound of each bound command.
+_BOUNDS = {"meet": (poset.meet, poset.dm_meet), "join": (poset.join, poset.dm_join)}
 
 
-def _cmd_join(args) -> str:
-    return _meet_or_join(args, is_meet=False)
-
-
-def _meet_or_join(args, is_meet: bool) -> str:
+def _cmd_bound(args) -> str:
+    """meet or join of p and q, in the completion with --augmented."""
     doc = _read_document(args.input)
     ctx = _context(doc, args.augmented)
-    if not isinstance(doc, dict) or "p" not in doc or "q" not in doc:
+    if "p" not in doc or "q" not in doc:
         raise CliError(EXIT_PARSE, "input needs p and q elements")
-    p = _load_element(doc["p"])
-    q = _load_element(doc["q"])
-    try:
-        if args.augmented:
-            result = (
-                poset.dm_meet([p, q], ctx) if is_meet else poset.dm_join([p, q], ctx)
-            )
-        else:
-            result = poset.meet(p, q, ctx) if is_meet else poset.join(p, q, ctx)
-    except (PosetError, DimensionError) as exc:
-        raise CliError(EXIT_POSET, str(exc))
-    key = "meet" if is_meet else "join"
-    return _emit({key: jsonio.bound_to_json(result)}, args.format)
+    p = jsonio.element_from_json(doc["p"])
+    q = jsonio.element_from_json(doc["q"])
+    plain, augmented = _BOUNDS[args.command]
+    result = augmented([p, q], ctx) if args.augmented else plain(p, q, ctx)
+    return _emit({args.command: jsonio.bound_to_json(result)}, args.format)
 
 
 def _cmd_bowtie(args) -> str:
-    doc = _read_document(args.input)
-    ctx = _context(doc, augmented=False)
-    try:
-        a, b, c, d = poset.find_bowtie(ctx)
-    except (PosetError, DimensionError) as exc:
-        raise CliError(EXIT_POSET, str(exc))
-    payload = {
-        "a": jsonio.element_to_json(a),
-        "b": jsonio.element_to_json(b),
-        "c": jsonio.element_to_json(c),
-        "d": jsonio.element_to_json(d),
-    }
+    ctx = _context(_read_document(args.input), augmented=False)
+    payload = dict(zip("abcd", map(jsonio.element_to_json, poset.find_bowtie(ctx))))
     return _emit(payload, args.format)
 
 
 def _cmd_lattice(args) -> str:
-    doc = _read_document(args.input)
-    ctx = _context(doc, args.augmented)
+    ctx = _context(_read_document(args.input), args.augmented)
     return _emit({"lattice": poset.is_lattice(ctx)}, args.format)
 
 
 def _cmd_complete(args) -> str:
     doc = _read_document(args.input)
     ctx = _context(doc, augmented=True)
-    if not isinstance(doc, dict) or "elements" not in doc:
+    if "elements" not in doc:
         raise CliError(EXIT_PARSE, "input needs an elements array")
     elements = _load_elements(doc["elements"])
-    try:
-        meet_result = poset.dm_meet(elements, ctx)
-        join_result = poset.dm_join(elements, ctx)
-    except (PosetError, DimensionError) as exc:
-        raise CliError(EXIT_POSET, str(exc))
     payload = {
-        "meet": jsonio.element_to_json(meet_result),
-        "join": jsonio.element_to_json(join_result),
+        "meet": jsonio.element_to_json(poset.dm_meet(elements, ctx)),
+        "join": jsonio.element_to_json(poset.dm_join(elements, ctx)),
     }
     return _emit(payload, args.format)
 
@@ -261,12 +216,8 @@ def _cmd_hasse(args) -> str:
     doc = _read_document(args.input)
     if not isinstance(doc, dict) or "elements" not in doc or "top" not in doc:
         raise CliError(EXIT_PARSE, "hasse input needs top and elements")
-    top = _load_element(doc["top"])
-    elements = _load_elements(doc["elements"])
-    try:
-        nodes, edges = poset.hasse_graph(elements, top=top)
-    except (PosetError, DimensionError) as exc:
-        raise CliError(EXIT_POSET, str(exc))
+    top = jsonio.element_from_json(doc["top"])
+    nodes, edges = poset.hasse_graph(_load_elements(doc["elements"]), top=top)
     if args.format == "json":
         return _emit_json(
             {
@@ -282,8 +233,8 @@ _COMMANDS = {
     "factorize": _cmd_factorize,
     "chain": _cmd_chain,
     "order": _cmd_order,
-    "meet": _cmd_meet,
-    "join": _cmd_join,
+    "meet": _cmd_bound,
+    "join": _cmd_bound,
     "bowtie": _cmd_bowtie,
     "lattice": _cmd_lattice,
     "complete": _cmd_complete,
@@ -319,13 +270,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the one place that maps an error to an exit code."""
     args = _build_parser().parse_args(argv)
     try:
         sys.stdout.write(args.handler(args))
+        return EXIT_OK
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    return EXIT_OK
+        error, code = exc, exc.code
+    except jsonio.FormatError as exc:
+        error, code = exc, EXIT_PARSE
+    except OrthogonalityError as exc:
+        error, code = exc, EXIT_ISOMETRY
+    except (PosetError, ChainError, DimensionError) as exc:
+        error, code = exc, EXIT_POSET
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ Every ambient dimension is at most MAX_DIM: a declared "dim" or
 "dim_ambient", and the length of every vector and matrix.  Each is checked
 before anything of that size is built, so {"dim": 10**9, "reflections": []}
 is a FormatError, not an identity matrix of 10**18 entries.
+
+Every rational has a numerator and a denominator of at most MAX_BITS bits
+in lowest terms.  A decimal exponent larger than MAX_BITS in magnitude is
+over the limit before the value is built, so "1e999999999" is a
+FormatError, not an integer of three billion bits.
 """
 
 from __future__ import annotations
@@ -32,6 +37,13 @@ from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
 # limit is already slow; the limit keeps a declared size from allocating
 # anything before it is checked.
 MAX_DIM = 256
+
+# The largest bit-length of a numerator or a denominator.  Results are
+# larger than their inputs, since elimination multiplies coefficients; the
+# limit is about a seventh of the 4300 digits (14284 bits) Python writes
+# for one int, so answers still print.  Seeded corpus isometries of
+# dimension 64 factor into reflections of up to 1127 bits.
+MAX_BITS = 2048
 
 
 class FormatError(ValueError):
@@ -56,28 +68,47 @@ def scalar_to_json(x: Fraction) -> str:
     return str(x)
 
 
+def _exponent_over_limit(text: str) -> bool:
+    """Whether a decimal string has an exponent over MAX_BITS in magnitude."""
+    _, _, exponent = text.lower().partition("e")
+    try:
+        return abs(int(exponent)) > MAX_BITS
+    except ValueError:  # not an exponent Fraction accepts either
+        return False
+
+
 def scalar_from_json(obj: Any) -> Fraction:
-    if isinstance(obj, bool):
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise FormatError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {obj!r}: {exc}") from exc
-    raise FormatError(f"not a rational: {obj!r}")
+    has_exponent = isinstance(obj, str) and ("e" in obj or "E" in obj)
+    if has_exponent and _exponent_over_limit(obj):
+        raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
+    try:
+        value = Fraction(obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {obj!r}: {exc}") from exc
+    if (
+        value.numerator.bit_length() > MAX_BITS
+        or value.denominator.bit_length() > MAX_BITS
+    ):
+        raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
+    return value
 
 
 def vector_to_json(v: Vector) -> list[str]:
     return [scalar_to_json(c) for c in v.coords]
 
 
-def vector_from_json(obj: Any) -> Vector:
+def _scalars(obj: Any) -> list[Fraction]:
+    """The entries of a vector or matrix row."""
     if not isinstance(obj, list):
         raise FormatError(f"vector must be an array, got {obj!r}")
     _within_limit(obj, "vector")
-    return Vector(scalar_from_json(x) for x in obj)
+    return [scalar_from_json(x) for x in obj]
+
+
+def vector_from_json(obj: Any) -> Vector:
+    return Vector(_scalars(obj))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -88,8 +119,7 @@ def matrix_from_json(obj: Any) -> Matrix:
     if not isinstance(obj, list) or not obj:
         raise FormatError("matrix must be a nonempty array of rows")
     _within_limit(obj, "matrix")
-    rows = [vector_from_json(row).coords for row in obj]
-    return Matrix(rows)
+    return Matrix([_scalars(row) for row in obj])
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:
@@ -141,9 +171,10 @@ def affine_e_from_json(obj: Any) -> AffineSubspaceE:
 
 
 def reflection_to_json(r: Reflection) -> dict:
+    """The root and the mirror's point nearest the origin, root offset / |root|^2."""
     return {
         "root": vector_to_json(r.root),
-        "point": vector_to_json(r.mirror.anchor),
+        "point": vector_to_json(r.root.scale(r.offset / r.root.norm_sq())),
     }
 
 

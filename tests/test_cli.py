@@ -462,3 +462,46 @@ class TestDimensionLimit:
         result = run_capped_cli("analyze", "-", stdin=json.dumps(doc))
         assert result.returncode == 1
         assert "longer than the dimension limit" in result.stderr
+
+
+def assert_malformed(result):
+    """Exit 1 with nothing on stdout and one `error:` line on stderr."""
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+class TestUnreadableInput:
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+        assert_malformed(run_cli("analyze", str(binary), timeout=20))
+
+    def test_deep_nesting_exits_one(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert_malformed(run_cli("analyze", str(deep), timeout=20))
+
+
+def translation_doc(x):
+    doc = {"dim": 2, "matrix": [["1", "0"], ["0", "1"]], "translation": [x, "0"]}
+    return json.dumps(doc)
+
+
+class TestBitLimit:
+    """Rationals over jsonio.MAX_BITS exit 1 before their value is built."""
+
+    @pytest.mark.parametrize("scalar", ["1e999999999", "1e5000"])
+    def test_over_the_limit_exits_one_promptly(self, scalar):
+        result = run_capped_cli("analyze", "-", stdin=translation_doc(scalar))
+        assert_malformed(result)
+        assert f"limit of {jsonio.MAX_BITS} bits" in result.stderr
+
+    def test_at_the_limit_is_analyzed(self):
+        largest = str(2**jsonio.MAX_BITS - 1)
+        result = run_capped_cli("analyze", "-", stdin=translation_doc(largest))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert (report["tag"], report["length"]) == ("hyperbolic", 2)
+        assert report["splitting"]["mu"] == [largest, "0"]

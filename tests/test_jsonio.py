@@ -6,8 +6,9 @@ import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
-from scherk.isometry import translation
+from scherk.isometry import Reflection, translation
 from scherk.jsonio import (
+    MAX_BITS,
     MAX_DIM,
     FormatError,
     affine_e_from_json,
@@ -20,6 +21,8 @@ from scherk.jsonio import (
     factorization_to_json,
     isometry_from_json,
     isometry_to_json,
+    matrix_from_json,
+    reflection_to_json,
     scalar_from_json,
     scalar_to_json,
     subspace_from_json,
@@ -27,7 +30,7 @@ from scherk.jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from scherk.linalg import Vector, span
+from scherk.linalg import DimensionError, Vector, span
 from scherk.oracle import corpus
 from scherk.poset import Elliptic, Hyperbolic, New, inv_map
 
@@ -164,3 +167,76 @@ class TestDimensionLimit:
             isometry_from_json({"reflections": [], "dim": dim})
         with pytest.raises(FormatError, match="bad"):
             subspace_from_json({"dim_ambient": dim, "basis": []})
+
+
+LARGEST = 2**MAX_BITS - 1
+
+
+class TestBitLimit:
+    """A numerator or denominator over MAX_BITS bits is a FormatError."""
+
+    @pytest.mark.parametrize(
+        "obj,value",
+        [
+            (LARGEST, Fraction(LARGEST)),
+            (str(-LARGEST), Fraction(-LARGEST)),
+            (f"1/{LARGEST}", Fraction(1, LARGEST)),
+            (f"{LARGEST}/{LARGEST - 1}", Fraction(LARGEST, LARGEST - 1)),
+            (f"{2**MAX_BITS}/2", Fraction(2 ** (MAX_BITS - 1))),
+            ("25e-2", Fraction(1, 4)),
+            (f"1e{MAX_BITS // 4}", Fraction(10 ** (MAX_BITS // 4))),
+        ],
+    )
+    def test_at_the_limit_is_accepted(self, obj, value):
+        assert scalar_from_json(obj) == value
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            2**MAX_BITS,
+            str(2**MAX_BITS),
+            f"1/{2**MAX_BITS}",
+            f"3/{2**MAX_BITS + 1}",
+            f"1e{MAX_BITS + 1}",
+            f"1E-{MAX_BITS + 1}",
+            f"0e{MAX_BITS + 1}",  # the exponent alone decides, before 0 is built
+            "1e999999999",
+            "1e5000",
+        ],
+    )
+    def test_over_the_limit_is_a_format_error(self, obj):
+        with pytest.raises(FormatError, match=f"limit of {MAX_BITS} bits"):
+            scalar_from_json(obj)
+
+    def test_the_limit_holds_in_matrices(self):
+        with pytest.raises(FormatError, match="bits"):
+            matrix_from_json([["1", "0"], ["0", str(2**MAX_BITS)]])
+
+
+class TestMatrixDecoding:
+    def test_entries_decode_to_the_matrix(self):
+        m = matrix_from_json([["1/2", 3], ["-4/6", "0"]])
+        assert m.rows == ((Fraction(1, 2), 3), (Fraction(-2, 3), 0))
+
+    @pytest.mark.parametrize("row", [7, "1", None, {"0": "1"}])
+    def test_row_that_is_not_an_array(self, row):
+        with pytest.raises(FormatError, match="must be an array"):
+            matrix_from_json([["1", "0"], row])
+
+    def test_ragged_rows_are_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            matrix_from_json([["1", "0"], ["1"]])
+
+
+class TestReflectionEncoding:
+    def test_point_is_the_mirror_anchor(self):
+        for w in corpus(4, 12, seed=11):
+            for r in factor(w).factors:
+                payload = reflection_to_json(r)
+                assert payload["point"] == vector_to_json(r.mirror.anchor)
+                assert r.mirror.contains(Point(vector_from_json(payload["point"])))
+
+    def test_oblique_mirror_off_the_origin(self):
+        r = Reflection.from_hyperplane(Vector([2, -4, 6]), Fraction(7, 3))
+        payload = {"root": ["1", "-2", "3"], "point": ["1/12", "-1/6", "1/4"]}
+        assert reflection_to_json(r) == payload
