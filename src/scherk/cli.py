@@ -8,7 +8,8 @@ deterministic construction, so outputs are byte-stable.
 `main` is the one exit-code map: the command handlers let library errors
 propagate, and `main` prints each as one stderr line, `error: ...`, with
 nothing on stdout.  Exit codes: 0 success; 1 malformed input (unreadable
-or non-JSON input, `jsonio.FormatError`); 2 invalid isometry
+or non-JSON input, `jsonio.FormatError`, which also stops an answer too
+long to print); 2 invalid isometry
 (`OrthogonalityError`, or a `DimensionError` while decoding an isometry);
 3 invalid poset or chain input (`PosetError`, `ChainError`, any other
 `DimensionError`).  A `CliError` carries its own code.

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -79,16 +78,21 @@ from .isometry import (
 )
 from .linalg import _dot, _vector, orthogonal_complement, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, leq, rank
+from .record import Record
 
 
 class ChainError(ValueError):
     """A supplied chain or factorization is not usable."""
 
 
-@dataclass(frozen=True)
-class Factorization:
-    target: Isometry
-    factors: tuple[Reflection, ...]
+class Factorization(Record):
+    """Reflections meant to multiply to the target, the first acting last."""
+
+    __slots__ = ("target", "factors")
+
+    def __init__(self, target: Isometry, factors: tuple[Reflection, ...]):
+        self.target = target
+        self.factors = factors
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -30,7 +30,6 @@ nothing here ever needs a square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -50,6 +49,7 @@ from .linalg import (
     orthogonal_complement,
     span,
 )
+from .record import Record
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -290,8 +290,7 @@ def product(reflections: Sequence[Reflection], dim: int) -> Isometry:
     return w
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(Record):
     """Bundle of the basic invariants of an isometry.
 
     tag is "elliptic" or "hyperbolic"; move_set is in standard form U + mu;
@@ -299,10 +298,15 @@ class IsometryClass:
     from Scherk's formula.
     """
 
-    tag: str
-    move_set: AffineSubspaceV
-    min_set: AffineSubspaceE
-    length: int
+    __slots__ = ("tag", "move_set", "min_set", "length")
+
+    def __init__(
+        self, tag: str, move_set: AffineSubspaceV, min_set: AffineSubspaceE, length: int
+    ):
+        self.tag = tag
+        self.move_set = move_set
+        self.min_set = min_set
+        self.length = length
 
     @property
     def is_elliptic(self) -> bool:
@@ -393,8 +397,7 @@ def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     return mu, u
 
 
-@dataclass(frozen=True)
-class ProductPrediction:
+class ProductPrediction(Record):
     """Predicted class of r*w from the invariants of r and w alone.
 
     move_set is the exact move-set of r*w when the case determines it (the
@@ -403,10 +406,19 @@ class ProductPrediction:
     move_set_within, and move_set is None.
     """
 
-    tag: str
-    length: int
-    move_set: Optional[AffineSubspaceV]
-    move_set_within: Optional[AffineSubspaceV]
+    __slots__ = ("tag", "length", "move_set", "move_set_within")
+
+    def __init__(
+        self,
+        tag: str,
+        length: int,
+        move_set: Optional[AffineSubspaceV],
+        move_set_within: Optional[AffineSubspaceV],
+    ):
+        self.tag = tag
+        self.length = length
+        self.move_set = move_set
+        self.move_set_within = move_set_within
 
 
 def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:

@@ -39,10 +39,10 @@ from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
 MAX_DIM = 256
 
 # The largest bit-length of a numerator or a denominator.  Results are
-# larger than their inputs, since elimination multiplies coefficients; the
-# limit is about a seventh of the 4300 digits (14284 bits) Python writes
-# for one int, so answers still print.  Seeded corpus isometries of
-# dimension 64 factor into reflections of up to 1127 bits.
+# larger than their inputs, since elimination multiplies coefficients, so
+# an answer can still pass the 4300 digits (14284 bits) Python writes for
+# one int; scalar_to_json then raises a FormatError.  Seeded corpus
+# isometries of dimension 64 factor into reflections of up to 1127 bits.
 MAX_BITS = 2048
 
 
@@ -65,7 +65,15 @@ def _within_limit(obj: list, what: str) -> None:
 
 
 def scalar_to_json(x: Fraction) -> str:
-    return str(x)
+    """The rational as "p/q" or "p"; a FormatError if Python cannot write it.
+
+    Every rational of an answer passes here, so an answer over the
+    interpreter's digit limit for one int fails before anything is printed.
+    """
+    try:
+        return str(x)
+    except ValueError as exc:  # over sys.get_int_max_str_digits()
+        raise FormatError("an answer has a rational too long to print") from exc
 
 
 def _exponent_over_limit(text: str) -> bool:

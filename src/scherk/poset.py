@@ -60,7 +60,6 @@ an elliptic member the leftover is the common direction S of the members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
@@ -83,15 +82,26 @@ from .linalg import (
     orthogonal_section,
     span,
 )
+from .record import Record
 
 
 class PosetError(ValueError):
     """Invalid poset input: bad element, bad context, or element above top."""
 
 
-@dataclass(frozen=True)
 class Elliptic:
-    fix: AffineSubspaceE
+    __slots__ = ("fix",)
+
+    def __init__(self, fix: AffineSubspaceE):
+        self.fix = fix
+
+    def __eq__(self, other):  # identical fields are equal uncompared, as in a tuple
+        if other.__class__ is self.__class__:
+            return self.fix is other.fix or self.fix == other.fix
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fix,))
 
     @property
     def ambient(self) -> int:
@@ -101,13 +111,21 @@ class Elliptic:
         return f"e^{self.fix!r}"
 
 
-@dataclass(frozen=True)
 class Hyperbolic:
-    move: AffineSubspaceV
+    __slots__ = ("move",)
 
-    def __post_init__(self):
-        if self.move.is_linear():
+    def __init__(self, move: AffineSubspaceV):
+        if move.is_linear():
             raise PosetError("hyperbolic elements carry a nonlinear move-set")
+        self.move = move
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.move is other.move or self.move == other.move
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.move,))
 
     @property
     def ambient(self) -> int:
@@ -117,13 +135,21 @@ class Hyperbolic:
         return f"h^{self.move!r}"
 
 
-@dataclass(frozen=True)
 class New:
-    subspace: LinearSubspace
+    __slots__ = ("subspace",)
 
-    def __post_init__(self):
-        if self.subspace.dim == 0:
+    def __init__(self, subspace: LinearSubspace):
+        if subspace.dim == 0:
             raise PosetError("new elements carry a nontrivial subspace")
+        self.subspace = subspace
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.subspace is other.subspace or self.subspace == other.subspace
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.subspace,))
 
     @property
     def ambient(self) -> int:
@@ -136,18 +162,18 @@ class New:
 PosetElement = Union[Elliptic, Hyperbolic, New]
 
 
-@dataclass(frozen=True)
-class PosetContext:
+class PosetContext(Record):
     """A model poset: everything at or below a chosen top element."""
 
-    top: PosetElement
-    augmented: bool = False
+    __slots__ = ("top", "augmented")
 
-    def __post_init__(self):
-        if isinstance(self.top, New):
+    def __init__(self, top: PosetElement, augmented: bool = False):
+        if isinstance(top, New):
             raise PosetError("a context must have an elliptic or hyperbolic top")
-        if self.augmented and not isinstance(self.top, Hyperbolic):
+        if augmented and not isinstance(top, Hyperbolic):
             raise PosetError("only hyperbolic posets are augmented")
+        self.top = top
+        self.augmented = augmented
 
     @property
     def ambient(self) -> int:
@@ -167,7 +193,7 @@ class PosetContext:
     def require(self, *elements: PosetElement) -> None:
         for p in elements:
             if not self.contains(p):
-                raise PosetError(f"element {p!r} is not below the top of the context")
+                raise PosetError(f"element ({_label(p)}) is not below the top")
 
 
 def inv_map(w: Isometry) -> PosetElement:
@@ -209,8 +235,7 @@ def rank(p: PosetElement, ctx: Optional[PosetContext] = None) -> int:
     return p.subspace.dim + 1
 
 
-@dataclass(frozen=True)
-class BoundFamily:
+class BoundFamily(Record):
     """A parameterized family of extremal bounds, when no single one exists.
 
     For meets of two hyperbolic elements with disjoint move-sets, the family
@@ -219,9 +244,17 @@ class BoundFamily:
     direction ``direction`` inside the affine subspace ``within``.
     """
 
-    kind: str
-    direction: LinearSubspace
-    within: Optional[AffineSubspaceV] = None
+    __slots__ = ("kind", "direction", "within")
+
+    def __init__(
+        self,
+        kind: str,
+        direction: LinearSubspace,
+        within: Optional[AffineSubspaceV] = None,
+    ):
+        self.kind = kind
+        self.direction = direction
+        self.within = within
 
     def contains(self, p: PosetElement) -> bool:
         if self.kind == "e":
@@ -447,8 +480,7 @@ def is_bowtie(
     return upper.contains(a) and upper.contains(b)
 
 
-@dataclass(frozen=True)
-class EllipticEmbedding:
+class EllipticEmbedding(Record):
     """Order isomorphism between an elliptic poset and a subspace lattice.
 
     e^C maps to the orthogonal complement of Dir(C), a subspace of the
@@ -456,8 +488,11 @@ class EllipticEmbedding:
     E becomes plain inclusion in the lattice of subspaces of U.
     """
 
-    top: Elliptic
-    subspace_universe: LinearSubspace
+    __slots__ = ("top", "subspace_universe")
+
+    def __init__(self, top: Elliptic, subspace_universe: LinearSubspace):
+        self.top = top
+        self.subspace_universe = subspace_universe
 
     def to_subspace(self, p: Elliptic) -> LinearSubspace:
         if not leq(p, self.top):
@@ -526,7 +561,7 @@ def hasse_graph(
     if top is not None:
         for p in sorted_elements:
             if not leq(p, top):
-                raise PosetError(f"element {p!r} exceeds the declared top")
+                raise PosetError(f"element ({_label(p)}) exceeds the declared top")
     return sorted_elements, covering_pairs(sorted_elements)
 
 

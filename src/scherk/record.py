@@ -1,0 +1,29 @@
+"""A base for the library's small immutable value classes."""
+
+
+class Record:
+    """Equality, hash and repr from the fields listed in ``__slots__``.
+
+    A subclass lists its fields in order as ``__slots__`` and assigns them
+    in its own ``__init__``.  Two records are equal iff they are of the same
+    class with equal fields, the hash is that of the tuple of fields, and
+    the repr is ``Name(field=value, ...)``.  Records are immutable by
+    convention, as ``Vector`` and ``Isometry`` are.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"

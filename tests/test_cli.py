@@ -5,10 +5,13 @@ import pathlib
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from scherk import cli, jsonio, poset
+from scherk.isometry import Reflection
+from scherk.linalg import LinearSubspace, Vector
 
 HERE = pathlib.Path(__file__).parent
 DATA = HERE / "data"
@@ -505,3 +508,73 @@ class TestBitLimit:
         report = json.loads(result.stdout)
         assert (report["tag"], report["length"]) == ("hyperbolic", 2)
         assert report["splitting"]["mu"] == [largest, "0"]
+
+
+def staircase_top(n, rows, big):
+    """h^M in dimension n whose direction is spanned by e_i + big e_(i+1)
+    for i < rows, shifted by e_(n-1): its reduced basis has entries near
+    big^rows."""
+    basis = []
+    for i in range(rows):
+        row = ["0"] * n
+        row[i], row[i + 1] = "1", str(big)
+        basis.append(row)
+    mu = ["0"] * (n - 1) + ["1"]
+    return {"kind": "h", "U": {"dim_ambient": n, "basis": basis}, "mu": mu}
+
+
+class TestAnswerBound:
+    """An answer with a rational Python cannot write as text exits 1 with
+    one `error:` line before anything reaches stdout."""
+
+    BIG = 2**jsonio.MAX_BITS - 1
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unprintable_bowtie_exits_one(self, fmt):
+        basis = [["1", "0", f"1/{self.BIG}"], ["0", "1", str(self.BIG)]]
+        mu = ["0", "0", "1"]
+        top = {"kind": "h", "U": {"dim_ambient": 3, "basis": basis}, "mu": mu}
+        doc = json.dumps({"top": top})
+        result = run_capped_cli("bowtie", "-", "--format", fmt, stdin=doc)
+        assert_malformed(result)
+        assert "too long to print" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_every_encoder_raises_format_error(self):
+        huge = Fraction(10**5000, 3)
+        v = Vector([huge, Fraction(0)])
+        with pytest.raises(jsonio.FormatError):
+            jsonio.scalar_to_json(huge)
+        with pytest.raises(jsonio.FormatError):
+            jsonio.vector_to_json(v)
+        with pytest.raises(jsonio.FormatError):
+            jsonio.subspace_to_json(LinearSubspace(2, [Vector([Fraction(1), huge])]))
+        with pytest.raises(jsonio.FormatError):
+            jsonio.reflection_to_json(Reflection.from_hyperplane(v, Fraction(1)))
+
+    def test_element_too_long_to_name_exits_three(self):
+        # The rejected element's coordinates are over the digit limit, so
+        # the error names it by kind and dimension.
+        line = staircase_top(9, 1, 1)
+        doc = {"top": line, "p": staircase_top(9, 7, self.BIG), "q": line}
+        result = run_capped_cli("meet", "-", stdin=json.dumps(doc))
+        assert result.returncode == 3
+        assert result.stdout == ""
+        expected = "error: element (h dim=7) is not below the top\n"
+        assert result.stderr == expected
+
+class TestColdStart:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # New modules only: the interpreter's own start-up (site hooks
+        # included) may load anything.
+        probe = (
+            "import sys; before = set(sys.modules); import scherk.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert "scherk.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}

@@ -6,9 +6,23 @@ import sys
 
 import pytest
 
+import scherk.isometry as isometry_module
 import scherk.linalg as linalg_module
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
-from scherk.isometry import Isometry, Reflection, motion_reflection, translation
+from scherk.factor import chain_to_factorization, factorization_to_chain
+from scherk.isometry import (
+    Isometry,
+    Reflection,
+    interval_leq,
+    motion_reflection,
+    translation,
+)
+from scherk.jsonio import (
+    element_from_json,
+    element_to_json,
+    isometry_from_json,
+    isometry_to_json,
+)
 from scherk.linalg import (
     DimensionError,
     LinearSubspace,
@@ -16,7 +30,14 @@ from scherk.linalg import (
     orthogonal_complement,
     span,
 )
-from scherk.oracle import coordinate_universe, corpus, image, random_isometry
+from scherk.oracle import (
+    coordinate_universe,
+    corpus,
+    image,
+    random_isometry,
+    random_maximal_chain,
+    sample_interval,
+)
 from scherk.poset import (
     BoundFamily,
     Elliptic,
@@ -465,6 +486,62 @@ class TestOperationBudget:
             dm_join(pair, ctx)
         assert 0 < counts["_rref"] <= self.RREF_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
+
+    # move_set and Isometry.compose calls on the chain paths, over ops
+    # shaped like the benchmark's chains workload.  Each invariant is
+    # computed once per isometry and kept on it, and the chain walk works
+    # with rank-one reflection updates, never a full product.
+    MOVE_SET_PER_CHAIN_OP = 2
+
+    def test_chain_ops_stay_within_budget(self, monkeypatch):
+        ops = chain_ops()
+        assert len(ops) == 180
+        counts = {"move_set": 0, "compose": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        original = isometry_module.move_set
+        wrapper = counted("move_set", original)
+        for module in sys.modules.values():
+            if module and module.__name__.startswith("scherk"):
+                if getattr(module, "move_set", None) is original:
+                    monkeypatch.setattr(module, "move_set", wrapper)
+        compose = counted("compose", Isometry.compose)
+        monkeypatch.setattr(Isometry, "compose", compose)
+        for w, chain, u, v in ops:
+            f = chain_to_factorization(chain, w)
+            assert factorization_to_chain(f) == chain
+            pu, pv = inv_map(u), inv_map(v)
+            assert interval_leq(w, u, v) == leq(pu, pv)
+        assert 0 < counts["move_set"] <= self.MOVE_SET_PER_CHAIN_OP * len(ops)
+        assert counts["compose"] == 0
+
+
+def chain_ops():
+    """(w, chain, u, v) for 20 corpus isometries in each of dimensions 2-4,
+    with 3 random maximal chains and 3 interval members per isometry: chain
+    i goes with member pair i.  Everything is rebuilt from JSON, so no
+    isometry carries its invariants yet."""
+    rng = random.Random(31)
+    pairs = list(itertools.combinations(range(3), 2))
+    ops = []
+    for dim in (2, 3, 4):
+        for w in corpus(dim, 20, 31):
+            chains = [random_maximal_chain(w, rng) for _ in range(3)]
+            samples = sample_interval(w, rng, 3)
+            w = isometry_from_json(isometry_to_json(w))
+            chains = [
+                [element_from_json(element_to_json(p)) for p in c] for c in chains
+            ]
+            samples = [isometry_from_json(isometry_to_json(u)) for u in samples]
+            for chain, (a, b) in zip(chains, pairs):
+                ops.append((w, chain, samples[a], samples[b]))
+    return ops
 
 
 def line_top_3d():
