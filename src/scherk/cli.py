@@ -7,12 +7,13 @@ deterministic construction, so outputs are byte-stable.
 
 `main` is the one exit-code map: the command handlers let library errors
 propagate, and `main` prints each as one stderr line, `error: ...`, with
-nothing on stdout.  Exit codes: 0 success; 1 malformed input (unreadable
-or non-JSON input, `jsonio.FormatError`, which also stops an answer too
-long to print); 2 invalid isometry
-(`OrthogonalityError`, or a `DimensionError` while decoding an isometry);
-3 invalid poset or chain input (`PosetError`, `ChainError`, any other
-`DimensionError`).  A `CliError` carries its own code.
+nothing on stdout.  Exit codes, by exception type alone: 0 success;
+1 malformed input (`jsonio.FormatError`: unreadable, not JSON, not the
+expected shape, or an answer too long to print); 2 invalid isometry
+(`OrthogonalityError`, or `CliError`: a `DimensionError` while decoding an
+isometry, or an isometry whose dimension is not --dim or, in `order`, not
+w's); 3 invalid poset or chain input (`PosetError`, `ChainError`, any other
+`DimensionError`).
 """
 
 from __future__ import annotations
@@ -49,11 +50,7 @@ EXIT_POSET = 3
 
 
 class CliError(Exception):
-    """An error the command line finds itself, with its exit code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """An invalid isometry the command line finds itself (exit 2)."""
 
 
 def _read_document(path: Optional[str]) -> Any:
@@ -65,11 +62,11 @@ def _read_document(path: Optional[str]) -> Any:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot read input: {exc}")
+        raise jsonio.FormatError(f"cannot read input: {exc}")
     try:  # ValueError also means an int too long to convert
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise CliError(EXIT_PARSE, f"malformed JSON: {exc}")
+        raise jsonio.FormatError(f"malformed JSON: {exc}")
 
 
 def _decode_isometries(decode, obj: Any):
@@ -77,26 +74,18 @@ def _decode_isometries(decode, obj: Any):
     try:
         return decode(obj)
     except DimensionError as exc:
-        raise CliError(EXIT_ISOMETRY, f"invalid isometry: {exc}")
+        raise CliError(f"invalid isometry: {exc}")
 
 
 def _load_isometry(obj: Any, dim: Optional[int]) -> Isometry:
     w = _decode_isometries(jsonio.isometry_from_json, obj)
     if dim is not None and w.dim != dim:
-        raise CliError(EXIT_ISOMETRY, f"isometry has dimension {w.dim}, not {dim}")
+        raise CliError(f"isometry has dimension {w.dim}, not {dim}")
     return w
 
 
-def _load_elements(obj: Any) -> list[poset.PosetElement]:
-    if not isinstance(obj, list):
-        raise CliError(EXIT_PARSE, f"elements must be an array, got {obj!r}")
-    return [jsonio.element_from_json(e) for e in obj]
-
-
-def _context(obj: Any, augmented: bool) -> PosetContext:
-    if not isinstance(obj, dict) or "top" not in obj:
-        raise CliError(EXIT_PARSE, "input needs a top element")
-    return PosetContext(top=jsonio.element_from_json(obj["top"]), augmented=augmented)
+def _context(top: Any, augmented: bool) -> PosetContext:
+    return PosetContext(top=jsonio.element_from_json(top), augmented=augmented)
 
 
 def _emit_json(payload: Any) -> str:
@@ -133,16 +122,14 @@ def _cmd_analyze(args) -> str:
 def _cmd_factorize(args) -> str:
     w = _load_isometry(_read_document(args.input), args.dim)
     if args.chain:
-        chain_doc = _read_document(args.chain)
-        if not isinstance(chain_doc, dict) or "chain" not in chain_doc:
-            raise CliError(EXIT_POSET, "chain file needs a chain array")
-        f = chain_to_factorization(_load_elements(chain_doc["chain"]), w)
+        [chain] = jsonio.fields(_read_document(args.chain), "chain file", "chain")
+        f = chain_to_factorization(jsonio.elements_from_json(chain), w)
     elif args.seed:
         f = oracle.random_minimal_factorization(w, args.seed)
     else:
         f = factor(w)
     if not verify_minimal(f):
-        raise CliError(EXIT_POSET, "internal error: factorization failed verification")
+        raise ChainError("internal error: factorization failed verification")
     return _emit(jsonio.factorization_to_json(f), args.format)
 
 
@@ -154,22 +141,17 @@ def _cmd_chain(args) -> str:
 
 def _cmd_order(args) -> str:
     doc = _read_document(args.input)
-    if not isinstance(doc, dict):
-        raise CliError(EXIT_PARSE, "order input must be an object")
+    jsonio.fields(doc, "order input")  # an object, whose keys pick the form
     if "p" in doc and "q" in doc:
-        p = jsonio.element_from_json(doc["p"])
-        q = jsonio.element_from_json(doc["q"])
+        p, q = (jsonio.element_from_json(doc[key]) for key in "pq")
         return _emit({"leq": poset.leq(p, q)}, args.format)
-    if "w" in doc and "u" in doc:
-        w = _load_isometry(doc["w"], args.dim)
-        u = _load_isometry(doc["u"], args.dim)
-        v = _load_isometry(doc["v"], args.dim) if "v" in doc else u
-        if not w.dim == u.dim == v.dim:
-            raise CliError(EXIT_ISOMETRY, "isometries of different dimensions")
-        if "v" in doc:
-            return _emit({"leq": interval_leq(w, u, v)}, args.format)
-        return _emit({"contains": interval_contains(w, u)}, args.format)
-    raise CliError(EXIT_PARSE, "order input needs p/q elements or w/u isometries")
+    w, u = jsonio.fields(doc, "order input without p and q", "w", "u")
+    w = _load_isometry(w, args.dim)
+    u = _load_isometry(u, w.dim)
+    if "v" in doc:
+        v = _load_isometry(doc["v"], w.dim)
+        return _emit({"leq": interval_leq(w, u, v)}, args.format)
+    return _emit({"contains": interval_contains(w, u)}, args.format)
 
 
 # The plain and the augmented bound of each bound command.
@@ -178,34 +160,32 @@ _BOUNDS = {"meet": (poset.meet, poset.dm_meet), "join": (poset.join, poset.dm_jo
 
 def _cmd_bound(args) -> str:
     """meet or join of p and q, in the completion with --augmented."""
-    doc = _read_document(args.input)
-    ctx = _context(doc, args.augmented)
-    if "p" not in doc or "q" not in doc:
-        raise CliError(EXIT_PARSE, "input needs p and q elements")
-    p = jsonio.element_from_json(doc["p"])
-    q = jsonio.element_from_json(doc["q"])
+    top, p, q = jsonio.fields(_read_document(args.input), "input", "top", "p", "q")
+    ctx = _context(top, args.augmented)
+    p, q = jsonio.element_from_json(p), jsonio.element_from_json(q)
     plain, augmented = _BOUNDS[args.command]
     result = augmented([p, q], ctx) if args.augmented else plain(p, q, ctx)
     return _emit({args.command: jsonio.bound_to_json(result)}, args.format)
 
 
 def _cmd_bowtie(args) -> str:
-    ctx = _context(_read_document(args.input), augmented=False)
+    [top] = jsonio.fields(_read_document(args.input), "input", "top")
+    ctx = _context(top, augmented=False)
     payload = dict(zip("abcd", map(jsonio.element_to_json, poset.find_bowtie(ctx))))
     return _emit(payload, args.format)
 
 
 def _cmd_lattice(args) -> str:
-    ctx = _context(_read_document(args.input), args.augmented)
+    [top] = jsonio.fields(_read_document(args.input), "input", "top")
+    ctx = _context(top, args.augmented)
     return _emit({"lattice": poset.is_lattice(ctx)}, args.format)
 
 
 def _cmd_complete(args) -> str:
     doc = _read_document(args.input)
-    ctx = _context(doc, augmented=True)
-    if "elements" not in doc:
-        raise CliError(EXIT_PARSE, "input needs an elements array")
-    elements = _load_elements(doc["elements"])
+    top, elements = jsonio.fields(doc, "input", "top", "elements")
+    ctx = _context(top, augmented=True)
+    elements = jsonio.elements_from_json(elements)
     payload = {
         "meet": jsonio.element_to_json(poset.dm_meet(elements, ctx)),
         "join": jsonio.element_to_json(poset.dm_join(elements, ctx)),
@@ -215,10 +195,9 @@ def _cmd_complete(args) -> str:
 
 def _cmd_hasse(args) -> str:
     doc = _read_document(args.input)
-    if not isinstance(doc, dict) or "elements" not in doc or "top" not in doc:
-        raise CliError(EXIT_PARSE, "hasse input needs top and elements")
-    top = jsonio.element_from_json(doc["top"])
-    nodes, edges = poset.hasse_graph(_load_elements(doc["elements"]), top=top)
+    top, elements = jsonio.fields(doc, "input", "top", "elements")
+    top = jsonio.element_from_json(top)
+    nodes, edges = poset.hasse_graph(jsonio.elements_from_json(elements), top=top)
     if args.format == "json":
         return _emit_json(
             {
@@ -276,11 +255,9 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(args.handler(args))
         return EXIT_OK
-    except CliError as exc:
-        error, code = exc, exc.code
     except jsonio.FormatError as exc:
         error, code = exc, EXIT_PARSE
-    except OrthogonalityError as exc:
+    except (CliError, OrthogonalityError) as exc:
         error, code = exc, EXIT_ISOMETRY
     except (PosetError, ChainError, DimensionError) as exc:
         error, code = exc, EXIT_POSET

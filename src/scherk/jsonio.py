@@ -45,23 +45,48 @@ MAX_DIM = 256
 # isometries of dimension 64 factor into reflections of up to 1127 bits.
 MAX_BITS = 2048
 
+# The most characters of an input value that an error message quotes.
+_QUOTE_LIMIT = 60
+
 
 class FormatError(ValueError):
-    """Structurally invalid JSON payload."""
+    """Malformed input: unreadable, not JSON, or not the expected shape."""
+
+
+def _quote(obj: Any) -> str:
+    """An input value for an error message, cut to _QUOTE_LIMIT characters."""
+    text = repr(obj)
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
+
+
+def fields(obj: Any, what: str, *keys: str) -> list:
+    """The values of keys in the JSON object obj (named what in errors);
+    with no keys, only a check that obj is an object."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be an object, got {_quote(obj)}")
+    try:
+        return list(map(obj.__getitem__, keys))
+    except KeyError:
+        raise FormatError(f"{what} needs {' and '.join(keys)}") from None
+
+
+def array(obj: Any, what: str, coordinates: bool = False) -> list:
+    """The JSON array obj (named what in errors); with coordinates (a
+    vector, or the rows of a matrix) it is also at most MAX_DIM long."""
+    if not isinstance(obj, list):
+        raise FormatError(f"{what} must be an array, got {_quote(obj)}")
+    if coordinates and len(obj) > MAX_DIM:
+        raise FormatError(f"{what} longer than the dimension limit of {MAX_DIM}")
+    return obj
 
 
 def _dimension(obj: Any, what: str) -> int:
     """A declared dimension: an int from 1 to MAX_DIM."""
     if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
-        raise FormatError(f"bad {what} {obj!r}")
+        raise FormatError(f"bad {what} {_quote(obj)}")
     if obj > MAX_DIM:
         raise FormatError(f"{what} exceeds the limit of {MAX_DIM}")
     return obj
-
-
-def _within_limit(obj: list, what: str) -> None:
-    if len(obj) > MAX_DIM:
-        raise FormatError(f"{what} longer than the dimension limit of {MAX_DIM}")
 
 
 def scalar_to_json(x: Fraction) -> str:
@@ -87,14 +112,14 @@ def _exponent_over_limit(text: str) -> bool:
 
 def scalar_from_json(obj: Any) -> Fraction:
     if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise FormatError(f"not a rational: {obj!r}")
+        raise FormatError(f"not a rational: {_quote(obj)}")
     has_exponent = isinstance(obj, str) and ("e" in obj or "E" in obj)
     if has_exponent and _exponent_over_limit(obj):
         raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
     try:
         value = Fraction(obj)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {obj!r}: {exc}") from exc
+        raise FormatError(f"bad rational {_quote(obj)}") from exc
     if (
         value.numerator.bit_length() > MAX_BITS
         or value.denominator.bit_length() > MAX_BITS
@@ -109,10 +134,7 @@ def vector_to_json(v: Vector) -> list[str]:
 
 def _scalars(obj: Any) -> list[Fraction]:
     """The entries of a vector or matrix row."""
-    if not isinstance(obj, list):
-        raise FormatError(f"vector must be an array, got {obj!r}")
-    _within_limit(obj, "vector")
-    return [scalar_from_json(x) for x in obj]
+    return [scalar_from_json(x) for x in array(obj, "vector", coordinates=True)]
 
 
 def vector_from_json(obj: Any) -> Vector:
@@ -124,10 +146,10 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(obj: Any) -> Matrix:
-    if not isinstance(obj, list) or not obj:
-        raise FormatError("matrix must be a nonempty array of rows")
-    _within_limit(obj, "matrix")
-    return Matrix([_scalars(row) for row in obj])
+    rows = array(obj, "matrix", coordinates=True)
+    if not rows:
+        raise FormatError("matrix must have a row")
+    return Matrix([_scalars(row) for row in rows])
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:
@@ -138,13 +160,10 @@ def subspace_to_json(u: LinearSubspace) -> dict:
 
 
 def subspace_from_json(obj: Any) -> LinearSubspace:
-    if not isinstance(obj, dict) or "dim_ambient" not in obj or "basis" not in obj:
-        raise FormatError("subspace needs dim_ambient and basis")
-    ambient = _dimension(obj["dim_ambient"], "ambient dimension")
-    basis = obj["basis"]
-    if not isinstance(basis, list):
-        raise FormatError(f"subspace basis must be an array, got {basis!r}")
-    return LinearSubspace(ambient, [vector_from_json(row) for row in basis])
+    ambient, basis = fields(obj, "subspace", "dim_ambient", "basis")
+    ambient = _dimension(ambient, "ambient dimension")
+    rows = array(basis, "subspace basis")
+    return LinearSubspace(ambient, [vector_from_json(row) for row in rows])
 
 
 def affine_v_to_json(m: AffineSubspaceV) -> dict:
@@ -156,9 +175,8 @@ def affine_v_to_json(m: AffineSubspaceV) -> dict:
 
 
 def affine_v_from_json(obj: Any) -> AffineSubspaceV:
-    if not isinstance(obj, dict) or "U" not in obj or "mu" not in obj:
-        raise FormatError("affine subspace of V needs U and mu")
-    return AffineSubspaceV(subspace_from_json(obj["U"]), vector_from_json(obj["mu"]))
+    direction, mu = fields(obj, "affine subspace of V", "U", "mu")
+    return AffineSubspaceV(subspace_from_json(direction), vector_from_json(mu))
 
 
 def affine_e_to_json(b: AffineSubspaceE) -> dict:
@@ -170,11 +188,9 @@ def affine_e_to_json(b: AffineSubspaceE) -> dict:
 
 
 def affine_e_from_json(obj: Any) -> AffineSubspaceE:
-    if not isinstance(obj, dict) or "point" not in obj or "direction" not in obj:
-        raise FormatError("affine subspace of E needs point and direction")
+    point, direction = fields(obj, "affine subspace of E", "point", "direction")
     return AffineSubspaceE(
-        Point(vector_from_json(obj["point"])),
-        subspace_from_json(obj["direction"]),
+        Point(vector_from_json(point)), subspace_from_json(direction)
     )
 
 
@@ -187,10 +203,8 @@ def reflection_to_json(r: Reflection) -> dict:
 
 
 def reflection_from_json(obj: Any) -> Reflection:
-    if not isinstance(obj, dict) or "root" not in obj or "point" not in obj:
-        raise FormatError("reflection needs root and point")
-    root = vector_from_json(obj["root"])
-    anchor = vector_from_json(obj["point"])
+    root, anchor = fields(obj, "reflection", "root", "point")
+    root, anchor = vector_from_json(root), vector_from_json(anchor)
     if root.is_zero():
         raise FormatError("reflection root must be nonzero")
     return Reflection.from_hyperplane(root, root.dot(anchor))
@@ -205,26 +219,21 @@ def isometry_to_json(w: Isometry) -> dict:
 
 
 def isometry_from_json(obj: Any) -> Isometry:
-    if not isinstance(obj, dict):
-        raise FormatError("isometry must be an object")
+    fields(obj, "isometry")  # an object, whose keys pick one of two shapes
     declared = _dimension(obj["dim"], "dimension") if "dim" in obj else None
     if "reflections" in obj:
-        entries = obj["reflections"]
-        if not isinstance(entries, list):
-            raise FormatError("reflections must be an array")
+        entries = array(obj["reflections"], "reflections")
         reflections = [reflection_from_json(e) for e in entries]
         dims = {r.dim for r in reflections}
         if declared is not None:
             dims.add(declared)
         if len(dims) > 1:
-            raise FormatError(f"mixed dimensions in reflections: {sorted(dims)}")
+            raise FormatError(f"reflections of mixed dimensions {_quote(sorted(dims))}")
         if not dims:
             raise FormatError("empty reflection list needs an explicit dim")
         return product(reflections, dims.pop())
-    if "matrix" not in obj or "translation" not in obj:
-        raise FormatError("isometry needs matrix and translation (or reflections)")
-    matrix = matrix_from_json(obj["matrix"])
-    shift = vector_from_json(obj["translation"])
+    matrix, shift = fields(obj, "isometry without reflections", "matrix", "translation")
+    matrix, shift = matrix_from_json(matrix), vector_from_json(shift)
     if declared is not None and declared != shift.dim:
         raise FormatError("declared dim does not match the translation")
     return Isometry(matrix, shift)
@@ -238,15 +247,13 @@ def factorization_to_json(f: Factorization) -> dict:
 
 
 def factorization_from_json(obj: Any) -> Factorization:
-    if not isinstance(obj, dict) or "target" not in obj or "factors" not in obj:
-        raise FormatError("factorization needs target and factors")
-    if not isinstance(obj["factors"], list):
-        raise FormatError(f"factors must be an array, got {obj['factors']!r}")
-    target = isometry_from_json(obj["target"])
-    factors = tuple(reflection_from_json(e) for e in obj["factors"])
+    target, entries = fields(obj, "factorization", "target", "factors")
+    entries = array(entries, "factors")
+    target = isometry_from_json(target)
+    factors = tuple(reflection_from_json(e) for e in entries)
     dims = {target.dim, *(r.dim for r in factors)}
     if len(dims) > 1:
-        raise FormatError(f"mixed dimensions in factorization: {sorted(dims)}")
+        raise FormatError(f"factorization of mixed dimensions {_quote(sorted(dims))}")
     return Factorization(target=target, factors=factors)
 
 
@@ -259,18 +266,19 @@ def element_to_json(p: PosetElement) -> dict:
 
 
 def element_from_json(obj: Any) -> PosetElement:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError("poset element needs a kind")
-    kind = obj["kind"]
+    [kind] = fields(obj, "poset element", "kind")
     if kind == "e":
         return Elliptic(affine_e_from_json(obj))
     if kind == "h":
         return Hyperbolic(affine_v_from_json(obj))
     if kind == "n":
-        if "U" not in obj:
-            raise FormatError("new element needs U")
-        return New(subspace_from_json(obj["U"]))
-    raise FormatError(f"unknown element kind {kind!r}")
+        [direction] = fields(obj, "new element", "U")
+        return New(subspace_from_json(direction))
+    raise FormatError(f"unknown element kind {_quote(kind)}")
+
+
+def elements_from_json(obj: Any) -> list[PosetElement]:
+    return [element_from_json(e) for e in array(obj, "elements")]
 
 
 def family_to_json(f: BoundFamily) -> dict:

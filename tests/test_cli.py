@@ -316,6 +316,14 @@ class TestMalformedShapes:
         )
         self.assert_parse_error(result)
 
+    def test_chain_file_without_chain(self, tmp_path):
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps({"links": []}))
+        result = run_cli(
+            "factorize", str(DATA / "translation.json"), "--chain", str(chain_file)
+        )
+        self.assert_parse_error(result)
+
     def test_non_list_basis(self):
         doc = json.dumps(
             {
@@ -324,6 +332,45 @@ class TestMalformedShapes:
             }
         )
         self.assert_parse_error(run_cli("complete", "-", stdin=doc))
+
+
+LONG = "x" * 200_000
+POINT_TOP = {"kind": "h", "U": {"dim_ambient": 2, "basis": []}, "mu": ["2", "0"]}
+# Mirrors in each of the dimensions 1 to 80.
+MIRRORS = [{"root": ["1"] + ["0"] * n, "point": ["0"] * (n + 1)} for n in range(80)]
+
+
+def long_translation(entry):
+    """An isometry of the plane whose translation is entry."""
+    return {"dim": 2, "matrix": [["1", "0"], ["0", "1"]], "translation": entry}
+
+
+class TestBoundedErrors:
+    """An error quotes a bounded part of the input, however long it is."""
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("analyze", {"dim": LONG, "reflections": []}),
+            ("analyze", long_translation([[LONG], "0"])),
+            ("analyze", long_translation({"x": LONG})),
+            ("analyze", long_translation([LONG, "0"])),
+            ("lattice", {"top": {**POINT_TOP, "U": {"dim_ambient": 2, "basis": LONG}}}),
+            ("chain", {"target": long_translation(["0", "0"]), "factors": LONG}),
+            ("lattice", {"top": {"kind": LONG}}),
+            ("complete", {"top": POINT_TOP, "elements": LONG}),
+            ("analyze", {"reflections": MIRRORS}),
+        ],
+        ids=["dim", "scalar", "vector", "rational", "basis", "factors", "kind",
+             "elements", "dims"],
+    )
+    def test_error_line_is_short(self, command, doc):
+        result = run_cli(command, "-", stdin=json.dumps(doc))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.encode()) <= 200
 
 
 IDENTITY_3 = {

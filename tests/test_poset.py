@@ -13,6 +13,7 @@ from scherk.factor import chain_to_factorization, factorization_to_chain
 from scherk.isometry import (
     Isometry,
     Reflection,
+    classify,
     interval_leq,
     motion_reflection,
     translation,
@@ -487,6 +488,31 @@ class TestOperationBudget:
         assert 0 < counts["_rref"] <= self.RREF_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
 
+    # _rref calls of dm_meet + dm_join over a seeded sample of 1000 of the
+    # 8436 triples of the augmented plane universe, as the complete
+    # workload runs them: no more eliminations per op than when pinned.
+    TRIPLE_RREF_BUDGET = 2403
+
+    def test_completion_triples_stay_within_budget(self, monkeypatch):
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        triples = list(itertools.combinations(universe.elements, 3))
+        assert len(triples) == 8436
+        calls = []
+        original = linalg_module._rref
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in sys.modules.values():
+            if module and module.__name__.startswith("scherk"):
+                if getattr(module, "_rref", None) is original:
+                    monkeypatch.setattr(module, "_rref", counted)
+        for triple in random.Random(12).sample(triples, 1000):
+            dm_meet(triple, universe.ctx)
+            dm_join(triple, universe.ctx)
+        assert 0 < len(calls) <= self.TRIPLE_RREF_BUDGET
+
     # move_set and Isometry.compose calls on the chain paths, over ops
     # shaped like the benchmark's chains workload.  Each invariant is
     # computed once per isometry and kept on it, and the chain walk works
@@ -686,3 +712,33 @@ class TestHasse:
             shuffled = elements[:]
             rng.shuffle(shuffled)
             assert hasse_dot(shuffled) == hasse_dot(elements)
+
+
+class TestSelfDuality:
+    """delta(u) = u^-1 w reverses the interval [1, w], because reflection
+    lengths add along it, so inv carries delta to an order-reversing
+    bijection of the model poset below inv(w).  It is computed by inverse,
+    compose and inv_map alone, so it checks leq and the bound kernels
+    without a finite universe."""
+
+    def test_delta_reverses_order_and_carries_joins_to_meets(self):
+        kinds, reversed_pairs, joins = set(), 0, 0
+        for dim in range(2, 7):
+            tops = [w for w in corpus(dim, 12, 5) if classify(w).length >= 2][:3]
+            for w in tops:
+                kinds.add(classify(w).tag)
+                ctx = PosetContext(top=inv_map(w))
+                delta = {
+                    inv_map(u): inv_map(u.inverse().compose(w))
+                    for u in sample_interval(w, 11, 12)
+                }
+                for p, q in itertools.product(delta, repeat=2):
+                    assert leq(p, q) == leq(delta[q], delta[p])
+                    reversed_pairs += 1
+                for p, q in itertools.combinations(delta, 2):
+                    upper = join(p, q, ctx)
+                    if upper in delta:
+                        assert meet(delta[p], delta[q], ctx) == delta[upper]
+                        joins += 1
+        assert kinds == {"elliptic", "hyperbolic"}
+        assert (reversed_pairs, joins) == (872, 271)
