@@ -60,7 +60,6 @@ from typing import Optional, Sequence
 from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
-    Point,
     hyperplane_section,
 )
 from .isometry import (
@@ -103,14 +102,6 @@ class Factorization(Record):
 
     def is_exact(self) -> bool:
         return self.product() == self.target
-
-
-def _first_point_outside(c: AffineSubspaceE, b: AffineSubspaceE) -> Point:
-    """Deterministic point of c not in b; exists whenever c is not inside b."""
-    for x in c.points():
-        if not b.contains(x):
-            return x
-    raise ChainError("no point of the larger subspace escapes the smaller one")
 
 
 def _peel(w: Isometry) -> tuple[Reflection, ...]:
@@ -264,9 +255,13 @@ def chain_to_factorization(
     element (the full space, elliptic) last.  Each consecutive pair must be
     a covering relation.
 
-    Each step is certified by :func:`_lands_on`: the product after a step
-    from above has length at least rank(above) - 1 = rank(below).  The
-    last step lands on the full space, so the product is the identity.
+    A step down to an elliptic e^B reflects the first point of B that the
+    current product moves: among the canonical point of B and its basis
+    translates, one escapes Fix(current) = Fix(above), and a hyperbolic
+    current moves every point.  Each step is certified by
+    :func:`_lands_on`: the product after a step from above has length at
+    least rank(above) - 1 = rank(below).  The last step lands on the full
+    space, so the product is the identity.
     """
     chain = list(chain)
     if not chain:
@@ -296,10 +291,10 @@ def chain_to_factorization(
     for above, below in zip(chain, chain[1:]):
         if isinstance(below, Hyperbolic):
             r = _step_to_hyperbolic(current, below.move)
-        elif isinstance(above, Hyperbolic):
-            r = motion_reflection(current, below.fix.point)
         else:
-            x = _first_point_outside(below.fix, above.fix)
+            x = next((x for x in below.fix.points() if current.apply(x) != x), None)
+            if x is None:
+                raise ChainError("current fixes every point of the next fixed set")
             r = motion_reflection(current, x)
         factors.append(r)
         current = r.compose(current)

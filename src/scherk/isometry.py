@@ -62,10 +62,10 @@ class OrthogonalityError(ValueError):
 class Isometry:
     """A euclidean isometry x -> A x + b with A exactly orthogonal.
 
-    Orthogonality is verified whenever an isometry is built from raw data.
-    Group operations (compose, inverse) skip the check: products and
-    inverses of exactly orthogonal rational matrices are exactly orthogonal,
-    so revalidating them would only slow the hot paths down.
+    The constructor always verifies orthogonality.  Group operations
+    (compose, inverse) build through :func:`_isometry` instead: products
+    and inverses of exactly orthogonal rational matrices are exactly
+    orthogonal, so revalidating them would only slow the hot paths down.
 
     The slot ``_class`` holds the IsometryClass once :func:`classify` (or
     any other invariant) has been asked for; it is written once, lives as
@@ -74,19 +74,20 @@ class Isometry:
 
     __slots__ = ("matrix", "translation", "_class")
 
-    def __init__(self, matrix: Matrix, translation: Vector, _trusted: bool = False):
+    def __init__(self, matrix: Matrix, translation: Vector):
         if matrix.nrows != matrix.ncols:
             raise OrthogonalityError("linear part must be square")
         if matrix.nrows != translation.dim:
             raise DimensionError("matrix and translation of different dimensions")
-        if not _trusted and not matrix.is_orthogonal():
+        if not matrix.is_orthogonal():
             raise OrthogonalityError("linear part is not orthogonal")
         self.matrix = matrix
         self.translation = translation
         self._class: Optional[IsometryClass] = None
+
     @classmethod
     def identity(cls, dim: int) -> "Isometry":
-        return cls(Matrix.identity(dim), Vector.zero(dim), _trusted=True)
+        return _isometry(Matrix.identity(dim), Vector.zero(dim))
 
     @property
     def dim(self) -> int:
@@ -103,20 +104,14 @@ class Isometry:
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if self.dim != other.dim:
             raise DimensionError("isometries of different dimensions")
-        return Isometry(
+        return _isometry(
             self.matrix * other.matrix,
             self.matrix * other.translation + self.translation,
-            _trusted=True,
         )
-
-    def __mul__(self, other):
-        if isinstance(other, Isometry):
-            return self.compose(other)
-        return NotImplemented
 
     def inverse(self) -> "Isometry":
         at = self.matrix.transpose()
-        return Isometry(at, -(at * self.translation), _trusted=True)
+        return _isometry(at, -(at * self.translation))
 
     def is_identity(self) -> bool:
         return self.translation.is_zero() and self.matrix == Matrix.identity(self.dim)
@@ -142,9 +137,19 @@ class Isometry:
         return f"Isometry({self.matrix!r}, {self.translation!r})"
 
 
+def _isometry(matrix: Matrix, translation: Vector) -> Isometry:
+    """An Isometry from a square matrix already known to be orthogonal and
+    a translation of its dimension."""
+    w = object.__new__(Isometry)
+    w.matrix = matrix
+    w.translation = translation
+    w._class = None
+    return w
+
+
 def translation(shift: Vector) -> Isometry:
     """The translation x -> x + shift."""
-    return Isometry(Matrix.identity(shift.dim), shift, _trusted=True)
+    return _isometry(Matrix.identity(shift.dim), shift)
 
 
 def _primitive(ints: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -234,7 +239,7 @@ class Reflection:
         p, q = self.offset.numerator, self.offset.denominator
         shift = 2 * (q * _dot(alpha, b) - e * p)
         moved = _vector([q * norm * x - shift * a for a, x in zip(alpha, b)], e * q * norm)
-        return Isometry(matrix, moved, _trusted=True)
+        return _isometry(matrix, moved)
 
     def to_isometry(self) -> Isometry:
         return self.compose(Isometry.identity(self.dim))
@@ -393,7 +398,7 @@ def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     (0, w).
     """
     mu = classify(w).move_set.mu
-    u = Isometry(w.matrix, w.translation - mu, _trusted=True)
+    u = _isometry(w.matrix, w.translation - mu)
     return mu, u
 
 

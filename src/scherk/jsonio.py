@@ -293,9 +293,7 @@ def family_to_json(f: BoundFamily) -> dict:
 
 
 def bound_to_json(result) -> Any:
-    """Encode a meet/join outcome: an element, a family, or null."""
-    if result is None:
-        return None
+    """Encode a meet/join outcome: an element or a family."""
     if isinstance(result, BoundFamily):
         return family_to_json(result)
     return element_to_json(result)

@@ -166,9 +166,6 @@ class Vector:
         c = _q(c)
         return _vector([c.numerator * a for a in self.num], c.denominator * self.den)
 
-    def __rmul__(self, c) -> "Vector":
-        return self.scale(c)
-
     def dot(self, other: "Vector") -> Fraction:
         self._check_dim(other)
         return Fraction(_dot(self.num, other.num), self.den * other.den)
@@ -417,7 +414,9 @@ class LinearSubspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "LinearSubspace":
-        return cls(ambient, [])
+        if ambient < 0:
+            raise DimensionError("ambient dimension must be nonnegative")
+        return _canonical(ambient, (), ())
 
     @classmethod
     def full(cls, ambient: int) -> "LinearSubspace":
@@ -595,8 +594,7 @@ def subspace_sum(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
     """Smallest subspace containing both, the span of the union of bases."""
     if u1.ambient != u2.ambient:
         raise DimensionError("subspaces of different ambient dimensions")
-    rows = [b.num for b in itertools.chain(u1.basis, u2.basis)]
-    return _subspace(u1.ambient, *_rref(rows, u1.ambient))
+    return span([*u1.basis, *u2.basis], ambient=u1.ambient)
 
 
 def project(v: Vector, u: LinearSubspace) -> Vector:

@@ -46,16 +46,19 @@ member places one demand "S lies in Span(N)" on an upper bound h^N, and
 * h^N' demands S = Span(N'),
 * n^V demands S = V.
 
-With W the sum of the demands (one span of the stacked rows), the least
-upper bound is h^N with Span(N) = W when W leaves U, that is when some
-basis row w of W has w . mu != 0: then N = W meet H, with direction
+A join sums the demands: W is one span of the stacked rows.  A meet with
+no elliptic member intersects them: W is the kernel of the rows of each
+Span(N)^perp and V^perp, exact because every N is Span(N) meet H, so the
+intersection of the N is the intersection of the spans meet H.  One
+section places either W.  When W leaves U, that is when some basis row w
+of W has w . mu != 0, the bound is h^N with N = W meet H, with direction
 W meet mu^perp (one pivot-row step, :func:`orthogonal_section`) and the
 point w |mu|^2 / (w . mu).  When W lies in U no move-set can be placed:
-W = 0 gives the bottom e^E, W = U the top, and any other W is the
-leftover S = W.  Meets go the other way: a lower bound e^C needs every
-demand's complement inside Dir(C), so the elliptic meet is one span of
-the point differences, the Dir(B) bases and those complements; without
-an elliptic member the leftover is the common direction S of the members.
+W = 0, which only a meet reaches, gives the bottom e^E, W = U the top,
+and any other W is the leftover S = W.  A lower bound e^C needs every
+demand's complement inside Dir(C), so a meet with an elliptic member is
+one span of the point differences, the Dir(B) bases and those
+complements.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .affine import (
     Point,
     hull_of_affine_e,
     intersect_affine,
-    intersect_affine_v,
 )
 from .isometry import Isometry, classify
 from .linalg import (
@@ -77,7 +79,6 @@ from .linalg import (
     Vector,
     _dot,
     _vector,
-    intersect,
     orthogonal_complement,
     orthogonal_section,
     span,
@@ -89,74 +90,60 @@ class PosetError(ValueError):
     """Invalid poset input: bad element, bad context, or element above top."""
 
 
-class Elliptic:
-    __slots__ = ("fix",)
+class _Element:
+    """The one slot of a poset element and what the three kinds share.
 
-    def __init__(self, fix: AffineSubspaceE):
-        self.fix = fix
+    Each kind names the slot after its paper field (``fix``, ``move``,
+    ``subspace``); ``kind`` is its letter, e, h or n.
+    """
+
+    __slots__ = ("_space",)
 
     def __eq__(self, other):  # identical fields are equal uncompared, as in a tuple
         if other.__class__ is self.__class__:
-            return self.fix is other.fix or self.fix == other.fix
+            return self._space is other._space or self._space == other._space
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.fix,))
+        return hash((self._space,))
 
     @property
     def ambient(self) -> int:
-        return self.fix.ambient
+        return self._space.ambient
 
     def __repr__(self) -> str:
-        return f"e^{self.fix!r}"
+        return f"{self.kind}^{self._space!r}"
 
 
-class Hyperbolic:
-    __slots__ = ("move",)
+class Elliptic(_Element):
+    __slots__ = ()
+    kind = "e"
+    fix = _Element._space
+
+    def __init__(self, fix: AffineSubspaceE):
+        self._space = fix
+
+
+class Hyperbolic(_Element):
+    __slots__ = ()
+    kind = "h"
+    move = _Element._space
 
     def __init__(self, move: AffineSubspaceV):
         if move.is_linear():
             raise PosetError("hyperbolic elements carry a nonlinear move-set")
-        self.move = move
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.move is other.move or self.move == other.move
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.move,))
-
-    @property
-    def ambient(self) -> int:
-        return self.move.ambient
-
-    def __repr__(self) -> str:
-        return f"h^{self.move!r}"
+        self._space = move
 
 
-class New:
-    __slots__ = ("subspace",)
+class New(_Element):
+    __slots__ = ()
+    kind = "n"
+    subspace = _Element._space
 
     def __init__(self, subspace: LinearSubspace):
         if subspace.dim == 0:
             raise PosetError("new elements carry a nontrivial subspace")
-        self.subspace = subspace
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.subspace is other.subspace or self.subspace == other.subspace
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.subspace,))
-
-    @property
-    def ambient(self) -> int:
-        return self.subspace.ambient
-
-    def __repr__(self) -> str:
-        return f"n^{self.subspace!r}"
+        self._space = subspace
 
 
 PosetElement = Union[Elliptic, Hyperbolic, New]
@@ -257,12 +244,10 @@ class BoundFamily(Record):
         self.within = within
 
     def contains(self, p: PosetElement) -> bool:
-        if self.kind == "e":
-            return isinstance(p, Elliptic) and p.fix.direction == self.direction
         return (
-            isinstance(p, Hyperbolic)
-            and p.move.direction == self.direction
-            and (self.within is None or p.move.subset_of(self.within))
+            p.kind == self.kind
+            and p._space.direction == self.direction
+            and (self.within is None or p._space.subset_of(self.within))
         )
 
     def representative(self) -> PosetElement:
@@ -274,8 +259,8 @@ class BoundFamily(Record):
         return Hyperbolic(AffineSubspaceV(self.direction, self.within.mu))
 
 
-MeetResult = Union[Elliptic, Hyperbolic, BoundFamily]
-JoinResult = Union[Elliptic, Hyperbolic, BoundFamily, None]
+BoundResult = Union[Elliptic, Hyperbolic, BoundFamily]
+KernelResult = Union[Elliptic, Hyperbolic, LinearSubspace]
 
 
 def _members(
@@ -297,64 +282,14 @@ def _members(
     return members
 
 
-def _meet(
-    members: Sequence[PosetElement], ctx: PosetContext
-) -> Union[Elliptic, Hyperbolic, LinearSubspace]:
-    """The greatest lower bound, or the common direction S of members with
-    no common lower move-set.
+def _place(demand: LinearSubspace, ctx: PosetContext) -> KernelResult:
+    """The element a subspace W of Span(M) decides under the top h^M.
 
-    With an elliptic present the bound is elliptic: one span of the point
-    differences and the Dir(B) bases, thickened by V^perp for each n^V and
-    Span(N)^perp for each h^N.  Hyperbolics alone with a common vector meet
-    at their intersection, one stacked constraint solve.  Otherwise S is
-    the intersection of the directions, and the bottom when that is
-    trivial.
+    One section (see the module docstring): h^{W meet H} when W leaves U,
+    the bottom when W = 0 (only meets reach it), the top when W = U, and
+    W itself otherwise.
     """
-    ells = [p.fix for p in members if isinstance(p, Elliptic)]
-    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
-    news = [p.subspace for p in members if isinstance(p, New)]
-    if ells:
-        extra = [v for u in news for v in orthogonal_complement(u).basis]
-        extra.extend(v for m in hyps for v in m.span_complement().basis)
-        return Elliptic(hull_of_affine_e(ells, extra))
-    if not news:
-        common = intersect_affine_v(*hyps)
-        if common is not None:
-            return Hyperbolic(common)
-    shared = intersect(*news, *(m.direction for m in hyps))
-    if shared.dim == 0:
-        return Elliptic(AffineSubspaceE.full(ctx.ambient))
-    return shared
-
-
-def _join(
-    members: Sequence[PosetElement], ctx: PosetContext
-) -> Union[Elliptic, Hyperbolic, LinearSubspace, None]:
-    """The least upper bound, or the demand sum W that no move-set fits.
-
-    Elliptics alone with a common point join at their intersection, one
-    stacked constraint solve, and have no upper bound under an elliptic
-    top otherwise.  Every other join is one span and one section (see the
-    module docstring): h^{W meet H} when W leaves U, the bottom when
-    W = 0, the top when W = U, and W itself otherwise.
-    """
-    if all(isinstance(p, Elliptic) for p in members):
-        common = intersect_affine(*(p.fix for p in members))
-        if common is not None:
-            return Elliptic(common)
-        if isinstance(ctx.top, Elliptic):
-            return None
     top = ctx.top
-    rows: list[Vector] = []
-    for p in members:
-        if isinstance(p, Elliptic):
-            rows.extend(orthogonal_complement(p.fix.direction).basis)
-        elif isinstance(p, Hyperbolic):
-            rows.extend(p.move.direction.basis)
-            rows.append(p.move.mu)
-        else:
-            rows.extend(p.subspace.basis)
-    demand = span(rows, ambient=ctx.ambient)
     mu = top.move.mu
     direction, w = orthogonal_section(demand, mu)
     if w is not None:
@@ -369,7 +304,51 @@ def _join(
     return demand
 
 
-def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
+def _meet(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
+    """The greatest lower bound, or the common direction S of members with
+    no common lower move-set.
+
+    Each n^V contributes the rows of V^perp and each h^N those of
+    Span(N)^perp.  With an elliptic present the bound is elliptic: one
+    span of the point differences and the Dir(B) bases, thickened by those
+    rows.  Otherwise the rows cut out the intersection of the demands,
+    which :func:`_place` places.
+    """
+    ells = [p.fix for p in members if isinstance(p, Elliptic)]
+    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
+    news = [p.subspace for p in members if isinstance(p, New)]
+    extra = [v for u in news for v in orthogonal_complement(u).basis]
+    extra.extend(v for m in hyps for v in m.span_complement().basis)
+    if ells:
+        return Elliptic(hull_of_affine_e(ells, extra))
+    return _place(orthogonal_complement(span(extra, ambient=ctx.ambient)), ctx)
+
+
+def _join(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
+    """The least upper bound, or the demand sum W that no move-set fits.
+
+    Elliptics alone with a common point join at their intersection, one
+    stacked constraint solve; under an elliptic top they always have one,
+    since every member contains the top's fixed set.  Every other join
+    places the span W of the demands (see the module docstring).
+    """
+    if all(isinstance(p, Elliptic) for p in members):
+        common = intersect_affine(*(p.fix for p in members))
+        if common is not None:
+            return Elliptic(common)
+    rows: list[Vector] = []
+    for p in members:
+        if isinstance(p, Elliptic):
+            rows.extend(orthogonal_complement(p.fix.direction).basis)
+        elif isinstance(p, Hyperbolic):
+            rows.extend(p.move.direction.basis)
+            rows.append(p.move.mu)
+        else:
+            rows.extend(p.subspace.basis)
+    return _place(span(rows, ambient=ctx.ambient), ctx)
+
+
+def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> BoundResult:
     """Greatest lower bound in a plain context, or, for hyperbolics with
     disjoint move-sets, the position free family of maximal elliptic lower
     bounds, whose direction is the complement of the common direction."""
@@ -379,10 +358,9 @@ def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> MeetResult:
     return bound
 
 
-def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> JoinResult:
-    """Least upper bound in a plain context, the family of minimal upper
-    bounds h^N with direction W inside the top, or None when there is no
-    upper bound."""
+def join(p: PosetElement, q: PosetElement, ctx: PosetContext) -> BoundResult:
+    """Least upper bound in a plain context, or the family of minimal upper
+    bounds h^N with direction W inside the top."""
     bound = _join(_members((p, q), ctx, augmented=False), ctx)
     if isinstance(bound, LinearSubspace):
         return BoundFamily(kind="h", direction=bound, within=ctx.top.move)
@@ -518,21 +496,17 @@ def elliptic_iso(ctx: PosetContext) -> EllipticEmbedding:
 
 def _sort_key(p: PosetElement):
     """Rank, kind, then the coordinates of the anchor and the basis."""
-    if isinstance(p, Elliptic):
-        kind, anchor, basis = 0, p.fix.anchor.coords, p.fix.direction.basis
-    elif isinstance(p, Hyperbolic):
-        kind, anchor, basis = 1, p.move.mu.coords, p.move.direction.basis
+    space = p._space
+    if p.kind == "n":
+        anchor, basis = (), space.basis
     else:
-        kind, anchor, basis = 2, (), p.subspace.basis
-    return (rank(p), kind, anchor + tuple(c for b in basis for c in b.coords))
+        anchor, basis = space.anchor.coords, space.direction.basis
+    coords = anchor + tuple(c for b in basis for c in b.coords)
+    return (rank(p), "ehn".index(p.kind), coords)
 
 
 def _label(p: PosetElement) -> str:
-    if isinstance(p, Elliptic):
-        return f"e dim={p.fix.dim}"
-    if isinstance(p, Hyperbolic):
-        return f"h dim={p.move.dim}"
-    return f"n dim={p.subspace.dim}"
+    return f"{p.kind} dim={p._space.dim}"
 
 
 def covering_pairs(elements: Sequence[PosetElement]) -> list[tuple[int, int]]:

@@ -51,6 +51,7 @@ from scherk.poset import (
     elliptic_iso,
     find_bowtie,
     hasse_dot,
+    hasse_graph,
     inv_map,
     is_bowtie,
     is_lattice,
@@ -344,6 +345,14 @@ class TestJoin:
         result = join(m1, m2, ctx)
         assert result == plane_top_3d()
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_joins_under_an_elliptic_top_are_elliptic(self, dim):
+        # every member contains the top's fixed point, so every pair meets
+        universe = coordinate_universe(dim, elliptic(pt(*[1] * dim)))
+        assert len(universe.elements) == 2**dim
+        for p, q in itertools.combinations_with_replacement(universe.elements, 2):
+            assert isinstance(join(p, q, universe.ctx), Elliptic)
+
 
 class TestLattice:
     def test_elliptic_contexts_are_lattices(self):
@@ -390,6 +399,15 @@ class TestBowties:
         assert not is_bowtie(a, a, c, d, ctx)
         assert not is_bowtie(a, b, c, c, ctx)
         assert not is_bowtie(a, plane_top_3d(), c, d, ctx)
+
+    def test_swapped_roles_are_not_a_bowtie(self):
+        ctx = PosetContext(top=plane_top_3d())
+        a, b, c, d = find_bowtie(ctx)
+        assert not is_bowtie(c, d, a, b, ctx)
+
+    def test_augmented_context_has_no_bowties(self):
+        a, b, c, d = find_bowtie(PosetContext(top=plane_top_3d()))
+        assert not is_bowtie(a, b, c, d, PosetContext(plane_top_3d(), augmented=True))
 
     def test_dim_three_top_also_has_bowties(self):
         top = Hyperbolic(
@@ -695,6 +713,13 @@ class TestHasse:
         dot = hasse_dot([plane_top_3d(), a, b, c, d, bottom])
         # bottom -> c, d; c, d -> a, b; a, b -> top: eight covering edges
         assert dot.count("->") == 8
+
+    def test_new_element_sorts_between_its_bounds(self):
+        bottom = Elliptic(AffineSubspaceE.full(3))
+        line = New(span([e(3, 0)]))
+        nodes, edges = hasse_graph([plane_top_3d(), line, bottom], top=plane_top_3d())
+        assert nodes == [bottom, line, plane_top_3d()]
+        assert edges == [(0, 1), (1, 2)]
 
     def test_declared_top_enforced(self):
         with pytest.raises(PosetError):
