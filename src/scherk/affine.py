@@ -278,16 +278,15 @@ def hyperplane_section(
 
     The direction is Dir(b) cut by normal^perp (:func:`orthogonal_section`).
     When normal is orthogonal to Dir(b) the hyperplane contains b or misses
-    it.  Otherwise the canonical point p moves along
-    v = proj_Dir(b)(normal), which lies in Dir(b) and is orthogonal to the
-    new direction, to p + t v with normal . (p + t v) = value.
+    it.  Otherwise the canonical point p moves along the row v of Dir(b)
+    with normal . v != 0 that the section returns, to p + t v with
+    normal . (p + t v) = value, which the constructor puts in standard form.
     """
     direction, row = orthogonal_section(b.direction, normal)
     gap = value - normal.dot(b.anchor)
     if row is None:
         return None if gap else b
-    v = project(normal, b.direction)
-    point = Point(b.anchor + v.scale(gap / normal.dot(v)))
+    point = Point(b.anchor + row.scale(gap / normal.dot(row)))
     return AffineSubspaceE(point, direction)
 
 

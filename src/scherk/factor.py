@@ -20,6 +20,9 @@ Walking a chain down, the product after each step therefore
 has length at least the rank of the element it should land on, so an
 inclusion (it fixes the requested fixed set, or its motions lie in the
 requested move-set) certifies the step without classifying the product.
+It is also the walk's only order check: each product lies one reflection
+below the last in [1, w], and inv preserves order, so a chain that does
+not descend cannot land.
 Reading a chain off a factorization, len(f) = l(target) forces the suffix
 lengths 0, 1, ..., len(f), and the suffix invariants follow from
 hyperplane sections of fixed sets and one-dimensional extensions of
@@ -75,7 +78,7 @@ from .isometry import (
     reflection_length,
     standard_splitting,
 )
-from .linalg import _dot, _vector, orthogonal_complement, span
+from .linalg import _dot, orthogonal_complement, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, leq, rank
 from .record import Record
 
@@ -199,20 +202,18 @@ def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Refl
     left means the mirror must contain the images of those points, so the
     preimage hyperplane is pushed forward through the isometry.
 
-    A normal nu of the target U' + mu' constrains the motion M x + b of x,
-    with M = A - I, to nu . (M x + b) = nu . mu', i.e. beta . x = d with
-    beta = M^T nu and d = nu . (mu' - b).  Normals of the whole move-set
-    give beta = 0; as the target has codimension one in it, the first
-    nonzero beta cuts out the preimage.  The caller checks that the step
-    lands on the requested element.
+    A normal nu of the target U' + mu' asks nu . (A x + b - x) = nu . mu'
+    of x.  As A A^T = I, the image y = A x + b has nu . x = A nu . (y - b),
+    so the mirror is (nu - A nu) . y = nu . mu' - A nu . b.  Normals of the
+    whole move-set have A nu = nu; as the target has codimension one in
+    it, the first other normal cuts out the mirror.  The caller checks
+    that the step lands on the requested element.
     """
-    at = current.matrix.transpose()
-    shift = target_move.mu - current.translation
     for normal in orthogonal_complement(target_move.direction).basis:
-        beta = at * normal - normal
-        if not beta.is_zero():
-            preimage = Reflection.from_hyperplane(beta, normal.dot(shift))
-            return preimage.conjugate(current)
+        turned = current.apply_vector(normal)
+        if turned != normal:
+            value = normal.dot(target_move.mu) - turned.dot(current.translation)
+            return Reflection.from_hyperplane(normal - turned, value)
     raise ChainError("move-set step does not cut out a hyperplane")
 
 
@@ -239,10 +240,8 @@ def _lands_on(current: Isometry, below: PosetElement) -> bool:
         return False
     d = current.matrix.den
     return all(
-        move.direction.contains(
-            _vector([x - (d if i == j else 0) for i, x in enumerate(column)], d)
-        )
-        for j, column in enumerate(current.matrix.transpose().num)
+        move.direction._contains_row(column[:j] + (column[j] - d,) + column[j + 1 :])
+        for j, column in enumerate(zip(*current.matrix.num))
     )
 
 
@@ -252,8 +251,8 @@ def chain_to_factorization(
     """Factorization whose suffix invariants walk the given maximal chain.
 
     The chain is consumed in descending order: inv(w) first, the bottom
-    element (the full space, elliptic) last.  Each consecutive pair must be
-    a covering relation.
+    element (the full space, elliptic) last.  A step checks the kind,
+    dimension and rank of the next element; the certificate alone checks order.
 
     A step down to an elliptic e^B reflects the first point of B that the
     current product moves: among the canonical point of B and its basis
@@ -275,20 +274,15 @@ def chain_to_factorization(
         and bottom.fix.is_full()
     ):
         raise ChainError("chain must end at the full-space element")
-    for above, below in zip(chain, chain[1:]):
-        if not isinstance(above, (Elliptic, Hyperbolic)) or not isinstance(
-            below, (Elliptic, Hyperbolic)
-        ):
-            raise ChainError("chains contain only elliptic and hyperbolic elements")
-        if below.ambient != w.dim:
-            raise ChainError("chain entries of a dimension other than the isometry's")
-        if not leq(below, above):
-            raise ChainError("chain entries are not descending")
-        if rank(above) - rank(below) != 1:
-            raise ChainError("chain is not maximal: rank must drop by one")
     factors = []
     current = w
     for above, below in zip(chain, chain[1:]):
+        if not isinstance(below, (Elliptic, Hyperbolic)):
+            raise ChainError("chains contain only elliptic and hyperbolic elements")
+        if below.ambient != w.dim:
+            raise ChainError("chain entries of a dimension other than the isometry's")
+        if rank(above) - rank(below) != 1:
+            raise ChainError("chain is not maximal: rank must drop by one")
         if isinstance(below, Hyperbolic):
             r = _step_to_hyperbolic(current, below.move)
         else:
@@ -361,8 +355,9 @@ def rewrite_shift(
     move to the back is a move to the front of the reversed list.
     """
     k = len(f.factors)
+    positions = list(positions)
     selected = set(positions)
-    if len(selected) != len(list(positions)):
+    if len(selected) != len(positions):
         raise IndexError("positions must be distinct")
     for p in selected:
         if not 0 <= p < k:

@@ -257,6 +257,27 @@ class TestExitCodes:
         )
         assert result.returncode == 3
 
+    def test_non_descending_chain_is_three(self, tmp_path):
+        """The ranks drop by one, but the line x = 1 misses the fixed point
+        of the half-turn, so the walk cannot land on it."""
+        chain = [
+            {"kind": "e", "point": point, "direction": {"dim_ambient": 2, "basis": basis}}
+            for point, basis in [
+                (["0", "0"], []),
+                (["1", "0"], [["0", "1"]]),
+                (["0", "0"], [["1", "0"], ["0", "1"]]),
+            ]
+        ]
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps({"chain": chain}))
+        result = run_cli(
+            "factorize", str(DATA / "rotation.json"), "--chain", str(chain_file)
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
     def test_element_above_declared_top_is_three(self):
         doc = json.dumps(
             {

@@ -190,10 +190,12 @@ class TestPeelAgainstOracle:
 
 
 class TestOperationBudget:
-    def test_factor_composes_nothing(self, monkeypatch):
-        """The peel works on integer rows: no product, no motion reflection."""
-        calls = []
+    @pytest.fixture
+    def calls(self):
+        return []
 
+    @pytest.fixture
+    def counted(self, calls):
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls.append(name)
@@ -201,6 +203,10 @@ class TestOperationBudget:
 
             return wrapper
 
+        return counted
+
+    def test_factor_composes_nothing(self, monkeypatch, calls, counted):
+        """The peel works on integer rows: no product, no motion reflection."""
         monkeypatch.setattr(
             Reflection, "compose", counted("Reflection.compose", Reflection.compose)
         )
@@ -219,6 +225,26 @@ class TestOperationBudget:
         lengths = [len(factor(w)) for w in ws]
         assert calls == []
         assert sum(lengths) > 200
+
+    def test_chain_walk_checks_order_once(self, monkeypatch, calls, counted):
+        """The step certificate is the walk's only order check, and each
+        hyperplane is one closed form: no leq, no conjugate, no transpose."""
+        rng = random.Random(83)
+        walks = [
+            (random_maximal_chain(w, rng), w)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        monkeypatch.setattr(factor_module, "leq", counted("leq", factor_module.leq))
+        monkeypatch.setattr(
+            Reflection, "conjugate", counted("conjugate", Reflection.conjugate)
+        )
+        monkeypatch.setattr(
+            Matrix, "transpose", counted("transpose", Matrix.transpose)
+        )
+        steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
+        assert calls == []
+        assert (len(walks), steps) == (100, 309)
 
 
 class TestFactorHyperbolic:
@@ -345,6 +371,12 @@ class TestRewriteShift:
         f = factor_hyperbolic(glide())
         with pytest.raises(IndexError):
             rewrite_shift(f, [5])
+
+    @pytest.mark.parametrize("to_front", [True, False])
+    def test_positions_read_once(self, to_front):
+        f = factor_hyperbolic(glide())
+        once = rewrite_shift(f, (p for p in [0, 2]), to_front=to_front)
+        assert once.factors == rewrite_shift(f, [0, 2], to_front=to_front).factors
 
     def test_shift_to_back_preserves_target(self):
         rng = random.Random(55)

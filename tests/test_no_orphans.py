@@ -1,5 +1,6 @@
 """Every module-level private function or class of the library has a user:
-its name appears in some library code outside its own definition."""
+its name appears in some library code outside its own definition.  Every
+name a library module imports is read in that module."""
 
 import ast
 import pathlib
@@ -55,3 +56,33 @@ def test_private_definitions_found():
 )
 def test_private_definition_has_a_user(module, name, node):
     assert name in names_outside(node), f"{module}: {name} is named nowhere else"
+
+
+def imported_names(tree):
+    """Each name an import statement binds, at any depth; ``from __future__``
+    imports bind nothing the module reads."""
+    return [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def test_every_import_is_read():
+    """Every name a library module imports is read in that module; the
+    package __init__ imports to re-export."""
+    unread = []
+    for module, tree in TREES.items():
+        if module == "__init__.py":
+            continue
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread.extend(
+            f"{module}: {name}" for name in imported_names(tree) if name not in loaded
+        )
+    assert unread == []

@@ -746,24 +746,44 @@ class TestSelfDuality:
     compose and inv_map alone, so it checks leq and the bound kernels
     without a finite universe."""
 
-    def test_delta_reverses_order_and_carries_joins_to_meets(self):
-        kinds, reversed_pairs, joins = set(), 0, 0
+    @pytest.fixture(scope="class")
+    def intervals(self):
+        """(kind of w, context under inv(w), delta on sampled elements) for
+        the first three w of length >= 2 in each of dimensions 2-6."""
+        found = []
         for dim in range(2, 7):
             tops = [w for w in corpus(dim, 12, 5) if classify(w).length >= 2][:3]
             for w in tops:
-                kinds.add(classify(w).tag)
-                ctx = PosetContext(top=inv_map(w))
                 delta = {
                     inv_map(u): inv_map(u.inverse().compose(w))
                     for u in sample_interval(w, 11, 12)
                 }
-                for p, q in itertools.product(delta, repeat=2):
-                    assert leq(p, q) == leq(delta[q], delta[p])
-                    reversed_pairs += 1
-                for p, q in itertools.combinations(delta, 2):
-                    upper = join(p, q, ctx)
-                    if upper in delta:
-                        assert meet(delta[p], delta[q], ctx) == delta[upper]
-                        joins += 1
-        assert kinds == {"elliptic", "hyperbolic"}
+                found.append((classify(w).tag, PosetContext(top=inv_map(w)), delta))
+        return found
+
+    def test_delta_reverses_order_and_carries_joins_to_meets(self, intervals):
+        reversed_pairs, joins = 0, 0
+        for _, ctx, delta in intervals:
+            for p, q in itertools.product(delta, repeat=2):
+                assert leq(p, q) == leq(delta[q], delta[p])
+                reversed_pairs += 1
+            for p, q in itertools.combinations(delta, 2):
+                upper = join(p, q, ctx)
+                if upper in delta:
+                    assert meet(delta[p], delta[q], ctx) == delta[upper]
+                    joins += 1
+        assert {kind for kind, _, _ in intervals} == {"elliptic", "hyperbolic"}
         assert (reversed_pairs, joins) == (872, 271)
+
+    def test_delta_carries_meets_to_joins(self, intervals):
+        """On these seeds every plain meet of a sampled pair is an element,
+        never a family, so families are not reached here."""
+        meets, families = 0, 0
+        for _, ctx, delta in intervals:
+            for p, q in itertools.combinations(delta, 2):
+                lower = meet(p, q, ctx)
+                families += isinstance(lower, BoundFamily)
+                if lower in delta:
+                    assert join(delta[p], delta[q], ctx) == delta[lower]
+                    meets += 1
+        assert (meets, families) == (344, 0)
