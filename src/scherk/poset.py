@@ -95,9 +95,13 @@ class _Element:
 
     Each kind names the slot after its paper field (``fix``, ``move``,
     ``subspace``); ``kind`` is its letter, e, h or n.
+
+    The slot ``_under`` holds the context that last accepted the element
+    in :meth:`PosetContext.require`; membership depends on values alone,
+    and the slot plays no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("_space",)
+    __slots__ = ("_space", "_under")
 
     def __eq__(self, other):  # identical fields are equal uncompared, as in a tuple
         if other.__class__ is self.__class__:
@@ -122,6 +126,7 @@ class Elliptic(_Element):
 
     def __init__(self, fix: AffineSubspaceE):
         self._space = fix
+        self._under = None
 
 
 class Hyperbolic(_Element):
@@ -133,6 +138,7 @@ class Hyperbolic(_Element):
         if move.is_linear():
             raise PosetError("hyperbolic elements carry a nonlinear move-set")
         self._space = move
+        self._under = None
 
 
 class New(_Element):
@@ -144,6 +150,7 @@ class New(_Element):
         if subspace.dim == 0:
             raise PosetError("new elements carry a nontrivial subspace")
         self._space = subspace
+        self._under = None
 
 
 PosetElement = Union[Elliptic, Hyperbolic, New]
@@ -178,9 +185,15 @@ class PosetContext(Record):
         return leq(p, self.top)
 
     def require(self, *elements: PosetElement) -> None:
+        """Raise ``PosetError`` unless every element lies below the top.
+
+        The slot ``_under`` of an element holds the context that last
+        accepted it, so each element is checked once per context."""
         for p in elements:
-            if not self.contains(p):
-                raise PosetError(f"element ({_label(p)}) is not below the top")
+            if p._under is not self:
+                if not self.contains(p):
+                    raise PosetError(f"element ({_label(p)}) is not below the top")
+                p._under = self
 
 
 def inv_map(w: Isometry) -> PosetElement:

@@ -1,4 +1,4 @@
-"""No library module keeps an unbounded functools cache keyed by arguments.
+"""No library module keeps an unbounded cache keyed by arguments.
 
 Such a cache holds every argument it has seen for the life of the process,
 so a long-lived caller's memory grows without bound.  A zero-argument
@@ -7,11 +7,17 @@ cache (the CLI parser) holds one value and is allowed.
 
 import importlib
 import inspect
+import itertools
 import pkgutil
+import random
 
 import pytest
 
 import scherk
+from scherk.affine import AffineSubspaceV
+from scherk.linalg import Vector, span
+from scherk.oracle import coordinate_universe
+from scherk.poset import Hyperbolic, PosetContext, dm_join, dm_meet
 
 MODULES = [scherk.__name__] + [
     f"{scherk.__name__}.{m.name}" for m in pkgutil.iter_modules(scherk.__path__)
@@ -33,3 +39,27 @@ def test_no_unbounded_cache_with_arguments(name):
         and inspect.signature(obj).parameters
     ]
     assert not offenders, f"{name} has unbounded caches: {offenders}"
+
+
+def module_containers():
+    """The length of every module-level dict, set and list of the library."""
+    sizes = {}
+    for name in MODULES:
+        for attr, obj in vars(importlib.import_module(name)).items():
+            if not attr.startswith("__") and isinstance(obj, (dict, set, list)):
+                sizes[name, attr] = len(obj)
+    return sizes
+
+
+def test_bounds_with_fresh_contexts_leave_module_state_alone():
+    """Membership checks are remembered per context, never in a table."""
+    before = module_containers()
+    axes = [Vector.basis(3, i) for i in range(3)]
+    top = Hyperbolic(AffineSubspaceV(span(axes[:2]), axes[2]))
+    universe = coordinate_universe(3, top, augmented=True)
+    triples = list(itertools.combinations(universe.elements, 3))
+    for triple in random.Random(7).sample(triples, 1000):
+        ctx = PosetContext(top=top, augmented=True)
+        dm_meet(triple, ctx)
+        dm_join(triple, ctx)
+    assert module_containers() == before

@@ -216,6 +216,70 @@ class TestMembership:
             with pytest.raises(DimensionError):
                 ctx.require(p)
 
+    # A context checks each element once and then trusts it; these pin
+    # that the trust is kept per context, not per top or per element.
+
+    def test_acceptance_elsewhere_does_not_carry_to_a_lower_top(self):
+        upper = PosetContext(top=plane_top_3d(), augmented=True)
+        lower = PosetContext(top=line_top_3d(), augmented=True)
+        assert leq(lower.top, upper.top)
+        kinds = set()
+        for p in membership_pool():
+            if upper.contains(p) and not lower.contains(p):
+                upper.require(p)
+                with pytest.raises(PosetError):
+                    lower.require(p)
+                kinds.add(p.kind)
+        assert kinds == {"e", "h", "n"}
+
+    def test_augmented_acceptance_does_not_carry_to_the_plain_context(self):
+        top = plane_top_3d()
+        augmented = PosetContext(top=top, augmented=True)
+        plain = PosetContext(top=top)
+        pool = membership_pool()
+        news = [p for p in pool if isinstance(p, New) and augmented.contains(p)]
+        assert news
+        for p in news:
+            augmented.require(p)
+            with pytest.raises(PosetError):
+                plain.require(p)
+            with pytest.raises(PosetError):
+                meet(p, BOTTOM_3D, plain)
+            with pytest.raises(PosetError):
+                join(BOTTOM_3D, p, plain)
+            augmented.require(p)
+
+    def test_rejection_is_not_remembered(self):
+        ctx = PosetContext(top=line_top_3d(), augmented=True)
+        rejected = [p for p in membership_pool() if not ctx.contains(p)]
+        assert {p.kind for p in rejected} == {"e", "h", "n"}
+        for p in rejected:
+            for _ in range(2):
+                with pytest.raises(PosetError):
+                    ctx.require(p)
+
+    def test_equal_contexts_give_the_same_answers(self):
+        pool = membership_pool()
+        for ctx in membership_contexts():
+            top = element_from_json(element_to_json(ctx.top))
+            twin = PosetContext(top=top, augmented=ctx.augmented)
+            assert twin == ctx and twin.top is not ctx.top
+            first = self.check(ctx, pool)
+            assert self.check(twin, pool) == first
+            assert self.check(ctx, pool) == first
+
+    def test_acceptance_does_not_carry_across_dimensions(self):
+        ctx = PosetContext(top=plane_top_3d(), augmented=True)
+        accepted = [BOTTOM_3D, plane_top_3d(), NEW_3D]
+        ctx.require(*accepted)
+        for other in (
+            PosetContext(top=hyperbolic(vec(0, 1), e(2, 0)), augmented=True),
+            PosetContext(top=Elliptic(AffineSubspaceE.full(4))),
+        ):
+            for p in accepted:
+                with pytest.raises(DimensionError):
+                    other.require(p)
+
 
 class TestRank:
     def test_bottom_rank_zero(self):
@@ -505,6 +569,31 @@ class TestOperationBudget:
             dm_join(pair, ctx)
         assert 0 < counts["_rref"] <= self.RREF_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
+
+    # leq calls of dm_meet + dm_join over every pair of the augmented plane
+    # universe, its elements rebuilt from JSON so that no context has
+    # checked them yet: membership is checked once per element.
+    LEQ_BUDGET = 38
+
+    def test_completion_checks_membership_once_per_element(self, monkeypatch):
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        elements = [element_from_json(element_to_json(p)) for p in universe]
+        calls = []
+        original = leq
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in sys.modules.values():
+            if module and module.__name__.startswith("scherk"):
+                if getattr(module, "leq", None) is original:
+                    monkeypatch.setattr(module, "leq", counted)
+        for pair in itertools.combinations_with_replacement(elements, 2):
+            dm_meet(pair, universe.ctx)
+            dm_join(pair, universe.ctx)
+        assert len(elements) == self.LEQ_BUDGET
+        assert 0 < len(calls) <= self.LEQ_BUDGET
 
     # _rref calls of dm_meet + dm_join over a seeded sample of 1000 of the
     # 8436 triples of the augmented plane universe, as the complete

@@ -138,6 +138,23 @@ def test_another_class_is_never_equal(cls):
             assert value != other(**CASES[other][0])
 
 
+@pytest.mark.parametrize("cls", [Elliptic, Hyperbolic, New], ids=ids)
+def test_a_checked_element_is_the_same_value(cls):
+    """PosetContext.require marks the element it accepts; the mark is no
+    part of its value."""
+    top = Hyperbolic(MOVE)
+    if cls is New:  # a top whose direction holds the 3-space line properly
+        yz = LinearSubspace(3, [vec(0, 1, 0), vec(0, 0, 1)])
+        top = Hyperbolic(AffineSubspaceV(yz, vec(1, 0, 0)))
+    fields, _, text = CASES[cls]
+    checked = cls(**fields)
+    PosetContext(top, augmented=True).require(checked)
+    fresh = cls(**fields)
+    assert checked == fresh and fresh == checked
+    assert hash(checked) == hash(fresh)
+    assert repr(checked) == repr(fresh) == text
+
+
 def test_elements_of_different_kinds_are_unequal():
     line = LinearSubspace(2, [vec(1, 0)])
     e = Elliptic(AffineSubspaceE(Point(vec(0, 0)), line))
