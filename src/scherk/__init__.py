@@ -24,13 +24,11 @@ from .linalg import (
     project,
     solve_affine,
     span,
-    subspace_sum,
 )
 from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
-    affine_hull,
     intersect_affine,
     intersect_affine_v,
 )

@@ -231,7 +231,7 @@ class AffineSubspaceE(_AffineSubspace):
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"
 
 
-def _hull(anchors: Sequence[Vector], directions=(), extra: Iterable[Vector] = ()):
+def _hull(anchors: Sequence[Vector], directions, extra: Iterable[Vector] = ()):
     """(base, direction) of the smallest affine subspace through the
     anchors whose direction holds the directions and the extra vectors:
     the first anchor, and one span of the anchor differences, the
@@ -243,12 +243,6 @@ def _hull(anchors: Sequence[Vector], directions=(), extra: Iterable[Vector] = ()
     vectors.extend(b for d in directions for b in d.basis)
     vectors.extend(extra)
     return base, span(vectors, ambient=base.dim)
-
-
-def affine_hull(points: Sequence[Point]) -> AffineSubspaceE:
-    """Smallest affine subspace containing the given points."""
-    base, direction = _hull([p.to_vector() for p in points])
-    return AffineSubspaceE(Point(base), direction)
 
 
 def hull_of_affine_e(

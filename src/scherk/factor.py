@@ -71,7 +71,6 @@ from .isometry import (
     _primitive,
     _reflection,
     is_elliptic,
-    min_set,
     motion_reflection,
     move_set,
     product,
@@ -175,15 +174,15 @@ def factor_hyperbolic(w: Isometry) -> Factorization:
     """Minimal factorization of a hyperbolic isometry.
 
     Splits w = t_mu u, realizes the translation as two reflections across
-    parallel mirrors normal to mu (through the canonical min-set point and
-    its mu/2 translate), and factors the elliptic part.
+    the mirrors {mu . x = 0} and {mu . x = |mu|^2 / 2} (mu . p = 0 for the
+    canonical min-set point p, as p lies in U and mu is orthogonal to U),
+    and factors the elliptic part.
     """
     mu, u = standard_splitting(w)
     if mu.is_zero():
         raise ValueError("factor_hyperbolic needs a hyperbolic isometry")
-    near_value = mu.dot(min_set(w).anchor)
-    far = Reflection.from_hyperplane(mu, near_value + mu.norm_sq() / 2)
-    near = Reflection.from_hyperplane(mu, near_value)
+    far = Reflection.from_hyperplane(mu, mu.norm_sq() / 2)
+    near = Reflection.from_hyperplane(mu, Fraction(0))
     return Factorization(target=w, factors=(far, near) + _peel(u))
 
 
@@ -256,8 +255,8 @@ def chain_to_factorization(
 
     A step down to an elliptic e^B reflects the first point of B that the
     current product moves: among the canonical point of B and its basis
-    translates, one escapes Fix(current) = Fix(above), and a hyperbolic
-    current moves every point.  Each step is certified by
+    translates, built one at a time, one escapes Fix(current) = Fix(above),
+    and a hyperbolic current moves every point.  Each step is certified by
     :func:`_lands_on`: the product after a step from above has length at
     least rank(above) - 1 = rank(below).  The last step lands on the full
     space, so the product is the identity.
@@ -286,7 +285,9 @@ def chain_to_factorization(
         if isinstance(below, Hyperbolic):
             r = _step_to_hyperbolic(current, below.move)
         else:
-            x = next((x for x in below.fix.points() if current.apply(x) != x), None)
+            p = below.fix.point
+            scan = itertools.chain([p], (p + b for b in below.fix.direction.basis))
+            x = next((x for x in scan if current.apply(x) != x), None)
             if x is None:
                 raise ChainError("current fixes every point of the next fixed set")
             r = motion_reflection(current, x)

@@ -17,8 +17,8 @@ in which case Min(w) is the fixed-point set.  Otherwise it is *hyperbolic*.
 Scherk's formula gives the minimal number of reflections multiplying to w
 directly from these invariants: dim Mov(w) when w is elliptic and
 dim Mov(w) + 2 when w is hyperbolic.  No search is ever performed.  The
-invariants come from one elimination and are kept on the isometry, so
-asking for them again costs nothing.
+move-set, type and length come from one elimination and are kept on the
+isometry; the min-set, which the formula never reads, on its first read.
 
 A reflection is stored as its mirror hyperplane {x : alpha . x = c}, with
 alpha the canonical primitive integer root and c a rational offset; the
@@ -67,9 +67,9 @@ class Isometry:
     and inverses of exactly orthogonal rational matrices are exactly
     orthogonal, so revalidating them would only slow the hot paths down.
 
-    The slot ``_class`` holds the IsometryClass once :func:`classify` (or
-    any other invariant) has been asked for; it is written once, lives as
-    long as the isometry, and plays no part in equality or hashing.
+    The slot ``_class`` holds the IsometryClass, its min-set unbuilt, once
+    any invariant has been asked for; it is written once, lives as long as
+    the isometry, and plays no part in equality or hashing.
     """
 
     __slots__ = ("matrix", "translation", "_class")
@@ -300,18 +300,28 @@ class IsometryClass(Record):
 
     tag is "elliptic" or "hyperbolic"; move_set is in standard form U + mu;
     min_set is the fixed set when elliptic; length is the reflection length
-    from Scherk's formula.
+    from Scherk's formula.  :func:`classify` keeps a point of the min-set
+    in ``_point`` and builds min_set = point + U^perp into ``_min_set`` on
+    its first read; equality, hash and repr read it.
     """
 
-    __slots__ = ("tag", "move_set", "min_set", "length")
+    __slots__ = ("tag", "move_set", "_min_set", "length", "_point")
+    _names = ("tag", "move_set", "min_set", "length")
 
     def __init__(
         self, tag: str, move_set: AffineSubspaceV, min_set: AffineSubspaceE, length: int
     ):
         self.tag = tag
         self.move_set = move_set
-        self.min_set = min_set
+        self._min_set = min_set
         self.length = length
+
+    @property
+    def min_set(self) -> AffineSubspaceE:
+        if self._min_set is None:
+            perp = orthogonal_complement(self.move_set.direction)
+            self._min_set = AffineSubspaceE(Point(self._point), perp)
+        return self._min_set
 
     @property
     def is_elliptic(self) -> bool:
@@ -319,18 +329,19 @@ class IsometryClass(Record):
 
 
 def _invariants(w: Isometry) -> IsometryClass:
-    """Move-set, min-set and class of w from one elimination.
+    """Move-set and class of w, and a min-set point, from one elimination.
 
     With M = A - I, the min-set is the solution set of the normal equations
     M^T M x = -M^T b: the points whose motion M x + b is shortest.  As A is
     orthogonal, M^T M = 2I - A - A^T and -M^T b = b - A^T b need no matrix
     product, and ker M^T M = ker M = im(M)^perp, so the row space of M^T M
     is U = im M.  One reduction of [M^T M | -M^T b] therefore yields U (its
-    rows), Dir(Min) = U^perp and a min-set point x; mu, the part of b
-    orthogonal to U, is the motion w(x) - x, so the move-set needs no
-    projection.  With A = N / d and b = B / e the system reduced is the
-    integer [(2d I - N - N^T) e | d B - N^T B], and the first n columns of
-    its reduced rows are the reduced basis of U, with no second elimination.
+    rows) and a min-set point x, whose motion mu = M x + b lies in
+    ker M^T = U^perp: the shift of Mov(w) = U + mu, with no projection.
+    With A = N / d, b = B / e and x = P / p the system reduced is the
+    integer [(2d I - N - N^T) e | d B - N^T B], and mu is the integer row
+    (e N P - d e P + d p B) / (d p e).  Min(w) = x + U^perp waits for its
+    first read (IsometryClass.min_set).
     """
     a, d = w.matrix.num, w.matrix.den
     b, e = w.translation.num, w.translation.den
@@ -341,24 +352,22 @@ def _invariants(w: Isometry) -> IsometryClass:
         for i in range(n)
     ]
     rows, pivots = _rref(augmented, n + 1)
-    u = _subspace(n, rows, pivots)
-    point = Point(_particular(rows, pivots, n))
-    mov = AffineSubspaceV(u, w.apply(point) - point)
+    x = _particular(rows, pivots, n)
+    de, dp = d * e, d * x.den
+    mu = [e * _dot(r, x.num) - de * v + dp * t for r, v, t in zip(a, x.num, b)]
+    mov = AffineSubspaceV(_subspace(n, rows, pivots), _vector(mu, dp * e))
     tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
-    return IsometryClass(
-        tag=tag,
-        move_set=mov,
-        min_set=AffineSubspaceE(point, orthogonal_complement(u)),
-        length=mov.dim + (0 if tag == ELLIPTIC else 2),
-    )
+    cls = IsometryClass(tag, mov, None, mov.dim + (0 if tag == ELLIPTIC else 2))
+    cls._point = x
+    return cls
 
 
 def move_set(w: Isometry) -> AffineSubspaceV:
     """All motion vectors w(x) - x, in standard form U + mu.
 
     U is the column space of A - I and mu is the component of b orthogonal
-    to it.  The first call on w computes every invariant of w at once and
-    keeps them on w; see :func:`classify`.
+    to it.  The first call on w computes the move-set, type and length of w
+    at once and keeps them on w; see :func:`classify`.
     """
     if w._class is None:
         w._class = _invariants(w)
@@ -369,7 +378,7 @@ def min_set(w: Isometry) -> AffineSubspaceE:
     """Points moved by exactly mu, the minimal motion.
 
     The result has dimension complementary to the move-set and is
-    stabilized by w.
+    stabilized by w.  It is built on the first call and kept on w.
     """
     return classify(w).min_set
 

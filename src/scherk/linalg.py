@@ -590,13 +590,6 @@ def orthogonal_section(
     return section, basis[last]
 
 
-def subspace_sum(u1: LinearSubspace, u2: LinearSubspace) -> LinearSubspace:
-    """Smallest subspace containing both, the span of the union of bases."""
-    if u1.ambient != u2.ambient:
-        raise DimensionError("subspaces of different ambient dimensions")
-    return span([*u1.basis, *u2.basis], ambient=u1.ambient)
-
-
 def project(v: Vector, u: LinearSubspace) -> Vector:
     """Orthogonal projection of v onto the subspace (normal equations).
 

@@ -8,13 +8,17 @@ class Record:
     in its own ``__init__``.  Two records are equal iff they are of the same
     class with equal fields, the hash is that of the tuple of fields, and
     the repr is ``Name(field=value, ...)``.  Records are immutable by
-    convention, as ``Vector`` and ``Isometry`` are.
+    convention, as ``Vector`` and ``Isometry`` are.  A subclass with a
+    field built on its first read lists its fields as ``_names`` instead.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        cls._names = cls.__dict__.get("_names", cls.__slots__)
+
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -25,5 +29,5 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{self.__class__.__qualname__}({body})"

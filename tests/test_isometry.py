@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
+from scherk.factor import factor
 from scherk.isometry import (
     ELLIPTIC,
     HYPERBOLIC,
     Isometry,
+    IsometryClass,
     OrthogonalityError,
     Reflection,
     classify,
@@ -369,10 +371,8 @@ class TestInvariantSuite:
                     assert product_mov.subset_of(mov)
                     assert product_mov.dim == mov.dim - 1
                 else:
-                    from scherk.linalg import subspace_sum
-
                     grown = AffineSubspaceV(
-                        subspace_sum(mov.direction, span([r.root])), mov.mu
+                        span([*mov.direction.basis, r.root]), mov.mu
                     )
                     assert product_mov == grown
 
@@ -501,6 +501,50 @@ class TestInvariantsOnce:
                 assert cls.min_set.dim == dim - cls.move_set.dim
                 for x in cls.min_set.points():
                     assert w.apply(x) - x == cls.move_set.mu
+
+    def test_translation_mirrors_are_the_min_set_mirrors(self):
+        """The canonical min-set point lies in U = Dir(Mov) and mu is
+        orthogonal to U, so mu . anchor = 0: the closed-form mirrors are
+        those through the min-set point and its mu/2 translate."""
+        rng = random.Random(69)
+        hyperbolic = 0
+        for dim in range(2, 9):
+            for w in corpus(dim, 15, rng):
+                mov = move_set(w)
+                if mov.is_linear():
+                    continue
+                hyperbolic += 1
+                anchor = min_set(w).anchor
+                assert mov.direction.contains(anchor)
+                near_value = mov.mu.dot(anchor)
+                assert near_value == 0
+                through_min_set = (
+                    Reflection.from_hyperplane(
+                        mov.mu, near_value + mov.mu.norm_sq() / 2
+                    ),
+                    Reflection.from_hyperplane(mov.mu, near_value),
+                )
+                assert factor(w).factors[:2] == through_min_set
+        assert hyperbolic > 40
+
+    def test_min_set_read_or_not_is_the_same_value(self):
+        """Equality, hash and repr of a class do not depend on whether its
+        min-set was read before, and match the class built whole."""
+        rng = random.Random(70)
+        for dim in range(1, 7):
+            for w in corpus(dim, 10, rng):
+
+                def fresh():
+                    return classify(Isometry(w.matrix, w.translation))
+
+                read = fresh()
+                whole = IsometryClass(
+                    read.tag, read.move_set, read.min_set, read.length
+                )
+                for other in (read, whole):
+                    assert fresh() == other and other == fresh()
+                    assert hash(fresh()) == hash(other)
+                    assert repr(fresh()) == repr(other)
 
 
 def quotient_length(u, v):

