@@ -6,11 +6,12 @@ isometries, and through a translation split for hyperbolic ones.
 """
 
 from scherk import (
+    Elliptic,
     Isometry,
     Matrix,
     Vector,
+    chain_to_factorization,
     factor,
-    factor_elliptic,
     factorization_to_chain,
     reflection_length,
     rewrite_shift,
@@ -38,11 +39,11 @@ print("== half turn through an explicit chain ==")
 half_turn = Isometry(Matrix([[-1, 0], [0, -1]]), Vector([0, 0]))
 # Chain of fixed sets: the origin, then the x-axis, then the whole plane.
 chain = [
-    AffineSubspaceE.single_point(Point([0, 0])),
-    AffineSubspaceE(Point([0, 0]), span([Vector([1, 0])])),
-    AffineSubspaceE.full(2),
+    Elliptic(AffineSubspaceE.single_point(Point([0, 0]))),
+    Elliptic(AffineSubspaceE(Point([0, 0]), span([Vector([1, 0])]))),
+    Elliptic(AffineSubspaceE.full(2)),
 ]
-f = factor_elliptic(half_turn, chain=chain)
+f = chain_to_factorization(chain, half_turn)
 for i, r in enumerate(f.factors):
     print(f"factor {i}: root {fmt(r.root)}")
 print("two mirrors, first vertical then horizontal; product is the half turn:",

@@ -44,7 +44,6 @@ from .isometry import (
     interval_contains,
     interval_leq,
     is_elliptic,
-    is_reflection_below,
     min_set,
     motion_reflection,
     move_set,
@@ -63,6 +62,8 @@ from .factor import (
     factor_elliptic,
     factor_hyperbolic,
     factorization_to_chain,
+    hurwitz,
+    hurwitz_inverse,
     rewrite_shift,
     verify_minimal,
 )

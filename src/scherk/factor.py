@@ -28,6 +28,13 @@ lengths 0, 1, ..., len(f), and the suffix invariants follow from
 hyperplane sections of fixed sets and one-dimensional extensions of
 move-sets, with at most one classification.
 
+The braid group acts on the minimal factorizations of w by Hurwitz moves:
+sigma_i replaces the factors (a, b) at positions i, i + 1 by (a b a, a),
+and its inverse replaces them by (b, b a b).  Both keep the product
+(a b a a = a b) and the length, so minimality, and both change only the
+product of the factors from position i + 1 on: exactly one element, index
+i + 1, of the suffix chain.  ``rewrite_shift`` is a run of these moves.
+
 The peel behind ``factor`` takes the motion reflection of the first point
 that w = (A, b) moves, scanning the origin and then the unit points
 e_0, ..., e_{n-1}, and repeats on the product.  The mirror of a motion
@@ -58,7 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .affine import (
     AffineSubspaceE,
@@ -149,24 +156,16 @@ def _peel(w: Isometry) -> tuple[Reflection, ...]:
     return tuple(factors)
 
 
-def factor_elliptic(
-    w: Isometry, chain: Optional[Sequence[AffineSubspaceE]] = None
-) -> Factorization:
+def factor_elliptic(w: Isometry) -> Factorization:
     """Minimal factorization of an elliptic isometry.
 
-    With no chain, repeatedly reflects away the motion of the first unfixed
-    point in the deterministic scan; each step grows the fixed set by one
-    dimension, so the loop ends after dim Mov(w) steps.
-
-    A chain, when given, lists nested subspaces from Fix(w) up to the whole
-    space with codimension dropping by one at each step; the intermediate
-    products then fix exactly those subspaces.  It is walked by
-    :func:`chain_to_factorization` as the chain of the elements e^B.
+    Repeatedly reflects away the motion of the first unfixed point in the
+    deterministic scan; each step grows the fixed set by one dimension, so
+    the loop ends after dim Mov(w) steps.  To factor through a chosen
+    chain of fixed sets, walk it with :func:`chain_to_factorization`.
     """
     if not is_elliptic(w):
         raise ValueError("factor_elliptic needs an elliptic isometry")
-    if chain is not None:
-        return chain_to_factorization([Elliptic(b) for b in chain], w)
     return Factorization(target=w, factors=_peel(w))
 
 
@@ -345,46 +344,45 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     return elements
 
 
+def hurwitz(f: Factorization, i: int) -> Factorization:
+    """The Hurwitz move sigma_i: (a, b) at positions i, i + 1 becomes (a b a, a)."""
+    if not 0 <= i < len(f) - 1:
+        raise IndexError(f"no move at {i} for {len(f)} factors")
+    a, b = f.factors[i : i + 2]
+    factors = f.factors[:i] + (b.conjugate(a), a) + f.factors[i + 2 :]
+    return Factorization(target=f.target, factors=factors)
+
+
+def hurwitz_inverse(f: Factorization, i: int) -> Factorization:
+    """The inverse move: (a, b) at positions i, i + 1 becomes (b, b a b)."""
+    if not 0 <= i < len(f) - 1:
+        raise IndexError(f"no move at {i} for {len(f)} factors")
+    a, b = f.factors[i : i + 2]
+    factors = f.factors[:i] + (b, a.conjugate(b)) + f.factors[i + 2 :]
+    return Factorization(target=f.target, factors=factors)
+
+
 def rewrite_shift(
     f: Factorization, positions: Sequence[int], to_front: bool = True
 ) -> Factorization:
     """Move selected factors, unchanged and in order, to the front or back.
 
-    Each swap past an unselected neighbor replaces the neighbor by its
-    conjugate under the moving reflection, which preserves the product and
-    the length.  The swap rule reads the same in both directions, so a
-    move to the back is a move to the front of the reversed list.
+    A selected factor reaches the front by inverse Hurwitz moves, each
+    passing it over one unselected neighbor, and the back by Hurwitz moves.
     """
-    k = len(f.factors)
+    k = len(f)
     positions = list(positions)
-    selected = set(positions)
+    selected = sorted(set(positions), reverse=not to_front)
     if len(selected) != len(positions):
         raise IndexError("positions must be distinct")
     for p in selected:
         if not 0 <= p < k:
             raise IndexError(f"position {p} out of range for {k} factors")
-    factors = list(f.factors)
-    if not to_front:
-        factors.reverse()
-        selected = {k - 1 - p for p in selected}
-    work: list[tuple[Reflection, bool]] = [
-        (r, i in selected) for i, r in enumerate(factors)
-    ]
-    target_slot = 0
-    for i in range(k):
-        if not work[i][1]:
-            continue
-        j = i
-        while j > target_slot:
-            mover = work[j][0]
-            neighbor = work[j - 1][0]
-            conjugated = neighbor.conjugate(mover.to_isometry())
-            work[j - 1], work[j] = (mover, True), (conjugated, False)
-            j -= 1
-        target_slot += 1
-    if not to_front:
-        work.reverse()
-    return Factorization(target=f.target, factors=tuple(r for r, _ in work))
+    move = hurwitz_inverse if to_front else hurwitz
+    for slot, p in enumerate(selected):
+        for i in range(p - 1, slot - 1, -1) if to_front else range(p, k - 1 - slot):
+            f = move(f, i)
+    return f
 
 
 def verify_minimal(f: Factorization) -> bool:

@@ -249,14 +249,19 @@ class Reflection:
         factor = 2 * (x.to_vector().dot(alpha) - self.offset) / alpha.norm_sq()
         return x - alpha.scale(factor)
 
-    def conjugate(self, g: Isometry) -> "Reflection":
-        """The reflection g r g^{-1}, whose mirror is the image of this mirror.
+    def conjugate(self, r: "Reflection") -> "Reflection":
+        """The reflection r s r (s = self): its mirror is r's image of s's.
 
-        g maps {x : alpha . x = c} onto {y : A alpha . y = c + A alpha . b}.
+        For r across {alpha . x = c} and s across {beta . x = d}, the image
+        beta . r(y) = d is, times |alpha|^2 and with k = 2 alpha . beta,
+        the hyperplane (|alpha|^2 beta - k alpha) . y = |alpha|^2 d - k c.
         """
-        normal = g.apply_vector(self.root)
-        value = self.offset + normal.dot(g.translation)
-        return Reflection.from_hyperplane(normal, value)
+        if self.dim != r.dim:
+            raise DimensionError("reflections of different dimensions")
+        alpha, beta = r.root.num, self.root.num
+        norm, k = _dot(alpha, alpha), 2 * _dot(alpha, beta)
+        root, g = _primitive([norm * y - k * x for x, y in zip(alpha, beta)])
+        return _reflection(root, (norm * self.offset - k * r.offset) / g)
 
     def __eq__(self, other) -> bool:
         return (
@@ -493,11 +498,6 @@ def motion_reflection(w: Isometry, x: Point) -> Reflection:
     root, g = _primitive(alpha)
     value = _dot(alpha, [y + v for y, v in zip(ys, xs)])
     return _reflection(root, Fraction(value, 2 * dp * e * g))
-
-
-def is_reflection_below(r: Reflection, w: Isometry) -> bool:
-    """Whether r occurs in some minimal factorization, i.e. shortens w."""
-    return reflection_length(r.compose(w)) < reflection_length(w)
 
 
 def reflection_distance(u: Isometry, v: Isometry) -> int:

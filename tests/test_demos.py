@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion without output on stderr."""
+"""Every demo script runs to completion without output on stderr, and demo
+02's stdout matches its golden file byte for byte."""
 
 import os
 import pathlib
@@ -11,10 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs_cleanly(script):
+def run(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script)],
         cwd=ROOT,
         env=env,
@@ -22,5 +22,16 @@ def test_demo_runs_cleanly(script):
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs_cleanly(script):
+    result = run(script)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_demo_02_matches_golden():
+    result = run(ROOT / "demos" / "02_factorizations.py")
+    golden = ROOT / "tests" / "golden" / "demo_02.txt"
+    assert result.stdout == golden.read_text()

@@ -18,6 +18,8 @@ from scherk.factor import (
     factor_elliptic,
     factor_hyperbolic,
     factorization_to_chain,
+    hurwitz,
+    hurwitz_inverse,
     rewrite_shift,
     verify_minimal,
 )
@@ -25,7 +27,6 @@ from scherk.isometry import (
     Isometry,
     Reflection,
     classify,
-    is_reflection_below,
     reflection_length,
     standard_splitting,
     translation,
@@ -97,12 +98,13 @@ class TestFactorElliptic:
         assert verify_minimal(f)
 
     def test_half_turn_with_explicit_chain(self):
+        """A chosen chain of fixed sets is walked as the elements e^B."""
         chain = [
-            AffineSubspaceE.single_point(pt(0, 0)),
-            AffineSubspaceE(pt(0, 0), span([e(2, 0)])),
-            AffineSubspaceE.full(2),
+            Elliptic(AffineSubspaceE.single_point(pt(0, 0))),
+            Elliptic(AffineSubspaceE(pt(0, 0), span([e(2, 0)]))),
+            Elliptic(AffineSubspaceE.full(2)),
         ]
-        f = factor_elliptic(half_turn(), chain=chain)
+        f = chain_to_factorization(chain, half_turn())
         assert [r.mirror for r in f.factors] == [
             mirror(pt(0, 0), e(2, 0)),
             mirror(pt(0, 0), e(2, 1)),
@@ -129,27 +131,22 @@ class TestFactorElliptic:
 
     def test_rejects_bad_chains(self):
         w = half_turn()
-        fix = AffineSubspaceE.single_point(pt(0, 0))
-        full = AffineSubspaceE.full(2)
+        fix = Elliptic(AffineSubspaceE.single_point(pt(0, 0)))
+        full = Elliptic(AffineSubspaceE.full(2))
         with pytest.raises(ChainError):
-            factor_elliptic(w, chain=[fix, full])
+            chain_to_factorization([fix, full], w)
         with pytest.raises(ChainError):
-            factor_elliptic(
-                w,
-                chain=[
-                    AffineSubspaceE.single_point(pt(5, 5)),
-                    AffineSubspaceE(pt(0, 0), span([e(2, 0)])),
+            chain_to_factorization(
+                [
+                    Elliptic(AffineSubspaceE.single_point(pt(5, 5))),
+                    Elliptic(AffineSubspaceE(pt(0, 0), span([e(2, 0)]))),
                     full,
                 ],
+                w,
             )
         with pytest.raises(ChainError):
-            factor_elliptic(
-                w,
-                chain=[
-                    fix,
-                    AffineSubspaceE(pt(0, 7), span([e(2, 0)])),
-                    full,
-                ],
+            chain_to_factorization(
+                [fix, Elliptic(AffineSubspaceE(pt(0, 7), span([e(2, 0)]))), full], w
             )
 
 
@@ -280,6 +277,28 @@ class TestOperationBudget:
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
         assert calls == []
         assert (len(walks), steps) == (100, 309)
+
+    def test_rewrite_shift_builds_no_isometry(self, monkeypatch, calls, counted):
+        """Each swap is one Hurwitz move, whose conjugate is a closed form on
+        the two roots: no product, no reflection matrix, no matrix product."""
+        rng = random.Random(91)
+        shifts = []
+        for dim in range(2, 7):
+            for w in corpus(dim, 20, rng):
+                f = random_minimal_factorization(w, rng)
+                if len(f) >= 2:
+                    positions = rng.sample(range(len(f)), rng.randint(1, len(f) - 1))
+                    shifts.append((f, positions, rng.random() < 0.5))
+        for name in ("compose", "to_isometry"):
+            original = getattr(Reflection, name)
+            monkeypatch.setattr(Reflection, name, counted(name, original))
+        monkeypatch.setattr(
+            Matrix, "__mul__", counted("Matrix.__mul__", Matrix.__mul__)
+        )
+        moved = [rewrite_shift(*shift) for shift in shifts]
+        assert calls == []
+        changed = sum(g.factors != f.factors for (f, _, _), g in zip(shifts, moved))
+        assert (len(shifts), changed) == (88, 56)
 
 
 class TestFactorHyperbolic:
@@ -423,7 +442,10 @@ class TestRewriteShift:
             back = rewrite_shift(f, positions, to_front=False)
             assert back.factors[-1] == f.factors[0]
             assert back.is_exact()
-            assert all(is_reflection_below(r, w) for r in back.factors)
+            assert all(
+                reflection_length(r.compose(w)) < reflection_length(w)
+                for r in back.factors
+            )
 
     def test_several_positions_to_front_and_back(self):
         rng = random.Random(57)
@@ -442,6 +464,76 @@ class TestRewriteShift:
                 for shifted in (front, back):
                     assert shifted.is_exact()
                     assert len(shifted) == len(f)
+
+
+class TestHurwitz:
+    """The braid group acts on minimal factorizations, one chain element per
+    move: sigma_i maps (a, b) at i, i + 1 to (a b a, a), its inverse to
+    (b, b a b)."""
+
+    @pytest.fixture(scope="class")
+    def factorizations(self):
+        """One seeded minimal factorization per corpus isometry, dims 2-8."""
+        rng = random.Random(100)
+        return [
+            random_minimal_factorization(w, rng)
+            for dim in range(2, 9)
+            for w in corpus(dim, 25, 100 + dim)
+        ]
+
+    def test_move_changes_one_chain_element_and_walks_back(self, factorizations):
+        rng = random.Random(101)
+        moves = 0
+        for f in factorizations:
+            if len(f) < 2:
+                continue
+            i = rng.randrange(len(f) - 1)
+            assert hurwitz_inverse(hurwitz(f, i), i).factors == f.factors
+            assert hurwitz(hurwitz_inverse(f, i), i).factors == f.factors
+            a, b = f.factors[i : i + 2]
+            move, pair = rng.choice(
+                [(hurwitz, (b.conjugate(a), a)), (hurwitz_inverse, (b, a.conjugate(b)))]
+            )
+            g = move(f, i)
+            assert g.target == f.target
+            assert g.factors == f.factors[:i] + pair + f.factors[i + 2 :]
+            assert verify_minimal(g)
+            chain, moved = factorization_to_chain(f), factorization_to_chain(g)
+            changed = [j for j, (p, q) in enumerate(zip(chain, moved)) if p != q]
+            assert changed == [i + 1]
+            assert chain_to_factorization(moved, f.target).factors == g.factors
+            moves += 1
+        assert moves == 151
+
+    def test_braid_relations(self, factorizations):
+        rng = random.Random(102)
+        adjacent = far = 0
+        for f in factorizations:
+            if len(f) >= 3:
+                i = rng.randrange(len(f) - 2)
+                left = hurwitz(hurwitz(hurwitz(f, i), i + 1), i)
+                right = hurwitz(hurwitz(hurwitz(f, i + 1), i), i + 1)
+                assert left.factors == right.factors
+                adjacent += 1
+            if len(f) >= 4:
+                i, j = sorted(rng.sample(range(len(f) - 1), 2))
+                if j - i < 2:
+                    continue
+                assert hurwitz(hurwitz(f, i), j).factors == (
+                    hurwitz(hurwitz(f, j), i).factors
+                )
+                far += 1
+        assert (adjacent, far) == (121, 49)
+
+    @pytest.mark.parametrize("move", [hurwitz, hurwitz_inverse])
+    def test_index_out_of_range(self, move):
+        f = factor_hyperbolic(glide())
+        assert len(move(f, 1)) == 3
+        for i in (-1, -2, 2, 3):
+            with pytest.raises(IndexError):
+                move(f, i)
+        with pytest.raises(IndexError):
+            move(Factorization(target=Isometry.identity(2), factors=()), 0)
 
 
 class TestVerifyMinimal:

@@ -19,7 +19,6 @@ from scherk.isometry import (
     classify,
     interval_contains,
     interval_leq,
-    is_reflection_below,
     min_set,
     motion_reflection,
     move_set,
@@ -246,18 +245,18 @@ class TestReflectionsBelow:
     def test_inner_mirror_is_below_translation(self):
         w = translation(vec(2, 0))
         r = Reflection(mirror(pt(1, 0), e(2, 0)))
-        assert is_reflection_below(r, w)
+        assert reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_axis_mirror_is_not_below_translation(self):
         w = translation(vec(2, 0))
         r = Reflection(mirror(pt(0, 0), e(2, 1)))
-        assert not is_reflection_below(r, w)
+        assert not reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_motion_reflection_bisects(self):
         w = translation(vec(2, 0))
         r = motion_reflection(w, pt(0, 0))
         assert r == reflection_bisecting(pt(0, 0), pt(2, 0))
-        assert is_reflection_below(r, w)
+        assert reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_motion_reflection_rejects_fixed_points(self):
         r = Reflection(mirror(pt(0, 0), e(2, 1)))
@@ -295,7 +294,8 @@ class TestReflectionsBelow:
                     for p in AffineSubspaceE.full(dim).points()
                     if w.apply(p) != p
                 )
-                assert is_reflection_below(motion_reflection(w, x), w)
+                r = motion_reflection(w, x)
+                assert reflection_length(r.compose(w)) < reflection_length(w)
 
 
 class TestIntervals:
@@ -457,9 +457,15 @@ class TestHyperplaneForm:
                     assert (r1 == r2) == (r1.mirror == r2.mirror)
 
     def test_conjugate_is_sandwich_product(self):
-        for r, g in _random_pairs(65, 10):
-            sandwich = g.compose(r.to_isometry()).compose(g.inverse())
-            assert r.conjugate(g).to_isometry() == sandwich
+        rng = random.Random(65)
+        for dim in range(1, 7):
+            for _ in range(10):
+                r, s = random_reflection(dim, rng), random_reflection(dim, rng)
+                sandwich = r.compose(s.compose(r.to_isometry()))
+                assert s.conjugate(r).to_isometry() == sandwich
+                assert s.conjugate(s) == s
+        with pytest.raises(DimensionError):
+            s.conjugate(random_reflection(dim + 1, rng))
 
 
 class TestInvariantsOnce:
