@@ -59,8 +59,6 @@ from .factor import (
     Factorization,
     chain_to_factorization,
     factor,
-    factor_elliptic,
-    factor_hyperbolic,
     factorization_to_chain,
     hurwitz,
     hurwitz_inverse,
@@ -70,7 +68,6 @@ from .factor import (
 from .poset import (
     BoundFamily,
     Elliptic,
-    EllipticEmbedding,
     Hyperbolic,
     New,
     PosetContext,
@@ -78,7 +75,6 @@ from .poset import (
     PosetError,
     dm_join,
     dm_meet,
-    elliptic_iso,
     find_bowtie,
     hasse_dot,
     inv_map,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
     DimensionError,
@@ -223,9 +223,12 @@ class AffineSubspaceE(_AffineSubspace):
     def contains(self, x: Point) -> bool:
         return self._holds(x.to_vector())
 
-    def points(self) -> list[Point]:
-        """The canonical point and its basis translates, spanning the subspace."""
-        return [self.point] + [self.point + b for b in self.direction.basis]
+    def points(self) -> Iterator[Point]:
+        """The canonical point, then its basis translates, built lazily."""
+        p = self.point
+        yield p
+        for b in self.direction.basis:
+            yield p + b
 
     def __repr__(self) -> str:
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"

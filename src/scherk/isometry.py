@@ -183,16 +183,12 @@ class Reflection:
 
     __slots__ = ("root", "offset")
 
-    def __init__(self, mirror: AffineSubspaceE, root: Optional[Vector] = None):
+    def __init__(self, mirror: AffineSubspaceE):
         if mirror.codim != 1:
             raise ValueError(
                 f"mirror must have codimension 1, got codimension {mirror.codim}"
             )
-        normal_line = orthogonal_complement(mirror.direction)
-        if root is None:
-            root = normal_line.basis[0]
-        elif not normal_line.contains(root) or root.is_zero():
-            raise ValueError("root must span the normal line of the mirror")
+        root = orthogonal_complement(mirror.direction).basis[0]
         self.root = _vec(_primitive(root.num)[0], 1)
         self.offset = self.root.dot(mirror.anchor)
 

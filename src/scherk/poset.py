@@ -224,10 +224,8 @@ def leq(p: PosetElement, q: PosetElement) -> bool:
     return False
 
 
-def rank(p: PosetElement, ctx: Optional[PosetContext] = None) -> int:
+def rank(p: PosetElement) -> int:
     """Rank in the graded order; equals the reflection length of preimages."""
-    if ctx is not None:
-        ctx.require(p)
     if isinstance(p, Elliptic):
         return p.fix.codim
     if isinstance(p, Hyperbolic):
@@ -262,14 +260,6 @@ class BoundFamily(Record):
             and p._space.direction == self.direction
             and (self.within is None or p._space.subset_of(self.within))
         )
-
-    def representative(self) -> PosetElement:
-        if self.kind == "e":
-            n = self.direction.ambient
-            return Elliptic(AffineSubspaceE(Point.origin(n), self.direction))
-        if self.within is None:
-            raise PosetError("h-family needs the subspace it lies within")
-        return Hyperbolic(AffineSubspaceV(self.direction, self.within.mu))
 
 
 BoundResult = Union[Elliptic, Hyperbolic, BoundFamily]
@@ -469,42 +459,6 @@ def is_bowtie(
     if not isinstance(upper, BoundFamily):
         return False
     return upper.contains(a) and upper.contains(b)
-
-
-class EllipticEmbedding(Record):
-    """Order isomorphism between an elliptic poset and a subspace lattice.
-
-    e^C maps to the orthogonal complement of Dir(C), a subspace of the
-    complement U of the top's direction; reverse inclusion of subspaces of
-    E becomes plain inclusion in the lattice of subspaces of U.
-    """
-
-    __slots__ = ("top", "subspace_universe")
-
-    def __init__(self, top: Elliptic, subspace_universe: LinearSubspace):
-        self.top = top
-        self.subspace_universe = subspace_universe
-
-    def to_subspace(self, p: Elliptic) -> LinearSubspace:
-        if not leq(p, self.top):
-            raise PosetError("element is not below the elliptic top")
-        return orthogonal_complement(p.fix.direction)
-
-    def from_subspace(self, s: LinearSubspace) -> Elliptic:
-        if not s.subset_of(self.subspace_universe):
-            raise PosetError("subspace is not inside the top's complement")
-        return Elliptic(
-            AffineSubspaceE(self.top.fix.point, orthogonal_complement(s))
-        )
-
-
-def elliptic_iso(ctx: PosetContext) -> EllipticEmbedding:
-    if not isinstance(ctx.top, Elliptic):
-        raise PosetError("elliptic_iso needs an elliptic top")
-    return EllipticEmbedding(
-        top=ctx.top,
-        subspace_universe=orthogonal_complement(ctx.top.fix.direction),
-    )
 
 
 def _sort_key(p: PosetElement):

@@ -1,5 +1,5 @@
-"""Every demo script runs to completion without output on stderr, and demo
-02's stdout matches its golden file byte for byte."""
+"""Every demo script runs to completion without output on stderr, and its
+stdout matches its golden file byte for byte."""
 
 import os
 import pathlib
@@ -29,6 +29,8 @@ def test_demo_runs_cleanly(script):
     result = run(script)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    golden = ROOT / "tests" / "golden" / f"demo_{script.name[:2]}.txt"
+    assert result.stdout == golden.read_text()
 
 
 def test_demo_02_matches_golden():

@@ -15,8 +15,6 @@ from scherk.factor import (
     Factorization,
     chain_to_factorization,
     factor,
-    factor_elliptic,
-    factor_hyperbolic,
     factorization_to_chain,
     hurwitz,
     hurwitz_inverse,
@@ -27,6 +25,7 @@ from scherk.isometry import (
     Isometry,
     Reflection,
     classify,
+    motion_reflection,
     reflection_length,
     standard_splitting,
     translation,
@@ -42,11 +41,19 @@ from scherk.oracle import (
     random_minimal_factorization,
     sample_interval,
 )
-from scherk.poset import Elliptic, Hyperbolic, inv_map, rank
+from scherk.poset import Elliptic, Hyperbolic, inv_map, leq, rank
 from strategies import isometries, no_deadline, seeds
 
-# The package attribute scherk.factor is the function of that name.
-factor_module = importlib.import_module("scherk.factor")
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Bind ``replacement`` in place of the function ``original`` in every
+    loaded scherk module that binds it under its own name."""
+    name = original.__name__
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("scherk") and (
+            getattr(module, name, None) is original
+        ):
+            monkeypatch.setattr(module, name, replacement)
 
 
 def vec(*coords):
@@ -93,7 +100,7 @@ def below_screw_step():
 
 class TestFactorElliptic:
     def test_identity_factors_empty(self):
-        f = factor_elliptic(Isometry.identity(3))
+        f = factor(Isometry.identity(3))
         assert len(f) == 0
         assert verify_minimal(f)
 
@@ -113,13 +120,9 @@ class TestFactorElliptic:
 
     def test_single_reflection_factors_as_itself(self):
         r = Reflection(mirror(pt(2, 1), vec(1, 1)))
-        f = factor_elliptic(r.to_isometry())
+        f = factor(r.to_isometry())
         assert len(f) == 1
         assert f.factors[0] == r
-
-    def test_rejects_hyperbolic_input(self):
-        with pytest.raises(ValueError):
-            factor_elliptic(translation(vec(1, 0)))
 
     def test_unfixed_point_scan_is_full_space_scan(self):
         rng = random.Random(71)
@@ -211,12 +214,11 @@ class TestOperationBudget:
         monkeypatch.setattr(
             Isometry, "compose", counted("Isometry.compose", Isometry.compose)
         )
-        for module in (factor_module, importlib.import_module("scherk.isometry")):
-            monkeypatch.setattr(
-                module,
-                "motion_reflection",
-                counted("motion_reflection", module.motion_reflection),
-            )
+        patch_everywhere(
+            monkeypatch,
+            motion_reflection,
+            counted("motion_reflection", motion_reflection),
+        )
         rng = random.Random(73)
         ws = [w for dim in range(2, 7) for w in corpus(dim, 20, rng)]
         calls.clear()
@@ -237,11 +239,7 @@ class TestOperationBudget:
         linalg = importlib.import_module("scherk.linalg")
         for name in ("_rref", "orthogonal_complement"):
             original = getattr(linalg, name)
-            for module in list(sys.modules.values()):
-                if module.__name__.startswith("scherk") and (
-                    getattr(module, name, None) is original
-                ):
-                    monkeypatch.setattr(module, name, counted(name, original))
+            patch_everywhere(monkeypatch, original, counted(name, original))
         monkeypatch.setattr(
             AffineSubspaceE,
             "__init__",
@@ -267,7 +265,7 @@ class TestOperationBudget:
             for dim in range(2, 7)
             for w in corpus(dim, 20, rng)
         ]
-        monkeypatch.setattr(factor_module, "leq", counted("leq", factor_module.leq))
+        patch_everywhere(monkeypatch, leq, counted("leq", leq))
         monkeypatch.setattr(
             Reflection, "conjugate", counted("conjugate", Reflection.conjugate)
         )
@@ -277,6 +275,21 @@ class TestOperationBudget:
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
         assert calls == []
         assert (len(walks), steps) == (100, 309)
+
+    def test_chain_read_makes_no_order_check(self, monkeypatch, calls, counted):
+        """Reading the suffix chain off a minimal factorization needs no order
+        check: an exact product of Scherk length steps down one reflection
+        at a time."""
+        rng = random.Random(97)
+        fs = [
+            random_minimal_factorization(w, rng)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        patch_everywhere(monkeypatch, leq, counted("leq", leq))
+        steps = sum(len(factorization_to_chain(f)) - 1 for f in fs)
+        assert calls == []
+        assert (len(fs), steps) == (100, 307)
 
     def test_rewrite_shift_builds_no_isometry(self, monkeypatch, calls, counted):
         """Each swap is one Hurwitz move, whose conjugate is a closed form on
@@ -303,7 +316,7 @@ class TestOperationBudget:
 
 class TestFactorHyperbolic:
     def test_translation_mirrors(self):
-        f = factor_hyperbolic(translation(vec(2, 0)))
+        f = factor(translation(vec(2, 0)))
         assert [r.mirror for r in f.factors] == [
             mirror(pt(1, 0), e(2, 0)),
             mirror(pt(0, 0), e(2, 0)),
@@ -311,20 +324,16 @@ class TestFactorHyperbolic:
         assert f.is_exact()
 
     def test_glide_needs_three(self):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         assert len(f) == 3
         assert f.is_exact()
         assert verify_minimal(f)
 
     def test_one_dimensional_translation(self):
-        f = factor_hyperbolic(translation(Vector([3])))
+        f = factor(translation(Vector([3])))
         assert len(f) == 2
         assert f.is_exact()
         assert all(r.mirror.dim == 0 for r in f.factors)
-
-    def test_rejects_elliptic_input(self):
-        with pytest.raises(ValueError):
-            factor_hyperbolic(half_turn())
 
 
 class TestChainToFactorization:
@@ -380,7 +389,7 @@ class TestFactorizationToChain:
 
     def test_translation_chain_tops_out_at_move_set(self):
         w = translation(vec(2, 0))
-        chain = factorization_to_chain(factor_hyperbolic(w))
+        chain = factorization_to_chain(factor(w))
         assert len(chain) == 3
         assert chain[0] == Hyperbolic(classify(w).move_set)
 
@@ -407,28 +416,28 @@ class TestFactorizationToChain:
 
 class TestRewriteShift:
     def test_shift_second_mirror_to_front(self):
-        f = factor_hyperbolic(translation(vec(2, 0)))
+        f = factor(translation(vec(2, 0)))
         shifted = rewrite_shift(f, [1], to_front=True)
         assert shifted.factors[0] == f.factors[1]
         assert shifted.is_exact()
         assert len(shifted) == len(f)
 
     def test_all_positions_unchanged(self):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         assert rewrite_shift(f, [0, 1, 2]).factors == f.factors
 
     def test_empty_positions_unchanged(self):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         assert rewrite_shift(f, []).factors == f.factors
 
     def test_out_of_range_rejected(self):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         with pytest.raises(IndexError):
             rewrite_shift(f, [5])
 
     @pytest.mark.parametrize("to_front", [True, False])
     def test_positions_read_once(self, to_front):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         once = rewrite_shift(f, (p for p in [0, 2]), to_front=to_front)
         assert once.factors == rewrite_shift(f, [0, 2], to_front=to_front).factors
 
@@ -527,7 +536,7 @@ class TestHurwitz:
 
     @pytest.mark.parametrize("move", [hurwitz, hurwitz_inverse])
     def test_index_out_of_range(self, move):
-        f = factor_hyperbolic(glide())
+        f = factor(glide())
         assert len(move(f, 1)) == 3
         for i in (-1, -2, 2, 3):
             with pytest.raises(IndexError):
@@ -585,7 +594,7 @@ class TestMinimalFactorizationProperties:
                 cls = classify(w)
                 if cls.tag != "elliptic" or w.is_identity():
                     continue
-                f = factor_elliptic(w)
+                f = factor(w)
                 roots = span([r.root for r in f.factors], ambient=dim)
                 assert roots.dim == len(f)
                 common = f.factors[0].mirror
@@ -636,7 +645,7 @@ class TestChainClosedForms:
         """The order check is made to pass everything, and the elements after
         the wrong one lie below the product the walk really reaches, so
         only the step certificate can reject the chain."""
-        monkeypatch.setattr(factor_module, "leq", lambda p, q: True)
+        patch_everywhere(monkeypatch, leq, lambda p, q: True)
         chain = [inv_map(w), wrong, *rest, Elliptic(AffineSubspaceE.full(w.dim))]
         assert [rank(p) for p in chain] == list(range(len(chain) - 1, -1, -1))
         with pytest.raises(ChainError, match="did not land"):

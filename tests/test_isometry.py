@@ -435,10 +435,11 @@ class TestHyperplaneForm:
 
     def test_rebuilding_from_mirror_gives_same_reflection(self):
         for r, _ in _random_pairs(63, 10):
-            again = Reflection(r.mirror, r.root)
+            again = Reflection(r.mirror)
             assert again == r
             assert hash(again) == hash(r)
-            rescaled = Reflection(r.mirror, r.root.scale(Fraction(-3, 2)))
+            k = Fraction(-3, 2)
+            rescaled = Reflection.from_hyperplane(r.root.scale(k), k * r.offset)
             assert rescaled == r and hash(rescaled) == hash(r)
 
     def test_equal_exactly_when_mirrors_equal(self):

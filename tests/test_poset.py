@@ -48,7 +48,6 @@ from scherk.poset import (
     PosetError,
     dm_join,
     dm_meet,
-    elliptic_iso,
     find_bowtie,
     hasse_dot,
     hasse_graph,
@@ -298,7 +297,7 @@ class TestRank:
     def test_context_rejects_foreign_elements(self):
         ctx = PosetContext(top=elliptic(pt(0, 0), e(2, 0)))
         with pytest.raises(PosetError):
-            rank(hyperbolic(vec(2, 0)), ctx)
+            ctx.require(hyperbolic(vec(2, 0)))
 
     def test_rank_matches_reflection_length_of_preimages(self):
         rng = random.Random(121)
@@ -353,7 +352,7 @@ class TestMeet:
         assert result.direction == span([e(3, 1), e(3, 2)])
         member = elliptic(pt(0, 0, 0), e(3, 1), e(3, 2))
         assert result.contains(member)
-        assert leq(result.representative(), m1)
+        assert leq(member, m1)
 
     def test_elliptic_with_hyperbolic(self):
         ctx = PosetContext(top=plane_top_3d())
@@ -398,9 +397,9 @@ class TestJoin:
         assert isinstance(result, BoundFamily)
         assert result.kind == "h"
         assert result.direction == span([e(3, 0)])
-        assert result.contains(hyperbolic(vec(0, 0, 1), e(3, 0)))
-        rep = result.representative()
-        assert leq(b1, rep) and leq(b2, rep)
+        member = hyperbolic(vec(0, 0, 1), e(3, 0))
+        assert result.contains(member)
+        assert leq(b1, member) and leq(b2, member)
 
     def test_hyperbolic_join_is_hull(self):
         ctx = PosetContext(top=plane_top_3d())
@@ -744,25 +743,22 @@ class TestPlainAgainstAugmented:
 
 
 class TestEllipticIso:
+    """Under an elliptic top e^B, e^C maps to Dir(C)^perp, a subspace of
+    Dir(B)^perp; reverse inclusion of fixed sets becomes inclusion."""
+
     def test_top_and_bottom_map_to_extremes(self):
-        top = elliptic(pt(0, 0))
-        ctx = PosetContext(top=top)
-        iso = elliptic_iso(ctx)
-        assert iso.to_subspace(top) == LinearSubspace.full(2)
-        assert iso.to_subspace(Elliptic(AffineSubspaceE.full(2))) == span(
-            [], ambient=2
+        assert orthogonal_complement(elliptic(pt(0, 0)).fix.direction) == (
+            LinearSubspace.full(2)
         )
+        bottom = Elliptic(AffineSubspaceE.full(2))
+        assert orthogonal_complement(bottom.fix.direction) == span([], ambient=2)
 
     def test_axis_maps_to_normal_line(self):
-        ctx = PosetContext(top=elliptic(pt(0, 0)))
-        iso = elliptic_iso(ctx)
         x_axis = elliptic(pt(0, 0), e(2, 0))
-        assert iso.to_subspace(x_axis) == span([e(2, 1)])
+        assert orthogonal_complement(x_axis.fix.direction) == span([e(2, 1)])
 
     def test_round_trip_and_order_reversal(self):
         base = elliptic(pt(1, 2, 0))
-        ctx = PosetContext(top=base)
-        iso = elliptic_iso(ctx)
         family = [
             base,
             elliptic(pt(1, 2, 0), e(3, 0)),
@@ -770,16 +766,13 @@ class TestEllipticIso:
             elliptic(pt(1, 2, 0), e(3, 0), e(3, 1)),
             Elliptic(AffineSubspaceE.full(3)),
         ]
-        images = [iso.to_subspace(p) for p in family]
+        images = [orthogonal_complement(p.fix.direction) for p in family]
         assert len(set(images)) == len(family)
         for p, s in zip(family, images):
-            assert iso.from_subspace(s) == p
-        for p, q in itertools.product(family, repeat=2):
-            assert leq(p, q) == iso.to_subspace(p).subset_of(iso.to_subspace(q))
-
-    def test_rejects_hyperbolic_context(self):
-        with pytest.raises(PosetError):
-            elliptic_iso(PosetContext(top=plane_top_3d()))
+            back = Elliptic(AffineSubspaceE(base.fix.point, orthogonal_complement(s)))
+            assert back == p
+        for (p, s), (q, t) in itertools.product(zip(family, images), repeat=2):
+            assert leq(p, q) == s.subset_of(t)
 
 
 class TestHasse:

@@ -1,4 +1,4 @@
-"""The nine small value classes: construction, equality, hash, repr and
+"""The eight small value classes: construction, equality, hash, repr and
 the checks their constructors make."""
 
 from fractions import Fraction
@@ -12,7 +12,6 @@ from scherk.linalg import LinearSubspace, Vector
 from scherk.poset import (
     BoundFamily,
     Elliptic,
-    EllipticEmbedding,
     Hyperbolic,
     New,
     PosetContext,
@@ -65,13 +64,6 @@ CASES = {
         "BoundFamily(kind='h', direction=LinearSubspace(R^2, [1, 1]), "
         "within=AffineSubspaceV(LinearSubspace(R^2, [1, 0; 0, 1]) + "
         "Vector((0, 0))))",
-    ),
-    EllipticEmbedding: (
-        {"top": Elliptic(POINT), "subspace_universe": PLANE},
-        {"top": Elliptic(POINT), "subspace_universe": LINE},
-        "EllipticEmbedding(top=e^AffineSubspaceE(Point((0, 0)) + "
-        "LinearSubspace(R^2, [])), subspace_universe=LinearSubspace(R^2, "
-        "[1, 0; 0, 1]))",
     ),
     IsometryClass: (
         {"tag": "elliptic", "move_set": X_AXIS, "min_set": MIRROR, "length": 1},
