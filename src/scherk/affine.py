@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     _dot,
     _mat,
+    _q,
     _vector,
     orthogonal_complement,
     orthogonal_section,
@@ -57,10 +58,6 @@ class Point:
     @property
     def dim(self) -> int:
         return self.vector.dim
-
-    def to_vector(self) -> Vector:
-        """Coordinate vector relative to the global basepoint."""
-        return self.vector
 
     def __add__(self, other):
         if isinstance(other, Vector):
@@ -203,7 +200,7 @@ class AffineSubspaceE(_AffineSubspace):
     __slots__ = ()
 
     def __init__(self, point: Point, direction: LinearSubspace) -> None:
-        super().__init__(direction, point.to_vector())
+        super().__init__(direction, point.vector)
 
     @classmethod
     def single_point(cls, point: Point) -> "AffineSubspaceE":
@@ -221,7 +218,7 @@ class AffineSubspaceE(_AffineSubspace):
         return self.direction.is_full()
 
     def contains(self, x: Point) -> bool:
-        return self._holds(x.to_vector())
+        return self._holds(x.vector)
 
     def points(self) -> Iterator[Point]:
         """The canonical point, then its basis translates, built lazily."""
@@ -280,7 +277,7 @@ def hyperplane_section(
     normal . (p + t v) = value, which the constructor puts in standard form.
     """
     direction, row = orthogonal_section(b.direction, normal)
-    gap = value - normal.dot(b.anchor)
+    gap = _q(value) - normal.dot(b.anchor)
     if row is None:
         return None if gap else b
     point = Point(b.anchor + row.scale(gap / normal.dot(row)))

@@ -58,7 +58,10 @@ fixed and fixes one more: dim Mov(w) steps, a minimal factorization
 
 The chain walks pick their points by a deterministic scan too (the
 canonical point of the relevant subspace, then its basis translates), so
-repeated runs produce identical output.
+repeated runs produce identical output.  The same scan certifies an
+elliptic step: after the reflection the points it had passed stay fixed,
+so only the basis vectors past the reflected point are applied, dim B + 1
+matrix-vector products per step in all.
 """
 
 from __future__ import annotations
@@ -170,8 +173,8 @@ def factor(w: Isometry) -> Factorization:
     mu, u = standard_splitting(w)
     if mu.is_zero():
         return Factorization(target=w, factors=_peel(w))
-    far = Reflection.from_hyperplane(mu, mu.norm_sq() / 2)
-    near = Reflection.from_hyperplane(mu, Fraction(0))
+    far = Reflection(mu, mu.norm_sq() / 2)
+    near = Reflection(mu, 0)
     return Factorization(target=w, factors=(far, near) + _peel(u))
 
 
@@ -194,29 +197,20 @@ def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Refl
         turned = current.apply_vector(normal)
         if turned != normal:
             value = normal.dot(target_move.mu) - turned.dot(current.translation)
-            return Reflection.from_hyperplane(normal - turned, value)
+            return Reflection(normal - turned, value)
     raise ChainError("move-set step does not cut out a hyperplane")
 
 
-def _lands_on(current: Isometry, below: PosetElement) -> bool:
-    """Whether inv(current) = below, for current with l(current) >= rank(below).
+def _lands_on(current: Isometry, move: AffineSubspaceV) -> bool:
+    """Whether Mov(current) = M, for current with l(current) >= dim M + 2.
 
-    For e^B: if current fixes the point of B and each basis vector of
-    Dir B, it fixes B pointwise, so it is elliptic with Fix ⊇ B and
-    l(current) = codim Fix <= codim B = rank(below).  For h^M: if b lies
-    in M and every column of A - I in Dir M, every motion (A - I) x + b
-    lies in M, so Mov ⊆ M; as 0 is not in M, current is hyperbolic and
-    l(current) = dim Mov + 2 <= dim M + 2 = rank(below).  Either way the
-    length bound makes the inequality an equality, and an inclusion of
-    affine subspaces of equal dimension is an equality: Fix = B, or
-    Mov = M.  Without the inclusion, inv(current) is not below.
+    If b lies in M and every column of A - I in Dir M, every motion
+    (A - I) x + b lies in M, so Mov ⊆ M; as 0 is not in M, current is
+    hyperbolic and l(current) = dim Mov + 2 <= dim M + 2.  The length bound
+    makes the inequality an equality, and an inclusion of affine subspaces
+    of equal dimension is an equality.  Without the inclusion, h^M is not
+    inv(current).
     """
-    if isinstance(below, Elliptic):
-        fix = below.fix
-        return current.apply(fix.point) == fix.point and all(
-            current.apply_vector(d) == d for d in fix.direction.basis
-        )
-    move = below.move
     if not move.contains(current.translation):
         return False
     d = current.matrix.den
@@ -235,13 +229,22 @@ def chain_to_factorization(
     element (the full space, elliptic) last.  A step checks the kind,
     dimension and rank of the next element; the certificate alone checks order.
 
-    A step down to an elliptic e^B reflects the first point of B that the
-    current product moves: among the canonical point of B and its basis
-    translates, built one at a time, one escapes Fix(current) = Fix(above),
-    and a hyperbolic current moves every point.  Each step is certified by
-    :func:`_lands_on`: the product after a step from above has length at
-    least rank(above) - 1 = rank(below).  The last step lands on the full
-    space, so the product is the identity.
+    A step down to an elliptic e^B scans the frame of B, its canonical
+    point p and then its basis translates p + d_i, built one at a time,
+    and reflects the first point x that the current product moves: one
+    escapes Fix(current) = Fix(above), and a hyperbolic current moves
+    every point.  The frame points before x were fixed by the old product,
+    so they lie on the motion reflection's mirror (the bisector of x and
+    its image holds every point the old product fixes) and stay fixed,
+    and x is fixed by construction.  So the new product fixes p, and
+    fixes a later frame point p + d_i exactly when its linear part fixes
+    d_i: the step is certified by the basis vectors past x alone.  A
+    product fixing the frame fixes B pointwise, so its length is at most
+    codim B = rank(below).  A step down to h^M is certified by
+    :func:`_lands_on`.  Either way the product after a step from above has
+    length at least rank(above) - 1 = rank(below), so the inclusion is an
+    equality.  The last step lands on the full space, so the product is
+    the identity.
     """
     chain = list(chain)
     if not chain:
@@ -266,16 +269,20 @@ def chain_to_factorization(
             raise ChainError("chain is not maximal: rank must drop by one")
         if isinstance(below, Hyperbolic):
             r = _step_to_hyperbolic(current, below.move)
+            current = r.compose(current)
+            landed = _lands_on(current, below.move)
         else:
-            points = below.fix.points()
-            x = next((x for x in points if current.apply(x) != x), None)
+            frame = enumerate(below.fix.points())
+            j, x = next(((j, x) for j, x in frame if current.apply(x) != x), (0, None))
             if x is None:
                 raise ChainError("current fixes every point of the next fixed set")
             r = motion_reflection(current, x)
-        factors.append(r)
-        current = r.compose(current)
-        if not _lands_on(current, below):
+            current = r.compose(current)
+            rest = below.fix.direction.basis[j:]
+            landed = all(current.apply_vector(d) == d for d in rest)
+        if not landed:
             raise ChainError("chain step did not land on the requested element")
+        factors.append(r)
     return Factorization(target=w, factors=tuple(factors))
 
 

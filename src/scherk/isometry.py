@@ -21,10 +21,11 @@ move-set, type and length come from one elimination and are kept on the
 isometry; the min-set, which the formula never reads, on its first read.
 
 A reflection is stored as its mirror hyperplane {x : alpha . x = c}, with
-alpha the canonical primitive integer root and c a rational offset; the
-mirror as an affine subspace is derived only when asked for.  Roots stay
-rational because every formula divides by the root's squared length, so
-nothing here ever needs a square root.
+alpha the canonical primitive integer root and c a rational offset.  It is
+built from any nonzero normal and value, Reflection(normal, value), and
+the mirror as an affine subspace is derived only when asked for.  Roots
+stay rational because every formula divides by the root's squared length,
+so nothing here ever needs a square root.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .linalg import (
     _dot,
     _matrix,
     _particular,
+    _q,
     _rref,
     _subspace,
     _vec,
@@ -94,7 +96,7 @@ class Isometry:
         return self.translation.dim
 
     def apply(self, x: Point) -> Point:
-        return Point(self.matrix * x.to_vector() + self.translation)
+        return Point(self.matrix * x.vector + self.translation)
 
     def apply_vector(self, v: Vector) -> Vector:
         """Action on displacement vectors (the linear part only)."""
@@ -174,32 +176,20 @@ def _reflection(root: tuple[int, ...], offset: Fraction) -> "Reflection":
 class Reflection:
     """The unique nontrivial isometry fixing an affine hyperplane pointwise.
 
-    Stored as its mirror {x : root . x = offset}: root is the canonical
-    primitive integer normal (first nonzero entry positive) and offset a
-    rational, so equal reflections have equal fields.  The constructor
-    takes the mirror as an AffineSubspaceE and validates it;
-    :meth:`from_hyperplane` builds one from any normal and offset in O(n).
+    Reflection(normal, value) is the reflection across the mirror
+    {x : normal . x = value}, for any nonzero rational normal and exact
+    rational value.  It is stored as {x : root . x = offset}: root is the
+    canonical primitive integer normal (first nonzero entry positive) and
+    offset a rational, so equal reflections have equal fields.  With
+    normal = n / den and n = g * root, offset = (den / g) value.
     """
 
     __slots__ = ("root", "offset")
 
-    def __init__(self, mirror: AffineSubspaceE):
-        if mirror.codim != 1:
-            raise ValueError(
-                f"mirror must have codimension 1, got codimension {mirror.codim}"
-            )
-        root = orthogonal_complement(mirror.direction).basis[0]
-        self.root = _vec(_primitive(root.num)[0], 1)
-        self.offset = self.root.dot(mirror.anchor)
-
-    @classmethod
-    def from_hyperplane(cls, normal: Vector, value) -> "Reflection":
-        """The reflection across {x : normal . x = value}; normal is nonzero.
-
-        With normal = n / den and n = g * root, root . x = (den / g) value.
-        """
+    def __init__(self, normal: Vector, value):
         root, g = _primitive(normal.num)
-        return _reflection(root, Fraction(normal.den, g) * value)
+        self.root = _vec(root, 1)
+        self.offset = Fraction(normal.den, g) * _q(value)
 
     @property
     def dim(self) -> int:
@@ -240,11 +230,6 @@ class Reflection:
     def to_isometry(self) -> Isometry:
         return self.compose(Isometry.identity(self.dim))
 
-    def apply(self, x: Point) -> Point:
-        alpha = self.root
-        factor = 2 * (x.to_vector().dot(alpha) - self.offset) / alpha.norm_sq()
-        return x - alpha.scale(factor)
-
     def conjugate(self, r: "Reflection") -> "Reflection":
         """The reflection r s r (s = self): its mirror is r's image of s's.
 
@@ -283,8 +268,8 @@ def reflection_bisecting(x: Point, y: Point) -> Reflection:
     alpha = y - x
     if alpha.is_zero():
         raise ValueError("bisecting reflection needs two distinct points")
-    value = (y.to_vector().norm_sq() - x.to_vector().norm_sq()) / 2
-    return Reflection.from_hyperplane(alpha, value)
+    value = (y.vector.norm_sq() - x.vector.norm_sq()) / 2
+    return Reflection(alpha, value)
 
 
 def product(reflections: Sequence[Reflection], dim: int) -> Isometry:

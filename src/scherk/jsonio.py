@@ -207,7 +207,7 @@ def reflection_from_json(obj: Any) -> Reflection:
     root, anchor = vector_from_json(root), vector_from_json(anchor)
     if root.is_zero():
         raise FormatError("reflection root must be nonzero")
-    return Reflection.from_hyperplane(root, root.dot(anchor))
+    return Reflection(root, root.dot(anchor))
 
 
 def isometry_to_json(w: Isometry) -> dict:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .factor import Factorization, chain_to_factorization
 from .isometry import Isometry, Reflection, product, reflection_bisecting, translation
-from .linalg import Vector, intersect, orthogonal_complement, span
+from .linalg import Vector, orthogonal_section, span
 from .poset import (
     Elliptic,
     Hyperbolic,
@@ -233,8 +233,8 @@ def _rng(seed) -> random.Random:
     return random.Random(seed)
 
 
-def random_vector(dim: int, rng: random.Random, lo: int = -3, hi: int = 3) -> Vector:
-    return Vector(rng.randint(lo, hi) for _ in range(dim))
+def random_vector(dim: int, rng: random.Random) -> Vector:
+    return Vector(rng.randint(-3, 3) for _ in range(dim))
 
 
 def random_nonzero_vector(dim: int, rng: random.Random) -> Vector:
@@ -252,7 +252,7 @@ def random_reflection(dim: int, rng: random.Random) -> Reflection:
     """Mirror through a small integer point with a small integer root."""
     root = random_nonzero_vector(dim, rng)
     anchor = random_vector(dim, rng)
-    return Reflection.from_hyperplane(root, root.dot(anchor))
+    return Reflection(root, root.dot(anchor))
 
 
 def random_isometry(
@@ -299,7 +299,7 @@ def _random_codim_one_move(
     normal = Vector.zero(move.ambient)
     for c, b in zip(coeffs, basis):
         normal = normal + b.scale(c)
-    smaller = intersect(move.direction, orthogonal_complement(span([normal])))
+    smaller, _ = orthogonal_section(move.direction, normal)
     anchor = move.mu
     for b in basis:
         anchor = anchor + b.scale(rng.randint(-2, 2))

@@ -244,6 +244,6 @@ class TestHyperplaneSection:
                     normal = normal + d.scale(rng.randint(-2, 2))
         value = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         if kind == "p":
-            value = normal.dot(b.point.to_vector())
-        mirror = Reflection.from_hyperplane(normal, value).mirror
+            value = normal.dot(b.point.vector)
+        mirror = Reflection(normal, value).mirror
         assert hyperplane_section(b, normal, value) == intersect_affine(b, mirror)

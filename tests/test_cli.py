@@ -618,7 +618,7 @@ class TestAnswerBound:
         with pytest.raises(jsonio.FormatError):
             jsonio.subspace_to_json(LinearSubspace(2, [Vector([Fraction(1), huge])]))
         with pytest.raises(jsonio.FormatError):
-            jsonio.reflection_to_json(Reflection.from_hyperplane(v, Fraction(1)))
+            jsonio.reflection_to_json(Reflection(v, Fraction(1)))
 
     def test_element_too_long_to_name_exits_three(self):
         # The rejected element's coordinates are over the digit limit, so

@@ -119,7 +119,7 @@ class TestFactorElliptic:
         assert f.is_exact()
 
     def test_single_reflection_factors_as_itself(self):
-        r = Reflection(mirror(pt(2, 1), vec(1, 1)))
+        r = Reflection(vec(1, 1), 3)
         f = factor(r.to_isometry())
         assert len(f) == 1
         assert f.factors[0] == r
@@ -291,6 +291,32 @@ class TestOperationBudget:
         assert calls == []
         assert (len(fs), steps) == (100, 307)
 
+    def test_elliptic_chain_step_scans_its_frame_once(self, monkeypatch, calls):
+        """A step down to e^B applies the product to the points of B's frame
+        (its canonical point, then its basis translates) up to the first one
+        it moves, and the certificate applies the linear part to the basis
+        vectors past that point only: under an elliptic top a walk makes at
+        most dim B + 1 matrix-vector products a step."""
+        rng = random.Random(79)
+        walks = [
+            (random_maximal_chain(w, rng), w)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+            if classify(w).is_elliptic
+        ]
+        budget = sum(p.fix.dim + 1 for chain, _ in walks for p in chain[1:])
+        multiply = Matrix.__mul__
+
+        def count_vector_products(matrix, other):
+            if isinstance(other, Vector):
+                calls.append("Matrix * Vector")
+            return multiply(matrix, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", count_vector_products)
+        steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
+        assert len(calls) <= budget
+        assert (len(walks), steps) == (62, 159)
+
     def test_rewrite_shift_builds_no_isometry(self, monkeypatch, calls, counted):
         """Each swap is one Hurwitz move, whose conjugate is a closed form on
         the two roots: no product, no reflection matrix, no matrix product."""
@@ -394,7 +420,7 @@ class TestFactorizationToChain:
         assert chain[0] == Hyperbolic(classify(w).move_set)
 
     def test_single_reflection(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         f = Factorization(target=r.to_isometry(), factors=(r,))
         assert factorization_to_chain(f) == [
             Elliptic(r.mirror),
@@ -402,13 +428,13 @@ class TestFactorizationToChain:
         ]
 
     def test_rejects_non_minimal(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         doubled = Factorization(target=Isometry.identity(2), factors=(r, r))
         with pytest.raises(ChainError):
             factorization_to_chain(doubled)
 
     def test_rejects_wrong_product(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         wrong = Factorization(target=Isometry.identity(2), factors=(r,))
         with pytest.raises(ChainError, match="do not multiply to the target"):
             factorization_to_chain(wrong)
@@ -545,6 +571,29 @@ class TestHurwitz:
             move(Factorization(target=Isometry.identity(2), factors=()), 0)
 
 
+class TestCanonicalRoots:
+    def test_reflections_built_from_roots_are_canonical(self):
+        """The hot paths build reflections from roots they take to be
+        canonical already; each must equal the reflection the public
+        constructor canonicalizes from the same root and offset."""
+        built = []
+        rng = random.Random(103)
+        for dim in range(2, 9):
+            for w in corpus(dim, 15, 200 + dim):
+                built.extend(factor(w).factors)
+                f = random_minimal_factorization(w, rng)
+                built.extend(f.factors)
+                for i in range(len(f) - 1):
+                    built.append(hurwitz(f, i).factors[i])
+                    built.append(hurwitz_inverse(f, i).factors[i + 1])
+                x = first_unfixed_point(w)
+                if x is not None:
+                    built.append(motion_reflection(w, x))
+        for r in built:
+            assert r == Reflection(r.root, r.offset)
+        assert len(built) == 1456
+
+
 class TestVerifyMinimal:
     def test_constructed_factorizations_verify(self):
         rng = random.Random(66)
@@ -553,12 +602,12 @@ class TestVerifyMinimal:
                 assert verify_minimal(factor(w))
 
     def test_doubled_reflection_fails(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         doubled = Factorization(target=Isometry.identity(2), factors=(r, r))
         assert not verify_minimal(doubled)
 
     def test_wrong_product_fails(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         wrong = Factorization(target=translation(vec(1, 0)), factors=(r,))
         assert not verify_minimal(wrong)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
+from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, hyperplane_section
 from scherk.factor import factor
 from scherk.isometry import (
     ELLIPTIC,
@@ -81,13 +81,12 @@ class TestConstruction:
 
 class TestReflections:
     def test_reflect_across_x_axis(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
-        assert r.apply(pt(0, 1)) == pt(0, -1)
+        r = Reflection(e(2, 1), 0)
         assert r.to_isometry().apply(pt(0, 1)) == pt(0, -1)
 
     def test_reflect_across_shifted_line(self):
-        r = Reflection(mirror(pt(1, 0), e(2, 0)))
-        assert r.apply(pt(0, 0)) == pt(2, 0)
+        r = Reflection(e(2, 0), 1)
+        assert r.to_isometry().apply(pt(0, 0)) == pt(2, 0)
 
     def test_translations_cancel(self):
         t = translation(vec(2, 0))
@@ -101,17 +100,46 @@ class TestReflections:
                 r = random_reflection(dim, rng).to_isometry()
                 assert r.compose(r).is_identity()
 
-    def test_mirror_rejects_non_hyperplane(self):
+    def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
-            Reflection(AffineSubspaceE.single_point(pt(0, 0, 0)))
+            Reflection(Vector.zero(2), 0)
+
+
+X_AXIS = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Vector([1, 0.5]), id="Vector"),
+        pytest.param(lambda: Matrix([[1.0, 0], [0, 1]]), id="Matrix"),
+        pytest.param(lambda: Point([0.5, 0]), id="Point"),
+        pytest.param(lambda: LinearSubspace(2, [[0.5, 1]]), id="LinearSubspace"),
+        pytest.param(lambda: vec(1, 0).scale(0.5), id="Vector.scale"),
+        pytest.param(lambda: Reflection(vec(1, 0), 0.5), id="Reflection"),
+        pytest.param(
+            lambda: hyperplane_section(X_AXIS, e(2, 0), 1.0),
+            id="hyperplane_section-crossing",
+        ),
+        pytest.param(
+            lambda: hyperplane_section(X_AXIS, e(2, 1), 1.0),
+            id="hyperplane_section-parallel",
+        ),
+    ],
+)
+def test_floats_rejected(build):
+    """Every predicate is exact: a float raises instead of being rounded
+    into a coordinate or compared with one."""
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestBisectingReflection:
     def test_horizontal_bisector(self):
         r = reflection_bisecting(pt(0, 0), pt(2, 0))
         assert r.mirror == mirror(pt(1, 0), e(2, 0))
-        assert r.apply(pt(0, 0)) == pt(2, 0)
-        assert r.apply(pt(2, 0)) == pt(0, 0)
+        assert r.to_isometry().apply(pt(0, 0)) == pt(2, 0)
+        assert r.to_isometry().apply(pt(2, 0)) == pt(0, 0)
 
     def test_vertical_bisector(self):
         r = reflection_bisecting(pt(0, 0), pt(0, 2))
@@ -147,7 +175,7 @@ class TestMoveSet:
 class TestMinSet:
     def test_reflection_min_set_is_mirror(self):
         h = mirror(pt(1, 0), e(2, 0))
-        assert min_set(Reflection(h).to_isometry()) == h
+        assert min_set(Reflection(e(2, 0), 1).to_isometry()) == h
 
     def test_identity_min_set_is_everything(self):
         assert min_set(Isometry.identity(3)) == AffineSubspaceE.full(3)
@@ -183,7 +211,7 @@ class TestStandardSplitting:
     def test_glide_splits_into_shift_and_mirror(self):
         mu, u = standard_splitting(glide())
         assert mu == vec(1, 0)
-        assert u == Reflection(mirror(pt(0, 0), e(2, 1))).to_isometry()
+        assert u == Reflection(e(2, 1), 0).to_isometry()
         assert translation(mu).compose(u) == glide()
 
     def test_elliptic_splits_as_itself(self):
@@ -205,7 +233,7 @@ class TestStandardSplitting:
 class TestPredictProduct:
     def test_translation_killed_by_inner_mirror(self):
         w = translation(vec(2, 0))
-        r = Reflection(mirror(pt(1, 0), e(2, 0)))
+        r = Reflection(e(2, 0), 1)
         prediction = predict_product(r, w)
         assert (prediction.tag, prediction.length) == (ELLIPTIC, 1)
         product = r.to_isometry().compose(w)
@@ -213,12 +241,12 @@ class TestPredictProduct:
 
     def test_translation_grows_to_glide(self):
         w = translation(vec(2, 0))
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         prediction = predict_product(r, w)
         assert (prediction.tag, prediction.length) == (HYPERBOLIC, 3)
 
     def test_half_turn_grows_to_glide(self):
-        r = Reflection(mirror(pt(0, 1), e(2, 1)))
+        r = Reflection(e(2, 1), 1)
         prediction = predict_product(r, half_turn())
         assert (prediction.tag, prediction.length) == (HYPERBOLIC, 3)
         product = r.to_isometry().compose(half_turn())
@@ -244,12 +272,12 @@ class TestPredictProduct:
 class TestReflectionsBelow:
     def test_inner_mirror_is_below_translation(self):
         w = translation(vec(2, 0))
-        r = Reflection(mirror(pt(1, 0), e(2, 0)))
+        r = Reflection(e(2, 0), 1)
         assert reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_axis_mirror_is_not_below_translation(self):
         w = translation(vec(2, 0))
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         assert not reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_motion_reflection_bisects(self):
@@ -259,7 +287,7 @@ class TestReflectionsBelow:
         assert reflection_length(r.compose(w)) < reflection_length(w)
 
     def test_motion_reflection_rejects_fixed_points(self):
-        r = Reflection(mirror(pt(0, 0), e(2, 1)))
+        r = Reflection(e(2, 1), 0)
         with pytest.raises(ValueError):
             motion_reflection(r.to_isometry(), pt(3, 0))
         with pytest.raises(ValueError):
@@ -309,7 +337,7 @@ class TestIntervals:
 
     def test_half_translation_mirror(self):
         w = translation(vec(2, 0))
-        r = Reflection(mirror(pt(1, 0), e(2, 0))).to_isometry()
+        r = Reflection(e(2, 0), 1).to_isometry()
         assert interval_contains(w, r)
         assert interval_leq(w, Isometry.identity(2), r)
         assert interval_leq(w, r, w)
@@ -435,11 +463,13 @@ class TestHyperplaneForm:
 
     def test_rebuilding_from_mirror_gives_same_reflection(self):
         for r, _ in _random_pairs(63, 10):
-            again = Reflection(r.mirror)
+            m = r.mirror
+            normal = orthogonal_complement(m.direction).basis[0]
+            again = Reflection(normal, normal.dot(m.point.vector))
             assert again == r
             assert hash(again) == hash(r)
             k = Fraction(-3, 2)
-            rescaled = Reflection.from_hyperplane(r.root.scale(k), k * r.offset)
+            rescaled = Reflection(r.root.scale(k), k * r.offset)
             assert rescaled == r and hash(rescaled) == hash(r)
 
     def test_equal_exactly_when_mirrors_equal(self):
@@ -526,10 +556,8 @@ class TestInvariantsOnce:
                 near_value = mov.mu.dot(anchor)
                 assert near_value == 0
                 through_min_set = (
-                    Reflection.from_hyperplane(
-                        mov.mu, near_value + mov.mu.norm_sq() / 2
-                    ),
-                    Reflection.from_hyperplane(mov.mu, near_value),
+                    Reflection(mov.mu, near_value + mov.mu.norm_sq() / 2),
+                    Reflection(mov.mu, near_value),
                 )
                 assert factor(w).factors[:2] == through_min_set
         assert hyperbolic > 40

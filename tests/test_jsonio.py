@@ -237,6 +237,6 @@ class TestReflectionEncoding:
                 assert r.mirror.contains(Point(vector_from_json(payload["point"])))
 
     def test_oblique_mirror_off_the_origin(self):
-        r = Reflection.from_hyperplane(Vector([2, -4, 6]), Fraction(7, 3))
+        r = Reflection(Vector([2, -4, 6]), Fraction(7, 3))
         payload = {"root": ["1", "-2", "3"], "point": ["1/12", "-1/6", "1/4"]}
         assert reflection_to_json(r) == payload

@@ -98,7 +98,7 @@ class TestInvMap:
 
     def test_reflection_maps_to_mirror(self):
         mirror = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
-        r = Reflection(mirror)
+        r = Reflection(e(2, 1), 0)
         assert inv_map(r.to_isometry()) == Elliptic(mirror)
 
 

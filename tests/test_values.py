@@ -31,8 +31,8 @@ FIX = AffineSubspaceE(Point(vec(1, 0)), LINE)
 POINT = AffineSubspaceE(Point(vec(0, 0)), LinearSubspace(2, []))
 X_AXIS = AffineSubspaceV(LinearSubspace(2, [vec(1, 0)]), vec(0, 0))
 MIRROR = AffineSubspaceE(Point(vec(Fraction(1, 2), 0)), LinearSubspace(2, [vec(0, 1)]))
-R = Reflection.from_hyperplane(vec(1, 0), Fraction(1, 2))
-S = Reflection.from_hyperplane(vec(0, 1), Fraction(0))
+R = Reflection(vec(1, 0), Fraction(1, 2))
+S = Reflection(vec(0, 1), Fraction(0))
 W = R.to_isometry()
 
 # class: (fields, fields that differ in one value, the repr as a literal)
