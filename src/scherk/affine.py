@@ -188,6 +188,13 @@ class AffineSubspaceV(_AffineSubspace):
         return f"AffineSubspaceV({self.direction!r} + {self.mu!r})"
 
 
+def _affine_v(direction: LinearSubspace, shift: Vector) -> AffineSubspaceV:
+    """An AffineSubspaceV from a shift already orthogonal to the direction."""
+    m = object.__new__(AffineSubspaceV)
+    m.direction, m.anchor, m._span_perp = direction, shift, None
+    return m
+
+
 class AffineSubspaceE(_AffineSubspace):
     """A nonempty affine subspace of the point space.
 

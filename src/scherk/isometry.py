@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineSubspaceE, AffineSubspaceV, Point
+from .affine import AffineSubspaceE, AffineSubspaceV, Point, _affine_v
 from .linalg import (
     DimensionError,
     LinearSubspace,
@@ -341,7 +341,7 @@ def _invariants(w: Isometry) -> IsometryClass:
     x = _particular(rows, pivots, n)
     de, dp = d * e, d * x.den
     mu = [e * _dot(r, x.num) - de * v + dp * t for r, v, t in zip(a, x.num, b)]
-    mov = AffineSubspaceV(_subspace(n, rows, pivots), _vector(mu, dp * e))
+    mov = _affine_v(_subspace(n, rows, pivots), _vector(mu, dp * e))
     tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
     cls = IsometryClass(tag, mov, None, mov.dim + (0 if tag == ELLIPTIC else 2))
     cls._point = x

@@ -488,6 +488,9 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
 
     `ambient` is only required when the list is empty; otherwise it is
     inferred and checked against every vector.
+
+    Each row is reduced against the echelon rows kept so far and kept
+    unless zero: n kept rows span R^n, and fewer are reduced once more.
     """
     if not vectors:
         if ambient is None:
@@ -499,7 +502,20 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
     n = dims.pop()
     if ambient is not None and ambient != n:
         raise DimensionError("declared ambient does not match the vectors")
-    return _subspace(n, *_rref([v.num for v in vectors], n))
+    kept = []
+    for v in vectors:
+        residual = v.num
+        for row, p in kept:
+            if c := residual[p]:
+                d = row[p]
+                residual = [d * a - c * x for a, x in zip(residual, row)]
+                g = math.gcd(*residual)
+                residual = [a // g for a in residual] if g > 1 else residual
+        if any(residual):
+            kept.append((residual, next(i for i, a in enumerate(residual) if a)))
+            if len(kept) == n:
+                return LinearSubspace.full(n)
+    return _subspace(n, *_rref([row for row, _ in kept], n))
 
 
 def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:

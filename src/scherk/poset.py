@@ -49,16 +49,16 @@ member places one demand "S lies in Span(N)" on an upper bound h^N, and
 A join sums the demands: W is one span of the stacked rows.  A meet with
 no elliptic member intersects them: W is the kernel of the rows of each
 Span(N)^perp and V^perp, exact because every N is Span(N) meet H, so the
-intersection of the N is the intersection of the spans meet H.  One
-section places either W.  When W leaves U, that is when some basis row w
-of W has w . mu != 0, the bound is h^N with N = W meet H, with direction
-W meet mu^perp (one pivot-row step, :func:`orthogonal_section`) and the
-point w |mu|^2 / (w . mu).  When W lies in U no move-set can be placed:
-W = 0, which only a meet reaches, gives the bottom e^E, W = U the top,
-and any other W is the leftover S = W.  A lower bound e^C needs every
+intersection of the N is the intersection of the spans meet H.  Like each
+demand, W lies in Span(M); at dimension dim M + 1 it is Span(M) and gives
+the top.  Any smaller W takes one section.  W leaves U when a basis row w
+of W has w . mu != 0, and then the bound is h^N with N = W meet H, with
+direction W meet mu^perp (one pivot-row step, :func:`orthogonal_section`)
+and the point w |mu|^2 / (w . mu).  When W lies in U no move-set can be
+placed: W = 0, which only a meet reaches, gives the bottom e^E, W = U the
+top, and any other W is the leftover S = W.  A lower bound e^C needs every
 demand's complement inside Dir(C), so a meet with an elliptic member is
-one span of the point differences, the Dir(B) bases and those
-complements.
+one span of the point differences, the Dir(B) bases and those complements.
 """
 
 from __future__ import annotations
@@ -288,11 +288,13 @@ def _members(
 def _place(demand: LinearSubspace, ctx: PosetContext) -> KernelResult:
     """The element a subspace W of Span(M) decides under the top h^M.
 
-    One section (see the module docstring): h^{W meet H} when W leaves U,
-    the bottom when W = 0 (only meets reach it), the top when W = U, and
-    W itself otherwise.
+    W of dimension dim M + 1 is Span(M), so the top; otherwise one section
+    (see the module docstring): h^{W meet H} when W leaves U, the bottom
+    when W = 0 (only meets reach it), the top when W = U, and W itself.
     """
     top = ctx.top
+    if demand.dim > top.move.dim:
+        return top
     mu = top.move.mu
     direction, w = orthogonal_section(demand, mu)
     if w is not None:

@@ -229,7 +229,7 @@ class TestOperationBudget:
     def test_classify_and_factor_build_no_min_set(self, monkeypatch, calls, counted):
         """Scherk's formula reads only the move-set, and the translation
         mirrors are a closed form: one elimination per isometry, and no
-        complement, min-set or matrix product."""
+        projection, complement, min-set or matrix product."""
         rng = random.Random(89)
         ws = [
             isometry_from_json(isometry_to_json(w))
@@ -237,7 +237,7 @@ class TestOperationBudget:
             for w in corpus(dim, 20, rng)
         ]
         linalg = importlib.import_module("scherk.linalg")
-        for name in ("_rref", "orthogonal_complement"):
+        for name in ("_rref", "orthogonal_complement", "project"):
             original = getattr(linalg, name)
             patch_everywhere(monkeypatch, original, counted(name, original))
         monkeypatch.setattr(

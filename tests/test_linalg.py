@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scherk.linalg as linalg_module
+from scherk.isometry import move_set
 from scherk.linalg import (
     DimensionError,
     LinearSubspace,
@@ -22,6 +24,7 @@ from scherk.linalg import (
     solve_affine,
     span,
 )
+from scherk.oracle import corpus
 
 
 def vec(*coords):
@@ -448,6 +451,96 @@ class TestAgainstSympy:
             n, [[sympy_fraction(v) for v in k] for k in sympy.Matrix(rows).nullspace()]
         )
         assert null_space(Matrix(rows)) == expected
+
+
+def assert_span_agrees(rows, n):
+    """span(rows) has the pivots and rows of sympy's rref, and equals the
+    whole-stack elimination of LinearSubspace."""
+    sympy = pytest.importorskip("sympy")
+    u = span(rows, ambient=n)
+    reduced, pivots = sympy.Matrix([list(r.coords) for r in rows]).rref()
+    assert u.pivots == pivots
+    assert [b.coords for b in u.basis] == [
+        tuple(sympy_fraction(v) for v in reduced.row(i)) for i in range(len(pivots))
+    ]
+    assert u == LinearSubspace(n, rows)
+    return u
+
+
+class TestIncrementalSpan:
+    """span reduces the rows one at a time and stops at full rank; sympy's
+    rref and the whole-stack elimination of LinearSubspace are its oracles."""
+
+    @staticmethod
+    def stack(rng, n, rank, late):
+        """rank independent rows, padded with zero, repeated, scaled and
+        dependent ones; when late, the padding depends only on the rows
+        before the last one, which comes last."""
+        base = [random_vector(rng, n) for _ in range(rank)]
+        pool = base[:-1] if late else base
+        extra = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.randrange(4) if pool else 0
+            if kind == 0:
+                extra.append(Vector.zero(n))
+            elif kind == 1:
+                extra.append(rng.choice(pool))
+            elif kind == 2:
+                extra.append(rng.choice(pool).scale(Fraction(rng.choice([-3, 2, 5]), 7)))
+            else:
+                a, b = rng.choice(pool), rng.choice(pool)
+                extra.append(a.scale(Fraction(rng.randint(1, 4), 3)) - b)
+        if late:
+            return pool + extra + base[-1:]
+        if rank == n:
+            return base + extra
+        rows = base + extra
+        rng.shuffle(rows)
+        return rows
+
+    def test_small_stacks_against_sympy(self):
+        rng = random.Random(20)
+        seen = set()
+        for n in range(1, 9):
+            for rank in range(n + 1):
+                for late in (False, True) if rank == n else (False,):
+                    for _ in range(4):
+                        rows = self.stack(rng, n, rank, late)
+                        if not any(v.is_zero() for v in rows):
+                            rows.append(Vector.zero(n))
+                        u = assert_span_agrees(rows, n)
+                        seen.add((n, u.dim, late))
+        assert all((n, n, late) in seen for n in range(1, 9) for late in (False, True))
+        assert all((n, n - 1, False) in seen for n in range(1, 9))
+
+    def test_full_rank_makes_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_rref called")
+
+        monkeypatch.setattr(linalg_module, "_rref", refuse)
+        rows = [vec(1, 2, 0), vec(2, 4, 0), vec(0, 1, 1), vec(3, 0, 1), vec(5, 5, 5)]
+        assert span(rows) == LinearSubspace.full(3)
+
+    @pytest.mark.parametrize("dim", [16, 24])
+    def test_corpus_stacks_against_sympy(self, dim):
+        """Move-set and complement bases of seeded isometries, once and
+        twice over: rows with large entries, where the echelon rows'
+        coefficients grow."""
+        moves = [move_set(w) for w in corpus(dim, 4, 7)]
+        largest = 0
+        for a, b in zip(moves, moves[1:] + moves[:1]):
+            perp_a = orthogonal_complement(a.direction).basis
+            perp_b = orthogonal_complement(b.direction).basis
+            for rows in (
+                [*a.direction.basis, a.mu, *perp_b],
+                [*perp_a, *perp_b],
+                [*a.direction.basis, *b.direction.basis],
+            ):
+                if rows:
+                    u = assert_span_agrees(rows, dim)
+                    assert assert_span_agrees(rows + rows, dim) == u
+                    largest = max([largest] + [x.bit_length() for v in u.basis for x in v.num])
+        assert largest > 32
 
 
 class TestUnitVectorKernel:

@@ -34,6 +34,8 @@ from scherk.linalg import (
 from scherk.oracle import (
     coordinate_universe,
     corpus,
+    definitional_join,
+    definitional_meet,
     image,
     random_isometry,
     random_maximal_chain,
@@ -86,6 +88,12 @@ def hyperbolic(shift, *directions):
 def plane_top_3d():
     """Top h^M with M the plane z = 1 in the vector space."""
     return Hyperbolic(AffineSubspaceV(span([e(3, 0), e(3, 1)]), vec(0, 0, 1)))
+
+
+def plane_top(n, k):
+    """Top h^M with M = <e_0, ..., e_{k-1}> + e_{n-1} in R^n."""
+    direction = span([e(n, i) for i in range(k)], ambient=n)
+    return Hyperbolic(AffineSubspaceV(direction, e(n, n - 1)))
 
 
 class TestInvMap:
@@ -528,38 +536,69 @@ class TestCompletion:
         n2 = New(span([e(3, 1)]))
         assert dm_join([n1, n2], ctx) == plane_top_3d()
 
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (5, 2)])
+    def test_bounds_off_the_model_match_definitional(self, n, k):
+        """Under a top with Span(M) a proper subspace of R^n the demands
+        never fill R^n, and a bound reaches the top by the dimension of
+        Span(M) alone; each bound still agrees with the finite scan."""
+        universe = coordinate_universe(n, plane_top(n, k), augmented=True)
+        ctx = universe.ctx
+        rng = random.Random(100 * n + k)
+        tops = 0
+        for _ in range(300):
+            subset = rng.sample(universe.elements, rng.randint(1, 3))
+            low, high = dm_meet(subset, ctx), dm_join(subset, ctx)
+            assert all(leq(low, q) and leq(q, high) for q in subset)
+            maximal = definitional_meet(subset, universe)
+            assert all(leq(x, low) for x in maximal)
+            if low in universe:
+                assert maximal == {low}
+            minimal = definitional_join(subset, universe)
+            assert all(leq(high, x) for x in minimal)
+            if high in universe:
+                assert minimal == {high}
+            tops += high == ctx.top
+        assert 100 < tops < 300
+
     def test_plain_context_rejects_dm_ops(self):
         ctx = PosetContext(top=plane_top_3d())
         with pytest.raises(PosetError):
             dm_meet([plane_top_3d()], ctx)
 
 
+def count_linalg_calls(monkeypatch, *names):
+    """Calls of the named linalg functions, counted in every loaded scherk
+    module that binds them, into the returned dict."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        original = getattr(linalg_module, name)
+        wrapper = counted(name, original)
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("scherk"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
 class TestOperationBudget:
     # _rref and project calls of dm_meet + dm_join over every pair of the
     # augmented plane universe.  A standard form that projects or
     # eliminates once more per subspace goes over these.
-    RREF_BUDGET = 1838
-    PROJECT_BUDGET = 1435
+    RREF_BUDGET = 1198
+    PROJECT_BUDGET = 1058
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         assert len(universe) == 38
-        counts = {"_rref": 0, "project": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in counts:
-            original = getattr(linalg_module, name)
-            wrapper = counted(name, original)
-            for module in sys.modules.values():
-                if module and module.__name__.startswith("scherk"):
-                    if getattr(module, name, None) is original:
-                        monkeypatch.setattr(module, name, wrapper)
+        counts = count_linalg_calls(monkeypatch, "_rref", "project")
         ctx = universe.ctx
         pairs = list(itertools.combinations_with_replacement(universe.elements, 2))
         assert len(pairs) == 741
@@ -594,30 +633,23 @@ class TestOperationBudget:
         assert len(elements) == self.LEQ_BUDGET
         assert 0 < len(calls) <= self.LEQ_BUDGET
 
-    # _rref calls of dm_meet + dm_join over a seeded sample of 1000 of the
-    # 8436 triples of the augmented plane universe, as the complete
-    # workload runs them: no more eliminations per op than when pinned.
-    TRIPLE_RREF_BUDGET = 2403
+    # _rref and orthogonal_section calls of dm_meet + dm_join over a seeded
+    # sample of 1000 of the 8436 triples of the augmented plane universe,
+    # as the complete workload runs them: no more eliminations per op than
+    # when pinned, and a bound equal to the top is not rebuilt by a section.
+    TRIPLE_RREF_BUDGET = 783
+    TRIPLE_SECTION_BUDGET = 114
 
     def test_completion_triples_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         triples = list(itertools.combinations(universe.elements, 3))
         assert len(triples) == 8436
-        calls = []
-        original = linalg_module._rref
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
-
-        for module in sys.modules.values():
-            if module and module.__name__.startswith("scherk"):
-                if getattr(module, "_rref", None) is original:
-                    monkeypatch.setattr(module, "_rref", counted)
+        counts = count_linalg_calls(monkeypatch, "_rref", "orthogonal_section")
         for triple in random.Random(12).sample(triples, 1000):
             dm_meet(triple, universe.ctx)
             dm_join(triple, universe.ctx)
-        assert 0 < len(calls) <= self.TRIPLE_RREF_BUDGET
+        assert 0 < counts["_rref"] <= self.TRIPLE_RREF_BUDGET
+        assert 0 < counts["orthogonal_section"] <= self.TRIPLE_SECTION_BUDGET
 
     # move_set and Isometry.compose calls on the chain paths, over ops
     # shaped like the benchmark's chains workload.  Each invariant is
