@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     _dot,
     _mat,
-    _q,
     _vector,
     orthogonal_complement,
     orthogonal_section,
@@ -215,7 +214,7 @@ class AffineSubspaceE(_AffineSubspace):
 
     @classmethod
     def full(cls, dim: int) -> "AffineSubspaceE":
-        return cls(Point.origin(dim), LinearSubspace.full(dim))
+        return _affine_e(LinearSubspace.full(dim), Vector.zero(dim))
 
     @property
     def point(self) -> Point:
@@ -236,6 +235,13 @@ class AffineSubspaceE(_AffineSubspace):
 
     def __repr__(self) -> str:
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"
+
+
+def _affine_e(direction: LinearSubspace, point: Vector) -> AffineSubspaceE:
+    """An AffineSubspaceE from a point already orthogonal to the direction."""
+    b = object.__new__(AffineSubspaceE)
+    b.direction, b.anchor = direction, point
+    return b
 
 
 def _hull(anchors: Sequence[Vector], directions, extra: Iterable[Vector] = ()):
@@ -269,26 +275,6 @@ def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
         [m.anchor for m in subspaces], [m.direction for m in subspaces]
     )
     return AffineSubspaceV(direction, base)
-
-
-def hyperplane_section(
-    b: AffineSubspaceE, normal: Vector, value
-) -> Optional[AffineSubspaceE]:
-    """b intersected with the hyperplane {x : normal . x = value}; None when
-    they are disjoint.
-
-    The direction is Dir(b) cut by normal^perp (:func:`orthogonal_section`).
-    When normal is orthogonal to Dir(b) the hyperplane contains b or misses
-    it.  Otherwise the canonical point p moves along the row v of Dir(b)
-    with normal . v != 0 that the section returns, to p + t v with
-    normal . (p + t v) = value, which the constructor puts in standard form.
-    """
-    direction, row = orthogonal_section(b.direction, normal)
-    gap = _q(value) - normal.dot(b.anchor)
-    if row is None:
-        return None if gap else b
-    point = Point(b.anchor + row.scale(gap / normal.dot(row)))
-    return AffineSubspaceE(point, direction)
 
 
 def _intersect(subspaces: Sequence[_AffineSubspace]):

@@ -25,9 +25,10 @@ It is also the walk's only order check: each product lies one reflection
 below the last in [1, w], and inv preserves order, so a chain that does
 not descend cannot land.
 Reading a chain off a factorization, len(f) = l(target) forces the suffix
-lengths 0, 1, ..., len(f), and the suffix invariants follow from
-hyperplane sections of fixed sets and one-dimensional extensions of
-move-sets, with at most one classification.
+lengths 0, 1, ..., len(f), and the suffix invariants follow from fixed
+sets cut by one mirror at a time, on an orthogonal frame of their normals,
+and one-dimensional extensions of move-sets, with at most one
+classification.
 
 The braid group acts on the minimal factorizations of w by Hurwitz moves:
 sigma_i replaces the factors (a, b) at positions i, i + 1 by (a b a, a),
@@ -58,10 +59,11 @@ fixed and fixes one more: dim Mov(w) steps, a minimal factorization
 
 The chain walks pick their points by a deterministic scan too (the
 canonical point of the relevant subspace, then its basis translates), so
-repeated runs produce identical output.  The same scan certifies an
-elliptic step: after the reflection the points it had passed stay fixed,
-so only the basis vectors past the reflected point are applied, dim B + 1
-matrix-vector products per step in all.
+repeated runs produce identical output.  The image of each scanned point
+is computed once, on integer rows, and the reflection is taken from it.
+The same scan certifies an elliptic step: after the reflection the points
+it had passed stay fixed, so only the basis vectors past the reflected
+point are applied, dim B + 1 images per step in all.
 """
 
 from __future__ import annotations
@@ -71,24 +73,20 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .affine import (
-    AffineSubspaceE,
-    AffineSubspaceV,
-    hyperplane_section,
-)
+from .affine import AffineSubspaceE, AffineSubspaceV, _affine_e
 from .isometry import (
     Isometry,
     Reflection,
+    _motion,
     _primitive,
     _reflection,
     is_elliptic,
-    motion_reflection,
     move_set,
     product,
     reflection_length,
     standard_splitting,
 )
-from .linalg import _dot, orthogonal_complement, span
+from .linalg import _dot, _vector, orthogonal_complement, orthogonal_section, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, rank
 from .record import Record
 
@@ -231,7 +229,8 @@ def chain_to_factorization(
 
     A step down to an elliptic e^B scans the frame of B, its canonical
     point p and then its basis translates p + d_i, built one at a time,
-    and reflects the first point x that the current product moves: one
+    computes the image of each once (:func:`isometry._motion`), and
+    reflects the first point x that the current product moves: one
     escapes Fix(current) = Fix(above), and a hyperbolic current moves
     every point.  The frame points before x were fixed by the old product,
     so they lie on the motion reflection's mirror (the bisector of x and
@@ -272,11 +271,10 @@ def chain_to_factorization(
             current = r.compose(current)
             landed = _lands_on(current, below.move)
         else:
-            frame = enumerate(below.fix.points())
-            j, x = next(((j, x) for j, x in frame if current.apply(x) != x), (0, None))
-            if x is None:
+            scan = (_motion(current, x.vector) for x in below.fix.points())
+            j, r = next(((j, r) for j, r in enumerate(scan) if r), (0, None))
+            if r is None:
                 raise ChainError("current fixes every point of the next fixed set")
-            r = motion_reflection(current, x)
             current = r.compose(current)
             rest = below.fix.direction.basis[j:]
             landed = all(current.apply_vector(d) == d for d in rest)
@@ -304,6 +302,14 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     sides have dimension j - 1, so they are equal.  Each s_j-1 lies one
     reflection below s_j in [1, target] and inv preserves order, so the
     result is a maximal chain without an order check.
+
+    F is walked on an orthogonal frame, integer rows spanning Dir(F)^perp
+    (integer Gram-Schmidt, one row per step, divided by its gcd).  The
+    root alpha of H less its components along the frame is the vector u
+    of Dir(F) normal to Dir(F ∩ H), zero exactly when H is parallel to F
+    and misses it.  Otherwise p + ((c - alpha . p) / (alpha . u)) u, for
+    p the canonical point of F and H = {alpha . x = c}, is orthogonal to
+    Dir(F ∩ H) as p and u are: the canonical point, with no projection.
     """
     dim = f.target.dim
     suffixes = [Isometry.identity(dim)]
@@ -314,12 +320,25 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     if len(f) != reflection_length(f.target):
         raise ChainError("factorization is not minimal: suffix ranks must step by one")
     fix = AffineSubspaceE.full(dim)
+    frame: list[tuple[Sequence[int], int]] = []
     move = None
     elements: list[PosetElement] = [Elliptic(fix)]
     for r, suffix in zip(reversed(f.factors), suffixes[1:]):
         if move is None:
-            fix = hyperplane_section(fix, r.root, r.offset)
-            if fix is not None:
+            alpha = u = r.root.num
+            for row, norm in frame:
+                if c := _dot(u, row):
+                    u = [norm * a - c * x for a, x in zip(u, row)]
+                    g = math.gcd(*u)
+                    u = [a // g for a in u] if g > 1 else u
+            if any(u):
+                direction = orthogonal_section(fix.direction, r.root)[0]
+                p, q = fix.anchor.num, fix.anchor.den
+                a, b, s = r.offset.numerator, r.offset.denominator, _dot(alpha, u)
+                t = a * q - b * _dot(alpha, p)
+                anchor = _vector([b * s * x + t * y for x, y in zip(p, u)], b * q * s)
+                fix = _affine_e(direction, anchor)
+                frame.append((u, _dot(u, u)))
                 elements.append(Elliptic(fix))
                 continue
             move = move_set(suffix)

@@ -41,6 +41,7 @@ from .linalg import (
     Matrix,
     Vector,
     _dot,
+    _echelon,
     _matrix,
     _particular,
     _q,
@@ -450,23 +451,19 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
     return ProductPrediction(HYPERBOLIC, k + 1, None, cls.move_set)
 
 
-def motion_reflection(w: Isometry, x: Point) -> Reflection:
-    """The unique reflection sending x to w(x); requires w(x) != x.
-
-    Always occurs in some minimal length reflection factorization of w, so
-    multiplying by it shortens w.
+def _motion(w: Isometry, x: Vector) -> Optional[Reflection]:
+    """The reflection sending the point with coordinates x to its image
+    under w, or None when w fixes it.
 
     Its mirror is the perpendicular bisector of x and y = w(x), read off
     integer rows: with A = N / d, b = B / e and x = P / p, both points
     have the denominator D = d p e, as x = X / D and y = Y / D with
     X = d e P and Y = e N P + d p B.  The root is the primitive part
     (Y - X) / g, and the bisector (y - x) . z = (|y|^2 - |x|^2) / 2 has
-    the offset (Y - X) . (Y + X) / (2 D g).
+    the offset (Y - X) . (Y + X) / (2 D g).  The image is computed once.
     """
-    if x.dim != w.dim:
-        raise DimensionError("point and isometry of different dimensions")
     d, e = w.matrix.den, w.translation.den
-    point, p = x.vector.num, x.vector.den
+    point, p = x.num, x.den
     dp, de = d * p, d * e
     ys = [
         e * _dot(row, point) + dp * t
@@ -475,10 +472,23 @@ def motion_reflection(w: Isometry, x: Point) -> Reflection:
     xs = [de * v for v in point]
     alpha = [y - v for y, v in zip(ys, xs)]
     if not any(alpha):
-        raise ValueError("motion reflection needs a point not fixed by w")
+        return None
     root, g = _primitive(alpha)
     value = _dot(alpha, [y + v for y, v in zip(ys, xs)])
     return _reflection(root, Fraction(value, 2 * dp * e * g))
+
+
+def motion_reflection(w: Isometry, x: Point) -> Reflection:
+    """The unique reflection sending x to w(x); requires w(x) != x.
+
+    Always occurs in some minimal length reflection factorization of w, so
+    multiplying by it shortens w.  See :func:`_motion` for the formula.
+    """
+    if x.dim != w.dim:
+        raise DimensionError("point and isometry of different dimensions")
+    if (r := _motion(w, x.vector)) is None:
+        raise ValueError("motion reflection needs a point not fixed by w")
+    return r
 
 
 def reflection_distance(u: Isometry, v: Isometry) -> int:
@@ -488,10 +498,11 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
     A_u^T [D | delta] with D = A_v - A_u and delta = b_v - b_u, and A_u^T
     is invertible.  Scherk's formula, dim Mov or dim Mov + 2 as b lies in
     im(A - I) or not, is therefore 2 rank [D | delta] - rank D, and both
-    ranks are read off the pivots of one reduction.  Scaling the columns
-    of D and delta separately changes neither rank, so with A = N / d and
-    b = B / e the rows reduced are [d_u N_v - d_v N_u | e_u B_v - e_v B_u].
-    No inverse, product or invariant is built.
+    ranks are read off the pivots of one forward elimination, with no
+    upward pass.  Scaling the columns of D and delta separately changes
+    neither rank, so with A = N / d and b = B / e the rows eliminated are
+    [d_u N_v - d_v N_u | e_u B_v - e_v B_u].  No inverse, product or
+    invariant is built.
     """
     if u.dim != v.dim:
         raise DimensionError("isometries of different dimensions")
@@ -504,7 +515,7 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
             u.matrix.num, v.matrix.num, u.translation.num, v.translation.num
         )
     ]
-    _, pivots = _rref(rows, n + 1)
+    _, pivots = _echelon(rows, n + 1)
     linear_rank = sum(1 for p in pivots if p < n)
     return 2 * len(pivots) - linear_rank
 

@@ -13,9 +13,11 @@ solvability) are exact decisions rather than tolerance checks.  Floats are
 rejected on input: silently converting one would smuggle binary rounding
 into computations whose whole point is that they never round.
 
-Elimination is fraction-free Gauss-Jordan: a row is updated as
-lead * row - f * pivot_row and divided by the gcd of its entries, so no
-division ever leaves the integers and coefficients stay small.
+Elimination is fraction-free: a row is updated as lead * row - f * pivot_row
+and divided by the gcd of its entries, so no division ever leaves the
+integers and coefficients stay small.  There is one elimination with two
+exits: `_echelon` stops after the forward pass, which is all a rank needs,
+and `_rref` goes on upward to the reduced row echelon form.
 
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
@@ -316,15 +318,10 @@ class Matrix:
         return f"Matrix([{body}], ncols={self.ncols})"
 
 
-def _rref(rows: Sequence[Sequence[int]], ncols: int):
-    """Reduced row echelon form of integer rows, fraction-free.
-
-    Returns (reduced rows, pivot columns).  Each reduced row is a pair
-    (ints, lead) with lead = ints[pivot] > 0 and the ints coprime; the row
-    of the reduced row echelon form is ints / lead.  Scaling a row changes
-    neither its span nor the solutions of an augmented system, so callers
-    may clear denominators row by row before reducing.
-    """
+def _echelon(rows: Sequence[Sequence[int]], ncols: int):
+    """Forward elimination of integer rows, fraction-free: (rows, pivots)
+    with row i nonzero at pivots[i] and zero left of it, the zero rows
+    dropped.  A rank needs no more than this."""
     work = [list(r) for r in rows]
     m = len(work)
     pivots: list[int] = []
@@ -338,19 +335,41 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int):
         work[r], work[pivot] = work[pivot], work[r]
         top = work[r]
         lead = top[c]
-        for i in range(m):
-            f = work[i][c]
-            if f and i != r:
+        for i in range(r + 1, m):
+            if f := work[i][c]:
                 row = [lead * a - f * b for a, b in zip(work[i], top)]
                 g = math.gcd(*row)
                 work[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    return work[:r], tuple(pivots)
+
+
+def _rref(rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form of integer rows, fraction-free.
+
+    Returns (reduced rows, pivot columns).  Each reduced row is a pair
+    (ints, lead) with lead = ints[pivot] > 0 and the ints coprime; the row
+    of the reduced row echelon form is ints / lead.  Scaling a row changes
+    neither its span nor the solutions of an augmented system, so callers
+    may clear denominators row by row before reducing.  The rows of
+    :func:`_echelon` are reduced upward, last pivot first; the reduced form
+    is unique, so it is the one Gauss-Jordan elimination gives.
+    """
+    work, pivots = _echelon(rows, ncols)
+    for k in range(len(pivots) - 1, 0, -1):
+        top, c = work[k], pivots[k]
+        lead = top[c]
+        for i in range(k):
+            if f := work[i][c]:
+                row = [lead * a - f * b for a, b in zip(work[i], top)]
+                g = math.gcd(*row)
+                work[i] = [a // g for a in row] if g > 1 else row
     reduced = []
     for row, p in zip(work, pivots):
         g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)
         reduced.append((tuple(a // g for a in row), row[p] // g))
-    return reduced, tuple(pivots)
+    return reduced, pivots
 
 
 def _subspace(ambient: int, reduced, pivots: tuple[int, ...]) -> "LinearSubspace":

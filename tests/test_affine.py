@@ -13,13 +13,11 @@ from scherk.affine import (
     Point,
     hull_of_affine_e,
     hull_of_affine_v,
-    hyperplane_section,
     intersect_affine,
     intersect_affine_v,
 )
-from scherk.isometry import Reflection
-from scherk.linalg import DimensionError, Vector, orthogonal_complement, project, span
-from scherk.oracle import random_nonzero_vector, random_vector
+from scherk.linalg import DimensionError, Vector, project, span
+from scherk.oracle import random_vector
 from strategies import no_deadline, seeds
 
 
@@ -226,24 +224,3 @@ class TestHullOfAffineV:
         rng.shuffle(superset)
         assert hull.subset_of(hull_of_affine_v(superset))
 
-
-class TestHyperplaneSection:
-    @no_deadline
-    @given(st.integers(1, 6), st.integers(0, 6), st.sampled_from("rnp"), seeds)
-    def test_matches_intersection_with_mirror(self, n, k, kind, seed):
-        """Normals in general position (r), normal to b (n), and hyperplanes
-        through the point of b (p), against intersect_affine."""
-        rng = random.Random(seed)
-        direction = span([random_nonzero_vector(n, rng) for _ in range(k)], ambient=n)
-        b = AffineSubspaceE(Point(random_vector(n, rng)), direction)
-        normal = random_nonzero_vector(n, rng)
-        if kind == "n" and not direction.is_full():
-            normal = Vector.zero(n)
-            while normal.is_zero():
-                for d in orthogonal_complement(direction).basis:
-                    normal = normal + d.scale(rng.randint(-2, 2))
-        value = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        if kind == "p":
-            value = normal.dot(b.point.vector)
-        mirror = Reflection(normal, value).mirror
-        assert hyperplane_section(b, normal, value) == intersect_affine(b, mirror)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given
 
-from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
+from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, intersect_affine
 from scherk.factor import (
     ChainError,
     Factorization,
@@ -24,8 +24,11 @@ from scherk.factor import (
 from scherk.isometry import (
     Isometry,
     Reflection,
+    _motion,
     classify,
+    interval_leq,
     motion_reflection,
+    product,
     reflection_length,
     standard_splitting,
     translation,
@@ -292,11 +295,12 @@ class TestOperationBudget:
         assert (len(fs), steps) == (100, 307)
 
     def test_elliptic_chain_step_scans_its_frame_once(self, monkeypatch, calls):
-        """A step down to e^B applies the product to the points of B's frame
+        """A step down to e^B computes the image of each point of B's frame
         (its canonical point, then its basis translates) up to the first one
-        it moves, and the certificate applies the linear part to the basis
-        vectors past that point only: under an elliptic top a walk makes at
-        most dim B + 1 matrix-vector products a step."""
+        it moves, once, on integer rows, and takes the reflection from that
+        image; the certificate applies the linear part to the basis vectors
+        past that point only.  So under an elliptic top a walk computes
+        exactly dim B + 1 images a step, and none twice."""
         rng = random.Random(79)
         walks = [
             (random_maximal_chain(w, rng), w)
@@ -312,10 +316,58 @@ class TestOperationBudget:
                 calls.append("Matrix * Vector")
             return multiply(matrix, other)
 
+        def count_motions(w, x):
+            calls.append("_motion")
+            return _motion(w, x)
+
         monkeypatch.setattr(Matrix, "__mul__", count_vector_products)
+        patch_everywhere(monkeypatch, _motion, count_motions)
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
-        assert len(calls) <= budget
+        assert len(calls) == budget
         assert (len(walks), steps) == (62, 159)
+
+    def test_elliptic_chain_read_projects_nothing(self, monkeypatch, calls, counted):
+        """Under an elliptic target the read walks an orthogonal frame: each
+        fixed set's canonical point is a closed form, so no projection, no
+        elimination and no AffineSubspaceE constructor."""
+        rng = random.Random(103)
+        fs = [
+            random_minimal_factorization(w, rng)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        elliptic = [f for f in fs if classify(f.target).is_elliptic]
+        linalg = importlib.import_module("scherk.linalg")
+        for name in ("_rref", "project"):
+            original = getattr(linalg, name)
+            patch_everywhere(monkeypatch, original, counted(name, original))
+        monkeypatch.setattr(
+            AffineSubspaceE,
+            "__init__",
+            counted("AffineSubspaceE", AffineSubspaceE.__init__),
+        )
+        steps = sum(len(factorization_to_chain(f)) - 1 for f in elliptic)
+        assert calls == []
+        assert (len(fs), len(elliptic), steps) == (100, 55, 147)
+
+    def test_interval_leq_reduces_nothing(self, monkeypatch, calls, counted):
+        """reflection_distance reads its two ranks off the pivots of a
+        forward elimination, so the interval order of classified isometries
+        makes no _rref call."""
+        rng = random.Random(107)
+        triples = []
+        for dim in range(2, 7):
+            for w in corpus(dim, 10, rng):
+                u, v = sample_interval(w, rng, 2)
+                triples.append((w, u, v))
+        for triple in triples:
+            for x in triple:
+                classify(x)
+        linalg = importlib.import_module("scherk.linalg")
+        patch_everywhere(monkeypatch, linalg._rref, counted("_rref", linalg._rref))
+        below = sum(interval_leq(*t) for t in triples)
+        assert calls == []
+        assert (len(triples), below) == (50, 24)
 
     def test_rewrite_shift_builds_no_isometry(self, monkeypatch, calls, counted):
         """Each swap is one Hurwitz move, whose conjugate is a closed form on
@@ -661,6 +713,47 @@ class TestMinimalFactorizationProperties:
                     assert seen[key] == u
                 else:
                     seen[key] = u
+
+
+def assert_read_by_definition(f):
+    """factorization_to_chain(f) is the invariant of every suffix product,
+    and its elliptic prefix is the full space cut by one mirror at a time,
+    up to the first mirror that misses: the definition, sharing no code
+    with the orthogonal frame the read walks.  Returns the number of
+    elliptic steps."""
+    chain = factorization_to_chain(f)
+    dim = f.target.dim
+    suffixes = [product(f.factors[i:], dim) for i in range(len(f) + 1)]
+    assert chain == [inv_map(s) for s in suffixes]
+    fix = AffineSubspaceE(Point.origin(dim), LinearSubspace.full(dim))
+    folded = [fix]
+    for r in reversed(f.factors):
+        fix = intersect_affine(fix, r.mirror)
+        if fix is None:
+            break
+        folded.append(fix)
+    assert folded == [p.fix for p in reversed(chain) if isinstance(p, Elliptic)]
+    return len(folded) - 1
+
+
+class TestChainReadOracle:
+    def test_factor_and_walks_on_corpus(self):
+        """factor(w) and one random walk per isometry, dims 1-10."""
+        rng = random.Random(101)
+        steps = reads = 0
+        for dim in range(1, 11):
+            for w in corpus(dim, 2, rng):
+                walk = random_maximal_chain(w, rng)
+                for f in (factor(w), chain_to_factorization(walk, w)):
+                    steps += assert_read_by_definition(f)
+                    reads += 1
+        assert (reads, steps) == (40, 133)
+
+    @pytest.mark.parametrize("dim", [16, 24])
+    def test_factor_at_scale(self, dim):
+        """factor(w) of two isometries."""
+        steps = sum(assert_read_by_definition(factor(w)) for w in corpus(dim, 2, 7))
+        assert steps > 0
 
 
 class TestChainClosedForms:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, hyperplane_section
+from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
 from scherk.isometry import (
     ELLIPTIC,
@@ -105,9 +105,6 @@ class TestReflections:
             Reflection(Vector.zero(2), 0)
 
 
-X_AXIS = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -117,14 +114,6 @@ X_AXIS = AffineSubspaceE(pt(0, 0), span([e(2, 0)]))
         pytest.param(lambda: LinearSubspace(2, [[0.5, 1]]), id="LinearSubspace"),
         pytest.param(lambda: vec(1, 0).scale(0.5), id="Vector.scale"),
         pytest.param(lambda: Reflection(vec(1, 0), 0.5), id="Reflection"),
-        pytest.param(
-            lambda: hyperplane_section(X_AXIS, e(2, 0), 1.0),
-            id="hyperplane_section-crossing",
-        ),
-        pytest.param(
-            lambda: hyperplane_section(X_AXIS, e(2, 1), 1.0),
-            id="hyperplane_section-parallel",
-        ),
     ],
 )
 def test_floats_rejected(build):

@@ -16,6 +16,7 @@ from scherk.linalg import (
     LinearSubspace,
     Matrix,
     Vector,
+    _echelon,
     _rref,
     intersect,
     null_space,
@@ -467,6 +468,26 @@ def assert_span_agrees(rows, n):
     return u
 
 
+def assert_echelon_agrees(rows, n):
+    """_echelon's pivots are sympy's rref pivots and its rows an echelon
+    basis of the row space; _rref, its upward completion, is sympy's rref.
+    Returns the rank."""
+    sympy = pytest.importorskip("sympy")
+    expected, pivots = sympy.Matrix([list(r.coords) for r in rows]).rref()
+    ints = [r.num for r in rows]
+    echelon, echelon_pivots = _echelon(ints, n)
+    assert echelon_pivots == pivots
+    for row, p in zip(echelon, pivots):
+        assert row[p] and not any(row[:p])
+    assert LinearSubspace(n, echelon) == LinearSubspace(n, rows)
+    reduced, rref_pivots = _rref(ints, n)
+    assert rref_pivots == pivots
+    assert [[Fraction(v, lead) for v in num] for num, lead in reduced] == [
+        [sympy_fraction(v) for v in expected.row(i)] for i in range(len(pivots))
+    ]
+    return len(pivots)
+
+
 class TestIncrementalSpan:
     """span reduces the rows one at a time and stops at full rank; sympy's
     rref and the whole-stack elimination of LinearSubspace are its oracles."""
@@ -512,6 +533,19 @@ class TestIncrementalSpan:
                         seen.add((n, u.dim, late))
         assert all((n, n, late) in seen for n in range(1, 9) for late in (False, True))
         assert all((n, n - 1, False) in seen for n in range(1, 9))
+
+    def test_echelon_and_rref_against_sympy(self):
+        """The same kind of seeded stacks, for the one elimination's two
+        exits."""
+        rng = random.Random(22)
+        ranks = set()
+        for n in range(1, 9):
+            for rank in range(n + 1):
+                for late in (False, True) if rank == n else (False,):
+                    for _ in range(2):
+                        rows = self.stack(rng, n, rank, late)
+                        ranks.add((n, assert_echelon_agrees(rows, n)))
+        assert ranks == {(n, k) for n in range(1, 9) for k in range(n + 1)}
 
     def test_full_rank_makes_no_elimination(self, monkeypatch):
         def refuse(*args):
