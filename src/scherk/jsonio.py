@@ -5,6 +5,16 @@ vectors as arrays of such strings, subspaces as {"dim_ambient": n,
 "basis": [[...], ...]} with the basis rows in reduced row echelon form.
 Floats are rejected: an exact library must not accept approximations.
 
+A rational is read once, into a pair (p, q) of ints in lowest terms with
+q > 0: a JSON int is (obj, 1), and a string "p" or "p/q" of ASCII digits,
+the form this module prints, is int() of each part and one gcd.  Every
+other spelling Fraction(str) accepts ("+3", " 3 ", "1_000", "1.5",
+"25e-2", non-ASCII digits) goes through Fraction(str).  A vector or a
+matrix is built from its pairs over the lcm of the denominators, which is
+its canonical (num, den) form, so no Fraction is made per coordinate.
+Printing runs the other way: each entry x of num over den is
+x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes.
+
 Isometries are accepted in two shapes: {"dim", "matrix", "translation"}
 or {"reflections": [{"root": [...], "point": [...]}, ...]} where the
 listed reflections multiply left to right, the first one acting last.
@@ -22,12 +32,14 @@ FormatError, not an integer of three billion bits.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Any
+from math import gcd, lcm
+from typing import Any, Iterable
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .isometry import Isometry, Matrix, Reflection, product
-from .linalg import LinearSubspace, Vector
+from .linalg import DimensionError, LinearSubspace, Vector, _dot, _mat, _vec
 from .factor import Factorization
 from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
 
@@ -47,6 +59,10 @@ MAX_BITS = 2048
 
 # The most characters of an input value that an error message quotes.
 _QUOTE_LIMIT = 60
+
+# A rational as this module prints it, in ASCII digits with a nonzero
+# denominator: read with int().  "3/0" is left to Fraction to refuse.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class FormatError(ValueError):
@@ -89,16 +105,29 @@ def _dimension(obj: Any, what: str) -> int:
     return obj
 
 
-def scalar_to_json(x: Fraction) -> str:
-    """The rational as "p/q" or "p"; a FormatError if Python cannot write it.
+def _texts(num: Iterable[int], den: int) -> list[str]:
+    """The rationals x / den for x in num, each as str(Fraction) writes it:
+    "p/q" in lowest terms, or "p" when q is 1; den is positive.
 
     Every rational of an answer passes here, so an answer over the
-    interpreter's digit limit for one int fails before anything is printed.
+    interpreter's digit limit for one int fails, as a FormatError, before
+    anything is printed.
     """
     try:
-        return str(x)
+        if den == 1:
+            return list(map(str, num))
+        texts = []
+        for x in num:
+            g = gcd(x, den)
+            texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return texts
     except ValueError as exc:  # over sys.get_int_max_str_digits()
         raise FormatError("an answer has a rational too long to print") from exc
+
+
+def scalar_to_json(x: Fraction) -> str:
+    """The rational as "p/q" or "p"; a FormatError if Python cannot write it."""
+    return _texts((x.numerator,), x.denominator)[0]
 
 
 def _exponent_over_limit(text: str) -> bool:
@@ -110,46 +139,79 @@ def _exponent_over_limit(text: str) -> bool:
         return False
 
 
-def scalar_from_json(obj: Any) -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise FormatError(f"not a rational: {_quote(obj)}")
-    has_exponent = isinstance(obj, str) and ("e" in obj or "E" in obj)
-    if has_exponent and _exponent_over_limit(obj):
+def _fraction(text: str) -> Fraction:
+    """A rational in any spelling Fraction(str) accepts."""
+    if ("e" in text or "E" in text) and _exponent_over_limit(text):
         raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
     try:
-        value = Fraction(obj)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {_quote(obj)}") from exc
-    if (
-        value.numerator.bit_length() > MAX_BITS
-        or value.denominator.bit_length() > MAX_BITS
-    ):
+        raise FormatError(f"bad rational {_quote(text)}") from exc
+
+
+def _rational(obj: Any) -> tuple[int, int]:
+    """A JSON rational as (p, q) in lowest terms with q > 0."""
+    if isinstance(obj, str):
+        match = _PLAIN.fullmatch(obj)
+        if match is None:
+            value = _fraction(obj)
+            p, q = value.numerator, value.denominator
+        else:
+            numerator, denominator = match.groups()
+            try:  # int() refuses more than sys.get_int_max_str_digits() digits
+                p, q = int(numerator), int(denominator or 1)
+            except ValueError as exc:
+                raise FormatError(f"bad rational {_quote(obj)}") from exc
+            if q != 1:
+                g = gcd(p, q)
+                p, q = p // g, q // g
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        p, q = obj, 1
+    else:
+        raise FormatError(f"not a rational: {_quote(obj)}")
+    if p.bit_length() > MAX_BITS or q.bit_length() > MAX_BITS:
         raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
-    return value
+    return p, q
+
+
+def scalar_from_json(obj: Any) -> Fraction:
+    return Fraction(*_rational(obj))
+
+
+def _scalars(obj: Any) -> list[tuple[int, int]]:
+    """The entries of a vector or matrix row, as (p, q) pairs."""
+    return [_rational(x) for x in array(obj, "vector", coordinates=True)]
+
+
+def _over(pairs: list[tuple[int, int]], den: int) -> tuple[int, ...]:
+    """The numerators of the rationals p / q over den, a multiple of each q."""
+    return tuple(p * (den // q) for p, q in pairs)
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    return [scalar_to_json(c) for c in v.coords]
-
-
-def _scalars(obj: Any) -> list[Fraction]:
-    """The entries of a vector or matrix row."""
-    return [scalar_from_json(x) for x in array(obj, "vector", coordinates=True)]
+    return _texts(v.num, v.den)
 
 
 def vector_from_json(obj: Any) -> Vector:
-    return Vector(_scalars(obj))
+    pairs = _scalars(obj)
+    den = lcm(*(q for _, q in pairs))
+    return _vec(_over(pairs, den), den)
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[scalar_to_json(x) for x in row] for row in m.rows]
+    return [_texts(row, m.den) for row in m.num]
 
 
 def matrix_from_json(obj: Any) -> Matrix:
     rows = array(obj, "matrix", coordinates=True)
     if not rows:
         raise FormatError("matrix must have a row")
-    return Matrix([_scalars(row) for row in rows])
+    rows = [_scalars(row) for row in rows]
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DimensionError("matrix rows have unequal lengths")
+    den = lcm(*(q for row in rows for _, q in row))
+    return _mat(tuple(_over(row, den) for row in rows), den, ncols)
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:
@@ -195,10 +257,13 @@ def affine_e_from_json(obj: Any) -> AffineSubspaceE:
 
 
 def reflection_to_json(r: Reflection) -> dict:
-    """The root and the mirror's point nearest the origin, root offset / |root|^2."""
+    """The root and the mirror's point nearest the origin, root offset / |root|^2,
+    written from the root's integer entries."""
+    root, offset = r.root.num, r.offset
+    den = offset.denominator * _dot(root, root)
     return {
         "root": vector_to_json(r.root),
-        "point": vector_to_json(r.root.scale(r.offset / r.root.norm_sq())),
+        "point": _texts([offset.numerator * a for a in root], den),
     }
 
 

@@ -1,8 +1,10 @@
-"""Any mutated document ends in a documented exit code, never a traceback.
+"""Any mutated document ends in a documented exit code, never a traceback,
+and a document whose rationals are spelled otherwise gets the same answer.
 
 Seed documents for all ten commands come from tests/data and the golden
-files; each example replaces or deletes one to three of their parts and
-runs the result through `cli.main` in this process.
+files; each example replaces or deletes one to three of their parts, or
+respells its rationals, and runs the result through `cli.main` in this
+process.
 """
 
 import contextlib
@@ -10,7 +12,9 @@ import copy
 import io
 import json
 import pathlib
+import re
 import sys
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +131,59 @@ def test_seeds_are_answered():
         code, out, err = run_main(command, json.dumps(doc))
         assert (code, err) == (0, "")
         assert out
+
+
+PRINTED = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def spellings(text):
+    """Other spellings of a printed rational that Fraction(str) reads as it."""
+    value = Fraction(text)
+    sign, body = ("-", text[1:]) if text.startswith("-") else ("", text)
+    out = [
+        f"{sign}00{body}",  # leading zeros
+        f" {text}\t",  # surrounding whitespace
+        f"\n{text} ",
+        sign + "/".join("_".join(part) for part in body.split("/")),  # "1_2/4_8"
+    ]
+    if not sign:
+        out.append(f"+{text}")
+    if value.denominator == 1:
+        out.append(value.numerator)  # a JSON int
+    for places in range(8):  # decimal forms, when the value has one
+        scaled = value * 10**places
+        if scaled.denominator == 1:
+            whole, fraction = divmod(abs(scaled.numerator), 10**places)
+            point = f"{sign}{whole}.{fraction:0{places}d}"
+            out += [point, f"{point}0E+0", f"{scaled.numerator}e-{places}"]
+            break
+    return out
+
+
+@st.composite
+def respelled_documents(draw):
+    command, doc = draw(st.sampled_from(SEEDS))
+
+    def respell(node):
+        if isinstance(node, dict):
+            return {key: respell(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [respell(value) for value in node]
+        if isinstance(node, str) and PRINTED.fullmatch(node):
+            return draw(st.sampled_from(spellings(node)))
+        return node
+
+    return command, json.dumps(doc), json.dumps(respell(doc))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(respelled_documents())
+def test_respelled_rationals_give_the_same_answer(case):
+    command, canonical, respelled = case
+    assert run_main(command, respelled) == run_main(command, canonical)
+
+
+def test_every_respelling_reads_as_the_printed_text():
+    for text in ["0", "7", "-7", "12", "-37/48", "5/8", "-1/2", "1/3"]:
+        for spelling in spellings(text):
+            assert jsonio.scalar_from_json(spelling) == Fraction(text), spelling

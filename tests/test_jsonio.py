@@ -1,5 +1,9 @@
 """Wire format round trips and validation."""
 
+import json
+import pathlib
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,8 @@ from scherk.jsonio import (
     isometry_from_json,
     isometry_to_json,
     matrix_from_json,
+    matrix_to_json,
+    reflection_from_json,
     reflection_to_json,
     scalar_from_json,
     scalar_to_json,
@@ -30,7 +36,7 @@ from scherk.jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from scherk.linalg import DimensionError, Vector, span
+from scherk.linalg import DimensionError, Matrix, Vector, span
 from scherk.oracle import corpus
 from scherk.poset import Elliptic, Hyperbolic, New, inv_map
 
@@ -240,3 +246,217 @@ class TestReflectionEncoding:
         r = Reflection(Vector([2, -4, 6]), Fraction(7, 3))
         payload = {"root": ["1", "-2", "3"], "point": ["1/12", "-1/6", "1/4"]}
         assert reflection_to_json(r) == payload
+
+
+def fraction_reading(text):
+    """How a string read as Fraction(str) behind the exponent guard: the
+    value, or the message of the FormatError."""
+    _, _, exponent = text.lower().partition("e")
+    try:
+        over = ("e" in text or "E" in text) and abs(int(exponent)) > MAX_BITS
+    except ValueError:
+        over = False
+    if over:
+        return f"rational exceeds the limit of {MAX_BITS} bits"
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return f"bad rational {text!r}" if len(repr(text)) <= 60 else "bad rational"
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
+        return f"rational exceeds the limit of {MAX_BITS} bits"
+    return value
+
+
+SPELLINGS = [
+    "0", "7", "-7", "6/4", "-37/48", "0/5", "-0/5", "007", "-0", "+3", " 3 ",
+    "3 / 4", "1_000", "1.5", "25e-2", "-1.25E1", ".5", "5.", "1e", "\u0663",
+    "\u0663/\u0664", "\u00b2", "0/0", "3/0", "3/00", "6/004", "", "-", "/3", "3/", "5/-3", "--3",
+    "-+3", "3/4/5", "0x10", "3\n", "nan", "inf",
+    f"{2**MAX_BITS}/2", str(2**MAX_BITS), str(2**MAX_BITS - 1),
+    f"1/{2**MAX_BITS}", f"1e{MAX_BITS + 1}",
+    "1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4300,
+]
+
+
+def random_spellings(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.randint(-(2**rng.randint(1, 80)), 2**rng.randint(1, 80))
+        q = rng.randint(0, 2**rng.randint(1, 80))
+        out.append(f"{p}/{q}" if rng.random() < 0.8 else str(p))
+    return out
+
+
+class TestSpelling:
+    """Every string reads as Fraction(str) read it, or fails with the same
+    FormatError: the int() path for "p" and "p/q" changes no answer."""
+
+    @pytest.mark.parametrize(
+        "text", SPELLINGS + random_spellings(200, seed=5), ids=lambda t: repr(t)[:24]
+    )
+    def test_reads_as_fraction_reads(self, text):
+        expected = fraction_reading(text)
+        for read in (scalar_from_json, lambda t: vector_from_json([t, "1/3"])[0]):
+            if isinstance(expected, Fraction):
+                assert read(text) == expected
+                continue
+            with pytest.raises(FormatError) as caught:
+                read(text)
+            assert str(caught.value).startswith(expected)
+
+    def test_reading_is_canonical(self):
+        v = vector_from_json(["6/4", "-10/4", 0, "3"])
+        assert (v.num, v.den) == ((3, -5, 0, 6), 2)
+        assert v == Vector([Fraction(3, 2), Fraction(-5, 2), 0, 3])
+        m = matrix_from_json([["2/6", "0"], ["1", "-1/2"]])
+        assert (m.num, m.den) == (((2, 0), (6, -3)), 6)
+
+
+def random_rational(rng, bits):
+    p = rng.randint(-(2**bits) + 1, 2**bits - 1) if rng.random() < 0.8 else 0
+    q = rng.randint(1, 2**bits - 1) if rng.random() < 0.6 else 1
+    return Fraction(p, q)
+
+
+def printed(values):
+    return [str(c) for c in values]
+
+
+class TestPrinting:
+    """The integer-row printers write each entry as str(Fraction) does."""
+
+    CASES = [(dim, bits) for dim in range(1, 9) for bits in (1, 8, 64, MAX_BITS)]
+
+    @pytest.mark.parametrize("dim,bits", CASES)
+    def test_vectors_and_matrices(self, dim, bits):
+        rng = random.Random(dim * 10007 + bits)
+        for _ in range(10):
+            v = Vector([random_rational(rng, bits) for _ in range(dim)])
+            assert vector_to_json(v) == printed(v.coords)
+            m = Matrix([[random_rational(rng, bits) for _ in range(dim)] for _ in range(dim)])
+            assert matrix_to_json(m) == [printed(row) for row in m.rows]
+
+    @pytest.mark.parametrize("dim,bits", CASES)
+    def test_reflections(self, dim, bits):
+        rng = random.Random(dim * 10009 + bits)
+        for _ in range(10):
+            # The primitive root of a normal of MAX_BITS-bit fractions can be
+            # past the digit limit, so the largest normals are integers.
+            entries = [random_rational(rng, bits) for _ in range(dim)]
+            if bits == MAX_BITS:
+                entries = [c.numerator for c in entries]
+            if not any(entries):
+                continue
+            r = Reflection(Vector(entries), random_rational(rng, bits))
+            scale = r.offset / r.root.norm_sq()
+            payload = reflection_to_json(r)
+            assert payload == {
+                "root": printed(r.root.coords),
+                "point": printed(c * scale for c in r.root.coords),
+            }
+            if bits < MAX_BITS:  # the point of a largest one is over the limit
+                assert reflection_from_json(payload) == r
+
+    HUGE = 10**5000
+
+    @pytest.mark.parametrize("value", [Fraction(HUGE), Fraction(HUGE, 3), Fraction(-1, HUGE)])
+    def test_past_the_digit_limit_is_a_format_error(self, value):
+        message = "too long to print"
+        with pytest.raises(FormatError, match=message):
+            scalar_to_json(value)
+        with pytest.raises(FormatError, match=message):
+            vector_to_json(Vector([1, value]))
+        with pytest.raises(FormatError, match=message):
+            matrix_to_json(Matrix([[1, 0], [0, value]]))
+        with pytest.raises(FormatError, match=message):
+            reflection_to_json(Reflection(Vector([1, 1]), value))
+
+
+HERE = pathlib.Path(__file__).parent
+DOCUMENTS = sorted((HERE / "data").glob("*.json")) + sorted((HERE / "golden").glob("*.json"))
+
+
+def codec(node):
+    """The decoder and encoder of a JSON object the library writes, by its
+    keys; None for an object that holds library values but is none."""
+    kind = node.get("kind")
+    if kind in ("e", "h", "n"):
+        return element_from_json, element_to_json
+    if kind == "affineV":
+        return affine_v_from_json, affine_v_to_json
+    if kind == "affineE":
+        return affine_e_from_json, affine_e_to_json
+    if "target" in node:
+        return factorization_from_json, factorization_to_json
+    if "matrix" in node or "reflections" in node:
+        return isometry_from_json, isometry_to_json
+    return None
+
+
+def round_trip(node):
+    """node with every library value in it decoded and encoded again."""
+    if isinstance(node, dict):
+        found = codec(node)
+        if found:
+            decode, encode = found
+            return encode(decode(node))
+        return {key: round_trip(value) for key, value in node.items()}
+    if isinstance(node, list) and node and all(isinstance(x, str) for x in node):
+        return vector_to_json(vector_from_json(node))
+    if isinstance(node, list):
+        return [round_trip(x) for x in node]
+    return node
+
+
+def rationals(node, key=None):
+    """The number of rationals in a document."""
+    if isinstance(node, dict):
+        return sum(rationals(value, k) for k, value in node.items())
+    if isinstance(node, list):
+        return sum(rationals(value, key) for value in node)
+    return int(isinstance(node, str) and key not in ("kind", "tag"))
+
+
+def reflections(node):
+    """The number of reflections, {"root", "point"}, in a document."""
+    if isinstance(node, dict):
+        return ("root" in node) + sum(map(reflections, node.values()))
+    if isinstance(node, list):
+        return sum(map(reflections, node))
+    return 0
+
+
+def fraction_constructions(fn):
+    """The number of Fraction.__new__ calls fn() makes."""
+    code, count = Fraction.__new__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is code
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+class TestFractionBudget:
+    """Reading and writing a document builds no Fraction per coordinate:
+    only a decoded reflection's offset is one (root . point, then the
+    mirror's value scaled by Reflection, three in all)."""
+
+    PER_REFLECTION = 3
+
+    def test_documents_round_trip_without_fractions_per_coordinate(self):
+        docs = [json.loads(path.read_text()) for path in DOCUMENTS]
+        assert len(docs) == 13
+        results = []
+        count = fraction_constructions(lambda: results.extend(map(round_trip, docs)))
+        assert results == docs
+        assert sum(map(rationals, docs)) == 307
+        assert sum(map(reflections, docs)) == 10
+        assert count == self.PER_REFLECTION * sum(map(reflections, docs))
