@@ -16,7 +16,6 @@ and their hulls and intersections share one body each.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -25,13 +24,12 @@ from .linalg import (
     LinearSubspace,
     Vector,
     _dot,
-    _mat,
-    _vector,
+    _independent,
+    _solve,
+    _span,
     orthogonal_complement,
     orthogonal_section,
     project,
-    solve_affine,
-    span,
 )
 
 
@@ -91,7 +89,8 @@ class _AffineSubspace:
 
     The constructor subtracts the anchor's projection onto the direction,
     so the stored anchor is the unique one orthogonal to the direction and
-    equality is equality of the two fields.  Subspaces of E and of V share
+    equality is equality of the two fields; under the full direction that
+    anchor is zero, with no projection.  Subspaces of E and of V share
     this form, but only subspaces of the same kind compare or combine.
     """
 
@@ -101,6 +100,9 @@ class _AffineSubspace:
         if anchor.dim != direction.ambient:
             raise DimensionError("anchor and direction of different dimensions")
         self.direction = direction
+        if direction.is_full():
+            self.anchor = Vector.zero(direction.ambient)
+            return
         offset = project(anchor, direction)
         self.anchor = anchor if offset.is_zero() else anchor - offset
 
@@ -248,14 +250,27 @@ def _hull(anchors: Sequence[Vector], directions, extra: Iterable[Vector] = ()):
     """(base, direction) of the smallest affine subspace through the
     anchors whose direction holds the directions and the extra vectors:
     the first anchor, and one span of the anchor differences, the
-    direction bases and the extra vectors."""
+    direction bases and the extra vectors.
+
+    The difference a - base goes in as the integer row
+    den(base) a - den(a) base, and every other vector as its integer row,
+    so no Vector is built per row.  The rows go through the one forward
+    pass of every span, which stops at full rank: a hull that fills the
+    space builds no reduced basis, and its zero anchor needs no
+    projection.  (:func:`_intersect` feeds the same pass, where a pivot in
+    the value column tells a poset join of elliptics that there is no
+    common point.)
+    """
     if not anchors:
         raise ValueError("affine hull of an empty list")
     base = anchors[0]
-    vectors = [a - base for a in anchors[1:]]
-    vectors.extend(b for d in directions for b in d.basis)
-    vectors.extend(extra)
-    return base, span(vectors, ambient=base.dim)
+    n, e, b = base.dim, base.den, base.num
+    rows = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
+    rows.extend(v.num for d in directions for v in d.basis)
+    rows.extend(v.num for v in extra)
+    if any(len(row) != n for row in rows) or any(a.dim != n for a in anchors):
+        raise DimensionError("affine hull of subspaces of different dimensions")
+    return base, _span(rows, n)
 
 
 def hull_of_affine_e(
@@ -278,32 +293,35 @@ def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
 
 
 def _intersect(subspaces: Sequence[_AffineSubspace]):
-    """Common solutions of 'x - anchor lies in the direction' for each
-    subspace, as (particular, kernel), or None when there are none.
+    """The common solutions of 'x - anchor lies in the direction' for each
+    subspace, stacked as one augmented system [normals | values] in the
+    ambient dimension n and reduced by one forward pass: (rows, pivots, n)
+    with the rows in echelon order, the arguments of
+    :func:`linalg._solve`.
 
-    Each normal row n of a direction gives n . x = n . anchor, taken on
-    the integer rows of the normals over the anchors' common denominator.
+    Each normal row N of a direction gives N . x = N . A / e for the
+    anchor A / e, taken as the integer row [e N | N . A].  A row pivoted in
+    the value column means there is no common point, and then the other
+    rows, cut to their first n entries, are echelon rows of the sum of the
+    normal spaces.
     """
     if not subspaces:
         raise ValueError("intersection of an empty list of subspaces")
     for s in subspaces[1:]:
         subspaces[0]._check_peer(s)
-    den = math.lcm(*(s.anchor.den for s in subspaces))
     rows = []
-    rhs = []
     for s in subspaces:
-        scale = den // s.anchor.den
+        e, a = s.anchor.den, s.anchor.num
         for normal in orthogonal_complement(s.direction).basis:
-            rows.append(normal.num)
-            rhs.append(scale * _dot(normal.num, s.anchor.num))
-    ambient = subspaces[0].ambient
-    return solve_affine(_mat(tuple(rows), 1, ambient), _vector(rhs, den))
+            rows.append([e * x for x in normal.num] + [_dot(normal.num, a)])
+    n = subspaces[0].ambient
+    return *_independent(rows, n + 1), n
 
 
 def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
     """Intersection of affine subspaces of E, by one stacked solve; None
     when it is empty."""
-    solution = _intersect(subspaces)
+    solution = _solve(*_intersect(subspaces))
     if solution is None:
         return None
     particular, kernel = solution
@@ -313,7 +331,7 @@ def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
 def intersect_affine_v(*subspaces: AffineSubspaceV) -> Optional[AffineSubspaceV]:
     """Intersection of affine subspaces of V, by one stacked solve; None
     when it is empty."""
-    solution = _intersect(subspaces)
+    solution = _solve(*_intersect(subspaces))
     if solution is None:
         return None
     particular, kernel = solution

@@ -41,7 +41,7 @@ from .linalg import (
     Matrix,
     Vector,
     _dot,
-    _echelon,
+    _independent,
     _matrix,
     _particular,
     _q,
@@ -515,7 +515,7 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
             u.matrix.num, v.matrix.num, u.translation.num, v.translation.num
         )
     ]
-    _, pivots = _echelon(rows, n + 1)
+    _, pivots = _independent(rows, n + 1)
     linear_rank = sum(1 for p in pivots if p < n)
     return 2 * len(pivots) - linear_rank
 

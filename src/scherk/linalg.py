@@ -15,9 +15,15 @@ into computations whose whole point is that they never round.
 
 Elimination is fraction-free: a row is updated as lead * row - f * pivot_row
 and divided by the gcd of its entries, so no division ever leaves the
-integers and coefficients stay small.  There is one elimination with two
-exits: `_echelon` stops after the forward pass, which is all a rank needs,
-and `_rref` goes on upward to the reduced row echelon form.
+integers and coefficients stay small.  There is one elimination in two
+passes.  The forward pass, `_independent`, reduces the rows one at a time
+against those kept so far and stops once a given number of rows are
+independent; a rank needs no more.  The upward pass, `_upward`, takes its
+echelon rows to the reduced row echelon form, and `_rref` is the two in
+turn.  The forward pass is the one core of every span (`span`, the affine
+hulls and the poset joins), so a stack that reaches full rank reads no
+further row and builds no reduced basis, and a caller that needs only the
+rank stops there.
 
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
@@ -37,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -318,45 +324,49 @@ class Matrix:
         return f"Matrix([{body}], ncols={self.ncols})"
 
 
-def _echelon(rows: Sequence[Sequence[int]], ncols: int):
-    """Forward elimination of integer rows, fraction-free: (rows, pivots)
-    with row i nonzero at pivots[i] and zero left of it, the zero rows
-    dropped.  A rank needs no more than this."""
-    work = [list(r) for r in rows]
-    m = len(work)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if work[i][c]), None)
-        if pivot is None:
+def _independent(rows: Iterable[Sequence[int]], limit: int):
+    """Forward elimination of integer rows, fraction-free, one row at a
+    time: (rows, pivots) with row i nonzero at pivots[i] and zero left of
+    it, the pivots increasing, and the zero rows dropped.  A rank needs no
+    more than this.
+
+    Each row is reduced against the rows kept so far, at their pivots, and
+    kept unless it reduces to zero; its pivot is its first nonzero entry.
+    A kept row is zero at the pivot of every row kept before it, so sorted
+    by pivot the kept rows are in echelon form.  The pass stops as soon as
+    `limit` rows are kept, without reading the rest; a limit of the number
+    of columns never stops it early.
+    """
+    kept = []
+    for residual in rows:
+        for row, p in kept:
+            if c := residual[p]:
+                d = row[p]
+                residual = [d * a - c * x for a, x in zip(residual, row)]
+                g = math.gcd(*residual)
+                residual = [a // g for a in residual] if g > 1 else residual
+        for p, a in enumerate(residual):
+            if a:
+                kept.append((residual, p))
+                break
+        else:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        lead = top[c]
-        for i in range(r + 1, m):
-            if f := work[i][c]:
-                row = [lead * a - f * b for a, b in zip(work[i], top)]
-                g = math.gcd(*row)
-                work[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return work[:r], tuple(pivots)
+        if len(kept) == limit:
+            break
+    kept.sort(key=itemgetter(1))
+    return [row for row, _ in kept], tuple(p for _, p in kept)
 
 
-def _rref(rows: Sequence[Sequence[int]], ncols: int):
-    """Reduced row echelon form of integer rows, fraction-free.
+def _upward(rows: Sequence[Sequence[int]], pivots: tuple[int, ...]):
+    """Reduced row echelon form of integer rows in echelon form.
 
     Returns (reduced rows, pivot columns).  Each reduced row is a pair
     (ints, lead) with lead = ints[pivot] > 0 and the ints coprime; the row
-    of the reduced row echelon form is ints / lead.  Scaling a row changes
-    neither its span nor the solutions of an augmented system, so callers
-    may clear denominators row by row before reducing.  The rows of
-    :func:`_echelon` are reduced upward, last pivot first; the reduced form
-    is unique, so it is the one Gauss-Jordan elimination gives.
+    of the reduced row echelon form is ints / lead.  The rows are reduced
+    upward, last pivot first; the reduced form is unique, so it is the one
+    Gauss-Jordan elimination gives.
     """
-    work, pivots = _echelon(rows, ncols)
+    work = list(rows)
     for k in range(len(pivots) - 1, 0, -1):
         top, c = work[k], pivots[k]
         lead = top[c]
@@ -370,6 +380,17 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int):
         g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)
         reduced.append((tuple(a // g for a in row), row[p] // g))
     return reduced, pivots
+
+
+def _rref(rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form of integer rows, fraction-free, as
+    :func:`_upward` returns it.
+
+    Scaling a row changes neither its span nor the solutions of an
+    augmented system, so callers may clear denominators row by row before
+    reducing.
+    """
+    return _upward(*_independent(rows, ncols))
 
 
 def _subspace(ambient: int, reduced, pivots: tuple[int, ...]) -> "LinearSubspace":
@@ -390,6 +411,28 @@ def _canonical(ambient: int, basis: tuple[Vector, ...], pivots: tuple[int, ...])
     u.pivots = pivots
     u._perp = None
     return u
+
+
+def _span(rows: Iterable[Sequence[int]], n: int) -> "LinearSubspace":
+    """The span of integer rows of length n.
+
+    n independent rows span R^n, returned as soon as they are found;
+    fewer are reduced upward once.
+    """
+    rows, pivots = _independent(rows, n)
+    if len(pivots) == n:
+        return LinearSubspace.full(n)
+    return _subspace(n, *_upward(rows, pivots))
+
+
+def _solve(rows: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int):
+    """The solution set of an augmented [A | b] of n unknowns from a
+    forward pass, as (particular, kernel); None when a row is pivoted in
+    the value column, which is when the system is inconsistent."""
+    if pivots and pivots[-1] == n:
+        return None
+    reduced, pivots = _upward(rows, pivots)
+    return _particular(reduced, pivots, n), _kernel(reduced, pivots, n)
 
 
 def _particular(reduced, pivots: tuple[int, ...], n: int) -> Vector:
@@ -442,7 +485,9 @@ class LinearSubspace:
         """The whole space; its unit vectors are already a reduced basis."""
         if ambient < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        basis = tuple(Vector.basis(ambient, i) for i in range(ambient))
+        basis = tuple(
+            _vec((0,) * i + (1,) + (0,) * (ambient - 1 - i), 1) for i in range(ambient)
+        )
         return _canonical(ambient, basis, tuple(range(ambient)))
 
     @property
@@ -508,8 +553,13 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
     `ambient` is only required when the list is empty; otherwise it is
     inferred and checked against every vector.
 
-    Each row is reduced against the echelon rows kept so far and kept
-    unless zero: n kept rows span R^n, and fewer are reduced once more.
+    The rows go through one forward pass that stops at full rank (see
+    :func:`_span`): n independent rows give R^n at once, with no reduced
+    basis built, and fewer are reduced upward once.  The same pass is the
+    core of the affine hulls and the poset joins; an all-elliptic join
+    runs it once over its stacked [normals | values], where a pivot in the
+    value column separates "no common point, and the rows left of it span
+    W" from the intersection.
     """
     if not vectors:
         if ambient is None:
@@ -521,20 +571,7 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
     n = dims.pop()
     if ambient is not None and ambient != n:
         raise DimensionError("declared ambient does not match the vectors")
-    kept = []
-    for v in vectors:
-        residual = v.num
-        for row, p in kept:
-            if c := residual[p]:
-                d = row[p]
-                residual = [d * a - c * x for a, x in zip(residual, row)]
-                g = math.gcd(*residual)
-                residual = [a // g for a in residual] if g > 1 else residual
-        if any(residual):
-            kept.append((residual, next(i for i, a in enumerate(residual) if a)))
-            if len(kept) == n:
-                return LinearSubspace.full(n)
-    return _subspace(n, *_rref([row for row, _ in kept], n))
+    return _span([v.num for v in vectors], n)
 
 
 def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
@@ -668,7 +705,4 @@ def solve_affine(a: Matrix, b: Vector):
     g = math.gcd(a.den, b.den)
     s, t = b.den // g, a.den // g
     augmented = [[s * x for x in row] + [t * bi] for row, bi in zip(a.num, b.num)]
-    reduced, pivots = _rref(augmented, n + 1)
-    if pivots and pivots[-1] == n:
-        return None
-    return _particular(reduced, pivots, n), _kernel(reduced, pivots, n)
+    return _solve(*_independent(augmented, n + 1), n)

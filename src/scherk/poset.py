@@ -51,14 +51,25 @@ no elliptic member intersects them: W is the kernel of the rows of each
 Span(N)^perp and V^perp, exact because every N is Span(N) meet H, so the
 intersection of the N is the intersection of the spans meet H.  Like each
 demand, W lies in Span(M); at dimension dim M + 1 it is Span(M) and gives
-the top.  Any smaller W takes one section.  W leaves U when a basis row w
-of W has w . mu != 0, and then the bound is h^N with N = W meet H, with
-direction W meet mu^perp (one pivot-row step, :func:`orthogonal_section`)
-and the point w |mu|^2 / (w . mu).  When W lies in U no move-set can be
-placed: W = 0, which only a meet reaches, gives the bottom e^E, W = U the
-top, and any other W is the leftover S = W.  A lower bound e^C needs every
-demand's complement inside Dir(C), so a meet with an elliptic member is
-one span of the point differences, the Dir(B) bases and those complements.
+the top.  A join decides that by rank: its forward pass over the demand
+rows stops at dim M + 1 independent rows and returns the top with no
+subspace built.  Any smaller W takes one section.  W leaves U when a
+basis row w of W has w . mu != 0, and then the bound is h^N with N = W
+meet H, with direction W meet mu^perp (one pivot-row step,
+:func:`orthogonal_section`) and the point w |mu|^2 / (w . mu).  When W
+lies in U no move-set can be placed: W = 0, which only a meet reaches,
+gives the bottom e^E, W = U the top, and any other W is the leftover
+S = W.
+
+A join of elliptics alone is one forward pass over the stacked system
+[normals | values] of their fixed sets.  A row pivoted in the value
+column means they have no common point, and the rows left of it are
+echelon rows of W, the sum of the Dir(B)^perp; otherwise the same rows,
+reduced upward, give their intersection, which is the join.  A lower
+bound e^C needs every demand's complement inside Dir(C), so a meet with
+an elliptic member is one span of the point differences, the Dir(B)
+bases and those complements, on integer rows; when it fills R^n the
+bound is the bottom e^E, built with no projection.
 """
 
 from __future__ import annotations
@@ -69,8 +80,8 @@ from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
+    _intersect,
     hull_of_affine_e,
-    intersect_affine,
 )
 from .isometry import Isometry, classify
 from .linalg import (
@@ -78,6 +89,10 @@ from .linalg import (
     LinearSubspace,
     Vector,
     _dot,
+    _independent,
+    _solve,
+    _subspace,
+    _upward,
     _vector,
     orthogonal_complement,
     orthogonal_section,
@@ -332,25 +347,39 @@ def _meet(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
 def _join(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
     """The least upper bound, or the demand sum W that no move-set fits.
 
-    Elliptics alone with a common point join at their intersection, one
-    stacked constraint solve; under an elliptic top they always have one,
-    since every member contains the top's fixed set.  Every other join
-    places the span W of the demands (see the module docstring).
+    Elliptics alone are one forward pass over their stacked system
+    [normals | values]: with no row pivoted in the value column they have
+    a common point and join at their intersection, which the upward pass
+    gives; under an elliptic top they always have one, since every member
+    contains the top's fixed set.  Otherwise the rows left of that pivot
+    are echelon rows of W.  Every other join stacks the rows of its
+    demands into one forward pass that stops at dim M + 1 independent
+    rows.  W of that rank is Span(M) and gives the top with no subspace
+    built; any smaller W is reduced once and placed (see the module
+    docstring).
     """
+    n = ctx.ambient
     if all(isinstance(p, Elliptic) for p in members):
-        common = intersect_affine(*(p.fix for p in members))
-        if common is not None:
-            return Elliptic(common)
-    rows: list[Vector] = []
-    for p in members:
-        if isinstance(p, Elliptic):
-            rows.extend(orthogonal_complement(p.fix.direction).basis)
-        elif isinstance(p, Hyperbolic):
-            rows.extend(p.move.direction.basis)
-            rows.append(p.move.mu)
-        else:
-            rows.extend(p.subspace.basis)
-    return _place(span(rows, ambient=ctx.ambient), ctx)
+        rows, pivots, _ = _intersect([p.fix for p in members])
+        solution = _solve(rows, pivots, n)
+        if solution is not None:
+            particular, kernel = solution
+            return Elliptic(AffineSubspaceE(Point(particular), kernel))
+        rows, pivots = [row[:n] for row in rows[:-1]], pivots[:-1]
+    else:
+        demands: list[Vector] = []
+        for p in members:
+            if isinstance(p, Elliptic):
+                demands.extend(orthogonal_complement(p.fix.direction).basis)
+            elif isinstance(p, Hyperbolic):
+                demands.extend(p.move.direction.basis)
+                demands.append(p.move.mu)
+            else:
+                demands.extend(p.subspace.basis)
+        rows, pivots = _independent([v.num for v in demands], ctx.top.move.dim + 1)
+    if len(pivots) > ctx.top.move.dim:
+        return ctx.top
+    return _place(_subspace(n, *_upward(rows, pivots)), ctx)
 
 
 def meet(p: PosetElement, q: PosetElement, ctx: PosetContext) -> BoundResult:

@@ -338,7 +338,7 @@ class TestOperationBudget:
         ]
         elliptic = [f for f in fs if classify(f.target).is_elliptic]
         linalg = importlib.import_module("scherk.linalg")
-        for name in ("_rref", "project"):
+        for name in ("_rref", "_upward", "project"):
             original = getattr(linalg, name)
             patch_everywhere(monkeypatch, original, counted(name, original))
         monkeypatch.setattr(
@@ -353,7 +353,7 @@ class TestOperationBudget:
     def test_interval_leq_reduces_nothing(self, monkeypatch, calls, counted):
         """reflection_distance reads its two ranks off the pivots of a
         forward elimination, so the interval order of classified isometries
-        makes no _rref call."""
+        makes no _rref call and no upward pass."""
         rng = random.Random(107)
         triples = []
         for dim in range(2, 7):
@@ -364,7 +364,9 @@ class TestOperationBudget:
             for x in triple:
                 classify(x)
         linalg = importlib.import_module("scherk.linalg")
-        patch_everywhere(monkeypatch, linalg._rref, counted("_rref", linalg._rref))
+        for name in ("_rref", "_upward"):
+            original = getattr(linalg, name)
+            patch_everywhere(monkeypatch, original, counted(name, original))
         below = sum(interval_leq(*t) for t in triples)
         assert calls == []
         assert (len(triples), below) == (50, 24)

@@ -16,8 +16,11 @@ from scherk.linalg import (
     LinearSubspace,
     Matrix,
     Vector,
-    _echelon,
+    _independent,
     _rref,
+    _solve,
+    _subspace,
+    _upward,
     intersect,
     null_space,
     orthogonal_complement,
@@ -469,22 +472,23 @@ def assert_span_agrees(rows, n):
 
 
 def assert_echelon_agrees(rows, n):
-    """_echelon's pivots are sympy's rref pivots and its rows an echelon
-    basis of the row space; _rref, its upward completion, is sympy's rref.
-    Returns the rank."""
+    """The forward pass's pivots are sympy's rref pivots and its rows an
+    echelon basis of the row space; _upward completes them to sympy's rref,
+    and _rref, the two passes in turn, gives the same.  Returns the rank."""
     sympy = pytest.importorskip("sympy")
     expected, pivots = sympy.Matrix([list(r.coords) for r in rows]).rref()
+    expected = [
+        [sympy_fraction(v) for v in expected.row(i)] for i in range(len(pivots))
+    ]
     ints = [r.num for r in rows]
-    echelon, echelon_pivots = _echelon(ints, n)
+    echelon, echelon_pivots = _independent(ints, n)
     assert echelon_pivots == pivots
     for row, p in zip(echelon, pivots):
         assert row[p] and not any(row[:p])
     assert LinearSubspace(n, echelon) == LinearSubspace(n, rows)
-    reduced, rref_pivots = _rref(ints, n)
-    assert rref_pivots == pivots
-    assert [[Fraction(v, lead) for v in num] for num, lead in reduced] == [
-        [sympy_fraction(v) for v in expected.row(i)] for i in range(len(pivots))
-    ]
+    for reduced, reduced_pivots in (_upward(echelon, echelon_pivots), _rref(ints, n)):
+        assert reduced_pivots == pivots
+        assert [[Fraction(v, lead) for v in num] for num, lead in reduced] == expected
     return len(pivots)
 
 
@@ -535,8 +539,8 @@ class TestIncrementalSpan:
         assert all((n, n - 1, False) in seen for n in range(1, 9))
 
     def test_echelon_and_rref_against_sympy(self):
-        """The same kind of seeded stacks, for the one elimination's two
-        exits."""
+        """The same kind of seeded stacks, for each pass of the one
+        elimination."""
         rng = random.Random(22)
         ranks = set()
         for n in range(1, 9):
@@ -548,12 +552,22 @@ class TestIncrementalSpan:
         assert ranks == {(n, k) for n in range(1, 9) for k in range(n + 1)}
 
     def test_full_rank_makes_no_elimination(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("_rref called")
+        """The forward pass that finds n independent rows is the only one,
+        and it reads no row after them."""
 
-        monkeypatch.setattr(linalg_module, "_rref", refuse)
-        rows = [vec(1, 2, 0), vec(2, 4, 0), vec(0, 1, 1), vec(3, 0, 1), vec(5, 5, 5)]
-        assert span(rows) == LinearSubspace.full(3)
+        def refuse(*args):
+            raise AssertionError("elimination called")
+
+        for name in ("_rref", "_upward"):
+            monkeypatch.setattr(linalg_module, name, refuse)
+        rows = [vec(1, 2, 0), vec(2, 4, 0), vec(0, 1, 1), vec(3, 0, 1)]
+        assert span(rows + [vec(5, 5, 5)]) == LinearSubspace.full(3)
+
+        def stack():
+            yield from (r.num for r in rows)
+            raise AssertionError("row read past full rank")
+
+        assert linalg_module._span(stack(), 3) == LinearSubspace.full(3)
 
     @pytest.mark.parametrize("dim", [16, 24])
     def test_corpus_stacks_against_sympy(self, dim):
@@ -576,6 +590,57 @@ class TestIncrementalSpan:
                     largest = max([largest] + [x.bit_length() for v in u.basis for x in v.num])
         assert largest > 32
 
+
+class TestStackedSystem:
+    """One forward pass over an augmented integer system [N | c] decides
+    both answers of an all-elliptic join: a pivot in the value column
+    means no solution, and the rows left of it reduce to span(N);
+    otherwise the upward pass gives solve_affine's solution set."""
+
+    @staticmethod
+    def system(rng, n):
+        """Rows of N of a chosen rank, padded with dependent rows, and c
+        either N x for a seeded x or drawn at random."""
+        rank = rng.randint(0, n)
+        rows = [random_vector(rng, n) for _ in range(rank)]
+        for _ in range(rng.randint(0 if rank else 1, 3)):
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+            rows.append(sum((r.scale(w) for r, w in zip(rows, weights)), Vector.zero(n)))
+        rng.shuffle(rows)
+        if rng.random() < 0.5:
+            x = random_vector(rng, n)
+            return rows, [r.dot(x) for r in rows]
+        return rows, [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
+
+    def test_value_pivot_separates_span_from_solution(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        seen = set()
+        for n in range(2, 7):
+            for _ in range(40):
+                rows, c = self.system(rng, n)
+                a = sympy.Matrix([list(r.coords) for r in rows])
+                solvable = a.rank() == a.row_join(sympy.Matrix(c)).rank()
+                ints = [Vector([*r.coords, v]).num for r, v in zip(rows, c)]
+                echelon, pivots = _independent(ints, n + 1)
+                solution = _solve(echelon, pivots, n)
+                expected = solve_affine(Matrix([r.coords for r in rows], ncols=n), Vector(c))
+                seen.add((n, solvable))
+                if not solvable:
+                    assert pivots[-1] == n
+                    assert solution is None and expected is None
+                    left = [row[:n] for row in echelon[:-1]]
+                    w = _subspace(n, *_upward(left, pivots[:-1]))
+                    assert w == span(rows, ambient=n)
+                    assert w.pivots == a.rref()[1]
+                    continue
+                assert not pivots or pivots[-1] < n
+                assert solution == expected
+                particular, kernel = solution
+                assert all(r.dot(particular) == v for r, v in zip(rows, c))
+                nullspace = [Vector([sympy_fraction(x) for x in v]) for v in a.nullspace()]
+                assert kernel == span(nullspace, ambient=n)
+        assert seen == {(n, solvable) for n in range(2, 7) for solvable in (False, True)}
 
 class TestUnitVectorKernel:
     @no_deadline

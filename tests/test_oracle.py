@@ -259,19 +259,27 @@ class TestObliqueImages:
 
     @pytest.mark.parametrize("seed", (1, 3, 4, 7))
     def test_dm_bounds_on_isometric_images(self, seed):
-        base = coordinate_universe(3, plane_top_3d(), augmented=True)
-        g = random_isometry(3, seed)
-        ctx = PosetContext(top=image(g, base.ctx.top), augmented=True)
-        universe = FiniteUniverse(ctx, [image(g, p) for p in base])
-        assert len(universe) == len(base)
-        rng = random.Random(seed)
-        for _ in range(600):
-            picks = rng.sample(range(len(base)), rng.randint(1, 3))
-            subset = [base.elements[i] for i in picks]
-            moved = [universe.elements[i] for i in picks]
-            check_dm_agreement(universe, moved)
-            assert dm_meet(moved, ctx) == image(g, dm_meet(subset, base.ctx))
-            assert dm_join(moved, ctx) == image(g, dm_join(subset, base.ctx))
+        """Under the plane top of R^3, and under the tops of R^4 and R^5
+        whose Span(M) is a proper subspace, so that no demand fills R^n
+        and a join reaches the top by the rank of Span(M) alone."""
+        for dim, count in ((3, 600), (4, 250), (5, 250)):
+            base = coordinate_universe(dim, axes_top(dim, 2), augmented=True)
+            g = random_isometry(dim, seed)
+            ctx = PosetContext(top=image(g, base.ctx.top), augmented=True)
+            universe = FiniteUniverse(ctx, [image(g, p) for p in base])
+            assert len(universe) == len(base)
+            rng = random.Random(seed)
+            tops = 0
+            for _ in range(count):
+                picks = rng.sample(range(len(base)), rng.randint(1, 3))
+                subset = [base.elements[i] for i in picks]
+                moved = [universe.elements[i] for i in picks]
+                check_dm_agreement(universe, moved)
+                assert dm_meet(moved, ctx) == image(g, dm_meet(subset, base.ctx))
+                high = dm_join(moved, ctx)
+                assert high == image(g, dm_join(subset, base.ctx))
+                tops += high == ctx.top
+            assert 0 < tops < count
 
     @pytest.mark.parametrize("seed", (1, 3, 4, 7))
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 
 import scherk.isometry as isometry_module
 import scherk.linalg as linalg_module
-from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
+from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, intersect_affine
 from scherk.factor import chain_to_factorization, factorization_to_chain
 from scherk.isometry import (
     Isometry,
@@ -416,6 +416,34 @@ class TestJoin:
         result = join(m1, m2, ctx)
         assert result == plane_top_3d()
 
+    @pytest.mark.parametrize("seed", [None, 2, 5])
+    def test_elliptic_join_with_a_common_point_is_the_intersection(self, seed):
+        """join and dm_join of elliptics decide from one stacked system;
+        with a common point it is intersect_affine's answer, and without
+        one the bound is not elliptic.  seed None is the coordinate
+        universe of R^3, the others its images under seeded isometries."""
+        base = coordinate_universe(3, plane_top_3d(), augmented=True)
+        g = Isometry.identity(3) if seed is None else random_isometry(3, seed)
+        ctx = PosetContext(top=image(g, base.ctx.top), augmented=True)
+        plain = PosetContext(top=ctx.top)
+        ells = [image(g, p) for p in base if isinstance(p, Elliptic)]
+        subsets = [*itertools.combinations_with_replacement(ells, 2)]
+        rng = random.Random(0 if seed is None else seed)
+        subsets += rng.sample([*itertools.combinations(ells, 3)], 300)
+        common_points = 0
+        for subset in subsets:
+            common = intersect_affine(*(p.fix for p in subset))
+            high = dm_join(subset, ctx)
+            if common is None:
+                assert not isinstance(high, Elliptic)
+            else:
+                common_points += 1
+                assert high == Elliptic(common)
+            if len(subset) == 2:
+                low = join(*subset, plain)
+                assert low == high or isinstance(low, BoundFamily)
+        assert 0 < common_points < len(subsets)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_joins_under_an_elliptic_top_are_elliptic(self, dim):
         # every member contains the top's fixed point, so every pair meets
@@ -589,24 +617,57 @@ def count_linalg_calls(monkeypatch, *names):
 
 
 class TestOperationBudget:
-    # _rref and project calls of dm_meet + dm_join over every pair of the
-    # augmented plane universe.  A standard form that projects or
-    # eliminates once more per subspace goes over these.
-    RREF_BUDGET = 1198
-    PROJECT_BUDGET = 1058
+    # Elimination passes and project calls of dm_meet + dm_join over every
+    # pair of the augmented plane universe.  Each elimination is a forward
+    # pass (_independent) and, when a reduced basis is needed, an upward
+    # pass (_upward); _rref is the two in turn, so counting the passes
+    # counts every elimination whatever calls it.  RREF_BUDGET bounds the
+    # upward passes, one per reduction to the reduced row echelon form.  A
+    # standard form that projects or eliminates once more per subspace goes
+    # over these, and so does an all-elliptic join that solves its system
+    # and then spans its normals again.
+    RREF_BUDGET = 1013
+    FORWARD_BUDGET = 1647
+    PROJECT_BUDGET = 799
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         assert len(universe) == 38
-        counts = count_linalg_calls(monkeypatch, "_rref", "project")
+        counts = count_linalg_calls(
+            monkeypatch, "_independent", "_upward", "project", "solve_affine"
+        )
         ctx = universe.ctx
         pairs = list(itertools.combinations_with_replacement(universe.elements, 2))
         assert len(pairs) == 741
         for pair in pairs:
             dm_meet(pair, ctx)
             dm_join(pair, ctx)
-        assert 0 < counts["_rref"] <= self.RREF_BUDGET
+        assert 0 < counts["_upward"] <= self.RREF_BUDGET
+        assert 0 < counts["_independent"] <= self.FORWARD_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
+        assert counts["solve_affine"] == 0
+
+    def test_all_elliptic_join_is_one_forward_pass(self, monkeypatch):
+        """Each join of elliptics reduces its stacked system [normals |
+        values] once, and that pass decides both cases: no solve, no second
+        span of the normals and no other elimination, and at most one
+        upward pass, which a join that reaches the top by rank skips."""
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        ctx = universe.ctx
+        ells = [p for p in universe if isinstance(p, Elliptic)]
+        counts = count_linalg_calls(
+            monkeypatch, "_independent", "_upward", "solve_affine", "span"
+        )
+        shapes = set()
+        for pair in itertools.combinations_with_replacement(ells, 2):
+            before = dict(counts)
+            high = dm_join(pair, ctx)
+            made = {name: counts[name] - before[name] for name in counts}
+            assert made["_independent"] == 1
+            assert made["solve_affine"] == made["span"] == 0
+            assert made["_upward"] <= 1
+            shapes.add((high.kind, made["_upward"]))
+        assert shapes == {("e", 1), ("h", 0), ("h", 1), ("n", 1)}
 
     # leq calls of dm_meet + dm_join over every pair of the augmented plane
     # universe, its elements rebuilt from JSON so that no context has
@@ -633,22 +694,27 @@ class TestOperationBudget:
         assert len(elements) == self.LEQ_BUDGET
         assert 0 < len(calls) <= self.LEQ_BUDGET
 
-    # _rref and orthogonal_section calls of dm_meet + dm_join over a seeded
-    # sample of 1000 of the 8436 triples of the augmented plane universe,
-    # as the complete workload runs them: no more eliminations per op than
-    # when pinned, and a bound equal to the top is not rebuilt by a section.
-    TRIPLE_RREF_BUDGET = 783
+    # Elimination passes and orthogonal_section calls of dm_meet + dm_join
+    # over a seeded sample of 1000 of the 8436 triples of the augmented
+    # plane universe, as the complete workload runs them: no more
+    # eliminations per op than when pinned, and a bound equal to the top is
+    # not rebuilt by a section.
+    TRIPLE_RREF_BUDGET = 482
+    TRIPLE_FORWARD_BUDGET = 2095
     TRIPLE_SECTION_BUDGET = 114
 
     def test_completion_triples_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         triples = list(itertools.combinations(universe.elements, 3))
         assert len(triples) == 8436
-        counts = count_linalg_calls(monkeypatch, "_rref", "orthogonal_section")
+        counts = count_linalg_calls(
+            monkeypatch, "_independent", "_upward", "orthogonal_section"
+        )
         for triple in random.Random(12).sample(triples, 1000):
             dm_meet(triple, universe.ctx)
             dm_join(triple, universe.ctx)
-        assert 0 < counts["_rref"] <= self.TRIPLE_RREF_BUDGET
+        assert 0 < counts["_upward"] <= self.TRIPLE_RREF_BUDGET
+        assert 0 < counts["_independent"] <= self.TRIPLE_FORWARD_BUDGET
         assert 0 < counts["orthogonal_section"] <= self.TRIPLE_SECTION_BUDGET
 
     # move_set and Isometry.compose calls on the chain paths, over ops
