@@ -116,9 +116,6 @@ class Isometry:
         at = self.matrix.transpose()
         return _isometry(at, -(at * self.translation))
 
-    def is_identity(self) -> bool:
-        return self.translation.is_zero() and self.matrix == Matrix.identity(self.dim)
-
     def image_of_linear(self, u: LinearSubspace) -> LinearSubspace:
         """The image A U of a direction space under the linear part A."""
         return span([self.matrix * d for d in u.basis], ambient=self.dim)

@@ -53,7 +53,8 @@ MAX_DIM = 256
 # The largest bit-length of a numerator or a denominator.  Results are
 # larger than their inputs, since elimination multiplies coefficients, so
 # an answer can still pass the 4300 digits (14284 bits) Python writes for
-# one int; scalar_to_json then raises a FormatError.  Seeded corpus
+# one int; _texts, which writes every printed rational, then raises a
+# FormatError before anything is printed.  Seeded corpus
 # isometries of dimension 64 factor into reflections of up to 1127 bits.
 MAX_BITS = 2048
 

@@ -34,8 +34,10 @@ A subspace keeps its orthogonal complement once it has been asked for, and
 the complement points back at it, since (U^perp)^perp = U.  Eliminations
 run only where an answer needs one: `project` returns the trivial
 projections (zero, v itself, v orthogonal to u) from dot products, and
-`solve_affine` reads the kernel off the same reduction that decides
-consistency.
+`_solve`, the solve the affine intersections and the poset joins run,
+takes a forward pass over an augmented [A | b], reads inconsistency off
+its last pivot, and reads the kernel off the same rows reduced upward.
+`solve_affine` is that solve on a Matrix and a Vector.
 """
 
 from __future__ import annotations
@@ -470,8 +472,8 @@ class LinearSubspace:
                     f"row of length {len(num)} in ambient dimension {ambient}"
                 )
             prepared.append(num)
-        reduced, self.pivots = _rref(prepared, ambient)
-        self.basis = tuple(_vec(ints, lead) for ints, lead in reduced)
+        canonical = _span(prepared, ambient)
+        self.basis, self.pivots = canonical.basis, canonical.pivots
         self._perp: Optional[LinearSubspace] = None
 
     @classmethod

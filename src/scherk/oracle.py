@@ -148,34 +148,27 @@ def coordinate_universe(
 
     Elliptic elements come from point-space subspaces of that shape,
     hyperbolic ones from the nonlinear vector-space subspaces contained in
-    the top move-set.  In augmented universes the new elements run over the
-    coordinate subspaces of the top direction.
+    the top move-set.  In augmented universes the new elements are the
+    spans of the proper nonempty subsets of the top direction's basis.
+    A candidate is kept when ``ctx.contains`` accepts it, which the
+    element remembers, so the universe does not check it again.
     """
     ctx = PosetContext(top=top, augmented=augmented)
-    elements: list[PosetElement] = [top]
+    candidates: list[PosetElement] = [top]
     for pattern in _coordinate_patterns(dim):
         free = [i for i, c in enumerate(pattern) if c is None]
         direction = span([Vector.basis(dim, i) for i in free], ambient=dim)
         anchor = [Fraction(0 if c is None else c) for c in pattern]
-        elliptic = Elliptic(AffineSubspaceE(Point(anchor), direction))
-        if leq(elliptic, top):
-            elements.append(elliptic)
+        candidates.append(Elliptic(AffineSubspaceE(Point(anchor), direction)))
         move = AffineSubspaceV(direction, Vector(anchor))
         if not move.is_linear():
-            hyperbolic = Hyperbolic(move)
-            if leq(hyperbolic, top):
-                elements.append(hyperbolic)
+            candidates.append(Hyperbolic(move))
     if augmented:
-        if not isinstance(top, Hyperbolic):
-            raise ValueError("augmented universes need a hyperbolic top")
-        top_dir = top.move.direction
-        basis = top_dir.basis
+        basis = top.move.direction.basis
         for r in range(1, len(basis)):
             for subset in itertools.combinations(basis, r):
-                u = span(list(subset), ambient=dim)
-                if u.subset_of(top_dir) and 0 < u.dim < top_dir.dim:
-                    elements.append(New(u))
-    return FiniteUniverse(ctx, elements)
+                candidates.append(New(span(list(subset), ambient=dim)))
+    return FiniteUniverse(ctx, filter(ctx.contains, candidates))
 
 
 def image(g: Isometry, p: PosetElement) -> PosetElement:

@@ -112,7 +112,7 @@ class _Element:
     ``subspace``); ``kind`` is its letter, e, h or n.
 
     The slot ``_under`` holds the context that last accepted the element
-    in :meth:`PosetContext.require`; membership depends on values alone,
+    in :meth:`PosetContext.contains`; membership depends on values alone,
     and the slot plays no part in equality, hashing or the repr.
     """
 
@@ -189,26 +189,30 @@ class PosetContext(Record):
         return self.top.ambient
 
     def contains(self, p: PosetElement) -> bool:
-        """leq(p, top); an n^V also needs an augmented context and dim V <
-        dim Dir M, which with V in Dir M (part of leq) makes V proper."""
+        """Whether p is a member: leq(p, top), and for an n^V an augmented
+        context and dim V < dim Dir M, which with V in Dir M (part of leq)
+        makes V proper.  This is the one membership rule of the library.
+
+        The slot ``_under`` of an element holds the context that last
+        accepted it, so each element is checked once per context."""
+        if p._under is self:
+            return True
         if p.ambient != self.ambient:
             raise DimensionError("element and top of different ambient dimensions")
         if isinstance(p, New) and not (
             self.augmented and p.subspace.dim < self.top.move.dim
         ):
             return False
-        return leq(p, self.top)
+        if not leq(p, self.top):
+            return False
+        p._under = self
+        return True
 
     def require(self, *elements: PosetElement) -> None:
-        """Raise ``PosetError`` unless every element lies below the top.
-
-        The slot ``_under`` of an element holds the context that last
-        accepted it, so each element is checked once per context."""
+        """Raise ``PosetError`` unless every element is a member."""
         for p in elements:
-            if p._under is not self:
-                if not self.contains(p):
-                    raise PosetError(f"element ({_label(p)}) is not below the top")
-                p._under = self
+            if p._under is not self and not self.contains(p):
+                raise PosetError(f"element ({_label(p)}) is not below the top")
 
 
 def inv_map(w: Isometry) -> PosetElement:
@@ -416,28 +420,24 @@ def dm_join(elements: Iterable[PosetElement], ctx: PosetContext) -> PosetElement
 
 
 def is_lattice(ctx: PosetContext) -> bool:
-    """Elliptic posets always are; hyperbolic ones iff dim M <= 1."""
-    if ctx.augmented:
-        return True
-    if isinstance(ctx.top, Elliptic):
-        return True
-    return ctx.top.move.dim <= 1
+    """The one lattice rule: elliptic and augmented posets always are,
+    plain hyperbolic ones iff dim M <= 1."""
+    return ctx.augmented or isinstance(ctx.top, Elliptic) or ctx.top.move.dim <= 1
 
 
 def find_bowtie(
     ctx: PosetContext,
 ) -> tuple[Hyperbolic, Hyperbolic, Elliptic, Elliptic]:
-    """A verified bowtie in a hyperbolic poset with dim M >= 2.
+    """A verified bowtie in a poset that is not a lattice, a plain
+    hyperbolic one with dim M >= 2; a ``PosetError`` in a lattice.
 
     Built from the first proper nontrivial direction subspace: two parallel
     translates of it inside the top move-set, and two parallel elliptic
     subspaces with the complementary direction.
     """
-    if not isinstance(ctx.top, Hyperbolic):
-        raise PosetError("bowties only occur under hyperbolic tops")
+    if is_lattice(ctx):
+        raise PosetError("no bowties: the poset is a lattice")
     move = ctx.top.move
-    if move.dim < 2:
-        raise PosetError("no bowties: top move-set has dimension below 2")
     u1 = move.direction.basis[0]
     d2 = move.direction.basis[1]
     line = span([u1])
@@ -473,13 +473,11 @@ def is_bowtie(
     """
     elements = [a, b, c, d]
     ctx.require(*elements)
-    if len(set(elements)) != 4:
+    if is_lattice(ctx) or len(set(elements)) != 4:
         return False
     if not (_incomparable(a, b) and _incomparable(c, d)):
         return False
     if not all(leq(low, high) for low in (c, d) for high in (a, b)):
-        return False
-    if ctx.augmented:
         return False
     lower = meet(a, b, ctx)
     if not isinstance(lower, BoundFamily):
@@ -528,12 +526,15 @@ def covering_pairs(elements: Sequence[PosetElement]) -> list[tuple[int, int]]:
 def hasse_graph(
     elements: Iterable[PosetElement], top: Optional[PosetElement] = None
 ) -> tuple[list[PosetElement], list[tuple[int, int]]]:
-    """Deduplicated, deterministically sorted nodes and covering edges."""
+    """Deduplicated, deterministically sorted nodes and covering edges.
+
+    With a top, every element must be a member of the top's poset, the
+    augmented one under a hyperbolic top.
+    """
     sorted_elements = sorted(dict.fromkeys(elements), key=_sort_key)
     if top is not None:
-        for p in sorted_elements:
-            if not leq(p, top):
-                raise PosetError(f"element ({_label(p)}) exceeds the declared top")
+        ctx = PosetContext(top, augmented=isinstance(top, Hyperbolic))
+        ctx.require(*sorted_elements)
     return sorted_elements, covering_pairs(sorted_elements)
 
 

@@ -298,6 +298,21 @@ class TestExitCodes:
         result = run_cli("hasse", "-", stdin=doc)
         assert result.returncode == 3
 
+    def test_top_direction_as_a_hasse_node_is_three(self):
+        """n^{Dir M} is in no poset under h^M, augmented or not."""
+        line = {"dim_ambient": 2, "basis": [["1", "0"]]}
+        doc = json.dumps(
+            {
+                "top": {"kind": "h", "U": line, "mu": ["0", "1"]},
+                "elements": [{"kind": "n", "U": line}],
+            }
+        )
+        result = run_cli("hasse", "-", stdin=doc)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
     def test_dim_flag_mismatch_is_two(self):
         result = run_cli("analyze", str(DATA / "glide.json"), "--dim", "3")
         assert result.returncode == 2

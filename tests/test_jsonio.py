@@ -10,7 +10,7 @@ import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
-from scherk.isometry import Reflection, translation
+from scherk.isometry import Isometry, Reflection, translation
 from scherk.jsonio import (
     MAX_BITS,
     MAX_DIM,
@@ -102,7 +102,7 @@ class TestIsometries:
     def test_empty_reflection_list_needs_dim(self):
         with pytest.raises(FormatError):
             isometry_from_json({"reflections": []})
-        assert isometry_from_json({"reflections": [], "dim": 3}).is_identity()
+        assert isometry_from_json({"reflections": [], "dim": 3}) == Isometry.identity(3)
 
     def test_non_orthogonal_rejected_at_construction(self):
         from scherk.isometry import OrthogonalityError

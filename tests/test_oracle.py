@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import scherk.poset as poset_module
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
-from scherk.isometry import interval_contains, reflection_length
+from scherk.isometry import Isometry, interval_contains, reflection_length
 from scherk.linalg import Vector, span
 from scherk.oracle import (
     FiniteUniverse,
@@ -22,6 +23,7 @@ from scherk.poset import (
     BoundFamily,
     Elliptic,
     Hyperbolic,
+    New,
     PosetContext,
     dm_join,
     dm_meet,
@@ -124,6 +126,34 @@ class TestFiniteUniverse:
         assert 10 <= len(u2) <= 16
         augmented = coordinate_universe(3, plane_top_3d(), augmented=True)
         assert len(augmented) == len(u3) + 2
+
+    def test_augmented_plane_universe_checks_each_candidate_once(self, monkeypatch):
+        """The same 38 elements in generation order, with one membership
+        leq per candidate: the top, 27 elliptic and 19 nonlinear hyperbolic
+        coordinate candidates, and the two axis lines n^V."""
+        top = plane_top_3d()
+        expected = [top]
+        for pattern in itertools.product((None, 0, 1), repeat=3):
+            free = [e(3, i) for i, c in enumerate(pattern) if c is None]
+            direction = span(free, ambient=3)
+            anchor = [0 if c is None else c for c in pattern]
+            candidates = [Elliptic(AffineSubspaceE(Point(anchor), direction))]
+            if any(anchor):
+                move = AffineSubspaceV(direction, Vector(anchor))
+                candidates.append(Hyperbolic(move))
+            expected.extend(p for p in candidates if leq(p, top))
+        expected.extend(New(span([e(3, i)])) for i in (0, 1))
+        calls = []
+
+        def counted(p, q):
+            calls.append(q)
+            return leq(p, q)
+
+        monkeypatch.setattr(poset_module, "leq", counted)
+        universe = coordinate_universe(3, top, augmented=True)
+        assert universe.elements == tuple(dict.fromkeys(expected))
+        assert len(universe) == 38
+        assert len(calls) == 1 + 27 + 19 + 2
 
     def test_every_element_below_top(self):
         universe = coordinate_universe(3, plane_top_3d())
@@ -312,7 +342,7 @@ class TestObliqueImages:
 
 class TestGenerators:
     def test_zero_reflections_no_translation_is_identity(self):
-        assert random_isometry(3, 5, reflections=0, translate=False).is_identity()
+        assert random_isometry(3, 5, reflections=0, translate=False) == Isometry.identity(3)
 
     def test_fixed_seed_reproduces(self):
         a = random_isometry(4, 12345)

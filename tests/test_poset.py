@@ -8,6 +8,7 @@ import pytest
 
 import scherk.isometry as isometry_module
 import scherk.linalg as linalg_module
+import scherk.poset as poset_module
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, intersect_affine
 from scherk.factor import chain_to_factorization, factorization_to_chain
 from scherk.isometry import (
@@ -321,7 +322,7 @@ class TestOrderPreservation:
         rng = random.Random(131)
         for dim in (2, 3):
             for w in corpus(dim, 500, rng):
-                if w.is_identity():
+                if w == Isometry.identity(dim):
                     continue
                 x = next(
                     p
@@ -507,6 +508,24 @@ class TestBowties:
     def test_augmented_context_has_no_bowties(self):
         a, b, c, d = find_bowtie(PosetContext(top=plane_top_3d()))
         assert not is_bowtie(a, b, c, d, PosetContext(plane_top_3d(), augmented=True))
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            PosetContext(top=plane_top_3d(), augmented=True),
+            PosetContext(top=hyperbolic(vec(0, 1), e(2, 0))),
+            PosetContext(top=elliptic(pt(0, 0, 0), e(3, 0))),
+        ],
+        ids=["augmented", "line-top", "elliptic-top"],
+    )
+    def test_lattice_fails_before_building(self, ctx, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a bowtie was built in a lattice")
+
+        monkeypatch.setattr(poset_module, "is_bowtie", unreachable)
+        monkeypatch.setattr(poset_module, "AffineSubspaceV", unreachable)
+        with pytest.raises(PosetError, match="lattice"):
+            find_bowtie(ctx)
 
     def test_dim_three_top_also_has_bowties(self):
         top = Hyperbolic(
@@ -907,6 +926,19 @@ class TestHasse:
                 [hyperbolic(vec(2, 0))],
                 top=elliptic(pt(0, 0), e(2, 0)),
             )
+
+    @pytest.mark.parametrize(
+        "top", [hyperbolic(vec(0, 1), e(2, 0)), plane_top_3d()], ids=["line", "plane"]
+    )
+    def test_top_direction_is_not_a_node(self, top):
+        """n^{Dir M} is in no poset: the completion adds only the n^V with
+        V a proper nonzero subspace of Dir M."""
+        with pytest.raises(PosetError):
+            hasse_dot([New(top.move.direction)], top=top)
+
+    def test_new_top_is_rejected(self):
+        with pytest.raises(PosetError):
+            hasse_dot([BOTTOM_3D], top=New(span([e(3, 0)])))
 
     def test_deterministic_output(self):
         ctx = PosetContext(top=plane_top_3d())
