@@ -64,6 +64,14 @@ is computed once, on integer rows, and the reflection is taken from it.
 The same scan certifies an elliptic step: after the reflection the points
 it had passed stay fixed, so only the basis vectors past the reflected
 point are applied, dim B + 1 images per step in all.
+
+Both walks hold their products as integer rows (N, d, B, e), A = N / d and
+b = B / e in lowest terms, and multiply a reflection in by one rank-one
+update of those rows, the one behind ``Reflection.compose`` and
+``isometry.product``.  The scanned points are integer rows too, so a step
+builds no Point, Vector or Isometry.  Reading a chain compares the rows
+of the whole product with the target's fields, which are in lowest terms
+as well, and only the one suffix it classifies becomes an Isometry.
 """
 
 from __future__ import annotations
@@ -77,9 +85,15 @@ from .affine import AffineSubspaceE, AffineSubspaceV, _affine_e
 from .isometry import (
     Isometry,
     Reflection,
+    Rows,
+    _from_rows,
+    _identity_rows,
+    _image,
     _motion,
     _primitive,
+    _reflect,
     _reflection,
+    _rows,
     is_elliptic,
     move_set,
     product,
@@ -176,7 +190,7 @@ def factor(w: Isometry) -> Factorization:
     return Factorization(target=w, factors=(far, near) + _peel(u))
 
 
-def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Reflection:
+def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
     """Reflection taking a hyperbolic isometry one step down to h^{target}.
 
     The points whose motion under the current isometry lies in the smaller
@@ -188,19 +202,27 @@ def _step_to_hyperbolic(current: Isometry, target_move: AffineSubspaceV) -> Refl
     of x.  As A A^T = I, the image y = A x + b has nu . x = A nu . (y - b),
     so the mirror is (nu - A nu) . y = nu . mu' - A nu . b.  Normals of the
     whole move-set have A nu = nu; as the target has codimension one in
-    it, the first other normal cuts out the mirror.  The caller checks
-    that the step lands on the requested element.
+    it, the first other normal cuts out the mirror.  On the integer rows
+    (N, d, B, e) of the current isometry and nu = n / k, mu' = M / m, that
+    mirror times d k is (d n - N n) . y = d (n . M) / m - (N n . B) / e.
+    The caller checks that the step lands on the requested element.
     """
+    n, d, b, e = rows
+    mu, m = target_move.mu.num, target_move.mu.den
     for normal in orthogonal_complement(target_move.direction).basis:
-        turned = current.apply_vector(normal)
-        if turned != normal:
-            value = normal.dot(target_move.mu) - turned.dot(current.translation)
-            return Reflection(normal - turned, value)
+        nu = normal.num
+        turned = _image(n, nu)
+        alpha = [d * x - y for x, y in zip(nu, turned)]
+        if any(alpha):
+            root, g = _primitive(alpha)
+            value = d * e * _dot(nu, mu) - m * _dot(turned, b)
+            return _reflection(root, Fraction(value, m * e * g))
     raise ChainError("move-set step does not cut out a hyperplane")
 
 
-def _lands_on(current: Isometry, move: AffineSubspaceV) -> bool:
-    """Whether Mov(current) = M, for current with l(current) >= dim M + 2.
+def _lands_on(rows: Rows, move: AffineSubspaceV) -> bool:
+    """Whether Mov(current) = M, for current with rows (N, d, B, e) and
+    l(current) >= dim M + 2.
 
     If b lies in M and every column of A - I in Dir M, every motion
     (A - I) x + b lies in M, so Mov ⊆ M; as 0 is not in M, current is
@@ -209,13 +231,25 @@ def _lands_on(current: Isometry, move: AffineSubspaceV) -> bool:
     of equal dimension is an equality.  Without the inclusion, h^M is not
     inv(current).
     """
-    if not move.contains(current.translation):
+    n, d, b, e = rows
+    mu, m = move.mu.num, move.mu.den
+    direction = move.direction
+    if not direction._contains_row([m * x - e * y for x, y in zip(b, mu)]):
         return False
-    d = current.matrix.den
     return all(
-        move.direction._contains_row(column[:j] + (column[j] - d,) + column[j + 1 :])
-        for j, column in enumerate(zip(*current.matrix.num))
+        direction._contains_row(column[:j] + (column[j] - d,) + column[j + 1 :])
+        for j, column in enumerate(zip(*n))
     )
+
+
+def _frame(fix: AffineSubspaceE):
+    """The frame of B as integer rows (P, p), the point P / p: its
+    canonical point, then its basis translates, built one at a time."""
+    point, p = fix.anchor.num, fix.anchor.den
+    yield point, p
+    for v in fix.direction.basis:
+        k = v.den
+        yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
 def chain_to_factorization(
@@ -226,20 +260,23 @@ def chain_to_factorization(
     The chain is consumed in descending order: inv(w) first, the bottom
     element (the full space, elliptic) last.  A step checks the kind,
     dimension and rank of the next element; the certificate alone checks order.
+    The current product is held as integer rows (N, d, B, e), A = N / d and
+    b = B / e in lowest terms, and each step is one rank-one update of
+    them (:func:`isometry._reflect`): the walk builds no Isometry.
 
     A step down to an elliptic e^B scans the frame of B, its canonical
-    point p and then its basis translates p + d_i, built one at a time,
-    computes the image of each once (:func:`isometry._motion`), and
-    reflects the first point x that the current product moves: one
+    point p and then its basis translates p + d_i, built one at a time as
+    integer rows, computes the image of each once (:func:`isometry._motion`),
+    and reflects the first point x that the current product moves: one
     escapes Fix(current) = Fix(above), and a hyperbolic current moves
     every point.  The frame points before x were fixed by the old product,
     so they lie on the motion reflection's mirror (the bisector of x and
     its image holds every point the old product fixes) and stay fixed,
     and x is fixed by construction.  So the new product fixes p, and
     fixes a later frame point p + d_i exactly when its linear part fixes
-    d_i: the step is certified by the basis vectors past x alone.  A
-    product fixing the frame fixes B pointwise, so its length is at most
-    codim B = rank(below).  A step down to h^M is certified by
+    d_i, N d_i = d d_i: the step is certified by the basis vectors past x
+    alone.  A product fixing the frame fixes B pointwise, so its length is
+    at most codim B = rank(below).  A step down to h^M is certified by
     :func:`_lands_on`.  Either way the product after a step from above has
     length at least rank(above) - 1 = rank(below), so the inclusion is an
     equality.  The last step lands on the full space, so the product is
@@ -258,26 +295,31 @@ def chain_to_factorization(
     ):
         raise ChainError("chain must end at the full-space element")
     factors = []
-    current = w
-    for above, below in zip(chain, chain[1:]):
+    rows = _rows(w)
+    high = rank(chain[0])
+    for below in chain[1:]:
         if not isinstance(below, (Elliptic, Hyperbolic)):
             raise ChainError("chains contain only elliptic and hyperbolic elements")
         if below.ambient != w.dim:
             raise ChainError("chain entries of a dimension other than the isometry's")
-        if rank(above) - rank(below) != 1:
+        low = rank(below)
+        if high - low != 1:
             raise ChainError("chain is not maximal: rank must drop by one")
+        high = low
         if isinstance(below, Hyperbolic):
-            r = _step_to_hyperbolic(current, below.move)
-            current = r.compose(current)
-            landed = _lands_on(current, below.move)
+            r = _step_to_hyperbolic(rows, below.move)
+            rows = _reflect(r, rows)
+            landed = _lands_on(rows, below.move)
         else:
-            scan = (_motion(current, x.vector) for x in below.fix.points())
-            j, r = next(((j, r) for j, r in enumerate(scan) if r), (0, None))
-            if r is None:
+            for j, (x, p) in enumerate(_frame(below.fix)):
+                if r := _motion(rows, x, p):
+                    break
+            else:
                 raise ChainError("current fixes every point of the next fixed set")
-            current = r.compose(current)
-            rest = below.fix.direction.basis[j:]
-            landed = all(current.apply_vector(d) == d for d in rest)
+            rows = _reflect(r, rows)
+            n, d = rows[0], rows[1]
+            rest = (v.num for v in below.fix.direction.basis[j:])
+            landed = all(_image(n, v) == [d * x for x in v] for v in rest)
         if not landed:
             raise ChainError("chain step did not land on the requested element")
         factors.append(r)
@@ -291,8 +333,15 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     element; a factorization whose length is not the Scherk length of its
     target is rejected as non-minimal.
 
-    With s_j the product of the last j factors, l(s_j) and l(s_j-1) differ
-    by exactly one, so len(f) = l(target) forces l(s_j) = j for every j.
+    The suffix products s_j, the product of the last j factors, are
+    accumulated as integer rows (N, d, B, e) in lowest terms, one rank-one
+    update each from the identity (:func:`isometry._reflect`), so the last
+    equals the target exactly when its rows equal the target's fields.
+    Only the one suffix that is classified becomes an Isometry, and none
+    does when that suffix is the whole product: it is the target.
+
+    With l(s_j) and l(s_j-1) differing by exactly one, len(f) = l(target)
+    forces l(s_j) = j for every j.
     The invariants then follow walking up from the identity, with one
     classification at most.  While s_j-1 is elliptic with fixed set F and
     the next mirror H meets F, s_j fixes F ∩ H, of codimension at most j,
@@ -312,10 +361,11 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     Dir(F ∩ H) as p and u are: the canonical point, with no projection.
     """
     dim = f.target.dim
-    suffixes = [Isometry.identity(dim)]
+    suffixes = [_identity_rows(dim)]
     for r in reversed(f.factors):
-        suffixes.append(r.compose(suffixes[-1]))
-    if suffixes[-1] != f.target:
+        suffixes.append(_reflect(r, suffixes[-1]))
+    whole = suffixes[-1]
+    if whole != _rows(f.target):
         raise ChainError("factors do not multiply to the target")
     if len(f) != reflection_length(f.target):
         raise ChainError("factorization is not minimal: suffix ranks must step by one")
@@ -341,7 +391,7 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
                 frame.append((u, _dot(u, u)))
                 elements.append(Elliptic(fix))
                 continue
-            move = move_set(suffix)
+            move = move_set(f.target if suffix is whole else _from_rows(suffix))
         else:
             move = AffineSubspaceV(span([*move.direction.basis, r.root]), move.mu)
         elements.append(Hyperbolic(move))

@@ -30,6 +30,7 @@ so nothing here ever needs a square root.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,7 +43,7 @@ from .linalg import (
     Vector,
     _dot,
     _independent,
-    _matrix,
+    _mat,
     _particular,
     _q,
     _rref,
@@ -201,29 +202,10 @@ class Reflection:
         return AffineSubspaceE(point, orthogonal_complement(span([alpha])))
 
     def compose(self, w: Isometry) -> Isometry:
-        """self after w, as a rank-one (Householder) update in O(n^2).
-
-        With k = 2 / |alpha|^2 the product has matrix A - alpha (k alpha^T A)
-        and translation b - k (alpha . b - offset) alpha.  On integer rows,
-        with A = N / d, b = B / e and offset = p / q, that is
-        (|alpha|^2 N - alpha (2 alpha^T N)) / (d |alpha|^2) and
-        (q |alpha|^2 B - 2 (q alpha . B - e p) alpha) / (e q |alpha|^2).
-        """
-        if self.dim != w.dim:
-            raise DimensionError("isometries of different dimensions")
-        alpha = self.root.num
-        norm = _dot(alpha, alpha)
-        rows, b, e = w.matrix.num, w.translation.num, w.translation.den
-        top = [2 * _dot(alpha, col) for col in zip(*rows)]
-        matrix = _matrix(
-            ([norm * x - a * t for x, t in zip(row, top)] for a, row in zip(alpha, rows)),
-            w.matrix.den * norm,
-            w.dim,
-        )
-        p, q = self.offset.numerator, self.offset.denominator
-        shift = 2 * (q * _dot(alpha, b) - e * p)
-        moved = _vector([q * norm * x - shift * a for a, x in zip(alpha, b)], e * q * norm)
-        return _isometry(matrix, moved)
+        """self after w, as a rank-one (Householder) update in O(n^2); the
+        update itself is :func:`_reflect`, shared with :func:`product` and
+        the chain walks."""
+        return _from_rows(_reflect(self, _rows(w)))
 
     def to_isometry(self) -> Isometry:
         return self.compose(Isometry.identity(self.dim))
@@ -270,13 +252,72 @@ def reflection_bisecting(x: Point, y: Point) -> Reflection:
     return Reflection(alpha, value)
 
 
+Rows = tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int]
+
+
+def _rows(w: Isometry) -> Rows:
+    """(N, d, B, e) with A = N / d and b = B / e in lowest terms."""
+    return w.matrix.num, w.matrix.den, w.translation.num, w.translation.den
+
+
+def _identity_rows(dim: int) -> Rows:
+    zeros = (0,) * dim
+    unit = tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(dim))
+    return unit, 1, zeros, 1
+
+
+def _from_rows(rows: Rows) -> Isometry:
+    n, d, b, e = rows
+    return _isometry(_mat(n, d, len(b)), _vec(b, e))
+
+
+def _image(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """The integer rows times the integer column v: N v for A = N / d."""
+    return [_dot(row, v) for row in rows]
+
+
+def _reflect(r: Reflection, rows: Rows) -> Rows:
+    """The rows of r after the isometry with rows (N, d, B, e).
+
+    With k = 2 / |alpha|^2 the product has matrix A - alpha (k alpha^T A)
+    and translation b - k (alpha . b - offset) alpha.  On integer rows,
+    with offset = p / q, that is (|alpha|^2 N - alpha (2 alpha^T N)) /
+    (d |alpha|^2) and (q |alpha|^2 B - 2 (q alpha . B - e p) alpha) /
+    (e q |alpha|^2), each then divided by its gcd, so the result is in
+    lowest terms like the fields of a Matrix and a Vector.
+    """
+    n, d, b, e = rows
+    alpha = r.root.num
+    if len(alpha) != len(b):
+        raise DimensionError("isometries of different dimensions")
+    norm = _dot(alpha, alpha)
+    top = [2 * _dot(alpha, col) for col in zip(*n)]
+    n = [[norm * x - a * t for x, t in zip(row, top)] for a, row in zip(alpha, n)]
+    d *= norm
+    g = math.gcd(d, *itertools.chain.from_iterable(n))
+    if g == 1:
+        n = tuple(map(tuple, n))
+    else:
+        n = tuple([tuple([x // g for x in row]) for row in n])
+        d //= g
+    p, q = r.offset.numerator, r.offset.denominator
+    shift, scale = 2 * (q * _dot(alpha, b) - e * p), q * norm
+    b = [scale * x - shift * a for a, x in zip(alpha, b)]
+    e *= scale
+    g = math.gcd(e, *b)
+    if g == 1:
+        return n, d, tuple(b), e
+    return n, d, tuple([x // g for x in b]), e // g
+
+
 def product(reflections: Sequence[Reflection], dim: int) -> Isometry:
     """The product of the reflections, the first listed acting last: one
-    rank-one update per factor, starting from the identity of ``dim``."""
-    w = Isometry.identity(dim)
+    rank-one update per factor on integer rows, starting from the identity
+    of ``dim``, and one Isometry at the end."""
+    rows = _identity_rows(dim)
     for r in reversed(reflections):
-        w = r.compose(w)
-    return w
+        rows = _reflect(r, rows)
+    return _from_rows(rows)
 
 
 class IsometryClass(Record):
@@ -448,24 +489,20 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
     return ProductPrediction(HYPERBOLIC, k + 1, None, cls.move_set)
 
 
-def _motion(w: Isometry, x: Vector) -> Optional[Reflection]:
-    """The reflection sending the point with coordinates x to its image
-    under w, or None when w fixes it.
+def _motion(rows: Rows, point: Sequence[int], p: int) -> Optional[Reflection]:
+    """The reflection sending the point x = P / p to its image under the
+    isometry with rows (N, d, B, e), or None when the isometry fixes it.
 
-    Its mirror is the perpendicular bisector of x and y = w(x), read off
-    integer rows: with A = N / d, b = B / e and x = P / p, both points
-    have the denominator D = d p e, as x = X / D and y = Y / D with
+    Its mirror is the perpendicular bisector of x and y = w(x): both
+    points have the denominator D = d p e, as x = X / D and y = Y / D with
     X = d e P and Y = e N P + d p B.  The root is the primitive part
     (Y - X) / g, and the bisector (y - x) . z = (|y|^2 - |x|^2) / 2 has
-    the offset (Y - X) . (Y + X) / (2 D g).  The image is computed once.
+    the offset (Y - X) . (Y + X) / (2 D g).  Neither depends on how P / p
+    is scaled.  The image N P is computed once.
     """
-    d, e = w.matrix.den, w.translation.den
-    point, p = x.num, x.den
+    n, d, b, e = rows
     dp, de = d * p, d * e
-    ys = [
-        e * _dot(row, point) + dp * t
-        for row, t in zip(w.matrix.num, w.translation.num)
-    ]
+    ys = [e * y + dp * t for y, t in zip(_image(n, point), b)]
     xs = [de * v for v in point]
     alpha = [y - v for y, v in zip(ys, xs)]
     if not any(alpha):
@@ -483,7 +520,7 @@ def motion_reflection(w: Isometry, x: Point) -> Reflection:
     """
     if x.dim != w.dim:
         raise DimensionError("point and isometry of different dimensions")
-    if (r := _motion(w, x.vector)) is None:
+    if (r := _motion(_rows(w), x.vector.num, x.vector.den)) is None:
         raise ValueError("motion reflection needs a point not fixed by w")
     return r
 

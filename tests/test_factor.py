@@ -24,7 +24,7 @@ from scherk.factor import (
 from scherk.isometry import (
     Isometry,
     Reflection,
-    _motion,
+    _image,
     classify,
     interval_leq,
     motion_reflection,
@@ -34,7 +34,14 @@ from scherk.isometry import (
     translation,
 )
 from scherk.jsonio import isometry_from_json, isometry_to_json
-from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement, span
+from scherk.linalg import (
+    DimensionError,
+    LinearSubspace,
+    Matrix,
+    Vector,
+    orthogonal_complement,
+    span,
+)
 from scherk.oracle import (
     corpus,
     definitional_peel,
@@ -300,7 +307,8 @@ class TestOperationBudget:
         it moves, once, on integer rows, and takes the reflection from that
         image; the certificate applies the linear part to the basis vectors
         past that point only.  So under an elliptic top a walk computes
-        exactly dim B + 1 images a step, and none twice."""
+        exactly dim B + 1 integer-row images a step, none twice, and makes
+        no matrix-vector product."""
         rng = random.Random(79)
         walks = [
             (random_maximal_chain(w, rng), w)
@@ -316,15 +324,43 @@ class TestOperationBudget:
                 calls.append("Matrix * Vector")
             return multiply(matrix, other)
 
-        def count_motions(w, x):
-            calls.append("_motion")
-            return _motion(w, x)
+        def count_images(rows, v):
+            calls.append("_image")
+            return _image(rows, v)
 
         monkeypatch.setattr(Matrix, "__mul__", count_vector_products)
-        patch_everywhere(monkeypatch, _motion, count_motions)
+        patch_everywhere(monkeypatch, _image, count_images)
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
-        assert len(calls) == budget
-        assert (len(walks), steps) == (62, 159)
+        assert calls == ["_image"] * budget
+        assert (len(walks), steps, budget) == (62, 159, 653)
+
+    def test_chain_walks_build_no_isometry_per_step(self, monkeypatch, calls, counted):
+        """Both walks keep their products as integer rows: the walk down a
+        chain builds no Isometry, and the read builds at most one, for the
+        one suffix it classifies (none when that suffix is the target)."""
+        rng = random.Random(109)
+        walks = [
+            (random_maximal_chain(w, rng), w)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        fs = [chain_to_factorization(*walk) for walk in walks]
+        isometry = importlib.import_module("scherk.isometry")
+        patch_everywhere(
+            monkeypatch, isometry._isometry, counted("_isometry", isometry._isometry)
+        )
+        monkeypatch.setattr(
+            Isometry, "__init__", counted("Isometry", Isometry.__init__)
+        )
+        steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
+        assert calls == []
+        built = []
+        for f in fs:
+            calls.clear()
+            factorization_to_chain(f)
+            assert calls in ([], ["_isometry"])
+            built.append(len(calls))
+        assert (len(walks), steps, sum(built)) == (100, 330, 23)
 
     def test_elliptic_chain_read_projects_nothing(self, monkeypatch, calls, counted):
         """Under an elliptic target the read walks an orthogonal frame: each
@@ -461,6 +497,16 @@ class TestChainToFactorization:
                 w,
             )
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_rejects_an_entry_of_another_dimension(self, index):
+        """An entry of another dimension is named as such when the walk
+        reaches it, after the steps above it have been taken."""
+        w = screw()
+        chain = random_maximal_chain(w, 5)
+        chain[index] = Elliptic(AffineSubspaceE(pt(0, 0), span([e(2, 0)])))
+        with pytest.raises(ChainError, match="dimension other than the isometry's"):
+            chain_to_factorization(chain, w)
+
 
 class TestFactorizationToChain:
     def test_identity_gives_singleton_chain(self):
@@ -492,6 +538,25 @@ class TestFactorizationToChain:
         wrong = Factorization(target=Isometry.identity(2), factors=(r,))
         with pytest.raises(ChainError, match="do not multiply to the target"):
             factorization_to_chain(wrong)
+
+    @pytest.mark.parametrize("other", [2, 4])
+    def test_rejects_factors_of_another_dimension(self, other):
+        """A factor of another dimension is a DimensionError from the first
+        product that meets it, not a wrong product: its rows are never cut
+        to the target's."""
+        w = screw()
+        factors = factor(w).factors
+        stray = Reflection(e(other, 0), 0)
+        for mixed in (
+            (stray,) * len(factors),
+            factors[:-1] + (stray,),
+            (stray,) + factors[1:],
+        ):
+            f = Factorization(target=w, factors=mixed)
+            with pytest.raises(DimensionError):
+                factorization_to_chain(f)
+            with pytest.raises(DimensionError):
+                f.product()
 
 
 class TestRewriteShift:
@@ -686,6 +751,18 @@ class TestMinimalFactorizationProperties:
                     chain = random_maximal_chain(w, rng)
                     f = chain_to_factorization(chain, w)
                     assert factorization_to_chain(f) == chain
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_chain_round_trip_past_dimension_six(self, dim):
+        """Three random walks per isometry of a corpus in R^7 and R^8: the
+        factorization multiplies to w and reads back as its chain."""
+        rng = random.Random(dim)
+        for w in corpus(dim, 3, 7):
+            for _ in range(3):
+                chain = random_maximal_chain(w, rng)
+                f = chain_to_factorization(chain, w)
+                assert f.product() == w
+                assert factorization_to_chain(f) == chain
 
     def test_elliptic_roots_independent_and_mirrors_cut_fix(self):
         from scherk.affine import intersect_affine
