@@ -14,6 +14,14 @@ expected shape, or an answer too long to print); 2 invalid isometry
 isometry, or an isometry whose dimension is not --dim or, in `order`, not
 w's); 3 invalid poset or chain input (`PosetError`, `ChainError`, any other
 `DimensionError`).
+
+Only what the command runs is paid for.  `main` parses the arguments of a
+known command with that command's own parser, which is built on first use;
+the full parser with all ten subparsers is built only when argparse must
+speak from the top level: no command, an unknown one, `-h`, or arguments
+the command does not take.  JSON output is written by a small recursive
+writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
+writes, without the pure-Python encoder that any indent selects.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import argparse
 import functools
 import json
 import sys
+from gettext import gettext as _
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from . import jsonio, oracle, poset
@@ -88,8 +98,30 @@ def _context(top: Any, augmented: bool) -> PosetContext:
     return PosetContext(top=jsonio.element_from_json(top), augmented=augmented)
 
 
+def _to_json(value: Any, newline: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, with
+    newline (and the indent after it) before each closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_to_json(value[key], inner)}"
+            for key in sorted(value)
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_to_json(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _emit_json(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _to_json(payload, "\n") + "\n"
 
 
 def _emit(payload: Any, fmt: str) -> str:
@@ -222,9 +254,24 @@ _COMMANDS = {
 }
 
 
+def _add_arguments(cmd: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of one command, on its subparser or its own parser."""
+    cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
+    cmd.add_argument("--seed", type=int, default=0)
+    formats = ("dot", "json") if name == "hasse" else ("json", "text")
+    cmd.add_argument("--format", choices=formats, default=formats[0])
+    if name in ("analyze", "factorize", "order"):
+        cmd.add_argument("--dim", type=int, default=None)
+    if name == "factorize":
+        cmd.add_argument("--chain", default=None, metavar="FILE")
+    if name in ("meet", "join", "lattice"):
+        cmd.add_argument("--augmented", action="store_true")
+    cmd.set_defaults(command=name, handler=_COMMANDS[name])
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and kept for the process."""
+    """The full command line parser, for top-level help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="scherk",
         description=(
@@ -233,25 +280,33 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _COMMANDS.items():
-        cmd = sub.add_parser(name)
-        cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
-        cmd.add_argument("--seed", type=int, default=0)
-        formats = ("dot", "json") if name == "hasse" else ("json", "text")
-        cmd.add_argument("--format", choices=formats, default=formats[0])
-        if name in ("analyze", "factorize", "order"):
-            cmd.add_argument("--dim", type=int, default=None)
-        if name == "factorize":
-            cmd.add_argument("--chain", default=None, metavar="FILE")
-        if name in ("meet", "join", "lattice"):
-            cmd.add_argument("--augmented", action="store_true")
-        cmd.set_defaults(handler=handler)
+    for name in _COMMANDS:
+        _add_arguments(sub.add_parser(name), name)
     return parser
+
+
+@functools.lru_cache(maxsize=len(_COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser: the same as its subparser of the full parser."""
+    parser = argparse.ArgumentParser(prog=f"scherk {name}")
+    _add_arguments(parser, name)
+    return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What _build_parser().parse_args(argv) returns, or the same exit."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if extras:
+        _build_parser().error(_("unrecognized arguments: %s") % " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command: the one place that maps an error to an exit code."""
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         sys.stdout.write(args.handler(args))
         return EXIT_OK

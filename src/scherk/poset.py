@@ -506,21 +506,23 @@ def _label(p: PosetElement) -> str:
 
 
 def covering_pairs(elements: Sequence[PosetElement]) -> list[tuple[int, int]]:
-    """Covering relations within the restriction to the listed elements."""
-    pairs = []
+    """Covering relations within the restriction to the listed elements.
+
+    p < q forces rank(p) < rank(q), so only pairs of increasing rank are
+    compared, and an element strictly between them has a rank between.
+    """
+    ranks = [rank(p) for p in elements]
     n = len(elements)
-    strict = [
-        [i != j and leq(elements[i], elements[j]) for j in range(n)]
+    above = [
+        {j for j in range(n) if ranks[i] < ranks[j] and leq(elements[i], elements[j])}
         for i in range(n)
     ]
-    for i in range(n):
-        for j in range(n):
-            if not strict[i][j]:
-                continue
-            if any(strict[i][k] and strict[k][j] for k in range(n)):
-                continue
-            pairs.append((i, j))
-    return pairs
+    return [
+        (i, j)
+        for i in range(n)
+        for j in sorted(above[i])
+        if not any(j in above[k] for k in above[i])
+    ]
 
 
 def hasse_graph(

@@ -1,5 +1,6 @@
 """Command line behavior: golden outputs, round trips, exit codes."""
 
+import argparse
 import json
 import pathlib
 import resource
@@ -8,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scherk import cli, jsonio, poset
 from scherk.isometry import Reflection
@@ -58,6 +61,10 @@ GOLDEN_CASES = [
     (
         ("factorize", str(DATA / "hyperbolic5.json"), "--seed", "0"),
         "factorize_hyperbolic5.json",
+    ),
+    (
+        ("hasse", str(DATA / "bowtie_universe.json"), "--format", "json"),
+        "hasse_bowtie.json",
     ),
 ]
 
@@ -191,6 +198,31 @@ class TestOtherCommands:
         assert calls == [6]
         if fmt == "dot":
             assert capsys.readouterr().out == (GOLDEN / "hasse_bowtie.dot").read_text()
+
+    def test_hasse_cover_compares_only_pairs_of_increasing_rank(
+        self, monkeypatch, capsys
+    ):
+        """13 of the 30 ordered pairs of the six bowtie nodes rise in rank."""
+        leq, covering_pairs = poset.leq, poset.covering_pairs
+        inside, calls = [], []
+
+        def counted_leq(p, q):
+            calls.append(bool(inside))
+            return leq(p, q)
+
+        def counted_cover(elements):
+            inside.append(True)
+            try:
+                return covering_pairs(elements)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(poset, "leq", counted_leq)
+        monkeypatch.setattr(poset, "covering_pairs", counted_cover)
+        argv = ["hasse", str(DATA / "bowtie_universe.json"), "--format", "json"]
+        assert cli.main(argv) == 0
+        assert calls.count(True) == 13
+        assert capsys.readouterr().out == (GOLDEN / "hasse_bowtie.json").read_text()
 
 
 class TestExitCodes:
@@ -661,3 +693,171 @@ class TestColdStart:
         loaded = set(result.stdout.split())
         assert "scherk.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+
+COMMANDS = "{analyze,factorize,chain,order,meet,join,bowtie,lattice,complete,hasse}"
+USAGE = f"usage: scherk [-h]\n              {COMMANDS}\n              ...\n"
+ANALYZE_USAGE = (
+    "usage: scherk analyze [-h] [--seed SEED] [--format {json,text}] [--dim DIM]\n"
+    "                      [input]\n"
+)
+TOP_HELP = USAGE + (
+    "\n"
+    "Exact reflection lengths, minimal reflection factorizations, and interval\n"
+    "posets for euclidean isometries.\n"
+    "\n"
+    "positional arguments:\n"
+    f"  {COMMANDS}\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+ANALYZE_HELP = ANALYZE_USAGE + (
+    "\n"
+    "positional arguments:\n"
+    "  input                 JSON file or - for stdin\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --seed SEED\n"
+    "  --format {json,text}\n"
+    "  --dim DIM\n"
+)
+CHOICES = (
+    "'analyze', 'factorize', 'chain', 'order', 'meet', 'join', 'bowtie', "
+    "'lattice', 'complete', 'hasse'"
+)
+
+# (argv, exit code, stdout, stderr), as the full parser prints them.
+PARSER_EXITS = [
+    ((), 2, "", USAGE + "scherk: error: the following arguments are required: command\n"),
+    (("-h",), 0, TOP_HELP, ""),
+    (
+        ("nosuch",),
+        2,
+        "",
+        USAGE + f"scherk: error: argument command: invalid choice: 'nosuch' "
+        f"(choose from {CHOICES})\n",
+    ),
+    (("analyze", "-h"), 0, ANALYZE_HELP, ""),
+    (
+        ("analyze", str(DATA / "glide.json"), "--format", "dot"),
+        2,
+        "",
+        ANALYZE_USAGE + "scherk analyze: error: argument --format: invalid choice: "
+        "'dot' (choose from 'json', 'text')\n",
+    ),
+    (
+        ("hasse", str(DATA / "bowtie_universe.json"), "--dim", "7"),
+        2,
+        "",
+        USAGE + "scherk: error: unrecognized arguments: --dim 7\n",
+    ),
+    (
+        ("factorize", str(DATA / "glide.json"), "--seed", "x"),
+        2,
+        "",
+        "usage: scherk factorize [-h] [--seed SEED] [--format {json,text}] "
+        "[--dim DIM]\n"
+        "                        [--chain FILE]\n"
+        "                        [input]\n"
+        "scherk factorize: error: argument --seed: invalid int value: 'x'\n",
+    ),
+]
+
+# Argument lists the commands accept: those of the tests above, and the
+# spellings argparse also allows (=, abbreviations, options first, --).
+VALID_ARGVS = [argv for argv, _ in GOLDEN_CASES] + [
+    ("analyze", str(DATA / "glide.json")),
+    ("analyze", "-"),
+    ("analyze", str(DATA / "glide.json"), "--dim", "3"),
+    ("analyze", "--dim=3", "--format=text", str(DATA / "glide.json")),
+    ("analyze", "--", "-"),
+    ("factorize", str(DATA / "glide.json"), "--seed", "7"),
+    ("factorize", str(DATA / "translation.json"), "--chain", "chain.json"),
+    ("factorize", "--ch", "chain.json"),
+    ("chain", "-"),
+    ("order", "-"),
+    ("order", "-", "--dim", "2", "--format", "text"),
+    ("meet", "-"),
+    ("meet", "-", "--augmented"),
+    ("join", "-", "--aug", "--seed", "-3"),
+    ("bowtie", "-", "--format", "text"),
+    ("lattice", "-"),
+    ("lattice", "-", "--augmented"),
+    ("complete", "-"),
+    ("complete",),
+    ("hasse", "-", "--format", "dot"),
+]
+
+
+class TestParser:
+    """One parser per command, with the exits and output of the full one."""
+
+    @pytest.fixture(autouse=True)
+    def eighty_columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_command_parser_prints_what_its_subparser_prints(self, name):
+        [commands] = [
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        subparser, own = commands.choices[name], cli._command_parser(name)
+        assert own.format_help() == subparser.format_help()
+        assert own.format_usage() == subparser.format_usage()
+
+    @pytest.mark.parametrize("argv,code,out,err", PARSER_EXITS)
+    def test_exit_and_output_are_pinned(self, argv, code, out, err, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(list(argv))
+        assert exit_.value.code == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS)
+    def test_namespace_is_the_full_parsers(self, argv):
+        expected = vars(cli._build_parser().parse_args(list(argv)))
+        assert vars(cli._parse_args(list(argv))) == expected
+
+    def test_one_command_builds_one_parser(self, monkeypatch, capsys):
+        cli._build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert cli.main(["analyze", str(DATA / "glide.json")]) == 0
+        assert built == ["scherk analyze"]
+        assert capsys.readouterr().out == (GOLDEN / "analyze_glide.json").read_text()
+
+
+# Strings with what the writer must escape: quotes, backslashes, control
+# characters and non-ASCII text.
+json_strings = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aZé€😀') | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_strings,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(json_values)
+    @example({})
+    @example([])
+    @example(())
+    @example({"edges": [(0, 1), (1, 2)], "nodes": [], "a": {"b": ()}})
+    def test_writes_what_json_dumps_writes(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+        assert cli._emit_json(value) == expected

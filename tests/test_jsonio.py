@@ -453,10 +453,10 @@ class TestFractionBudget:
 
     def test_documents_round_trip_without_fractions_per_coordinate(self):
         docs = [json.loads(path.read_text()) for path in DOCUMENTS]
-        assert len(docs) == 13
+        assert len(docs) == 14
         results = []
         count = fraction_constructions(lambda: results.extend(map(round_trip, docs)))
         assert results == docs
-        assert sum(map(rationals, docs)) == 307
+        assert sum(map(rationals, docs)) == 358
         assert sum(map(reflections, docs)) == 10
         assert count == self.PER_REFLECTION * sum(map(reflections, docs))

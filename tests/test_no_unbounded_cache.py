@@ -2,7 +2,8 @@
 
 Such a cache holds every argument it has seen for the life of the process,
 so a long-lived caller's memory grows without bound.  A zero-argument
-cache (the CLI parser) holds one value and is allowed.
+cache (the CLI's full parser) holds one value and is allowed, and so is a
+cache with a maxsize (the CLI's per-command parsers, one per command).
 """
 
 import importlib

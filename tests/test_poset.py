@@ -49,6 +49,7 @@ from scherk.poset import (
     New,
     PosetContext,
     PosetError,
+    covering_pairs,
     dm_join,
     dm_meet,
     find_bowtie,
@@ -939,6 +940,35 @@ class TestHasse:
     def test_new_top_is_rejected(self):
         with pytest.raises(PosetError):
             hasse_dot([BOTTOM_3D], top=New(span([e(3, 0)])))
+
+    @pytest.mark.parametrize(
+        "p",
+        [BOTTOM_3D, plane_top_3d(), New(span([e(3, 0)]))],
+        ids=["bottom", "top", "new"],
+    )
+    def test_equal_elements_cover_neither_way(self, p):
+        assert covering_pairs([p, p]) == []
+        expected = [] if p == BOTTOM_3D else [(0, 1), (0, 2)]
+        assert covering_pairs([BOTTOM_3D, p, p]) == expected
+
+    @pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cover_is_the_transitive_reduction(self, n, augmented):
+        """On shuffled subsets, unsorted, the cover is what the definition
+        gives from every ordered pair."""
+        universe = list(coordinate_universe(n, plane_top(n, n - 1), augmented=augmented))
+        rng = random.Random(n + 10 * augmented)
+        for _ in range(40):
+            subset = rng.sample(universe, rng.randint(0, min(12, len(universe))))
+            less = [[p != q and leq(p, q) for q in subset] for p in subset]
+            size = range(len(subset))
+            reduction = [
+                (i, j)
+                for i in size
+                for j in size
+                if less[i][j] and not any(less[i][k] and less[k][j] for k in size)
+            ]
+            assert covering_pairs(subset) == reduction
 
     def test_deterministic_output(self):
         ctx = PosetContext(top=plane_top_3d())
