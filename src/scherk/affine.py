@@ -27,6 +27,7 @@ from .linalg import (
     _independent,
     _solve,
     _span,
+    _vector,
     orthogonal_complement,
     orthogonal_section,
     project,
@@ -229,11 +230,8 @@ class AffineSubspaceE(_AffineSubspace):
         return self._holds(x.vector)
 
     def points(self) -> Iterator[Point]:
-        """The canonical point, then its basis translates, built lazily."""
-        p = self.point
-        yield p
-        for b in self.direction.basis:
-            yield p + b
+        """The points of :func:`_frame`, built lazily."""
+        return (Point(_vector(x, p)) for x, p in _frame(self))
 
     def __repr__(self) -> str:
         return f"AffineSubspaceE({self.point!r} + {self.direction!r})"
@@ -244,6 +242,16 @@ def _affine_e(direction: LinearSubspace, point: Vector) -> AffineSubspaceE:
     b = object.__new__(AffineSubspaceE)
     b.direction, b.anchor = direction, point
     return b
+
+
+def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
+    """The frame of b as integer rows (X, p), the point X / p: its
+    canonical point, then its basis translates, built one at a time."""
+    point, p = b.anchor.num, b.anchor.den
+    yield point, p
+    for v in b.direction.basis:
+        k = v.den
+        yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
 def _hull(anchors: Sequence[Vector], directions, extra: Iterable[Vector] = ()):

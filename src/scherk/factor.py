@@ -57,21 +57,24 @@ fixed and fixes one more: dim Mov(w) steps, a minimal factorization
   over the columns, skipping those with a_ii = 1, yields exactly the
   reflections of rescanning from the origin after every step.
 
-The chain walks pick their points by a deterministic scan too (the
-canonical point of the relevant subspace, then its basis translates), so
-repeated runs produce identical output.  The image of each scanned point
-is computed once, on integer rows, and the reflection is taken from it.
-The same scan certifies an elliptic step: after the reflection the points
-it had passed stay fixed, so only the basis vectors past the reflected
-point are applied, dim B + 1 images per step in all.
+The chain walks pick their points by a deterministic scan too: the frame
+of the relevant subspace, its canonical point and then its basis
+translates, as `affine._frame` gives it in integer rows (the same scan
+as ``AffineSubspaceE.points``), so repeated runs produce identical
+output.  The image of each scanned point is computed once, on integer
+rows, and the reflection is taken from it.  The same scan certifies an
+elliptic step: after the reflection the points it had passed stay fixed,
+so only the basis vectors past the reflected point are applied, dim B + 1
+images per step in all.
 
 Both walks hold their products as integer rows (N, d, B, e), A = N / d and
 b = B / e in lowest terms, and multiply a reflection in by one rank-one
 update of those rows, the one behind ``Reflection.compose`` and
 ``isometry.product``.  The scanned points are integer rows too, so a step
-builds no Point, Vector or Isometry.  Reading a chain compares the rows
-of the whole product with the target's fields, which are in lowest terms
-as well, and only the one suffix it classifies becomes an Isometry.
+builds no Point, Vector or Isometry.  The update ends with the normal
+form `linalg` computes for every Matrix and Vector, so reading a chain
+compares the rows of the whole product with the target's fields, and only
+the one suffix it classifies becomes an Isometry.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .affine import AffineSubspaceE, AffineSubspaceV, _affine_e
+from .affine import AffineSubspaceE, AffineSubspaceV, _affine_e, _frame
 from .isometry import (
     Isometry,
     Reflection,
@@ -240,16 +243,6 @@ def _lands_on(rows: Rows, move: AffineSubspaceV) -> bool:
         direction._contains_row(column[:j] + (column[j] - d,) + column[j + 1 :])
         for j, column in enumerate(zip(*n))
     )
-
-
-def _frame(fix: AffineSubspaceE):
-    """The frame of B as integer rows (P, p), the point P / p: its
-    canonical point, then its basis translates, built one at a time."""
-    point, p = fix.anchor.num, fix.anchor.den
-    yield point, p
-    for v in fix.direction.basis:
-        k = v.den
-        yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
 def chain_to_factorization(

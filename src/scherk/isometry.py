@@ -30,7 +30,6 @@ so nothing here ever needs a square root.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,6 +42,8 @@ from .linalg import (
     Vector,
     _dot,
     _independent,
+    _lowest,
+    _lowest_rows,
     _mat,
     _particular,
     _q,
@@ -283,8 +284,8 @@ def _reflect(r: Reflection, rows: Rows) -> Rows:
     and translation b - k (alpha . b - offset) alpha.  On integer rows,
     with offset = p / q, that is (|alpha|^2 N - alpha (2 alpha^T N)) /
     (d |alpha|^2) and (q |alpha|^2 B - 2 (q alpha . B - e p) alpha) /
-    (e q |alpha|^2), each then divided by its gcd, so the result is in
-    lowest terms like the fields of a Matrix and a Vector.
+    (e q |alpha|^2), each put in lowest terms by :func:`linalg._lowest_rows`
+    and :func:`linalg._lowest`, the normal form of a Matrix and a Vector.
     """
     n, d, b, e = rows
     alpha = r.root.num
@@ -293,21 +294,11 @@ def _reflect(r: Reflection, rows: Rows) -> Rows:
     norm = _dot(alpha, alpha)
     top = [2 * _dot(alpha, col) for col in zip(*n)]
     n = [[norm * x - a * t for x, t in zip(row, top)] for a, row in zip(alpha, n)]
-    d *= norm
-    g = math.gcd(d, *itertools.chain.from_iterable(n))
-    if g == 1:
-        n = tuple(map(tuple, n))
-    else:
-        n = tuple([tuple([x // g for x in row]) for row in n])
-        d //= g
+    n, d = _lowest_rows(n, d * norm)
     p, q = r.offset.numerator, r.offset.denominator
     shift, scale = 2 * (q * _dot(alpha, b) - e * p), q * norm
     b = [scale * x - shift * a for a, x in zip(alpha, b)]
-    e *= scale
-    g = math.gcd(e, *b)
-    if g == 1:
-        return n, d, tuple(b), e
-    return n, d, tuple([x // g for x in b]), e // g
+    return (n, d, *_lowest(b, e * scale))
 
 
 def product(reflections: Sequence[Reflection], dim: int) -> Isometry:

@@ -10,8 +10,10 @@ q > 0: a JSON int is (obj, 1), and a string "p" or "p/q" of ASCII digits,
 the form this module prints, is int() of each part and one gcd.  Every
 other spelling Fraction(str) accepts ("+3", " 3 ", "1_000", "1.5",
 "25e-2", non-ASCII digits) goes through Fraction(str).  A vector or a
-matrix is built from its pairs over the lcm of the denominators, which is
-its canonical (num, den) form, so no Fraction is made per coordinate.
+matrix is built from its pairs by `linalg._over_lcm` (the rows of a
+matrix by `linalg._rows_over_lcm`), over the lcm of the denominators,
+which is its normal (num, den) form, so no Fraction is made per
+coordinate.
 Printing runs the other way: each entry x of num over den is
 x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes.
 
@@ -34,12 +36,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Any, Iterable
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .isometry import Isometry, Matrix, Reflection, product
-from .linalg import DimensionError, LinearSubspace, Vector, _dot, _mat, _vec
+from .linalg import (
+    LinearSubspace,
+    Vector,
+    _dot,
+    _mat,
+    _over_lcm,
+    _rows_over_lcm,
+    _vec,
+)
 from .factor import Factorization
 from .poset import BoundFamily, Elliptic, Hyperbolic, New, PosetElement
 
@@ -184,19 +194,12 @@ def _scalars(obj: Any) -> list[tuple[int, int]]:
     return [_rational(x) for x in array(obj, "vector", coordinates=True)]
 
 
-def _over(pairs: list[tuple[int, int]], den: int) -> tuple[int, ...]:
-    """The numerators of the rationals p / q over den, a multiple of each q."""
-    return tuple(p * (den // q) for p, q in pairs)
-
-
 def vector_to_json(v: Vector) -> list[str]:
     return _texts(v.num, v.den)
 
 
 def vector_from_json(obj: Any) -> Vector:
-    pairs = _scalars(obj)
-    den = lcm(*(q for _, q in pairs))
-    return _vec(_over(pairs, den), den)
+    return _vec(*_over_lcm(_scalars(obj)))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -207,12 +210,7 @@ def matrix_from_json(obj: Any) -> Matrix:
     rows = array(obj, "matrix", coordinates=True)
     if not rows:
         raise FormatError("matrix must have a row")
-    rows = [_scalars(row) for row in rows]
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise DimensionError("matrix rows have unequal lengths")
-    den = lcm(*(q for row in rows for _, q in row))
-    return _mat(tuple(_over(row, den) for row in rows), den, ncols)
+    return _mat(*_rows_over_lcm([_scalars(row) for row in rows]))
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:

@@ -7,7 +7,15 @@ form is unique, so equality is a tuple compare, and elimination, dot
 products and products run on ints without building a `fractions.Fraction`
 per coefficient.  Fractions appear only at the API edge: `coords`, `rows`,
 indexing, iteration and `dot` return them, and the constructors accept
-ints, Fractions and numeric strings.  All the predicates that the rest of
+ints, Fractions and numeric strings.
+
+This module is the one place that computes that normal form.
+`_over_lcm` puts rationals read as (p, q) pairs over their least common
+denominator, which is already in lowest terms; the constructors and the
+JSON readers (`jsonio`) build through it.  `_lowest` and `_lowest_rows`
+divide integer rows over a denominator by their one gcd; `_vector`,
+`_matrix` and the rank-one update behind the isometry products
+(`isometry._reflect`) end with them.  All the predicates that the rest of
 the library depends on (equality of subspaces, membership, orthogonality,
 solvability) are exact decisions rather than tolerance checks.  Floats are
 rejected on input: silently converting one would smuggle binary rounding
@@ -61,16 +69,45 @@ def _q(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
-    """Rationals as (ints, den) over their least common denominator.
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Rationals p / q, each in lowest terms with q > 0, as (ints, den)
+    over the least common multiple den of the q.
 
-    Each value is in lowest terms, so the result is too: a prime dividing
-    den divides the largest power of itself among the denominators, and
-    that value's scaled numerator is prime to it.
+    The result is in lowest terms too: a prime dividing den divides the
+    largest power of itself among the q, and that rational's scaled
+    numerator is prime to it.
     """
-    fracs = [_q(x) for x in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+    den = math.lcm(*(q for _, q in pairs))
+    return tuple(p * (den // q) for p, q in pairs), den
+
+
+def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """Exact rationals as (ints, den) over their least common denominator."""
+    return _over_lcm([_q(x).as_integer_ratio() for x in values])
+
+
+def _rows_over_lcm(
+    rows: Sequence[Sequence[tuple[int, int]]], ncols: Optional[int] = None
+) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """The fields (num, den, ncols) of the Matrix whose rows hold the
+    rationals p / q of the (p, q) pairs, over one lcm (:func:`_over_lcm`).
+
+    Raises DimensionError when the rows have unequal lengths or a length
+    other than a declared ncols, or when there are no rows and no ncols.
+    """
+    if rows:
+        widths = {len(row) for row in rows}
+        if len(widths) != 1:
+            raise DimensionError("matrix rows have unequal lengths")
+        width = widths.pop()
+        if ncols is not None and ncols != width:
+            raise DimensionError("declared ncols does not match rows")
+        ncols = width
+    elif ncols is None:
+        raise DimensionError("empty matrix needs an explicit ncols")
+    flat, den = _over_lcm([pair for row in rows for pair in row])
+    num = tuple(flat[i * ncols : (i + 1) * ncols] for i in range(len(rows)))
+    return num, den, ncols
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -85,15 +122,20 @@ def _vec(num: tuple[int, ...], den: int) -> "Vector":
     return v
 
 
-def _vector(num: Iterable[int], den: int) -> "Vector":
-    """The Vector num / den for any nonzero den."""
-    num = tuple(num)
+def _lowest(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """num / den in lowest terms, (ints, den) with den > 0, for any nonzero
+    den: both divided by gcd(den, *num), signed like den."""
     g = math.gcd(den, *num)
     if den < 0:
         g = -g
     if g == 1:
-        return _vec(num, den)
-    return _vec(tuple(x // g for x in num), den // g)
+        return tuple(num), den
+    return tuple([x // g for x in num]), den // g
+
+
+def _vector(num: Sequence[int], den: int) -> "Vector":
+    """The Vector num / den for any nonzero den."""
+    return _vec(*_lowest(num, den))
 
 
 def _mat(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Matrix":
@@ -105,14 +147,20 @@ def _mat(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Matrix":
     return m
 
 
-def _matrix(rows: Iterable[Iterable[int]], den: int, ncols: int) -> "Matrix":
+def _lowest_rows(
+    rows: Sequence[Sequence[int]], den: int
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer rows over den > 0 in lowest terms, as (rows, den): each
+    divided by one gcd of den and every entry."""
+    g = math.gcd(den, *itertools.chain.from_iterable(rows))
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+def _matrix(rows: Sequence[Sequence[int]], den: int, ncols: int) -> "Matrix":
     """The Matrix rows / den for any positive den."""
-    num = tuple(tuple(row) for row in rows)
-    g = math.gcd(den, *itertools.chain.from_iterable(num))
-    if g != 1:
-        num = tuple(tuple(x // g for x in row) for row in num)
-        den //= g
-    return _mat(num, den, ncols)
+    return _mat(*_lowest_rows(rows, den), ncols)
 
 
 class Vector:
@@ -216,31 +264,14 @@ class Matrix:
     __slots__ = ("num", "den", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None) -> None:
-        rows = [tuple(_q(x) for x in row) for row in rows]
-        if rows:
-            widths = {len(r) for r in rows}
-            if len(widths) != 1:
-                raise DimensionError("matrix rows have unequal lengths")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise DimensionError("declared ncols does not match rows")
-            ncols = width
-        elif ncols is None:
-            raise DimensionError("empty matrix needs an explicit ncols")
-        flat, self.den = _common(itertools.chain.from_iterable(rows))
-        entries = iter(flat)
-        self.num = tuple(tuple(itertools.islice(entries, ncols)) for _ in rows)
-        self.ncols = ncols
+        rows = [[_q(x).as_integer_ratio() for x in row] for row in rows]
+        self.num, self.den, self.ncols = _rows_over_lcm(rows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return _mat(
             tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n
         )
-
-    @classmethod
-    def zero(cls, m: int, n: int) -> "Matrix":
-        return _mat(((0,) * n,) * m, 1, n)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -265,7 +296,7 @@ class Matrix:
                 raise DimensionError("inner matrix dimensions differ")
             cols = other._columns()
             return _matrix(
-                ([_dot(row, col) for col in cols] for row in self.num),
+                [[_dot(row, col) for col in cols] for row in self.num],
                 self.den * other.den,
                 other.ncols,
             )

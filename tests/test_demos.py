@@ -31,9 +31,3 @@ def test_demo_runs_cleanly(script):
     assert result.stderr == ""
     golden = ROOT / "tests" / "golden" / f"demo_{script.name[:2]}.txt"
     assert result.stdout == golden.read_text()
-
-
-def test_demo_02_matches_golden():
-    result = run(ROOT / "demos" / "02_factorizations.py")
-    golden = ROOT / "tests" / "golden" / "demo_02.txt"
-    assert result.stdout == golden.read_text()

@@ -139,7 +139,7 @@ class TestSolveAffine:
         assert kernel.dim == 0
 
     def test_inconsistent_zero_system(self):
-        assert solve_affine(Matrix.zero(2, 2), vec(1, 0)) is None
+        assert solve_affine(Matrix([[0, 0], [0, 0]]), vec(1, 0)) is None
 
     def test_underdetermined_line(self):
         particular, kernel = solve_affine(Matrix([[0, -2]]), vec(0))
