@@ -88,11 +88,16 @@ class Point:
 class _AffineSubspace:
     """A direction subspace plus an anchor vector in standard form.
 
-    The constructor subtracts the anchor's projection onto the direction,
-    so the stored anchor is the unique one orthogonal to the direction and
-    equality is equality of the two fields; under the full direction that
-    anchor is zero, with no projection.  Subspaces of E and of V share
-    this form, but only subspaces of the same kind compare or combine.
+    The constructor stores the anchor's projection onto the orthogonal
+    complement of the direction, so the stored anchor is the unique one
+    orthogonal to the direction and equality is equality of the two
+    fields.  It projects from the smaller side: onto the complement itself
+    when the direction is more than half the space (the complement is kept
+    on the direction, see :func:`linalg.orthogonal_complement`), and
+    otherwise onto the direction, subtracting that projection.  Either way
+    the anchor is the same.  Under the full direction it is zero, with no
+    projection.  Subspaces of E and of V share this form, but only
+    subspaces of the same kind compare or combine.
     """
 
     __slots__ = ("direction", "anchor")
@@ -103,9 +108,11 @@ class _AffineSubspace:
         self.direction = direction
         if direction.is_full():
             self.anchor = Vector.zero(direction.ambient)
-            return
-        offset = project(anchor, direction)
-        self.anchor = anchor if offset.is_zero() else anchor - offset
+        elif 2 * direction.dim > direction.ambient:
+            self.anchor = project(anchor, orthogonal_complement(direction))
+        else:
+            offset = project(anchor, direction)
+            self.anchor = anchor if offset.is_zero() else anchor - offset
 
     @property
     def ambient(self) -> int:

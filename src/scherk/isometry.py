@@ -546,15 +546,37 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
 
 
 def interval_contains(w: Isometry, u: Isometry) -> bool:
-    """Whether u lies between the identity and w in the reflection metric."""
-    return reflection_length(u) + reflection_distance(u, w) == reflection_length(w)
+    """Whether u lies between the identity and w in the reflection metric,
+    l(u) + d(u, w) = l(w): :func:`interval_leq` with u2 = w, by the same
+    length exits."""
+    if w.dim != u.dim:
+        raise DimensionError("isometries of different dimensions")
+    low, top = reflection_length(u), reflection_length(w)
+    return low <= top and _at_distance(u, w, top - low)
 
 
 def interval_leq(w: Isometry, u: Isometry, u2: Isometry) -> bool:
-    """The interval order: u below u2 on a common geodesic from 1 to w."""
-    total = (
-        reflection_length(u)
-        + reflection_distance(u, u2)
-        + reflection_distance(u2, w)
+    """The interval order: u below u2 on a common geodesic from 1 to w,
+    l(u) + d(u, u2) + d(u2, w) = l(w).
+
+    The lengths decide most pairs.  By the triangle inequality each
+    distance is at least the difference of the two lengths, so the sum
+    reaches l(w) exactly when l(u) <= l(u2) <= l(w) and both distances
+    equal those differences.  A pair of equal length is then decided by
+    equality, as d = 0 only for equal isometries, and only a pair whose
+    lengths differ costs an elimination (:func:`reflection_distance`).
+    Isometries of different dimensions raise before any length is read.
+    """
+    if not w.dim == u.dim == u2.dim:
+        raise DimensionError("isometries of different dimensions")
+    low, mid, top = reflection_length(u), reflection_length(u2), reflection_length(w)
+    return (
+        low <= mid <= top
+        and _at_distance(u, u2, mid - low)
+        and _at_distance(u2, w, top - mid)
     )
-    return total == reflection_length(w)
+
+
+def _at_distance(u: Isometry, v: Isometry, gap: int) -> bool:
+    """Whether d(u, v) = gap, for a gap of at least 0."""
+    return u == v if gap == 0 else reflection_distance(u, v) == gap

@@ -41,11 +41,13 @@ top of it, an O(1) comparison after construction.
 A subspace keeps its orthogonal complement once it has been asked for, and
 the complement points back at it, since (U^perp)^perp = U.  Eliminations
 run only where an answer needs one: `project` returns the trivial
-projections (zero, v itself, v orthogonal to u) from dot products, and
-`_solve`, the solve the affine intersections and the poset joins run,
-takes a forward pass over an augmented [A | b], reads inconsistency off
-its last pivot, and reads the kernel off the same rows reduced upward.
-`solve_affine` is that solve on a Matrix and a Vector.
+projections (zero, v itself, v orthogonal to u) from dot products and the
+projection onto a line from its closed form, `_kernel` reads a kernel of
+one free column off its one vector, and `_solve`, the solve the affine
+intersections and the poset joins run, takes a forward pass over an
+augmented [A | b], reads inconsistency off its last pivot, and reads the
+kernel off the same rows reduced upward.  `solve_affine` is that solve on
+a Matrix and a Vector.
 """
 
 from __future__ import annotations
@@ -616,7 +618,8 @@ def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
     scaled by the common multiple of the leads to stay integral.  When no
     row has an entry in a free column (there are no rows, or each row is a
     unit vector) the kernel vectors are the free unit vectors, which are
-    already reduced; otherwise they are reduced once.
+    already reduced.  One free column gives one vector, whose reduced form
+    is itself divided by its first nonzero entry; more are reduced once.
     """
     pivot_set = set(pivots)
     free = tuple(f for f in range(n) if f not in pivot_set)
@@ -630,6 +633,10 @@ def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
         for (ints, lead), p in zip(reduced, pivots):
             v[p] = -ints[f] * (scale // lead)
         vectors.append(v)
+    if len(vectors) == 1:
+        (v,) = vectors
+        pivot = next(i for i, a in enumerate(v) if a)
+        return _canonical(n, (_vector(v, v[pivot]),), (pivot,))
     return _subspace(n, *_rref(vectors, n))
 
 
@@ -699,10 +706,11 @@ def project(v: Vector, u: LinearSubspace) -> Vector:
     """Orthogonal projection of v onto the subspace (normal equations).
 
     Zero, the full space and v orthogonal to u are answered from the dot
-    products b_i . v; otherwise one reduction of the integer system
-    [B_i . B_j | B_i . V] gives the coefficients of the projection of
-    V = den(v) v in the integer rows B_i of the basis, and the projection
-    of v is that of V scaled by 1 / den(v).
+    products b_i . v, and a line spanned by the integer row B from the
+    closed form (B . V / B . B) B / den(v), with V = den(v) v.  Otherwise
+    one reduction of the integer system [B_i . B_j | B_i . V] gives the
+    coefficients of the projection of V in the integer rows B_i of the
+    basis, and the projection of v is that of V scaled by 1 / den(v).
     """
     if v.dim != u.ambient:
         raise DimensionError(f"vector of dimension {v.dim} vs ambient {u.ambient}")
@@ -713,6 +721,9 @@ def project(v: Vector, u: LinearSubspace) -> Vector:
     if not any(rhs):
         return Vector.zero(u.ambient)
     k = len(rows)
+    if k == 1:
+        b, (c,) = rows[0], rhs
+        return _vector([c * x for x in b], _dot(b, b) * v.den)
     gram = [[_dot(bi, bj) for bj in rows] + [r] for bi, r in zip(rows, rhs)]
     reduced, pivots = _rref(gram, k + 1)
     if pivots != tuple(range(k)):

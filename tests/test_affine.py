@@ -200,6 +200,53 @@ class TestCanonicalRepresentative:
         assert hull.contains(pt(0, 5))
 
 
+def gram_projection(v, vectors):
+    """The projection of v onto the span of independent vectors, from the
+    normal equations G c = (b_i . v) solved by Gauss-Jordan on Fractions."""
+    k = len(vectors)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rows = [[dot(b, c) for c in vectors] + [dot(b, v)] for b in vectors]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [sum(row[k] * b[i] for row, b in zip(rows, vectors)) for i in range(len(v))]
+
+
+class TestAnchorFromEitherSide:
+    def test_anchor_is_the_gram_residual(self):
+        """The stored anchor, projected from whichever side is smaller, is
+        v minus its Gram projection onto the direction, for every direction
+        dimension 0..n in dims 1-8."""
+        rng = random.Random(41)
+        for n in range(1, 9):
+            for d in range(n + 1):
+                for _ in range(3):
+                    while True:
+                        vectors = [
+                            [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                            for _ in range(d)
+                        ]
+                        direction = span([Vector(b) for b in vectors], ambient=n)
+                        if direction.dim == d:
+                            break
+                    v = [
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                        for _ in range(n)
+                    ]
+                    offset = gram_projection(v, vectors) if d else [0] * n
+                    expected = Vector([x - y for x, y in zip(v, offset)])
+                    assert AffineSubspaceE(Point(v), direction).anchor == expected
+                    assert AffineSubspaceV(direction, Vector(v)).anchor == expected
+
+
 class TestHullOfAffineV:
     @no_deadline
     @given(st.integers(1, 5), st.integers(1, 4), seeds)

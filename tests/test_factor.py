@@ -29,6 +29,7 @@ from scherk.isometry import (
     interval_leq,
     motion_reflection,
     product,
+    reflection_distance,
     reflection_length,
     standard_splitting,
     translation,
@@ -198,6 +199,21 @@ class TestPeelAgainstOracle:
         assert not u.translation.is_zero()
         assert u.matrix.den > 1
         assert factor(w).factors[2:] == definitional_peel(u)
+
+
+def interval_triples():
+    """(w, u, v) with u and v drawn from [1, w], for 10 corpus isometries in
+    each of dimensions 2-6, every isometry classified."""
+    rng = random.Random(107)
+    triples = []
+    for dim in range(2, 7):
+        for w in corpus(dim, 10, rng):
+            u, v = sample_interval(w, rng, 2)
+            triples.append((w, u, v))
+    for triple in triples:
+        for x in triple:
+            classify(x)
+    return triples
 
 
 class TestOperationBudget:
@@ -390,15 +406,7 @@ class TestOperationBudget:
         """reflection_distance reads its two ranks off the pivots of a
         forward elimination, so the interval order of classified isometries
         makes no _rref call and no upward pass."""
-        rng = random.Random(107)
-        triples = []
-        for dim in range(2, 7):
-            for w in corpus(dim, 10, rng):
-                u, v = sample_interval(w, rng, 2)
-                triples.append((w, u, v))
-        for triple in triples:
-            for x in triple:
-                classify(x)
+        triples = interval_triples()
         linalg = importlib.import_module("scherk.linalg")
         for name in ("_rref", "_upward"):
             original = getattr(linalg, name)
@@ -406,6 +414,18 @@ class TestOperationBudget:
         below = sum(interval_leq(*t) for t in triples)
         assert calls == []
         assert (len(triples), below) == (50, 24)
+
+    def test_interval_leq_decides_by_length_first(self, monkeypatch, calls, counted):
+        """The lengths settle a pair out of order or of equal length, so
+        the same triples make 22 distances instead of two per triple."""
+        triples = interval_triples()
+        patch_everywhere(
+            monkeypatch,
+            reflection_distance,
+            counted("reflection_distance", reflection_distance),
+        )
+        below = sum(interval_leq(*t) for t in triples)
+        assert (len(triples), below, len(calls)) == (50, 24, 22)
 
     def test_rewrite_shift_builds_no_isometry(self, monkeypatch, calls, counted):
         """Each swap is one Hurwitz move, whose conjugate is a closed form on

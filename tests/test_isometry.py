@@ -1,5 +1,7 @@
 """Isometry algebra: invariants, classification, products with reflections."""
 
+import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -331,6 +333,68 @@ class TestIntervals:
         assert interval_leq(w, Isometry.identity(2), r)
         assert interval_leq(w, r, w)
         assert not interval_leq(w, w, r)
+
+    def test_mixed_dimensions_raise(self):
+        """An isometry of another dimension raises in every position, also
+        where the lengths alone would answer (here 0, 1 and 3 in each
+        dimension)."""
+        isometries = [
+            Isometry.identity(2),
+            Reflection(e(2, 0), 1).to_isometry(),
+            glide(),
+            Isometry.identity(3),
+            Reflection(e(3, 1), 0).to_isometry(),
+            translation(vec(1, 0, 0)).compose(Reflection(e(3, 2), 0).to_isometry()),
+        ]
+        assert [reflection_length(w) for w in isometries] == [0, 1, 3] * 2
+        for ours, odd in itertools.product(isometries, repeat=2):
+            if ours.dim == odd.dim:
+                continue
+            for position in range(3):
+                args = [ours] * 3
+                args[position] = odd
+                with pytest.raises(DimensionError):
+                    interval_leq(*args)
+            for args in ((odd, ours), (ours, odd)):
+                with pytest.raises(DimensionError):
+                    interval_contains(*args)
+
+
+class TestIntervalOrderDefinition:
+    def test_orders_match_the_sums(self):
+        """Both orders against the literal sums l(u) + d(u, w) = l(w) and
+        l(u) + d(u, u2) + d(u2, w) = l(w), on every ordered pair of a pool
+        of members of [1, w], w itself, the identity and isometries outside
+        [1, w], for seeded w in dims 2-6."""
+        seen = collections.Counter()
+        for dim in range(2, 7):
+            rng = random.Random(dim)
+            for w in corpus(dim, 6, rng):
+                pool = [
+                    *sample_interval(w, rng, 4),
+                    w,
+                    Isometry.identity(dim),
+                    *corpus(dim, 2, rng),
+                ]
+                top = reflection_length(w)
+                for u in pool:
+                    inside = reflection_length(u) + reflection_distance(u, w) == top
+                    assert interval_contains(w, u) == inside
+                    seen["outside"] += not inside
+                for u, u2 in itertools.product(pool, repeat=2):
+                    below = (
+                        reflection_length(u)
+                        + reflection_distance(u, u2)
+                        + reflection_distance(u2, w)
+                    ) == top
+                    assert interval_leq(w, u, u2) == below
+                    seen["below"] += below
+                    seen["u == u2"] += u == u2
+                    seen["u2 == w"] += u != u2 and u2 == w
+                    seen["equal lengths"] += u != u2 and (
+                        reflection_length(u) == reflection_length(u2)
+                    )
+        assert min(seen.values()) >= 20, seen
 
 
 class TestInvariantSuite:

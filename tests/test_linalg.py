@@ -642,6 +642,46 @@ class TestStackedSystem:
                 assert kernel == span(nullspace, ambient=n)
         assert seen == {(n, solvable) for n in range(2, 7) for solvable in (False, True)}
 
+class TestClosedForms:
+    def test_projection_onto_a_line(self):
+        """project onto a line, (b . v / b . b) b, against the formula on
+        Fractions and against v minus the Gram projection onto the
+        complement, which for n >= 3 has two or more basis rows."""
+        rng = random.Random(43)
+        for n in range(1, 9):
+            for _ in range(6):
+                b = random_vector(rng, n)
+                if b.is_zero():
+                    continue
+                v = random_vector(rng, n)
+                line = span([b])
+                expected = b.scale(b.dot(v) / b.dot(b))
+                assert project(v, line) == expected
+                hyperplane = LinearSubspace(
+                    n, [c.coords for c in orthogonal_complement(line).basis]
+                )
+                assert project(v, line) == v - project(v, hyperplane)
+
+    def test_kernel_with_one_free_column(self):
+        """The complement of a hyperplane, its one vector divided by its
+        first nonzero entry, is the line of its normal as span reduces it."""
+        rng = random.Random(47)
+        for n in range(1, 9):
+            for _ in range(6):
+                normal = random_vector(rng, n)
+                if normal.is_zero():
+                    continue
+                line = span([normal])
+                fresh = LinearSubspace(
+                    n, [c.coords for c in orthogonal_complement(line).basis]
+                )
+                perp = orthogonal_complement(fresh)
+                assert perp is not line
+                assert perp == line and perp.pivots == line.pivots
+                rows = Matrix([c.coords for c in fresh.basis], ncols=n)
+                assert perp == null_space(rows)
+
+
 class TestUnitVectorKernel:
     @no_deadline
     @given(st.data())

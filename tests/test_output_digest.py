@@ -16,6 +16,15 @@ Every value is written in its canonical form, so a change of
 representation leaves the digest as it is and a changed answer moves it.
 A change that moves it says which output changed and why, as for a golden
 file; so does a change to an `oracle` generator, which moves it too.
+
+A second digest, `INTERVAL_DIGEST`, covers the interval order and the
+bounds away from the coordinate axes:
+
+(d) `inv_map` of `sample_interval` members, and the answers of
+    `interval_contains` and `interval_leq` on a pool of members, w itself
+    and isometries outside [1, w], for seeded w in dims 2-8;
+(e) `dm_meet`/`dm_join` on seeded subsets of the augmented plane
+    universes of (b), moved by a seeded isometry with `oracle.image`.
 """
 
 import hashlib
@@ -30,20 +39,31 @@ from scherk.factor import (
     hurwitz,
     hurwitz_inverse,
 )
+from scherk.isometry import interval_contains, interval_leq
 from scherk.jsonio import (
     bound_to_json,
     element_to_json,
     factorization_to_json,
     reflection_to_json,
 )
-from scherk.oracle import coordinate_universe, corpus, random_maximal_chain
-from scherk.poset import dm_join, dm_meet, join, meet
+from scherk.oracle import (
+    coordinate_universe,
+    corpus,
+    image,
+    random_isometry,
+    random_maximal_chain,
+    sample_interval,
+)
+from scherk.poset import PosetContext, dm_join, dm_meet, inv_map, join, meet
 from test_poset import plane_top
 
 DIGEST = "033b03319ec6f020d56b6cf17130cd64dbdb4c69b52631bf438f5eabee8d7b02"
 
+INTERVAL_DIGEST = "02c2c8100907ce685b1268f958269f8200eca08506f8e9d42c4f8e39f8641f91"
+
 PLANE_UNIVERSES = [(3, 2), (4, 1), (4, 2), (5, 2)]
 TRIPLES = 100
+OBLIQUE_SUBSETS = 60
 
 
 def factorization_outputs():
@@ -77,13 +97,43 @@ def bound_outputs():
             yield element_to_json(dm_join(subset, augmented.ctx))
 
 
-def digest():
+def interval_outputs():
+    """Part (d)."""
+    for dim in range(2, 9):
+        rng = random.Random(dim)
+        for w in corpus(dim, 3, rng):
+            members = sample_interval(w, rng, 4)
+            pool = [*members, w, *corpus(dim, 2, rng)]
+            yield [element_to_json(inv_map(u)) for u in members]
+            yield [interval_contains(w, u) for u in pool]
+            yield [interval_leq(w, u, u2) for u in pool for u2 in pool]
+
+
+def oblique_bound_outputs():
+    """Part (e)."""
+    for n, k in PLANE_UNIVERSES:
+        rng = random.Random(10 * n + k)
+        g = random_isometry(n, rng, reflections=n)
+        universe = coordinate_universe(n, plane_top(n, k), augmented=True)
+        ctx = PosetContext(image(g, universe.ctx.top), augmented=True)
+        elements = [image(g, p) for p in universe.elements]
+        for _ in range(OBLIQUE_SUBSETS):
+            subset = rng.sample(elements, rng.randint(1, 3))
+            yield element_to_json(dm_meet(subset, ctx))
+            yield element_to_json(dm_join(subset, ctx))
+
+
+def digest(*parts):
     h = hashlib.sha256()
-    for output in itertools.chain(factorization_outputs(), bound_outputs()):
+    for output in itertools.chain(*parts):
         h.update(json.dumps(output, sort_keys=True, separators=(",", ":")).encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
 def test_outputs_match_the_pinned_digest():
-    assert digest() == DIGEST
+    assert digest(factorization_outputs(), bound_outputs()) == DIGEST
+
+
+def test_interval_and_oblique_outputs_match_their_digest():
+    assert digest(interval_outputs(), oblique_bound_outputs()) == INTERVAL_DIGEST

@@ -646,8 +646,8 @@ class TestOperationBudget:
     # standard form that projects or eliminates once more per subspace goes
     # over these, and so does an all-elliptic join that solves its system
     # and then spans its normals again.
-    RREF_BUDGET = 1013
-    FORWARD_BUDGET = 1647
+    RREF_BUDGET = 851
+    FORWARD_BUDGET = 1485
     PROJECT_BUDGET = 799
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
@@ -719,8 +719,8 @@ class TestOperationBudget:
     # plane universe, as the complete workload runs them: no more
     # eliminations per op than when pinned, and a bound equal to the top is
     # not rebuilt by a section.
-    TRIPLE_RREF_BUDGET = 482
-    TRIPLE_FORWARD_BUDGET = 2095
+    TRIPLE_RREF_BUDGET = 387
+    TRIPLE_FORWARD_BUDGET = 2000
     TRIPLE_SECTION_BUDGET = 114
 
     def test_completion_triples_stay_within_budget(self, monkeypatch):
