@@ -5,15 +5,18 @@ machine readable result to stdout, and keeps diagnostics on stderr.  All
 randomness sits behind --seed (default 0), and seed 0 selects the fully
 deterministic construction, so outputs are byte-stable.
 
-`main` is the one exit-code map: the command handlers let library errors
-propagate, and `main` prints each as one stderr line, `error: ...`, with
-nothing on stdout.  Exit codes, by exception type alone: 0 success;
-1 malformed input (`jsonio.FormatError`: unreadable, not JSON, not the
-expected shape, or an answer too long to print); 2 invalid isometry
-(`OrthogonalityError`, or `CliError`: a `DimensionError` while decoding an
-isometry, or an isometry whose dimension is not --dim or, in `order`, not
-w's); 3 invalid poset or chain input (`PosetError`, `ChainError`, any other
-`DimensionError`).
+`main` is the one place that reads the input document, writes the answer
+and maps an error to an exit code.  A command handler takes the decoded
+document and the parsed arguments and returns a payload dict, or the DOT
+text of `hasse`; only `factorize --chain` reads a second document, after
+the input.  The handlers let library errors propagate, and `main` prints
+each as one stderr line, `error: ...`, with nothing on stdout.  Exit
+codes, by exception type alone: 0 success; 1 malformed input
+(`jsonio.FormatError`: unreadable, not JSON, not the expected shape, or an
+answer too long to print); 2 invalid isometry (`OrthogonalityError`, or
+`CliError`: a `DimensionError` while decoding an isometry, or an isometry
+whose dimension is not --dim or, in `order`, not w's); 3 invalid poset or
+chain input (`PosetError`, `ChainError`, any other `DimensionError`).
 
 Only what the command runs is paid for.  `main` parses the arguments of a
 known command with that command's own parser, which is built on first use;
@@ -124,20 +127,24 @@ def _emit_json(payload: Any) -> str:
     return _to_json(payload, "\n") + "\n"
 
 
-def _emit(payload: Any, fmt: str) -> str:
+def _emit(answer: Any, fmt: str) -> str:
+    """An answer as stdout gets it: text (DOT) as it is, a payload as JSON
+    or, under --format text, as one `key: value` line per sorted key."""
+    if isinstance(answer, str):
+        return answer
     if fmt == "text":
         lines = []
-        for key, value in sorted(payload.items()):
+        for key, value in sorted(answer.items()):
             lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
         return "\n".join(lines) + "\n"
-    return _emit_json(payload)
+    return _emit_json(answer)
 
 
-def _cmd_analyze(args) -> str:
-    w = _load_isometry(_read_document(args.input), args.dim)
+def _cmd_analyze(doc: Any, args) -> dict:
+    w = _load_isometry(doc, args.dim)
     cls = classify(w)
     mu, u = standard_splitting(w)
-    payload = {
+    return {
         "tag": cls.tag,
         "length": cls.length,
         "dim": w.dim,
@@ -148,11 +155,10 @@ def _cmd_analyze(args) -> str:
             "elliptic": jsonio.isometry_to_json(u),
         },
     }
-    return _emit(payload, args.format)
 
 
-def _cmd_factorize(args) -> str:
-    w = _load_isometry(_read_document(args.input), args.dim)
+def _cmd_factorize(doc: Any, args) -> dict:
+    w = _load_isometry(doc, args.dim)
     if args.chain:
         [chain] = jsonio.fields(_read_document(args.chain), "chain file", "chain")
         f = chain_to_factorization(jsonio.elements_from_json(chain), w)
@@ -162,82 +168,70 @@ def _cmd_factorize(args) -> str:
         f = factor(w)
     if not verify_minimal(f):
         raise ChainError("internal error: factorization failed verification")
-    return _emit(jsonio.factorization_to_json(f), args.format)
+    return jsonio.factorization_to_json(f)
 
 
-def _cmd_chain(args) -> str:
-    f = _decode_isometries(jsonio.factorization_from_json, _read_document(args.input))
-    payload = {"chain": [jsonio.element_to_json(p) for p in factorization_to_chain(f)]}
-    return _emit(payload, args.format)
+def _cmd_chain(doc: Any, args) -> dict:
+    f = _decode_isometries(jsonio.factorization_from_json, doc)
+    return {"chain": [jsonio.element_to_json(p) for p in factorization_to_chain(f)]}
 
 
-def _cmd_order(args) -> str:
-    doc = _read_document(args.input)
+def _cmd_order(doc: Any, args) -> dict:
     jsonio.fields(doc, "order input")  # an object, whose keys pick the form
     if "p" in doc and "q" in doc:
         p, q = (jsonio.element_from_json(doc[key]) for key in "pq")
-        return _emit({"leq": poset.leq(p, q)}, args.format)
+        return {"leq": poset.leq(p, q)}
     w, u = jsonio.fields(doc, "order input without p and q", "w", "u")
     w = _load_isometry(w, args.dim)
     u = _load_isometry(u, w.dim)
     if "v" in doc:
-        v = _load_isometry(doc["v"], w.dim)
-        return _emit({"leq": interval_leq(w, u, v)}, args.format)
-    return _emit({"contains": interval_contains(w, u)}, args.format)
+        return {"leq": interval_leq(w, u, _load_isometry(doc["v"], w.dim))}
+    return {"contains": interval_contains(w, u)}
 
 
 # The plain and the augmented bound of each bound command.
 _BOUNDS = {"meet": (poset.meet, poset.dm_meet), "join": (poset.join, poset.dm_join)}
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(doc: Any, args) -> dict:
     """meet or join of p and q, in the completion with --augmented."""
-    top, p, q = jsonio.fields(_read_document(args.input), "input", "top", "p", "q")
+    top, p, q = jsonio.fields(doc, "input", "top", "p", "q")
     ctx = _context(top, args.augmented)
     p, q = jsonio.element_from_json(p), jsonio.element_from_json(q)
     plain, augmented = _BOUNDS[args.command]
     result = augmented([p, q], ctx) if args.augmented else plain(p, q, ctx)
-    return _emit({args.command: jsonio.bound_to_json(result)}, args.format)
+    return {args.command: jsonio.bound_to_json(result)}
 
 
-def _cmd_bowtie(args) -> str:
-    [top] = jsonio.fields(_read_document(args.input), "input", "top")
+def _cmd_bowtie(doc: Any, args) -> dict:
+    [top] = jsonio.fields(doc, "input", "top")
     ctx = _context(top, augmented=False)
-    payload = dict(zip("abcd", map(jsonio.element_to_json, poset.find_bowtie(ctx))))
-    return _emit(payload, args.format)
+    return dict(zip("abcd", map(jsonio.element_to_json, poset.find_bowtie(ctx))))
 
 
-def _cmd_lattice(args) -> str:
-    [top] = jsonio.fields(_read_document(args.input), "input", "top")
-    ctx = _context(top, args.augmented)
-    return _emit({"lattice": poset.is_lattice(ctx)}, args.format)
+def _cmd_lattice(doc: Any, args) -> dict:
+    [top] = jsonio.fields(doc, "input", "top")
+    return {"lattice": poset.is_lattice(_context(top, args.augmented))}
 
 
-def _cmd_complete(args) -> str:
-    doc = _read_document(args.input)
+def _cmd_complete(doc: Any, args) -> dict:
     top, elements = jsonio.fields(doc, "input", "top", "elements")
     ctx = _context(top, augmented=True)
     elements = jsonio.elements_from_json(elements)
-    payload = {
+    return {
         "meet": jsonio.element_to_json(poset.dm_meet(elements, ctx)),
         "join": jsonio.element_to_json(poset.dm_join(elements, ctx)),
     }
-    return _emit(payload, args.format)
 
 
-def _cmd_hasse(args) -> str:
-    doc = _read_document(args.input)
+def _cmd_hasse(doc: Any, args) -> dict | str:
+    """The DOT source of the Hasse diagram, or its payload under --format json."""
     top, elements = jsonio.fields(doc, "input", "top", "elements")
     top = jsonio.element_from_json(top)
     nodes, edges = poset.hasse_graph(jsonio.elements_from_json(elements), top=top)
-    if args.format == "json":
-        return _emit_json(
-            {
-                "nodes": [jsonio.element_to_json(p) for p in nodes],
-                "edges": edges,
-            }
-        )
-    return poset.dot_source(nodes, edges)
+    if args.format == "dot":
+        return poset.dot_source(nodes, edges)
+    return {"nodes": [jsonio.element_to_json(p) for p in nodes], "edges": edges}
 
 
 _COMMANDS = {
@@ -305,10 +299,12 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run one command: the one place that maps an error to an exit code."""
+    """Run one command: the one place that reads its input document, writes
+    its answer and maps an error to an exit code."""
     args = _parse_args(argv)
     try:
-        sys.stdout.write(args.handler(args))
+        answer = args.handler(_read_document(args.input), args)
+        sys.stdout.write(_emit(answer, args.format))
         return EXIT_OK
     except jsonio.FormatError as exc:
         error, code = exc, EXIT_PARSE

@@ -103,7 +103,7 @@ from .isometry import (
     reflection_length,
     standard_splitting,
 )
-from .linalg import _dot, _vector, orthogonal_complement, orthogonal_section, span
+from .linalg import _dot, _vec, _vector, orthogonal_complement, orthogonal_section, span
 from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, rank
 from .record import Record
 
@@ -235,10 +235,9 @@ def _lands_on(rows: Rows, move: AffineSubspaceV) -> bool:
     inv(current).
     """
     n, d, b, e = rows
-    mu, m = move.mu.num, move.mu.den
-    direction = move.direction
-    if not direction._contains_row([m * x - e * y for x, y in zip(b, mu)]):
+    if not move.contains(_vec(b, e)):
         return False
+    direction = move.direction
     return all(
         direction._contains_row(column[:j] + (column[j] - d,) + column[j + 1 :])
         for j, column in enumerate(zip(*n))

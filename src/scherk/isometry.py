@@ -547,12 +547,8 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
 
 def interval_contains(w: Isometry, u: Isometry) -> bool:
     """Whether u lies between the identity and w in the reflection metric,
-    l(u) + d(u, w) = l(w): :func:`interval_leq` with u2 = w, by the same
-    length exits."""
-    if w.dim != u.dim:
-        raise DimensionError("isometries of different dimensions")
-    low, top = reflection_length(u), reflection_length(w)
-    return low <= top and _at_distance(u, w, top - low)
+    l(u) + d(u, w) = l(w): :func:`interval_leq` with u2 = w."""
+    return interval_leq(w, u, w)
 
 
 def interval_leq(w: Isometry, u: Isometry, u2: Isometry) -> bool:

@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, round trips, exit codes."""
 
 import argparse
+import io
 import json
 import pathlib
 import resource
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scherk import cli, jsonio, poset
+from scherk.factor import ChainError, chain_to_factorization
 from scherk.isometry import Reflection
 from scherk.linalg import LinearSubspace, Vector
 
@@ -225,6 +227,57 @@ class TestOtherCommands:
         assert capsys.readouterr().out == (GOLDEN / "hasse_bowtie.json").read_text()
 
 
+# `analyze tests/data/glide.json --format text`, byte for byte.
+ANALYZE_GLIDE_TEXT = """\
+dim: 2
+length: 3
+min_set: {"direction": {"basis": [["1", "0"]], "dim_ambient": 2}, \
+"kind": "affineE", "point": ["0", "0"]}
+move_set: {"U": {"basis": [["0", "1"]], "dim_ambient": 2}, \
+"kind": "affineV", "mu": ["1", "0"]}
+splitting: {"elliptic": {"dim": 2, "matrix": [["1", "0"], ["0", "-1"]], \
+"translation": ["0", "0"]}, "mu": ["1", "0"]}
+tag: "hyperbolic"
+"""
+
+
+class TestTextFormat:
+    """--format text writes one `key: value` line per sorted key, each value
+    as json.dumps(value, sort_keys=True) writes it."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("analyze", str(DATA / "glide.json")), ANALYZE_GLIDE_TEXT),
+            (("lattice", str(DATA / "bowtie_top.json")), "lattice: false\n"),
+        ],
+        ids=["analyze", "lattice"],
+    )
+    def test_output_is_pinned(self, argv, expected, capsys):
+        assert cli.main([*argv, "--format", "text"]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", str(DATA / "rotation.json")),
+            ("factorize", str(DATA / "glide.json")),
+            ("bowtie", str(DATA / "bowtie_top.json")),
+            ("lattice", str(DATA / "bowtie_top.json"), "--augmented"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_lines_are_the_json_payload(self, argv, capsys):
+        assert cli.main([*argv, "--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert cli.main(list(argv)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert text == "".join(
+            f"{key}: {json.dumps(payload[key], sort_keys=True)}\n"
+            for key in sorted(payload)
+        )
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -400,6 +453,97 @@ class TestMalformedShapes:
             }
         )
         self.assert_parse_error(run_cli("complete", "-", stdin=doc))
+
+
+Y_AXIS = {"dim_ambient": 2, "basis": [["0", "1"]]}
+GLIDE_INV = {"kind": "h", "U": Y_AXIS, "mu": ["1", "0"]}
+LINE_NEW = {"kind": "n", "U": Y_AXIS}
+PLANE = {
+    "kind": "e",
+    "point": ["0", "0"],
+    "direction": {"dim_ambient": 2, "basis": [["1", "0"], ["0", "1"]]},
+}
+IDENTITY_2 = {"dim": 2, "matrix": [["1", "0"], ["0", "1"]], "translation": ["0", "0"]}
+MIRROR_1 = {"root": ["1"], "point": ["0"]}
+
+
+class TestShapeErrors:
+    """A chain or document of the wrong shape raises in the library, and
+    `main` exits with its code and prints its one message line."""
+
+    @pytest.mark.parametrize(
+        "chain,message",
+        [
+            ([], "empty chain"),
+            ([GLIDE_INV], "chain must end at the full-space element"),
+            (
+                [GLIDE_INV, LINE_NEW, PLANE],
+                "chains contain only elliptic and hyperbolic elements",
+            ),
+        ],
+        ids=["empty", "no-bottom", "new-element"],
+    )
+    def test_chain_shape_exits_three(self, chain, message, tmp_path, capsys):
+        glide = DATA / "glide.json"
+        w = jsonio.isometry_from_json(json.loads(glide.read_text()))
+        with pytest.raises(ChainError, match=f"^{message}$"):
+            chain_to_factorization(jsonio.elements_from_json(chain), w)
+        chain_file = tmp_path / "chain.json"
+        chain_file.write_text(json.dumps({"chain": chain}))
+        assert cli.main(["factorize", str(glide), "--chain", str(chain_file)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command,decode,doc,message",
+        [
+            (
+                "analyze",
+                jsonio.isometry_from_json,
+                {"matrix": [], "translation": []},
+                "matrix must have a row",
+            ),
+            (
+                "analyze",
+                jsonio.isometry_from_json,
+                {"reflections": [MIRROR_1, {"root": ["1", "0"], "point": ["0", "0"]}]},
+                "reflections of mixed dimensions [1, 2]",
+            ),
+            (
+                "analyze",
+                jsonio.isometry_from_json,
+                {"dim": 2, "reflections": [MIRROR_1]},
+                "reflections of mixed dimensions [1, 2]",
+            ),
+            (
+                "analyze",
+                jsonio.isometry_from_json,
+                {**IDENTITY_2, "dim": 3},
+                "declared dim does not match the translation",
+            ),
+            (
+                "chain",
+                jsonio.factorization_from_json,
+                {"target": IDENTITY_2, "factors": [MIRROR_1]},
+                "factorization of mixed dimensions [1, 2]",
+            ),
+        ],
+        ids=[
+            "no-row",
+            "mixed-mirrors",
+            "declared-mirrors",
+            "declared-dim",
+            "mixed-factors",
+        ],
+    )
+    def test_document_shape_exits_one(
+        self, command, decode, doc, message, monkeypatch, capsys
+    ):
+        with pytest.raises(jsonio.FormatError) as raised:
+            decode(doc)
+        assert str(raised.value) == message
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert cli.main([command, "-"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 LONG = "x" * 200_000

@@ -528,6 +528,40 @@ class TestBowties:
         with pytest.raises(PosetError, match="lattice"):
             find_bowtie(ctx)
 
+    def test_meet_that_is_an_element_is_not_a_bowtie(self):
+        """Crossing lines of the top meet at their common point."""
+        ctx = PosetContext(top=plane_top_3d())
+        a = hyperbolic(vec(0, 0, 1), e(3, 0))
+        b = hyperbolic(vec(0, 0, 1), e(3, 1))
+        c = elliptic(pt(0, 0, 0), e(3, 0), e(3, 1))
+        d = elliptic(pt(0, 0, 1), e(3, 0), e(3, 1))
+        assert meet(a, b, ctx) == hyperbolic(vec(0, 0, 1))
+        assert all(leq(low, high) for low in (c, d) for high in (a, b))
+        assert not is_bowtie(a, b, c, d, ctx)
+
+    def test_lower_bounds_outside_the_meet_family_are_not_a_bowtie(self):
+        """Under a plane top a lower bound of two disjoint move-sets is the
+        bottom or in their meet family, so this needs dim M = 3: c and d are
+        hyperplanes, and the family holds the planes of direction <e2, e3>."""
+        ctx = PosetContext(top=plane_top(4, 3))
+        a = hyperbolic(e(4, 3), e(4, 0), e(4, 1))
+        b = hyperbolic(vec(0, 0, 1, 1), e(4, 0), e(4, 1))
+        c = elliptic(pt(0, 0, 0, 0), e(4, 0), e(4, 2), e(4, 3))
+        d = elliptic(pt(0, 1, 0, 0), e(4, 0), e(4, 2), e(4, 3))
+        family = meet(a, b, ctx)
+        assert family.direction == span([e(4, 2), e(4, 3)])
+        assert all(leq(low, high) for low in (c, d) for high in (a, b))
+        assert not is_bowtie(a, b, c, d, ctx)
+
+    def test_join_that_is_an_element_is_not_a_bowtie(self, monkeypatch):
+        """Once c and d lie in the meet family of a and b they are distinct
+        parallel elliptics, whose join is always a family, so only a join
+        replaced by one returning the top reaches this exit."""
+        ctx = PosetContext(top=plane_top_3d())
+        a, b, c, d = find_bowtie(ctx)
+        monkeypatch.setattr(poset_module, "join", lambda p, q, ctx: ctx.top)
+        assert not is_bowtie(a, b, c, d, ctx)
+
     def test_dim_three_top_also_has_bowties(self):
         top = Hyperbolic(
             AffineSubspaceV(
