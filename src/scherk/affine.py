@@ -261,30 +261,37 @@ def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
         yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
-def _hull(anchors: Sequence[Vector], directions, extra: Iterable[Vector] = ()):
+def _hull(
+    anchors: Sequence[Vector],
+    directions: Sequence[LinearSubspace],
+    extra: Iterable[Vector] = (),
+):
     """(base, direction) of the smallest affine subspace through the
     anchors whose direction holds the directions and the extra vectors:
     the first anchor, and one span of the anchor differences, the
     direction bases and the extra vectors.
 
-    The difference a - base goes in as the integer row
-    den(base) a - den(a) base, and every other vector as its integer row,
-    so no Vector is built per row.  The rows go through the one forward
-    pass of every span, which stops at full rank: a hull that fills the
-    space builds no reduced basis, and its zero anchor needs no
-    projection.  (:func:`_intersect` feeds the same pass, where a pivot in
-    the value column tells a poset join of elliptics that there is no
-    common point.)
+    Dimensions are checked once per anchor, direction and extra vector,
+    before any row is built.  The difference a - base goes in as the
+    integer row den(base) a - den(a) base, and every other vector as its
+    integer row, so no Vector is built per row.  The rows go through the
+    one forward pass of every span, which stops at full rank and then
+    returns the one shared R^n.  (:func:`_intersect` feeds the same pass,
+    where a pivot in the value column tells a poset join of elliptics that
+    there is no common point.)
     """
     if not anchors:
         raise ValueError("affine hull of an empty list")
     base = anchors[0]
     n, e, b = base.dim, base.den, base.num
-    rows = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
-    rows.extend(v.num for d in directions for v in d.basis)
-    rows.extend(v.num for v in extra)
-    if any(len(row) != n for row in rows) or any(a.dim != n for a in anchors):
+    extra = [v.num for v in extra]
+    widths = {len(a.num) for a in anchors}
+    widths.update([d.ambient for d in directions], map(len, extra))
+    if widths != {n}:
         raise DimensionError("affine hull of subspaces of different dimensions")
+    rows = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
+    rows += [v.num for d in directions for v in d.basis]
+    rows += extra
     return base, _span(rows, n)
 
 
@@ -292,10 +299,13 @@ def hull_of_affine_e(
     subspaces: Sequence[AffineSubspaceE], extra: Iterable[Vector] = ()
 ) -> AffineSubspaceE:
     """Smallest affine subspace containing every one of the given subspaces,
-    thickened by the directions in ``extra``."""
+    thickened by the directions in ``extra``.  A hull that fills the
+    space is ``AffineSubspaceE.full``, with no anchor to project."""
     base, direction = _hull(
         [b.anchor for b in subspaces], [b.direction for b in subspaces], extra
     )
+    if direction.is_full():
+        return AffineSubspaceE.full(direction.ambient)
     return AffineSubspaceE(Point(base), direction)
 
 
@@ -318,12 +328,9 @@ def _intersect(subspaces: Sequence[_AffineSubspace]):
     anchor A / e, taken as the integer row [e N | N . A].  A row pivoted in
     the value column means there is no common point, and then the other
     rows, cut to their first n entries, are echelon rows of the sum of the
-    normal spaces.
+    normal spaces.  The subspaces are taken as peers, unchecked; the
+    public intersections check them first (:func:`_solve_peers`).
     """
-    if not subspaces:
-        raise ValueError("intersection of an empty list of subspaces")
-    for s in subspaces[1:]:
-        subspaces[0]._check_peer(s)
     rows = []
     for s in subspaces:
         e, a = s.anchor.den, s.anchor.num
@@ -333,10 +340,21 @@ def _intersect(subspaces: Sequence[_AffineSubspace]):
     return *_independent(rows, n + 1), n
 
 
+def _solve_peers(subspaces: Sequence[_AffineSubspace]):
+    """The :func:`linalg._solve` of :func:`_intersect`, after checking that
+    the list is not empty and that its subspaces are of one kind and one
+    ambient dimension."""
+    if not subspaces:
+        raise ValueError("intersection of an empty list of subspaces")
+    for s in subspaces[1:]:
+        subspaces[0]._check_peer(s)
+    return _solve(*_intersect(subspaces))
+
+
 def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
     """Intersection of affine subspaces of E, by one stacked solve; None
     when it is empty."""
-    solution = _solve(*_intersect(subspaces))
+    solution = _solve_peers(subspaces)
     if solution is None:
         return None
     particular, kernel = solution
@@ -346,7 +364,7 @@ def intersect_affine(*subspaces: AffineSubspaceE) -> Optional[AffineSubspaceE]:
 def intersect_affine_v(*subspaces: AffineSubspaceV) -> Optional[AffineSubspaceV]:
     """Intersection of affine subspaces of V, by one stacked solve; None
     when it is empty."""
-    solution = _solve(*_intersect(subspaces))
+    solution = _solve_peers(subspaces)
     if solution is None:
         return None
     particular, kernel = solution

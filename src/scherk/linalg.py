@@ -36,7 +36,10 @@ rank stops there.
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
 identical tuples.  This makes subspace equality, and everything built on
-top of it, an O(1) comparison after construction.
+top of it, an O(1) comparison after construction.  The full space of
+each dimension is one shared value (`_full`, a bounded memo): every
+full-rank exit returns it, it is never mutated, and its ``_perp`` is the
+zero space from the start.
 
 A subspace keeps its orthogonal complement once it has been asked for, and
 the complement points back at it, since (U^perp)^perp = U.  Eliminations
@@ -52,6 +55,7 @@ a Matrix and a Vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -456,7 +460,7 @@ def _span(rows: Iterable[Sequence[int]], n: int) -> "LinearSubspace":
     """
     rows, pivots = _independent(rows, n)
     if len(pivots) == n:
-        return LinearSubspace.full(n)
+        return _full(n)
     return _subspace(n, *_upward(rows, pivots))
 
 
@@ -517,13 +521,11 @@ class LinearSubspace:
 
     @classmethod
     def full(cls, ambient: int) -> "LinearSubspace":
-        """The whole space; its unit vectors are already a reduced basis."""
+        """The whole space: one shared value per dimension, never mutated,
+        whose ``_perp`` is the zero space (see :func:`_full`)."""
         if ambient < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        basis = tuple(
-            _vec((0,) * i + (1,) + (0,) * (ambient - 1 - i), 1) for i in range(ambient)
-        )
-        return _canonical(ambient, basis, tuple(range(ambient)))
+        return _full(ambient)
 
     @property
     def dim(self) -> int:
@@ -580,6 +582,21 @@ class LinearSubspace:
             ", ".join(str(c) for c in b.coords) for b in self.basis
         )
         return f"LinearSubspace(R^{self.ambient}, [{rows}])"
+
+
+@functools.lru_cache(maxsize=32)
+def _full(n: int) -> LinearSubspace:
+    """R^n, built once per dimension and shared: its unit vectors are
+    already a reduced basis, and it is linked both ways to the zero space,
+    so :func:`orthogonal_complement` never writes to it.  Every full-rank
+    exit returns it (:func:`_span`, ``LinearSubspace.full`` and through it
+    ``AffineSubspaceE.full``), so a bound that fills the space builds no
+    basis."""
+    basis = tuple(_vec((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n))
+    full = _canonical(n, basis, tuple(range(n)))
+    zero = _canonical(n, (), ())
+    full._perp, zero._perp = zero, full
+    return full
 
 
 def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubspace:

@@ -69,7 +69,15 @@ reduced upward, give their intersection, which is the join.  A lower
 bound e^C needs every demand's complement inside Dir(C), so a meet with
 an elliptic member is one span of the point differences, the Dir(B)
 bases and those complements, on integer rows; when it fills R^n the
-bound is the bottom e^E, built with no projection.
+bound is the bottom e^E, on the one shared R^n of ``LinearSubspace.full``,
+with no basis built and no projection.
+
+Each bound reads its members in one pass that sorts them by kind and
+takes their integer rows as stored.  The members are checked once, by
+``PosetContext.require``, and nothing after it checks them again: the
+bounds call the private passes of ``linalg`` and ``affine`` directly, and
+only the hull of a meet with an elliptic member goes through the public
+``hull_of_affine_e``.
 """
 
 from __future__ import annotations
@@ -87,10 +95,10 @@ from .isometry import Isometry, classify
 from .linalg import (
     DimensionError,
     LinearSubspace,
-    Vector,
     _dot,
     _independent,
     _solve,
+    _span,
     _subspace,
     _upward,
     _vector,
@@ -332,55 +340,68 @@ def _meet(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
     """The greatest lower bound, or the common direction S of members with
     no common lower move-set.
 
-    Each n^V contributes the rows of V^perp and each h^N those of
-    Span(N)^perp.  With an elliptic present the bound is elliptic: one
-    span of the point differences and the Dir(B) bases, thickened by those
-    rows.  Otherwise the rows cut out the intersection of the demands,
-    which :func:`_place` places.
+    One loop sorts the members by kind, with no check: :func:`_members`
+    has accepted each.  Each n^V contributes the rows of V^perp and each
+    h^N those of Span(N)^perp.  With an elliptic present the bound is
+    elliptic: one span of the point differences and the Dir(B) bases,
+    thickened by those rows.  Otherwise the rows cut out the intersection
+    of the demands, which :func:`_place` places.
     """
-    ells = [p.fix for p in members if isinstance(p, Elliptic)]
-    hyps = [p.move for p in members if isinstance(p, Hyperbolic)]
-    news = [p.subspace for p in members if isinstance(p, New)]
-    extra = [v for u in news for v in orthogonal_complement(u).basis]
-    extra.extend(v for m in hyps for v in m.span_complement().basis)
-    if ells:
-        return Elliptic(hull_of_affine_e(ells, extra))
-    return _place(orthogonal_complement(span(extra, ambient=ctx.ambient)), ctx)
+    fixes, complements = [], []
+    for p in members:
+        if isinstance(p, Elliptic):
+            fixes.append(p.fix)
+        elif isinstance(p, Hyperbolic):
+            complements.append(p.move.span_complement())
+        else:
+            complements.append(orthogonal_complement(p.subspace))
+    if fixes:
+        extra = (v for u in complements for v in u.basis)
+        return Elliptic(hull_of_affine_e(fixes, extra))
+    n = ctx.ambient
+    rows = [v.num for u in complements for v in u.basis]
+    common = _span(rows, n) if rows else LinearSubspace.zero(n)
+    return _place(orthogonal_complement(common), ctx)
 
 
 def _join(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
     """The least upper bound, or the demand sum W that no move-set fits.
 
-    Elliptics alone are one forward pass over their stacked system
-    [normals | values]: with no row pivoted in the value column they have
-    a common point and join at their intersection, which the upward pass
-    gives; under an elliptic top they always have one, since every member
-    contains the top's fixed set.  Otherwise the rows left of that pivot
-    are echelon rows of W.  Every other join stacks the rows of its
-    demands into one forward pass that stops at dim M + 1 independent
-    rows.  W of that rank is Span(M) and gives the top with no subspace
-    built; any smaller W is reduced once and placed (see the module
-    docstring).
+    One loop sorts the members by kind, with no check (:func:`_members`
+    has accepted each), and takes the demand rows of every h^N and n^V;
+    each gives at least one, so no rows means elliptics alone.  Those are
+    one forward pass over their stacked system [normals | values]: with no
+    row pivoted in the value column they have a common point and join at
+    their intersection, which the upward pass gives; under an elliptic top
+    they always have one, since every member contains the top's fixed set.
+    Otherwise the rows left of that pivot are echelon rows of W.  Every
+    other join adds the rows of each Dir(B)^perp to its demand rows, in one
+    forward pass that stops at dim M + 1 independent rows.  W of that rank
+    is Span(M) and gives the top with no subspace built; any smaller W is
+    reduced once and placed (see the module docstring).
     """
     n = ctx.ambient
-    if all(isinstance(p, Elliptic) for p in members):
-        rows, pivots, _ = _intersect([p.fix for p in members])
+    fixes, rows = [], []
+    for p in members:
+        if isinstance(p, Elliptic):
+            fixes.append(p.fix)
+        elif isinstance(p, Hyperbolic):
+            rows += [v.num for v in p.move.direction.basis]
+            rows.append(p.move.mu.num)
+        else:
+            rows += [v.num for v in p.subspace.basis]
+    if not rows:
+        rows, pivots, _ = _intersect(fixes)
         solution = _solve(rows, pivots, n)
         if solution is not None:
             particular, kernel = solution
             return Elliptic(AffineSubspaceE(Point(particular), kernel))
         rows, pivots = [row[:n] for row in rows[:-1]], pivots[:-1]
     else:
-        demands: list[Vector] = []
-        for p in members:
-            if isinstance(p, Elliptic):
-                demands.extend(orthogonal_complement(p.fix.direction).basis)
-            elif isinstance(p, Hyperbolic):
-                demands.extend(p.move.direction.basis)
-                demands.append(p.move.mu)
-            else:
-                demands.extend(p.subspace.basis)
-        rows, pivots = _independent([v.num for v in demands], ctx.top.move.dim + 1)
+        rows += [
+            v.num for b in fixes for v in orthogonal_complement(b.direction).basis
+        ]
+        rows, pivots = _independent(rows, ctx.top.move.dim + 1)
     if len(pivots) > ctx.top.move.dim:
         return ctx.top
     return _place(_subspace(n, *_upward(rows, pivots)), ctx)
@@ -470,6 +491,14 @@ def is_bowtie(
     exactly maximal lower bounds of {a, b}; those extremal sets come from
     the closed-form meet and join, so no search over the infinite poset is
     needed.
+
+    The last guard, that the join of c and d is a family, is an invariant
+    check that no input reaches.  Once c and d lie in the meet family of a
+    and b, they are distinct elliptics with the direction S^perp, S the
+    common direction of the disjoint move-sets, and parallel elliptics
+    with no common point join at the demand W = S inside Dir M, which
+    :func:`_place` returns as the family of direction S (W = Dir M would
+    make a = b).
     """
     elements = [a, b, c, d]
     ctx.require(*elements)
@@ -485,7 +514,7 @@ def is_bowtie(
     if not (lower.contains(c) and lower.contains(d)):
         return False
     upper = join(c, d, ctx)
-    if not isinstance(upper, BoundFamily):
+    if not isinstance(upper, BoundFamily):  # invariant check, see the docstring
         return False
     return upper.contains(a) and upper.contains(b)
 

@@ -16,7 +16,8 @@ from scherk.affine import (
     intersect_affine,
     intersect_affine_v,
 )
-from scherk.linalg import DimensionError, Vector, project, span
+from scherk.affine import _hull
+from scherk.linalg import DimensionError, LinearSubspace, Vector, project, span
 from scherk.oracle import random_vector
 from strategies import no_deadline, seeds
 
@@ -145,6 +146,73 @@ class TestIntersectAffine:
         assert meet.mu == vec(1, 0, 1)
         parallel = AffineSubspaceV(span([e(3, 0)]), vec(0, 1, 1))
         assert intersect_affine_v(m1, parallel) is None
+
+
+class TestPublicErrorPaths:
+    """The checks of the public hulls and intersections, whatever private
+    pass runs after them."""
+
+    plane_point = AffineSubspaceE.single_point(pt(1, 2))
+    space_line = AffineSubspaceE(pt(0, 0, 1), span([e(3, 0)]))
+    plane_shift = AffineSubspaceV(span([e(2, 0)]), vec(0, 1))
+    space_shift = AffineSubspaceV(span([e(3, 0)]), vec(0, 0, 1))
+    message = "affine hull of subspaces of different dimensions"
+
+    def test_hulls_reject_a_subspace_of_another_ambient(self):
+        e_pair = [self.plane_point, self.space_line]
+        v_pair = [self.plane_shift, self.space_shift]
+        for inputs in (e_pair, e_pair[::-1]):
+            with pytest.raises(DimensionError, match=self.message):
+                hull_of_affine_e(inputs)
+        for inputs in (v_pair, v_pair[::-1]):
+            with pytest.raises(DimensionError, match=self.message):
+                hull_of_affine_v(inputs)
+
+    def test_hull_rejects_an_extra_vector_of_another_ambient(self):
+        with pytest.raises(DimensionError, match=self.message):
+            hull_of_affine_e([self.plane_point], [e(2, 0), e(3, 1)])
+        with pytest.raises(DimensionError, match=self.message):
+            hull_of_affine_e([self.space_line], iter([e(2, 1)]))
+
+    def test_hull_rejects_a_direction_of_another_ambient(self):
+        """No public subspace pairs an anchor with a direction of another
+        ambient, so the direction's own check is reached through _hull."""
+        mixed = [span([], ambient=2), LinearSubspace.full(1)]
+        for directions in ([span([e(3, 0)])], mixed):
+            with pytest.raises(DimensionError, match=self.message):
+                _hull([vec(0, 0)], directions)
+
+    def test_hulls_of_nothing_are_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            hull_of_affine_e([])
+        with pytest.raises(ValueError, match="empty"):
+            hull_of_affine_v([])
+
+    def test_intersections_reject_mixed_ambients(self):
+        with pytest.raises(DimensionError):
+            intersect_affine(self.plane_point, self.space_line)
+        with pytest.raises(DimensionError):
+            intersect_affine(self.space_line, self.space_line, self.plane_point)
+        with pytest.raises(DimensionError):
+            intersect_affine_v(self.plane_shift, self.space_shift)
+
+    def test_intersections_reject_a_mix_of_e_and_v(self):
+        with pytest.raises(TypeError):
+            intersect_affine(self.plane_point, self.plane_shift)
+        with pytest.raises(TypeError):
+            intersect_affine_v(self.plane_shift, self.plane_point)
+
+    def test_intersections_of_nothing_are_errors(self):
+        with pytest.raises(ValueError, match="empty"):
+            intersect_affine()
+        with pytest.raises(ValueError, match="empty"):
+            intersect_affine_v()
+
+    def test_full_space_of_negative_dimension_is_an_error(self):
+        with pytest.raises(DimensionError):
+            LinearSubspace.full(-1)
+        with pytest.raises(DimensionError):
+            AffineSubspaceE.full(-1)
 
 
 class TestContainsPoint:

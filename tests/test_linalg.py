@@ -86,6 +86,41 @@ class TestOrthogonalComplement:
             assert b.dot(vec(1, 1, 0)) == 0
 
 
+class TestOneFullSpace:
+    """R^n is one shared value per dimension, linked both ways to the zero
+    space, and every full-rank exit returns it."""
+
+    def test_full_space_is_one_value(self):
+        for n in range(9):
+            full = LinearSubspace.full(n)
+            assert full is LinearSubspace.full(n)
+            assert full.basis == tuple(e(n, i) for i in range(n))
+            assert full.pivots == tuple(range(n))
+
+    def test_complement_is_the_zero_space_both_ways(self):
+        for n in range(9):
+            full = LinearSubspace.full(n)
+            zero = orthogonal_complement(full)
+            assert zero == LinearSubspace.zero(n) and zero.is_zero()
+            assert orthogonal_complement(zero) is full
+            assert orthogonal_complement(full) is zero
+
+    def test_span_of_independent_rows_is_the_full_space(self):
+        rng = random.Random(3)
+        for n in range(1, 9):
+            assert span([e(n, i) for i in reversed(range(n))]) is LinearSubspace.full(n)
+            while True:
+                rows = [random_vector(rng, n) for _ in range(n)]
+                if Matrix([v.coords for v in rows]).det() != 0:
+                    break
+            assert span(rows) is LinearSubspace.full(n)
+            assert span(rows, ambient=n) is LinearSubspace.full(n)
+
+    def test_full_space_of_negative_dimension_is_an_error(self):
+        with pytest.raises(DimensionError):
+            LinearSubspace.full(-1)
+
+
 class TestIntersect:
     def test_coordinate_planes(self):
         u = intersect(span([e(3, 0), e(3, 1)]), span([e(3, 1), e(3, 2)]))

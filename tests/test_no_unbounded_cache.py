@@ -3,14 +3,19 @@
 Such a cache holds every argument it has seen for the life of the process,
 so a long-lived caller's memory grows without bound.  A zero-argument
 cache (the CLI's full parser) holds one value and is allowed, and so is a
-cache with a maxsize (the CLI's per-command parsers, one per command).
+cache with a maxsize (the CLI's per-command parsers, one per command, and
+the full space of each dimension in ``linalg``).  The scan covers the
+callables at module level and those bound on module-level classes:
+classmethods, staticmethods and plain attributes.
 """
 
+import functools
 import importlib
 import inspect
 import itertools
 import pkgutil
 import random
+import types
 
 import pytest
 
@@ -30,17 +35,66 @@ def test_modules_found():
     assert "scherk.poset" in MODULES and "scherk.cli" in MODULES
 
 
+def cached_callables(namespace):
+    """(name, cache) for each functools cache bound in a module namespace,
+    or on a class bound there; a classmethod or staticmethod is read
+    through to the function it wraps."""
+    bindings = []
+    for attr, obj in vars(namespace).items():
+        bindings.append((attr, obj))
+        if isinstance(obj, type):
+            bindings.extend((f"{attr}.{key}", value) for key, value in vars(obj).items())
+    found = []
+    for name, obj in bindings:
+        obj = getattr(obj, "__func__", obj)
+        if callable(getattr(obj, "cache_info", None)):
+            found.append((name, obj))
+    return found
+
+
+def unbounded_with_arguments(namespace):
+    return [
+        name
+        for name, cache in cached_callables(namespace)
+        if cache.cache_info().maxsize is None and inspect.signature(cache).parameters
+    ]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unbounded_cache_with_arguments(name):
     module = importlib.import_module(name)
-    offenders = [
-        attr
-        for attr, obj in vars(module).items()
-        if callable(getattr(obj, "cache_info", None))
-        and obj.cache_info().maxsize is None
-        and inspect.signature(obj).parameters
-    ]
+    offenders = unbounded_with_arguments(module)
     assert not offenders, f"{name} has unbounded caches: {offenders}"
+
+
+def test_scan_sees_caches_on_classes():
+    class Holder:
+        @classmethod
+        @functools.cache
+        def by_class(cls, n):
+            return n
+
+        @staticmethod
+        @functools.lru_cache(maxsize=None)
+        def by_static(n):
+            return n
+
+        plain = functools.lru_cache(maxsize=None)(lambda n: n)
+        bounded = functools.lru_cache(maxsize=4)(lambda n: n)
+        one_value = staticmethod(functools.cache(lambda: 0))
+
+    module = types.SimpleNamespace(Holder=Holder, loose=functools.cache(lambda n: n))
+    assert sorted(unbounded_with_arguments(module)) == [
+        "Holder.by_class",
+        "Holder.by_static",
+        "Holder.plain",
+        "loose",
+    ]
+
+
+def test_full_space_memo_is_found_and_bounded():
+    caches = dict(cached_callables(importlib.import_module("scherk.linalg")))
+    assert caches["_full"].cache_info().maxsize is not None
 
 
 def module_containers():

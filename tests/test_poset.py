@@ -610,7 +610,20 @@ class TestCompletion:
         ctx = PosetContext(top=plane_top_3d(), augmented=True)
         n1 = New(span([e(3, 0)]))
         n2 = New(span([e(3, 1)]))
-        assert dm_meet([n1, n2], ctx) == Elliptic(AffineSubspaceE.full(3))
+        bottom = dm_meet([n1, n2], ctx)
+        assert bottom == Elliptic(AffineSubspaceE.full(3))
+        assert bottom.fix.direction is LinearSubspace.full(3)
+
+    def test_meet_whose_hull_fills_the_space_is_the_one_full_space(self):
+        ctx = PosetContext(top=plane_top_3d(), augmented=True)
+        floor = elliptic(pt(0, 0, 0), e(3, 0), e(3, 1))
+        ceiling = elliptic(pt(0, 0, 1), e(3, 0), e(3, 1))
+        wall = elliptic(pt(0, 0, 0), e(3, 1), e(3, 2))
+        for members in ([floor, ceiling], [wall, New(span([e(3, 1)]))]):
+            bottom = dm_meet(members, ctx)
+            assert bottom == Elliptic(AffineSubspaceE.full(3))
+            assert bottom.fix.direction is LinearSubspace.full(3)
+            assert bottom.fix.anchor == Vector.zero(3)
 
     def test_join_of_news_sums_directions(self):
         ctx = PosetContext(top=plane_top_3d(), augmented=True)
@@ -683,6 +696,11 @@ class TestOperationBudget:
     RREF_BUDGET = 851
     FORWARD_BUDGET = 1485
     PROJECT_BUDGET = 799
+    # Vectors built (linalg._vec, behind every Vector the library makes) by
+    # the same ops, from an empty memo of the full spaces, so R^3 is built
+    # once here: a bound decided at full rank builds no basis, and the
+    # bounds build no Vector per member row.
+    VEC_BUDGET = 3031
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
@@ -700,6 +718,16 @@ class TestOperationBudget:
         assert 0 < counts["_independent"] <= self.FORWARD_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
         assert counts["solve_affine"] == 0
+
+    def test_completion_pairs_build_vectors_within_budget(self, monkeypatch):
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        linalg_module._full.cache_clear()
+        counts = count_linalg_calls(monkeypatch, "_vec")
+        ctx = universe.ctx
+        for pair in itertools.combinations_with_replacement(universe.elements, 2):
+            dm_meet(pair, ctx)
+            dm_join(pair, ctx)
+        assert 0 < counts["_vec"] <= self.VEC_BUDGET
 
     def test_all_elliptic_join_is_one_forward_pass(self, monkeypatch):
         """Each join of elliptics reduces its stacked system [normals |
