@@ -16,6 +16,7 @@ and their hulls and intersections share one body each.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -224,7 +225,9 @@ class AffineSubspaceE(_AffineSubspace):
 
     @classmethod
     def full(cls, dim: int) -> "AffineSubspaceE":
-        return _affine_e(LinearSubspace.full(dim), Vector.zero(dim))
+        """The whole point space: one shared value per dimension (see
+        :func:`_full_e`); ``DimensionError`` below dimension 0."""
+        return _full_e(dim)
 
     @property
     def point(self) -> Point:
@@ -251,6 +254,16 @@ def _affine_e(direction: LinearSubspace, point: Vector) -> AffineSubspaceE:
     return b
 
 
+@functools.lru_cache(maxsize=32)
+def _full_e(n: int) -> AffineSubspaceE:
+    """E^n, built once per dimension and shared, on the shared R^n of
+    :func:`linalg._full` with the zero anchor; no slot of it is ever
+    written.  Every bottom e^E (a poset meet that fills the space, the
+    bottom :func:`poset._place` decides, the start of a chain walk) is
+    this value."""
+    return _affine_e(LinearSubspace.full(n), Vector.zero(n))
+
+
 def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
     """The frame of b as integer rows (X, p), the point X / p: its
     canonical point, then its basis translates, built one at a time."""
@@ -261,38 +274,61 @@ def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
         yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
+def _check_hull(
+    anchors: Sequence[Vector],
+    directions: Sequence[LinearSubspace],
+    rows: Sequence[Sequence[int]] = (),
+) -> None:
+    """The checks of the public hulls: at least one anchor, and one width
+    for every anchor, direction and extra row, checked once as a set
+    before any hull row is built."""
+    if not anchors:
+        raise ValueError("affine hull of an empty list")
+    widths = {len(a.num) for a in anchors}
+    widths.update([d.ambient for d in directions], map(len, rows))
+    if len(widths) != 1:
+        raise DimensionError("affine hull of subspaces of different dimensions")
+
+
 def _hull(
     anchors: Sequence[Vector],
     directions: Sequence[LinearSubspace],
-    extra: Iterable[Vector] = (),
-):
-    """(base, direction) of the smallest affine subspace through the
-    anchors whose direction holds the directions and the extra vectors:
-    the first anchor, and one span of the anchor differences, the
-    direction bases and the extra vectors.
+    rows: Sequence[Sequence[int]] = (),
+) -> LinearSubspace:
+    """The direction of the smallest affine subspace through the anchors
+    whose direction holds the directions and the extra integer rows: one
+    span of the anchor differences, the direction bases and the rows,
+    unchecked (:func:`_check_hull` checks for the public hulls, and
+    ``PosetContext.require`` for a poset meet).
 
-    Dimensions are checked once per anchor, direction and extra vector,
-    before any row is built.  The difference a - base goes in as the
-    integer row den(base) a - den(a) base, and every other vector as its
+    The difference a - base from the first anchor goes in as the integer
+    row den(base) a - den(a) base, and every other vector as its stored
     integer row, so no Vector is built per row.  The rows go through the
     one forward pass of every span, which stops at full rank and then
     returns the one shared R^n.  (:func:`_intersect` feeds the same pass,
     where a pivot in the value column tells a poset join of elliptics that
     there is no common point.)
     """
-    if not anchors:
-        raise ValueError("affine hull of an empty list")
     base = anchors[0]
-    n, e, b = base.dim, base.den, base.num
-    extra = [v.num for v in extra]
-    widths = {len(a.num) for a in anchors}
-    widths.update([d.ambient for d in directions], map(len, extra))
-    if widths != {n}:
-        raise DimensionError("affine hull of subspaces of different dimensions")
-    rows = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
-    rows += [v.num for d in directions for v in d.basis]
-    rows += extra
-    return base, _span(rows, n)
+    e, b = base.den, base.num
+    hull = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
+    hull += [v.num for d in directions for v in d.basis]
+    hull += rows
+    return _span(hull, base.dim)
+
+
+def _hull_e(
+    subspaces: Sequence[AffineSubspaceE], rows: Sequence[Sequence[int]] = ()
+) -> AffineSubspaceE:
+    """The unchecked body of :func:`hull_of_affine_e`, on extra integer
+    rows; a poset meet with an elliptic member calls it directly.  A hull
+    that fills the space is the one shared ``AffineSubspaceE.full``, with
+    no anchor to project."""
+    anchors = [b.anchor for b in subspaces]
+    direction = _hull(anchors, [b.direction for b in subspaces], rows)
+    if direction.is_full():
+        return _full_e(direction.ambient)
+    return AffineSubspaceE(Point(anchors[0]), direction)
 
 
 def hull_of_affine_e(
@@ -301,20 +337,17 @@ def hull_of_affine_e(
     """Smallest affine subspace containing every one of the given subspaces,
     thickened by the directions in ``extra``.  A hull that fills the
     space is ``AffineSubspaceE.full``, with no anchor to project."""
-    base, direction = _hull(
-        [b.anchor for b in subspaces], [b.direction for b in subspaces], extra
-    )
-    if direction.is_full():
-        return AffineSubspaceE.full(direction.ambient)
-    return AffineSubspaceE(Point(base), direction)
+    rows = [v.num for v in extra]
+    _check_hull([b.anchor for b in subspaces], [b.direction for b in subspaces], rows)
+    return _hull_e(subspaces, rows)
 
 
 def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:
     """Smallest affine subspace of V containing every one of the given ones."""
-    base, direction = _hull(
-        [m.anchor for m in subspaces], [m.direction for m in subspaces]
-    )
-    return AffineSubspaceV(direction, base)
+    anchors = [m.anchor for m in subspaces]
+    directions = [m.direction for m in subspaces]
+    _check_hull(anchors, directions)
+    return AffineSubspaceV(_hull(anchors, directions), anchors[0])
 
 
 def _intersect(subspaces: Sequence[_AffineSubspace]):

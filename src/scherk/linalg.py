@@ -589,9 +589,10 @@ def _full(n: int) -> LinearSubspace:
     """R^n, built once per dimension and shared: its unit vectors are
     already a reduced basis, and it is linked both ways to the zero space,
     so :func:`orthogonal_complement` never writes to it.  Every full-rank
-    exit returns it (:func:`_span`, ``LinearSubspace.full`` and through it
-    ``AffineSubspaceE.full``), so a bound that fills the space builds no
-    basis."""
+    exit returns it (:func:`_span` and ``LinearSubspace.full``), so a bound
+    that fills the space builds no basis; the shared E^n of
+    ``AffineSubspaceE.full`` (``affine._full_e``, bounded the same way) is
+    built on it."""
     basis = tuple(_vec((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n))
     full = _canonical(n, basis, tuple(range(n)))
     zero = _canonical(n, (), ())

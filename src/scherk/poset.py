@@ -67,17 +67,17 @@ column means they have no common point, and the rows left of it are
 echelon rows of W, the sum of the Dir(B)^perp; otherwise the same rows,
 reduced upward, give their intersection, which is the join.  A lower
 bound e^C needs every demand's complement inside Dir(C), so a meet with
-an elliptic member is one span of the point differences, the Dir(B)
-bases and those complements, on integer rows; when it fills R^n the
-bound is the bottom e^E, on the one shared R^n of ``LinearSubspace.full``,
-with no basis built and no projection.
+an elliptic member is one forward pass over the point differences, the
+Dir(B) bases and those complements, on integer rows; when it fills R^n
+the bound is the bottom e^E, the one shared value of
+``AffineSubspaceE.full``, with nothing built.
 
 Each bound reads its members in one pass that sorts them by kind and
 takes their integer rows as stored.  The members are checked once, by
 ``PosetContext.require``, and nothing after it checks them again: the
-bounds call the private passes of ``linalg`` and ``affine`` directly, and
-only the hull of a meet with an elliptic member goes through the public
-``hull_of_affine_e``.
+bounds call the private, unchecked passes of ``linalg`` and ``affine``
+directly (a meet with an elliptic member the body ``_hull_e`` of the
+public ``hull_of_affine_e``), never a public hull or intersection.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ from .affine import (
     AffineSubspaceE,
     AffineSubspaceV,
     Point,
+    _hull_e,
     _intersect,
-    hull_of_affine_e,
 )
 from .isometry import Isometry, classify
 from .linalg import (
@@ -341,25 +341,27 @@ def _meet(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
     no common lower move-set.
 
     One loop sorts the members by kind, with no check: :func:`_members`
-    has accepted each.  Each n^V contributes the rows of V^perp and each
-    h^N those of Span(N)^perp.  With an elliptic present the bound is
-    elliptic: one span of the point differences and the Dir(B) bases,
-    thickened by those rows.  Otherwise the rows cut out the intersection
-    of the demands, which :func:`_place` places.
+    has accepted each.  Each n^V contributes the integer rows of V^perp
+    and each h^N those of Span(N)^perp, as stored.  With an elliptic
+    present the bound is elliptic, e^C for the hull C of the fixed sets
+    thickened by those rows, taken by the unchecked body of the public
+    hull (``affine._hull_e``): one forward pass over the anchor
+    differences, the Dir(B) bases and the complement rows, which gives
+    the one shared bottom ``AffineSubspaceE.full`` when it reaches full
+    rank.  With no elliptic the rows cut out the intersection of the
+    demands, which :func:`_place` places.
     """
-    fixes, complements = [], []
+    fixes, rows = [], []
     for p in members:
         if isinstance(p, Elliptic):
             fixes.append(p.fix)
         elif isinstance(p, Hyperbolic):
-            complements.append(p.move.span_complement())
+            rows += [v.num for v in p.move.span_complement().basis]
         else:
-            complements.append(orthogonal_complement(p.subspace))
+            rows += [v.num for v in orthogonal_complement(p.subspace).basis]
     if fixes:
-        extra = (v for u in complements for v in u.basis)
-        return Elliptic(hull_of_affine_e(fixes, extra))
+        return Elliptic(_hull_e(fixes, rows))
     n = ctx.ambient
-    rows = [v.num for u in complements for v in u.basis]
     common = _span(rows, n) if rows else LinearSubspace.zero(n)
     return _place(orthogonal_complement(common), ctx)
 

@@ -16,7 +16,7 @@ from scherk.affine import (
     intersect_affine,
     intersect_affine_v,
 )
-from scherk.affine import _hull
+from scherk.affine import _check_hull
 from scherk.linalg import DimensionError, LinearSubspace, Vector, project, span
 from scherk.oracle import random_vector
 from strategies import no_deadline, seeds
@@ -176,11 +176,11 @@ class TestPublicErrorPaths:
 
     def test_hull_rejects_a_direction_of_another_ambient(self):
         """No public subspace pairs an anchor with a direction of another
-        ambient, so the direction's own check is reached through _hull."""
+        ambient, so the direction's own check is reached through _check_hull."""
         mixed = [span([], ambient=2), LinearSubspace.full(1)]
         for directions in ([span([e(3, 0)])], mixed):
             with pytest.raises(DimensionError, match=self.message):
-                _hull([vec(0, 0)], directions)
+                _check_hull([vec(0, 0)], directions)
 
     def test_hulls_of_nothing_are_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -313,6 +313,20 @@ class TestAnchorFromEitherSide:
                     expected = Vector([x - y for x, y in zip(v, offset)])
                     assert AffineSubspaceE(Point(v), direction).anchor == expected
                     assert AffineSubspaceV(direction, Vector(v)).anchor == expected
+
+
+class TestOneFullSpace:
+    def test_full_space_is_one_shared_value(self):
+        """E^n is one value per dimension, on the one shared R^n, and a
+        hull that fills the space returns it."""
+        for n in range(9):
+            full = AffineSubspaceE.full(n)
+            assert full is AffineSubspaceE.full(n)
+            assert full.direction is LinearSubspace.full(n)
+            assert full.anchor == Vector.zero(n)
+            points = [AffineSubspaceE.single_point(Point(e(n, i))) for i in range(n)]
+            origin = AffineSubspaceE.single_point(Point.origin(n))
+            assert hull_of_affine_e([origin] + points) is full
 
 
 class TestHullOfAffineV:

@@ -4,9 +4,9 @@ Such a cache holds every argument it has seen for the life of the process,
 so a long-lived caller's memory grows without bound.  A zero-argument
 cache (the CLI's full parser) holds one value and is allowed, and so is a
 cache with a maxsize (the CLI's per-command parsers, one per command, and
-the full space of each dimension in ``linalg``).  The scan covers the
-callables at module level and those bound on module-level classes:
-classmethods, staticmethods and plain attributes.
+the full space of each dimension in ``linalg`` and in ``affine``).  The
+scan covers the callables at module level and those bound on module-level
+classes: classmethods, staticmethods and plain attributes.
 """
 
 import functools
@@ -93,8 +93,10 @@ def test_scan_sees_caches_on_classes():
 
 
 def test_full_space_memo_is_found_and_bounded():
-    caches = dict(cached_callables(importlib.import_module("scherk.linalg")))
-    assert caches["_full"].cache_info().maxsize is not None
+    """R^n in ``linalg`` and E^n in ``affine``."""
+    for module, name in (("linalg", "_full"), ("affine", "_full_e")):
+        caches = dict(cached_callables(importlib.import_module(f"scherk.{module}")))
+        assert caches[name].cache_info().maxsize is not None
 
 
 def module_containers():

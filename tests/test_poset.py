@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import scherk.affine as affine_module
 import scherk.isometry as isometry_module
 import scherk.linalg as linalg_module
 import scherk.poset as poset_module
@@ -612,6 +613,7 @@ class TestCompletion:
         n2 = New(span([e(3, 1)]))
         bottom = dm_meet([n1, n2], ctx)
         assert bottom == Elliptic(AffineSubspaceE.full(3))
+        assert bottom.fix is AffineSubspaceE.full(3)
         assert bottom.fix.direction is LinearSubspace.full(3)
 
     def test_meet_whose_hull_fills_the_space_is_the_one_full_space(self):
@@ -622,8 +624,11 @@ class TestCompletion:
         for members in ([floor, ceiling], [wall, New(span([e(3, 1)]))]):
             bottom = dm_meet(members, ctx)
             assert bottom == Elliptic(AffineSubspaceE.full(3))
+            assert bottom.fix is AffineSubspaceE.full(3)
             assert bottom.fix.direction is LinearSubspace.full(3)
             assert bottom.fix.anchor == Vector.zero(3)
+        plain = PosetContext(top=plane_top_3d())
+        assert meet(floor, ceiling, plain).fix is AffineSubspaceE.full(3)
 
     def test_join_of_news_sums_directions(self):
         ctx = PosetContext(top=plane_top_3d(), augmented=True)
@@ -697,10 +702,10 @@ class TestOperationBudget:
     FORWARD_BUDGET = 1485
     PROJECT_BUDGET = 799
     # Vectors built (linalg._vec, behind every Vector the library makes) by
-    # the same ops, from an empty memo of the full spaces, so R^3 is built
-    # once here: a bound decided at full rank builds no basis, and the
+    # the same ops, from empty memos of the full spaces, so R^3 and E^3 are
+    # built once here: a bound decided at full rank builds nothing, and the
     # bounds build no Vector per member row.
-    VEC_BUDGET = 3031
+    VEC_BUDGET = 2774
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
@@ -722,6 +727,7 @@ class TestOperationBudget:
     def test_completion_pairs_build_vectors_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         linalg_module._full.cache_clear()
+        affine_module._full_e.cache_clear()  # E^n holds the R^n it was built on
         counts = count_linalg_calls(monkeypatch, "_vec")
         ctx = universe.ctx
         for pair in itertools.combinations_with_replacement(universe.elements, 2):
