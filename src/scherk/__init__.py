@@ -43,9 +43,7 @@ from .isometry import (
     classify,
     interval_contains,
     interval_leq,
-    is_elliptic,
     min_set,
-    motion_reflection,
     move_set,
     predict_product,
     reflection_bisecting,

@@ -274,18 +274,14 @@ def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
         yield [k * x + p * y for x, y in zip(point, v.num)], p * k
 
 
-def _check_hull(
-    anchors: Sequence[Vector],
-    directions: Sequence[LinearSubspace],
-    rows: Sequence[Sequence[int]] = (),
-) -> None:
+def _check_hull(anchors: Sequence[Vector], directions: Sequence[LinearSubspace]) -> None:
     """The checks of the public hulls: at least one anchor, and one width
-    for every anchor, direction and extra row, checked once as a set
-    before any hull row is built."""
+    for every anchor and direction, checked once as a set before any hull
+    row is built."""
     if not anchors:
         raise ValueError("affine hull of an empty list")
     widths = {len(a.num) for a in anchors}
-    widths.update([d.ambient for d in directions], map(len, rows))
+    widths.update(d.ambient for d in directions)
     if len(widths) != 1:
         raise DimensionError("affine hull of subspaces of different dimensions")
 
@@ -331,15 +327,13 @@ def _hull_e(
     return AffineSubspaceE(Point(anchors[0]), direction)
 
 
-def hull_of_affine_e(
-    subspaces: Sequence[AffineSubspaceE], extra: Iterable[Vector] = ()
-) -> AffineSubspaceE:
-    """Smallest affine subspace containing every one of the given subspaces,
-    thickened by the directions in ``extra``.  A hull that fills the
-    space is ``AffineSubspaceE.full``, with no anchor to project."""
-    rows = [v.num for v in extra]
-    _check_hull([b.anchor for b in subspaces], [b.direction for b in subspaces], rows)
-    return _hull_e(subspaces, rows)
+def hull_of_affine_e(subspaces: Sequence[AffineSubspaceE]) -> AffineSubspaceE:
+    """Smallest affine subspace containing every one of the given subspaces.
+    A hull that fills the space is ``AffineSubspaceE.full``, with no anchor
+    to project.  A poset meet, which also spans extra directions, calls
+    the unchecked body :func:`_hull_e` with them as integer rows."""
+    _check_hull([b.anchor for b in subspaces], [b.direction for b in subspaces])
+    return _hull_e(subspaces)
 
 
 def hull_of_affine_v(subspaces: Sequence[AffineSubspaceV]) -> AffineSubspaceV:

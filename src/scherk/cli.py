@@ -33,7 +33,6 @@ import argparse
 import functools
 import json
 import sys
-from gettext import gettext as _
 from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
@@ -293,9 +292,7 @@ def _parse_args(argv) -> argparse.Namespace:
     if not argv or argv[0] not in _COMMANDS:
         return _build_parser().parse_args(argv)
     args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if extras:
-        _build_parser().error(_("unrecognized arguments: %s") % " ".join(extras))
-    return args
+    return _build_parser().parse_args(argv) if extras else args
 
 
 def main(argv=None) -> int:

@@ -97,7 +97,6 @@ from .isometry import (
     _reflect,
     _reflection,
     _rows,
-    is_elliptic,
     move_set,
     product,
     reflection_length,
@@ -209,6 +208,10 @@ def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
     (N, d, B, e) of the current isometry and nu = n / k, mu' = M / m, that
     mirror times d k is (d n - N n) . y = d (n . M) / m - (N n . B) / e.
     The caller checks that the step lands on the requested element.
+
+    The raise is an invariant check that no walk reaches: A fixes every
+    normal of U' only when im(A - I) lies in U', and in a walk im(A - I)
+    has the larger dimension (see :func:`chain_to_factorization`).
     """
     n, d, b, e = rows
     mu, m = target_move.mu.num, target_move.mu.den
@@ -220,7 +223,7 @@ def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
             root, g = _primitive(alpha)
             value = d * e * _dot(nu, mu) - m * _dot(turned, b)
             return _reflection(root, Fraction(value, m * e * g))
-    raise ChainError("move-set step does not cut out a hyperplane")
+    raise ChainError("move-set step does not cut out a hyperplane")  # invariant check
 
 
 def _lands_on(rows: Rows, move: AffineSubspaceV) -> bool:
@@ -273,6 +276,15 @@ def chain_to_factorization(
     length at least rank(above) - 1 = rank(below), so the inclusion is an
     equality.  The last step lands on the full space, so the product is
     the identity.
+
+    Two raises are invariant checks that no input reaches: the current
+    product's invariant is the element above, inv(w) at the start and
+    certified after each step, and the ranks drop by one.  Under an
+    elliptic e^B' it fixes exactly B', and B has one dimension more, so
+    some frame point of B moves; under a hyperbolic it fixes no point.
+    Down to h^M, im(A - I) = Dir Mov(current) has dimension codim B' =
+    dim M + 3 under e^B', or dim M' = dim M + 1 under h^M', so it does not
+    lie in Dir M and A moves a normal of Dir M (:func:`_step_to_hyperbolic`).
     """
     chain = list(chain)
     if not chain:
@@ -307,6 +319,7 @@ def chain_to_factorization(
                 if r := _motion(rows, x, p):
                     break
             else:
+                # invariant check, see the docstring
                 raise ChainError("current fixes every point of the next fixed set")
             rows = _reflect(r, rows)
             n, d = rows[0], rows[1]
@@ -433,13 +446,16 @@ def rewrite_shift(
 
 
 def verify_minimal(f: Factorization) -> bool:
-    """Exact product, Scherk length, and independent roots when elliptic."""
-    if not f.is_exact():
-        return False
-    if len(f.factors) != reflection_length(f.target):
-        return False
-    if is_elliptic(f.target) and f.factors:
-        roots = span([r.root for r in f.factors], ambient=f.target.dim)
-        if roots.dim != len(f.factors):
-            return False
-    return True
+    """Whether f is a minimal factorization: an exact product whose length
+    is the Scherk length of its target.
+
+    That is the whole definition, and for an elliptic target it makes the
+    roots independent too (Carter's lemma), so no third test is needed.
+    The linear part R_i of the reflection with root alpha_i has
+    im(R_i - I) = span(alpha_i), and R B - I = (R - I) B + (B - I), so by
+    induction on the factors the linear part A of r_1 ... r_k has
+    im(A - I) inside span(alpha_1, ..., alpha_k).  An elliptic target of
+    length k has dim Mov = rank(A - I) = k, so its k roots span a space of
+    dimension k: they are independent.
+    """
+    return f.is_exact() and len(f) == reflection_length(f.target)

@@ -411,10 +411,6 @@ def reflection_length(w: Isometry) -> int:
     return classify(w).length
 
 
-def is_elliptic(w: Isometry) -> bool:
-    return classify(w).is_elliptic
-
-
 def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     """Write w = t_mu u with u elliptic.
 
@@ -501,19 +497,6 @@ def _motion(rows: Rows, point: Sequence[int], p: int) -> Optional[Reflection]:
     root, g = _primitive(alpha)
     value = _dot(alpha, [y + v for y, v in zip(ys, xs)])
     return _reflection(root, Fraction(value, 2 * dp * e * g))
-
-
-def motion_reflection(w: Isometry, x: Point) -> Reflection:
-    """The unique reflection sending x to w(x); requires w(x) != x.
-
-    Always occurs in some minimal length reflection factorization of w, so
-    multiplying by it shortens w.  See :func:`_motion` for the formula.
-    """
-    if x.dim != w.dim:
-        raise DimensionError("point and isometry of different dimensions")
-    if (r := _motion(_rows(w), x.vector.num, x.vector.den)) is None:
-        raise ValueError("motion reflection needs a point not fixed by w")
-    return r
 
 
 def reflection_distance(u: Isometry, v: Isometry) -> int:

@@ -136,11 +136,6 @@ def _texts(num: Iterable[int], den: int) -> list[str]:
         raise FormatError("an answer has a rational too long to print") from exc
 
 
-def scalar_to_json(x: Fraction) -> str:
-    """The rational as "p/q" or "p"; a FormatError if Python cannot write it."""
-    return _texts((x.numerator,), x.denominator)[0]
-
-
 def _exponent_over_limit(text: str) -> bool:
     """Whether a decimal string has an exponent over MAX_BITS in magnitude."""
     _, _, exponent = text.lower().partition("e")
@@ -183,10 +178,6 @@ def _rational(obj: Any) -> tuple[int, int]:
     if p.bit_length() > MAX_BITS or q.bit_length() > MAX_BITS:
         raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
     return p, q
-
-
-def scalar_from_json(obj: Any) -> Fraction:
-    return Fraction(*_rational(obj))
 
 
 def _scalars(obj: Any) -> list[tuple[int, int]]:

@@ -168,12 +168,6 @@ class TestPublicErrorPaths:
             with pytest.raises(DimensionError, match=self.message):
                 hull_of_affine_v(inputs)
 
-    def test_hull_rejects_an_extra_vector_of_another_ambient(self):
-        with pytest.raises(DimensionError, match=self.message):
-            hull_of_affine_e([self.plane_point], [e(2, 0), e(3, 1)])
-        with pytest.raises(DimensionError, match=self.message):
-            hull_of_affine_e([self.space_line], iter([e(2, 1)]))
-
     def test_hull_rejects_a_direction_of_another_ambient(self):
         """No public subspace pairs an anchor with a direction of another
         ambient, so the direction's own check is reached through _check_hull."""

@@ -186,4 +186,4 @@ def test_respelled_rationals_give_the_same_answer(case):
 def test_every_respelling_reads_as_the_printed_text():
     for text in ["0", "7", "-7", "12", "-37/48", "5/8", "-1/2", "1/3"]:
         for spelling in spellings(text):
-            assert jsonio.scalar_from_json(spelling) == Fraction(text), spelling
+            assert jsonio.vector_from_json([spelling])[0] == Fraction(text), spelling

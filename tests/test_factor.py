@@ -25,9 +25,10 @@ from scherk.isometry import (
     Isometry,
     Reflection,
     _image,
+    _motion,
+    _rows,
     classify,
     interval_leq,
-    motion_reflection,
     product,
     reflection_distance,
     reflection_length,
@@ -50,6 +51,7 @@ from scherk.oracle import (
     random_isometry,
     random_maximal_chain,
     random_minimal_factorization,
+    random_reflection,
     sample_interval,
 )
 from scherk.poset import Elliptic, Hyperbolic, inv_map, leq, rank
@@ -240,11 +242,7 @@ class TestOperationBudget:
         monkeypatch.setattr(
             Isometry, "compose", counted("Isometry.compose", Isometry.compose)
         )
-        patch_everywhere(
-            monkeypatch,
-            motion_reflection,
-            counted("motion_reflection", motion_reflection),
-        )
+        patch_everywhere(monkeypatch, _motion, counted("_motion", _motion))
         rng = random.Random(73)
         ws = [w for dim in range(2, 7) for w in corpus(dim, 20, rng)]
         calls.clear()
@@ -727,7 +725,7 @@ class TestCanonicalRoots:
                     built.append(hurwitz_inverse(f, i).factors[i + 1])
                 x = first_unfixed_point(w)
                 if x is not None:
-                    built.append(motion_reflection(w, x))
+                    built.append(_motion(_rows(w), x.vector.num, x.vector.den))
         for r in built:
             assert r == Reflection(r.root, r.offset)
         assert len(built) == 1456
@@ -749,6 +747,47 @@ class TestVerifyMinimal:
         r = Reflection(e(2, 1), 0)
         wrong = Factorization(target=translation(vec(1, 0)), factors=(r,))
         assert not verify_minimal(wrong)
+
+
+class TestIndependentRoots:
+    """Carter's lemma, which lets ``verify_minimal`` test the product and
+    the length alone: the roots of a minimal factorization of an elliptic
+    isometry are independent."""
+
+    @staticmethod
+    def independent(f):
+        return span([r.root for r in f.factors], ambient=f.target.dim).dim == len(f)
+
+    def test_constructed_elliptic_factorizations(self):
+        """factor, the chain walks and the Hurwitz moves, dims 1-8."""
+        rng = random.Random(151)
+        checked = 0
+        for dim in range(1, 9):
+            for w in corpus(dim, 10, rng):
+                if not classify(w).is_elliptic:
+                    continue
+                f = random_minimal_factorization(w, rng)
+                moved = [hurwitz(f, i) for i in range(len(f) - 1)]
+                moved += [hurwitz_inverse(f, i) for i in range(len(f) - 1)]
+                for g in [factor(w), f, *moved]:
+                    assert verify_minimal(g) and self.independent(g)
+                    checked += 1
+        assert checked == 286
+
+    def test_random_products_at_their_scherk_length(self):
+        """Seeded products of k <= dim + 1 reflections, dims 1-5: each that
+        is minimal, with an elliptic target, has independent roots."""
+        rng = random.Random(152)
+        checked = 0
+        for dim in range(1, 6):
+            for _ in range(300):
+                k = rng.randint(1, dim + 1)
+                factors = [random_reflection(dim, rng) for _ in range(k)]
+                f = Factorization(target=product(factors, dim), factors=tuple(factors))
+                if verify_minimal(f) and classify(f.target).is_elliptic:
+                    assert self.independent(f)
+                    checked += 1
+        assert checked == 1034
 
 
 class TestMinimalFactorizationProperties:

@@ -18,11 +18,12 @@ from scherk.isometry import (
     IsometryClass,
     OrthogonalityError,
     Reflection,
+    _motion,
+    _rows,
     classify,
     interval_contains,
     interval_leq,
     min_set,
-    motion_reflection,
     move_set,
     predict_product,
     reflection_bisecting,
@@ -273,20 +274,14 @@ class TestReflectionsBelow:
 
     def test_motion_reflection_bisects(self):
         w = translation(vec(2, 0))
-        r = motion_reflection(w, pt(0, 0))
-        assert r == reflection_bisecting(pt(0, 0), pt(2, 0))
+        x = pt(0, 0)
+        r = reflection_bisecting(x, w.apply(x))
+        assert r == Reflection(e(2, 0), 1)
         assert reflection_length(r.compose(w)) < reflection_length(w)
 
-    def test_motion_reflection_rejects_fixed_points(self):
-        r = Reflection(e(2, 1), 0)
-        with pytest.raises(ValueError):
-            motion_reflection(r.to_isometry(), pt(3, 0))
-        with pytest.raises(ValueError):
-            motion_reflection(Isometry.identity(2), pt(1, 1))
-        with pytest.raises(DimensionError):
-            motion_reflection(translation(vec(2, 0)), pt(0, 0, 0))
-
     def test_motion_reflection_is_the_bisector_on_corpus(self):
+        """The walks' motion reflection, on integer rows, is the bisector
+        of x and w(x), and None where w fixes x."""
         rng = random.Random(14)
         for dim in (1, 2, 3, 4, 5):
             for w in corpus(dim, 12, rng):
@@ -296,11 +291,8 @@ class TestReflectionsBelow:
                         for _ in range(dim)
                     )
                     y = w.apply(x)
-                    if y == x:
-                        with pytest.raises(ValueError):
-                            motion_reflection(w, x)
-                    else:
-                        assert motion_reflection(w, x) == reflection_bisecting(x, y)
+                    r = _motion(_rows(w), x.vector.num, x.vector.den)
+                    assert r == (None if y == x else reflection_bisecting(x, y))
 
     def test_motion_reflection_is_below_on_corpus(self):
         rng = random.Random(13)
@@ -313,7 +305,7 @@ class TestReflectionsBelow:
                     for p in AffineSubspaceE.full(dim).points()
                     if w.apply(p) != p
                 )
-                r = motion_reflection(w, x)
+                r = reflection_bisecting(x, w.apply(x))
                 assert reflection_length(r.compose(w)) < reflection_length(w)
 
 
@@ -468,7 +460,7 @@ class TestInvariantSuite:
                     for p in AffineSubspaceE.full(dim).points()
                     if w.apply(p) != p
                 )
-                r = motion_reflection(w, x)
+                r = reflection_bisecting(x, w.apply(x))
                 product = r.to_isometry().compose(w)
                 wcls = classify(w)
                 pcls = classify(product)

@@ -17,7 +17,7 @@ from scherk.isometry import (
     Reflection,
     classify,
     interval_leq,
-    motion_reflection,
+    reflection_bisecting,
     translation,
 )
 from scherk.jsonio import (
@@ -331,7 +331,7 @@ class TestOrderPreservation:
                     for p in AffineSubspaceE.full(dim).points()
                     if w.apply(p) != p
                 )
-                r = motion_reflection(w, x)
+                r = reflection_bisecting(x, w.apply(x))
                 shorter = r.to_isometry().compose(w)
                 low, high = inv_map(shorter), inv_map(w)
                 assert leq(low, high)
