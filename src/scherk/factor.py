@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .affine import AffineSubspaceE, AffineSubspaceV, _affine_e, _frame
@@ -93,9 +92,8 @@ from .isometry import (
     _identity_rows,
     _image,
     _motion,
-    _primitive,
     _reflect,
-    _reflection,
+    _reflection_across,
     _rows,
     move_set,
     product,
@@ -135,34 +133,33 @@ def _peel(w: Isometry) -> tuple[Reflection, ...]:
     """Reflect away the motion of the first unfixed point until w is used up.
 
     One pass over the integer rows of A = N / d and b = B / e; see the
-    module docstring for the derivation.  The origin step takes the root
-    beta = B / g, g the signed gcd of B, and the offset
-    |B|^2 / (2 e g) = g |beta|^2 / (2 e); it leaves the matrix
-    (|beta|^2 N - beta (2 beta^T N)) / (d |beta|^2) and no translation.
-    Column i, unless N_ii = d, then takes the primitive root of
-    c = col_i - d e_i and the offset 0, and leaves the matrix
+    module docstring for the derivation.  Each reflection is built by
+    :func:`isometry._reflection_across` from the mirror as the rows give
+    it.  The origin step takes the bisector of 0 and B / e, the mirror
+    B . x = |B|^2 / (2 e), whose normal form has the primitive root beta;
+    it leaves the matrix (|beta|^2 N - beta (2 beta^T N)) / (d |beta|^2)
+    and no translation.  Column i, unless N_ii = d, then takes the mirror
+    c . x = 0 with c = col_i - d e_i, and leaves the matrix
     (N (d - N_ii) - c (d e_i - row_i)^T) / (d (d - N_ii)).
     """
-    rows, d = w.matrix.num, w.matrix.den
-    b, e = w.translation.num, w.translation.den
+    rows, d, b, e = _rows(w)
     factors = []
     if any(b):
-        beta, g = _primitive(b)
+        factors.append(_reflection_across(b, _dot(b, b), 2 * e))
+        beta = factors[0].root.num
         norm = _dot(beta, beta)
-        factors.append(_reflection(beta, Fraction(g * norm, 2 * e)))
         top = [2 * _dot(beta, col) for col in zip(*rows)]
         rows = [
             [norm * x - a * t for x, t in zip(row, top)] for a, row in zip(beta, rows)
         ]
         d *= norm
-    zero = Fraction(0)
     for i in range(len(b)):
         s = d - rows[i][i]
         if s == 0:
             continue
         c = [row[i] for row in rows]
         c[i] -= d
-        factors.append(_reflection(_primitive(c)[0], zero))
+        factors.append(_reflection_across(c, 0, 1))
         r = [-x for x in rows[i]]
         r[i] += d
         rows = [[x * s - a * y for x, y in zip(row, r)] for a, row in zip(c, rows)]
@@ -187,8 +184,8 @@ def factor(w: Isometry) -> Factorization:
     mu, u = standard_splitting(w)
     if mu.is_zero():
         return Factorization(target=w, factors=_peel(w))
-    far = Reflection(mu, mu.norm_sq() / 2)
-    near = Reflection(mu, 0)
+    far = _reflection_across(mu.num, _dot(mu.num, mu.num), 2 * mu.den)
+    near = _reflection_across(mu.num, 0, 1)
     return Factorization(target=w, factors=(far, near) + _peel(u))
 
 
@@ -220,9 +217,8 @@ def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
         turned = _image(n, nu)
         alpha = [d * x - y for x, y in zip(nu, turned)]
         if any(alpha):
-            root, g = _primitive(alpha)
             value = d * e * _dot(nu, mu) - m * _dot(turned, b)
-            return _reflection(root, Fraction(value, m * e * g))
+            return _reflection_across(alpha, value, m * e)
     raise ChainError("move-set step does not cut out a hyperplane")  # invariant check
 
 

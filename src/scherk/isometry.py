@@ -21,11 +21,16 @@ move-set, type and length come from one elimination and are kept on the
 isometry; the min-set, which the formula never reads, on its first read.
 
 A reflection is stored as its mirror hyperplane {x : alpha . x = c}, with
-alpha the canonical primitive integer root and c a rational offset.  It is
-built from any nonzero normal and value, Reflection(normal, value), and
-the mirror as an affine subspace is derived only when asked for.  Roots
-stay rational because every formula divides by the root's squared length,
-so nothing here ever needs a square root.
+alpha the canonical primitive integer root and c a rational offset, so two
+reflections are equal exactly when their fields are.  One method,
+Reflection._normalize, puts a mirror {x : a . x = p / q} given by any
+nonzero integer row a into that form.  Reflection(normal, value) calls it
+for any nonzero rational normal and value, and the library builds every
+reflection it derives (motions, conjugates, the peel, the chain steps and
+the JSON reader) through _reflection_across on integer rows.  The mirror
+as an affine subspace is derived only when asked for.  Roots stay
+rational because every formula divides by the root's squared length, so
+nothing here ever needs a square root.
 """
 
 from __future__ import annotations
@@ -73,8 +78,9 @@ class Isometry:
     orthogonal, so revalidating them would only slow the hot paths down.
 
     The slot ``_class`` holds the IsometryClass, its min-set unbuilt, once
-    any invariant has been asked for; it is written once, lives as long as
-    the isometry, and plays no part in equality or hashing.
+    any invariant has been asked for; :func:`classify` writes it once, it
+    lives as long as the isometry, and it plays no part in equality or
+    hashing.
     """
 
     __slots__ = ("matrix", "translation", "_class")
@@ -154,25 +160,6 @@ def translation(shift: Vector) -> Isometry:
     return _isometry(Matrix.identity(shift.dim), shift)
 
 
-def _primitive(ints: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(ints / g, g): g is the gcd of ints, signed so that the first nonzero
-    entry of the primitive part ints / g is positive."""
-    if not any(ints):
-        raise ValueError("root must be nonzero")
-    g = math.gcd(*ints)
-    if next(value for value in ints if value != 0) < 0:
-        g = -g
-    return tuple(value // g for value in ints), g
-
-
-def _reflection(root: tuple[int, ...], offset: Fraction) -> "Reflection":
-    """The reflection across {x : root . x = offset}, root already canonical."""
-    r = Reflection.__new__(Reflection)
-    r.root = _vec(root, 1)
-    r.offset = offset
-    return r
-
-
 class Reflection:
     """The unique nontrivial isometry fixing an affine hyperplane pointwise.
 
@@ -180,16 +167,29 @@ class Reflection:
     {x : normal . x = value}, for any nonzero rational normal and exact
     rational value.  It is stored as {x : root . x = offset}: root is the
     canonical primitive integer normal (first nonzero entry positive) and
-    offset a rational, so equal reflections have equal fields.  With
-    normal = n / den and n = g * root, offset = (den / g) value.
+    offset a rational, so equal reflections have equal fields.  That form
+    has one home, :meth:`_normalize`: the constructor hands it the integer
+    row of the normal, and every reflection the library derives is built
+    by :func:`_reflection_across` on integer rows.
     """
 
     __slots__ = ("root", "offset")
 
     def __init__(self, normal: Vector, value):
-        root, g = _primitive(normal.num)
-        self.root = _vec(root, 1)
-        self.offset = Fraction(normal.den, g) * _q(value)
+        if normal.is_zero():
+            raise ValueError("root must be nonzero")
+        value = _q(value)
+        self._normalize(normal.num, normal.den * value.numerator, value.denominator)
+
+    def _normalize(self, alpha: Sequence[int], p: int, q: int) -> None:
+        """Store the mirror {x : alpha . x = p / q} of a nonzero integer row
+        alpha: with g the gcd of alpha, signed so that alpha / g has a
+        positive first nonzero entry, root = alpha / g and offset = p / (q g)."""
+        g = math.gcd(*alpha)
+        if next(a for a in alpha if a) < 0:
+            g = -g
+        self.root = _vec(tuple([a // g for a in alpha]), 1)
+        self.offset = Fraction(p, q * g)
 
     @property
     def dim(self) -> int:
@@ -222,8 +222,10 @@ class Reflection:
             raise DimensionError("reflections of different dimensions")
         alpha, beta = r.root.num, self.root.num
         norm, k = _dot(alpha, alpha), 2 * _dot(alpha, beta)
-        root, g = _primitive([norm * y - k * x for x, y in zip(alpha, beta)])
-        return _reflection(root, (norm * self.offset - k * r.offset) / g)
+        c, d = r.offset, self.offset
+        root = [norm * y - k * x for x, y in zip(alpha, beta)]
+        p = norm * d.numerator * c.denominator - k * c.numerator * d.denominator
+        return _reflection_across(root, p, c.denominator * d.denominator)
 
     def __eq__(self, other) -> bool:
         return (
@@ -237,6 +239,14 @@ class Reflection:
 
     def __repr__(self) -> str:
         return f"Reflection(root={self.root!r}, offset={self.offset})"
+
+
+def _reflection_across(alpha: Sequence[int], p: int, q: int) -> Reflection:
+    """The reflection across {x : alpha . x = p / q}, for a nonzero integer
+    row alpha and q != 0, put in normal form by :meth:`Reflection._normalize`."""
+    r = object.__new__(Reflection)
+    r._normalize(alpha, p, q)
+    return r
 
 
 def reflection_bisecting(x: Point, y: Point) -> Reflection:
@@ -359,8 +369,7 @@ def _invariants(w: Isometry) -> IsometryClass:
     (e N P - d e P + d p B) / (d p e).  Min(w) = x + U^perp waits for its
     first read (IsometryClass.min_set).
     """
-    a, d = w.matrix.num, w.matrix.den
-    b, e = w.translation.num, w.translation.den
+    a, d, b, e = _rows(w)
     n = len(b)
     augmented = [
         [((2 * d if i == j else 0) - a[i][j] - a[j][i]) * e for j in range(n)]
@@ -385,9 +394,7 @@ def move_set(w: Isometry) -> AffineSubspaceV:
     to it.  The first call on w computes the move-set, type and length of w
     at once and keeps them on w; see :func:`classify`.
     """
-    if w._class is None:
-        w._class = _invariants(w)
-    return w._class.move_set
+    return classify(w).move_set
 
 
 def min_set(w: Isometry) -> AffineSubspaceE:
@@ -400,9 +407,10 @@ def min_set(w: Isometry) -> AffineSubspaceE:
 
 
 def classify(w: Isometry) -> IsometryClass:
-    """The invariants of w, computed on the first call and kept on w."""
+    """The invariants of w, computed on the first call and kept on w: the
+    one writer of ``w._class``."""
     if w._class is None:
-        move_set(w)
+        w._class = _invariants(w)
     return w._class
 
 
@@ -482,10 +490,10 @@ def _motion(rows: Rows, point: Sequence[int], p: int) -> Optional[Reflection]:
 
     Its mirror is the perpendicular bisector of x and y = w(x): both
     points have the denominator D = d p e, as x = X / D and y = Y / D with
-    X = d e P and Y = e N P + d p B.  The root is the primitive part
-    (Y - X) / g, and the bisector (y - x) . z = (|y|^2 - |x|^2) / 2 has
-    the offset (Y - X) . (Y + X) / (2 D g).  Neither depends on how P / p
-    is scaled.  The image N P is computed once.
+    X = d e P and Y = e N P + d p B.  The bisector
+    (y - x) . z = (|y|^2 - |x|^2) / 2 is, times D, the mirror
+    (Y - X) . z = (Y - X) . (Y + X) / (2 D), whose normal form does not
+    depend on how P / p is scaled.  The image N P is computed once.
     """
     n, d, b, e = rows
     dp, de = d * p, d * e
@@ -494,9 +502,8 @@ def _motion(rows: Rows, point: Sequence[int], p: int) -> Optional[Reflection]:
     alpha = [y - v for y, v in zip(ys, xs)]
     if not any(alpha):
         return None
-    root, g = _primitive(alpha)
     value = _dot(alpha, [y + v for y, v in zip(ys, xs)])
-    return _reflection(root, Fraction(value, 2 * dp * e * g))
+    return _reflection_across(alpha, value, 2 * dp * e)
 
 
 def reflection_distance(u: Isometry, v: Isometry) -> int:
@@ -515,13 +522,11 @@ def reflection_distance(u: Isometry, v: Isometry) -> int:
     if u.dim != v.dim:
         raise DimensionError("isometries of different dimensions")
     n = u.dim
-    du, dv = u.matrix.den, v.matrix.den
-    eu, ev = u.translation.den, v.translation.den
+    nu, du, bu, eu = _rows(u)
+    nv, dv, bv, ev = _rows(v)
     rows = [
         [du * y - dv * x for x, y in zip(row_u, row_v)] + [eu * q - ev * p]
-        for row_u, row_v, p, q in zip(
-            u.matrix.num, v.matrix.num, u.translation.num, v.translation.num
-        )
+        for row_u, row_v, p, q in zip(nu, nv, bu, bv)
     ]
     _, pivots = _independent(rows, n + 1)
     linear_rank = sum(1 for p in pivots if p < n)

@@ -13,7 +13,9 @@ other spelling Fraction(str) accepts ("+3", " 3 ", "1_000", "1.5",
 matrix is built from its pairs by `linalg._over_lcm` (the rows of a
 matrix by `linalg._rows_over_lcm`), over the lcm of the denominators,
 which is its normal (num, den) form, so no Fraction is made per
-coordinate.
+coordinate.  A reflection with root R / r through the point A / a has the
+mirror {x : R . x = R . A / a}, which is read from the integer rows, so
+its offset is the one Fraction a decoded reflection makes.
 Printing runs the other way: each entry x of num over den is
 x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes.
 
@@ -40,7 +42,7 @@ from math import gcd
 from typing import Any, Iterable
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
-from .isometry import Isometry, Matrix, Reflection, product
+from .isometry import Isometry, Matrix, Reflection, _reflection_across, product
 from .linalg import (
     LinearSubspace,
     Vector,
@@ -262,7 +264,8 @@ def reflection_from_json(obj: Any) -> Reflection:
     root, anchor = vector_from_json(root), vector_from_json(anchor)
     if root.is_zero():
         raise FormatError("reflection root must be nonzero")
-    return Reflection(root, root.dot(anchor))
+    root._check_dim(anchor)
+    return _reflection_across(root.num, _dot(root.num, anchor.num), anchor.den)
 
 
 def isometry_to_json(w: Isometry) -> dict:

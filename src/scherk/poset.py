@@ -201,10 +201,9 @@ class PosetContext(Record):
         context and dim V < dim Dir M, which with V in Dir M (part of leq)
         makes V proper.  This is the one membership rule of the library.
 
-        The slot ``_under`` of an element holds the context that last
-        accepted it, so each element is checked once per context."""
-        if p._under is self:
-            return True
+        It always decides, and records an acceptance in the element's slot
+        ``_under``, the context that last accepted it; :meth:`require` is
+        the one reader of that memo."""
         if p.ambient != self.ambient:
             raise DimensionError("element and top of different ambient dimensions")
         if isinstance(p, New) and not (
@@ -217,7 +216,9 @@ class PosetContext(Record):
         return True
 
     def require(self, *elements: PosetElement) -> None:
-        """Raise ``PosetError`` unless every element is a member."""
+        """Raise ``PosetError`` unless every element is a member.  An
+        element whose ``_under`` is this context was accepted here already
+        and is not decided again; any other is decided by :meth:`contains`."""
         for p in elements:
             if p._under is not self and not self.contains(p):
                 raise PosetError(f"element ({_label(p)}) is not below the top")

@@ -710,9 +710,11 @@ class TestHurwitz:
 
 class TestCanonicalRoots:
     def test_reflections_built_from_roots_are_canonical(self):
-        """The hot paths build reflections from roots they take to be
-        canonical already; each must equal the reflection the public
-        constructor canonicalizes from the same root and offset."""
+        """The derived paths (the peel, the translation mirrors, the chain
+        steps, conjugation and the motion reflection) build reflections on
+        integer rows through ``isometry._reflection_across``; each must
+        equal the reflection the public constructor builds from the same
+        root and offset."""
         built = []
         rng = random.Random(103)
         for dim in range(2, 9):

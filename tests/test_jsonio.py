@@ -449,10 +449,11 @@ def fraction_constructions(fn):
 
 class TestFractionBudget:
     """Reading and writing a document builds no Fraction per coordinate:
-    only a decoded reflection's offset is one (root . point, then the
-    mirror's value scaled by Reflection, three in all)."""
+    a decoded reflection's offset is the only one, as its mirror
+    {x : R . x = R . A / a} is read from the integer rows of the root R / r
+    and the point A / a."""
 
-    PER_REFLECTION = 3
+    PER_REFLECTION = 1
 
     def test_documents_round_trip_without_fractions_per_coordinate(self):
         docs = [json.loads(path.read_text()) for path in DOCUMENTS]

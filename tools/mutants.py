@@ -162,4 +162,247 @@ CATALOG = [
         "why": "minimal means the length is the Scherk length; an exact product "
         "that is longer, such as r r for the identity, is not minimal",
     },
+    {
+        "id": "normalize-sign",
+        "module": "src/scherk/isometry.py",
+        "old": "if next(a for a in alpha if a) < 0:",
+        "new": "if next(a for a in alpha if a) > 0:",
+        "tests": [
+            "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
+            "tests/test_jsonio.py::TestReflectionEncoding::test_oblique_mirror_off_the_origin",
+        ],
+        "why": "the normal form has a positive first nonzero root entry; the other "
+        "sign negates every root and offset, so every printed reflection changes",
+    },
+    {
+        "id": "normalize-offset-gcd",
+        "module": "src/scherk/isometry.py",
+        "old": "self.offset = Fraction(p, q * g)",
+        "new": "self.offset = Fraction(p, q)",
+        "tests": [
+            "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
+            "tests/test_factor.py::TestCanonicalRoots::"
+            "test_reflections_built_from_roots_are_canonical",
+        ],
+        "why": "dividing the row alpha by g divides the mirror's value by g too; "
+        "without it the offset belongs to another, parallel mirror",
+    },
+    {
+        "id": "conjugate-sign",
+        "module": "src/scherk/isometry.py",
+        "old": "p = norm * d.numerator * c.denominator - k *",
+        "new": "p = norm * d.numerator * c.denominator + k *",
+        "tests": [
+            "tests/test_isometry.py::TestHyperplaneForm::test_conjugate_is_sandwich_product",
+            "tests/test_factor.py::TestHurwitz::test_braid_relations",
+        ],
+        "why": "the image of {beta . x = d} under the reflection across "
+        "{alpha . x = c} is (|alpha|^2 beta - k alpha) . y = |alpha|^2 d - k c; "
+        "+ k c moves every conjugate whose mirrors miss the origin",
+    },
+    {
+        "id": "motion-offset-without-e",
+        "module": "src/scherk/isometry.py",
+        "old": "return _reflection_across(alpha, value, 2 * dp * e)",
+        "new": "return _reflection_across(alpha, value, 2 * dp)",
+        "tests": [
+            "tests/test_isometry.py::TestReflectionsBelow::"
+            "test_motion_reflection_is_the_bisector_on_corpus",
+            "tests/test_factor.py::TestMinimalFactorizationProperties::"
+            "test_chain_round_trip_random",
+        ],
+        "why": "both points share the denominator D = d p e, so the bisector's "
+        "value is over 2 D; without e it misses the midpoint of a translated pair",
+    },
+    {
+        "id": "peel-column-plus",
+        "module": "src/scherk/factor.py",
+        "old": "        c[i] -= d\n",
+        "new": "        c[i] += d\n",
+        "tests": [
+            "tests/test_coxeter.py::test_every_factorization_is_minimal_and_round_trips[A3]",
+            "tests/test_acceptance.py::test_criterion_1_scherk_agreement",
+        ],
+        "why": "the motion of e_i is col_i - e_i, the root c = col_i - d e_i on "
+        "integer rows; col_i + d e_i reflects the wrong mirror and the peel "
+        "never fixes e_i",
+    },
+    {
+        "id": "step-value-sign",
+        "module": "src/scherk/factor.py",
+        "old": "value = d * e * _dot(nu, mu) - m * _dot(turned, b)",
+        "new": "value = d * e * _dot(nu, mu) + m * _dot(turned, b)",
+        "tests": [
+            "tests/test_factor.py::TestMinimalFactorizationProperties::"
+            "test_chain_round_trip_random",
+            "tests/test_conjugation.py::test_every_answer_moves_with_the_similarity",
+        ],
+        "why": "the mirror of a move-set step is (nu - A nu) . y = nu . mu' - A nu . b; "
+        "+ A nu . b gives a parallel mirror, and the step does not land",
+    },
+    {
+        "id": "json-mirror-point-den",
+        "module": "src/scherk/jsonio.py",
+        "old": "den = offset.denominator * _dot(root, root)",
+        "new": "den = offset.denominator",
+        "tests": [
+            "tests/test_jsonio.py::TestReflectionEncoding::test_point_is_the_mirror_anchor",
+            "tests/test_jsonio.py::TestIsometries::test_factorization_round_trip",
+        ],
+        "why": "the mirror's point nearest the origin is root offset / |root|^2; "
+        "without |root|^2 the written point is off the mirror unless |root| = 1",
+    },
+    {
+        "id": "distance-full-rank",
+        "module": "src/scherk/isometry.py",
+        "old": "return 2 * len(pivots) - linear_rank",
+        "new": "return len(pivots)",
+        "tests": [
+            "tests/test_isometry.py::TestReflectionDistance::test_is_length_of_quotient",
+            "tests/test_isometry.py::TestReflectionDistance::"
+            "test_interval_orders_match_definitions",
+        ],
+        "why": "Scherk's formula is dim Mov + 2 for a hyperbolic quotient, "
+        "2 rank [D | delta] - rank D; rank [D | delta] alone is one short",
+    },
+    {
+        "id": "leq-new-below-hyperbolic",
+        "module": "src/scherk/poset.py",
+        "old": "return p.subspace.subset_of(q.move.direction)",
+        "new": "return True",
+        "tests": [
+            "tests/test_poset.py::TestHasse::test_cover_is_the_transitive_reduction"
+            "[3-augmented]",
+            "tests/test_oracle.py::TestAgreementWithClosedForms::"
+            "test_dm_pairs_in_augmented_universe",
+        ],
+        "why": "n^V <= h^M needs V inside Dir M; without it every new element lies "
+        "below every hyperbolic one and the augmented bounds move",
+    },
+    {
+        "id": "new-member-not-augmented",
+        "module": "src/scherk/poset.py",
+        "old": "self.augmented and p.subspace.dim < self.top.move.dim",
+        "new": "p.subspace.dim < self.top.move.dim",
+        "tests": [
+            "tests/test_poset.py::TestMembership::"
+            "test_matches_definition_on_coordinate_elements",
+            "tests/test_poset.py::TestMembership::"
+            "test_augmented_acceptance_does_not_carry_to_the_plain_context",
+        ],
+        "why": "new elements belong only to the augmented poset; without the "
+        "clause the plain context accepts them",
+    },
+    {
+        "id": "new-member-dim-inclusive",
+        "module": "src/scherk/poset.py",
+        "old": "self.augmented and p.subspace.dim < self.top.move.dim",
+        "new": "self.augmented and p.subspace.dim <= self.top.move.dim",
+        "tests": [
+            "tests/test_poset.py::TestHasse::test_top_direction_is_not_a_node[line]",
+            "tests/test_cli.py::TestExitCodes::test_top_direction_as_a_hasse_node_is_three",
+        ],
+        "why": "n^V is a member only for V proper in Dir M; n^{Dir M} is not an "
+        "element of the augmented poset under h^M",
+    },
+    {
+        "id": "mark-before-check",
+        "module": "src/scherk/poset.py",
+        "old": "        if not leq(p, self.top):\n            return False\n"
+        "        p._under = self\n",
+        "new": "        p._under = self\n        if not leq(p, self.top):\n"
+        "            return False\n",
+        "tests": [
+            "tests/test_poset.py::TestMembership::test_rejection_is_not_remembered",
+            "tests/test_poset.py::TestMembership::test_equal_contexts_give_the_same_answers",
+        ],
+        "why": "the memo records acceptance only; marking before the check "
+        "makes require trust an element that contains rejected",
+    },
+    {
+        "id": "reflect-no-lowest",
+        "module": "src/scherk/isometry.py",
+        "old": "return (n, d, *_lowest(b, e * scale))",
+        "new": "return (n, d, tuple(b), e * scale)",
+        "tests": [
+            "tests/test_normal_form.py::test_products_of_reflections_are_in_normal_form",
+            "tests/test_isometry.py::TestHyperplaneForm::"
+            "test_rank_one_product_matches_matrix_product",
+        ],
+        "why": "equality of isometries compares fields, so a translation left "
+        "out of lowest terms is unequal to the same value in normal form",
+    },
+    {
+        "id": "lands-on-mu-clause",
+        "module": "src/scherk/factor.py",
+        "old": "if not move.contains(_vec(b, e)):",
+        "new": "if False:",
+        "tests": [
+            "tests/test_factor.py::TestChainClosedForms::"
+            "test_wrong_element_of_right_rank_does_not_land[w2-wrong2-rest2]",
+        ],
+        "why": "Mov(current) lies in M only if the translation b does; without the "
+        "clause a hyperbolic step lands on a parallel move-set of the same direction",
+    },
+    {
+        "id": "elliptic-certificate",
+        "module": "src/scherk/factor.py",
+        "old": "landed = all(_image(n, v) == [d * x for x in v] for v in rest)",
+        "new": "landed = True",
+        "tests": [
+            "tests/test_factor.py::TestFactorElliptic::test_rejects_bad_chains",
+            "tests/test_cli.py::TestExitCodes::test_non_descending_chain_is_three",
+        ],
+        "why": "the certificate is the walk's only order check; without it an "
+        "elliptic step onto a fixed set the product does not fix is accepted",
+    },
+    {
+        "id": "lowest-no-gcd",
+        "module": "src/scherk/linalg.py",
+        "old": "    g = math.gcd(den, *num)\n    if den < 0:",
+        "new": "    g = 1\n    if den < 0:",
+        "tests": [
+            "tests/test_linalg.py::TestRepresentation::test_vector_canonical_and_scale_free",
+            "tests/test_normal_form.py::test_products_of_reflections_are_in_normal_form",
+        ],
+        "why": "a Vector or Matrix is in lowest terms, so that equal values have "
+        "equal fields; without the gcd 2/4 and 1/2 differ",
+    },
+    {
+        "id": "json-keys-unsorted",
+        "module": "src/scherk/cli.py",
+        "old": "for key in sorted(value)",
+        "new": "for key in value",
+        "tests": [
+            "tests/test_cli.py::TestGoldenFiles::test_output_is_byte_stable"
+            "[argv0-analyze_glide.json]",
+            "tests/test_acceptance.py::test_criterion_7_cli_golden_files",
+        ],
+        "why": "the writer must give the bytes of json.dumps(sort_keys=True); "
+        "keys in insertion order change the golden files",
+    },
+    {
+        "id": "combine-lost-sign",
+        "module": "src/scherk/linalg.py",
+        "old": "s, t = other.den // g, sign * (self.den // g)",
+        "new": "s, t = other.den // g, self.den // g",
+        "tests": [
+            "tests/test_linalg.py::TestRepresentation::test_vector_arithmetic_matches_fractions",
+            "tests/test_affine.py::TestPointVectorDiscipline::"
+            "test_difference_of_points_is_vector",
+        ],
+        "why": "Vector subtraction is the sum with sign -1; without the sign every "
+        "difference is a sum",
+    },
+    {
+        "id": "upward-no-sign",
+        "module": "src/scherk/linalg.py",
+        "old": "g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)",
+        "new": "g = math.gcd(*row)",
+        "tests": [
+            "tests/test_linalg.py::TestAgainstSympy::test_rref",
+        ],
+        "why": "a reduced row is (ints, lead) with lead > 0; the row ints / lead "
+        "is the same either way, so only the representation check sees it",
+    },
 ]
