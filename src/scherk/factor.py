@@ -56,6 +56,13 @@ fixed and fixes one more: dim Mov(w) steps, a minimal factorization
 * Step i fixes e_i and keeps e_0, ..., e_{i-1} fixed, so one forward pass
   over the columns, skipping those with a_ii = 1, yields exactly the
   reflections of rescanning from the origin after every step.
+* A fixes e_j exactly when A^T does, so a fixed e_j leaves row and column
+  j of A equal to e_j: past step i only the block of rows and columns
+  after i changes, every later root is zero up to index i, and the peel
+  updates that block alone, sum (n - i)^2 entries instead of n^3.
+* By Scherk's formula the peel takes exactly l(w) steps.  ``factor``
+  passes the length that classifying w already gave, and the peel stops
+  at the last reflection without multiplying it in.
 
 The chain walks pick their points by a deterministic scan too: the frame
 of the relevant subspace, its canonical point and then its basis
@@ -65,7 +72,8 @@ output.  The image of each scanned point is computed once, on integer
 rows, and the reflection is taken from it.  The same scan certifies an
 elliptic step: after the reflection the points it had passed stay fixed,
 so only the basis vectors past the reflected point are applied, dim B + 1
-images per step in all.
+images per step in all.  The bottom step needs the scan images alone:
+the product above it is a reflection, the one the scan finds.
 
 Both walks hold their products as integer rows (N, d, B, e), A = N / d and
 b = B / e in lowest terms, and multiply a reflection in by one rank-one
@@ -129,8 +137,9 @@ class Factorization(Record):
         return self.product() == self.target
 
 
-def _peel(w: Isometry) -> tuple[Reflection, ...]:
-    """Reflect away the motion of the first unfixed point until w is used up.
+def _peel(w: Isometry, length: int) -> tuple[Reflection, ...]:
+    """The ``length`` = l(w) reflections that reflect away the motion of the
+    first unfixed point of an elliptic w, one after another.
 
     One pass over the integer rows of A = N / d and b = B / e; see the
     module docstring for the derivation.  Each reflection is built by
@@ -139,13 +148,20 @@ def _peel(w: Isometry) -> tuple[Reflection, ...]:
     B . x = |B|^2 / (2 e), whose normal form has the primitive root beta;
     it leaves the matrix (|beta|^2 N - beta (2 beta^T N)) / (d |beta|^2)
     and no translation.  Column i, unless N_ii = d, then takes the mirror
-    c . x = 0 with c = col_i - d e_i, and leaves the matrix
-    (N (d - N_ii) - c (d e_i - row_i)^T) / (d (d - N_ii)).
+    c . x = 0 with c = col_i - d e_i, zero before index i, and leaves the
+    entries past i as (s N_kl + N_ki N_il) / (d s), s = d - N_ii.  Only
+    that block is kept: the rows and columns up to i are d e_j.  The peel
+    returns after reflection number ``length``, with no update after it,
+    and raises ValueError if the columns run out first.
     """
+    if not length:
+        return ()
     rows, d, b, e = _rows(w)
     factors = []
     if any(b):
         factors.append(_reflection_across(b, _dot(b, b), 2 * e))
+        if length == 1:
+            return tuple(factors)
         beta = factors[0].root.num
         norm = _dot(beta, beta)
         top = [2 * _dot(beta, col) for col in zip(*rows)]
@@ -154,21 +170,26 @@ def _peel(w: Isometry) -> tuple[Reflection, ...]:
         ]
         d *= norm
     for i in range(len(b)):
-        s = d - rows[i][i]
+        first, *rest = rows
+        s = d - first[0]
         if s == 0:
+            rows = [row[1:] for row in rest]
             continue
-        c = [row[i] for row in rows]
-        c[i] -= d
-        factors.append(_reflection_across(c, 0, 1))
-        r = [-x for x in rows[i]]
-        r[i] += d
-        rows = [[x * s - a * y for x, y in zip(row, r)] for a, row in zip(c, rows)]
+        below = [row[0] for row in rest]
+        factors.append(_reflection_across([0] * i + [-s] + below, 0, 1))
+        if len(factors) == length:
+            return tuple(factors)
+        tail = first[1:]
+        rows = [
+            [s * x + a * y for x, y in zip(row[1:], tail)]
+            for a, row in zip(below, rest)
+        ]
         d *= s
         g = math.gcd(d, *itertools.chain.from_iterable(rows))
         if g != 1:
             rows = [[x // g for x in row] for row in rows]
             d //= g
-    return tuple(factors)
+    raise ValueError(f"the columns ran out after {len(factors)} of {length} reflections")
 
 
 def factor(w: Isometry) -> Factorization:
@@ -182,11 +203,12 @@ def factor(w: Isometry) -> Factorization:
     :func:`chain_to_factorization`.
     """
     mu, u = standard_splitting(w)
+    length = reflection_length(w)
     if mu.is_zero():
-        return Factorization(target=w, factors=_peel(w))
+        return Factorization(target=w, factors=_peel(w, length))
     far = _reflection_across(mu.num, _dot(mu.num, mu.num), 2 * mu.den)
     near = _reflection_across(mu.num, 0, 1)
-    return Factorization(target=w, factors=(far, near) + _peel(u))
+    return Factorization(target=w, factors=(far, near) + _peel(u, length - 2))
 
 
 def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
@@ -270,8 +292,10 @@ def chain_to_factorization(
     at most codim B = rank(below).  A step down to h^M is certified by
     :func:`_lands_on`.  Either way the product after a step from above has
     length at least rank(above) - 1 = rank(below), so the inclusion is an
-    equality.  The last step lands on the full space, so the product is
-    the identity.
+    equality.  The last step starts at a certified e^H, H a hyperplane, so
+    the product is the reflection across H, and the motion reflection of a
+    point it moves is that reflection itself: the step keeps it and
+    neither multiplies it in nor certifies the identity that would result.
 
     Two raises are invariant checks that no input reaches: the current
     product's invariant is the element above, inv(w) at the start and
@@ -317,10 +341,13 @@ def chain_to_factorization(
             else:
                 # invariant check, see the docstring
                 raise ChainError("current fixes every point of the next fixed set")
-            rows = _reflect(r, rows)
-            n, d = rows[0], rows[1]
-            rest = (v.num for v in below.fix.direction.basis[j:])
-            landed = all(_image(n, v) == [d * x for x in v] for v in rest)
+            if low:
+                rows = _reflect(r, rows)
+                n, d = rows[0], rows[1]
+                rest = (v.num for v in below.fix.direction.basis[j:])
+                landed = all(_image(n, v) == [d * x for x in v] for v in rest)
+            else:
+                landed = True  # r is the product itself, see the docstring
         if not landed:
             raise ChainError("chain step did not land on the requested element")
         factors.append(r)

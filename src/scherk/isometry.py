@@ -63,6 +63,7 @@ from .record import Record
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
+_ZERO = Fraction(0)  # the offset of every mirror through the origin
 
 
 class OrthogonalityError(ValueError):
@@ -184,12 +185,16 @@ class Reflection:
     def _normalize(self, alpha: Sequence[int], p: int, q: int) -> None:
         """Store the mirror {x : alpha . x = p / q} of a nonzero integer row
         alpha: with g the gcd of alpha, signed so that alpha / g has a
-        positive first nonzero entry, root = alpha / g and offset = p / (q g)."""
+        positive first nonzero entry, root = alpha / g and offset = p / (q g).
+        Every mirror through the origin, p = 0, shares the offset ``_ZERO``."""
         g = math.gcd(*alpha)
-        if next(a for a in alpha if a) < 0:
+        for first in alpha:
+            if first:
+                break
+        if first < 0:
             g = -g
         self.root = _vec(tuple([a // g for a in alpha]), 1)
-        self.offset = Fraction(p, q * g)
+        self.offset = Fraction(p, q * g) if p else _ZERO
 
     @property
     def dim(self) -> int:
@@ -371,11 +376,12 @@ def _invariants(w: Isometry) -> IsometryClass:
     """
     a, d, b, e = _rows(w)
     n = len(b)
-    augmented = [
-        [((2 * d if i == j else 0) - a[i][j] - a[j][i]) * e for j in range(n)]
-        + [d * b[i] - sum(a[k][i] * b[k] for k in range(n))]
-        for i in range(n)
-    ]
+    augmented = []
+    for i, (row, col, t) in enumerate(zip(a, zip(*a), b)):
+        line = [-e * (x + y) for x, y in zip(row, col)]
+        line[i] += 2 * d * e
+        line.append(d * t - _dot(col, b))
+        augmented.append(line)
     rows, pivots = _rref(augmented, n + 1)
     x = _particular(rows, pivots, n)
     de, dp = d * e, d * x.den

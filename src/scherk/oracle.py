@@ -208,12 +208,17 @@ def definitional_peel(w: Isometry) -> tuple[Reflection, ...]:
 
     Rescans for the first unfixed point x, takes the reflection bisecting
     x and its image, multiplies it onto w, and repeats until the product
-    is the identity.  Each step grows the fixed set by one dimension.
+    is the identity.  Each step grows the fixed set by one dimension, so
+    no isometry takes more than dim w + 1 steps (the first fixes the
+    origin); a product that is not the identity by then raises ValueError
+    instead of looping, as a broken reflection would make it do.
     ``factor`` must give exactly these reflections in one pass.
     """
     factors = []
     current = w
     while (x := first_unfixed_point(current)) is not None:
+        if len(factors) > w.dim:
+            raise ValueError(f"no identity after {len(factors)} reflections")
         r = reflection_bisecting(x, current.apply(x))
         factors.append(r)
         current = r.compose(current)

@@ -13,6 +13,7 @@ from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point, intersect_aff
 from scherk.factor import (
     ChainError,
     Factorization,
+    _peel,
     chain_to_factorization,
     factor,
     factorization_to_chain,
@@ -171,9 +172,11 @@ class TestPeelAgainstOracle:
 
     @staticmethod
     def cases():
-        """Identities, single reflections, pure translations, and a corpus."""
+        """Identities, single reflections, pure translations, and a corpus,
+        in dimensions 1-12: past the benchmark's 2-6, the blocks the peel
+        updates are larger."""
         rng = random.Random(72)
-        for dim in range(1, 9):
+        for dim in range(1, 13):
             yield Isometry.identity(dim)
             for _ in range(3):
                 yield random_isometry(dim, rng, reflections=1, translate=False)
@@ -192,6 +195,27 @@ class TestPeelAgainstOracle:
                 assert factors[2:] == definitional_peel(u)
                 assert factor(u).factors == factors[2:]
         assert hyperbolic >= 40
+
+    def test_peel_past_the_length_raises(self):
+        """The peel stops at l(u) factors; asked for more, it runs out of
+        columns and raises instead of returning a short factorization."""
+        elliptic = [w for w in self.cases() if classify(w).is_elliptic][::6]
+        elliptic += [half_turn(), Reflection(vec(3, 4), 5).to_isometry()]
+        for w in elliptic:
+            length = reflection_length(w)
+            assert _peel(w, length) == factor(w).factors
+            with pytest.raises(ValueError):
+                _peel(w, length + 1)
+        assert len(elliptic) == 24
+
+    def test_definitional_peel_stops_on_a_broken_reflection(self, monkeypatch):
+        """With a reflection that multiplies in as the identity the product
+        never changes; the oracle raises after dim + 1 reflections instead
+        of looping."""
+        monkeypatch.setattr(Reflection, "compose", lambda r, w: w)
+        for w in (half_turn(), glide(), screw()):
+            with pytest.raises(ValueError):
+                definitional_peel(w)
 
     def test_golden_elliptic_part_is_oblique_and_translated(self):
         doc = pathlib.Path(__file__).parent / "data" / "hyperbolic5.json"
@@ -322,7 +346,9 @@ class TestOperationBudget:
         image; the certificate applies the linear part to the basis vectors
         past that point only.  So under an elliptic top a walk computes
         exactly dim B + 1 integer-row images a step, none twice, and makes
-        no matrix-vector product."""
+        no matrix-vector product.  The bottom step computes its scan images
+        only: the origin's, and when the last mirror passes through the
+        origin, those of e_0 up to the first unit point off it."""
         rng = random.Random(79)
         walks = [
             (random_maximal_chain(w, rng), w)
@@ -330,7 +356,17 @@ class TestOperationBudget:
             for w in corpus(dim, 20, rng)
             if classify(w).is_elliptic
         ]
-        budget = sum(p.fix.dim + 1 for chain, _ in walks for p in chain[1:])
+        lasts = [
+            chain_to_factorization(chain, w).factors[-1]
+            for chain, w in walks
+            if len(chain) > 1
+        ]
+
+        def scanned(r):
+            return 1 if r.offset else 2 + next(k for k, a in enumerate(r.root.num) if a)
+
+        budget = sum(p.fix.dim + 1 for chain, _ in walks for p in chain[1:-1])
+        budget += sum(map(scanned, lasts))
         multiply = Matrix.__mul__
 
         def count_vector_products(matrix, other):
@@ -346,7 +382,7 @@ class TestOperationBudget:
         patch_everywhere(monkeypatch, _image, count_images)
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
         assert calls == ["_image"] * budget
-        assert (len(walks), steps, budget) == (62, 159, 653)
+        assert (len(walks), steps, budget) == (62, 159, 442)
 
     def test_chain_walks_build_no_isometry_per_step(self, monkeypatch, calls, counted):
         """Both walks keep their products as integer rows: the walk down a

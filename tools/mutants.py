@@ -165,8 +165,8 @@ CATALOG = [
     {
         "id": "normalize-sign",
         "module": "src/scherk/isometry.py",
-        "old": "if next(a for a in alpha if a) < 0:",
-        "new": "if next(a for a in alpha if a) > 0:",
+        "old": "        if first < 0:\n",
+        "new": "        if first > 0:\n",
         "tests": [
             "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
             "tests/test_jsonio.py::TestReflectionEncoding::test_oblique_mirror_off_the_origin",
@@ -177,8 +177,8 @@ CATALOG = [
     {
         "id": "normalize-offset-gcd",
         "module": "src/scherk/isometry.py",
-        "old": "self.offset = Fraction(p, q * g)",
-        "new": "self.offset = Fraction(p, q)",
+        "old": "self.offset = Fraction(p, q * g) if p else _ZERO",
+        "new": "self.offset = Fraction(p, q) if p else _ZERO",
         "tests": [
             "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
             "tests/test_factor.py::TestCanonicalRoots::"
@@ -217,15 +217,52 @@ CATALOG = [
     {
         "id": "peel-column-plus",
         "module": "src/scherk/factor.py",
-        "old": "        c[i] -= d\n",
-        "new": "        c[i] += d\n",
+        "old": "[0] * i + [-s] + below",
+        "new": "[0] * i + [s] + below",
         "tests": [
             "tests/test_coxeter.py::test_every_factorization_is_minimal_and_round_trips[A3]",
             "tests/test_acceptance.py::test_criterion_1_scherk_agreement",
         ],
         "why": "the motion of e_i is col_i - e_i, the root c = col_i - d e_i on "
-        "integer rows; col_i + d e_i reflects the wrong mirror and the peel "
-        "never fixes e_i",
+        "integer rows, whose entry i is N_ii - d = -s; +s reflects the wrong "
+        "mirror, so the factors no longer multiply to w",
+    },
+    {
+        "id": "peel-stop-short",
+        "module": "src/scherk/factor.py",
+        "old": "if len(factors) == length:",
+        "new": "if len(factors) == length - 1:",
+        "tests": [
+            "tests/test_factor.py::TestPeelAgainstOracle::test_factor_equals_definitional_peel",
+            "tests/test_acceptance.py::test_criterion_1_scherk_agreement",
+        ],
+        "why": "by Scherk's formula the peel takes exactly l(u) reflections; "
+        "stopping one early leaves a product that is not w",
+    },
+    {
+        "id": "peel-block-alignment",
+        "module": "src/scherk/factor.py",
+        "old": "for x, y in zip(row[1:], tail)",
+        "new": "for x, y in zip(row[:-1], tail)",
+        "tests": [
+            "tests/test_factor.py::TestPeelAgainstOracle::test_factor_equals_definitional_peel",
+            "tests/test_coxeter.py::test_every_factorization_is_minimal_and_round_trips[A3]",
+        ],
+        "why": "the block past i drops row and column i, the first of the block; "
+        "dropping its last column pairs each entry with the wrong column of row i",
+    },
+    {
+        "id": "chain-bottom-certified",
+        "module": "src/scherk/factor.py",
+        "old": "            if low:\n",
+        "new": "            if low >= 0:\n",
+        "tests": [
+            "tests/test_factor.py::TestOperationBudget::"
+            "test_elliptic_chain_step_scans_its_frame_once",
+        ],
+        "why": "above the bottom the product is a reflection, the one the scan "
+        "finds, so the bottom step multiplies nothing in and certifies nothing; "
+        "doing both anyway gives the same factors but images the budget forbids",
     },
     {
         "id": "step-value-sign",
