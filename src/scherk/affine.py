@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     _dot,
     _independent,
+    _project,
     _solve,
     _span,
     _vector,
@@ -92,13 +93,17 @@ class _AffineSubspace:
     The constructor stores the anchor's projection onto the orthogonal
     complement of the direction, so the stored anchor is the unique one
     orthogonal to the direction and equality is equality of the two
-    fields.  It projects from the smaller side: onto the complement itself
-    when the direction is more than half the space (the complement is kept
-    on the direction, see :func:`linalg.orthogonal_complement`), and
-    otherwise onto the direction, subtracting that projection.  Either way
-    the anchor is the same.  Under the full direction it is zero, with no
-    projection.  Subspaces of E and of V share this form, but only
-    subspaces of the same kind compare or combine.
+    fields.  An anchor orthogonal to every direction row, as
+    :mod:`scherk.jsonio` writes one, is that projection already and is
+    stored as given, with no projection and no complement built.  Any
+    other anchor is projected from the smaller side: onto the complement
+    itself when the direction is more than half the space (the complement
+    is kept on the direction, see :func:`linalg.orthogonal_complement`),
+    and otherwise onto the direction, from the dot products the test took,
+    subtracting that projection.  Either way the anchor is the same.  Under
+    the full direction it is zero, with no projection.  Subspaces of E and
+    of V share this form, but only subspaces of the same kind compare or
+    combine.
     """
 
     __slots__ = ("direction", "anchor")
@@ -109,11 +114,15 @@ class _AffineSubspace:
         self.direction = direction
         if direction.is_full():
             self.anchor = Vector.zero(direction.ambient)
+            return
+        rows = [b.num for b in direction.basis]
+        dots = [_dot(b, anchor.num) for b in rows]
+        if not any(dots):
+            self.anchor = anchor
         elif 2 * direction.dim > direction.ambient:
             self.anchor = project(anchor, orthogonal_complement(direction))
         else:
-            offset = project(anchor, direction)
-            self.anchor = anchor if offset.is_zero() else anchor - offset
+            self.anchor = anchor - _project(anchor, rows, dots)
 
     @property
     def ambient(self) -> int:

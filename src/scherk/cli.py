@@ -24,7 +24,8 @@ the full parser with all ten subparsers is built only when argparse must
 speak from the top level: no command, an unknown one, `-h`, or arguments
 the command does not take.  JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
-writes, without the pure-Python encoder that any indent selects.
+writes, without the pure-Python encoder that any indent selects; a list
+of strings, such as every vector, is one join with no call per entry.
 """
 
 from __future__ import annotations
@@ -114,7 +115,10 @@ def _to_json(value: Any, newline: str) -> str:
         ]
     elif isinstance(value, (list, tuple)):
         brackets = "[]"
-        items = [_to_json(item, inner) for item in value]
+        if all(isinstance(item, str) for item in value):  # a vector
+            items = list(map(encode_basestring_ascii, value))
+        else:
+            items = [_to_json(item, inner) for item in value]
     else:
         return json.dumps(value)
     if not items:

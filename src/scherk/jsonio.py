@@ -2,8 +2,17 @@
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1),
 vectors as arrays of such strings, subspaces as {"dim_ambient": n,
-"basis": [[...], ...]} with the basis rows in reduced row echelon form.
-Floats are rejected: an exact library must not accept approximations.
+"basis": [[...], ...]}.  Floats are rejected: an exact library must not
+accept approximations.
+
+Subspaces are written in the library's normal form: the basis rows in
+reduced row echelon form, and the point or shift of an affine subspace
+orthogonal to its direction.  Any spanning set and any anchor are read
+and reduced to that form, but a document already in it, as every answer
+is, is recognized rather than derived again: `linalg.LinearSubspace`
+stores reduced rows as given, and the affine constructors store an
+orthogonal anchor as given, so reading one back runs no elimination and
+no projection.
 
 A rational is read once, into a pair (p, q) of ints in lowest terms with
 q > 0: a JSON int is (obj, 1), and a string "p" or "p/q" of ASCII digits,

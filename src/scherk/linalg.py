@@ -35,7 +35,8 @@ rank stops there.
 
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
-identical tuples.  This makes subspace equality, and everything built on
+identical tuples; rows that already are that form are recognized and kept
+as given.  This makes subspace equality, and everything built on
 top of it, an O(1) comparison after construction.  The full space of
 each dimension is one shared value (`_full`, a bounded memo): every
 full-rank exit returns it, it is never mutated, and its ``_perp`` is the
@@ -483,12 +484,38 @@ def _particular(reduced, pivots: tuple[int, ...], n: int) -> Vector:
     return _vector(num, scale)
 
 
+def _reduced_pivots(rows: Sequence[Vector]) -> Optional[tuple[int, ...]]:
+    """The pivot columns of rows already in reduced row echelon form, or
+    None when they are not: every row nonzero with its first nonzero entry
+    1, the pivots strictly increasing, and every other row zero in each
+    pivot column.  A row is zero left of its pivot, so only the rows above
+    it need to be read at a pivot."""
+    pivots = []
+    for i, v in enumerate(rows):
+        num = v.num
+        for p, a in enumerate(num):
+            if a:
+                break
+        else:
+            return None
+        if a != v.den or (pivots and p <= pivots[-1]):
+            return None
+        if any(b.num[p] for b in rows[:i]):
+            return None
+        pivots.append(p)
+    return tuple(pivots)
+
+
 class LinearSubspace:
     """A linear subspace of rational n-space in canonical form.
 
     The basis is stored as the reduced row echelon form of whatever spanning
     set was supplied, one basis vector per row.  Equality of subspaces is
-    therefore equality of the stored data.
+    therefore equality of the stored data.  Rows that already are that
+    form, as :mod:`scherk.jsonio` writes a basis, are stored as given: the
+    reduced row echelon form is unique, so they are recognized by reading
+    their pivots (:func:`_reduced_pivots`), and nothing is eliminated.  Any
+    other spanning set is reduced by :func:`_span`.
 
     The slot ``_perp`` holds the orthogonal complement once
     :func:`orthogonal_complement` has been asked for it; it is written once
@@ -501,16 +528,20 @@ class LinearSubspace:
         if ambient < 0:
             raise DimensionError("ambient dimension must be nonnegative")
         self.ambient = ambient
-        prepared = []
+        vectors = []
         for row in rows:
-            num = row.num if isinstance(row, Vector) else _common(row)[0]
-            if len(num) != ambient:
+            v = row if isinstance(row, Vector) else _vec(*_common(row))
+            if len(v.num) != ambient:
                 raise DimensionError(
-                    f"row of length {len(num)} in ambient dimension {ambient}"
+                    f"row of length {len(v.num)} in ambient dimension {ambient}"
                 )
-            prepared.append(num)
-        canonical = _span(prepared, ambient)
-        self.basis, self.pivots = canonical.basis, canonical.pivots
+            vectors.append(v)
+        pivots = _reduced_pivots(vectors)
+        if pivots is None:
+            canonical = _span([v.num for v in vectors], ambient)
+            self.basis, self.pivots = canonical.basis, canonical.pivots
+        else:
+            self.basis, self.pivots = tuple(vectors), pivots
         self._perp: Optional[LinearSubspace] = None
 
     @classmethod
@@ -735,9 +766,14 @@ def project(v: Vector, u: LinearSubspace) -> Vector:
     if u.is_full() or v.is_zero():
         return v
     rows = [b.num for b in u.basis]
-    rhs = [_dot(b, v.num) for b in rows]
+    return _project(v, rows, [_dot(b, v.num) for b in rows])
+
+
+def _project(v: Vector, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
+    """The projection of v onto the span of the independent integer rows B_i,
+    from the dot products rhs[i] = B_i . num(v) (:func:`project`)."""
     if not any(rhs):
-        return Vector.zero(u.ambient)
+        return Vector.zero(len(v.num))
     k = len(rows)
     if k == 1:
         b, (c,) = rows[0], rhs
@@ -747,7 +783,7 @@ def project(v: Vector, u: LinearSubspace) -> Vector:
     if pivots != tuple(range(k)):
         raise ValueError("singular Gram system in project")
     coeffs = _particular(reduced, pivots, k)
-    num = [0] * u.ambient
+    num = [0] * len(v.num)
     for c, b in zip(coeffs.num, rows):
         if c:
             num = [a + c * x for a, x in zip(num, b)]

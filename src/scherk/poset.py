@@ -82,6 +82,7 @@ public ``hull_of_affine_e``), never a public hull or intersection.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 from .affine import (
@@ -522,15 +523,24 @@ def is_bowtie(
     return upper.contains(a) and upper.contains(b)
 
 
-def _sort_key(p: PosetElement):
-    """Rank, kind, then the coordinates of the anchor and the basis."""
-    space = p._space
-    if p.kind == "n":
-        anchor, basis = (), space.basis
-    else:
-        anchor, basis = space.anchor.coords, space.direction.basis
-    coords = anchor + tuple(c for b in basis for c in b.coords)
-    return (rank(p), "ehn".index(p.kind), coords)
+def _sorted(elements: Sequence[PosetElement]) -> list[PosetElement]:
+    """The elements by rank, kind, then the coordinates of the anchor and
+    the basis.  The coordinates of every element are taken over one common
+    denominator, the lcm of every anchor's and basis row's, so each key
+    compares integers, in the order of the rationals they stand for."""
+    vectors = []
+    for p in elements:
+        space = p._space
+        vectors.append(
+            space.basis if p.kind == "n" else (space.anchor, *space.direction.basis)
+        )
+    den = math.lcm(*(v.den for row in vectors for v in row))
+    keys = [
+        (rank(p), "ehn".index(p.kind), [x * (den // v.den) for v in row for x in v.num])
+        for p, row in zip(elements, vectors)
+    ]
+    order = sorted(range(len(elements)), key=keys.__getitem__)
+    return [elements[i] for i in order]
 
 
 def _label(p: PosetElement) -> str:
@@ -565,7 +575,7 @@ def hasse_graph(
     With a top, every element must be a member of the top's poset, the
     augmented one under a hyperbolic top.
     """
-    sorted_elements = sorted(dict.fromkeys(elements), key=_sort_key)
+    sorted_elements = _sorted(list(dict.fromkeys(elements)))
     if top is not None:
         ctx = PosetContext(top, augmented=isinstance(top, Hyperbolic))
         ctx.require(*sorted_elements)

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
@@ -86,6 +88,164 @@ class TestContainers:
         assert affine_v_from_json(affine_v_to_json(m)) == m
         b = AffineSubspaceE(Point([3, 5]), span([e(2, 0)]))
         assert affine_e_from_json(affine_e_to_json(b)) == b
+
+
+no_deadline = settings(deadline=None)
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero = small.filter(bool)
+
+
+@st.composite
+def reduced_rows(draw, n, k):
+    """k rows of length n in reduced row echelon form, built directly: a 1
+    at each of k increasing pivots, 0 at the other pivots and left of its
+    own, and random rationals in the free columns right of it.  Returns
+    (rows, pivots)."""
+    columns = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    pivots = sorted(draw(columns))
+    rows = []
+    for p in pivots:
+        row = [Fraction(0)] * n
+        row[p] = Fraction(1)
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = draw(small)
+        rows.append(row)
+    return rows, tuple(pivots)
+
+
+def subspace_document(n, rows):
+    """A subspace of R^n written with these basis rows."""
+    return {"dim_ambient": n, "basis": [[str(x) for x in row] for row in rows]}
+
+
+def decoded_subspace(n, rows):
+    return subspace_from_json(subspace_document(n, rows))
+
+
+def scaled_rows(data, rows):
+    """Every row times a nonzero rational, the first times one other than 1."""
+    factors = [data.draw(nonzero) for _ in rows]
+    if factors[0] == 1:
+        factors[0] = Fraction(2)
+    return [[c * x for x in row] for c, row in zip(factors, rows)]
+
+
+def swapped_rows(data, rows):
+    i = data.draw(st.integers(0, len(rows) - 2))
+    j = data.draw(st.integers(i + 1, len(rows) - 1))
+    rows = rows[:]
+    rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def with_dependent_row(data, rows):
+    """A combination of the rows, inserted anywhere."""
+    coeffs = [data.draw(small) for _ in rows]
+    extra = [sum(c * x for c, x in zip(coeffs, column)) for column in zip(*rows)]
+    at = data.draw(st.integers(0, len(rows)))
+    return rows[:at] + [extra] + rows[at:]
+
+
+def nonzero_above_a_pivot(data, rows):
+    """Row i plus a nonzero multiple of a row j below it, which is zero at
+    the pivot of row i: row i keeps its pivot 1 and gains an entry at the
+    pivot of row j."""
+    i = data.draw(st.integers(0, len(rows) - 2))
+    j = data.draw(st.integers(i + 1, len(rows) - 1))
+    c = data.draw(nonzero)
+    rows = rows[:]
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def pivot_not_one(data, rows):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    c = data.draw(nonzero.filter(lambda c: c != 1))
+    rows = rows[:]
+    rows[i] = [c * x for x in rows[i]]
+    return rows
+
+
+def with_zero_row(data, rows, n):
+    at = data.draw(st.integers(0, len(rows)))
+    return rows[:at] + [[Fraction(0)] * n] + rows[at:]
+
+
+# Each spoiling of a reduced basis, with the fewest rows it needs.
+SPOILINGS = {
+    "scaled": (scaled_rows, 1),
+    "swapped": (swapped_rows, 2),
+    "dependent": (with_dependent_row, 1),
+    "above-pivot": (nonzero_above_a_pivot, 2),
+    "pivot-not-one": (pivot_not_one, 1),
+    "zero-row": (lambda data, rows: with_zero_row(data, rows, len(rows[0])), 1),
+}
+
+
+class TestNormalFormReading:
+    """A basis in reduced row echelon form and an anchor orthogonal to the
+    direction, the form every document is written in, are read as given;
+    any other spanning set and any other anchor are reduced to that form,
+    in dimensions 1-5."""
+
+    @no_deadline
+    @given(st.data())
+    def test_reduced_basis_is_read_as_given(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows, pivots = data.draw(reduced_rows(n, data.draw(st.integers(0, n))))
+        u = decoded_subspace(n, rows)
+        assert u.ambient == n
+        assert u.basis == tuple(Vector(row) for row in rows)
+        assert u.pivots == pivots
+        assert subspace_from_json(subspace_to_json(u)) == u
+
+    @pytest.mark.parametrize("spoiling", sorted(SPOILINGS))
+    @no_deadline
+    @given(data=st.data())
+    def test_other_spanning_sets_read_as_their_reduced_form(self, spoiling, data):
+        spoil, fewest = SPOILINGS[spoiling]
+        n = data.draw(st.integers(max(1, fewest), 5))
+        rows, pivots = data.draw(reduced_rows(n, data.draw(st.integers(fewest, n))))
+        u = decoded_subspace(n, spoil(data, rows))
+        assert (u.ambient, u.basis, u.pivots) == (
+            n,
+            tuple(Vector(row) for row in rows),
+            pivots,
+        )
+
+    @pytest.mark.parametrize("side", ["direction", "complement"])
+    @no_deadline
+    @given(data=st.data())
+    def test_other_anchors_read_as_the_orthogonal_one(self, side, data):
+        """On both sides of the switch at 2 dim U = n, the anchor read is
+        orthogonal to every basis row b_i, and differs from the anchor
+        written by sum (a - m)[p_i] b_i, a vector of U."""
+        if side == "direction":
+            n = data.draw(st.integers(2, 5))
+            k = data.draw(st.integers(1, n // 2))
+        else:
+            n = data.draw(st.integers(3, 5))
+            k = data.draw(st.integers(n // 2 + 1, n - 1))
+        rows, pivots = data.draw(reduced_rows(n, k))
+        a = [data.draw(small) for _ in range(n)]
+        if not any(sum(x * y for x, y in zip(a, row)) for row in rows):
+            a = [x + y for x, y in zip(a, rows[0])]
+        direction = subspace_document(n, rows)
+        written = [str(x) for x in a]
+        read = [
+            affine_v_from_json({"U": direction, "mu": written}).anchor,
+            affine_e_from_json({"point": written, "direction": direction}).anchor,
+        ]
+        for m in map(list, (v.coords for v in read)):
+            for row in rows:
+                assert sum(x * y for x, y in zip(m, row)) == 0
+            diff = [x - y for x, y in zip(a, m)]
+            along = [
+                sum(diff[p] * row[i] for p, row in zip(pivots, rows)) for i in range(n)
+            ]
+            assert diff == along
+            assert diff != [0] * n
 
 
 class TestIsometries:

@@ -1,10 +1,14 @@
 """Model poset order, bounds, bowties, completion, and DOT export."""
 
+import functools
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scherk.affine as affine_module
 import scherk.isometry as isometry_module
@@ -697,21 +701,29 @@ class TestOperationBudget:
     # upward passes, one per reduction to the reduced row echelon form.  A
     # standard form that projects or eliminates once more per subspace goes
     # over these, and so does an all-elliptic join that solves its system
-    # and then spans its normals again.
+    # and then spans its normals again.  PROJECT_BUDGET bounds the calls of
+    # project and of _project, the projection past the trivial cases that
+    # project and the standard form of an affine subspace both run; an
+    # anchor already orthogonal to its direction is not projected.
     RREF_BUDGET = 851
     FORWARD_BUDGET = 1485
-    PROJECT_BUDGET = 799
+    PROJECT_BUDGET = 147
     # Vectors built (linalg._vec, behind every Vector the library makes) by
     # the same ops, from empty memos of the full spaces, so R^3 and E^3 are
     # built once here: a bound decided at full rank builds nothing, and the
     # bounds build no Vector per member row.
-    VEC_BUDGET = 2774
+    VEC_BUDGET = 2082
 
     def test_completion_pairs_stay_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
         assert len(universe) == 38
         counts = count_linalg_calls(
-            monkeypatch, "_independent", "_upward", "project", "solve_affine"
+            monkeypatch,
+            "_independent",
+            "_upward",
+            "project",
+            "_project",
+            "solve_affine",
         )
         ctx = universe.ctx
         pairs = list(itertools.combinations_with_replacement(universe.elements, 2))
@@ -722,7 +734,20 @@ class TestOperationBudget:
         assert 0 < counts["_upward"] <= self.RREF_BUDGET
         assert 0 < counts["_independent"] <= self.FORWARD_BUDGET
         assert 0 < counts["project"] <= self.PROJECT_BUDGET
+        assert 0 < counts["_project"] <= self.PROJECT_BUDGET
         assert counts["solve_affine"] == 0
+
+    def test_reading_the_universe_back_eliminates_nothing(self, monkeypatch):
+        """Every element is written in normal form, a reduced basis and an
+        anchor orthogonal to it, so reading it back recognizes that form:
+        no elimination pass, no projection and no kernel."""
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        written = [element_to_json(p) for p in universe]
+        names = ("_independent", "_upward", "project", "_project", "_kernel")
+        counts = count_linalg_calls(monkeypatch, *names)
+        read = [element_from_json(doc) for doc in written]
+        assert read == list(universe) and len(read) == 38
+        assert counts == dict.fromkeys(names, 0)
 
     def test_completion_pairs_build_vectors_within_budget(self, monkeypatch):
         universe = coordinate_universe(3, plane_top_3d(), augmented=True)
@@ -1047,6 +1072,49 @@ class TestHasse:
             shuffled = elements[:]
             rng.shuffle(shuffled)
             assert hasse_dot(shuffled) == hasse_dot(elements)
+
+
+def anchor_and_basis(p):
+    space = p._space
+    return space.basis if p.kind == "n" else (space.anchor, *space.direction.basis)
+
+
+def fraction_key(p):
+    """Rank, kind, then the coordinates of the anchor and the basis, each a
+    Fraction: the order hasse_graph must give, taken from the definition."""
+    coords = tuple(c for v in anchor_and_basis(p) for c in v.coords)
+    return (rank(p), "ehn".index(p.kind), coords)
+
+
+@functools.cache
+def oblique_universe(n, seed):
+    """The augmented universe under the top h^M, M = R^{n-1} + e_n, moved by
+    a seeded random isometry, whose rational reflections give the images
+    coordinates over many different denominators."""
+    g = random_isometry(n, random.Random(seed))
+    universe = coordinate_universe(n, plane_top(n, n - 1), augmented=True)
+    return [image(g, p) for p in universe]
+
+
+def denominators(p):
+    return {v.den for v in anchor_and_basis(p)}
+
+
+class TestHasseOrder:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_integer_keys_order_as_the_rationals(self, data):
+        """hasse_graph sorts on integer keys over one common denominator;
+        on oblique images, with mixed denominators, the nodes come in the
+        order of the Fraction keys, and with duplicates dropped."""
+        n = data.draw(st.sampled_from((3, 4)))
+        elements = oblique_universe(n, data.draw(st.integers(3, 11)))
+        assert len(set().union(*map(denominators, elements))) > 2
+        subset = data.draw(
+            st.lists(st.sampled_from(elements), min_size=1, max_size=14)
+        )
+        nodes, _ = hasse_graph(subset)
+        assert nodes == sorted(dict.fromkeys(subset), key=fraction_key)
 
 
 class TestSelfDuality:

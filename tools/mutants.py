@@ -442,4 +442,72 @@ CATALOG = [
         "why": "a reduced row is (ints, lead) with lead > 0; the row ints / lead "
         "is the same either way, so only the representation check sees it",
     },
+    {
+        "id": "reduced-rows-other-pivots",
+        "module": "src/scherk/linalg.py",
+        "old": "        if any(b.num[p] for b in rows[:i]):\n            return None\n",
+        "new": "",
+        "tests": [
+            "tests/test_jsonio.py::TestNormalFormReading::"
+            "test_other_spanning_sets_read_as_their_reduced_form[above-pivot]",
+        ],
+        "why": "rows with leading 1s and increasing pivots but a nonzero entry "
+        "above a pivot span the right space in echelon form, not reduced; "
+        "stored as given, the basis is not the canonical one",
+    },
+    {
+        "id": "reduced-rows-pivot-not-one",
+        "module": "src/scherk/linalg.py",
+        "old": "if a != v.den or (pivots and p <= pivots[-1]):",
+        "new": "if pivots and p <= pivots[-1]:",
+        "tests": [
+            "tests/test_jsonio.py::TestNormalFormReading::"
+            "test_other_spanning_sets_read_as_their_reduced_form[scaled]",
+            "tests/test_jsonio.py::TestNormalFormReading::"
+            "test_other_spanning_sets_read_as_their_reduced_form[pivot-not-one]",
+        ],
+        "why": "a row whose pivot entry is not 1 is a multiple of a reduced row; "
+        "stored as given, two spellings of one subspace compare unequal",
+    },
+    {
+        "id": "anchor-always-as-given",
+        "module": "src/scherk/affine.py",
+        "old": "        if not any(dots):\n",
+        "new": "        if True:\n",
+        "tests": [
+            "tests/test_jsonio.py::TestNormalFormReading::"
+            "test_other_anchors_read_as_the_orthogonal_one[direction]",
+            "tests/test_jsonio.py::TestNormalFormReading::"
+            "test_other_anchors_read_as_the_orthogonal_one[complement]",
+        ],
+        "why": "only an anchor orthogonal to the direction is the standard one; "
+        "any other, stored as given, leaves one subspace with many anchors",
+    },
+    {
+        "id": "anchor-never-as-given",
+        "module": "src/scherk/affine.py",
+        "old": "        if not any(dots):\n",
+        "new": "        if False:\n",
+        "tests": [
+            "tests/test_poset.py::TestOperationBudget::"
+            "test_reading_the_universe_back_eliminates_nothing",
+            "tests/test_poset.py::TestOperationBudget::"
+            "test_completion_pairs_stay_within_budget",
+        ],
+        "why": "the answer is the same, but every anchor read back, and every "
+        "meet's, is projected again, which the projection budgets count",
+    },
+    {
+        "id": "hasse-key-unscaled",
+        "module": "src/scherk/poset.py",
+        "old": "x * (den // v.den) for v in row",
+        "new": "x for v in row",
+        "tests": [
+            "tests/test_poset.py::TestHasseOrder::"
+            "test_integer_keys_order_as_the_rationals",
+        ],
+        "why": "numerators over different denominators do not order as the "
+        "rationals; only coordinates with mixed denominators show it, and the "
+        "goldens have den 1 everywhere",
+    },
 ]
