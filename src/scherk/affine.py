@@ -153,7 +153,17 @@ class _AffineSubspace:
 
     def subset_of(self, other: "_AffineSubspace") -> bool:
         self._check_peer(other)
-        return self.direction.subset_of(other.direction) and other._holds(self.anchor)
+        return self._within(other)
+
+    def _within(self, other: "_AffineSubspace") -> bool:
+        """subset_of for a peer of the same ambient dimension, unchecked: the
+        direction rows, and the anchor difference as the integer row
+        den(anchor) den(other anchor) (anchor - other anchor), lie in the
+        other's direction."""
+        d, e = self.anchor.den, other.anchor.den
+        rows = [b.num for b in self.direction.basis]
+        rows.append([e * a - d * b for a, b in zip(self.anchor.num, other.anchor.num)])
+        return other.direction._contains_rows(rows)
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,8 +24,11 @@ the full parser with all ten subparsers is built only when argparse must
 speak from the top level: no command, an unknown one, `-h`, or arguments
 the command does not take.  JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
-writes, without the pure-Python encoder that any indent selects; a list
-of strings, such as every vector, is one join with no call per entry.
+writes, without the pure-Python encoder that any indent selects.  It works
+per list, not per entry: a list of strings, such as every vector, is one
+join, and only a list with another entry is written entry by entry.  An
+int is written by `int.__repr__`, True, False and None as their literals,
+and `json.dumps` writes only any other scalar.
 """
 
 from __future__ import annotations
@@ -115,10 +118,18 @@ def _to_json(value: Any, newline: str) -> str:
         ]
     elif isinstance(value, (list, tuple)):
         brackets = "[]"
-        if all(isinstance(item, str) for item in value):  # a vector
+        try:  # a list of strings, such as a vector
             items = list(map(encode_basestring_ascii, value))
-        else:
+        except TypeError:
             items = [_to_json(item, inner) for item in value]
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    elif value is None:
+        return "null"
+    elif isinstance(value, int):
+        return int.__repr__(value)
     else:
         return json.dumps(value)
     if not items:

@@ -433,8 +433,9 @@ def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     (0, w).
     """
     mu = classify(w).move_set.mu
-    u = _isometry(w.matrix, w.translation - mu)
-    return mu, u
+    if mu.is_zero():
+        return mu, w
+    return mu, _isometry(w.matrix, w.translation - mu)
 
 
 class ProductPrediction(Record):

@@ -14,14 +14,19 @@ stores reduced rows as given, and the affine constructors store an
 orthogonal anchor as given, so reading one back runs no elimination and
 no projection.
 
-A rational is read once, into a pair (p, q) of ints in lowest terms with
-q > 0: a JSON int is (obj, 1), and a string "p" or "p/q" of ASCII digits,
-the form this module prints, is int() of each part and one gcd.  Every
-other spelling Fraction(str) accepts ("+3", " 3 ", "1_000", "1.5",
-"25e-2", non-ASCII digits) goes through Fraction(str).  A vector or a
-matrix is built from its pairs by `linalg._over_lcm` (the rows of a
-matrix by `linalg._rows_over_lcm`), over the lcm of the denominators,
-which is its normal (num, den) form, so no Fraction is made per
+A vector or a matrix row is read per row, not per coordinate.  A row
+whose entries are all strings "p" or "p/q" of ASCII digits with q > 0,
+the form this module prints, is read in one pass (`_printed`): one match
+of a row pattern over the entries joined by commas, with a count of the
+entries so that one holding a comma cannot pass, int() of the parts, one
+lcm of the denominators and one division by the gcd (`linalg._lowest`).
+Any other row is read entry by entry (`_rational`): a JSON int is
+(obj, 1), and every string, in any spelling Fraction(str) accepts ("+3",
+" 3 ", "1_000", "1.5", "25e-2", non-ASCII digits), goes through
+Fraction(str); the entries are put over the lcm of their denominators by
+`linalg._over_lcm`.  Either way the row is (ints, den) in lowest terms,
+the normal form of a Vector, and the rows of a matrix are put over one
+lcm by `linalg._rows_over_lcm`, so no Fraction is made per printed
 coordinate.  A reflection with root R / r through the point A / a has the
 mirror {x : R . x = R . A / a}, which is read from the integer rows, so
 its offset is the one Fraction a decoded reflection makes.
@@ -40,15 +45,18 @@ is a FormatError, not an identity matrix of 10**18 entries.
 Every rational has a numerator and a denominator of at most MAX_BITS bits
 in lowest terms.  A decimal exponent larger than MAX_BITS in magnitude is
 over the limit before the value is built, so "1e999999999" is a
-FormatError, not an integer of three billion bits.
+FormatError, not an integer of three billion bits.  A printed row with a
+part over MAX_BITS bits, or over the digits int() reads, is left to the
+per-entry reading, which decides it exactly: 2**MAX_BITS / 2 has a part
+over the limit but is within it in lowest terms.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
-from typing import Any, Iterable
+from math import gcd, lcm
+from typing import Any, Iterable, Optional
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
 from .isometry import Isometry, Matrix, Reflection, _reflection_across, product
@@ -56,6 +64,7 @@ from .linalg import (
     LinearSubspace,
     Vector,
     _dot,
+    _lowest,
     _mat,
     _over_lcm,
     _rows_over_lcm,
@@ -82,9 +91,11 @@ MAX_BITS = 2048
 # The most characters of an input value that an error message quotes.
 _QUOTE_LIMIT = 60
 
-# A rational as this module prints it, in ASCII digits with a nonzero
-# denominator: read with int().  "3/0" is left to Fraction to refuse.
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+# A row as this module prints it: entries "p" or "p/q" in ASCII digits with
+# a nonzero denominator, joined by commas.  "3/0" is left to Fraction to
+# refuse.
+_ENTRY = r"-?[0-9]+(?:/0*[1-9][0-9]*)?"
+_ROW = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*")
 
 
 class FormatError(ValueError):
@@ -169,19 +180,8 @@ def _fraction(text: str) -> Fraction:
 def _rational(obj: Any) -> tuple[int, int]:
     """A JSON rational as (p, q) in lowest terms with q > 0."""
     if isinstance(obj, str):
-        match = _PLAIN.fullmatch(obj)
-        if match is None:
-            value = _fraction(obj)
-            p, q = value.numerator, value.denominator
-        else:
-            numerator, denominator = match.groups()
-            try:  # int() refuses more than sys.get_int_max_str_digits() digits
-                p, q = int(numerator), int(denominator or 1)
-            except ValueError as exc:
-                raise FormatError(f"bad rational {_quote(obj)}") from exc
-            if q != 1:
-                g = gcd(p, q)
-                p, q = p // g, q // g
+        value = _fraction(obj)
+        p, q = value.numerator, value.denominator
     elif isinstance(obj, int) and not isinstance(obj, bool):
         p, q = obj, 1
     else:
@@ -191,9 +191,38 @@ def _rational(obj: Any) -> tuple[int, int]:
     return p, q
 
 
-def _scalars(obj: Any) -> list[tuple[int, int]]:
-    """The entries of a vector or matrix row, as (p, q) pairs."""
-    return [_rational(x) for x in array(obj, "vector", coordinates=True)]
+def _printed(row: list) -> Optional[tuple[tuple[int, ...], int]]:
+    """A row of strings as this module prints them, read in one pass as
+    (ints, den) in lowest terms; None for any other row, or one with a
+    part too long for int() or over MAX_BITS bits, which the per-entry
+    reading decides."""
+    try:
+        text = ",".join(row)
+    except TypeError:  # an entry that is not a string
+        return None
+    if _ROW.fullmatch(text) is None or text.count(",") != len(row) - 1:
+        return None  # the count refuses an entry that holds a comma
+    if "/" in text:  # every entry as "p/q", so that the parts alternate
+        text = ",".join([x if "/" in x else x + "/1" for x in row]).replace("/", ",")
+    try:  # int() refuses more than sys.get_int_max_str_digits() digits
+        parts = list(map(int, text.split(",")))
+    except ValueError:
+        return None
+    if max(map(int.bit_length, parts)) > MAX_BITS:
+        return None
+    if len(parts) == len(row):
+        return tuple(parts), 1
+    num, dens = parts[::2], parts[1::2]
+    den = lcm(*dens)
+    return _lowest([p * (den // q) for p, q in zip(num, dens)], den)
+
+
+def _row(obj: Any) -> tuple[tuple[int, ...], int]:
+    """A vector or a matrix row as (ints, den) in lowest terms: a printed
+    row in one pass, any other entry by entry, over the lcm of the
+    denominators."""
+    row = array(obj, "vector", coordinates=True)
+    return _printed(row) or _over_lcm([_rational(x) for x in row])
 
 
 def vector_to_json(v: Vector) -> list[str]:
@@ -201,7 +230,7 @@ def vector_to_json(v: Vector) -> list[str]:
 
 
 def vector_from_json(obj: Any) -> Vector:
-    return _vec(*_over_lcm(_scalars(obj)))
+    return _vec(*_row(obj))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -212,7 +241,7 @@ def matrix_from_json(obj: Any) -> Matrix:
     rows = array(obj, "matrix", coordinates=True)
     if not rows:
         raise FormatError("matrix must have a row")
-    return _mat(*_rows_over_lcm([_scalars(row) for row in rows]))
+    return _mat(*_rows_over_lcm([_row(row) for row in rows]))
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:

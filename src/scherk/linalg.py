@@ -12,8 +12,10 @@ ints, Fractions and numeric strings.
 This module is the one place that computes that normal form.
 `_over_lcm` puts rationals read as (p, q) pairs over their least common
 denominator, which is already in lowest terms; the constructors and the
-JSON readers (`jsonio`) build through it.  `_lowest` and `_lowest_rows`
-divide integer rows over a denominator by their one gcd; `_vector`,
+JSON reading of a row entry by entry (`jsonio`) build through it, and
+`_rows_over_lcm` puts rows in that form over one denominator.  `_lowest`
+and `_lowest_rows` divide integer rows over a denominator by their one
+gcd; a printed JSON row of fractions ends with `_lowest`, and `_vector`,
 `_matrix` and the rank-one update behind the isometry products
 (`isometry._reflect`) end with them.  All the predicates that the rest of
 the library depends on (equality of subspaces, membership, orthogonality,
@@ -94,16 +96,19 @@ def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
 
 
 def _rows_over_lcm(
-    rows: Sequence[Sequence[tuple[int, int]]], ncols: Optional[int] = None
+    rows: Sequence[tuple[Sequence[int], int]], ncols: Optional[int] = None
 ) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """The fields (num, den, ncols) of the Matrix whose rows hold the
-    rationals p / q of the (p, q) pairs, over one lcm (:func:`_over_lcm`).
+    """The fields (num, den, ncols) of the Matrix whose rows are the integer
+    rows r / d of the (r, d) pairs, each in lowest terms with d > 0, over
+    the lcm den of the d.  The result is in lowest terms, as in
+    :func:`_over_lcm`: den is the lcm of the least denominators of all the
+    entries.
 
     Raises DimensionError when the rows have unequal lengths or a length
     other than a declared ncols, or when there are no rows and no ncols.
     """
     if rows:
-        widths = {len(row) for row in rows}
+        widths = {len(r) for r, _ in rows}
         if len(widths) != 1:
             raise DimensionError("matrix rows have unequal lengths")
         width = widths.pop()
@@ -112,8 +117,10 @@ def _rows_over_lcm(
         ncols = width
     elif ncols is None:
         raise DimensionError("empty matrix needs an explicit ncols")
-    flat, den = _over_lcm([pair for row in rows for pair in row])
-    num = tuple(flat[i * ncols : (i + 1) * ncols] for i in range(len(rows)))
+    den = math.lcm(*[d for _, d in rows])
+    num = tuple(
+        [tuple(r) if d == den else tuple([x * (den // d) for x in r]) for r, d in rows]
+    )
     return num, den, ncols
 
 
@@ -271,7 +278,7 @@ class Matrix:
     __slots__ = ("num", "den", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None) -> None:
-        rows = [[_q(x).as_integer_ratio() for x in row] for row in rows]
+        rows = [_common(row) for row in rows]
         self.num, self.den, self.ncols = _rows_over_lcm(rows, ncols)
 
     @classmethod
@@ -593,10 +600,16 @@ class LinearSubspace:
                 residual = [d * a - c * x for a, x in zip(residual, b.num)]
         return not any(residual)
 
+    def _contains_rows(self, rows: Iterable[Sequence[int]]) -> bool:
+        """Whether every integer row, of length ambient, lies in the
+        subspace: the one inclusion test of :meth:`subset_of`, of the affine
+        inclusions and of the poset order."""
+        return all(map(self._contains_row, rows))
+
     def subset_of(self, other: "LinearSubspace") -> bool:
         if self.ambient != other.ambient:
             raise DimensionError("subspaces of different ambient dimensions")
-        return all(other.contains(b) for b in self.basis)
+        return other._contains_rows([b.num for b in self.basis])
 
     def __eq__(self, other) -> bool:
         return (

@@ -205,11 +205,11 @@ class PosetContext(Record):
         It always decides, and records an acceptance in the element's slot
         ``_under``, the context that last accepted it; :meth:`require` is
         the one reader of that memo."""
-        if p.ambient != self.ambient:
+        space, top = p._space, self.top._space
+        ambient = space.ambient if p.kind == "n" else space.direction.ambient
+        if ambient != top.direction.ambient:
             raise DimensionError("element and top of different ambient dimensions")
-        if isinstance(p, New) and not (
-            self.augmented and p.subspace.dim < self.top.move.dim
-        ):
+        if p.kind == "n" and not (self.augmented and space.dim < top.dim):
             return False
         if not leq(p, self.top):
             return False
@@ -234,23 +234,25 @@ def inv_map(w: Isometry) -> PosetElement:
 
 
 def leq(p: PosetElement, q: PosetElement) -> bool:
-    if p.ambient != q.ambient:
+    """Whether p <= q in the order of the module docstring.  The ambient
+    dimensions are read once, from the stored directions, and each case
+    is one test that integer rows lie in a reduced basis
+    (:meth:`LinearSubspace._contains_rows`)."""
+    s, t = p._space, q._space
+    u = s if p.kind == "n" else s.direction
+    v = t if q.kind == "n" else t.direction
+    if u.ambient != v.ambient:
         raise DimensionError("poset elements of different ambient dimensions")
-    if isinstance(p, Elliptic):
-        if isinstance(q, Elliptic):
-            return q.fix.subset_of(p.fix)
-        if isinstance(q, Hyperbolic):
-            return q.move.span_complement().subset_of(p.fix.direction)
-        return orthogonal_complement(p.fix.direction).subset_of(q.subspace)
-    if isinstance(p, Hyperbolic):
-        if isinstance(q, Hyperbolic):
-            return p.move.subset_of(q.move)
-        return False
-    if isinstance(q, New):
-        return p.subspace.subset_of(q.subspace)
-    if isinstance(q, Hyperbolic):
-        return p.subspace.subset_of(q.move.direction)
-    return False
+    if p.kind == "e":
+        if q.kind == "e":
+            return t._within(s)
+        if q.kind == "h":
+            return u._contains_rows([b.num for b in t.span_complement().basis])
+        return v._contains_rows([b.num for b in orthogonal_complement(u).basis])
+    if p.kind == "h":
+        return q.kind == "h" and s._within(t)
+    # n^U lies below n^V when U lies in V, and below h^M when U lies in Dir M
+    return q.kind != "e" and v._contains_rows([b.num for b in u.basis])
 
 
 def rank(p: PosetElement) -> int:

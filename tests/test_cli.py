@@ -769,6 +769,16 @@ class TestBitLimit:
         assert report["splitting"]["mu"] == [largest, "0"]
 
 
+    def test_at_the_limit_is_analyzed_entry_by_entry(self):
+        """A JSON int is read by the per-entry reading, which holds the
+        same limit as a printed row."""
+        largest = 2**jsonio.MAX_BITS - 1
+        doc = {"dim": 2, "matrix": [["1", "0"], ["0", "1"]], "translation": [largest, 0]}
+        result = run_capped_cli("analyze", "-", stdin=json.dumps(doc))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["splitting"]["mu"] == [str(largest), "0"]
+
+
 def staircase_top(n, rows, big):
     """h^M in dimension n whose direction is spanned by e_i + big e_(i+1)
     for i < rows, shifted by e_(n-1): its reduced basis has entries near
@@ -1012,6 +1022,12 @@ class TestJsonWriter:
     @example([])
     @example(())
     @example({"edges": [(0, 1), (1, 2)], "nodes": [], "a": {"b": ()}})
+    @example(["1", 2, "-3/4"])
+    @example(["a", None, "b"])
+    @example(["x", ["y", "z"], [], {"k": ["v"]}])
+    @example(("1", "-2/3", "0"))
+    @example([True, False, None, 0, -7, 2**70])
+    @example({"leq": True, "lattice": False, "v": [[True], (False, "t")]})
     def test_writes_what_json_dumps_writes(self, value):
         expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
         assert cli._emit_json(value) == expected

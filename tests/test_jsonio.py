@@ -1,5 +1,6 @@
 """Wire format round trips and validation."""
 
+import contextlib
 import json
 import pathlib
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scherk.jsonio as jsonio_module
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import factor
 from scherk.isometry import Isometry, Reflection, translation
@@ -37,7 +39,7 @@ from scherk.jsonio import (
     vector_to_json,
 )
 from scherk.linalg import DimensionError, Matrix, Vector, span
-from scherk.oracle import corpus
+from scherk.oracle import coordinate_universe, corpus
 from scherk.poset import Elliptic, Hyperbolic, New, inv_map
 
 
@@ -453,7 +455,8 @@ def random_spellings(count, seed):
 
 class TestSpelling:
     """Every string reads as Fraction(str) read it, or fails with the same
-    FormatError: the int() path for "p" and "p/q" changes no answer."""
+    FormatError: reading a row of printed "p" and "p/q" in one pass changes
+    no answer."""
 
     @pytest.mark.parametrize(
         "text", SPELLINGS + random_spellings(200, seed=5), ids=lambda t: repr(t)[:24]
@@ -467,6 +470,50 @@ class TestSpelling:
             with pytest.raises(FormatError) as caught:
                 read(text)
             assert str(caught.value).startswith(expected)
+
+    # Whole rows: a row of printed strings is read in one pass, any other
+    # entry by entry, and both readings agree.
+    ROWS = {
+        "printed": ["1", "-2/3", "0", "5/7", "-12/35"],
+        "integers": ["3", "-1", "0"],
+        "comma-in-entry": ["1,2", "3"],
+        "over-the-bits": ["1", "2/3", str(2**MAX_BITS)],
+        "over-the-bits-den": ["1", f"1/{2**MAX_BITS}"],
+        "raw-part-over": ["1", f"{2**MAX_BITS}/2", "3"],
+        "at-the-bits": [str(LARGEST), f"1/{LARGEST}", "-5/6"],
+        "digits": ["1", "1" * 4301, "2"],
+        "digits-den": ["1/3", "1/" + "1" * 4301],
+        "unreduced": ["6/4", "-0", "007/010"],
+        "ints-and-strings": [1, "2/3", -4, "5", 0],
+        "ints-only": [2, -6],
+        "int-at-the-bits": [-LARGEST, "1/3"],
+        "other-spellings": ["+3", "1/2", " 4"],
+        "zero-denominator": ["1", "3/0"],
+        "bool": ["1", True],
+    }
+
+    @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
+    def test_rows_read_as_their_entries_read(self, row):
+        expected = [
+            "not a rational" if isinstance(x, bool) else fraction_reading(str(x))
+            for x in row
+        ]
+        errors = [x for x in expected if not isinstance(x, Fraction)]
+        if not errors:
+            assert vector_from_json(row) == Vector(expected)
+            assert matrix_from_json([row, row]) == Matrix([expected, expected])
+            return
+        for read in (vector_from_json, lambda r: matrix_from_json([r, r])):
+            with pytest.raises(FormatError) as caught:
+                read(row)
+            assert str(caught.value).startswith(errors[0])
+
+    def test_a_matrix_mixes_printed_rows_and_other_rows(self):
+        rows = [["1/2", "0", "-3"], [1, "1/3", 0], ["+3", "-1/6", "2/4"], ["0", "0", "0"]]
+        expected = [[Fraction(x) for x in row] for row in rows]
+        m = matrix_from_json(rows)
+        assert m == Matrix(expected)
+        assert (m.num, m.den) == (((3, 0, -18), (6, 2, 0), (18, -1, 3), (0, 0, 0)), 6)
 
     def test_reading_is_canonical(self):
         v = vector_from_json(["6/4", "-10/4", 0, "3"])
@@ -606,6 +653,53 @@ def fraction_constructions(fn):
     finally:
         sys.setprofile(previous)
     return count
+
+
+def rational_calls(monkeypatch, fn):
+    """The number of jsonio._rational calls, the per-entry reading, fn() makes."""
+    calls = []
+    original = jsonio_module._rational
+
+    def counted(obj):
+        calls.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(jsonio_module, "_rational", counted)
+    fn()
+    return len(calls)
+
+
+class TestRowBudget:
+    """A printed row is read in one pass, with no per-entry reading."""
+
+    def test_documents_and_the_universe_read_back_in_rows(self, monkeypatch):
+        docs = [json.loads(path.read_text()) for path in DOCUMENTS]
+        top = Hyperbolic(AffineSubspaceV(span([e(3, 0), e(3, 1)]), e(3, 2)))
+        universe = coordinate_universe(3, top, augmented=True)
+        written = [element_to_json(p) for p in universe]
+        assert len(docs) == 14 and len(written) == 38
+        results = []
+
+        def read():
+            results.extend(map(round_trip, docs))
+            results.extend(map(element_from_json, written))
+
+        assert rational_calls(monkeypatch, read) == 0
+        assert results == docs + list(universe)
+
+    def test_a_printed_row_at_the_bit_limit_is_one_pass(self, monkeypatch):
+        row = [str(LARGEST), f"-1/{LARGEST}", "0"]
+        read = []
+        assert rational_calls(monkeypatch, lambda: read.append(vector_from_json(row))) == 0
+        assert read == [Vector([LARGEST, Fraction(-1, LARGEST), 0])]
+
+    def test_any_other_row_is_read_entry_by_entry(self, monkeypatch):
+        def read(row):
+            with contextlib.suppress(FormatError):
+                vector_from_json(row)
+
+        for row in (["1", 2], ["+1", "2"], ["1,2", "3"], [f"{2**MAX_BITS}/2", "1"]):
+            assert rational_calls(monkeypatch, lambda: read(row)) > 0
 
 
 class TestFractionBudget:

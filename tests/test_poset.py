@@ -160,6 +160,19 @@ class TestOrder:
             if lm[i][j] and lm[j][k]:
                 assert lm[i][k]
 
+    @pytest.mark.parametrize("kinds", ["ee", "eh", "en", "he", "hh", "hn", "ne", "nh", "nn"])
+    def test_order_across_ambients_is_a_dimension_error(self, kinds):
+        in_3d = {"e": BOTTOM_3D, "h": plane_top_3d(), "n": NEW_3D}
+        in_2d = {
+            "e": Elliptic(AffineSubspaceE.full(2)),
+            "h": hyperbolic(vec(0, 1), e(2, 0)),
+            "n": New(span([e(2, 0)])),
+        }
+        first, second = kinds
+        for p, q in ((in_3d[first], in_2d[second]), (in_2d[first], in_3d[second])):
+            with pytest.raises(DimensionError):
+                leq(p, q)
+
 
 def definitional_contains(ctx, p):
     """leq(p, top); an n^V also needs an augmented context and V a proper

@@ -72,7 +72,8 @@ CATALOG = [
     {
         "id": "leq-elliptic-new",
         "module": "src/scherk/poset.py",
-        "old": "        return orthogonal_complement(p.fix.direction).subset_of(q.subspace)\n",
+        "old": "        return v._contains_rows("
+        "[b.num for b in orthogonal_complement(u).basis])\n",
         "new": "        return True\n",
         "tests": [
             "tests/test_poset.py::TestHasse::test_cover_is_the_transitive_reduction"
@@ -90,11 +91,12 @@ CATALOG = [
         "old": "if p.bit_length() > MAX_BITS or",
         "new": "if p.bit_length() >= MAX_BITS or",
         "tests": [
-            "tests/test_cli.py::TestBitLimit::test_at_the_limit_is_analyzed",
-            "tests/test_cli.py::TestAnswerBound::test_unprintable_bowtie_exits_one[json]",
+            "tests/test_cli.py::TestBitLimit::test_at_the_limit_is_analyzed_entry_by_entry",
+            "tests/test_jsonio.py::TestSpelling::test_rows_read_as_their_entries_read"
+            "[int-at-the-bits]",
         ],
         "why": "a numerator of exactly MAX_BITS bits is within the documented "
-        "limit, and the CLI must analyze it",
+        "limit, and the CLI must analyze it; a JSON int is read entry by entry",
     },
     {
         "id": "max-dim-plus-one",
@@ -305,22 +307,23 @@ CATALOG = [
     {
         "id": "leq-new-below-hyperbolic",
         "module": "src/scherk/poset.py",
-        "old": "return p.subspace.subset_of(q.move.direction)",
-        "new": "return True",
+        "old": "return q.kind != \"e\" and v._contains_rows([b.num for b in u.basis])",
+        "new": "return q.kind != \"e\"",
         "tests": [
             "tests/test_poset.py::TestHasse::test_cover_is_the_transitive_reduction"
             "[3-augmented]",
             "tests/test_oracle.py::TestAgreementWithClosedForms::"
             "test_dm_pairs_in_augmented_universe",
         ],
-        "why": "n^V <= h^M needs V inside Dir M; without it every new element lies "
-        "below every hyperbolic one and the augmented bounds move",
+        "why": "n^U <= h^M needs U inside Dir M, and n^U <= n^V needs U inside V; "
+        "without the inclusion every new element lies below every hyperbolic and "
+        "every new one, and the augmented bounds move",
     },
     {
         "id": "new-member-not-augmented",
         "module": "src/scherk/poset.py",
-        "old": "self.augmented and p.subspace.dim < self.top.move.dim",
-        "new": "p.subspace.dim < self.top.move.dim",
+        "old": "self.augmented and space.dim < top.dim",
+        "new": "space.dim < top.dim",
         "tests": [
             "tests/test_poset.py::TestMembership::"
             "test_matches_definition_on_coordinate_elements",
@@ -333,8 +336,8 @@ CATALOG = [
     {
         "id": "new-member-dim-inclusive",
         "module": "src/scherk/poset.py",
-        "old": "self.augmented and p.subspace.dim < self.top.move.dim",
-        "new": "self.augmented and p.subspace.dim <= self.top.move.dim",
+        "old": "self.augmented and space.dim < top.dim",
+        "new": "self.augmented and space.dim <= top.dim",
         "tests": [
             "tests/test_poset.py::TestHasse::test_top_direction_is_not_a_node[line]",
             "tests/test_cli.py::TestExitCodes::test_top_direction_as_a_hasse_node_is_three",
@@ -509,5 +512,42 @@ CATALOG = [
         "why": "numerators over different denominators do not order as the "
         "rationals; only coordinates with mixed denominators show it, and the "
         "goldens have den 1 everywhere",
+    },
+    {
+        "id": "row-bits-inclusive",
+        "module": "src/scherk/jsonio.py",
+        "old": "if max(map(int.bit_length, parts)) > MAX_BITS:",
+        "new": "if max(map(int.bit_length, parts)) >= MAX_BITS:",
+        "tests": [
+            "tests/test_jsonio.py::TestRowBudget::test_a_printed_row_at_the_bit_limit_is_one_pass",
+        ],
+        "why": "the answer is the same, but a printed row with a part of exactly "
+        "MAX_BITS bits, which is within the limit, is read again entry by entry",
+    },
+    {
+        "id": "row-count-dropped",
+        "module": "src/scherk/jsonio.py",
+        "old": ' or text.count(",") != len(row) - 1',
+        "new": "",
+        "tests": [
+            "tests/test_jsonio.py::TestSpelling::test_rows_read_as_their_entries_read"
+            "[comma-in-entry]",
+            "tests/test_jsonio.py::TestRowBudget::test_any_other_row_is_read_entry_by_entry",
+        ],
+        "why": "the joined row of [\"1,2\", \"3\"] is \"1,2,3\", which the row "
+        "pattern accepts; only the entry count refuses it, and without the count "
+        "a malformed entry is read as two",
+    },
+    {
+        "id": "json-literals-swapped",
+        "module": "src/scherk/cli.py",
+        "old": '        return "true"\n    elif value is False:\n        return "false"\n',
+        "new": '        return "false"\n    elif value is False:\n        return "true"\n',
+        "tests": [
+            "tests/test_cli.py::TestJsonWriter::test_writes_what_json_dumps_writes",
+            "tests/test_cli.py::TestOtherCommands::test_lattice_command",
+        ],
+        "why": "the writer spells True and False itself rather than through "
+        "json.dumps; swapped, every boolean answer prints its negation",
     },
 ]
