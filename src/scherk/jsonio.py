@@ -217,7 +217,7 @@ def _printed(row: list) -> Optional[tuple[tuple[int, ...], int]]:
     return _lowest([p * (den // q) for p, q in zip(num, dens)], den)
 
 
-def _row(obj: Any) -> tuple[tuple[int, ...], int]:
+def _scalars(obj: Any) -> tuple[tuple[int, ...], int]:
     """A vector or a matrix row as (ints, den) in lowest terms: a printed
     row in one pass, any other entry by entry, over the lcm of the
     denominators."""
@@ -230,7 +230,7 @@ def vector_to_json(v: Vector) -> list[str]:
 
 
 def vector_from_json(obj: Any) -> Vector:
-    return _vec(*_row(obj))
+    return _vec(*_scalars(obj))
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -241,7 +241,7 @@ def matrix_from_json(obj: Any) -> Matrix:
     rows = array(obj, "matrix", coordinates=True)
     if not rows:
         raise FormatError("matrix must have a row")
-    return _mat(*_rows_over_lcm([_row(row) for row in rows]))
+    return _mat(*_rows_over_lcm([_scalars(row) for row in rows]))
 
 
 def subspace_to_json(u: LinearSubspace) -> dict:
