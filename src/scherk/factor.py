@@ -27,8 +27,11 @@ not descend cannot land.
 Reading a chain off a factorization, len(f) = l(target) forces the suffix
 lengths 0, 1, ..., len(f), and the suffix invariants follow from fixed
 sets cut by one mirror at a time, on an orthogonal frame of their normals,
-and one-dimensional extensions of move-sets, with at most one
-classification.
+and then from spans that grow by one root at a time.  A hyperbolic suffix
+lies below the target's h^M, so the span of its move-set N fixes N =
+Span(N) meet {x . mu = |mu|^2}, the rule ``poset._place`` holds for every
+bound; the read places each move-set by that rule and classifies nothing
+but the target.
 
 The braid group acts on the minimal factorizations of w by Hurwitz moves:
 sigma_i replaces the factors (a, b) at positions i, i + 1 by (a b a, a),
@@ -81,8 +84,8 @@ update of those rows, the one behind ``Reflection.compose`` and
 ``isometry.product``.  The scanned points are integer rows too, so a step
 builds no Point, Vector or Isometry.  The update ends with the normal
 form `linalg` computes for every Matrix and Vector, so reading a chain
-compares the rows of the whole product with the target's fields, and only
-the one suffix it classifies becomes an Isometry.
+compares the rows of the whole product with the target's fields and
+builds no Isometry.
 """
 
 from __future__ import annotations
@@ -96,20 +99,18 @@ from .isometry import (
     Isometry,
     Reflection,
     Rows,
-    _from_rows,
     _identity_rows,
     _image,
     _motion,
     _reflect,
     _reflection_across,
     _rows,
-    move_set,
     product,
     reflection_length,
     standard_splitting,
 )
 from .linalg import _dot, _vec, _vector, orthogonal_complement, orthogonal_section, span
-from .poset import Elliptic, Hyperbolic, PosetElement, inv_map, rank
+from .poset import Elliptic, Hyperbolic, PosetContext, PosetElement, _place, inv_map, rank
 from .record import Record
 
 
@@ -361,24 +362,35 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     element; a factorization whose length is not the Scherk length of its
     target is rejected as non-minimal.
 
-    The suffix products s_j, the product of the last j factors, are
-    accumulated as integer rows (N, d, B, e) in lowest terms, one rank-one
-    update each from the identity (:func:`isometry._reflect`), so the last
-    equals the target exactly when its rows equal the target's fields.
-    Only the one suffix that is classified becomes an Isometry, and none
-    does when that suffix is the whole product: it is the target.
+    The product of the factors is accumulated as integer rows (N, d, B, e)
+    in lowest terms, one rank-one update each from the identity
+    (:func:`isometry._reflect`), and equals the target exactly when its
+    rows equal the target's fields.  No suffix product s_j, the product of
+    the last j factors, is built or classified: only the target is, by the
+    length check.
 
     With l(s_j) and l(s_j-1) differing by exactly one, len(f) = l(target)
-    forces l(s_j) = j for every j.
-    The invariants then follow walking up from the identity, with one
-    classification at most.  While s_j-1 is elliptic with fixed set F and
-    the next mirror H meets F, s_j fixes F ∩ H, of codimension at most j,
-    so Fix(s_j) = F ∩ H.  The first s_j whose mirror misses F is
-    hyperbolic and is classified.  Above a hyperbolic s_j the next factor,
-    with root alpha, gives Mov(s_j+1) ⊆ Mov(s_j) + span(alpha), and both
-    sides have dimension j - 1, so they are equal.  Each s_j-1 lies one
-    reflection below s_j in [1, target] and inv preserves order, so the
-    result is a maximal chain without an order check.
+    forces l(s_j) = j for every j, and the invariants follow walking up
+    from the identity.  While s_j-1 is elliptic with fixed set F and the
+    next mirror H meets F, s_j fixes F ∩ H, of codimension at most j, so
+    Fix(s_j) = F ∩ H.  At the first mirror H = {alpha . x = c} that misses
+    F, H is parallel to F, so alpha lies in Dir(F)^perp.  The motion of a
+    point x of F under s_j = r s_j-1 is r(x) - x, a multiple of alpha, and
+    the linear part R A' of s_j has im(R A' - I) inside span(alpha) +
+    im(A' - I) = Dir(F)^perp, so every motion of s_j lies in Dir(F)^perp.
+    s_j is hyperbolic of length j, so Span(Mov(s_j)) has dimension j - 1 =
+    codim F, and Span(Mov(s_j)) = Dir(F)^perp.  Above a hyperbolic s_j the
+    next factor, with root alpha, gives Mov(s_j+1) ⊆ Mov(s_j) +
+    span(alpha), both of dimension j - 1, so the spans grow by alpha.
+    Each s_j-1 lies one reflection below s_j in [1, target] and inv
+    preserves order, so the result is a maximal chain without an order
+    check, and every hyperbolic N on it lies below the top h^M =
+    inv(target).  So N is its span cut by {x . mu = |mu|^2}, the section
+    :func:`poset._place` takes under that top.  That section never returns
+    the bottom e^E or a bare subspace here, which it gives only for a
+    demand inside Dir(M): Span(N) holds the shift mu_N of N, and mu_N .
+    mu = |mu|^2 != 0.  The last span has dimension dim M + 1 and is the
+    top itself.
 
     F is walked on an orthogonal frame, integer rows spanning Dir(F)^perp
     (integer Gram-Schmidt, one row per step, divided by its gcd).  The
@@ -389,20 +401,19 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
     Dir(F ∩ H) as p and u are: the canonical point, with no projection.
     """
     dim = f.target.dim
-    suffixes = [_identity_rows(dim)]
+    rows = _identity_rows(dim)
     for r in reversed(f.factors):
-        suffixes.append(_reflect(r, suffixes[-1]))
-    whole = suffixes[-1]
-    if whole != _rows(f.target):
+        rows = _reflect(r, rows)
+    if rows != _rows(f.target):
         raise ChainError("factors do not multiply to the target")
     if len(f) != reflection_length(f.target):
         raise ChainError("factorization is not minimal: suffix ranks must step by one")
     fix = AffineSubspaceE.full(dim)
     frame: list[tuple[Sequence[int], int]] = []
-    move = None
+    demand = None
     elements: list[PosetElement] = [Elliptic(fix)]
-    for r, suffix in zip(reversed(f.factors), suffixes[1:]):
-        if move is None:
+    for r in reversed(f.factors):
+        if demand is None:
             alpha = u = r.root.num
             for row, norm in frame:
                 if c := _dot(u, row):
@@ -419,10 +430,11 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
                 frame.append((u, _dot(u, u)))
                 elements.append(Elliptic(fix))
                 continue
-            move = move_set(f.target if suffix is whole else _from_rows(suffix))
+            ctx = PosetContext(inv_map(f.target))
+            demand = orthogonal_complement(fix.direction)
         else:
-            move = AffineSubspaceV(span([*move.direction.basis, r.root]), move.mu)
-        elements.append(Hyperbolic(move))
+            demand = span([*demand.basis, r.root])
+        elements.append(_place(demand, ctx))
     elements.reverse()
     return elements
 

@@ -59,7 +59,8 @@ meet H, with direction W meet mu^perp (one pivot-row step,
 :func:`orthogonal_section`) and the point w |mu|^2 / (w . mu).  When W
 lies in U no move-set can be placed: W = 0, which only a meet reaches,
 gives the bottom e^E, W = U the top, and any other W is the leftover
-S = W.
+S = W.  :func:`_place` also serves the chain read of ``factor``, which
+places each hyperbolic suffix from the span of its move-set.
 
 A join of elliptics alone is one forward pass over the stacked system
 [normals | values] of their fixed sets.  A row pivoted in the value

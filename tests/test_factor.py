@@ -385,9 +385,9 @@ class TestOperationBudget:
         assert (len(walks), steps, budget) == (62, 159, 442)
 
     def test_chain_walks_build_no_isometry_per_step(self, monkeypatch, calls, counted):
-        """Both walks keep their products as integer rows: the walk down a
-        chain builds no Isometry, and the read builds at most one, for the
-        one suffix it classifies (none when that suffix is the target)."""
+        """Both walks keep their products as integer rows, and the read
+        places its move-sets from spans: neither the walk down a chain nor
+        the read builds an Isometry."""
         rng = random.Random(109)
         walks = [
             (random_maximal_chain(w, rng), w)
@@ -404,13 +404,38 @@ class TestOperationBudget:
         )
         steps = sum(len(chain_to_factorization(*walk)) for walk in walks)
         assert calls == []
-        built = []
         for f in fs:
-            calls.clear()
             factorization_to_chain(f)
-            assert calls in ([], ["_isometry"])
-            built.append(len(calls))
-        assert (len(walks), steps, sum(built)) == (100, 330, 23)
+            assert calls == []
+        assert (len(walks), steps) == (100, 330)
+
+    def test_chain_read_classifies_only_the_target(self, monkeypatch, calls, counted):
+        """The length check classifies the target, and every other element
+        of the read is a cut fixed set or a placed span: one invariant
+        elimination for a target rebuilt from JSON, and none at all once
+        the target carries its class."""
+        rng = random.Random(113)
+        fs = [
+            random_minimal_factorization(w, rng)
+            for dim in range(2, 7)
+            for w in corpus(dim, 20, rng)
+        ]
+        fresh = [
+            Factorization(isometry_from_json(isometry_to_json(f.target)), f.factors)
+            for f in fs
+        ]
+        isometry = importlib.import_module("scherk.isometry")
+        original = isometry._invariants
+        patch_everywhere(monkeypatch, original, counted("_invariants", original))
+        hyperbolic = 0
+        for f in fresh:
+            calls.clear()
+            chain = factorization_to_chain(f)
+            assert calls == ["_invariants"]
+            assert factorization_to_chain(f) == chain
+            assert calls == ["_invariants"]
+            hyperbolic += isinstance(chain[0], Hyperbolic)
+        assert (len(fresh), hyperbolic) == (100, 37)
 
     def test_elliptic_chain_read_projects_nothing(self, monkeypatch, calls, counted):
         """Under an elliptic target the read walks an orthogonal frame: each

@@ -844,10 +844,12 @@ class TestOperationBudget:
         assert 0 < counts["orthogonal_section"] <= self.TRIPLE_SECTION_BUDGET
 
     # move_set and Isometry.compose calls on the chain paths, over ops
-    # shaped like the benchmark's chains workload.  Each invariant is
-    # computed once per isometry and kept on it, and the chain walk works
-    # with rank-one reflection updates, never a full product.
-    MOVE_SET_PER_CHAIN_OP = 2
+    # shaped like the benchmark's chains workload.  inv_map and the
+    # interval order read the class of an isometry, not move_set; the chain
+    # read places its move-sets from spans instead of classifying a suffix;
+    # and both chain walks work with rank-one reflection updates, never a
+    # full product.
+    MOVE_SET_PER_CHAIN_OP = 0
 
     def test_chain_ops_stay_within_budget(self, monkeypatch):
         ops = chain_ops()
@@ -874,7 +876,7 @@ class TestOperationBudget:
             assert factorization_to_chain(f) == chain
             pu, pv = inv_map(u), inv_map(v)
             assert interval_leq(w, u, v) == leq(pu, pv)
-        assert 0 < counts["move_set"] <= self.MOVE_SET_PER_CHAIN_OP * len(ops)
+        assert counts["move_set"] <= self.MOVE_SET_PER_CHAIN_OP * len(ops)
         assert counts["compose"] == 0
 
 

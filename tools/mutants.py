@@ -280,6 +280,34 @@ CATALOG = [
         "+ A nu . b gives a parallel mirror, and the step does not land",
     },
     {
+        "id": "read-span-without-root",
+        "module": "src/scherk/factor.py",
+        "old": "demand = span([*demand.basis, r.root])",
+        "new": "demand = span([*demand.basis])",
+        "tests": [
+            "tests/test_factor.py::TestMinimalFactorizationProperties::"
+            "test_chain_round_trip_past_dimension_six[8]",
+            "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
+        ],
+        "why": "above a hyperbolic suffix the next factor adds its root to the "
+        "span of the move-set; without it the read places the same move-set "
+        "twice and the chain does not climb",
+    },
+    {
+        "id": "read-places-fixed-direction",
+        "module": "src/scherk/factor.py",
+        "old": "demand = orthogonal_complement(fix.direction)",
+        "new": "demand = fix.direction",
+        "tests": [
+            "tests/test_factor.py::TestMinimalFactorizationProperties::"
+            "test_chain_round_trip_past_dimension_six[8]",
+            "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
+        ],
+        "why": "the first hyperbolic suffix moves points only along the normals "
+        "of the last fixed set F, so its span is Dir(F)^perp; Dir(F) itself "
+        "places another element, or none",
+    },
+    {
         "id": "json-mirror-point-den",
         "module": "src/scherk/jsonio.py",
         "old": "den = offset.denominator * _dot(root, root)",
