@@ -34,9 +34,10 @@ from .linalg import (
     orthogonal_section,
     project,
 )
+from .record import Record
 
 
-class Point:
+class Point(Record):
     """A position in the affine point space; not a vector.
 
     It holds its coordinate vector relative to the global basepoint.
@@ -77,17 +78,11 @@ class Point:
             return Point(self.vector - other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.vector == other.vector
-
-    def __hash__(self) -> int:
-        return hash(("Point", self.vector))
-
     def __repr__(self) -> str:
         return "Point((%s))" % ", ".join(str(c) for c in self.coords)
 
 
-class _AffineSubspace:
+class _AffineSubspace(Record):
     """A direction subspace plus an anchor vector in standard form.
 
     The constructor stores the anchor's projection onto the orthogonal
@@ -165,16 +160,6 @@ class _AffineSubspace:
         rows.append([e * a - d * b for a, b in zip(self.anchor.num, other.anchor.num)])
         return other.direction._contains_rows(rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.direction == other.direction
-            and self.anchor == other.anchor
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.direction, self.anchor))
-
 
 class AffineSubspaceV(_AffineSubspace):
     """An affine subspace U + mu of the vector space, in standard form.
@@ -184,7 +169,8 @@ class AffineSubspaceV(_AffineSubspace):
 
     The slot ``_span_perp`` holds the orthogonal complement of the linear
     span once :meth:`span_complement` has been asked for it; it is written
-    once and plays no part in equality or hashing.
+    once, and the inherited ``_names`` (direction, anchor) leave it out, so
+    it plays no part in equality or hashing.
     """
 
     __slots__ = ("_span_perp",)

@@ -70,7 +70,7 @@ class OrthogonalityError(ValueError):
     """The linear part of an isometry is not exactly orthogonal."""
 
 
-class Isometry:
+class Isometry(Record):
     """A euclidean isometry x -> A x + b with A exactly orthogonal.
 
     The constructor always verifies orthogonality.  Group operations
@@ -79,12 +79,13 @@ class Isometry:
     orthogonal, so revalidating them would only slow the hot paths down.
 
     The slot ``_class`` holds the IsometryClass, its min-set unbuilt, once
-    any invariant has been asked for; :func:`classify` writes it once, it
-    lives as long as the isometry, and it plays no part in equality or
-    hashing.
+    any invariant has been asked for; :func:`classify` writes it once and
+    it lives as long as the isometry.  ``_names`` leaves it out, so it
+    plays no part in equality or hashing.
     """
 
     __slots__ = ("matrix", "translation", "_class")
+    _names = ("matrix", "translation")
 
     def __init__(self, matrix: Matrix, translation: Vector):
         if matrix.nrows != matrix.ncols:
@@ -132,16 +133,6 @@ class Isometry:
     def image_of_affine(self, b: AffineSubspaceE) -> AffineSubspaceE:
         return AffineSubspaceE(self.apply(b.point), self.image_of_linear(b.direction))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Isometry)
-            and self.matrix == other.matrix
-            and self.translation == other.translation
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.matrix, self.translation))
-
     def __repr__(self) -> str:
         return f"Isometry({self.matrix!r}, {self.translation!r})"
 
@@ -161,7 +152,7 @@ def translation(shift: Vector) -> Isometry:
     return _isometry(Matrix.identity(shift.dim), shift)
 
 
-class Reflection:
+class Reflection(Record):
     """The unique nontrivial isometry fixing an affine hyperplane pointwise.
 
     Reflection(normal, value) is the reflection across the mirror
@@ -231,16 +222,6 @@ class Reflection:
         root = [norm * y - k * x for x, y in zip(alpha, beta)]
         p = norm * d.numerator * c.denominator - k * c.numerator * d.denominator
         return _reflection_across(root, p, c.denominator * d.denominator)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Reflection)
-            and self.root == other.root
-            and self.offset == other.offset
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Reflection", self.root, self.offset))
 
     def __repr__(self) -> str:
         return f"Reflection(root={self.root!r}, offset={self.offset})"

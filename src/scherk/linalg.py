@@ -3,11 +3,12 @@
 Every vector and matrix is stored as Python ints over one positive common
 denominator, in lowest terms: a Vector is (num, den) and a Matrix is
 (num rows, den, ncols), with den > 0 and gcd(den, *entries) == 1.  That
-form is unique, so equality is a tuple compare, and elimination, dot
-products and products run on ints without building a `fractions.Fraction`
-per coefficient.  Fractions appear only at the API edge: `coords`, `rows`,
-indexing, iteration and `dot` return them, and the constructors accept
-ints, Fractions and numeric strings.
+form is unique, so equality is a compare of the stored fields (the one
+rule of `record.Record`, which every value class of the library takes),
+and elimination, dot products and products run on ints without building
+a `fractions.Fraction` per coefficient.  Fractions appear only at the API
+edge: `coords`, `rows`, indexing, iteration and `dot` return them, and the
+constructors accept ints, Fractions and numeric strings.
 
 This module is the one place that computes that normal form.
 `_over_lcm` puts rationals read as (p, q) pairs over their least common
@@ -64,6 +65,8 @@ import math
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence
+
+from .record import Record
 
 
 class DimensionError(ValueError):
@@ -177,7 +180,7 @@ def _matrix(rows: Sequence[Sequence[int]], den: int, ncols: int) -> "Matrix":
     return _mat(*_lowest_rows(rows, den), ncols)
 
 
-class Vector:
+class Vector(Record):
     """Immutable rational vector, stored as ints over one denominator."""
 
     __slots__ = ("num", "den")
@@ -254,21 +257,11 @@ class Vector:
                 f"vector dimensions differ: {len(self.num)} vs {len(other.num)}"
             )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vector)
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
     def __repr__(self) -> str:
         return "Vector((%s))" % ", ".join(str(c) for c in self.coords)
 
 
-class Matrix:
+class Matrix(Record):
     """Immutable rational matrix, stored as integer rows over one denominator.
 
     `ncols` is kept explicitly so that matrices with zero rows (empty
@@ -354,17 +347,6 @@ class Matrix:
             for i in range(self.ncols)
             for j in range(i, self.ncols)
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.den == other.den
-            and self.num == other.num
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den, self.ncols))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -513,7 +495,7 @@ def _reduced_pivots(rows: Sequence[Vector]) -> Optional[tuple[int, ...]]:
     return tuple(pivots)
 
 
-class LinearSubspace:
+class LinearSubspace(Record):
     """A linear subspace of rational n-space in canonical form.
 
     The basis is stored as the reduced row echelon form of whatever spanning
@@ -525,11 +507,13 @@ class LinearSubspace:
     other spanning set is reduced by :func:`_span`.
 
     The slot ``_perp`` holds the orthogonal complement once
-    :func:`orthogonal_complement` has been asked for it; it is written once
-    and plays no part in equality or hashing.
+    :func:`orthogonal_complement` has been asked for it; it is written once,
+    and it is left out of ``_names``, so it plays no part in equality or
+    hashing.  Nor are ``pivots``, which the basis determines.
     """
 
     __slots__ = ("ambient", "basis", "pivots", "_perp")
+    _names = ("ambient", "basis")
 
     def __init__(self, ambient: int, rows: Iterable[Iterable]) -> None:
         if ambient < 0:
@@ -610,16 +594,6 @@ class LinearSubspace:
         if self.ambient != other.ambient:
             raise DimensionError("subspaces of different ambient dimensions")
         return other._contains_rows([b.num for b in self.basis])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearSubspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
 
     def __repr__(self) -> str:
         rows = "; ".join(

@@ -115,26 +115,20 @@ class PosetError(ValueError):
     """Invalid poset input: bad element, bad context, or element above top."""
 
 
-class _Element:
+class _Element(Record):
     """The one slot of a poset element and what the three kinds share.
 
     Each kind names the slot after its paper field (``fix``, ``move``,
     ``subspace``); ``kind`` is its letter, e, h or n.
 
     The slot ``_under`` holds the context that last accepted the element
-    in :meth:`PosetContext.contains`; membership depends on values alone,
-    and the slot plays no part in equality, hashing or the repr.
+    in :meth:`PosetContext.contains`; membership depends on values alone.
+    ``_names`` leaves the slot out, and the repr does not print it, so it
+    plays no part in equality, hashing or the repr.
     """
 
     __slots__ = ("_space", "_under")
-
-    def __eq__(self, other):  # identical fields are equal uncompared, as in a tuple
-        if other.__class__ is self.__class__:
-            return self._space is other._space or self._space == other._space
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._space,))
+    _names = ("_space",)
 
     @property
     def ambient(self) -> int:

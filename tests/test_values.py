@@ -1,14 +1,28 @@
-"""The eight small value classes: construction, equality, hash, repr and
-the checks their constructors make."""
+"""The value classes of the library, all of them ``record.Record``s.
 
+The eight small classes whose constructors take their fields: construction,
+equality, hash, repr and the checks their constructors make.  The eight
+exact classes that build a normal form (``Vector``, ``Matrix``,
+``LinearSubspace``, ``Point``, the two affine subspaces, ``Isometry`` and
+``Reflection``): values are equal exactly when their value fields are, the
+hash is the hash of those fields, a filled memo is no part of the value,
+and the repr is pinned."""
+
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
 from scherk.factor import Factorization
-from scherk.isometry import IsometryClass, ProductPrediction, Reflection
-from scherk.linalg import LinearSubspace, Vector
+from scherk.isometry import (
+    Isometry,
+    IsometryClass,
+    ProductPrediction,
+    Reflection,
+    classify,
+)
+from scherk.linalg import LinearSubspace, Matrix, Vector, orthogonal_complement
 from scherk.poset import (
     BoundFamily,
     Elliptic,
@@ -17,6 +31,7 @@ from scherk.poset import (
     PosetContext,
     PosetError,
 )
+from scherk.record import Record
 
 
 def vec(*coords):
@@ -180,3 +195,176 @@ class TestValidation:
         with pytest.raises(PosetError):
             PosetContext(top=Elliptic(FIX), augmented=True)
         assert PosetContext(top=Elliptic(FIX)).augmented is False
+
+
+# class: (its value fields, values whose first two spell one value two
+# ways and whose others are distinct, the repr of that value as a literal)
+EXACT = {
+    Vector: (
+        ("num", "den"),
+        [
+            Vector([1, Fraction(1, 2)]),
+            Vector([Fraction(2, 2), "1/2"]),
+            Vector([1, 1]),
+            Vector([2, 1]),
+            Vector([1, Fraction(1, 2), 0]),
+        ],
+        "Vector((1, 1/2))",
+    ),
+    Matrix: (
+        ("num", "den", "ncols"),
+        [
+            Matrix([[0, 1], [1, 0]]),
+            Matrix([[0, Fraction(3, 3)], ["1", 0]], ncols=2),
+            Matrix.identity(2),
+            Matrix([], ncols=2),
+            Matrix([], ncols=3),
+        ],
+        "Matrix([0, 1; 1, 0], ncols=2)",
+    ),
+    LinearSubspace: (
+        ("ambient", "basis"),
+        [
+            LinearSubspace(2, [vec(2, 2)]),
+            LinearSubspace(2, [vec(1, 1), vec(-3, -3)]),
+            LinearSubspace(2, [vec(1, 0)]),
+            LinearSubspace(2, []),
+            LinearSubspace(3, []),
+        ],
+        "LinearSubspace(R^2, [1, 1])",
+    ),
+    Point: (
+        ("vector",),
+        [Point([1, Fraction(-1, 3)]), Point(vec(1, Fraction(-2, 6))), Point([1, 3])],
+        "Point((1, -1/3))",
+    ),
+    AffineSubspaceE: (
+        ("direction", "anchor"),
+        [
+            AffineSubspaceE(Point(vec(0, -1)), LINE),
+            FIX,
+            AffineSubspaceE(Point(vec(0, 0)), LINE),
+            POINT,
+            MIRROR,
+        ],
+        "AffineSubspaceE(Point((1/2, -1/2)) + LinearSubspace(R^2, [1, 1]))",
+    ),
+    AffineSubspaceV: (
+        ("direction", "anchor"),
+        [
+            AffineSubspaceV(LINE, vec(2, 0)),
+            MOVE,
+            AffineSubspaceV(LINE, vec(2, -2)),
+            X_AXIS,
+            ORIGIN_V,
+        ],
+        "AffineSubspaceV(LinearSubspace(R^2, [1, 1]) + Vector((1, -1)))",
+    ),
+    Isometry: (
+        ("matrix", "translation"),
+        [
+            W,
+            Isometry(Matrix([[-1, 0], [0, 1]]), vec(1, 0)),
+            S.to_isometry(),
+            Isometry.identity(2),
+        ],
+        "Isometry(Matrix([-1, 0; 0, 1], ncols=2), Vector((1, 0)))",
+    ),
+    Reflection: (
+        ("root", "offset"),
+        [
+            R,
+            Reflection(vec(-2, 0), -1),
+            Reflection(vec(1, 0), 0),
+            S,
+            Reflection(vec(0, 1), Fraction(1, 2)),
+        ],
+        "Reflection(root=Vector((1, 0)), offset=1/2)",
+    ),
+}
+
+
+def fields(value):
+    return tuple(getattr(value, name) for name in EXACT[type(value)][0])
+
+
+def test_every_value_class_is_a_record():
+    for cls in [*CLASSES, *EXACT]:
+        assert issubclass(cls, Record)
+
+
+@pytest.mark.parametrize("cls", EXACT, ids=ids)
+def test_equal_exactly_when_the_value_fields_are(cls):
+    names, values, _ = EXACT[cls]
+    assert cls._names == names
+    outcomes = set()
+    for a, b in itertools.product(values, repeat=2):
+        same = fields(a) == fields(b)
+        assert (a == b) is same and (a != b) is not same
+        outcomes.add((a is b, same))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    assert len(set(values)) == len(values) - 1
+
+
+@pytest.mark.parametrize("cls", EXACT, ids=ids)
+def test_hash_is_the_hash_of_the_value_fields(cls):
+    for value in EXACT[cls][1]:
+        assert hash(value) == hash(fields(value))
+
+
+@pytest.mark.parametrize("cls", EXACT, ids=ids)
+def test_exact_repr_is_pinned(cls):
+    _, values, text = EXACT[cls]
+    assert repr(values[0]) == text == repr(values[1])
+
+
+@pytest.mark.parametrize("cls", EXACT, ids=ids)
+def test_an_exact_value_is_unequal_to_any_other_object(cls):
+    value = EXACT[cls][1][0]
+    assert value.__eq__(object()) is NotImplemented
+    assert value != fields(value)
+    for other in EXACT:
+        if other is not cls:
+            assert all(value != x for x in EXACT[other][1])
+
+
+# class: (a maker of fresh values, the call that fills a memo slot, the
+# slot); PosetContext.require fills the elements' slot, tested above
+MEMOS = {
+    LinearSubspace: (
+        lambda: LinearSubspace(2, [vec(1, 1)]),
+        orthogonal_complement,
+        "_perp",
+    ),
+    AffineSubspaceV: (
+        lambda: AffineSubspaceV(LINE, vec(1, -1)),
+        AffineSubspaceV.span_complement,
+        "_span_perp",
+    ),
+    Isometry: (lambda: Reflection(vec(1, 1), 3).to_isometry(), classify, "_class"),
+}
+
+
+@pytest.mark.parametrize("cls", MEMOS, ids=ids)
+def test_a_filled_memo_is_no_part_of_the_value(cls):
+    fresh, fill, slot = MEMOS[cls]
+    filled, twin = fresh(), fresh()
+    before = hash(filled)
+    fill(filled)
+    assert getattr(filled, slot) is not None and getattr(twin, slot) is None
+    assert filled == twin and twin == filled
+    assert hash(filled) == hash(twin) == before
+
+
+def test_kinds_with_the_same_fields_are_unequal():
+    """E and V subspaces share one standard form, and a Point holds a
+    Vector of its coordinates; neither kind equals the other."""
+    e = AffineSubspaceE(Point(vec(1, -1)), LINE)
+    v = AffineSubspaceV(LINE, vec(1, -1))
+    assert (e.direction, e.anchor) == (v.direction, v.anchor)
+    assert e != v and v != e
+    assert len({e, v}) == 2
+    point, vector = Point(vec(1, 2)), vec(1, 2)
+    assert point.vector == vector
+    assert point != vector and vector != point
+    assert len({point, vector}) == 2

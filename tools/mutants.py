@@ -578,4 +578,66 @@ CATALOG = [
         "why": "the writer spells True and False itself rather than through "
         "json.dumps; swapped, every boolean answer prints its negation",
     },
+    {
+        "id": "record-any-class-equal",
+        "module": "src/scherk/record.py",
+        "old": "if other.__class__ is self.__class__:",
+        "new": "if isinstance(other, Record):",
+        "tests": [
+            "tests/test_values.py::test_kinds_with_the_same_fields_are_unequal",
+        ],
+        "why": "an AffineSubspaceE and an AffineSubspaceV share one standard form; "
+        "compared as any two Records, a subspace of E equals the subspace of V "
+        "with its direction and anchor",
+    },
+    {
+        "id": "record-one-field-unwrapped",
+        "module": "src/scherk/record.py",
+        "old": "staticmethod(lambda r: (read(r),))",
+        "new": "staticmethod(read)",
+        "tests": [
+            "tests/test_values.py::test_hash_is_the_hash_of_the_value_fields[Point]",
+            "tests/test_values.py::test_positional_and_keyword_construction_agree"
+            "[Elliptic]",
+        ],
+        "why": "attrgetter of one name returns the bare field, so a one-field "
+        "Record hashes as its field, not as the tuple of its fields",
+    },
+    {
+        "id": "perp-in-subspace-value",
+        "module": "src/scherk/linalg.py",
+        "old": '_names = ("ambient", "basis")',
+        "new": '_names = ("ambient", "basis", "_perp")',
+        "tests": [
+            "tests/test_values.py::test_a_filled_memo_is_no_part_of_the_value"
+            "[LinearSubspace]",
+            "tests/test_linalg.py::TestKernelOnce::"
+            "test_filled_slot_changes_neither_equality_nor_hash",
+        ],
+        "why": "the complement is a memo: a subspace asked for it would differ "
+        "from its unasked twin, and hashing it follows the link back from the "
+        "complement without end",
+    },
+    {
+        "id": "class-in-isometry-value",
+        "module": "src/scherk/isometry.py",
+        "old": '_names = ("matrix", "translation")',
+        "new": '_names = ("matrix", "translation", "_class")',
+        "tests": [
+            "tests/test_values.py::test_a_filled_memo_is_no_part_of_the_value[Isometry]",
+        ],
+        "why": "a classified isometry would differ from its unclassified twin, so "
+        "equality would depend on which invariants were asked for",
+    },
+    {
+        "id": "under-in-element-value",
+        "module": "src/scherk/poset.py",
+        "old": '_names = ("_space",)',
+        "new": '_names = ("_space", "_under")',
+        "tests": [
+            "tests/test_values.py::test_a_checked_element_is_the_same_value[Hyperbolic]",
+        ],
+        "why": "the membership mark is a memo of require; an element checked by a "
+        "context would differ from a fresh one",
+    },
 ]
