@@ -18,11 +18,15 @@ answer too long to print); 2 invalid isometry (`OrthogonalityError`, or
 whose dimension is not --dim or, in `order`, not w's); 3 invalid poset or
 chain input (`PosetError`, `ChainError`, any other `DimensionError`).
 
-Only what the command runs is paid for.  `main` parses the arguments of a
-known command with that command's own parser, which is built on first use;
-the full parser with all ten subparsers is built only when argparse must
-speak from the top level: no command, an unknown one, `-h`, or arguments
-the command does not take.  JSON output is written by a small recursive
+A plain command line is read without argparse.  `_plain` reads a known
+command, at most one input (a path, or `-` for stdin) and whole option
+names, each valued one followed by a value that is not an option: a choice
+of the command's, digits for an int.  Any other line, `-h`, `=` spellings,
+abbreviations and every error among them, goes to the full argparse
+parser, which is imported and built only then.  One table of each
+command's options feeds both readers.
+
+JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
 writes, without the pure-Python encoder that any indent selects.  It works
 per list, not per entry: a list of strings, such as every vector, is one
@@ -33,11 +37,11 @@ and `json.dumps` writes only any other scalar.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any, Optional
 
 from . import jsonio, oracle, poset
@@ -262,24 +266,44 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(cmd: argparse.ArgumentParser, name: str) -> None:
-    """The arguments of one command, on its subparser or its own parser."""
-    cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
-    cmd.add_argument("--seed", type=int, default=0)
+def _options(name: str):
+    """flag, (kind, default) of each option of one command, in help order;
+    the kind is int, str, bool (a switch) or the tuple of the choices."""
     formats = ("dot", "json") if name == "hasse" else ("json", "text")
-    cmd.add_argument("--format", choices=formats, default=formats[0])
+    yield "--seed", (int, 0)
+    yield "--format", (formats, formats[0])
     if name in ("analyze", "factorize", "order"):
-        cmd.add_argument("--dim", type=int, default=None)
+        yield "--dim", (int, None)
     if name == "factorize":
-        cmd.add_argument("--chain", default=None, metavar="FILE")
+        yield "--chain", (str, None)
     if name in ("meet", "join", "lattice"):
-        cmd.add_argument("--augmented", action="store_true")
+        yield "--augmented", (bool, False)
+
+
+# Each command's options, flag -> (kind, default): what both parsers read.
+_OPTIONS = {name: dict(_options(name)) for name in _COMMANDS}
+
+
+def _add_arguments(cmd, name: str) -> None:
+    """The arguments of one command, on its subparser."""
+    cmd.add_argument("input", nargs="?", default=None, help="JSON file or - for stdin")
+    for flag, (kind, default) in _OPTIONS[name].items():
+        if kind is bool:
+            cmd.add_argument(flag, action="store_true")
+        elif kind is int:
+            cmd.add_argument(flag, type=int, default=default)
+        elif kind is str:
+            cmd.add_argument(flag, default=default, metavar="FILE")
+        else:
+            cmd.add_argument(flag, choices=kind, default=default)
     cmd.set_defaults(command=name, handler=_COMMANDS[name])
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The full command line parser, for top-level help and usage errors."""
+def _build_parser():
+    """The full command line parser, for every line _plain does not read."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="scherk",
         description=(
@@ -293,21 +317,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=len(_COMMANDS))
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One command's parser: the same as its subparser of the full parser."""
-    parser = argparse.ArgumentParser(prog=f"scherk {name}")
-    _add_arguments(parser, name)
-    return parser
+def _plain(argv: list) -> Optional[SimpleNamespace]:
+    """What _build_parser().parse_args(argv) returns, when argv is a command,
+    at most one input that is no option (or is "-") and whole option names,
+    each valued one followed by a value that is no option; else None."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    args = {"command": argv[0], "handler": _COMMANDS[argv[0]], "input": None}
+    args.update((flag[2:], default) for flag, (_, default) in options.items())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        kind, _ = options.get(token, (None, None))
+        if kind is None:
+            if args["input"] is not None or token.startswith("-") and token != "-":
+                return None
+            args["input"] = token
+        elif kind is bool:
+            args[token[2:]] = True
+        else:
+            value = next(tokens, "-")
+            if kind is int:
+                # int() reads 640 digits whatever its digit limit is set to
+                if not (value.isascii() and value.isdigit() and len(value) <= 640):
+                    return None
+                value = int(value)
+            elif value.startswith("-") or kind is not str and value not in kind:
+                return None
+            args[token[2:]] = value
+    return SimpleNamespace(**args)
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv):
     """What _build_parser().parse_args(argv) returns, or the same exit."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in _COMMANDS:
-        return _build_parser().parse_args(argv)
-    args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-    return _build_parser().parse_args(argv) if extras else args
+    args = _plain(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

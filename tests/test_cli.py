@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -875,6 +876,136 @@ ANALYZE_HELP = ANALYZE_USAGE + (
     "  --format {json,text}\n"
     "  --dim DIM\n"
 )
+
+# Each command's help, as `scherk <command> -h` prints it at 80 columns.
+COMMAND_HELP = {
+    "analyze": ANALYZE_HELP,
+    "factorize": (
+        "usage: scherk factorize [-h] [--seed SEED] [--format {json,text}] "
+        "[--dim DIM]\n"
+        "                        [--chain FILE]\n"
+        "                        [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+        "  --dim DIM\n"
+        "  --chain FILE\n"
+    ),
+    "chain": (
+        "usage: scherk chain [-h] [--seed SEED] [--format {json,text}] [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+    ),
+    "order": (
+        "usage: scherk order [-h] [--seed SEED] [--format {json,text}] [--dim DIM]\n"
+        "                    [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+        "  --dim DIM\n"
+    ),
+    "meet": (
+        "usage: scherk meet [-h] [--seed SEED] [--format {json,text}] [--augmented]\n"
+        "                   [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+        "  --augmented\n"
+    ),
+    "join": (
+        "usage: scherk join [-h] [--seed SEED] [--format {json,text}] [--augmented]\n"
+        "                   [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+        "  --augmented\n"
+    ),
+    "bowtie": (
+        "usage: scherk bowtie [-h] [--seed SEED] [--format {json,text}] [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+    ),
+    "lattice": (
+        "usage: scherk lattice [-h] [--seed SEED] [--format {json,text}] "
+        "[--augmented]\n"
+        "                      [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+        "  --augmented\n"
+    ),
+    "complete": (
+        "usage: scherk complete [-h] [--seed SEED] [--format {json,text}] [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                 JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {json,text}\n"
+    ),
+    "hasse": (
+        "usage: scherk hasse [-h] [--seed SEED] [--format {dot,json}] [input]\n"
+        "\n"
+        "positional arguments:\n"
+        "  input                JSON file or - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --seed SEED\n"
+        "  --format {dot,json}\n"
+    ),
+}
+
+
+def format_error(name):
+    """The usage and error of `scherk <name> - --format xml`."""
+    usage = COMMAND_HELP[name].split("\n\n")[0] + "\n"
+    choices = "'dot', 'json'" if name == "hasse" else "'json', 'text'"
+    return usage + (
+        f"scherk {name}: error: argument --format: invalid choice: 'xml' "
+        f"(choose from {choices})\n"
+    )
+
+
 CHOICES = (
     "'analyze', 'factorize', 'chain', 'order', 'meet', 'join', 'bowtie', "
     "'lattice', 'complete', 'hasse'"
@@ -927,6 +1058,14 @@ PARSER_EXITS = [
         (("meet", "-x"), "-x"),
         (("analyze", "--se", "1", "x", "extra"), "extra"),
     ]
+] + [
+    # Each command's help (analyze -h is pinned above), and an invalid --format.
+    case
+    for name, help_ in COMMAND_HELP.items()
+    for case in [
+        ((name, "--help" if name == "analyze" else "-h"), 0, help_, ""),
+        ((name, "-", "--format", "xml"), 2, "", format_error(name)),
+    ]
 ]
 
 # Argument lists the commands accept: those of the tests above, and the
@@ -954,24 +1093,24 @@ VALID_ARGVS = [argv for argv, _ in GOLDEN_CASES] + [
     ("hasse", "-", "--format", "dot"),
 ]
 
+# What the reader and argparse are both given in the property test: every
+# option name, near misses of them, odd values (an Arabic-Indic three and a
+# superscript two are digits to str.isdigit), each format and some paths.
+ARGV_TOKENS = st.sampled_from(
+    ["--seed", "--format", "--dim", "--chain", "--augmented"]
+    + ["--se", "--aug", "--seed=3", "--", "-", "-h", "--help"]
+    + ["-3", "+3", " 3", "3_0", "007", "\u0663", "\u00b2", "1" * 4301, ""]
+    + ["json", "text", "dot"]
+    + ["x.json", "in put.json", str(DATA / "glide.json")]
+)
+
 
 class TestParser:
-    """One parser per command, with the exits and output of the full one."""
+    """A plain line read without argparse; every other through the full parser."""
 
     @pytest.fixture(autouse=True)
     def eighty_columns(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-
-    @pytest.mark.parametrize("name", list(cli._COMMANDS))
-    def test_command_parser_prints_what_its_subparser_prints(self, name):
-        [commands] = [
-            action
-            for action in cli._build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        subparser, own = commands.choices[name], cli._command_parser(name)
-        assert own.format_help() == subparser.format_help()
-        assert own.format_usage() == subparser.format_usage()
 
     @pytest.mark.parametrize("argv,code,out,err", PARSER_EXITS)
     def test_exit_and_output_are_pinned(self, argv, code, out, err, capsys):
@@ -985,9 +1124,22 @@ class TestParser:
         expected = vars(cli._build_parser().parse_args(list(argv)))
         assert vars(cli._parse_args(list(argv))) == expected
 
-    def test_one_command_builds_one_parser(self, monkeypatch, capsys):
+    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from([*cli._COMMANDS, "nosuch"]), st.lists(ARGV_TOKENS, max_size=6))
+    @example("analyze", ["--seed", "\u00b2"])
+    @example("factorize", ["--dim", "1" * 4301, "-"])
+    @example("analyze", ["x.json", "x.json"])
+    @example("order", ["--seed", "\u0663", "--dim", "007", "-", "--format", "text"])
+    @example("join", ["--augmented", "in put.json", "--seed", "3"])
+    @example("factorize", ["--chain", "x.json", ""])
+    def test_plain_reads_what_the_full_parser_reads(self, command, tokens):
+        argv = [command, *tokens]
+        args = cli._plain(argv)
+        if args is not None:  # argparse reads the same line without an exit
+            assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+    def test_plain_line_builds_no_parser(self, monkeypatch, capsys):
         cli._build_parser.cache_clear()
-        cli._command_parser.cache_clear()
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -996,9 +1148,27 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        golden = (GOLDEN / "analyze_glide.json").read_text()
         assert cli.main(["analyze", str(DATA / "glide.json")]) == 0
-        assert built == ["scherk analyze"]
-        assert capsys.readouterr().out == (GOLDEN / "analyze_glide.json").read_text()
+        assert built == []
+        assert capsys.readouterr().out == golden
+        for _ in range(2):
+            assert cli.main(["analyze", "--dim=2", str(DATA / "glide.json")]) == 0
+            assert capsys.readouterr().out == golden
+        assert built == ["scherk"] + [f"scherk {name}" for name in cli._COMMANDS]
+
+    def test_plain_line_imports_no_argparse(self):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "scherk.cli", "analyze"]
+            + [str(DATA / "glide.json")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(HERE.parent / "src")),
+            timeout=60,
+        )
+        assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
+        assert "argparse" not in result.stderr
+        assert "gettext" not in result.stderr
 
 
 # Strings with what the writer must escape: quotes, backslashes, control

@@ -640,4 +640,41 @@ CATALOG = [
         "why": "the membership mark is a memo of require; an element checked by a "
         "context would differ from a fresh one",
     },
+    {
+        "id": "plain-second-input",
+        "module": "src/scherk/cli.py",
+        "old": 'if args["input"] is not None or token.startswith("-")',
+        "new": 'if token.startswith("-")',
+        "tests": [
+            "tests/test_cli.py::TestParser::test_exit_and_output_are_pinned[argv8-2--"
+            "usage: scherk [-h]\\n              {analyze,factorize,chain,order,meet,"
+            "join,bowtie,lattice,complete,hasse}\\n              ...\\nscherk: error: "
+            "unrecognized arguments: b\\n]",
+            "tests/test_cli.py::TestParser::test_plain_reads_what_the_full_parser_reads",
+        ],
+        "why": "the command takes one input; without the guard `analyze a b` reads "
+        "b instead of the usage error argparse gives for the second one",
+    },
+    {
+        "id": "plain-unicode-digits",
+        "module": "src/scherk/cli.py",
+        "old": "value.isascii() and value.isdigit()",
+        "new": "value.isdigit()",
+        "tests": [
+            "tests/test_cli.py::TestParser::test_plain_reads_what_the_full_parser_reads",
+        ],
+        "why": "str.isdigit accepts a superscript two, which int() refuses; the "
+        "reader would crash where argparse prints an invalid int value",
+    },
+    {
+        "id": "plain-long-digits",
+        "module": "src/scherk/cli.py",
+        "old": " and len(value) <= 640",
+        "new": "",
+        "tests": [
+            "tests/test_cli.py::TestParser::test_plain_reads_what_the_full_parser_reads",
+        ],
+        "why": "int() refuses more than 4300 digits by default; the reader would "
+        "crash where argparse prints an invalid int value",
+    },
 ]
