@@ -3,8 +3,8 @@
 Such a cache holds every argument it has seen for the life of the process,
 so a long-lived caller's memory grows without bound.  A zero-argument
 cache (the CLI's full parser) holds one value and is allowed, and so is a
-cache with a maxsize (the CLI's per-command parsers, one per command, and
-the full space of each dimension in ``linalg`` and in ``affine``).  The
+cache with a maxsize (the full space of each dimension in ``linalg`` and
+in ``affine``).  The
 scan covers the callables at module level and those bound on module-level
 classes: classmethods, staticmethods and plain attributes.
 """
