@@ -17,7 +17,6 @@ and their hulls and intersections share one body each.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
@@ -53,7 +52,7 @@ class Point(Record):
         return cls(Vector.zero(dim))
 
     @property
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple:
         return self.vector.coords
 
     @property

@@ -423,7 +423,7 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
             if any(u):
                 direction = orthogonal_section(fix.direction, r.root)[0]
                 p, q = fix.anchor.num, fix.anchor.den
-                a, b, s = r.offset.numerator, r.offset.denominator, _dot(alpha, u)
+                a, b, s = r.p, r.q, _dot(alpha, u)
                 t = a * q - b * _dot(alpha, p)
                 anchor = _vector([b * s * x + t * y for x, y in zip(p, u)], b * q * s)
                 fix = _affine_e(direction, anchor)

@@ -20,23 +20,25 @@ dim Mov(w) + 2 when w is hyperbolic.  No search is ever performed.  The
 move-set, type and length come from one elimination and are kept on the
 isometry; the min-set, which the formula never reads, on its first read.
 
-A reflection is stored as its mirror hyperplane {x : alpha . x = c}, with
-alpha the canonical primitive integer root and c a rational offset, so two
-reflections are equal exactly when their fields are.  One method,
+A reflection is stored as its mirror hyperplane {x : alpha . x = p / q},
+with alpha the canonical primitive integer root and p / q its value in
+lowest terms with q > 0, so two reflections are equal exactly when their
+fields are.  Every product, conjugate, chain step and JSON encoding
+computes on those ints; the offset p / q is a Fraction built only when
+asked for, and this module imports no `fractions`.  One method,
 Reflection._normalize, puts a mirror {x : a . x = p / q} given by any
 nonzero integer row a into that form.  Reflection(normal, value) calls it
 for any nonzero rational normal and value, and the library builds every
-reflection it derives (motions, conjugates, the peel, the chain steps and
-the JSON reader) through _reflection_across on integer rows.  The mirror
-as an affine subspace is derived only when asked for.  Roots stay
-rational because every formula divides by the root's squared length, so
-nothing here ever needs a square root.
+reflection it derives (motions, bisectors, conjugates, the peel, the
+chain steps and the JSON reader) through _reflection_across on integer
+rows.  The mirror as an affine subspace is derived only when asked for.
+Roots stay rational because every formula divides by the root's squared
+length, so nothing here ever needs a square root.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point, _affine_v
@@ -46,6 +48,7 @@ from .linalg import (
     Matrix,
     Vector,
     _dot,
+    _fraction,
     _independent,
     _lowest,
     _lowest_rows,
@@ -63,7 +66,6 @@ from .record import Record
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
-_ZERO = Fraction(0)  # the offset of every mirror through the origin
 
 
 class OrthogonalityError(ValueError):
@@ -157,27 +159,29 @@ class Reflection(Record):
 
     Reflection(normal, value) is the reflection across the mirror
     {x : normal . x = value}, for any nonzero rational normal and exact
-    rational value.  It is stored as {x : root . x = offset}: root is the
+    rational value.  It is stored as {x : root . x = p / q}: root is the
     canonical primitive integer normal (first nonzero entry positive) and
-    offset a rational, so equal reflections have equal fields.  That form
-    has one home, :meth:`_normalize`: the constructor hands it the integer
-    row of the normal, and every reflection the library derives is built
-    by :func:`_reflection_across` on integer rows.
+    p / q the ints of the offset in lowest terms with q > 0 (q = 1 when
+    p = 0), so equal reflections have equal fields.  That form has one
+    home, :meth:`_normalize`: the constructor hands it the integer row of
+    the normal, and every reflection the library derives is built by
+    :func:`_reflection_across` on integer rows.  The library computes on
+    the ints; ``offset``, the Fraction p / q, is built on each read.
     """
 
-    __slots__ = ("root", "offset")
+    __slots__ = ("root", "p", "q")
 
     def __init__(self, normal: Vector, value):
         if normal.is_zero():
             raise ValueError("root must be nonzero")
-        value = _q(value)
-        self._normalize(normal.num, normal.den * value.numerator, value.denominator)
+        p, q = _q(value)
+        self._normalize(normal.num, normal.den * p, q)
 
     def _normalize(self, alpha: Sequence[int], p: int, q: int) -> None:
         """Store the mirror {x : alpha . x = p / q} of a nonzero integer row
-        alpha: with g the gcd of alpha, signed so that alpha / g has a
-        positive first nonzero entry, root = alpha / g and offset = p / (q g).
-        Every mirror through the origin, p = 0, shares the offset ``_ZERO``."""
+        alpha and q != 0: with g the gcd of alpha, signed so that alpha / g
+        has a positive first nonzero entry, root = alpha / g and the offset
+        p / (q g), divided by the gcd h of its two ints, signed like q g."""
         g = math.gcd(*alpha)
         for first in alpha:
             if first:
@@ -185,7 +189,14 @@ class Reflection(Record):
         if first < 0:
             g = -g
         self.root = _vec(tuple([a // g for a in alpha]), 1)
-        self.offset = Fraction(p, q * g) if p else _ZERO
+        q *= g
+        h = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+        self.p, self.q = p // h, q // h
+
+    @property
+    def offset(self):
+        """The mirror's value p / q, as a Fraction."""
+        return _fraction(self.p, self.q)
 
     @property
     def dim(self) -> int:
@@ -193,10 +204,11 @@ class Reflection(Record):
 
     @property
     def mirror(self) -> AffineSubspaceE:
-        """The fixed hyperplane as an affine subspace, built on each call."""
-        alpha = self.root
-        point = Point(alpha.scale(self.offset / alpha.norm_sq()))
-        return AffineSubspaceE(point, orthogonal_complement(span([alpha])))
+        """The fixed hyperplane as an affine subspace, built on each call:
+        its point nearest the origin is root p / (q |root|^2)."""
+        alpha = self.root.num
+        point = Point(_vector([self.p * a for a in alpha], self.q * _dot(alpha, alpha)))
+        return AffineSubspaceE(point, orthogonal_complement(span([self.root])))
 
     def compose(self, w: Isometry) -> Isometry:
         """self after w, as a rank-one (Householder) update in O(n^2); the
@@ -218,13 +230,13 @@ class Reflection(Record):
             raise DimensionError("reflections of different dimensions")
         alpha, beta = r.root.num, self.root.num
         norm, k = _dot(alpha, alpha), 2 * _dot(alpha, beta)
-        c, d = r.offset, self.offset
         root = [norm * y - k * x for x, y in zip(alpha, beta)]
-        p = norm * d.numerator * c.denominator - k * c.numerator * d.denominator
-        return _reflection_across(root, p, c.denominator * d.denominator)
+        p = norm * self.p * r.q - k * r.p * self.q
+        return _reflection_across(root, p, r.q * self.q)
 
     def __repr__(self) -> str:
-        return f"Reflection(root={self.root!r}, offset={self.offset})"
+        offset = self.p if self.q == 1 else f"{self.p}/{self.q}"
+        return f"Reflection(root={self.root!r}, offset={offset})"
 
 
 def _reflection_across(alpha: Sequence[int], p: int, q: int) -> Reflection:
@@ -240,13 +252,17 @@ def reflection_bisecting(x: Point, y: Point) -> Reflection:
 
     Its mirror is the perpendicular bisector {z : (y - x) . z = c}, where
     c = (y - x) . (x + y) / 2 = (|y|^2 - |x|^2) / 2.  Symmetric in its
-    arguments.
+    arguments.  On integer rows, with x = X / a, y = Y / b and
+    y - x = D / d, the mirror is D . z = d (|Y|^2 a^2 - |X|^2 b^2) /
+    (2 a^2 b^2).
     """
     alpha = y - x
     if alpha.is_zero():
         raise ValueError("bisecting reflection needs two distinct points")
-    value = (y.vector.norm_sq() - x.vector.norm_sq()) / 2
-    return Reflection(alpha, value)
+    u, v = x.vector, y.vector
+    a, b = u.den * u.den, v.den * v.den
+    value = _dot(v.num, v.num) * a - _dot(u.num, u.num) * b
+    return _reflection_across(alpha.num, alpha.den * value, 2 * a * b)
 
 
 Rows = tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...], int]
@@ -291,7 +307,7 @@ def _reflect(r: Reflection, rows: Rows) -> Rows:
     top = [2 * _dot(alpha, col) for col in zip(*n)]
     n = [[norm * x - a * t for x, t in zip(row, top)] for a, row in zip(alpha, n)]
     n, d = _lowest_rows(n, d * norm)
-    p, q = r.offset.numerator, r.offset.denominator
+    p, q = r.p, r.q
     shift, scale = 2 * (q * _dot(alpha, b) - e * p), q * norm
     b = [scale * x - shift * a for a, x in zip(alpha, b)]
     return (n, d, *_lowest(b, e * scale))
@@ -467,7 +483,8 @@ def predict_product(r: Reflection, w: Isometry) -> ProductPrediction:
         return ProductPrediction(ELLIPTIC, k + 1, grown, None)
     # alpha lies in U, so it is normal to Dir(Min) = U^perp: the min-set lies
     # in the mirror exactly when its point does.
-    if alpha.dot(cls.min_set.anchor) == r.offset:
+    anchor = cls.min_set.anchor
+    if r.q * _dot(alpha.num, anchor.num) == r.p * anchor.den:
         return ProductPrediction(ELLIPTIC, k - 1, None, cls.move_set)
     return ProductPrediction(HYPERBOLIC, k + 1, None, cls.move_set)
 

@@ -28,8 +28,9 @@ Fraction(str); the entries are put over the lcm of their denominators by
 the normal form of a Vector, and the rows of a matrix are put over one
 lcm by `linalg._rows_over_lcm`, so no Fraction is made per printed
 coordinate.  A reflection with root R / r through the point A / a has the
-mirror {x : R . x = R . A / a}, which is read from the integer rows, so
-its offset is the one Fraction a decoded reflection makes.
+mirror {x : R . x = R . A / a}, which is read from the integer rows, and
+a reflection keeps its value as two ints, so a decoded reflection makes
+no Fraction at all; only a string in another spelling builds one.
 Printing runs the other way: each entry x of num over den is
 x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes.
 
@@ -54,7 +55,6 @@ over the limit but is within it in lowest terms.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Iterable, Optional
 
@@ -67,6 +67,7 @@ from .linalg import (
     _lowest,
     _mat,
     _over_lcm,
+    _q,
     _rows_over_lcm,
     _vec,
 )
@@ -167,12 +168,13 @@ def _exponent_over_limit(text: str) -> bool:
         return False
 
 
-def _fraction(text: str) -> Fraction:
-    """A rational in any spelling Fraction(str) accepts."""
+def _fraction(text: str) -> tuple[int, int]:
+    """A rational in any spelling Fraction(str) accepts, as (p, q) in
+    lowest terms with q > 0, read by Fraction(str) (`linalg._q`)."""
     if ("e" in text or "E" in text) and _exponent_over_limit(text):
         raise FormatError(f"rational exceeds the limit of {MAX_BITS} bits")
     try:
-        return Fraction(text)
+        return _q(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {_quote(text)}") from exc
 
@@ -180,8 +182,7 @@ def _fraction(text: str) -> Fraction:
 def _rational(obj: Any) -> tuple[int, int]:
     """A JSON rational as (p, q) in lowest terms with q > 0."""
     if isinstance(obj, str):
-        value = _fraction(obj)
-        p, q = value.numerator, value.denominator
+        p, q = _fraction(obj)
     elif isinstance(obj, int) and not isinstance(obj, bool):
         p, q = obj, 1
     else:
@@ -287,13 +288,13 @@ def affine_e_from_json(obj: Any) -> AffineSubspaceE:
 
 
 def reflection_to_json(r: Reflection) -> dict:
-    """The root and the mirror's point nearest the origin, root offset / |root|^2,
-    written from the root's integer entries."""
-    root, offset = r.root.num, r.offset
-    den = offset.denominator * _dot(root, root)
+    """The root and the mirror's point nearest the origin, root p / (q |root|^2),
+    written from the ints of the root and of the value p / q."""
+    root, p, q = r.root.num, r.p, r.q
+    den = q * _dot(root, root)
     return {
         "root": vector_to_json(r.root),
-        "point": _texts([offset.numerator * a for a in root], den),
+        "point": _texts([p * a for a in root], den),
     }
 
 

@@ -7,8 +7,13 @@ form is unique, so equality is a compare of the stored fields (the one
 rule of `record.Record`, which every value class of the library takes),
 and elimination, dot products and products run on ints without building
 a `fractions.Fraction` per coefficient.  Fractions appear only at the API
-edge: `coords`, `rows`, indexing, iteration and `dot` return them, and the
-constructors accept ints, Fractions and numeric strings.
+edge: `coords`, `rows`, indexing, iteration, `dot`, `norm_sq` and `det`
+return them, and the constructors accept ints, Fractions and numeric
+strings.  Each of them is built by `_fraction`, the library's one import
+of `fractions`, which runs on its first call; an int input is read by
+`int.as_integer_ratio` and builds none, so a run that hands out no
+Fraction never loads `fractions` (nor the `decimal` and `numbers` it
+imports).
 
 This module is the one place that computes that normal form.
 `_over_lcm` puts rationals read as (p, q) pairs over their least common
@@ -62,7 +67,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -73,12 +77,34 @@ class DimensionError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
-def _q(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {value!r}")
+def _fraction(value, den=None):
+    """The Fraction value / den of two ints, or the exact rational value
+    alone: a Fraction as it is, an int or a numeric string as Fraction
+    reads it; any other value, a float among them, raises TypeError.
+
+    Every Fraction the library hands out or reads is built here, and this
+    is its one import of `fractions`, run on the first call.  It is a
+    plain ``import fractions``: once the module is loaded, that costs
+    about 0.3 us a call on Python 3.11, and ``from fractions import
+    Fraction`` about 2 us.
+    """
+    import fractions
+
+    if den is None:
+        if isinstance(value, fractions.Fraction):
+            return value
+        if not isinstance(value, (int, str)):
+            raise TypeError(f"expected an exact rational, got {value!r}")
+    return fractions.Fraction(value, den)
+
+
+def _q(value) -> tuple[int, int]:
+    """An exact rational as (p, q) in lowest terms with q > 0: an int, a
+    bool too, by int.as_integer_ratio with no Fraction built, any other
+    value through :func:`_fraction`."""
+    if isinstance(value, int):
+        return value.as_integer_ratio()
+    return _fraction(value).as_integer_ratio()
 
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
@@ -95,7 +121,7 @@ def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
 
 def _common(values: Iterable) -> tuple[tuple[int, ...], int]:
     """Exact rationals as (ints, den) over their least common denominator."""
-    return _over_lcm([_q(x).as_integer_ratio() for x in values])
+    return _over_lcm([_q(x) for x in values])
 
 
 def _rows_over_lcm(
@@ -199,9 +225,9 @@ class Vector(Record):
         return _vec(tuple(num), 1)
 
     @property
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple:
         den = self.den
-        return tuple(Fraction(x, den) for x in self.num)
+        return tuple([_fraction(x, den) for x in self.num])
 
     @property
     def dim(self) -> int:
@@ -210,11 +236,11 @@ class Vector(Record):
     def __len__(self) -> int:
         return len(self.num)
 
-    def __iter__(self) -> Iterator[Fraction]:
+    def __iter__(self) -> Iterator:
         return iter(self.coords)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return Fraction(self.num[i], self.den)
+    def __getitem__(self, i: int):
+        return _fraction(self.num[i], self.den)
 
     def _combine(self, other: "Vector", sign: int) -> "Vector":
         self._check_dim(other)
@@ -238,15 +264,15 @@ class Vector(Record):
         return _vec(tuple(-a for a in self.num), self.den)
 
     def scale(self, c) -> "Vector":
-        c = _q(c)
-        return _vector([c.numerator * a for a in self.num], c.denominator * self.den)
+        p, q = _q(c)
+        return _vector([p * a for a in self.num], q * self.den)
 
-    def dot(self, other: "Vector") -> Fraction:
+    def dot(self, other: "Vector"):
         self._check_dim(other)
-        return Fraction(_dot(self.num, other.num), self.den * other.den)
+        return _fraction(_dot(self.num, other.num), self.den * other.den)
 
-    def norm_sq(self) -> Fraction:
-        return Fraction(_dot(self.num, self.num), self.den * self.den)
+    def norm_sq(self):
+        return _fraction(_dot(self.num, self.num), self.den * self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -281,9 +307,9 @@ class Matrix(Record):
         )
 
     @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+    def rows(self) -> tuple[tuple, ...]:
         den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return tuple(tuple([_fraction(x, den) for x in row]) for row in self.num)
 
     @property
     def nrows(self) -> int:
@@ -315,7 +341,7 @@ class Matrix(Record):
             )
         return NotImplemented
 
-    def det(self) -> Fraction:
+    def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
         n = self.nrows
         if n != self.ncols:
@@ -325,7 +351,7 @@ class Matrix(Record):
         for c in range(n):
             pivot = next((i for i in range(c, n) if work[i][c]), None)
             if pivot is None:
-                return Fraction(0)
+                return _fraction(0, 1)
             if pivot != c:
                 work[c], work[pivot] = work[pivot], work[c]
                 sign = -sign
@@ -334,7 +360,7 @@ class Matrix(Record):
                 f = work[i][c]
                 work[i] = [(lead[c] * a - f * b) // previous for a, b in zip(work[i], lead)]
             previous = lead[c]
-        return Fraction(sign * previous, self.den**n)
+        return _fraction(sign * previous, self.den**n)
 
     def is_orthogonal(self) -> bool:
         """A^T A = I, i.e. the integer columns are orthogonal of length den."""

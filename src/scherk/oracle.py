@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
@@ -158,7 +157,7 @@ def coordinate_universe(
     for pattern in _coordinate_patterns(dim):
         free = [i for i, c in enumerate(pattern) if c is None]
         direction = span([Vector.basis(dim, i) for i in free], ambient=dim)
-        anchor = [Fraction(0 if c is None else c) for c in pattern]
+        anchor = [0 if c is None else c for c in pattern]
         candidates.append(Elliptic(AffineSubspaceE(Point(anchor), direction)))
         move = AffineSubspaceV(direction, Vector(anchor))
         if not move.is_linear():

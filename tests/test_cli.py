@@ -831,8 +831,57 @@ class TestAnswerBound:
         expected = "error: element (h dim=7) is not below the top\n"
         assert result.stderr == expected
 
+
+# What `fractions` imports; a command line run needs none of them.
+FRACTION_MODULES = {"fractions", "decimal", "_decimal", "numbers"}
+
+
+def bowtie_pair():
+    """The bowtie top and the first two elements of its bowtie."""
+    top = json.loads((DATA / "bowtie_top.json").read_text())["top"]
+    bowtie = json.loads((GOLDEN / "bowtie_plane.json").read_text())
+    return {"top": top, "p": bowtie["a"], "q": bowtie["b"]}
+
+
+def glide_and_mirror():
+    """The glide and the reflection across x = 1/2, one of its factors."""
+    w = json.loads((DATA / "glide.json").read_text())
+    mirror = {"reflections": [{"root": ["1", "0"], "point": ["1/2", "0"]}]}
+    return {"w": w, "u": mirror}
+
+
+# One plain line per command: its input, a file of tests/data or golden (the
+# factorization `chain` reads) or a document made from them, and its golden
+# output, if any.
+PLAIN_RUNS = [
+    ("analyze", DATA / "glide.json", "analyze_glide.json"),
+    ("factorize", DATA / "hyperbolic5.json", "factorize_hyperbolic5.json"),
+    ("chain", GOLDEN / "factorize_glide.json", None),
+    ("order", glide_and_mirror(), None),
+    ("meet", bowtie_pair(), None),
+    ("join", bowtie_pair(), None),
+    ("bowtie", DATA / "bowtie_top.json", "bowtie_plane.json"),
+    ("lattice", DATA / "bowtie_top.json", None),
+    ("complete", DATA / "bowtie_universe.json", None),
+    ("hasse", DATA / "bowtie_universe.json", "hasse_bowtie.dot"),
+]
+
+
+def imports(*argv):
+    """The run of `python -X importtime *argv` and the modules it imported."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(HERE.parent / "src")),
+        timeout=60,
+    )
+    lines = result.stderr.splitlines()
+    return result, {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
 class TestColdStart:
-    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+    def cli_imports(self):
         # New modules only: the interpreter's own start-up (site hooks
         # included) may load anything.
         probe = (
@@ -845,7 +894,30 @@ class TestColdStart:
         assert result.returncode == 0, result.stderr
         loaded = set(result.stdout.split())
         assert "scherk.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect"}
+        return loaded
+
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        assert not self.cli_imports() & {"dataclasses", "inspect"}
+
+    def test_cli_imports_no_fractions(self):
+        assert not self.cli_imports() & FRACTION_MODULES
+
+    @pytest.mark.parametrize(
+        "command,source,golden", PLAIN_RUNS, ids=[run[0] for run in PLAIN_RUNS]
+    )
+    def test_plain_run_loads_no_fractions(self, command, source, golden, tmp_path):
+        path = source
+        if isinstance(source, dict):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(source))
+        _, bare = imports("-c", "pass")
+        result, loaded = imports("-m", "scherk.cli", command, str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout
+        if golden is not None:
+            assert result.stdout == (GOLDEN / golden).read_text()
+        assert "scherk.linalg" in loaded
+        assert not (loaded - bare) & FRACTION_MODULES
 
 
 COMMANDS = "{analyze,factorize,chain,order,meet,join,bowtie,lattice,complete,hasse}"

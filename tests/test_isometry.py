@@ -2,11 +2,12 @@
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scherk.affine import AffineSubspaceE, AffineSubspaceV, Point
@@ -106,6 +107,34 @@ class TestReflections:
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
             Reflection(Vector.zero(2), 0)
+
+
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+class TestReflectionValue:
+    """A reflection keeps the value of its mirror root . x = p / q as two
+    ints in lowest terms with q > 0 (q = 1 when p = 0); ``offset`` is the
+    Fraction p / q, the value given scaled as the normal is to the root."""
+
+    @given(st.lists(rationals, min_size=1, max_size=4), rationals)
+    @example([-2, 0], Fraction(-1))
+    @example([0, Fraction(-3, 4)], Fraction(0))
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_value_is_lowest_terms(self, normal, value):
+        normal = Vector(normal)
+        assume(not normal.is_zero())
+        r = Reflection(normal, value)
+        assert type(r.p) is int and type(r.q) is int
+        assert r.q > 0 and math.gcd(r.p, r.q) == 1
+        assert r.offset == Fraction(r.p, r.q) and type(r.offset) is Fraction
+        i = next(i for i, x in enumerate(normal.num) if x)
+        assert r.offset == value * r.root[i] / normal[i]
+
+    def test_int_and_string_values_build_the_same_reflection(self):
+        for value in (3, "3", " 3 ", Fraction(3), "6/2", "3.0"):
+            assert Reflection(vec(2, -4), value) == Reflection(vec(1, -2), Fraction(3, 2))
+        assert Reflection(vec(2, -4), True) == Reflection(vec(1, -2), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(

@@ -703,13 +703,12 @@ class TestRowBudget:
 
 
 class TestFractionBudget:
-    """Reading and writing a document builds no Fraction per coordinate:
-    a decoded reflection's offset is the only one, as its mirror
-    {x : R . x = R . A / a} is read from the integer rows of the root R / r
-    and the point A / a, and a mirror through the origin shares one zero
-    offset and builds none."""
+    """Reading and writing a document builds no Fraction at all: a decoded
+    reflection's mirror {x : R . x = R . A / a} is read from the integer
+    rows of the root R / r and the point A / a, and is kept as the two ints
+    of its value, through the origin or off it."""
 
-    PER_REFLECTION = 1
+    PER_REFLECTION = 0
 
     def test_documents_round_trip_without_fractions_per_coordinate(self):
         docs = [json.loads(path.read_text()) for path in DOCUMENTS]

@@ -407,6 +407,31 @@ class TestRepresentation:
             assert (twin.num, twin.den) == (v.num, v.den)
             assert twin == v and hash(twin) == hash(v)
 
+    @given(
+        st.lists(
+            st.integers(-(10**30), 10**30)
+            | st.booleans()
+            | st.fractions(max_denominator=10**6)
+            | st.fractions(max_denominator=10**6).map(str)
+            | st.decimals(allow_nan=False, allow_infinity=False, places=3).map(str),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_entries_read_as_their_fractions(self, xs, at):
+        """An int or a bool is read without a Fraction (int.as_integer_ratio),
+        a Fraction as it is and a string by Fraction(str): each must give
+        the Vector of the entries' Fractions, with int fields.  A float
+        anywhere raises."""
+        v = Vector(xs)
+        assert v == Vector([Fraction(x) for x in xs])
+        assert_canonical(v)
+        assert all(type(x) is int for x in (v.den, *v.num))
+        with pytest.raises(TypeError):
+            Vector(xs[:at] + [0.5] + xs[at:])
+
     @no_deadline
     @given(st.data())
     def test_matrix_canonical_and_round_trip(self, data):

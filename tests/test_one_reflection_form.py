@@ -1,18 +1,19 @@
 """A reflection has one normal form, and one method stores it.
 
-Equality of reflections is a compare of the fields root and offset, which
-the chain bijection, the Hurwitz moves and the output digests rely on.  It
-is sound because ``Reflection._normalize`` is the only code that writes
-those fields: the constructor calls it, and the one private builder that
-makes a bare instance, ``_reflection_across``, calls it too.  No module
-computes the primitive root by itself."""
+Equality of reflections is a compare of the fields root, p and q (the
+mirror root . x = p / q), which the chain bijection, the Hurwitz moves and
+the output digests rely on.  It is sound because ``Reflection._normalize``
+is the only code that writes those fields: the constructor calls it, and
+the one private builder that makes a bare instance,
+``_reflection_across``, calls it too.  No module computes the primitive
+root by itself."""
 
 import ast
 import pathlib
 
 SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "scherk").glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-FIELDS = {"root", "offset"}
+FIELDS = {"root", "p", "q"}
 
 
 def enclosing():
@@ -31,7 +32,7 @@ def enclosing():
 
 
 def field_writers():
-    """Where a root or offset attribute is assigned, deleted or augmented."""
+    """Where a root, p or q attribute is assigned, deleted or augmented."""
     return {
         (module, name)
         for module, name, node in enclosing()
@@ -52,7 +53,7 @@ def bare_reflections():
     }
 
 
-def test_only_normalize_writes_root_and_offset():
+def test_only_normalize_writes_the_fields():
     assert field_writers() == {("isometry.py", "Reflection._normalize")}
 
 

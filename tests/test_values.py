@@ -271,7 +271,7 @@ EXACT = {
         "Isometry(Matrix([-1, 0; 0, 1], ncols=2), Vector((1, 0)))",
     ),
     Reflection: (
-        ("root", "offset"),
+        ("root", "p", "q"),
         [
             R,
             Reflection(vec(-2, 0), -1),

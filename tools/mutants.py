@@ -179,8 +179,8 @@ CATALOG = [
     {
         "id": "normalize-offset-gcd",
         "module": "src/scherk/isometry.py",
-        "old": "self.offset = Fraction(p, q * g) if p else _ZERO",
-        "new": "self.offset = Fraction(p, q) if p else _ZERO",
+        "old": "        q *= g\n",
+        "new": "        q *= g // abs(g)\n",
         "tests": [
             "tests/test_output_digest.py::test_outputs_match_the_pinned_digest",
             "tests/test_factor.py::TestCanonicalRoots::"
@@ -190,10 +190,38 @@ CATALOG = [
         "without it the offset belongs to another, parallel mirror",
     },
     {
+        "id": "normalize-value-sign",
+        "module": "src/scherk/isometry.py",
+        "old": "h = math.gcd(p, q) if q > 0 else -math.gcd(p, q)",
+        "new": "h = math.gcd(p, q)",
+        "tests": [
+            "tests/test_values.py::test_equal_exactly_when_the_value_fields_are[Reflection]",
+            "tests/test_values.py::test_exact_repr_is_pinned[Reflection]",
+            "tests/test_isometry.py::TestReflectionValue::test_value_is_lowest_terms",
+        ],
+        "why": "the value p / q is stored with q > 0, so that one mirror has one "
+        "pair of ints; a root whose sign is flipped leaves q negative, and "
+        "Reflection((-2, 0), -1) no longer equals Reflection((1, 0), 1/2)",
+    },
+    {
+        "id": "eager-fractions",
+        "module": "src/scherk/isometry.py",
+        "old": "import math\nfrom typing import Optional, Sequence\n",
+        "new": "import math\nfrom fractions import Fraction\nfrom typing import Optional, Sequence\n",
+        "tests": [
+            "tests/test_cli.py::TestColdStart::test_cli_imports_no_fractions",
+            "tests/test_cli.py::TestColdStart::test_plain_run_loads_no_fractions[analyze]",
+            "tests/test_one_fraction_import.py::test_only_the_helper_imports_fractions",
+        ],
+        "why": "a module-level import of fractions loads it, with decimal and "
+        "numbers, in every command line process, though a plain command "
+        "builds no Fraction: about 3 ms of start-up for nothing",
+    },
+    {
         "id": "conjugate-sign",
         "module": "src/scherk/isometry.py",
-        "old": "p = norm * d.numerator * c.denominator - k *",
-        "new": "p = norm * d.numerator * c.denominator + k *",
+        "old": "p = norm * self.p * r.q - k * r.p * self.q",
+        "new": "p = norm * self.p * r.q + k * r.p * self.q",
         "tests": [
             "tests/test_isometry.py::TestHyperplaneForm::test_conjugate_is_sandwich_product",
             "tests/test_factor.py::TestHurwitz::test_braid_relations",
@@ -310,8 +338,8 @@ CATALOG = [
     {
         "id": "json-mirror-point-den",
         "module": "src/scherk/jsonio.py",
-        "old": "den = offset.denominator * _dot(root, root)",
-        "new": "den = offset.denominator",
+        "old": "den = q * _dot(root, root)",
+        "new": "den = q",
         "tests": [
             "tests/test_jsonio.py::TestReflectionEncoding::test_point_is_the_mirror_anchor",
             "tests/test_jsonio.py::TestIsometries::test_factorization_round_trip",
