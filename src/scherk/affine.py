@@ -28,6 +28,7 @@ from .linalg import (
     _project,
     _solve,
     _span,
+    _texts,
     _vector,
     orthogonal_complement,
     orthogonal_section,
@@ -78,7 +79,8 @@ class Point(Record):
         return NotImplemented
 
     def __repr__(self) -> str:
-        return "Point((%s))" % ", ".join(str(c) for c in self.coords)
+        v = self.vector
+        return "Point((%s))" % ", ".join(_texts(v.num, v.den))
 
 
 class _AffineSubspace(Record):

@@ -26,6 +26,12 @@ abbreviations and every error among them, goes to the full argparse
 parser, which is imported and built only then.  One table of each
 command's options feeds both readers.
 
+A process runs `entry`, which freezes the heap before it calls `main`:
+the objects that the interpreter's start-up and the imports left are
+moved to the collector's permanent generation, so neither a full
+collection nor the collections at exit walks them again.  `main` itself
+freezes nothing, since a long-lived caller would pin each call's objects.
+
 JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
 writes, without the pure-Python encoder that any indent selects.  It works
@@ -38,6 +44,7 @@ and `json.dumps` writes only any other scalar.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -373,5 +380,12 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry of `python -m scherk.cli` and of the `scherk`
+    script: main, after freezing the heap that start-up left."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -32,7 +32,8 @@ mirror {x : R . x = R . A / a}, which is read from the integer rows, and
 a reflection keeps its value as two ints, so a decoded reflection makes
 no Fraction at all; only a string in another spelling builds one.
 Printing runs the other way: each entry x of num over den is
-x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes.
+x // g "/" den // g with g = gcd(x, den), the text str(Fraction) writes,
+by `linalg._texts`, the rule every repr writes with too.
 
 Isometries are accepted in two shapes: {"dim", "matrix", "translation"}
 or {"reflections": [{"root": [...], "point": [...]}, ...]} where the
@@ -55,7 +56,7 @@ over the limit but is within it in lowest terms.
 from __future__ import annotations
 
 import re
-from math import gcd, lcm
+from math import lcm
 from typing import Any, Iterable, Optional
 
 from .affine import AffineSubspaceE, AffineSubspaceV, Point
@@ -69,6 +70,7 @@ from .linalg import (
     _over_lcm,
     _q,
     _rows_over_lcm,
+    _texts,
     _vec,
 )
 from .factor import Factorization
@@ -84,9 +86,9 @@ MAX_DIM = 256
 # The largest bit-length of a numerator or a denominator.  Results are
 # larger than their inputs, since elimination multiplies coefficients, so
 # an answer can still pass the 4300 digits (14284 bits) Python writes for
-# one int; _texts, which writes every printed rational, then raises a
-# FormatError before anything is printed.  Seeded corpus
-# isometries of dimension 64 factor into reflections of up to 1127 bits.
+# one int; _answer_texts, which writes every printed rational, then raises
+# a FormatError before anything is printed.  Seeded corpus isometries of
+# dimension 64 factor into reflections of up to 1127 bits.
 MAX_BITS = 2048
 
 # The most characters of an input value that an error message quotes.
@@ -139,22 +141,15 @@ def _dimension(obj: Any, what: str) -> int:
     return obj
 
 
-def _texts(num: Iterable[int], den: int) -> list[str]:
-    """The rationals x / den for x in num, each as str(Fraction) writes it:
-    "p/q" in lowest terms, or "p" when q is 1; den is positive.
+def _answer_texts(num: Iterable[int], den: int) -> list[str]:
+    """The rationals x / den for x in num as `linalg._texts` writes them.
 
     Every rational of an answer passes here, so an answer over the
     interpreter's digit limit for one int fails, as a FormatError, before
     anything is printed.
     """
     try:
-        if den == 1:
-            return list(map(str, num))
-        texts = []
-        for x in num:
-            g = gcd(x, den)
-            texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
-        return texts
+        return _texts(num, den)
     except ValueError as exc:  # over sys.get_int_max_str_digits()
         raise FormatError("an answer has a rational too long to print") from exc
 
@@ -227,7 +222,7 @@ def _scalars(obj: Any) -> tuple[tuple[int, ...], int]:
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    return _texts(v.num, v.den)
+    return _answer_texts(v.num, v.den)
 
 
 def vector_from_json(obj: Any) -> Vector:
@@ -235,7 +230,7 @@ def vector_from_json(obj: Any) -> Vector:
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [_texts(row, m.den) for row in m.num]
+    return [_answer_texts(row, m.den) for row in m.num]
 
 
 def matrix_from_json(obj: Any) -> Matrix:
@@ -294,7 +289,7 @@ def reflection_to_json(r: Reflection) -> dict:
     den = q * _dot(root, root)
     return {
         "root": vector_to_json(r.root),
-        "point": _texts([p * a for a in root], den),
+        "point": _answer_texts([p * a for a in root], den),
     }
 
 

@@ -11,9 +11,10 @@ edge: `coords`, `rows`, indexing, iteration, `dot`, `norm_sq` and `det`
 return them, and the constructors accept ints, Fractions and numeric
 strings.  Each of them is built by `_fraction`, the library's one import
 of `fractions`, which runs on its first call; an int input is read by
-`int.as_integer_ratio` and builds none, so a run that hands out no
-Fraction never loads `fractions` (nor the `decimal` and `numbers` it
-imports).
+`int.as_integer_ratio` and builds none, and a repr writes its rationals
+from the ints (`_texts`, as the JSON writer does), so a run that hands
+out no Fraction never loads `fractions` (nor the `decimal` and `numbers`
+it imports).
 
 This module is the one place that computes that normal form.
 `_over_lcm` puts rationals read as (p, q) pairs over their least common
@@ -96,6 +97,21 @@ def _fraction(value, den=None):
         if not isinstance(value, (int, str)):
             raise TypeError(f"expected an exact rational, got {value!r}")
     return fractions.Fraction(value, den)
+
+
+def _texts(num: Iterable[int], den: int) -> list[str]:
+    """The rationals x / den for x in num, each as str(Fraction) writes it:
+    "p/q" in lowest terms, or "p" when q is 1; den is positive.  The JSON
+    writer and the reprs write every rational here, with no Fraction
+    built; an int over the interpreter's digit limit raises ValueError, as
+    str(int) does."""
+    if den == 1:
+        return list(map(str, num))
+    texts = []
+    for x in num:
+        g = math.gcd(x, den)
+        texts.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return texts
 
 
 def _q(value) -> tuple[int, int]:
@@ -284,7 +300,7 @@ class Vector(Record):
             )
 
     def __repr__(self) -> str:
-        return "Vector((%s))" % ", ".join(str(c) for c in self.coords)
+        return "Vector((%s))" % ", ".join(_texts(self.num, self.den))
 
 
 class Matrix(Record):
@@ -375,7 +391,7 @@ class Matrix(Record):
         )
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
+        body = "; ".join(", ".join(_texts(row, self.den)) for row in self.num)
         return f"Matrix([{body}], ncols={self.ncols})"
 
 
@@ -622,9 +638,7 @@ class LinearSubspace(Record):
         return other._contains_rows([b.num for b in self.basis])
 
     def __repr__(self) -> str:
-        rows = "; ".join(
-            ", ".join(str(c) for c in b.coords) for b in self.basis
-        )
+        rows = "; ".join(", ".join(_texts(b.num, b.den)) for b in self.basis)
         return f"LinearSubspace(R^{self.ambient}, [{rows}])"
 
 

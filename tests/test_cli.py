@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, round trips, exit codes."""
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -918,6 +919,61 @@ class TestColdStart:
             assert result.stdout == (GOLDEN / golden).read_text()
         assert "scherk.linalg" in loaded
         assert not (loaded - bare) & FRACTION_MODULES
+
+
+# A process entry run as `python -m scherk.cli` runs it (-m) or as the
+# console script runs its target (module:function): the probe prints the
+# freeze count before, the exit code and the freeze count after.
+ENTRY_PROBE = """
+import gc, importlib, runpy, sys
+target, sys.argv = sys.argv[1], ["scherk", *sys.argv[2:]]
+before, code = gc.get_freeze_count(), None
+try:
+    if target == "-m":
+        runpy.run_module("scherk.cli", run_name="__main__")
+    else:
+        module, name = target.split(":")
+        sys.exit(getattr(importlib.import_module(module), name)())
+except SystemExit as exc:
+    code = exc.code
+print(before, code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+def script_target():
+    """The function pyproject.toml names as the `scherk` script."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(HERE.parent / "pyproject.toml", "rb") as handle:
+        return tomllib.load(handle)["project"]["scripts"]["scherk"]
+
+
+class TestEntry:
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_process_entry_freezes_the_start_up_heap(self, entry):
+        target = "-m" if entry == "module" else script_target()
+        argv = ["analyze", str(DATA / "glide.json")]
+        result = subprocess.run(
+            [sys.executable, "-c", ENTRY_PROBE, target, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(HERE.parent / "src")),
+            timeout=60,
+        )
+        assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
+        before, code, after = result.stderr.split()
+        assert (before, code) == ("0", "0"), result.stderr
+        assert int(after) > 0
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        for command, source, _ in PLAIN_RUNS:
+            path = source
+            if isinstance(source, dict):
+                path = tmp_path / f"{command}.json"
+                path.write_text(json.dumps(source))
+            assert cli.main([command, str(path)]) == 0
+            assert capsys.readouterr().out
+            assert gc.get_freeze_count() == frozen
 
 
 COMMANDS = "{analyze,factorize,chain,order,meet,join,bowtie,lattice,complete,hasse}"

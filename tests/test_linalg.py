@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scherk.linalg as linalg_module
+from scherk.affine import Point
 from scherk.isometry import move_set
 from scherk.linalg import (
     DimensionError,
@@ -29,6 +34,8 @@ from scherk.linalg import (
     span,
 )
 from scherk.oracle import corpus
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def vec(*coords):
@@ -431,6 +438,57 @@ class TestRepresentation:
         assert all(type(x) is int for x in (v.den, *v.num))
         with pytest.raises(TypeError):
             Vector(xs[:at] + [0.5] + xs[at:])
+
+    @given(
+        st.lists(
+            st.lists(
+                st.integers(-(10**30), 10**30) | st.fractions(max_denominator=10**6),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_reprs_spell_each_rational_as_its_fraction(self, rows):
+        """Every repr writes its rationals from the ints (`linalg._texts`),
+        byte for byte as str(Fraction) spells them."""
+
+        def spelled(row):
+            return ", ".join(str(Fraction(x)) for x in row)
+
+        body = "; ".join(map(spelled, rows))
+        assert repr(Vector(rows[0])) == f"Vector(({spelled(rows[0])}))"
+        assert repr(Point(rows[0])) == f"Point(({spelled(rows[0])}))"
+        assert repr(Matrix(rows)) == f"Matrix([{body}], ncols=3)"
+        u = span([Vector(row) for row in rows], ambient=3)
+        basis = "; ".join(spelled(b.coords) for b in u.basis)
+        assert repr(u) == f"LinearSubspace(R^3, [{basis}])"
+
+    def test_reprs_load_no_fractions(self):
+        probe = (
+            "import sys; from scherk.affine import Point; "
+            "from scherk.isometry import Reflection; "
+            "from scherk.linalg import Matrix, Vector, span; "
+            "v = Vector([2, 0]); r = Reflection(v, 1); "
+            "texts = [repr(x) for x in (v, Point([1, 3]), Matrix([[1, 2]]), "
+            "span([v]), r, r.mirror)]; "
+            "loaded = {'fractions', 'decimal', 'numbers'} & set(sys.modules); "
+            "print(' '.join(sorted(loaded)) or '\\n'.join(texts[-2:]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "Reflection(root=Vector((1, 0)), offset=1/2)\n"
+            "AffineSubspaceE(Point((1/2, 0)) + LinearSubspace(R^2, [0, 1]))\n"
+        )
 
     @no_deadline
     @given(st.data())
