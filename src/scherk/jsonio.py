@@ -70,7 +70,7 @@ from .linalg import (
     _over_lcm,
     _q,
     _rows_over_lcm,
-    _texts,
+    _texts as _linalg_texts,
     _vec,
 )
 from .factor import Factorization
@@ -86,9 +86,9 @@ MAX_DIM = 256
 # The largest bit-length of a numerator or a denominator.  Results are
 # larger than their inputs, since elimination multiplies coefficients, so
 # an answer can still pass the 4300 digits (14284 bits) Python writes for
-# one int; _answer_texts, which writes every printed rational, then raises
-# a FormatError before anything is printed.  Seeded corpus isometries of
-# dimension 64 factor into reflections of up to 1127 bits.
+# one int; _texts, which writes every printed rational, then raises a
+# FormatError before anything is printed.  Seeded corpus
+# isometries of dimension 64 factor into reflections of up to 1127 bits.
 MAX_BITS = 2048
 
 # The most characters of an input value that an error message quotes.
@@ -141,7 +141,7 @@ def _dimension(obj: Any, what: str) -> int:
     return obj
 
 
-def _answer_texts(num: Iterable[int], den: int) -> list[str]:
+def _texts(num: Iterable[int], den: int) -> list[str]:
     """The rationals x / den for x in num as `linalg._texts` writes them.
 
     Every rational of an answer passes here, so an answer over the
@@ -149,7 +149,7 @@ def _answer_texts(num: Iterable[int], den: int) -> list[str]:
     anything is printed.
     """
     try:
-        return _texts(num, den)
+        return _linalg_texts(num, den)
     except ValueError as exc:  # over sys.get_int_max_str_digits()
         raise FormatError("an answer has a rational too long to print") from exc
 
@@ -222,7 +222,7 @@ def _scalars(obj: Any) -> tuple[tuple[int, ...], int]:
 
 
 def vector_to_json(v: Vector) -> list[str]:
-    return _answer_texts(v.num, v.den)
+    return _texts(v.num, v.den)
 
 
 def vector_from_json(obj: Any) -> Vector:
@@ -230,7 +230,7 @@ def vector_from_json(obj: Any) -> Vector:
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [_answer_texts(row, m.den) for row in m.num]
+    return [_texts(row, m.den) for row in m.num]
 
 
 def matrix_from_json(obj: Any) -> Matrix:
@@ -289,7 +289,7 @@ def reflection_to_json(r: Reflection) -> dict:
     den = q * _dot(root, root)
     return {
         "root": vector_to_json(r.root),
-        "point": _answer_texts([p * a for a in root], den),
+        "point": _texts([p * a for a in root], den),
     }
 
 
