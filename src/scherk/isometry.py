@@ -17,8 +17,11 @@ in which case Min(w) is the fixed-point set.  Otherwise it is *hyperbolic*.
 Scherk's formula gives the minimal number of reflections multiplying to w
 directly from these invariants: dim Mov(w) when w is elliptic and
 dim Mov(w) + 2 when w is hyperbolic.  No search is ever performed.  The
-move-set, type and length come from one elimination and are kept on the
-isometry; the min-set, which the formula never reads, on its first read.
+formula reads only dim U and whether mu is zero, so the type, the length
+and mu come from the forward pass of one elimination and are kept on the
+isometry.  The reduced basis of U is built on the first read of the
+move-set, and the min-set, which the formula never reads either, on its
+own first read.
 
 A reflection is stored as its mirror hyperplane {x : alpha . x = p / q},
 with alpha the canonical primitive integer root and p / q its value in
@@ -55,8 +58,8 @@ from .linalg import (
     _mat,
     _particular,
     _q,
-    _rref,
     _subspace,
+    _upward,
     _vec,
     _vector,
     orthogonal_complement,
@@ -80,10 +83,10 @@ class Isometry(Record):
     and inverses of exactly orthogonal rational matrices are exactly
     orthogonal, so revalidating them would only slow the hot paths down.
 
-    The slot ``_class`` holds the IsometryClass, its min-set unbuilt, once
-    any invariant has been asked for; :func:`classify` writes it once and
-    it lives as long as the isometry.  ``_names`` leaves it out, so it
-    plays no part in equality or hashing.
+    The slot ``_class`` holds the IsometryClass, its move-set basis and
+    min-set unbuilt, once any invariant has been asked for; :func:`classify`
+    writes it once and it lives as long as the isometry.  ``_names`` leaves
+    it out, so it plays no part in equality or hashing.
     """
 
     __slots__ = ("matrix", "translation", "_class")
@@ -328,21 +331,40 @@ class IsometryClass(Record):
 
     tag is "elliptic" or "hyperbolic"; move_set is in standard form U + mu;
     min_set is the fixed set when elliptic; length is the reflection length
-    from Scherk's formula.  :func:`classify` keeps a point of the min-set
-    in ``_point`` and builds min_set = point + U^perp into ``_min_set`` on
-    its first read; equality, hash and repr read it.
+    from Scherk's formula.  mu, the shift of the move-set, is kept apart as
+    well, since the tag, the length and the standard splitting read it and
+    not U.
+
+    :func:`classify` fills tag, length, mu and a min-set point ``_point``
+    from one forward pass, and keeps that pass's echelon rows and pivots
+    in ``_echelon``.  The reduced basis of U is built from them by one
+    upward pass on the first read of move_set, kept in ``_move_set``, and
+    the rows are dropped; min_set = point + U^perp is built into
+    ``_min_set`` on its first read.  Equality, hash and repr read both
+    properties, so a class compares the same whether or not they were read.
     """
 
-    __slots__ = ("tag", "move_set", "_min_set", "length", "_point")
+    __slots__ = ("tag", "_move_set", "_min_set", "length", "mu", "_point", "_echelon")
     _names = ("tag", "move_set", "min_set", "length")
 
     def __init__(
         self, tag: str, move_set: AffineSubspaceV, min_set: AffineSubspaceE, length: int
     ):
         self.tag = tag
-        self.move_set = move_set
+        self._move_set = move_set
         self._min_set = min_set
         self.length = length
+        self.mu = move_set.mu
+        self._echelon = None
+
+    @property
+    def move_set(self) -> AffineSubspaceV:
+        if self._move_set is None:
+            rows, pivots = self._echelon
+            direction = _subspace(len(self.mu.num), *_upward(rows, pivots))
+            self._move_set = _affine_v(direction, self.mu)
+            self._echelon = None
+        return self._move_set
 
     @property
     def min_set(self) -> AffineSubspaceE:
@@ -357,19 +379,24 @@ class IsometryClass(Record):
 
 
 def _invariants(w: Isometry) -> IsometryClass:
-    """Move-set and class of w, and a min-set point, from one elimination.
+    """The class of w from one forward pass: its tag, length and mu, and a
+    min-set point.
 
     With M = A - I, the min-set is the solution set of the normal equations
     M^T M x = -M^T b: the points whose motion M x + b is shortest.  As A is
     orthogonal, M^T M = 2I - A - A^T and -M^T b = b - A^T b need no matrix
     product, and ker M^T M = ker M = im(M)^perp, so the row space of M^T M
-    is U = im M.  One reduction of [M^T M | -M^T b] therefore yields U (its
-    rows) and a min-set point x, whose motion mu = M x + b lies in
-    ker M^T = U^perp: the shift of Mov(w) = U + mu, with no projection.
-    With A = N / d, b = B / e and x = P / p the system reduced is the
-    integer [(2d I - N - N^T) e | d B - N^T B], and mu is the integer row
-    (e N P - d e P + d p B) / (d p e).  Min(w) = x + U^perp waits for its
-    first read (IsometryClass.min_set).
+    is U = im M.  One forward pass over [M^T M | -M^T b] therefore gives
+    dim U as its rank and, by back-substitution with the free variables 0
+    (:func:`linalg._particular`), a min-set point x, whose motion
+    mu = M x + b lies in ker M^T = U^perp: the shift of Mov(w) = U + mu,
+    with no projection.  Scherk's formula needs no more: w is elliptic
+    when mu = 0, and l(w) is dim U, plus 2 when w is hyperbolic.  With
+    A = N / d, b = B / e and x = P / p the system is the integer
+    [(2d I - N - N^T) e | d B - N^T B], and mu is the integer row
+    (e N P - d e P + d p B) / (d p e).  The reduced basis of U waits for
+    the first read of IsometryClass.move_set, and Min(w) = x + U^perp for
+    that of IsometryClass.min_set.
     """
     a, d, b, e = _rows(w)
     n = len(b)
@@ -379,14 +406,17 @@ def _invariants(w: Isometry) -> IsometryClass:
         line[i] += 2 * d * e
         line.append(d * t - _dot(col, b))
         augmented.append(line)
-    rows, pivots = _rref(augmented, n + 1)
+    rows, pivots = _independent(augmented, n + 1)
     x = _particular(rows, pivots, n)
     de, dp = d * e, d * x.den
     mu = [e * _dot(r, x.num) - de * v + dp * t for r, v, t in zip(a, x.num, b)]
-    mov = _affine_v(_subspace(n, rows, pivots), _vector(mu, dp * e))
-    tag = ELLIPTIC if mov.is_linear() else HYPERBOLIC
-    cls = IsometryClass(tag, mov, None, mov.dim + (0 if tag == ELLIPTIC else 2))
-    cls._point = x
+    cls = object.__new__(IsometryClass)
+    if any(mu):
+        cls.tag, cls.length = HYPERBOLIC, len(pivots) + 2
+    else:
+        cls.tag, cls.length = ELLIPTIC, len(pivots)
+    cls.mu, cls._point = _vector(mu, dp * e), x
+    cls._echelon, cls._move_set, cls._min_set = (rows, pivots), None, None
     return cls
 
 
@@ -394,8 +424,8 @@ def move_set(w: Isometry) -> AffineSubspaceV:
     """All motion vectors w(x) - x, in standard form U + mu.
 
     U is the column space of A - I and mu is the component of b orthogonal
-    to it.  The first call on w computes the move-set, type and length of w
-    at once and keeps them on w; see :func:`classify`.
+    to it.  The first call on w classifies it (:func:`classify`) and builds
+    the reduced basis of U from that elimination's rows; both are kept.
     """
     return classify(w).move_set
 
@@ -411,7 +441,9 @@ def min_set(w: Isometry) -> AffineSubspaceE:
 
 def classify(w: Isometry) -> IsometryClass:
     """The invariants of w, computed on the first call and kept on w: the
-    one writer of ``w._class``."""
+    one writer of ``w._class``.  The call runs the forward pass of
+    :func:`_invariants` only; the move-set and min-set of the class are
+    built on their first reads."""
     if w._class is None:
         w._class = _invariants(w)
     return w._class
@@ -425,11 +457,12 @@ def reflection_length(w: Isometry) -> int:
 def standard_splitting(w: Isometry) -> tuple[Vector, Isometry]:
     """Write w = t_mu u with u elliptic.
 
-    mu is the standard-form shift of the move-set; u fixes exactly the
+    mu is the standard-form shift of the move-set, which the class keeps
+    apart, so no basis of the move-set is built; u fixes exactly the
     min-set of w and has Mov(u) = Dir(Mov(w)).  For elliptic w this is
     (0, w).
     """
-    mu = classify(w).move_set.mu
+    mu = classify(w).mu
     if mu.is_zero():
         return mu, w
     return mu, _isometry(w.matrix, w.translation - mu)

@@ -40,7 +40,12 @@ echelon rows to the reduced row echelon form, and `_rref` is the two in
 turn.  The forward pass is the one core of every span (`span`, the affine
 hulls and the poset joins), so a stack that reaches full rank reads no
 further row and builds no reduced basis, and a caller that needs only the
-rank stops there.
+rank stops there.  A consistent augmented system's solution with every
+free variable 0 is one back-substitution over echelon rows,
+`_particular`, so a caller that needs the rank and one solution stops
+there too: the classification of an isometry (`isometry._invariants`)
+does, and makes the upward pass only when the reduced basis of its
+move-set is first read.
 
 Subspaces are canonical.  The stored basis is the reduced row echelon form
 of any spanning set, so two subspaces are equal iff their stored bases are
@@ -59,8 +64,8 @@ projection onto a line from its closed form, `_kernel` reads a kernel of
 one free column off its one vector, and `_solve`, the solve the affine
 intersections and the poset joins run, takes a forward pass over an
 augmented [A | b], reads inconsistency off its last pivot, and reads the
-kernel off the same rows reduced upward.  `solve_affine` is that solve on
-a Matrix and a Vector.
+particular solution and the kernel off the same rows reduced upward.
+`solve_affine` is that solve on a Matrix and a Vector.
 """
 
 from __future__ import annotations
@@ -503,16 +508,52 @@ def _solve(rows: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int):
     if pivots and pivots[-1] == n:
         return None
     reduced, pivots = _upward(rows, pivots)
-    return _particular(reduced, pivots, n), _kernel(reduced, pivots, n)
+    particular = _particular([ints for ints, _ in reduced], pivots, n)
+    return particular, _kernel(reduced, pivots, n)
 
 
-def _particular(reduced, pivots: tuple[int, ...], n: int) -> Vector:
-    """The solution of a reduced consistent [A | b] with every free variable 0."""
-    scale = math.lcm(*(lead for _, lead in reduced))
-    num = [0] * n
-    for (ints, lead), p in zip(reduced, pivots):
-        num[p] = ints[n] * (scale // lead)
-    return _vector(num, scale)
+def _particular(
+    rows: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int
+) -> Vector:
+    """The solution with every free variable 0 of a consistent [A | b] of n
+    unknowns whose integer rows are in echelon form: row k nonzero at
+    pivots[k] and zero left of it, no pivot in the value column n.  The
+    rows of a forward pass are such rows, and so are reduced rows.
+
+    Back-substitution, last pivot first, keeps the unknowns solved so far
+    as ints num over one denominator den.  Row k with lead = row[p] at
+    its pivot p gives x_p = s / (den lead), s = row[n] den - sum of
+    row[j] num[j] over the solved j.  s and lead are divided by their gcd
+    first, so the earlier unknowns are rescaled by what is left of lead
+    to share the new denominator, and not at all when s takes the whole
+    lead.  Zero entries and zero unknowns are skipped, so a reduced row,
+    zero at every other pivot, costs that rescale alone.  A forward row's
+    lead may be negative, and so den; the Vector divides by the one gcd
+    at the end, signed like den (:func:`_lowest`).
+    """
+    num, den = [0] * n, 1
+    solved = []
+    k = len(pivots)
+    while k:
+        k -= 1
+        row, p = rows[k], pivots[k]
+        s = row[n] * den
+        for j in solved:
+            if a := row[j]:
+                s -= a * num[j]
+        if s:
+            lead = row[p]
+            g = math.gcd(s, lead)
+            if g != 1:
+                s //= g
+                lead //= g
+            if lead != 1:
+                for j in solved:
+                    num[j] *= lead
+                den *= lead
+            num[p] = s
+            solved.append(p)
+    return _vector(num, den)
 
 
 def _reduced_pivots(rows: Sequence[Vector]) -> Optional[tuple[int, ...]]:
@@ -809,7 +850,7 @@ def _project(v: Vector, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Ve
     reduced, pivots = _rref(gram, k + 1)
     if pivots != tuple(range(k)):
         raise ValueError("singular Gram system in project")
-    coeffs = _particular(reduced, pivots, k)
+    coeffs = _particular([ints for ints, _ in reduced], pivots, k)
     num = [0] * len(v.num)
     for c, b in zip(coeffs.num, rows):
         if c:

@@ -156,6 +156,37 @@ class TestOtherCommands:
         result = run_cli("order", "-", stdin=json.dumps({"p": bottom, "q": top}))
         assert json.loads(result.stdout) == {"leq": True}
 
+    def test_factorize_and_interval_order_make_no_upward_pass(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """factorize and the interval order read lengths and the shift mu,
+        which the forward pass of each classification gives: no reduced
+        basis is built, so no upward pass is made."""
+        linalg = sys.modules["scherk.linalg"]
+        upward, calls = linalg._upward, []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return upward(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("scherk") and getattr(
+                module, "_upward", None
+            ) is upward:
+                monkeypatch.setattr(module, "_upward", counted)
+        for name in ("glide", "translation", "rotation", "hyperbolic5"):
+            assert cli.main(["factorize", str(DATA / f"{name}.json")]) == 0
+        assert capsys.readouterr().out.endswith(
+            (GOLDEN / "factorize_hyperbolic5.json").read_text()
+        )
+        doc = glide_and_mirror()
+        doc["v"] = doc["w"]
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["order", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"leq": True}
+        assert calls == []
+
     def test_lattice_command(self):
         doc = (DATA / "bowtie_top.json").read_text()
         result = run_cli("lattice", "-", stdin=doc)

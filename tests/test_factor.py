@@ -275,9 +275,9 @@ class TestOperationBudget:
         assert sum(lengths) > 200
 
     def test_classify_and_factor_build_no_min_set(self, monkeypatch, calls, counted):
-        """Scherk's formula reads only the move-set, and the translation
-        mirrors are a closed form: one elimination per isometry, and no
-        projection, complement, min-set or matrix product."""
+        """Scherk's formula reads only the rank and mu, and the translation
+        mirrors are a closed form: one forward pass per isometry, and no
+        upward pass, projection, complement, min-set or matrix product."""
         rng = random.Random(89)
         ws = [
             isometry_from_json(isometry_to_json(w))
@@ -285,7 +285,8 @@ class TestOperationBudget:
             for w in corpus(dim, 20, rng)
         ]
         linalg = importlib.import_module("scherk.linalg")
-        for name in ("_rref", "orthogonal_complement", "project"):
+        names = ("_independent", "_upward", "_rref", "orthogonal_complement", "project")
+        for name in names:
             original = getattr(linalg, name)
             patch_everywhere(monkeypatch, original, counted(name, original))
         monkeypatch.setattr(
@@ -301,8 +302,34 @@ class TestOperationBudget:
             calls.clear()
             hyperbolic += not classify(w).is_elliptic
             factor(w)
-            assert calls == ["_rref"]
+            assert calls == ["_independent"]
         assert hyperbolic > 20
+
+    def test_move_set_basis_is_built_on_its_first_read(
+        self, monkeypatch, calls, counted
+    ):
+        """The reduced basis of Dir(Mov) is one upward pass over the rows
+        of the forward pass, made on the first read of move_set and kept."""
+        rng = random.Random(97)
+        ws = [
+            isometry_from_json(isometry_to_json(w))
+            for dim in range(1, 7)
+            for w in corpus(dim, 10, rng)
+        ]
+        linalg = importlib.import_module("scherk.linalg")
+        for name in ("_independent", "_upward", "_rref"):
+            original = getattr(linalg, name)
+            patch_everywhere(monkeypatch, original, counted(name, original))
+        for w in ws:
+            calls.clear()
+            cls = classify(w)
+            assert calls == ["_independent"]
+            first = cls.move_set
+            assert calls == ["_independent", "_upward"]
+            assert cls.move_set is first
+            assert calls == ["_independent", "_upward"]
+            assert first.mu is cls.mu
+            assert first.dim == cls.length - (0 if cls.is_elliptic else 2)
 
     def test_chain_walk_checks_order_once(self, monkeypatch, calls, counted):
         """The step certificate is the walk's only order check, and each
@@ -413,7 +440,9 @@ class TestOperationBudget:
         """The length check classifies the target, and every other element
         of the read is a cut fixed set or a placed span: one invariant
         elimination for a target rebuilt from JSON, and none at all once
-        the target carries its class."""
+        the target carries its class.  The length is the rank of that
+        elimination's forward pass, so under an elliptic target, whose
+        move-set the read never places, no upward pass is made."""
         rng = random.Random(113)
         fs = [
             random_minimal_factorization(w, rng)
@@ -425,16 +454,22 @@ class TestOperationBudget:
             for f in fs
         ]
         isometry = importlib.import_module("scherk.isometry")
-        original = isometry._invariants
-        patch_everywhere(monkeypatch, original, counted("_invariants", original))
+        linalg = importlib.import_module("scherk.linalg")
+        for original in (isometry._invariants, linalg._upward):
+            name = original.__name__
+            patch_everywhere(monkeypatch, original, counted(name, original))
         hyperbolic = 0
         for f in fresh:
             calls.clear()
             chain = factorization_to_chain(f)
-            assert calls == ["_invariants"]
+            if isinstance(chain[0], Hyperbolic):
+                hyperbolic += 1
+                assert calls.count("_invariants") == 1
+            else:
+                assert calls == ["_invariants"]
+            calls.clear()
             assert factorization_to_chain(f) == chain
-            assert calls == ["_invariants"]
-            hyperbolic += isinstance(chain[0], Hyperbolic)
+            assert "_invariants" not in calls
         assert (len(fresh), hyperbolic) == (100, 37)
 
     def test_elliptic_chain_read_projects_nothing(self, monkeypatch, calls, counted):

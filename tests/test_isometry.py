@@ -639,7 +639,8 @@ class TestInvariantsOnce:
 
     def test_min_set_read_or_not_is_the_same_value(self):
         """Equality, hash and repr of a class do not depend on whether its
-        min-set was read before, and match the class built whole."""
+        move-set or min-set was read before, and match the class built
+        whole by the public constructor."""
         rng = random.Random(70)
         for dim in range(1, 7):
             for w in corpus(dim, 10, rng):
@@ -647,11 +648,13 @@ class TestInvariantsOnce:
                 def fresh():
                     return classify(Isometry(w.matrix, w.translation))
 
-                read = fresh()
+                moved, read = fresh(), fresh()
+                assert moved.move_set.mu == moved.mu
                 whole = IsometryClass(
                     read.tag, read.move_set, read.min_set, read.length
                 )
-                for other in (read, whole):
+                assert whole.mu == read.mu
+                for other in (moved, read, whole):
                     assert fresh() == other and other == fresh()
                     assert hash(fresh()) == hash(other)
                     assert repr(fresh()) == repr(other)

@@ -22,6 +22,7 @@ from scherk.linalg import (
     Matrix,
     Vector,
     _independent,
+    _particular,
     _rref,
     _solve,
     _subspace,
@@ -187,6 +188,14 @@ class TestSolveAffine:
         particular, kernel = solve_affine(Matrix([[0, -2]]), vec(0))
         assert particular == vec(0, 0)
         assert kernel == span([e(2, 0)])
+
+    def test_back_substitution_over_negative_leads(self):
+        """Forward rows keep the signs they were given: -3 y = 6 and
+        -2 x + y = 3 give y = -2, x = -5/2, over a denominator that is
+        negative until the Vector's normal form."""
+        rows = [[-2, 1, 3], [0, -3, 6]]
+        assert _particular(rows, (0, 1), 2) == vec(Fraction(-5, 2), -2)
+        assert _particular([[0, -3, 6]], (1,), 2) == vec(0, -2)
 
     def test_solution_set_checks_out(self):
         a = Matrix([[1, 2, 0], [0, 0, 1]])
@@ -573,6 +582,34 @@ class TestAgainstSympy:
             n, [[sympy_fraction(v) for v in k] for k in sympy.Matrix(rows).nullspace()]
         )
         assert null_space(Matrix(rows)) == expected
+
+    @no_deadline
+    @given(st.data())
+    def test_particular_by_back_substitution(self, data):
+        """On a consistent [A | b], rank-deficient ones included, the point
+        back-substituted from the forward pass's echelon rows is the
+        solution with every free variable 0 that sympy's rref reads off,
+        and _solve gives that point and sympy's kernel of A."""
+        sympy = pytest.importorskip("sympy")
+        n = data.draw(dims)
+        rows = data.draw(st.lists(rows_of(n), min_size=1, max_size=5))
+        weights = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(w * r[j] for w, r in zip(weights, rows)) for j in range(n)])
+        point = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        augmented = [r + [sum(map(Fraction.__mul__, r, point))] for r in rows]
+        reduced, pivots = sympy.Matrix(augmented).rref()
+        expected = [Fraction(0)] * n
+        for i, p in enumerate(pivots):
+            expected[p] = sympy_fraction(reduced[i, n])
+        ints = [Vector(r).num for r in augmented]
+        echelon, echelon_pivots = _independent(ints, n + 1)
+        assert echelon_pivots == pivots and n not in pivots
+        assert _particular(echelon, echelon_pivots, n) == Vector(expected)
+        particular, kernel = _solve(echelon, echelon_pivots, n)
+        assert particular == Vector(expected)
+        assert kernel == LinearSubspace(
+            n, [[sympy_fraction(v) for v in k] for k in sympy.Matrix(rows).nullspace()]
+        )
 
 
 def assert_span_agrees(rows, n):

@@ -733,4 +733,48 @@ CATALOG = [
         "why": "an entry whose denominator divides out is written p, as str(Fraction) "
         "writes it; the mutant writes p/1 in every repr and answer",
     },
+    {
+        "id": "particular-no-rescale",
+        "module": "src/scherk/linalg.py",
+        "old": "                for j in solved:\n                    num[j] *= lead\n",
+        "new": "",
+        "tests": [
+            "tests/test_linalg.py::TestAgainstSympy::"
+            "test_particular_by_back_substitution",
+            "tests/test_isometry.py::TestInvariantsOnce::"
+            "test_min_set_points_move_by_mu",
+        ],
+        "why": "x_p = s / (den lead) puts the unknowns over den lead; left over den, "
+        "every unknown solved before is divided by the lead once too often, so "
+        "the min-set point and mu of an isometry of two or more pivots are wrong",
+    },
+    {
+        "id": "particular-den-unsigned",
+        "module": "src/scherk/linalg.py",
+        "old": "                den *= lead\n",
+        "new": "                den *= abs(lead)\n",
+        "tests": [
+            "tests/test_linalg.py::TestAgainstSympy::"
+            "test_particular_by_back_substitution",
+            "tests/test_linalg.py::TestSolveAffine::"
+            "test_back_substitution_over_negative_leads",
+        ],
+        "why": "a forward row's lead may be negative; the unknowns rescaled by it "
+        "keep their values only if den takes its sign too.  The classification's "
+        "rows are a positive semidefinite system, whose leads are positive, so "
+        "only a general system sees it",
+    },
+    {
+        "id": "class-tag-from-rank",
+        "module": "src/scherk/isometry.py",
+        "old": "    if any(mu):\n",
+        "new": "    if len(pivots) < n:\n",
+        "tests": [
+            "tests/test_isometry.py::TestClassify::test_identity",
+            "tests/test_isometry.py::TestStandardSplitting::"
+            "test_splitting_invariants_on_corpus",
+        ],
+        "why": "w is elliptic exactly when mu = 0; a rank below n only says that "
+        "A fixes a direction, which a rotation about a fixed axis does too",
+    },
 ]
