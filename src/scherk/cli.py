@@ -13,10 +13,11 @@ the input.  The handlers let library errors propagate, and `main` prints
 each as one stderr line, `error: ...`, with nothing on stdout.  Exit
 codes, by exception type alone: 0 success; 1 malformed input
 (`jsonio.FormatError`: unreadable, not JSON, not the expected shape, or an
-answer too long to print); 2 invalid isometry (`OrthogonalityError`, or
-`CliError`: a `DimensionError` while decoding an isometry, or an isometry
-whose dimension is not --dim or, in `order`, not w's); 3 invalid poset or
-chain input (`PosetError`, `ChainError`, any other `DimensionError`).
+answer too long to print or that cannot be written, such as to a full
+disk); 2 invalid isometry (`OrthogonalityError`, or `CliError`: a
+`DimensionError` while decoding an isometry, or an isometry whose
+dimension is not --dim or, in `order`, not w's); 3 invalid poset or chain
+input (`PosetError`, `ChainError`, any other `DimensionError`).
 
 A plain command line is read without argparse.  `_plain` reads a known
 command, at most one input (a path, or `-` for stdin) and whole option
@@ -28,9 +29,15 @@ command's options feeds both readers.
 
 A process runs `entry`, which freezes the heap before it calls `main`:
 the objects that the interpreter's start-up and the imports left are
-moved to the collector's permanent generation, so neither a full
-collection nor the collections at exit walks them again.  `main` itself
-freezes nothing, since a long-lived caller would pin each call's objects.
+moved to the collector's permanent generation, so no full collection
+walks them again.  Once `main` has returned, `entry` runs the atexit
+callbacks registered so far, flushes stdout and stderr and ends the
+process with `os._exit`, so the interpreter is never finalized: the
+library starts no thread, registers no atexit callback and leaves no
+file open, so finalizing would only free memory the process is about to
+give back.  A `SystemExit` (a usage error, `-h`) or an uncaught error
+still ends the process the normal way.  `main` itself neither freezes nor exits, since a
+long-lived caller would pin each call's objects or lose its process.
 
 JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
@@ -43,13 +50,15 @@ and `json.dumps` writes only any other scalar.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import gc
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional
 
 from . import jsonio, oracle, poset
 from .factor import (
@@ -94,6 +103,16 @@ def _read_document(path: Optional[str]) -> Any:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise jsonio.FormatError(f"malformed JSON: {exc}")
+
+
+def _write_answer(text: str) -> None:
+    """text on stdout, flushed here, so that a write that fails (to a full
+    disk, say) is an error that main reports."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise jsonio.FormatError(f"cannot write output: {exc}")
 
 
 def _decode_isometries(decode, obj: Any):
@@ -368,7 +387,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         answer = args.handler(_read_document(args.input), args)
-        sys.stdout.write(_emit(answer, args.format))
+        _write_answer(_emit(answer, args.format))
         return EXIT_OK
     except jsonio.FormatError as exc:
         error, code = exc, EXIT_PARSE
@@ -380,12 +399,22 @@ def main(argv=None) -> int:
     return code
 
 
-def entry() -> int:
+def entry() -> NoReturn:
     """The process entry of `python -m scherk.cli` and of the `scherk`
-    script: main, after freezing the heap that start-up left."""
+    script: main, after freezing the heap that start-up left, and then the
+    end of the process without finalizing the interpreter."""
     gc.freeze()
-    return main()
+    code = main()
+    atexit._run_exitfuncs()
+    # A stream is None when its descriptor was closed at start-up, and a
+    # flush fails again only on an answer that main reported unwritable.
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError):
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(entry())
+    entry()

@@ -24,18 +24,18 @@ class Record:
     be a property, read on each compare.
 
     Two records are equal iff they are of the same class with equal
-    fields, the hash is the hash of the tuple of fields, and the default
-    repr is ``Name(field=value, ...)``.  The key that reads the fields is
-    built once per class.  Records are immutable by convention.
+    fields, the hash is the hash of the tuple of fields (of the field
+    itself, for a record of one), and the default repr is
+    ``Name(field=value, ...)``.  The key that reads the fields is built
+    once per class.  Records are immutable by convention.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         names = cls._names = getattr(cls, "_names", cls.__slots__)
-        read = attrgetter(*names)
-        # attrgetter of one name returns the bare value; a key is a tuple
-        cls._key = read if len(names) > 1 else staticmethod(lambda r: (read(r),))
+        # a tuple of two or more fields, and a lone field as it is
+        cls._key = attrgetter(*names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -9,16 +9,19 @@ and rational offsets:
   e_n (e_{n-1} + e_n for D~), and the affine mirror x_1 = 1/2 for C~ and
   x_1 + x_2 = 1 for B~ and D~;
 * A~_n acts on R^{n+1}, with simple roots e_i - e_{i+1} and the affine
-  mirror x_1 - x_{n+1} = 1.
+  mirror x_1 - x_{n+1} = 1;
+* G~_2 acts on R^3, in the plane x_1 + x_2 + x_3 = 0, with simple roots
+  e_1 - e_2 and -2 e_1 + e_2 + e_3 and the affine mirror theta . x = -1
+  for the highest root theta = (-1, -1, 2).
 
 Classical theorems then fix what the library must answer:
 
 * c is hyperbolic, and its min-set is the Coxeter axis, a line of R^n
   (McCammond, "Dual euclidean Artin groups and the failure of the lattice
   property", J. Algebra 2015; McCammond-Sulway, "Artin groups of
-  euclidean type", Invent. Math. 2017).  In A~_n the vector (1, ..., 1) is
-  fixed as well, so the min-set is a plane of R^{n+1}.  Either way
-  dim Mov(c) = n - 1.
+  euclidean type", Invent. Math. 2017).  In A~_n and G~_2 the vector
+  (1, ..., 1) is fixed as well, so the min-set is a plane of R^{n+1}.
+  Either way dim Mov(c) = n - 1.
 * l_W(c) = n + 1: by Dyer's theorem (Proc. AMS 2001) the reflection
   length of an element of a Coxeter group is the least number of letters
   to delete from a reduced word to reach the identity, and no proper
@@ -90,6 +93,7 @@ TYPES = {
     "B4": (4, 35),
     "D4": (4, 30),
     "D5": (5, 46),
+    "G2": (3, 12),
 }
 
 
@@ -109,6 +113,9 @@ def simple_mirrors(kind, n):
     """(ambient dimension, the mirrors of s_0, s_1, ..., s_n), each mirror
     {alpha . x = k} as the pair (alpha, k)."""
     zero = Fraction(0)
+    if kind == "G":
+        theta, alpha_2 = (-1, -1, 2), (-2, 1, 1)
+        return 3, [(theta, Fraction(-1)), (minus(3, 0, 1), zero), (alpha_2, zero)]
     if kind == "A":
         m = n + 1
         return m, [(minus(m, 0, n), Fraction(1))] + [

@@ -953,21 +953,38 @@ class TestColdStart:
 
 
 # A process entry run as `python -m scherk.cli` runs it (-m) or as the
-# console script runs its target (module:function): the probe prints the
-# freeze count before, the exit code and the freeze count after.
+# console script runs its target (module:function): the probe wraps
+# os._exit to print the freeze count before, the exit code and the freeze
+# count after, then exits.
 ENTRY_PROBE = """
-import gc, importlib, runpy, sys
+import gc, importlib, os, runpy, sys
 target, sys.argv = sys.argv[1], ["scherk", *sys.argv[2:]]
-before, code = gc.get_freeze_count(), None
-try:
-    if target == "-m":
-        runpy.run_module("scherk.cli", run_name="__main__")
-    else:
-        module, name = target.split(":")
-        sys.exit(getattr(importlib.import_module(module), name)())
-except SystemExit as exc:
-    code = exc.code
-print(before, code, gc.get_freeze_count(), file=sys.stderr)
+before, exit = gc.get_freeze_count(), os._exit
+
+def probe(code):
+    print(before, code, gc.get_freeze_count(), file=sys.stderr, flush=True)
+    exit(code)
+
+os._exit = probe
+if target == "-m":
+    runpy.run_module("scherk.cli", run_name="__main__")
+else:
+    module, name = target.split(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+# The probe with an atexit callback, registered before the entry runs, that
+# writes a line to stdout and leaves it to the entry to flush.
+ATEXIT_PROBE = (
+    "import atexit, sys\natexit.register(sys.stdout.write, 'atexit ran\\n')\n"
+    + ENTRY_PROBE
+)
+
+# What the console script does with its target (module:function).
+SCRIPT = """
+import importlib, sys
+module, name = sys.argv.pop(1).split(":")
+sys.exit(getattr(importlib.import_module(module), name)())
 """
 
 
@@ -978,33 +995,164 @@ def script_target():
         return tomllib.load(handle)["project"]["scripts"]["scherk"]
 
 
+def entry_env(buffered=True):
+    """The environment of a process entry run: the library on the path and
+    stdout buffered, as a command line's is, unless buffered is False."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(HERE.parent / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_probe(probe, entry, *argv):
+    """The probe's run of the process entry (module or script) on argv."""
+    target = "-m" if entry == "module" else script_target()
+    return subprocess.run(
+        [sys.executable, "-c", probe, target, *argv],
+        capture_output=True,
+        text=True,
+        env=entry_env(),
+        timeout=60,
+    )
+
+
+def plain_paths(tmp_path):
+    """command, path of each plain run, with its document written out."""
+    for command, source, _ in PLAIN_RUNS:
+        path = source
+        if isinstance(source, dict):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(source))
+        yield command, path
+
+
+def origin(n):
+    """The origin of R^n as a poset element."""
+    direction = {"dim_ambient": n, "basis": []}
+    return {"kind": "e", "point": ["0"] * n, "direction": direction}
+
+
+# One error document per exit code, each read from stdin.
+ERROR_DOCS = {
+    1: ("analyze", "not json"),
+    2: (
+        "analyze",
+        json.dumps(
+            {"dim": 2, "matrix": [["1", "0"], ["0", "2"]], "translation": ["0", "0"]}
+        ),
+    ),
+    3: ("order", json.dumps({"p": origin(2), "q": origin(3)})),
+}
+
+
 class TestEntry:
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_process_entry_freezes_the_start_up_heap(self, entry):
-        target = "-m" if entry == "module" else script_target()
-        argv = ["analyze", str(DATA / "glide.json")]
-        result = subprocess.run(
-            [sys.executable, "-c", ENTRY_PROBE, target, *argv],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(HERE.parent / "src")),
-            timeout=60,
-        )
+        result = run_probe(ENTRY_PROBE, entry, "analyze", str(DATA / "glide.json"))
         assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
         before, code, after = result.stderr.split()
         assert (before, code) == ("0", "0"), result.stderr
         assert int(after) > 0
+        assert result.returncode == 0
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_atexit_callbacks_still_run(self, entry):
+        result = run_probe(ATEXIT_PROBE, entry, "analyze", str(DATA / "glide.json"))
+        golden = (GOLDEN / "analyze_glide.json").read_text()
+        assert result.stdout == golden + "atexit ran\n"
+        assert result.stderr.split()[1] == "0", result.stderr
+        assert result.returncode == 0
+
+    def test_closed_stderr_exits_zero(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "scherk.cli", "analyze", str(DATA / "glide.json")],
+            capture_output=True,
+            text=True,
+            env=entry_env(),
+            timeout=60,
+            preexec_fn=lambda: os.close(2),
+        )
+        assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
+        assert result.returncode == 0
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("code", sorted(ERROR_DOCS))
+    def test_error_documents_exit_with_their_code(self, entry, code):
+        command, doc = ERROR_DOCS[code]
+        argv = ["-m", "scherk.cli"]
+        if entry == "script":
+            argv = ["-c", SCRIPT, script_target()]
+        result = subprocess.run(
+            [sys.executable, *argv, command, "-"],
+            input=doc,
+            capture_output=True,
+            text=True,
+            env=entry_env(),
+            timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
 
     def test_main_freezes_nothing(self, tmp_path, capsys):
         frozen = gc.get_freeze_count()
-        for command, source, _ in PLAIN_RUNS:
-            path = source
-            if isinstance(source, dict):
-                path = tmp_path / f"{command}.json"
-                path.write_text(json.dumps(source))
+        for command, path in plain_paths(tmp_path):
             assert cli.main([command, str(path)]) == 0
             assert capsys.readouterr().out
             assert gc.get_freeze_count() == frozen
+
+    def test_main_never_exits_the_process(self, tmp_path, capsys, monkeypatch):
+        def refuse(code):
+            raise AssertionError(f"os._exit({code})")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        for command, path in plain_paths(tmp_path):
+            assert cli.main([command, str(path)]) == 0
+            assert capsys.readouterr().out
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk: each call of the method named fails."""
+
+    def __init__(self, failing):
+        super().__init__()
+        setattr(self, failing, self.fail)
+
+    def fail(self, *args):
+        raise OSError(28, "No space left on device")
+
+
+NO_SPACE = "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+class TestUnwritableAnswer:
+    """An answer that cannot be written exits 1 with one `error:` line."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_one(self, buffered):
+        # Buffered, the flush in main fails and the flush at exit again;
+        # unbuffered, the write itself fails.
+        argv = ["analyze", str(DATA / "glide.json")]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "scherk.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=entry_env(buffered),
+                timeout=60,
+            )
+        assert result.returncode == 1
+        assert result.stderr == NO_SPACE
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_write_in_process_exits_one(self, failing, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FullStream(failing))
+        assert cli.main(["analyze", str(DATA / "glide.json")]) == 1
+        assert capsys.readouterr().err == NO_SPACE
 
 
 COMMANDS = "{analyze,factorize,chain,order,meet,join,bowtie,lattice,complete,hasse}"

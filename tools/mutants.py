@@ -619,17 +619,17 @@ CATALOG = [
         "with its direction and anchor",
     },
     {
-        "id": "record-one-field-unwrapped",
+        "id": "record-key-first-field",
         "module": "src/scherk/record.py",
-        "old": "staticmethod(lambda r: (read(r),))",
-        "new": "staticmethod(read)",
+        "old": "cls._key = attrgetter(*names)",
+        "new": "cls._key = attrgetter(*names[:1])",
         "tests": [
-            "tests/test_values.py::test_hash_is_the_hash_of_the_value_fields[Point]",
-            "tests/test_values.py::test_positional_and_keyword_construction_agree"
-            "[Elliptic]",
+            "tests/test_values.py::test_different_fields_are_unequal[PosetContext]",
+            "tests/test_values.py::test_equal_exactly_when_the_value_fields_are"
+            "[AffineSubspaceE]",
         ],
-        "why": "attrgetter of one name returns the bare field, so a one-field "
-        "Record hashes as its field, not as the tuple of its fields",
+        "why": "the key must read every value field; one that reads only the first "
+        "makes two records equal that differ in a later field",
     },
     {
         "id": "perp-in-subspace-value",
@@ -718,6 +718,94 @@ CATALOG = [
         ],
         "why": "without the freeze the collections at exit walk every object "
         "that start-up left, about 6 ms of a 58 ms command line run",
+    },
+    {
+        "id": "entry-no-flush",
+        "module": "src/scherk/cli.py",
+        "old": "            stream.flush()\n",
+        "new": "            pass\n",
+        "tests": [
+            "tests/test_cli.py::TestEntry::test_atexit_callbacks_still_run[module]",
+            "tests/test_cli.py::TestEntry::test_atexit_callbacks_still_run[script]",
+        ],
+        "why": "os._exit drops what the stream buffers still hold; an atexit "
+        "callback's output, written after main's flush, is lost",
+    },
+    {
+        "id": "entry-exit-zero",
+        "module": "src/scherk/cli.py",
+        "old": "    os._exit(code)\n",
+        "new": "    os._exit(0)\n",
+        "tests": [
+            "tests/test_cli.py::TestEntry::test_error_documents_exit_with_their_code"
+            "[1-module]",
+            "tests/test_cli.py::TestEntry::test_error_documents_exit_with_their_code"
+            "[3-script]",
+        ],
+        "why": "the process must exit with main's code; exiting 0 reports every "
+        "error document as a success",
+    },
+    {
+        "id": "entry-no-atexit",
+        "module": "src/scherk/cli.py",
+        "old": "    atexit._run_exitfuncs()\n",
+        "new": "",
+        "tests": [
+            "tests/test_cli.py::TestEntry::test_atexit_callbacks_still_run[module]",
+            "tests/test_cli.py::TestEntry::test_atexit_callbacks_still_run[script]",
+        ],
+        "why": "os._exit skips the atexit callbacks that finalization would run, "
+        "so a coverage or profiling hook registered at start-up loses its data",
+    },
+    {
+        "id": "entry-flush-error-raised",
+        "module": "src/scherk/cli.py",
+        "old": "        except (AttributeError, OSError):\n            pass\n",
+        "new": "        finally:\n            pass\n",
+        "tests": [
+            "tests/test_cli.py::TestUnwritableAnswer::test_full_device_exits_one"
+            "[buffered]",
+        ],
+        "why": "a buffered answer that failed to flush in main is still buffered, "
+        "so the flush at exit fails again; raised, it prints a traceback after "
+        "the error line",
+    },
+    {
+        "id": "entry-flush-none",
+        "module": "src/scherk/cli.py",
+        "old": "except (AttributeError, OSError):",
+        "new": "except OSError:",
+        "tests": ["tests/test_cli.py::TestEntry::test_closed_stderr_exits_zero"],
+        "why": "a stream whose descriptor was closed at start-up is None; flushing "
+        "it raises, and a command that succeeded exits 1",
+    },
+    {
+        "id": "write-error-uncaught",
+        "module": "src/scherk/cli.py",
+        "old": '        raise jsonio.FormatError(f"cannot write output: {exc}")\n',
+        "new": "        raise\n",
+        "tests": [
+            "tests/test_cli.py::TestUnwritableAnswer::test_full_device_exits_one"
+            "[unbuffered]",
+            "tests/test_cli.py::TestUnwritableAnswer::"
+            "test_failed_write_in_process_exits_one[write]",
+        ],
+        "why": "an answer that cannot be written is an exit-1 error line; uncaught, "
+        "the OSError ends the process with a traceback",
+    },
+    {
+        "id": "main-no-flush",
+        "module": "src/scherk/cli.py",
+        "old": "        sys.stdout.flush()\n",
+        "new": "",
+        "tests": [
+            "tests/test_cli.py::TestUnwritableAnswer::test_full_device_exits_one"
+            "[buffered]",
+            "tests/test_cli.py::TestUnwritableAnswer::"
+            "test_failed_write_in_process_exits_one[flush]",
+        ],
+        "why": "a buffered answer fails only when flushed; outside main's try the "
+        "failure is swallowed at exit, and the process exits 0 with no answer",
     },
     {
         "id": "texts-integral-over-one",
