@@ -27,36 +27,47 @@ abbreviations and every error among them, goes to the full argparse
 parser, which is imported and built only then.  One table of each
 command's options feeds both readers.
 
-A process runs `entry`, which freezes the heap before it calls `main`:
-the objects that the interpreter's start-up and the imports left are
-moved to the collector's permanent generation, so no full collection
-walks them again.  Once `main` has returned, `entry` runs the atexit
-callbacks registered so far, flushes stdout and stderr and ends the
-process with `os._exit`, so the interpreter is never finalized: the
-library starts no thread, registers no atexit callback and leaves no
-file open, so finalizing would only free memory the process is about to
-give back.  A `SystemExit` (a usage error, `-h`) or an uncaught error
-still ends the process the normal way.  `main` itself neither freezes nor exits, since a
-long-lived caller would pin each call's objects or lose its process.
+A process runs `entry`, which calls `main`.  Once `main` has returned,
+`entry` runs the atexit callbacks registered so far, flushes stdout and
+stderr and ends the process with `os._exit`, so the interpreter is never
+finalized: the library starts no thread, registers no atexit callback and
+leaves no file open, so finalizing would only free memory the process is
+about to give back.  A `SystemExit` (a usage error, `-h`) or an uncaught
+error still ends the process the normal way.  `main` itself never exits,
+since a long-lived caller would lose its process.  A stream whose
+descriptor was closed at start-up is None: no stdin is an unreadable
+input and no stdout an unwritable answer (exit 1), and with no stderr the
+error line is dropped rather than printed to stdout.
+
+The document is read without the `json` package, whose import costs more
+than a run's own work.  A file is read as bytes and decoded as UTF-8, with
+CRLF and a lone CR turned into LF as a text-mode read turns them; stdin is
+read as text.  `_loads` parses the text with the C scanner of `_json`, the
+one `json.loads` runs, and keeps what `json.loads` adds around it: the
+refusal of a BOM, the skipping of JSON whitespace (space, tab, LF, CR) and
+the `Expecting value` and `Extra data` errors.  Every value and every
+error message is the one `json.loads` gives; only an error imports
+`json.decoder`, for its `JSONDecodeError`.  This needs CPython, whose
+`_json` has shipped since 2.6.
 
 JSON output is written by a small recursive
 writer, byte for byte what `json.dumps(payload, indent=2, sort_keys=True)`
 writes, without the pure-Python encoder that any indent selects.  It works
 per list, not per entry: a list of strings, such as every vector, is one
-join, and only a list with another entry is written entry by entry.  An
-int is written by `int.__repr__`, True, False and None as their literals,
-and `json.dumps` writes only any other scalar.
+join, and only a list with another entry is written entry by entry.
+Strings are escaped by `_json.encode_basestring_ascii`, the function
+`json.dumps` calls.  An int is written by `int.__repr__`, True, False and
+None as their literals, and `json.dumps`, imported then, writes only any
+other scalar and the values of `--format text`.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
-import gc
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii, make_scanner
 from types import SimpleNamespace
 from typing import Any, NoReturn, Optional
 
@@ -89,18 +100,59 @@ class CliError(Exception):
     """An invalid isometry the command line finds itself (exit 2)."""
 
 
+# The C scanner that json.loads runs, with json.JSONDecoder's defaults.
+_scan = make_scanner(
+    SimpleNamespace(
+        strict=True,
+        object_hook=None,
+        object_pairs_hook=None,
+        parse_float=float,
+        parse_int=int,
+        parse_constant={
+            "-Infinity": float("-inf"),
+            "Infinity": float("inf"),
+            "NaN": float("nan"),
+        }.__getitem__,
+    )
+)
+
+
+def _loads(text: str) -> Any:
+    """json.loads(text): the same value, or the same JSONDecodeError."""
+    space = " \t\n\r"
+    if text.startswith("\ufeff"):
+        message, at = "Unexpected UTF-8 BOM (decode using utf-8-sig)", 0
+    else:
+        try:
+            value, end = _scan(text, len(text) - len(text.lstrip(space)))
+        except StopIteration as stop:
+            message, at = "Expecting value", stop.value
+        else:
+            rest = text[end:].lstrip(space)
+            if not rest:
+                return value
+            message, at = "Extra data", len(text) - len(rest)
+    from json.decoder import JSONDecodeError
+
+    raise JSONDecodeError(message, text, at)
+
+
 def _read_document(path: Optional[str]) -> Any:
     """The JSON document in a file, or on stdin for None or "-"."""
     try:
         if path is None or path == "-":
+            if sys.stdin is None:  # its descriptor was closed at start-up
+                raise jsonio.FormatError("cannot read input: stdin is closed")
             text = sys.stdin.read()
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                text = handle.read().decode("utf-8")
+            # the newlines that a text-mode read turns into \n
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise jsonio.FormatError(f"cannot read input: {exc}")
     try:  # ValueError also means an int too long to convert
-        return json.loads(text)
+        return _loads(text)
     except (ValueError, RecursionError) as exc:
         raise jsonio.FormatError(f"malformed JSON: {exc}")
 
@@ -108,6 +160,8 @@ def _read_document(path: Optional[str]) -> Any:
 def _write_answer(text: str) -> None:
     """text on stdout, flushed here, so that a write that fails (to a full
     disk, say) is an error that main reports."""
+    if sys.stdout is None:  # its descriptor was closed at start-up
+        raise jsonio.FormatError("cannot write output: stdout is closed")
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -161,6 +215,8 @@ def _to_json(value: Any, newline: str) -> str:
     elif isinstance(value, int):
         return int.__repr__(value)
     else:
+        import json
+
         return json.dumps(value)
     if not items:
         return brackets
@@ -177,6 +233,8 @@ def _emit(answer: Any, fmt: str) -> str:
     if isinstance(answer, str):
         return answer
     if fmt == "text":
+        import json
+
         lines = []
         for key, value in sorted(answer.items()):
             lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
@@ -395,15 +453,15 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_ISOMETRY
     except (PosetError, ChainError, DimensionError) as exc:
         error, code = exc, EXIT_POSET
-    print(f"error: {error}", file=sys.stderr)
+    if sys.stderr is not None:  # print would fall back to stdout
+        print(f"error: {error}", file=sys.stderr)
     return code
 
 
 def entry() -> NoReturn:
     """The process entry of `python -m scherk.cli` and of the `scherk`
-    script: main, after freezing the heap that start-up left, and then the
-    end of the process without finalizing the interpreter."""
-    gc.freeze()
+    script: main, and then the end of the process without finalizing the
+    interpreter."""
     code = main()
     atexit._run_exitfuncs()
     # A stream is None when its descriptor was closed at start-up, and a

@@ -1,6 +1,7 @@
 """Command line behavior: golden outputs, round trips, exit codes."""
 
 import argparse
+import functools
 import gc
 import io
 import json
@@ -868,6 +869,11 @@ class TestAnswerBound:
 FRACTION_MODULES = {"fractions", "decimal", "_decimal", "numbers"}
 
 
+def json_modules(modules):
+    """The modules of the json package among modules."""
+    return {name for name in modules if name == "json" or name.startswith("json.")}
+
+
 def bowtie_pair():
     """The bowtie top and the first two elements of its bowtie."""
     top = json.loads((DATA / "bowtie_top.json").read_text())["top"]
@@ -899,6 +905,32 @@ PLAIN_RUNS = [
 ]
 
 
+# Malformed documents, as bytes, and the error each gets: the messages of
+# json.loads on the text that a text-mode read of the file gives.
+MALFORMED_FILES = {
+    "not-json": (b"not json", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+    "crlf-line-3": (
+        b'{\r\n  "dim": 2,\r\n  "matrix": ]\r\n}\r\n',
+        "malformed JSON: Expecting value: line 3 column 13 (char 26)",
+    ),
+    "lone-cr-line-3": (
+        b"[1,\r2,\r]\r",
+        "malformed JSON: Expecting value: line 3 column 1 (char 7)",
+    ),
+    "bom": (
+        b"\xef\xbb\xbf{}",
+        "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)",
+    ),
+    "extra-data": (b"{} {}", "malformed JSON: Extra data: line 1 column 4 (char 3)"),
+    "not-utf8": (
+        b'["\x80"]',
+        "cannot read input: 'utf-8' codec can't decode byte 0x80 in position 2: "
+        "invalid start byte",
+    ),
+}
+
+
 def imports(*argv):
     """The run of `python -X importtime *argv` and the modules it imported."""
     result = subprocess.run(
@@ -910,6 +942,21 @@ def imports(*argv):
     )
     lines = result.stderr.splitlines()
     return result, {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
+@pytest.fixture(scope="class")
+def plain_imports(tmp_path_factory):
+    """command -> the plain run of PLAIN_RUNS and the modules it imported
+    that a bare interpreter does not, each command run at most once."""
+    _, bare = imports("-c", "pass")
+    paths = dict(plain_paths(tmp_path_factory.mktemp("plain")))
+
+    @functools.cache
+    def run(command):
+        result, loaded = imports("-m", "scherk.cli", command, str(paths[command]))
+        return result, loaded - bare
+
+    return run
 
 
 class TestColdStart:
@@ -934,35 +981,49 @@ class TestColdStart:
     def test_cli_imports_no_fractions(self):
         assert not self.cli_imports() & FRACTION_MODULES
 
+    def test_cli_imports_no_json(self):
+        assert not json_modules(self.cli_imports())
+
     @pytest.mark.parametrize(
         "command,source,golden", PLAIN_RUNS, ids=[run[0] for run in PLAIN_RUNS]
     )
-    def test_plain_run_loads_no_fractions(self, command, source, golden, tmp_path):
-        path = source
-        if isinstance(source, dict):
-            path = tmp_path / "input.json"
-            path.write_text(json.dumps(source))
-        _, bare = imports("-c", "pass")
-        result, loaded = imports("-m", "scherk.cli", command, str(path))
+    def test_plain_run_loads_no_fractions(self, command, source, golden, plain_imports):
+        result, loaded = plain_imports(command)
         assert result.returncode == 0, result.stderr
         assert result.stdout
         if golden is not None:
             assert result.stdout == (GOLDEN / golden).read_text()
         assert "scherk.linalg" in loaded
-        assert not (loaded - bare) & FRACTION_MODULES
+        assert not loaded & FRACTION_MODULES
+
+    @pytest.mark.parametrize("command", [run[0] for run in PLAIN_RUNS])
+    def test_plain_run_loads_no_json(self, command, plain_imports):
+        result, loaded = plain_imports(command)
+        assert result.returncode == 0, result.stderr
+        assert "scherk.linalg" in loaded
+        assert not json_modules(loaded)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_malformed_document_keeps_its_message(self, name, tmp_path):
+        content, message = MALFORMED_FILES[name]
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        result = run_cli("analyze", str(path), timeout=60)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
 
 # A process entry run as `python -m scherk.cli` runs it (-m) or as the
 # console script runs its target (module:function): the probe wraps
-# os._exit to print the freeze count before, the exit code and the freeze
-# count after, then exits.
+# os._exit to print the exit code, then exits.
 ENTRY_PROBE = """
-import gc, importlib, os, runpy, sys
+import importlib, os, runpy, sys
 target, sys.argv = sys.argv[1], ["scherk", *sys.argv[2:]]
-before, exit = gc.get_freeze_count(), os._exit
+exit = os._exit
 
 def probe(code):
-    print(before, code, gc.get_freeze_count(), file=sys.stderr, flush=True)
+    print(code, file=sys.stderr, flush=True)
     exit(code)
 
 os._exit = probe
@@ -1046,22 +1107,16 @@ ERROR_DOCS = {
 }
 
 
-class TestEntry:
-    @pytest.mark.parametrize("entry", ["module", "script"])
-    def test_process_entry_freezes_the_start_up_heap(self, entry):
-        result = run_probe(ENTRY_PROBE, entry, "analyze", str(DATA / "glide.json"))
-        assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
-        before, code, after = result.stderr.split()
-        assert (before, code) == ("0", "0"), result.stderr
-        assert int(after) > 0
-        assert result.returncode == 0
+NO_STDOUT = "error: cannot write output: stdout is closed\n"
 
+
+class TestEntry:
     @pytest.mark.parametrize("entry", ["module", "script"])
     def test_atexit_callbacks_still_run(self, entry):
         result = run_probe(ATEXIT_PROBE, entry, "analyze", str(DATA / "glide.json"))
         golden = (GOLDEN / "analyze_glide.json").read_text()
         assert result.stdout == golden + "atexit ran\n"
-        assert result.stderr.split()[1] == "0", result.stderr
+        assert result.stderr == "0\n"
         assert result.returncode == 0
 
     def test_closed_stderr_exits_zero(self):
@@ -1075,6 +1130,32 @@ class TestEntry:
         )
         assert result.stdout == (GOLDEN / "analyze_glide.json").read_text()
         assert result.returncode == 0
+
+    @pytest.mark.parametrize(
+        "closed,document,stderr",
+        [
+            (1, (DATA / "glide.json").read_text(), NO_STDOUT),
+            (2, '{"dim": 2}', ""),
+            (0, None, "error: cannot read input: stdin is closed\n"),
+        ],
+        ids=["stdout", "stderr", "stdin"],
+    )
+    def test_closed_descriptor_exits_one(self, closed, document, stderr, tmp_path):
+        # A descriptor closed at start-up leaves its stream None: no answer
+        # is written, and no error line goes to stdout in stderr's place.
+        path = "-"
+        if document is not None:
+            path = tmp_path / "input.json"
+            path.write_text(document)
+        result = subprocess.run(
+            [sys.executable, "-m", "scherk.cli", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env=entry_env(),
+            timeout=60,
+            preexec_fn=lambda: os.close(closed),
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", stderr)
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     @pytest.mark.parametrize("code", sorted(ERROR_DOCS))
@@ -1508,3 +1589,119 @@ class TestJsonWriter:
     def test_writes_what_json_dumps_writes(self, value):
         expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
         assert cli._emit_json(value) == expected
+
+
+def outcome(read, arg):
+    """The repr of read(arg)'s value, or the type and message of its error;
+    a repr tells 1 from 1.0 and spells NaN."""
+    try:
+        return repr(read(arg))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# Texts at the edges of json.loads: whitespace it skips and whitespace it
+# refuses, a BOM, data after the document, truncation, constants, an int
+# past the digit limit and nesting past the recursion limit.
+READER_TEXTS = {
+    "empty": "",
+    "spaces-only": " \t\n\r",
+    "spaces-around": "\n\t\r [1, {\"a\": null}] \r\n\t",
+    "form-feed-before": "\f[]",
+    "vertical-tab-after": "[]\v",
+    "nbsp-after": "[]\u00a0",
+    "bom": "\ufeff[]",
+    "bom-after-space": " \ufeff[]",
+    "extra-value": "[] [",
+    "two-objects": "{}{}",
+    "truncated": '{"a": [1, 2',
+    "control-character": '"a\x01b"',
+    "newline-in-string": '["a\nb"]',
+    "constants": "[NaN, Infinity, -Infinity, 1e400, -0.0]",
+    "digit-limit": "9" * 4300,
+    "over-digit-limit": "9" * 4301,
+    "deep": "[" * 100000 + "]" * 100000,
+}
+
+# Whitespace json.loads skips, and some it does not.
+SPACES = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r", "\r\n", "\f", "\v", "\u00a0", "\u2028"]),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+# Values json.dumps does not write: the constants, and ints at and past
+# the digit limit.
+SPECIALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "9" * 4300, "-" + "9" * 4301])
+
+
+@st.composite
+def json_texts(draw):
+    """The text of a JSON value, with at most one change of the kinds of
+    READER_TEXTS."""
+    indent = draw(st.sampled_from([None, 0, 2]))
+    text = json.dumps(draw(json_values), indent=indent, ensure_ascii=draw(st.booleans()))
+    at = draw(st.integers(0, len(text)))
+    change = draw(
+        st.sampled_from(["none", "space", "special", "bom", "extra", "cut", "deep"])
+    )
+    if change == "space":
+        return text[:at] + draw(SPACES) + text[at:]
+    if change == "special":
+        return f"[{text}, {draw(SPECIALS)}]"
+    if change == "bom":
+        return "\ufeff" + text
+    if change == "extra":
+        return text + draw(st.sampled_from([" x", "{}", "\n1", ",", "\ufeff", "NaN"]))
+    if change == "cut":
+        return text[:at]
+    if change == "deep":
+        depth = draw(st.sampled_from([1, 30, 100000]))
+        return "[" * depth + text + "]" * depth
+    return text
+
+
+def text_mode_read(path):
+    """The parent reader: json.loads on the file read in text mode."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise jsonio.FormatError(f"cannot read input: {exc}")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise jsonio.FormatError(f"malformed JSON: {exc}")
+
+
+# Files that a text-mode read changes or refuses: CRLF and lone CR newlines,
+# a BOM, bytes that are not UTF-8.
+READER_FILES = {
+    "crlf": b'{\r\n  "a": [1,\r\n  2]\r\n}\r\n',
+    "crlf-error-line-3": b'{\r\n  "a": 1,\r\n  "b": ]\r\n}\r\n',
+    "lone-cr-error-line-3": b"[1,\r2,\r]\r",
+    "cr-in-string": b'["a\rb"]',
+    "crlf-in-string": b'["a\r\nb", 1 2]',
+    "bom": b"\xef\xbb\xbf[]",
+    "not-utf8": b'[1, "\x80"]',
+    "cut-utf8": b'["\xe2\x82"]',
+}
+
+
+class TestReader:
+    """cli's reader gives what json.loads gives, value or error."""
+
+    @pytest.mark.parametrize("name", sorted(READER_TEXTS))
+    def test_edge_text_reads_as_json_loads_reads_it(self, name):
+        text = READER_TEXTS[name]
+        assert outcome(cli._loads, text) == outcome(json.loads, text)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(json_texts())
+    def test_text_reads_as_json_loads_reads_it(self, text):
+        assert outcome(cli._loads, text) == outcome(json.loads, text)
+
+    @pytest.mark.parametrize("name", sorted(READER_FILES))
+    def test_file_reads_as_text_mode_reads_it(self, name, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(READER_FILES[name])
+        assert outcome(cli._read_document, path) == outcome(text_mode_read, path)

@@ -706,20 +706,6 @@ CATALOG = [
         "crash where argparse prints an invalid int value",
     },
     {
-        "id": "entry-no-freeze",
-        "module": "src/scherk/cli.py",
-        "old": "    gc.freeze()\n",
-        "new": "",
-        "tests": [
-            "tests/test_cli.py::TestEntry::"
-            "test_process_entry_freezes_the_start_up_heap[module]",
-            "tests/test_cli.py::TestEntry::"
-            "test_process_entry_freezes_the_start_up_heap[script]",
-        ],
-        "why": "without the freeze the collections at exit walk every object "
-        "that start-up left, about 6 ms of a 58 ms command line run",
-    },
-    {
         "id": "entry-no-flush",
         "module": "src/scherk/cli.py",
         "old": "            stream.flush()\n",
@@ -864,5 +850,68 @@ CATALOG = [
         ],
         "why": "w is elliptic exactly when mu = 0; a rank below n only says that "
         "A fixes a direction, which a rotation about a fixed axis does too",
+    },
+    {
+        "id": "reader-bom-unchecked",
+        "module": "src/scherk/cli.py",
+        "old": 'if text.startswith("\\ufeff"):',
+        "new": "if False:",
+        "tests": [
+            "tests/test_cli.py::TestReader::"
+            "test_edge_text_reads_as_json_loads_reads_it[bom]",
+            "tests/test_cli.py::TestReader::test_file_reads_as_text_mode_reads_it[bom]",
+            "tests/test_cli.py::TestColdStart::"
+            "test_malformed_document_keeps_its_message[bom]",
+        ],
+        "why": "json.loads refuses a leading BOM by name; left to the scanner it "
+        "is a value that is not there, and the error line changes",
+    },
+    {
+        "id": "reader-extra-data-unchecked",
+        "module": "src/scherk/cli.py",
+        "old": "            if not rest:\n",
+        "new": "            if True:\n",
+        "tests": [
+            "tests/test_cli.py::TestReader::"
+            "test_edge_text_reads_as_json_loads_reads_it[two-objects]",
+            "tests/test_cli.py::TestReader::"
+            "test_edge_text_reads_as_json_loads_reads_it[extra-value]",
+            "tests/test_cli.py::TestColdStart::"
+            "test_malformed_document_keeps_its_message[extra-data]",
+        ],
+        "why": "the scanner stops at the end of the first value; without the "
+        "check a document followed by anything but whitespace is read as that "
+        "first value",
+    },
+    {
+        "id": "reader-newlines-untranslated",
+        "module": "src/scherk/cli.py",
+        "old": 'text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        "new": "text = text",
+        "tests": [
+            "tests/test_cli.py::TestReader::"
+            "test_file_reads_as_text_mode_reads_it[crlf-error-line-3]",
+            "tests/test_cli.py::TestReader::"
+            "test_file_reads_as_text_mode_reads_it[lone-cr-error-line-3]",
+            "tests/test_cli.py::TestColdStart::"
+            "test_malformed_document_keeps_its_message[crlf-line-3]",
+        ],
+        "why": "a text-mode read turns CRLF and a lone CR into LF; untranslated, "
+        "an error's char counts every CR and its line counts no lone CR",
+    },
+    {
+        "id": "reader-space-widened",
+        "module": "src/scherk/cli.py",
+        "old": 'space = " \\t\\n\\r"',
+        "new": "space = None",
+        "tests": [
+            "tests/test_cli.py::TestReader::"
+            "test_edge_text_reads_as_json_loads_reads_it[form-feed-before]",
+            "tests/test_cli.py::TestReader::"
+            "test_edge_text_reads_as_json_loads_reads_it[nbsp-after]",
+        ],
+        "why": "JSON whitespace is space, tab, LF and CR; str.lstrip() with no "
+        "argument also skips a form feed or a no-break space, which json.loads "
+        "refuses",
     },
 ]
