@@ -111,7 +111,7 @@ class _AffineSubspace(Record):
         if direction.is_full():
             self.anchor = Vector.zero(direction.ambient)
             return
-        rows = [b.num for b in direction.basis]
+        rows = direction.rows
         dots = [_dot(b, anchor.num) for b in rows]
         if not any(dots):
             self.anchor = anchor
@@ -157,9 +157,8 @@ class _AffineSubspace(Record):
         den(anchor) den(other anchor) (anchor - other anchor), lie in the
         other's direction."""
         d, e = self.anchor.den, other.anchor.den
-        rows = [b.num for b in self.direction.basis]
-        rows.append([e * a - d * b for a, b in zip(self.anchor.num, other.anchor.num)])
-        return other.direction._contains_rows(rows)
+        shift = [e * a - d * b for a, b in zip(self.anchor.num, other.anchor.num)]
+        return other.direction._contains_rows([*self.direction.rows, shift])
 
 
 class AffineSubspaceV(_AffineSubspace):
@@ -272,12 +271,13 @@ def _full_e(n: int) -> AffineSubspaceE:
 
 def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
     """The frame of b as integer rows (X, p), the point X / p: its
-    canonical point, then its basis translates, built one at a time."""
+    canonical point, then its translates by the basis vectors
+    row / row[pivot] of the direction, built one at a time."""
     point, p = b.anchor.num, b.anchor.den
     yield point, p
-    for v in b.direction.basis:
-        k = v.den
-        yield [k * x + p * y for x, y in zip(point, v.num)], p * k
+    for row, c in zip(b.direction.rows, b.direction.pivots):
+        k = row[c]
+        yield [k * x + p * y for x, y in zip(point, row)], p * k
 
 
 def _check_hull(anchors: Sequence[Vector], directions: Sequence[LinearSubspace]) -> None:
@@ -314,7 +314,7 @@ def _hull(
     base = anchors[0]
     e, b = base.den, base.num
     hull = [[e * x - a.den * y for x, y in zip(a.num, b)] for a in anchors[1:]]
-    hull += [v.num for d in directions for v in d.basis]
+    hull += [row for d in directions for row in d.rows]
     hull += rows
     return _span(hull, base.dim)
 
@@ -367,8 +367,8 @@ def _intersect(subspaces: Sequence[_AffineSubspace]):
     rows = []
     for s in subspaces:
         e, a = s.anchor.den, s.anchor.num
-        for normal in orthogonal_complement(s.direction).basis:
-            rows.append([e * x for x in normal.num] + [_dot(normal.num, a)])
+        for normal in orthogonal_complement(s.direction).rows:
+            rows.append([e * x for x in normal] + [_dot(normal, a)])
     n = subspaces[0].ambient
     return *_independent(rows, n + 1), n
 

@@ -109,7 +109,7 @@ from .isometry import (
     reflection_length,
     standard_splitting,
 )
-from .linalg import _dot, _vec, _vector, orthogonal_complement, orthogonal_section, span
+from .linalg import _dot, _span, _vec, _vector, orthogonal_complement, orthogonal_section
 from .poset import Elliptic, Hyperbolic, PosetContext, PosetElement, _place, inv_map, rank
 from .record import Record
 
@@ -235,8 +235,7 @@ def _step_to_hyperbolic(rows: Rows, target_move: AffineSubspaceV) -> Reflection:
     """
     n, d, b, e = rows
     mu, m = target_move.mu.num, target_move.mu.den
-    for normal in orthogonal_complement(target_move.direction).basis:
-        nu = normal.num
+    for nu in orthogonal_complement(target_move.direction).rows:
         turned = _image(n, nu)
         alpha = [d * x - y for x, y in zip(nu, turned)]
         if any(alpha):
@@ -345,7 +344,7 @@ def chain_to_factorization(
             if low:
                 rows = _reflect(r, rows)
                 n, d = rows[0], rows[1]
-                rest = (v.num for v in below.fix.direction.basis[j:])
+                rest = below.fix.direction.rows[j:]
                 landed = all(_image(n, v) == [d * x for x in v] for v in rest)
             else:
                 landed = True  # r is the product itself, see the docstring
@@ -433,7 +432,7 @@ def factorization_to_chain(f: Factorization) -> list[PosetElement]:
             ctx = PosetContext(inv_map(f.target))
             demand = orthogonal_complement(fix.direction)
         else:
-            demand = span([*demand.basis, r.root])
+            demand = _span([*demand.rows, r.root.num], dim)
         elements.append(_place(demand, ctx))
     elements.reverse()
     return elements

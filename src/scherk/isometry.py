@@ -59,6 +59,7 @@ from .linalg import (
     _particular,
     _q,
     _subspace,
+    _unit,
     _upward,
     _vec,
     _vector,
@@ -277,9 +278,7 @@ def _rows(w: Isometry) -> Rows:
 
 
 def _identity_rows(dim: int) -> Rows:
-    zeros = (0,) * dim
-    unit = tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(dim))
-    return unit, 1, zeros, 1
+    return tuple([_unit(dim, i) for i in range(dim)]), 1, (0,) * dim, 1
 
 
 def _from_rows(rows: Rows) -> Isometry:

@@ -243,7 +243,7 @@ def matrix_from_json(obj: Any) -> Matrix:
 def subspace_to_json(u: LinearSubspace) -> dict:
     return {
         "dim_ambient": u.ambient,
-        "basis": [vector_to_json(b) for b in u.basis],
+        "basis": [_texts(row, row[p]) for row, p in zip(u.rows, u.pivots)],
     }
 
 

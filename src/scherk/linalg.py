@@ -47,14 +47,19 @@ there too: the classification of an isometry (`isometry._invariants`)
 does, and makes the upward pass only when the reduced basis of its
 move-set is first read.
 
-Subspaces are canonical.  The stored basis is the reduced row echelon form
-of any spanning set, so two subspaces are equal iff their stored bases are
-identical tuples; rows that already are that form are recognized and kept
-as given.  This makes subspace equality, and everything built on
-top of it, an O(1) comparison after construction.  The full space of
-each dimension is one shared value (`_full`, a bounded memo): every
-full-rank exit returns it, it is never mutated, and its ``_perp`` is the
-zero space from the start.
+Subspaces are canonical.  A subspace is stored as its reduced integer
+rows: the reduced row echelon form of any spanning set, each row scaled to
+coprime ints that are positive at its pivot, with the pivot columns beside
+them.  The elimination passes hand on rows in the same format, so the
+upward pass's rows are a subspace's stored rows, and every inclusion test,
+kernel, section and span reads the stored rows with no Vector built; the
+Vectors of `LinearSubspace.basis` are made only on request.  The form is
+unique, so two subspaces are equal iff their stored rows are identical
+tuples; rows that already are that form are recognized and kept as given.
+This makes subspace equality, and everything built on top of it, an O(1)
+comparison after construction.  The full space of each dimension is one
+shared value (`_full`, a bounded memo): every full-rank exit returns it,
+it is never mutated, and its ``_perp`` is the zero space from the start.
 
 A subspace keeps its orthogonal complement once it has been asked for, and
 the complement points back at it, since (U^perp)^perp = U.  Eliminations
@@ -202,6 +207,11 @@ def _vector(num: Sequence[int], den: int) -> "Vector":
     return _vec(*_lowest(num, den))
 
 
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    """The integer row e_i of length n, for 0 <= i < n (unchecked)."""
+    return (0,) * i + (1,) + (0,) * (n - 1 - i)
+
+
 def _mat(num: tuple[tuple[int, ...], ...], den: int, ncols: int) -> "Matrix":
     """A Matrix from fields already in canonical form."""
     m = object.__new__(Matrix)
@@ -241,6 +251,9 @@ class Vector(Record):
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vector":
+        """The unit vector e_i of R^dim; IndexError unless 0 <= i < dim."""
+        if not 0 <= i < dim:
+            raise IndexError(f"no basis vector {i} in dimension {dim}")
         num = [0] * dim
         num[i] = 1
         return _vec(tuple(num), 1)
@@ -323,9 +336,7 @@ class Matrix(Record):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return _mat(
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n
-        )
+        return _mat(tuple([_unit(n, i) for i in range(n)]), 1, n)
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -436,11 +447,11 @@ def _independent(rows: Iterable[Sequence[int]], limit: int):
 def _upward(rows: Sequence[Sequence[int]], pivots: tuple[int, ...]):
     """Reduced row echelon form of integer rows in echelon form.
 
-    Returns (reduced rows, pivot columns).  Each reduced row is a pair
-    (ints, lead) with lead = ints[pivot] > 0 and the ints coprime; the row
-    of the reduced row echelon form is ints / lead.  The rows are reduced
-    upward, last pivot first; the reduced form is unique, so it is the one
-    Gauss-Jordan elimination gives.
+    Returns (reduced rows, pivot columns).  Each reduced row is a tuple of
+    coprime ints, positive at its pivot and zero at every other pivot; the
+    row of the reduced row echelon form is row / row[pivot].  The rows are
+    reduced upward, last pivot first; the reduced form is unique, so it is
+    the one Gauss-Jordan elimination gives.
     """
     work = list(rows)
     for k in range(len(pivots) - 1, 0, -1):
@@ -454,7 +465,7 @@ def _upward(rows: Sequence[Sequence[int]], pivots: tuple[int, ...]):
     reduced = []
     for row, p in zip(work, pivots):
         g = math.gcd(*row) if row[p] > 0 else -math.gcd(*row)
-        reduced.append((tuple(a // g for a in row), row[p] // g))
+        reduced.append(tuple([a // g for a in row]))
     return reduced, pivots
 
 
@@ -470,20 +481,23 @@ def _rref(rows: Sequence[Sequence[int]], ncols: int):
 
 
 def _subspace(ambient: int, reduced, pivots: tuple[int, ...]) -> "LinearSubspace":
-    """The subspace spanned by reduced rows from :func:`_rref`.
+    """The subspace spanned by integer rows that are multiples of reduced
+    rows, as :func:`_upward` returns them: each row is divided by the gcd
+    of its first `ambient` entries, signed like its entry at its pivot.
 
     Columns past `ambient` (an augmented right hand side) are dropped, so
-    the row space of a reduced consistent [A | b] gives the row space of A.
+    the row space of a reduced consistent [A | b] gives the row space of A;
+    the gcd of a row so cut may exceed 1.
     """
-    basis = tuple(_vector(ints[:ambient], lead) for ints, lead in reduced)
-    return _canonical(ambient, basis, pivots)
+    rows = tuple([_lowest(row[:ambient], row[p])[0] for row, p in zip(reduced, pivots)])
+    return _canonical(ambient, rows, pivots)
 
 
-def _canonical(ambient: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]):
-    """A LinearSubspace from a basis already in reduced row echelon form."""
+def _canonical(ambient: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
+    """A LinearSubspace from rows and pivots already in the stored form."""
     u = object.__new__(LinearSubspace)
     u.ambient = ambient
-    u.basis = basis
+    u.rows = rows
     u.pivots = pivots
     u._perp = None
     return u
@@ -508,8 +522,7 @@ def _solve(rows: Sequence[Sequence[int]], pivots: tuple[int, ...], n: int):
     if pivots and pivots[-1] == n:
         return None
     reduced, pivots = _upward(rows, pivots)
-    particular = _particular([ints for ints, _ in reduced], pivots, n)
-    return particular, _kernel(reduced, pivots, n)
+    return _particular(reduced, pivots, n), _kernel(reduced, pivots, n)
 
 
 def _particular(
@@ -581,22 +594,26 @@ def _reduced_pivots(rows: Sequence[Vector]) -> Optional[tuple[int, ...]]:
 class LinearSubspace(Record):
     """A linear subspace of rational n-space in canonical form.
 
-    The basis is stored as the reduced row echelon form of whatever spanning
-    set was supplied, one basis vector per row.  Equality of subspaces is
-    therefore equality of the stored data.  Rows that already are that
-    form, as :mod:`scherk.jsonio` writes a basis, are stored as given: the
-    reduced row echelon form is unique, so they are recognized by reading
-    their pivots (:func:`_reduced_pivots`), and nothing is eliminated.  Any
-    other spanning set is reduced by :func:`_span`.
+    It is stored as the reduced row echelon form of whatever spanning set
+    was supplied, one integer row per basis vector: ``rows`` holds each row
+    of that form times its pivot's denominator, a tuple of coprime ints
+    that is positive at its pivot, and ``pivots`` the pivot columns.  The
+    row of the reduced form is row / row[pivot], which ``basis`` builds as
+    a Vector on each read.  The form is unique, so equality of subspaces
+    is equality of the stored rows.  Rows that already are that form, as
+    :mod:`scherk.jsonio` writes a basis, are stored as given: they are
+    recognized by reading their pivots (:func:`_reduced_pivots`), and
+    nothing is eliminated.  Any other spanning set is reduced by
+    :func:`_span`.
 
     The slot ``_perp`` holds the orthogonal complement once
     :func:`orthogonal_complement` has been asked for it; it is written once,
     and it is left out of ``_names``, so it plays no part in equality or
-    hashing.  Nor are ``pivots``, which the basis determines.
+    hashing.  Nor are ``pivots``, which the rows determine.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_perp")
-    _names = ("ambient", "basis")
+    __slots__ = ("ambient", "rows", "pivots", "_perp")
+    _names = ("ambient", "rows")
 
     def __init__(self, ambient: int, rows: Iterable[Iterable]) -> None:
         if ambient < 0:
@@ -613,9 +630,9 @@ class LinearSubspace(Record):
         pivots = _reduced_pivots(vectors)
         if pivots is None:
             canonical = _span([v.num for v in vectors], ambient)
-            self.basis, self.pivots = canonical.basis, canonical.pivots
+            self.rows, self.pivots = canonical.rows, canonical.pivots
         else:
-            self.basis, self.pivots = tuple(vectors), pivots
+            self.rows, self.pivots = tuple([v.num for v in vectors]), pivots
         self._perp: Optional[LinearSubspace] = None
 
     @classmethod
@@ -633,18 +650,23 @@ class LinearSubspace(Record):
         return _full(ambient)
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The reduced basis, row / row[pivot] for each stored row."""
+        return tuple([_vec(row, row[p]) for row, p in zip(self.rows, self.pivots)])
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def codim(self) -> int:
-        return self.ambient - len(self.basis)
+        return self.ambient - len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient
+        return len(self.rows) == self.ambient
 
     def contains(self, v: Vector) -> bool:
         if v.dim != self.ambient:
@@ -656,15 +678,15 @@ class LinearSubspace(Record):
     def _contains_row(self, residual: Sequence[int]) -> bool:
         """residual - sum of residual[p] b_p over the pivots p is zero.
 
-        The integer row stands for any nonzero multiple of a vector.  A
-        basis row b has b.num[p] = b.den at its pivot, so each step scales
-        the residual by b.den and clears its entry at p.
+        The integer row stands for any nonzero multiple of a vector.  The
+        basis vector b_p is row / row[p] for the stored row of pivot p, so
+        each step scales the residual by row[p] and clears its entry at p.
         """
-        for b, p in zip(self.basis, self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             c = residual[p]
             if c:
-                d = b.den
-                residual = [d * a - c * x for a, x in zip(residual, b.num)]
+                d = row[p]
+                residual = [d * a - c * x for a, x in zip(residual, row)]
         return not any(residual)
 
     def _contains_rows(self, rows: Iterable[Sequence[int]]) -> bool:
@@ -676,7 +698,7 @@ class LinearSubspace(Record):
     def subset_of(self, other: "LinearSubspace") -> bool:
         if self.ambient != other.ambient:
             raise DimensionError("subspaces of different ambient dimensions")
-        return other._contains_rows([b.num for b in self.basis])
+        return other._contains_rows(self.rows)
 
     def __repr__(self) -> str:
         rows = "; ".join(", ".join(_texts(b.num, b.den)) for b in self.basis)
@@ -685,15 +707,14 @@ class LinearSubspace(Record):
 
 @functools.lru_cache(maxsize=32)
 def _full(n: int) -> LinearSubspace:
-    """R^n, built once per dimension and shared: its unit vectors are
+    """R^n, built once per dimension and shared: its unit rows are
     already a reduced basis, and it is linked both ways to the zero space,
     so :func:`orthogonal_complement` never writes to it.  Every full-rank
     exit returns it (:func:`_span` and ``LinearSubspace.full``), so a bound
     that fills the space builds no basis; the shared E^n of
     ``AffineSubspaceE.full`` (``affine._full_e``, bounded the same way) is
     built on it."""
-    basis = tuple(_vec((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n))
-    full = _canonical(n, basis, tuple(range(n)))
+    full = _canonical(n, tuple([_unit(n, i) for i in range(n)]), tuple(range(n)))
     zero = _canonical(n, (), ())
     full._perp, zero._perp = zero, full
     return full
@@ -727,34 +748,35 @@ def span(vectors: Sequence[Vector], ambient: Optional[int] = None) -> LinearSubs
 
 
 def _kernel(reduced, pivots: Sequence[int], n: int) -> LinearSubspace:
-    """Kernel of the first n columns of reduced rows from :func:`_rref`.
+    """Kernel of the first n columns of reduced integer rows, as
+    :func:`_upward` returns them or a subspace stores them.
 
     Extra columns past n (an augmented right hand side) are ignored, so a
     consistent reduced [A | b] gives the kernel of A.  The kernel vector of
-    free column f is e_f - sum of (ints[f] / lead) e_p over the rows,
-    scaled by the common multiple of the leads to stay integral.  When no
-    row has an entry in a free column (there are no rows, or each row is a
-    unit vector) the kernel vectors are the free unit vectors, which are
-    already reduced.  One free column gives one vector, whose reduced form
-    is itself divided by its first nonzero entry; more are reduced once.
+    free column f is e_f - sum of (row[f] / row[p]) e_p over the rows of
+    pivot p, scaled by the common multiple of the row[p] to stay integral.
+    When no row has an entry in a free column (there are no rows, or each
+    row is a unit row) the kernel rows are the free unit rows, which are
+    already reduced.  One free column gives one vector, whose reduced row
+    is itself divided by its gcd, signed like its first nonzero entry; more
+    are spanned once (:func:`_span`).
     """
     pivot_set = set(pivots)
     free = tuple(f for f in range(n) if f not in pivot_set)
-    if not any(ints[f] for ints, _ in reduced for f in free):
-        return _canonical(n, tuple(Vector.basis(n, f) for f in free), free)
-    scale = math.lcm(*(lead for _, lead in reduced))
+    if not any(row[f] for row in reduced for f in free):
+        return _canonical(n, tuple([_unit(n, f) for f in free]), free)
+    scale = math.lcm(*(row[p] for row, p in zip(reduced, pivots)))
     vectors = []
     for f in free:
         v = [0] * n
         v[f] = scale
-        for (ints, lead), p in zip(reduced, pivots):
-            v[p] = -ints[f] * (scale // lead)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f] * (scale // row[p])
         vectors.append(v)
     if len(vectors) == 1:
-        (v,) = vectors
-        pivot = next(i for i, a in enumerate(v) if a)
-        return _canonical(n, (_vector(v, v[pivot]),), (pivot,))
-    return _subspace(n, *_rref(vectors, n))
+        pivot = next(i for i, a in enumerate(vectors[0]) if a)
+        return _subspace(n, vectors, (pivot,))
+    return _span(vectors, n)
 
 
 def null_space(a: Matrix) -> LinearSubspace:
@@ -770,7 +792,7 @@ def orthogonal_complement(u: LinearSubspace) -> LinearSubspace:
     linked both ways.
     """
     if u._perp is None:
-        perp = _kernel([(b.num, b.den) for b in u.basis], u.pivots, u.ambient)
+        perp = _kernel(u.rows, u.pivots, u.ambient)
         perp._perp = u
         u._perp = perp
     return u._perp
@@ -781,42 +803,40 @@ def intersect(first: LinearSubspace, *rest: LinearSubspace) -> LinearSubspace:
     n = first.ambient
     if any(u.ambient != n for u in rest):
         raise DimensionError("subspaces of different ambient dimensions")
-    constraints = [
-        b.num for u in (first, *rest) for b in orthogonal_complement(u).basis
-    ]
+    constraints = [row for u in (first, *rest) for row in orthogonal_complement(u).rows]
     return _kernel(*_rref(constraints, n), n)
 
 
 def orthogonal_section(
     u: LinearSubspace, normal: Vector
-) -> tuple[LinearSubspace, Optional[Vector]]:
+) -> tuple[LinearSubspace, Optional[tuple[int, ...]]]:
     """u intersected with the hyperplane normal^perp, by one pivot-row step.
 
-    Returns the section and a basis row w of u with normal . w != 0, or
+    Returns the section and a stored row w of u with normal . w != 0, or
     (u, None) when normal is orthogonal to u.  With a_i = normal . d_i over
     the reduced basis d_i of u, the section is {sum t_i d_i : sum t_i a_i
     = 0}.  Let i* be the last index with a_i != 0: the rows
     d_i - (a_i / a_i*) d_i* for i != i* are a basis and already reduced,
     since the rows past i* have a_i = 0 and stay as they are, and d_i* is
     zero left of its pivot, which lies right of the pivot of every row
-    before it.  On the integer rows d_i = N_i / lead_i with
-    A_i = normal . N_i that is (A_i* N_i - A_i N_i*) / (A_i* lead_i).
+    before it.  On the stored integer rows N_i, d_i = N_i / N_i[p_i], with
+    A_i = normal . N_i that is the multiple A_i* N_i - A_i N_i* of d_i.
     """
     if normal.dim != u.ambient:
         raise DimensionError("hyperplane and subspace of different dimensions")
-    basis, pivots = u.basis, u.pivots
-    weights = [_dot(normal.num, d.num) for d in basis]
+    rows, pivots = u.rows, u.pivots
+    weights = [_dot(normal.num, row) for row in rows]
     last = max((i for i, a in enumerate(weights) if a), default=None)
     if last is None:
         return u, None
-    top, pivot_row = weights[last], basis[last].num
+    top, pivot_row = weights[last], rows[last]
     reduced = [
-        ([top * x - a * y for x, y in zip(d.num, pivot_row)], top * d.den)
-        for i, (d, a) in enumerate(zip(basis, weights))
+        [top * x - a * y for x, y in zip(row, pivot_row)]
+        for i, (row, a) in enumerate(zip(rows, weights))
         if i != last
     ]
     section = _subspace(u.ambient, reduced, pivots[:last] + pivots[last + 1 :])
-    return section, basis[last]
+    return section, pivot_row
 
 
 def project(v: Vector, u: LinearSubspace) -> Vector:
@@ -825,16 +845,16 @@ def project(v: Vector, u: LinearSubspace) -> Vector:
     Zero, the full space and v orthogonal to u are answered from the dot
     products b_i . v, and a line spanned by the integer row B from the
     closed form (B . V / B . B) B / den(v), with V = den(v) v.  Otherwise
-    one reduction of the integer system [B_i . B_j | B_i . V] gives the
-    coefficients of the projection of V in the integer rows B_i of the
-    basis, and the projection of v is that of V scaled by 1 / den(v).
+    one forward pass and one back-substitution of the integer system
+    [B_i . B_j | B_i . V] give the coefficients of the projection of V in
+    the stored integer rows B_i, and the projection of v is that of V
+    scaled by 1 / den(v).
     """
     if v.dim != u.ambient:
         raise DimensionError(f"vector of dimension {v.dim} vs ambient {u.ambient}")
     if u.is_full() or v.is_zero():
         return v
-    rows = [b.num for b in u.basis]
-    return _project(v, rows, [_dot(b, v.num) for b in rows])
+    return _project(v, u.rows, [_dot(b, v.num) for b in u.rows])
 
 
 def _project(v: Vector, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
@@ -847,10 +867,10 @@ def _project(v: Vector, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Ve
         b, (c,) = rows[0], rhs
         return _vector([c * x for x in b], _dot(b, b) * v.den)
     gram = [[_dot(bi, bj) for bj in rows] + [r] for bi, r in zip(rows, rhs)]
-    reduced, pivots = _rref(gram, k + 1)
+    echelon, pivots = _independent(gram, k + 1)
     if pivots != tuple(range(k)):
         raise ValueError("singular Gram system in project")
-    coeffs = _particular([ints for ints, _ in reduced], pivots, k)
+    coeffs = _particular(echelon, pivots, k)
     num = [0] * len(v.num)
     for c, b in zip(coeffs.num, rows):
         if c:

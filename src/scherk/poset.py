@@ -242,12 +242,12 @@ def leq(p: PosetElement, q: PosetElement) -> bool:
         if q.kind == "e":
             return t._within(s)
         if q.kind == "h":
-            return u._contains_rows([b.num for b in t.span_complement().basis])
-        return v._contains_rows([b.num for b in orthogonal_complement(u).basis])
+            return u._contains_rows(t.span_complement().rows)
+        return v._contains_rows(orthogonal_complement(u).rows)
     if p.kind == "h":
         return q.kind == "h" and s._within(t)
     # n^U lies below n^V when U lies in V, and below h^M when U lies in Dir M
-    return q.kind != "e" and v._contains_rows([b.num for b in u.basis])
+    return q.kind != "e" and v._contains_rows(u.rows)
 
 
 def rank(p: PosetElement) -> int:
@@ -324,9 +324,9 @@ def _place(demand: LinearSubspace, ctx: PosetContext) -> KernelResult:
     mu = top.move.mu
     direction, w = orthogonal_section(demand, mu)
     if w is not None:
-        # w |mu|^2 / (w . mu) on the integer rows W of w and M of mu
+        # w |mu|^2 / (w . mu), the same for every multiple of the row w
         mu_sq = _dot(mu.num, mu.num)
-        shift = _vector([mu_sq * x for x in w.num], mu.den * _dot(w.num, mu.num))
+        shift = _vector([mu_sq * x for x in w], mu.den * _dot(w, mu.num))
         return Hyperbolic(AffineSubspaceV(direction, shift))
     if demand.is_zero():
         return Elliptic(AffineSubspaceE.full(ctx.ambient))
@@ -355,9 +355,9 @@ def _meet(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
         if isinstance(p, Elliptic):
             fixes.append(p.fix)
         elif isinstance(p, Hyperbolic):
-            rows += [v.num for v in p.move.span_complement().basis]
+            rows += p.move.span_complement().rows
         else:
-            rows += [v.num for v in orthogonal_complement(p.subspace).basis]
+            rows += orthogonal_complement(p.subspace).rows
     if fixes:
         return Elliptic(_hull_e(fixes, rows))
     n = ctx.ambient
@@ -387,10 +387,10 @@ def _join(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
         if isinstance(p, Elliptic):
             fixes.append(p.fix)
         elif isinstance(p, Hyperbolic):
-            rows += [v.num for v in p.move.direction.basis]
+            rows += p.move.direction.rows
             rows.append(p.move.mu.num)
         else:
-            rows += [v.num for v in p.subspace.basis]
+            rows += p.subspace.rows
     if not rows:
         rows, pivots, _ = _intersect(fixes)
         solution = _solve(rows, pivots, n)
@@ -399,9 +399,8 @@ def _join(members: Sequence[PosetElement], ctx: PosetContext) -> KernelResult:
             return Elliptic(AffineSubspaceE(Point(particular), kernel))
         rows, pivots = [row[:n] for row in rows[:-1]], pivots[:-1]
     else:
-        rows += [
-            v.num for b in fixes for v in orthogonal_complement(b.direction).basis
-        ]
+        for b in fixes:
+            rows += orthogonal_complement(b.direction).rows
         rows, pivots = _independent(rows, ctx.top.move.dim + 1)
     if len(pivots) > ctx.top.move.dim:
         return ctx.top

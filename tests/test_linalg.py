@@ -30,6 +30,7 @@ from scherk.linalg import (
     intersect,
     null_space,
     orthogonal_complement,
+    orthogonal_section,
     project,
     solve_affine,
     span,
@@ -49,6 +50,68 @@ def e(n, i):
 
 def random_vector(rng, n):
     return Vector(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+
+
+class TestUnitVectors:
+    @pytest.mark.parametrize("dim,i", [(3, -1), (3, -3), (3, 3), (0, 0), (0, -1)])
+    def test_index_out_of_range_is_an_error(self, dim, i):
+        with pytest.raises(IndexError):
+            Vector.basis(dim, i)
+
+
+def assert_stored_rows(u):
+    """u holds the reduced integer rows: coprime int tuples of length
+    ambient, zero left of their increasing pivots, positive at their own
+    pivot and zero at every other; basis is row / row[pivot] per row."""
+    assert len(u.rows) == len(u.pivots) == u.dim
+    assert list(u.pivots) == sorted(set(u.pivots))
+    for row, p in zip(u.rows, u.pivots):
+        assert type(row) is tuple and len(row) == u.ambient
+        assert all(type(x) is int for x in row)
+        assert row[p] > 0 and math.gcd(*row) == 1 and not any(row[:p])
+        assert all(row[q] == 0 for q in u.pivots if q != p)
+    assert u.basis == tuple(
+        Vector([Fraction(x, row[p]) for x in row]) for row, p in zip(u.rows, u.pivots)
+    )
+
+
+class TestStoredRows:
+    """Every way of building a subspace stores the same row format."""
+
+    def test_every_builder_stores_reduced_integer_rows(self):
+        rng = random.Random(46)
+        for n in range(1, 6):
+            for _ in range(25):
+                vectors = [random_vector(rng, n) for _ in range(rng.randint(0, n + 1))]
+                u = span(vectors, ambient=n)
+                normal = random_vector(rng, n)
+                built = [
+                    u,
+                    LinearSubspace(n, [v.coords for v in vectors]),
+                    LinearSubspace(n, u.basis),
+                    orthogonal_complement(u),
+                    orthogonal_section(u, normal)[0],
+                    intersect(u, span([normal, random_vector(rng, n)])),
+                    null_space(Matrix([v.coords for v in vectors], ncols=n)),
+                ]
+                for w in built:
+                    assert_stored_rows(w)
+
+    def test_a_cut_augmented_row_is_divided_by_its_gcd(self):
+        """The row space of [A | b] cut to A: the value column may hold the
+        only entry that kept a row coprime."""
+        u = _subspace(3, [(2, 0, 4, 1), (0, 3, -6, 1)], (0, 1))
+        assert u.rows == ((1, 0, 2), (0, 1, -2))
+        assert u == span([Vector([1, 0, 2]), Vector([0, 1, -2])])
+
+    def test_a_row_negative_at_its_pivot_is_signed_again(self):
+        u = _subspace(2, [[-3, 6]], (0,))
+        assert u.rows == ((1, -2),) and u.basis == (Vector([1, -2]),)
+
+    def test_move_set_rows_from_the_augmented_pass(self):
+        for dim in range(2, 6):
+            for w in corpus(dim, 6, seed=46):
+                assert_stored_rows(move_set(w).direction)
 
 
 class TestSpan:
@@ -565,9 +628,9 @@ class TestAgainstSympy:
         reduced, pivots = _rref([Vector(r).num for r in rows], n)
         expected, expected_pivots = sympy.Matrix(rows).rref()
         assert pivots == expected_pivots
-        for i, ((ints, lead), p) in enumerate(zip(reduced, pivots)):
-            assert lead == ints[p] > 0 and math.gcd(*ints) == 1
-            assert [Fraction(v, lead) for v in ints] == [
+        for i, (ints, p) in enumerate(zip(reduced, pivots)):
+            assert type(ints) is tuple and ints[p] > 0 and math.gcd(*ints) == 1
+            assert [Fraction(v, ints[p]) for v in ints] == [
                 sympy_fraction(v) for v in expected.row(i)
             ]
         assert all(v == 0 for v in expected[len(pivots):, :])
@@ -643,7 +706,9 @@ def assert_echelon_agrees(rows, n):
     assert LinearSubspace(n, echelon) == LinearSubspace(n, rows)
     for reduced, reduced_pivots in (_upward(echelon, echelon_pivots), _rref(ints, n)):
         assert reduced_pivots == pivots
-        assert [[Fraction(v, lead) for v in num] for num, lead in reduced] == expected
+        assert [[Fraction(v, num[p]) for v in num] for num, p in zip(reduced, pivots)] == (
+            expected
+        )
     return len(pivots)
 
 

@@ -229,7 +229,7 @@ EXACT = {
         "Matrix([0, 1; 1, 0], ncols=2)",
     ),
     LinearSubspace: (
-        ("ambient", "basis"),
+        ("ambient", "rows"),
         [
             LinearSubspace(2, [vec(2, 2)]),
             LinearSubspace(2, [vec(1, 1), vec(-3, -3)]),

@@ -72,8 +72,7 @@ CATALOG = [
     {
         "id": "leq-elliptic-new",
         "module": "src/scherk/poset.py",
-        "old": "        return v._contains_rows("
-        "[b.num for b in orthogonal_complement(u).basis])\n",
+        "old": "        return v._contains_rows(orthogonal_complement(u).rows)\n",
         "new": "        return True\n",
         "tests": [
             "tests/test_poset.py::TestHasse::test_cover_is_the_transitive_reduction"
@@ -310,8 +309,8 @@ CATALOG = [
     {
         "id": "read-span-without-root",
         "module": "src/scherk/factor.py",
-        "old": "demand = span([*demand.basis, r.root])",
-        "new": "demand = span([*demand.basis])",
+        "old": "demand = _span([*demand.rows, r.root.num], dim)",
+        "new": "demand = _span([*demand.rows], dim)",
         "tests": [
             "tests/test_factor.py::TestMinimalFactorizationProperties::"
             "test_chain_round_trip_past_dimension_six[8]",
@@ -363,7 +362,7 @@ CATALOG = [
     {
         "id": "leq-new-below-hyperbolic",
         "module": "src/scherk/poset.py",
-        "old": "return q.kind != \"e\" and v._contains_rows([b.num for b in u.basis])",
+        "old": "return q.kind != \"e\" and v._contains_rows(u.rows)",
         "new": "return q.kind != \"e\"",
         "tests": [
             "tests/test_poset.py::TestHasse::test_cover_is_the_transitive_reduction"
@@ -498,8 +497,28 @@ CATALOG = [
         "tests": [
             "tests/test_linalg.py::TestAgainstSympy::test_rref",
         ],
-        "why": "a reduced row is (ints, lead) with lead > 0; the row ints / lead "
-        "is the same either way, so only the representation check sees it",
+        "why": "a reduced row is coprime ints, positive at its pivot; a row negative "
+        "there stands for the same row / row[pivot], and _subspace signs each "
+        "stored row by its pivot entry again, so only the representation check "
+        "sees it",
+    },
+    {
+        "id": "subspace-cut-row-not-lowest",
+        "module": "src/scherk/linalg.py",
+        "old": "_lowest(row[:ambient], row[p])[0]",
+        "new": "tuple(row[:ambient])",
+        "tests": [
+            "tests/test_linalg.py::TestStoredRows::"
+            "test_a_cut_augmented_row_is_divided_by_its_gcd",
+            "tests/test_linalg.py::TestStoredRows::"
+            "test_move_set_rows_from_the_augmented_pass",
+            "tests/test_isometry.py::TestInvariantsOnce::"
+            "test_move_set_is_hull_of_unit_point_motions",
+        ],
+        "why": "a row of a reduced [A | b] cut to A may keep a common factor that "
+        "the value column cancelled; stored undivided, the move-set read from "
+        "classify's augmented pass is not the canonical row and compares unequal "
+        "to the same subspace spanned directly",
     },
     {
         "id": "reduced-rows-other-pivots",
@@ -634,8 +653,8 @@ CATALOG = [
     {
         "id": "perp-in-subspace-value",
         "module": "src/scherk/linalg.py",
-        "old": '_names = ("ambient", "basis")',
-        "new": '_names = ("ambient", "basis", "_perp")',
+        "old": '_names = ("ambient", "rows")',
+        "new": '_names = ("ambient", "rows", "_perp")',
         "tests": [
             "tests/test_values.py::test_a_filled_memo_is_no_part_of_the_value"
             "[LinearSubspace]",
