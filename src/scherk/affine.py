@@ -100,14 +100,21 @@ class _AffineSubspace(Record):
     the full direction it is zero, with no projection.  Subspaces of E and
     of V share this form, but only subspaces of the same kind compare or
     combine.
+
+    The slot ``_equations`` holds the subspace as equations once
+    :meth:`_equation_rows` has been asked for them; it is written once,
+    and ``_names`` (direction, anchor) leaves it out, so it plays no part
+    in equality or hashing.
     """
 
-    __slots__ = ("direction", "anchor")
+    __slots__ = ("direction", "anchor", "_equations")
+    _names = ("direction", "anchor")
 
     def __init__(self, direction: LinearSubspace, anchor: Vector) -> None:
         if anchor.dim != direction.ambient:
             raise DimensionError("anchor and direction of different dimensions")
         self.direction = direction
+        self._equations: Optional[tuple[tuple[int, ...], ...]] = None
         if direction.is_full():
             self.anchor = Vector.zero(direction.ambient)
             return
@@ -140,6 +147,22 @@ class _AffineSubspace(Record):
         d, e = v.den, self.anchor.den
         row = [e * a - d * b for a, b in zip(v.num, self.anchor.num)]
         return self.direction._contains_row(row)
+
+    def _equation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The subspace as integer equations [e N | N . A], one for each
+        row N of the reduced basis of the direction's orthogonal
+        complement, with the anchor A / e: x lies in the subspace iff
+        N . x = N . A / e for every N.  Built on the first read and kept
+        in ``_equations``."""
+        if self._equations is None:
+            e, a = self.anchor.den, self.anchor.num
+            self._equations = tuple(
+                [
+                    (*[e * x for x in normal], _dot(normal, a))
+                    for normal in orthogonal_complement(self.direction).rows
+                ]
+            )
+        return self._equations
 
     def _check_peer(self, other: "_AffineSubspace") -> None:
         if type(other) is not type(self):
@@ -206,7 +229,7 @@ class AffineSubspaceV(_AffineSubspace):
 def _affine_v(direction: LinearSubspace, shift: Vector) -> AffineSubspaceV:
     """An AffineSubspaceV from a shift already orthogonal to the direction."""
     m = object.__new__(AffineSubspaceV)
-    m.direction, m.anchor, m._span_perp = direction, shift, None
+    m.direction, m.anchor, m._span_perp, m._equations = direction, shift, None, None
     return m
 
 
@@ -255,18 +278,21 @@ class AffineSubspaceE(_AffineSubspace):
 def _affine_e(direction: LinearSubspace, point: Vector) -> AffineSubspaceE:
     """An AffineSubspaceE from a point already orthogonal to the direction."""
     b = object.__new__(AffineSubspaceE)
-    b.direction, b.anchor = direction, point
+    b.direction, b.anchor, b._equations = direction, point, None
     return b
 
 
 @functools.lru_cache(maxsize=32)
 def _full_e(n: int) -> AffineSubspaceE:
     """E^n, built once per dimension and shared, on the shared R^n of
-    :func:`linalg._full` with the zero anchor; no slot of it is ever
-    written.  Every bottom e^E (a poset meet that fills the space, the
-    bottom :func:`poset._place` decides, the start of a chain walk) is
+    :func:`linalg._full` with the zero anchor.  It has no equation, so its
+    ``_equations`` is the empty tuple from the start and no slot of it is
+    ever written.  Every bottom e^E (a poset meet that fills the space,
+    the bottom :func:`poset._place` decides, the start of a chain walk) is
     this value."""
-    return _affine_e(LinearSubspace.full(n), Vector.zero(n))
+    full = _affine_e(LinearSubspace.full(n), Vector.zero(n))
+    full._equations = ()
+    return full
 
 
 def _frame(b: AffineSubspaceE) -> Iterator[tuple[Sequence[int], int]]:
@@ -357,18 +383,16 @@ def _intersect(subspaces: Sequence[_AffineSubspace]):
     with the rows in echelon order, the arguments of
     :func:`linalg._solve`.
 
-    Each normal row N of a direction gives N . x = N . A / e for the
-    anchor A / e, taken as the integer row [e N | N . A].  A row pivoted in
-    the value column means there is no common point, and then the other
-    rows, cut to their first n entries, are echelon rows of the sum of the
-    normal spaces.  The subspaces are taken as peers, unchecked; the
-    public intersections check them first (:func:`_solve_peers`).
+    Each subspace gives its equations [e N | N . A], built once per
+    subspace (:meth:`_AffineSubspace._equation_rows`), so a join of fixed
+    sets joined before only stacks stored rows, which the passes read and
+    never write.  A row pivoted in the value column means there is no
+    common point, and then the other rows, cut to their first n entries,
+    are echelon rows of the sum of the normal spaces.  The subspaces are
+    taken as peers, unchecked; the public intersections check them first
+    (:func:`_solve_peers`).
     """
-    rows = []
-    for s in subspaces:
-        e, a = s.anchor.den, s.anchor.num
-        for normal in orthogonal_complement(s.direction).rows:
-            rows.append([e * x for x in normal] + [_dot(normal, a)])
+    rows = [row for s in subspaces for row in s._equation_rows()]
     n = subspaces[0].ambient
     return *_independent(rows, n + 1), n
 

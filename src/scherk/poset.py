@@ -63,7 +63,8 @@ S = W.  :func:`_place` also serves the chain read of ``factor``, which
 places each hyperbolic suffix from the span of its move-set.
 
 A join of elliptics alone is one forward pass over the stacked system
-[normals | values] of their fixed sets.  A row pivoted in the value
+[normals | values] of their fixed sets, the equations each fixed set
+keeps once built.  A row pivoted in the value
 column means they have no common point, and the rows left of it are
 echelon rows of W, the sum of the Dir(B)^perp; otherwise the same rows,
 reduced upward, give their intersection, which is the join.  A lower
@@ -521,19 +522,27 @@ def is_bowtie(
 
 def _sorted(elements: Sequence[PosetElement]) -> list[PosetElement]:
     """The elements by rank, kind, then the coordinates of the anchor and
-    the basis.  The coordinates of every element are taken over one common
-    denominator, the lcm of every anchor's and basis row's, so each key
-    compares integers, in the order of the rationals they stand for."""
-    vectors = []
+    the basis.  Each is read as stored, an integer row over its
+    denominator: the anchor as (num, den) and each basis vector as (row,
+    row[pivot]) of its reduced row.  The coordinates of every element are
+    taken over one common denominator, the lcm of all of those, so each
+    key compares integers, in the order of the rationals they stand for."""
+    parts = []
     for p in elements:
         space = p._space
-        vectors.append(
-            space.basis if p.kind == "n" else (space.anchor, *space.direction.basis)
-        )
-    den = math.lcm(*(v.den for row in vectors for v in row))
+        if p.kind == "n":
+            u, anchor = space, []
+        else:
+            u, anchor = space.direction, [(space.anchor.num, space.anchor.den)]
+        parts.append(anchor + [(row, row[c]) for row, c in zip(u.rows, u.pivots)])
+    den = math.lcm(*(d for pairs in parts for _, d in pairs))
     keys = [
-        (rank(p), "ehn".index(p.kind), [x * (den // v.den) for v in row for x in v.num])
-        for p, row in zip(elements, vectors)
+        (
+            rank(p),
+            "ehn".index(p.kind),
+            [x * (den // d) for num, d in pairs for x in num],
+        )
+        for p, pairs in zip(elements, parts)
     ]
     order = sorted(range(len(elements)), key=keys.__getitem__)
     return [elements[i] for i in order]

@@ -57,6 +57,7 @@ interval order are checked against arithmetic that shares none of them.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -78,7 +79,19 @@ from scherk.isometry import (
     reflection_length,
 )
 from scherk.linalg import Matrix, Vector
-from scherk.poset import inv_map, rank
+from scherk.oracle import FiniteUniverse, definitional_join, definitional_meet
+from scherk.poset import (
+    BoundFamily,
+    Elliptic,
+    PosetContext,
+    dm_join,
+    dm_meet,
+    inv_map,
+    join,
+    leq,
+    meet,
+    rank,
+)
 
 RADIUS = 2
 # type: (ambient dimension, factorizations in the Hurwitz ball of RADIUS)
@@ -273,3 +286,82 @@ def test_library_hurwitz_moves_stay_in_the_ball(group):
         for i in range(len(f) - 1):
             assert hurwitz(f, i) in ball
             assert hurwitz_inverse(f, i) in ball
+
+
+# type: elements of the prefix universe, inv of every prefix product of
+# the Hurwitz ball of radius 3 (the empty prefix and c itself included)
+PREFIX_UNIVERSES = {"A3": 43, "C3": 48}
+
+
+def check_plain(universe, pair):
+    """meet and join of a pair against the scans of the finite universe.
+    A bound in the universe is the one extremal bound the scan finds, and
+    every scanned extremal bound lies on its side of the closed form.  A
+    family's members in the universe are extremal there, and every
+    scanned extremal bound is of the family's kind with a direction that
+    holds the family's: it lies on its side of some member."""
+    ctx = universe.ctx
+    for bound, scan, below in (
+        (meet(*pair, ctx), definitional_meet(pair, universe), True),
+        (join(*pair, ctx), definitional_join(pair, universe), False),
+    ):
+        if isinstance(bound, BoundFamily):
+            assert {p for p in universe if bound.contains(p)} <= scan
+            for x in scan:
+                assert x.kind == bound.kind
+                assert bound.direction.subset_of(x._space.direction)
+            continue
+        for q in pair:
+            assert leq(bound, q) if below else leq(q, bound)
+        for x in scan:
+            assert leq(x, bound) if below else leq(bound, x)
+        if bound in universe:
+            assert scan == {bound}
+
+
+def check_completed(universe, subset):
+    """dm_meet and dm_join of a subset against the scans, as above; the
+    completion always has the bound, which may be a new element that no
+    finite universe of prefixes holds.  Returns the join."""
+    ctx = universe.ctx
+    low, high = dm_meet(subset, ctx), dm_join(subset, ctx)
+    for q in subset:
+        assert leq(low, q) and leq(q, high)
+    maximal = definitional_meet(subset, universe)
+    minimal = definitional_join(subset, universe)
+    assert all(leq(x, low) for x in maximal)
+    assert all(leq(high, x) for x in minimal)
+    if low in universe:
+        assert maximal == {low}
+    if high in universe:
+        assert minimal == {high}
+    return high
+
+
+@pytest.mark.parametrize("name", list(PREFIX_UNIVERSES))
+def test_bounds_in_the_prefix_universe_match_the_scans(name):
+    """The hyperbolic universe below inv(c): inv of every prefix product,
+    built by the test's own maps.  The fixed sets are oblique, with
+    rational anchors, so elliptics join both at a common point and, with
+    none, higher up.  Plain bounds on seeded pairs and completed bounds on
+    seeded pairs and triples agree with the definitional scans."""
+    group = AffineGroup(name)
+    ball = hurwitz_ball(group.simple, 3)
+    prefixes = {mirrors[:i] for mirrors in ball for i in range(group.n + 2)}
+    elements = {inv_map(group.product(mirrors, prefix=True)) for mirrors in prefixes}
+    top = inv_map(group.c)
+    plain = FiniteUniverse(PosetContext(top), elements)
+    completed = FiniteUniverse(PosetContext(top, augmented=True), elements)
+    assert len(plain) == len(completed) == PREFIX_UNIVERSES[name]
+    fixes = [p for p in plain if isinstance(p, Elliptic)]
+    assert any(p.fix.anchor.den > 1 for p in fixes)
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(150):
+        pair = rng.sample(fixes, 2)
+        check_plain(plain, pair)
+        kinds.add(check_completed(completed, pair).kind)
+    assert {"e", "h"} <= kinds
+    for _ in range(150):
+        check_plain(plain, rng.sample(plain.elements, 2))
+        check_completed(completed, rng.sample(completed.elements, 3))

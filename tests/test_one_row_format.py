@@ -13,7 +13,7 @@ import pathlib
 
 SOURCES = pathlib.Path(__file__).parent.parent / "src" / "scherk"
 ROW_READERS = ("affine.py", "factor.py", "jsonio.py")
-POSET_ROW_READERS = ("leq", "_meet", "_join")
+POSET_ROW_READERS = ("leq", "_meet", "_join", "_sorted")
 
 
 def basis_reads(tree):

@@ -696,13 +696,19 @@ def count_linalg_calls(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        original = getattr(linalg_module, name)
-        wrapper = counted(name, original)
-        for module in list(sys.modules.values()):
-            if module and module.__name__.startswith("scherk"):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, wrapper)
+        wrap_linalg(monkeypatch, name, functools.partial(counted, name))
     return counts
+
+
+def wrap_linalg(monkeypatch, name, wrap):
+    """Replace the linalg function ``name`` by ``wrap`` of it in every loaded
+    scherk module that binds it."""
+    original = getattr(linalg_module, name)
+    wrapper = wrap(original)
+    for module in list(sys.modules.values()):
+        if module and module.__name__.startswith("scherk"):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
 
 
 class TestOperationBudget:
@@ -794,6 +800,79 @@ class TestOperationBudget:
             assert made["_upward"] <= 1
             shapes.add((high.kind, made["_upward"]))
         assert shapes == {("e", 1), ("h", 0), ("h", 1), ("n", 1)}
+
+    def test_a_second_join_sweep_builds_no_equation_row(self, monkeypatch):
+        """Each fixed set keeps its equations [e N | N . A] once a join has
+        read them: a second dm_join over the 741 pairs stacks the stored
+        rows and builds none, and a join leaves them as they were."""
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        ctx = universe.ctx
+        pairs = list(itertools.combinations_with_replacement(universe.elements, 2))
+        assert len(pairs) == 741
+        built = []
+        original = affine_module._AffineSubspace._equation_rows
+
+        def counted(space):
+            fresh = space._equations is None
+            rows = original(space)
+            if fresh:
+                built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(affine_module._AffineSubspace, "_equation_rows", counted)
+        for pair in pairs:
+            dm_join(pair, ctx)
+        first = sum(built)
+        fixes = [p.fix for p in universe if isinstance(p, Elliptic)]
+        stored = [b._equations for b in fixes]
+        assert 0 < len(built) <= len(fixes) and first > 0
+        for b, rows in zip(fixes, stored):
+            assert type(rows) is tuple and len(rows) == b.codim
+            assert all(type(row) is tuple and len(row) == 4 for row in rows)
+        snapshot = [[list(row) for row in rows] for rows in stored]
+        for pair in pairs:
+            dm_join(pair, ctx)
+        assert sum(built) == first
+        assert all(b._equations is rows for b, rows in zip(fixes, stored))
+        assert [[list(row) for row in rows] for rows in stored] == snapshot
+
+    def test_the_shared_full_space_has_no_equation(self):
+        """E^n is built with its (empty) equations in place, so reading them
+        writes no slot of the shared value."""
+        for n in range(6):
+            assert affine_module._full_e.__wrapped__(n)._equations == ()
+            full = AffineSubspaceE.full(n)
+            assert full._equations == () and full._equation_rows() == ()
+
+    def test_the_passes_never_write_their_input_rows(self, monkeypatch):
+        """_independent and _upward read the rows they are given, which may
+        be the stored equations of a subspace, and never write them: every
+        call of dm_meet + dm_join over the 741 pairs, and of the public
+        intersections, is checked against a copy of its input."""
+        universe = coordinate_universe(3, plane_top_3d(), augmented=True)
+        ctx = universe.ctx
+        calls = dict.fromkeys(("_independent", "_upward"), 0)
+
+        def checked(name, fn):
+            def wrapper(rows, *args):
+                rows = list(rows)
+                before = [list(row) for row in rows]
+                out = fn(rows, *args)
+                assert [list(row) for row in rows] == before
+                calls[name] += 1
+                return out
+
+            return wrapper
+
+        for name in calls:
+            wrap_linalg(monkeypatch, name, functools.partial(checked, name))
+        for pair in itertools.combinations_with_replacement(universe.elements, 2):
+            dm_meet(pair, ctx)
+            dm_join(pair, ctx)
+        fixes = [p.fix for p in universe if isinstance(p, Elliptic)]
+        for a, b in itertools.combinations(fixes, 2):
+            intersect_affine(a, b)
+        assert all(calls.values())
 
     # leq calls of dm_meet + dm_join over every pair of the augmented plane
     # universe, its elements rebuilt from JSON so that no context has

@@ -347,6 +347,11 @@ MEMOS = {
         AffineSubspaceV.span_complement,
         "_span_perp",
     ),
+    AffineSubspaceE: (
+        lambda: AffineSubspaceE(Point(vec(1, -1)), LINE),
+        AffineSubspaceE._equation_rows,
+        "_equations",
+    ),
     Isometry: (lambda: Reflection(vec(1, 1), 3).to_isometry(), classify, "_class"),
 }
 

@@ -576,10 +576,65 @@ CATALOG = [
         "meet's, is projected again, which the projection budgets count",
     },
     {
+        "id": "equations-value-unscaled",
+        "module": "src/scherk/affine.py",
+        "old": "(*[e * x for x in normal], _dot(normal, a))",
+        "new": "(*normal, _dot(normal, a))",
+        "tests": [
+            "tests/test_affine_coxeter.py::"
+            "test_bounds_in_the_prefix_universe_match_the_scans[A3]",
+            "tests/test_affine_coxeter.py::"
+            "test_bounds_in_the_prefix_universe_match_the_scans[C3]",
+        ],
+        "why": "N . x = N . A / e is the row [e N | N . A]; without e the value "
+        "column is e times too large, which only an anchor with a denominator "
+        "shows, so an oblique join finds the wrong common point or none",
+    },
+    {
+        "id": "equations-from-direction",
+        "module": "src/scherk/affine.py",
+        "old": "for normal in orthogonal_complement(self.direction).rows",
+        "new": "for normal in self.direction.rows",
+        "tests": [
+            "tests/test_poset.py::TestOperationBudget::"
+            "test_a_second_join_sweep_builds_no_equation_row",
+            "tests/test_affine_coxeter.py::"
+            "test_bounds_in_the_prefix_universe_match_the_scans[A3]",
+        ],
+        "why": "the equations of a subspace are its normals, the rows of the "
+        "direction's complement; the direction's own rows cut out another "
+        "subspace, so elliptics join at the wrong place",
+    },
+    {
+        "id": "full-space-equations-unset",
+        "module": "src/scherk/affine.py",
+        "old": "    full._equations = ()\n",
+        "new": "    full._equations = None\n",
+        "tests": [
+            "tests/test_poset.py::TestOperationBudget::"
+            "test_the_shared_full_space_has_no_equation",
+        ],
+        "why": "the answers are the same, but the first join that reads the "
+        "equations of the shared E^n writes its slot, which no reader of the "
+        "shared value may do",
+    },
+    {
+        "id": "equations-in-value",
+        "module": "src/scherk/affine.py",
+        "old": '_names = ("direction", "anchor")',
+        "new": '_names = ("direction", "anchor", "_equations")',
+        "tests": [
+            "tests/test_values.py::test_a_filled_memo_is_no_part_of_the_value"
+            "[AffineSubspaceE]",
+        ],
+        "why": "the equations are a memo: a subspace that a join has read would "
+        "differ from its unread twin",
+    },
+    {
         "id": "hasse-key-unscaled",
         "module": "src/scherk/poset.py",
-        "old": "x * (den // v.den) for v in row",
-        "new": "x for v in row",
+        "old": "x * (den // d) for num, d in pairs",
+        "new": "x for num, d in pairs",
         "tests": [
             "tests/test_poset.py::TestHasseOrder::"
             "test_integer_keys_order_as_the_rationals",
